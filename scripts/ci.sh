@@ -43,9 +43,15 @@ if [[ "${1:-}" == "--full" ]]; then
 
     echo
     echo "== audited high-churn scenario on the diffed-assembly path =="
-    python -m repro.cli scenario run mixed-churn --sites 16 --seed 7 \
-        --rebuild-policy incremental --problem-assembly diffed \
-        --audit --strict
+    # --rebuild-policy incremental selects diffed assembly; the summary
+    # line is checked so the gate cannot silently fall back to scratch.
+    CHURN_OUT=$(python -m repro.cli scenario run mixed-churn --sites 16 \
+        --seed 7 --rebuild-policy incremental --audit --strict)
+    echo "${CHURN_OUT}"
+    if ! grep -Eq '^problem assembly: [1-9][0-9]* diffed' <<<"${CHURN_OUT}"; then
+        echo "ci.sh: high-churn gate ran no diffed-assembly rounds" >&2
+        exit 1
+    fi
 
     echo
     echo "== chaos gate: 20%-lossy jittered join burst, zero unrecovered =="

@@ -47,12 +47,7 @@ from typing import Sequence
 
 from repro.core.backend import BACKEND_NAMES
 from repro.errors import Tele3DError
-from repro.util.validation import (
-    ASSEMBLY_POLICIES,
-    DELTA_SOURCES,
-    DRIFT_MODES,
-    REBUILD_POLICIES,
-)
+from repro.util.validation import REBUILD_POLICIES
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
@@ -138,26 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "from scratch (always), repair the surviving "
                                "forest (incremental), or repair under a "
                                "drift budget (hybrid)")
-    scen_run.add_argument("--problem-assembly", default=None,
-                          choices=ASSEMBLY_POLICIES,
-                          help="per-round problem assembly: evolve the "
-                               "previous round's problem (diffed), re-derive "
-                               "the dense tables from the session (scratch), "
-                               "or diffed whenever the rebuild policy is not "
-                               "'always' (auto, default)")
-    scen_run.add_argument("--delta-source", default=None,
-                          choices=DELTA_SOURCES,
-                          help="where diffed assembly gets the round's group "
-                               "delta: dirty-tracked registrations in "
-                               "O(churn) (dirty, default) or a full workload "
-                               "re-scan (scan); bit-identical")
-    scen_run.add_argument("--drift-mode", default=None,
-                          choices=DRIFT_MODES,
-                          help="hybrid drift guard: scratch-free estimator "
-                               "that only verifies when the accumulated "
-                               "repair drift crosses the budget (estimate, "
-                               "default) or a scratch solve every round "
-                               "(measure)")
     scen_run.add_argument("--async-control", action="store_true",
                           help="replay the schedule through the event-driven "
                                "membership service (delayed control links, "
@@ -520,12 +495,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         spec = replace(spec, algorithm=args.algorithm)
     if args.rebuild_policy:
         spec = replace(spec, rebuild_policy=args.rebuild_policy)
-    if args.problem_assembly:
-        spec = replace(spec, problem_assembly=args.problem_assembly)
-    if args.delta_source:
-        spec = replace(spec, delta_source=args.delta_source)
-    if args.drift_mode:
-        spec = replace(spec, drift_mode=args.drift_mode)
     if args.backend:
         spec = replace(spec, backend=args.backend)
     chaos_overrides = (

@@ -36,7 +36,7 @@ from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
 from repro.util.validation import (
     check_disjoint_windows,
-    check_non_negative,
+    check_finite_non_negative,
     check_probability,
 )
 
@@ -137,7 +137,7 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         check_probability("loss_rate", self.loss_rate)
-        check_non_negative("jitter_ms", self.jitter_ms)
+        check_finite_non_negative("jitter_ms", self.jitter_ms)
         check_probability("duplicate_rate", self.duplicate_rate)
         check_disjoint_windows("server outage", self.outages)
 

@@ -15,18 +15,16 @@ round's forest and only re-solves when the repair is infeasible;
 (:func:`~repro.core.incremental.churn_rate` against the previous round)
 and repair-vs-rebuild counts are tracked for reporting.
 
-Orthogonally, ``problem_assembly`` decides how each round's
-:class:`~repro.core.problem.ForestProblem` is *assembled* before any
-overlay work happens: ``"scratch"`` re-derives the dense O(N²)
-cost/limit tables from the session every round, while ``"diffed"``
-evolves the previous round's problem
-(:meth:`~repro.core.problem.ForestProblem.evolve`), carrying the dense
-matrix across rounds and patching only the groups the workload diff
-touched.  ``"auto"`` (the default) uses diffed assembly whenever the
-rebuild policy is not ``"always"`` — so incremental rounds stop paying
-the per-round O(N²) the paper's always-rebuild model pays.  Diffed and
-scratch assembly are equivalent (bit-identical build results); per-mode
-counts are tracked for reporting.
+Each round's :class:`~repro.core.problem.ForestProblem` is assembled
+the way the policy implies: ``"always"`` — and any round with no
+previous problem (the first, or the first after a crash) — re-derives
+the dense O(N²) cost/limit tables from the session (*scratch*); the
+repairing policies instead evolve the previous round's problem by the
+dirty-registration delta (*diffed*,
+:meth:`~repro.core.problem.ForestProblem.evolve_delta`), carrying the
+dense matrix across rounds and patching only the groups that churned.
+The two are equivalent (bit-identical build results); per-mode counts
+are tracked for reporting.
 """
 
 from __future__ import annotations
@@ -50,12 +48,7 @@ from repro.pubsub.messages import Advertisement, OverlayDirective, SiteSubscript
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from repro.util.validation import (
-    check_assembly_policy,
-    check_delta_source,
-    check_drift_mode,
-    check_non_negative,
-)
+from repro.util.validation import check_non_negative
 from repro.workload.spec import SubscriptionWorkload
 
 
@@ -93,27 +86,11 @@ class MembershipServer:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy; ``None`` adopts the session's default.
-    rebuild_policy: str | None = None
-    #: Per-round problem assembly ("auto" | "diffed" | "scratch");
-    #: ``None`` adopts the session's default.
-    problem_assembly: str | None = None
+    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    rebuild_policy: str = "always"
     #: Hybrid-mode quality budget: the repaired forest may cost at most
     #: ``(1 + drift_budget)`` times the scratch solution of the round.
     drift_budget: float = DEFAULT_DRIFT_BUDGET
-    #: Where diffed assembly gets its per-round group delta ("dirty" |
-    #: "scan"); ``None`` adopts the session's default.  ``dirty``
-    #: derives it from the dirty-tracked registration indices in
-    #: O(churn); ``scan`` re-walks the global workload (the equivalence
-    #: baseline).
-    delta_source: str | None = None
-    #: How hybrid measures drift ("estimate" | "measure"); ``None``
-    #: adopts the session's default.  ``measure`` solves from scratch
-    #: every round (the original guard); ``estimate`` stays scratch-free
-    #: until the accumulated repair-delta estimate crosses the budget or
-    #: the repair carries rejections, then verifies with a real scratch
-    #: solve.
-    drift_mode: str | None = None
     _advertised: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     _subscriptions: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     #: Advertiser count per stream — a stream is *available* (its groups
@@ -142,18 +119,7 @@ class MembershipServer:
     _verifications: int = 0
 
     def __post_init__(self) -> None:
-        if self.rebuild_policy is None:
-            self.rebuild_policy = self.session.rebuild_policy
         validate_rebuild_policy(self.rebuild_policy)
-        if self.problem_assembly is None:
-            self.problem_assembly = self.session.problem_assembly
-        check_assembly_policy(self.problem_assembly)
-        if self.delta_source is None:
-            self.delta_source = self.session.delta_source
-        check_delta_source(self.delta_source)
-        if self.drift_mode is None:
-            self.drift_mode = self.session.drift_mode
-        check_drift_mode(self.drift_mode)
         check_non_negative("drift_budget", self.drift_budget)
         # Repair joins mirror the configured builder: same parent
         # policy, and the CO-RJ victim swap only when the builder itself
@@ -383,9 +349,7 @@ class MembershipServer:
         (the publisher is gone), mirroring broker-side matching of
         interests against advertisements.
         """
-        available: set[StreamId] = set()
-        for streams in self._advertised.values():
-            available.update(streams)
+        available = self._available
         site_sets = {
             site: tuple(s for s in streams if s in available)
             for site, streams in self._subscriptions.items()
@@ -397,9 +361,7 @@ class MembershipServer:
 
         The first round always builds from scratch; afterwards the
         configured ``rebuild_policy`` decides whether the previous forest
-        is repaired in place or the problem is re-solved, and the
-        configured ``problem_assembly`` whether the round's problem is
-        evolved from the previous one or re-derived from the session.
+        is repaired in place or the problem is re-solved.
         """
         problem = self._assemble_problem()
         previous = self._last_result
@@ -450,40 +412,38 @@ class MembershipServer:
     def _assemble_problem(self) -> ForestProblem:
         """Assemble the round's problem: evolve the previous one or start over.
 
-        ``auto`` resolves to diffed assembly exactly when the rebuild
-        policy is not ``"always"`` — the paper's model keeps paying the
-        per-round O(N²) scratch assembly it specifies, while repair
-        rounds skip it.  The first round (no previous problem) is always
-        scratch.
-
-        Diffed assembly reads its group delta per ``delta_source``:
-        ``dirty`` consumes the dirty-tracked registration indices —
-        O(churned streams), the global workload is never materialized —
-        while ``scan`` re-walks the workload's groups like PR 5 did.
-        Both are digest-pinned bit-identical.
+        The paper's ``"always"`` model keeps paying the per-round O(N²)
+        scratch assembly it specifies, and so does any round with no
+        previous problem (the first, or the first after a crash).  Every
+        other round evolves the previous problem by the delta the
+        dirty-tracked registration indices yield — O(churned streams);
+        the global workload is never materialized.
         """
-        mode = self.problem_assembly
-        if mode == "auto":
-            mode = "scratch" if self.rebuild_policy == "always" else "diffed"
         previous = self._last_problem
-        if mode == "diffed" and previous is not None:
-            if self.delta_source == "dirty":
-                delta = self._consume_dirty_delta()
-                problem = ForestProblem.evolve_delta(previous, delta)
-                self._patch_group_index(delta)
-            else:
-                problem = ForestProblem.evolve(previous, self.global_workload())
-                self._reset_group_index(problem)
-            self._assemblies_diffed += 1
-            self._last_assembly = "diffed"
+        if self.rebuild_policy == "always" or previous is None:
+            problem = self._assemble_scratch()
         else:
-            problem = ForestProblem.from_workload(
-                self.session, self.global_workload(), self.latency_bound_ms
-            )
-            self._reset_group_index(problem)
-            self._assemblies_scratch += 1
-            self._last_assembly = "scratch"
+            problem = self._assemble_diffed(previous)
         self._last_problem = problem
+        return problem
+
+    def _assemble_scratch(self) -> ForestProblem:
+        """Re-derive the problem from the session and the global workload."""
+        problem = ForestProblem.from_workload(
+            self.session, self.global_workload(), self.latency_bound_ms
+        )
+        self._reset_group_index(problem)
+        self._assemblies_scratch += 1
+        self._last_assembly = "scratch"
+        return problem
+
+    def _assemble_diffed(self, previous: ForestProblem) -> ForestProblem:
+        """Evolve ``previous`` by the dirty-registration delta."""
+        delta = self._consume_dirty_delta()
+        problem = ForestProblem.evolve_delta(previous, delta)
+        self._patch_group_index(delta)
+        self._assemblies_diffed += 1
+        self._last_assembly = "diffed"
         return problem
 
     def _consume_dirty_delta(self) -> ProblemDelta:
@@ -495,8 +455,8 @@ class MembershipServer:
         that ended up unchanged — withdraw-then-resubscribe races,
         re-registrations of identical payloads routed through different
         tuples — drop out.  Iteration is stream-sorted so the delta's
-        category ordering matches :meth:`ProblemDelta.between` on the
-        scan-derived group lists.
+        category ordering matches the reference
+        :meth:`ProblemDelta.between` on workload-scanned group lists.
         """
         added: list[MulticastGroup] = []
         removed: list[MulticastGroup] = []
@@ -542,24 +502,31 @@ class MembershipServer:
     ) -> tuple[BuildResult | None, str]:
         """Hybrid adoption: quality-guard the repair against scratch.
 
-        ``measure`` mode solves from scratch every round and compares
-        directly (the original guard).  ``estimate`` mode skips the
-        scratch solve while the repair is feasible, rejection-free and
-        the accumulated repair-delta estimate stays inside the drift
-        budget; otherwise it *verifies*: solves from scratch under the
-        same ``"scratch"`` RNG label — spawning is stateless, so skipped
-        rounds leave every other draw untouched and a verification round
-        is bit-identical to a measured round — and applies the real
-        guard.  A verification that keeps the repair re-anchors the
-        estimate on the drift it actually measured.
+        The scratch solve is skipped while the repair is feasible,
+        rejection-free and the accumulated repair-delta estimate stays
+        inside the drift budget; otherwise the round *verifies* against
+        a real scratch solve.
         """
-        if self.drift_mode == "estimate" and repair.feasible:
+        if repair.feasible:
             if (
                 not repair.result.rejected
                 and self._repairer.drift_estimate <= self.drift_budget
             ):
                 return repair.result, "repair"
             self._verifications += 1
+        return self._verify_against_scratch(repair, problem, rng)
+
+    def _verify_against_scratch(
+        self, repair, problem: ForestProblem, rng: RngStream
+    ) -> tuple[BuildResult | None, str]:
+        """Solve from scratch and keep the repair only if it is within budget.
+
+        The solve draws from the ``"scratch"`` RNG label — spawning is
+        stateless, so rounds that skip it leave every other draw
+        untouched and a verified round is bit-identical to one of a
+        server that verifies every round.  A verification that keeps
+        the repair re-anchors the estimate on the drift it measured.
+        """
         scratch = self.builder.build(problem, rng.spawn("scratch"))
         if repair.feasible and self._within_budget(repair.result, scratch):
             scratch_cost = overlay_cost(scratch)
@@ -633,7 +600,7 @@ class MembershipServer:
 
     @property
     def verifications(self) -> int:
-        """Estimator-triggered scratch verifications (hybrid "estimate")."""
+        """Estimator-triggered scratch verifications (hybrid policy)."""
         return self._verifications
 
     @property

@@ -38,17 +38,8 @@ class PubSubSystem:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy; ``None`` adopts the session's default.
-    rebuild_policy: str | None = None
-    #: Per-round problem assembly ("auto" | "diffed" | "scratch");
-    #: ``None`` adopts the session's default.
-    problem_assembly: str | None = None
-    #: Group-delta source for diffed assembly ("dirty" | "scan");
-    #: ``None`` adopts the session's default.
-    delta_source: str | None = None
-    #: Hybrid drift mode ("estimate" | "measure"); ``None`` adopts the
-    #: session's default.
-    drift_mode: str | None = None
+    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    rebuild_policy: str = "always"
     rps: dict[int, RPAgent] = field(default_factory=dict)
     server: MembershipServer = field(init=False)
 
@@ -62,9 +53,6 @@ class PubSubSystem:
             builder=self.builder,
             latency_bound_ms=self.latency_bound_ms,
             rebuild_policy=self.rebuild_policy,
-            problem_assembly=self.problem_assembly,
-            delta_source=self.delta_source,
-            drift_mode=self.drift_mode,
         )
 
     # -- subscription entry points --------------------------------------------------
@@ -121,51 +109,28 @@ class PubSubSystem:
 
     # -- event-driven control ----------------------------------------------------------
 
-    def async_service(
-        self,
-        sim,
-        build_rng: RngStream,
-        control_delay_ms: float | None = None,
-        debounce_ms: float | None = None,
-        site_delays: dict[int, float] | None = None,
-        auditor=None,
-        faults=None,
-        chaos_rng: RngStream | None = None,
-        heartbeat_ms: float | None = None,
-        miss_threshold: int | None = None,
-        retransmit_timeout_ms: float | None = None,
-        phi_threshold: float | None = None,
-        checkpoint_interval_ms: float | None = None,
-        server_failover: bool | None = None,
-    ):
+    def async_service(self, sim, build_rng: RngStream, **options):
         """Attach this system's server and RPs to an event-driven service.
 
         Returns a :class:`~repro.pubsub.service.MembershipService` on
-        ``sim``; delay/debounce — and the chaos knobs (fault model,
-        heartbeat detection, retransmission) — default to the session's
-        values.  The synchronous :meth:`run_control_round` and the
-        service share one server, so don't interleave the two control
-        styles in one run.
+        ``sim``.  ``options`` are the service's own keyword parameters
+        (delay/debounce, fault model, heartbeat detection,
+        retransmission, ...); an option left out or passed as ``None``
+        takes the service's default.  The synchronous
+        :meth:`run_control_round` and the service share one server, so
+        don't interleave the two control styles in one run.
         """
         from repro.pubsub.service import MembershipService
 
+        given = {
+            name: value for name, value in options.items() if value is not None
+        }
         return MembershipService(
             sim=sim,
             server=self.server,
             rps=self.rps,
             build_rng=build_rng,
-            control_delay_ms=control_delay_ms,
-            debounce_ms=debounce_ms,
-            site_delays=site_delays,
-            auditor=auditor,
-            faults=faults,
-            chaos_rng=chaos_rng,
-            heartbeat_ms=heartbeat_ms,
-            miss_threshold=miss_threshold,
-            retransmit_timeout_ms=retransmit_timeout_ms,
-            phi_threshold=phi_threshold,
-            checkpoint_interval_ms=checkpoint_interval_ms,
-            server_failover=server_failover,
+            **given,
         )
 
     # -- inspection --------------------------------------------------------------------

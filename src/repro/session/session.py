@@ -10,7 +10,6 @@ the pairwise RP latency matrix the overlay layer consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import SessionError
@@ -22,12 +21,6 @@ from repro.topology.dense import DenseCostMatrix
 from repro.topology.graph import Topology
 from repro.topology.placement import place_sites
 from repro.util.rng import RngStream
-from repro.util.validation import (
-    check_assembly_policy,
-    check_delta_source,
-    check_drift_mode,
-    check_rebuild_policy,
-)
 
 
 @dataclass
@@ -38,53 +31,6 @@ class SessionConfig:
     displays_per_site: int = 4
     placement: str = "random"
     camera_ring_radius: float = 3.0
-    #: Default overlay maintenance policy for control planes attached to
-    #: this session ("always" | "incremental" | "hybrid"); see
-    #: :mod:`repro.core.incremental`.
-    rebuild_policy: str = "always"
-    #: Default per-round problem assembly ("auto" | "diffed" |
-    #: "scratch"): whether the membership server re-derives the dense
-    #: cost/limit tables from the session every round or evolves the
-    #: previous round's problem (see :meth:`ForestProblem.evolve`).
-    problem_assembly: str = "auto"
-    #: Default group-delta source for diffed assembly ("dirty" |
-    #: "scan"); see :data:`repro.util.validation.DELTA_SOURCES`.
-    delta_source: str = "dirty"
-    #: Default hybrid drift mode ("estimate" | "measure"); see
-    #: :data:`repro.util.validation.DRIFT_MODES`.
-    drift_mode: str = "estimate"
-    #: Default one-way control-link propagation delay between each RP
-    #: and the membership service (event-driven control plane only;
-    #: 0 = the synchronous degenerate case).
-    control_delay_ms: float = 0.0
-    #: Default debounce window the membership service coalesces dirty
-    #: control state over before building a round.
-    debounce_ms: float = 0.0
-    #: Default control-link fault model for event-driven control planes
-    #: over this session (per-message drop probability and uniform delay
-    #: jitter; 0/0 = a perfect link, the pre-chaos behavior).
-    control_loss_rate: float = 0.0
-    control_jitter_ms: float = 0.0
-    #: Default heartbeat period for the event-driven control plane
-    #: (0 = heartbeats off: failures must be declared, not detected).
-    heartbeat_ms: float = 0.0
-    #: Missed-beat count before the server suspects a silent site.
-    miss_threshold: int = 3
-    #: Default ack timeout before a sequenced control message is
-    #: retransmitted (0 = fire-and-forget, the pre-chaos behavior).
-    retransmit_timeout_ms: float = 0.0
-    #: Default φ-accrual suspicion threshold for the failure detector
-    #: (0 = the static miss_threshold x heartbeat_ms deadline).
-    phi_threshold: float = 0.0
-    #: Default period of the membership server's durable soft-state
-    #: checkpoint (0 = no checkpointing: a crashed server restarts cold).
-    checkpoint_interval_ms: float = 0.0
-    #: Default data-plane fault model for frame dissemination over this
-    #: session's overlay forest (the data mirror of the control knobs
-    #: above; 0/0/0 = the deterministic paper setting).
-    data_loss_rate: float = 0.0
-    data_jitter_ms: float = 0.0
-    data_duplicate_rate: float = 0.0
     #: Array backend for the session's dense structures ("auto" |
     #: "python" | "numpy"); see :mod:`repro.core.backend`.  "auto"
     #: consults ``TELE3D_BACKEND`` and falls back to numpy-if-importable.
@@ -100,56 +46,7 @@ class SessionConfig:
             raise SessionError(
                 f"displays_per_site must be >= 1, got {self.displays_per_site}"
             )
-        check_rebuild_policy(self.rebuild_policy)
-        check_assembly_policy(self.problem_assembly)
-        check_delta_source(self.delta_source)
-        check_drift_mode(self.drift_mode)
         check_backend_name(self.backend)
-        if self.control_delay_ms < 0:
-            raise SessionError(
-                f"control_delay_ms must be >= 0, got {self.control_delay_ms}"
-            )
-        if self.debounce_ms < 0:
-            raise SessionError(
-                f"debounce_ms must be >= 0, got {self.debounce_ms}"
-            )
-        if not 0.0 <= self.control_loss_rate <= 1.0:
-            raise SessionError(
-                f"control_loss_rate must be in [0, 1], got {self.control_loss_rate}"
-            )
-        if self.control_jitter_ms < 0 or self.heartbeat_ms < 0:
-            raise SessionError(
-                "control_jitter_ms and heartbeat_ms must be >= 0, got "
-                f"{self.control_jitter_ms}/{self.heartbeat_ms}"
-            )
-        if self.miss_threshold < 1:
-            raise SessionError(
-                f"miss_threshold must be >= 1, got {self.miss_threshold}"
-            )
-        if self.retransmit_timeout_ms < 0:
-            raise SessionError(
-                f"retransmit_timeout_ms must be >= 0, got "
-                f"{self.retransmit_timeout_ms}"
-            )
-        if not (math.isfinite(self.phi_threshold) and self.phi_threshold >= 0):
-            raise SessionError(
-                f"phi_threshold must be finite and >= 0, got {self.phi_threshold}"
-            )
-        if not self.checkpoint_interval_ms >= 0:
-            raise SessionError(
-                f"checkpoint_interval_ms must be >= 0, got "
-                f"{self.checkpoint_interval_ms}"
-            )
-        if (
-            not 0.0 <= self.data_loss_rate <= 1.0
-            or not 0.0 <= self.data_duplicate_rate <= 1.0
-            or self.data_jitter_ms < 0
-        ):
-            raise SessionError(
-                "invalid data-plane fault knobs: loss "
-                f"{self.data_loss_rate}, jitter {self.data_jitter_ms}, "
-                f"duplicate {self.data_duplicate_rate}"
-            )
 
 
 @dataclass
@@ -169,44 +66,6 @@ class TISession:
     topology: Topology
     sites: list[Site]
     registry: StreamRegistry
-    #: Default overlay maintenance policy for control planes over this
-    #: session; :class:`~repro.pubsub.membership.MembershipServer`
-    #: resolves its own ``rebuild_policy=None`` against this.
-    rebuild_policy: str = "always"
-    #: Default per-round problem assembly for control planes over this
-    #: session; the server resolves ``problem_assembly=None`` against it.
-    problem_assembly: str = "auto"
-    #: Default group-delta source for diffed assembly; the server
-    #: resolves ``delta_source=None`` against it.
-    delta_source: str = "dirty"
-    #: Default hybrid drift mode; the server resolves
-    #: ``drift_mode=None`` against it.
-    drift_mode: str = "estimate"
-    #: Default control-link delay / debounce window for the event-driven
-    #: control plane; :class:`~repro.pubsub.service.MembershipService`
-    #: resolves its own ``None`` knobs against these.
-    control_delay_ms: float = 0.0
-    debounce_ms: float = 0.0
-    #: Default chaos/robustness knobs for the event-driven control plane
-    #: (loss + jitter fault model, heartbeat failure detection,
-    #: retransmit-on-timeout); the service resolves ``None`` against
-    #: these the same way it does for delay/debounce.
-    control_loss_rate: float = 0.0
-    control_jitter_ms: float = 0.0
-    heartbeat_ms: float = 0.0
-    miss_threshold: int = 3
-    retransmit_timeout_ms: float = 0.0
-    #: Default φ-accrual threshold / checkpoint period for the service's
-    #: adaptive failure detection and server crash recovery; resolved
-    #: the same way (0 = static deadline / no checkpointing).
-    phi_threshold: float = 0.0
-    checkpoint_interval_ms: float = 0.0
-    #: Default data-plane fault model for dissemination over this
-    #: session's forests; :func:`~repro.sim.dataplane.make_dataplane`
-    #: callers resolve their own ``None`` knobs against these.
-    data_loss_rate: float = 0.0
-    data_jitter_ms: float = 0.0
-    data_duplicate_rate: float = 0.0
     #: Array backend for the dense structures derived from this session.
     backend: str = "auto"
     _cost_matrix: dict[int, dict[int, float]] = field(default_factory=dict, repr=False)
@@ -216,41 +75,6 @@ class TISession:
         from repro.core.backend import resolve_backend
 
         self._array_backend = resolve_backend(self.backend)
-        check_rebuild_policy(self.rebuild_policy)
-        check_assembly_policy(self.problem_assembly)
-        check_delta_source(self.delta_source)
-        check_drift_mode(self.drift_mode)
-        if self.control_delay_ms < 0 or self.debounce_ms < 0:
-            raise SessionError(
-                "control_delay_ms and debounce_ms must be >= 0, got "
-                f"{self.control_delay_ms}/{self.debounce_ms}"
-            )
-        if (
-            not 0.0 <= self.control_loss_rate <= 1.0
-            or self.control_jitter_ms < 0
-            or self.heartbeat_ms < 0
-            or self.miss_threshold < 1
-            or self.retransmit_timeout_ms < 0
-            or not (math.isfinite(self.phi_threshold) and self.phi_threshold >= 0)
-            or not self.checkpoint_interval_ms >= 0
-        ):
-            raise SessionError(
-                "invalid control-plane fault knobs: loss "
-                f"{self.control_loss_rate}, jitter {self.control_jitter_ms}, "
-                f"heartbeat {self.heartbeat_ms}, miss {self.miss_threshold}, "
-                f"retransmit {self.retransmit_timeout_ms}, phi "
-                f"{self.phi_threshold}, checkpoint {self.checkpoint_interval_ms}"
-            )
-        if (
-            not 0.0 <= self.data_loss_rate <= 1.0
-            or not 0.0 <= self.data_duplicate_rate <= 1.0
-            or self.data_jitter_ms < 0
-        ):
-            raise SessionError(
-                "invalid data-plane fault knobs: loss "
-                f"{self.data_loss_rate}, jitter {self.data_jitter_ms}, "
-                f"duplicate {self.data_duplicate_rate}"
-            )
         seen_pops: set[str] = set()
         for expected, site in enumerate(self.sites):
             if site.index != expected:
@@ -367,22 +191,6 @@ def build_session(
         topology=topology,
         sites=sites,
         registry=registry,
-        rebuild_policy=config.rebuild_policy,
-        problem_assembly=config.problem_assembly,
-        delta_source=config.delta_source,
-        drift_mode=config.drift_mode,
-        control_delay_ms=config.control_delay_ms,
-        debounce_ms=config.debounce_ms,
-        control_loss_rate=config.control_loss_rate,
-        control_jitter_ms=config.control_jitter_ms,
-        heartbeat_ms=config.heartbeat_ms,
-        miss_threshold=config.miss_threshold,
-        retransmit_timeout_ms=config.retransmit_timeout_ms,
-        phi_threshold=config.phi_threshold,
-        checkpoint_interval_ms=config.checkpoint_interval_ms,
-        data_loss_rate=config.data_loss_rate,
-        data_jitter_ms=config.data_jitter_ms,
-        data_duplicate_rate=config.data_duplicate_rate,
         backend=config.backend,
     )
 

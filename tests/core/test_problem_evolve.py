@@ -17,7 +17,7 @@ import pytest
 from repro.core.model import MulticastGroup
 from repro.core.problem import ForestProblem, ProblemDelta
 from repro.core.registry import make_builder
-from repro.errors import ConfigurationError, SubscriptionError
+from repro.errors import SubscriptionError
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.session.capacity import UniformCapacityModel
@@ -26,6 +26,7 @@ from repro.session.streams import StreamId
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.spec import SubscriptionWorkload
+from tests.reference_paths import reference_runtime
 
 
 def make_session(n_sites: int = 8, seed: int = 3):
@@ -247,8 +248,8 @@ class TestScenarioEquivalenceMatrix:
             algorithm=algorithm,
             rebuild_policy="incremental",
         )
-        diffed_rt = ScenarioRuntime(replace(base, problem_assembly="diffed"))
-        scratch_rt = ScenarioRuntime(replace(base, problem_assembly="scratch"))
+        diffed_rt = ScenarioRuntime(base)
+        scratch_rt = reference_runtime(base, assembly="scratch")
         diffed = diffed_rt.run()
         scratch = scratch_rt.run()
         assert diffed_rt.directives == scratch_rt.directives
@@ -276,7 +277,7 @@ class TestAssemblyPolicyPlumbing:
 
     def test_diffed_forced_under_always_is_equivalent(self):
         spec = get_scenario("mass-leave", sites=6, seed=13)
-        diffed_rt = ScenarioRuntime(replace(spec, problem_assembly="diffed"))
+        diffed_rt = reference_runtime(spec, assembly="diffed")
         scratch_rt = ScenarioRuntime(spec)
         diffed = diffed_rt.run()
         scratch = scratch_rt.run()
@@ -284,18 +285,14 @@ class TestAssemblyPolicyPlumbing:
         assert diffed.audit.digest == scratch.audit.digest
         assert diffed.assemblies_diffed == diffed.rounds - 1
 
-    def test_unknown_assembly_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replace(
-                get_scenario("fov-thrash", sites=4, seed=1),
-                problem_assembly="bogus",
-            )
-
     def test_summary_reports_assembly_counts(self):
         spec = replace(
             get_scenario("fov-thrash", sites=5, seed=13),
             rebuild_policy="incremental",
         )
         report = ScenarioRuntime(spec, audit=False).run()
-        assert "problem assembly [auto]" in report.summary()
+        assert (
+            f"problem assembly: {report.rounds - 1} diffed, 1 scratch"
+            in report.summary()
+        )
         assert f"{report.assemblies_diffed} diffed" in report.summary()

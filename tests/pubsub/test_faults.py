@@ -185,8 +185,9 @@ class TestConfigValidation:
             FaultConfig(loss_rate=1.5)
         with pytest.raises(ConfigurationError):
             FaultConfig(duplicate_rate=-0.1)
-        with pytest.raises(ConfigurationError):
-            FaultConfig(jitter_ms=-1.0)
+        for jitter_ms in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="jitter_ms"):
+                FaultConfig(jitter_ms=jitter_ms)
 
 
 class TestOutageWindowValidation:

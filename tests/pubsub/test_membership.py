@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -11,6 +13,7 @@ from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import Advertisement, SiteSubscription
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
+from tests.reference_paths import use_reference_path
 
 
 @pytest.fixture
@@ -27,6 +30,13 @@ def advertise_all(server, session) -> None:
         server.register_advertisement(
             Advertisement(site=site.index, streams=tuple(site.stream_ids))
         )
+
+
+def assert_availability_index_exact(server) -> None:
+    """The maintained availability index equals a full re-derivation."""
+    assert server._available == Counter(
+        stream for streams in server._advertised.values() for stream in streams
+    )
 
 
 class TestRegistration:
@@ -92,8 +102,10 @@ class TestDirtyTrackedRegistration:
         )
         server.register_advertisement(advertisement)
         server.withdraw_site(1)
+        assert_availability_index_exact(server)
         assert server.register_advertisement(advertisement) is True
         assert server.registrations_applied == 2
+        assert_availability_index_exact(server)
 
     def test_unchanged_rounds_apply_nothing(self, small_session, rng):
         """System-level regression: round 2 with static state registers 0."""
@@ -123,6 +135,7 @@ class TestDirtyTrackedRegistration:
         assert server.registered_sites() == [0, 1, 2, 3]
         server.withdraw_site(2)
         assert server.registered_sites() == [0, 1, 3]
+        assert_availability_index_exact(server)
 
 
 class TestWithdrawRacingPendingRound:
@@ -276,13 +289,6 @@ class TestRebuildPolicy:
                 drift_budget=-0.5,
             )
 
-    def test_policy_defaults_to_session(self, small_session):
-        small_session.rebuild_policy = "incremental"
-        server = MembershipServer(
-            session=small_session, builder=RandomJoinBuilder()
-        )
-        assert server.rebuild_policy == "incremental"
-
     def test_always_policy_only_rebuilds(self, small_session):
         server = self.make_server(small_session, "always")
         self.subscribe(server, small_session)
@@ -339,13 +345,13 @@ class TestRebuildPolicy:
 
 class TestProblemAssembly:
     def make_server(self, session, policy: str, assembly=None) -> MembershipServer:
-        return MembershipServer(
+        server = MembershipServer(
             session=session,
             builder=RandomJoinBuilder(),
             latency_bound_ms=150.0,
             rebuild_policy=policy,
-            problem_assembly=assembly,
         )
+        return use_reference_path(server, assembly=assembly)
 
     def subscribe(self, server, session, sites=(0, 1)) -> None:
         advertise_all(server, session)
@@ -357,14 +363,6 @@ class TestProblemAssembly:
                     streams=tuple(sorted(session.site(other).stream_ids))[:2],
                 )
             )
-
-    def test_unknown_assembly_rejected(self, small_session):
-        with pytest.raises(ConfigurationError):
-            self.make_server(small_session, "always", "lazy")
-
-    def test_assembly_defaults_to_session(self, small_session):
-        server = self.make_server(small_session, "always")
-        assert server.problem_assembly == "auto"
 
     def test_auto_under_always_stays_scratch(self, small_session):
         server = self.make_server(small_session, "always")
@@ -384,6 +382,39 @@ class TestProblemAssembly:
         server.build_overlay(rng.spawn("r2"))
         assert server.last_assembly == "diffed"
         assert (server.assemblies_diffed, server.assemblies_scratch) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            ("always", ["scratch"] * 5),
+            ("incremental", ["scratch", "diffed", "diffed", "scratch", "diffed"]),
+            ("hybrid", ["scratch", "diffed", "diffed", "scratch", "diffed"]),
+        ],
+    )
+    def test_assembly_derived_from_policy_and_history(
+        self, small_session, policy, expected
+    ):
+        """Scratch under ``always`` or with no previous problem, else diffed."""
+        server = self.make_server(small_session, policy)
+        self.subscribe(server, small_session)
+        rng = RngStream(5, label="t")
+        seen = []
+        for index in range(5):
+            if index == 3:
+                # A warm restart brings the registrations back but not
+                # the carried problem: the next round re-anchors.
+                workload = server.global_workload()
+                snapshot = server.checkpoint()
+                server.crash()
+                assert_availability_index_exact(server)
+                server.restore(snapshot)
+                assert_availability_index_exact(server)
+                assert server.global_workload() == workload
+            server.build_overlay(rng.spawn(f"r{index}"))
+            seen.append(server.last_assembly)
+        assert seen == expected
+        assert server.assemblies_scratch == expected.count("scratch")
+        assert server.assemblies_diffed == expected.count("diffed")
 
     def test_evolved_rounds_share_dense_matrix(self, small_session):
         server = self.make_server(small_session, "incremental")
@@ -434,8 +465,6 @@ class TestDirtyDeltaAssembly:
             builder=RandomJoinBuilder(),
             latency_bound_ms=150.0,
             rebuild_policy="incremental",
-            problem_assembly="diffed",
-            delta_source="dirty",
         )
 
     @staticmethod

@@ -19,7 +19,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.backend import numpy_available
-from repro.scenarios import get_scenario, run_scenario, scenario_names
+from repro.scenarios import get_scenario, scenario_names
+from tests.reference_paths import reference_runtime
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -35,14 +36,21 @@ ALL_SCENARIOS = (
 )
 
 
-def _digest(name: str, seed: int, algorithm: str, backend: str, **overrides):
+def _digest(
+    name: str,
+    seed: int,
+    algorithm: str,
+    backend: str,
+    assembly: str | None = None,
+    **overrides,
+):
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
         backend=backend,
         **overrides,
     )
-    report = run_scenario(spec, audit=True)
+    report = reference_runtime(spec, assembly=assembly).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 
@@ -78,7 +86,7 @@ def test_backends_agree_full_matrix(name, algorithm, seed):
 @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
 def test_backends_agree_on_assembly_paths(algorithm, assembly):
     """Diffed (evolve + COW tables) vs scratch assembly, both backends."""
-    kwargs = dict(rebuild_policy="incremental", problem_assembly=assembly)
+    kwargs = dict(rebuild_policy="incremental", assembly=assembly)
     assert _digest(
         "mixed-churn", 13, algorithm, "python", **kwargs
     ) == _digest("mixed-churn", 13, algorithm, "numpy", **kwargs)

@@ -1,13 +1,13 @@
 """Audit-digest equivalence for the O(churn) control-round paths.
 
-Two pure-cost rewrites ride the round path: diffed assembly may consume
-the server's dirty-registration delta (``delta_source="dirty"``) instead
-of rescanning the workload's groups, and hybrid may gate its scratch
-verification behind the repairer's drift estimate
-(``drift_mode="estimate"``) instead of re-solving every round.  Neither
+Two pure-cost rewrites ride the round path: diffed assembly consumes
+the server's dirty-registration delta instead of rescanning the
+workload's groups, and hybrid gates its scratch verification behind the
+repairer's drift estimate instead of re-solving every round.  Neither
 is allowed to change a single structural fact of any round: each must be
-digest-identical to its reference path (``scan`` / ``measure``) across
-the scenario matrix, on both array backends.
+digest-identical to its reference path (``scan`` / ``measure``, reached
+through :mod:`tests.reference_paths`) across the scenario matrix, on
+both array backends.
 
 The tier-1 subset keeps the fast loop fast; ``--runslow`` enables the
 full six-scenario x seed x algorithm x backend matrix from the PR's
@@ -21,7 +21,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.backend import numpy_available
-from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios import get_scenario
+from tests.reference_paths import reference_runtime
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -39,14 +40,16 @@ ALL_SCENARIOS = (
 BACKENDS = ("python", "numpy")
 
 
-def _digest(name: str, seed: int, algorithm: str, backend: str, **overrides):
+def _digest(
+    name: str, seed: int, algorithm: str, backend: str, policy: str, **reference
+):
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
         backend=backend,
-        **overrides,
+        rebuild_policy=policy,
     )
-    report = run_scenario(spec, audit=True)
+    report = reference_runtime(spec, **reference).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 
@@ -59,9 +62,8 @@ def _delta_source_digest(
         seed,
         algorithm,
         backend,
-        rebuild_policy="incremental",
-        problem_assembly="diffed",
-        delta_source=delta_source,
+        "incremental",
+        assembly="scan" if delta_source == "scan" else None,
     )
 
 
@@ -73,8 +75,8 @@ def _drift_mode_digest(
         seed,
         algorithm,
         backend,
-        rebuild_policy="hybrid",
-        drift_mode=drift_mode,
+        "hybrid",
+        measure_drift=drift_mode == "measure",
     )
 
 

@@ -141,10 +141,9 @@ class TestRebuildPolicy:
         assert "overlay maintenance [hybrid]" in summary
         assert "mean disruption" in summary
 
-    def test_policy_threaded_into_server_and_session(self):
+    def test_policy_threaded_into_server(self):
         runtime = ScenarioRuntime(tiny_spec(rebuild_policy="incremental"))
         assert runtime.server.rebuild_policy == "incremental"
-        assert runtime.session.rebuild_policy == "incremental"
 
 
 class TestEpochs:

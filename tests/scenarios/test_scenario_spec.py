@@ -44,6 +44,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             minimal_spec(**overrides)
 
+    @pytest.mark.parametrize("value", (-1.0, float("inf"), float("nan")))
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "duration_ms",
+            "control_delay_ms",
+            "debounce_ms",
+            "jitter_ms",
+            "heartbeat_ms",
+            "retransmit_timeout_ms",
+            "data_jitter_ms",
+        ],
+    )
+    def test_millisecond_knobs_must_be_finite_and_non_negative(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            minimal_spec(async_control=True, **{knob: value})
+
     def test_bad_phase_rejected(self):
         with pytest.raises(ConfigurationError):
             SchedulePhase(EventKind.JOIN, 10.0, 5.0, 1)

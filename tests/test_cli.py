@@ -115,6 +115,20 @@ class TestScenarioParser:
                 ["scenario", "run", "mass-leave", "--rebuild-policy", "never"]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--problem-assembly", "diffed"),
+            ("--delta-source", "scan"),
+            ("--drift-mode", "measure"),
+        ],
+    )
+    def test_reference_path_flags_rejected(self, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["scenario", "run", "mass-leave", flag, value]
+            )
+
     def test_async_control_flags(self):
         args = build_parser().parse_args(
             ["scenario", "run", "flash-crowd", "--async-control",
@@ -253,6 +267,16 @@ class TestScenarioCommands:
         assert code == 0
         assert "overlay maintenance [incremental]" in out
         assert "0 violations" in out
+
+    def test_non_finite_control_delay_rejected(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["scenario", "run", "flash-crowd", "--sites", "6", "--seed", "7",
+             "--control-delay-ms", "inf"]
+        )
+        assert code != 0
+        assert "control_delay_ms" in capsys.readouterr().err
 
 
 class TestChaosCommands:
