@@ -28,7 +28,6 @@ and runs audited stress scenarios against the control plane::
 and the tracked performance baseline::
 
     tele3d perf sweep --sizes 16,32,64,128,256 --label PR3
-    tele3d perf sweep --sizes 256,1024 --backend python --label PYREF
     tele3d perf compare BENCH_PR2.json BENCH_PR3.json
     tele3d perf compare BENCH_PR3.json BENCH_CI.json --ratchet
     tele3d perf smoke
@@ -45,7 +44,6 @@ import time
 from dataclasses import replace
 from typing import Sequence
 
-from repro.core.backend import BACKEND_NAMES
 from repro.errors import Tele3DError
 from repro.util.validation import REBUILD_POLICIES
 from repro.experiments.fig8 import run_fig8
@@ -218,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fail (exit 1) if more than this many frame "
                                "instances end the run unrecovered on the "
                                "data plane (data-chaos gate)")
-    scen_run.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                          help="array backend for the run (python | numpy | "
-                               "auto); both are bit-identical, this is a "
-                               "performance knob only")
     scen_sub.add_parser("list", help="list the named scenarios")
 
     pdisr = sub.add_parser(
@@ -281,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="skip the event-driven baseline timing")
     perf_sweep.add_argument("--no-scenario", action="store_true",
                             help="skip the scenario-round timing")
-    perf_sweep.add_argument("--backend", default="auto",
-                            choices=BACKEND_NAMES,
-                            help="array backend to time (python | numpy | "
-                                 "auto = numpy when importable)")
     perf_compare = perf_sub.add_parser(
         "compare", help="diff two BENCH_*.json baselines"
     )
@@ -495,8 +485,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         spec = replace(spec, algorithm=args.algorithm)
     if args.rebuild_policy:
         spec = replace(spec, rebuild_policy=args.rebuild_policy)
-    if args.backend:
-        spec = replace(spec, backend=args.backend)
     chaos_overrides = (
         args.loss_rate,
         args.jitter_ms,
@@ -718,7 +706,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             label=args.label,
             with_event_plane=not args.no_event_plane,
             with_scenario=not args.no_scenario,
-            backend=args.backend,
         )
         print(report.summary())
         output = args.output or f"BENCH_{args.label}.json"

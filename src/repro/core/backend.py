@@ -7,10 +7,9 @@ The overlay hot paths operate on two very different shapes of data:
   times faster than ``ndarray.__getitem__`` for these, so the
   authoritative storage for degree tables, limit tables and dense cost
   rows stays plain Python lists on *every* backend.
-* **bulk kernels** — whole-table rfc queries, large-tree parent scans,
-  per-tree data-plane arithmetic, bulk count patching.  These are where
-  numpy pays, and they are the only places the numpy backend diverges
-  from the reference implementation.
+* **bulk kernels** — large-tree parent scans and per-tree data-plane
+  arithmetic.  These are where numpy pays, and they are the only places
+  the numpy backend diverges from the reference implementation.
 
 Both backends are pinned bit-identical: every numpy kernel is either
 elementwise float64 arithmetic (IEEE-identical to the scalar loop), a
@@ -20,14 +19,19 @@ selection that matches the strict-inequality scalar loops.  The
 equivalence suites in ``tests/core/test_backend.py`` and the scenario
 digest matrix enforce this.
 
-Selection precedence: explicit argument > ``TELE3D_BACKEND`` env var >
-auto (numpy when importable, python otherwise).
+The backend is not configuration.  :func:`resolve_backend` selects it
+from what the install offers — numpy when importable, the pure-python
+reference otherwise — and each dense cost matrix binds the selection
+once at construction; sessions and problems read it off their matrix.
+Within the numpy backend the size-derived gates (``vector_scan_min``,
+``plane_vector_min``) decide per call whether a kernel pays.  The python
+backend is also the test oracle: the equivalence suites pin it through
+``tests/reference_paths.py::use_array_backend``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
@@ -41,18 +45,9 @@ __all__ = [
     "ArrayBackend",
     "PythonBackend",
     "NumpyBackend",
-    "BACKEND_NAMES",
-    "BACKEND_ENV_VAR",
-    "check_backend_name",
     "numpy_available",
     "resolve_backend",
 ]
-
-#: Accepted values for every ``backend`` knob (config, env, CLI).
-BACKEND_NAMES = ("auto", "python", "numpy")
-
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "TELE3D_BACKEND"
 
 _np = None
 _np_checked = False
@@ -72,15 +67,6 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def check_backend_name(name: str) -> str:
-    """Validate a backend knob value, returning it unchanged."""
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown array backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    return name
-
-
 class ArrayBackend:
     """Reference (pure-Python) backend; also the fallback.
 
@@ -98,17 +84,6 @@ class ArrayBackend:
     #: ~29), so the python backend never dispatches and numpy gates
     #: at 32.
     vector_scan_min: float = float("inf")
-
-    # -- bulk state queries ------------------------------------------------------
-
-    def rfc_bulk(
-        self,
-        out_limits: Sequence[int],
-        dout: Sequence[int],
-        m_hat: Sequence[int],
-    ):
-        """Remaining forwarding capacity ``O_i - dout_i - m̂_i`` for all i."""
-        return [o - d - m for o, d, m in zip(out_limits, dout, m_hat)]
 
     def parent_scan(
         self,
@@ -207,15 +182,6 @@ class ArrayBackend:
     def to_list(self, values) -> list:
         """Materialize a backend vector as a plain Python list."""
         return list(values)
-
-    # -- delta patching ----------------------------------------------------------
-
-    def apply_count_deltas(
-        self, counts: list[int], deltas: Iterable[tuple[int, int]]
-    ) -> None:
-        """Apply ``counts[i] += d`` for every ``(i, d)`` pair, in place."""
-        for index, delta in deltas:
-            counts[index] += delta
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
@@ -318,32 +284,22 @@ class NumpyBackend(ArrayBackend):
     vector_scan_min = 32
     plane_vector_min = 64
 
-    #: Below this many pairs, the scalar patch loop beats ``np.add.at``.
-    _count_patch_min = 512
-
     def __init__(self) -> None:
-        if not numpy_available():  # pragma: no cover - guarded by resolver
-            raise ConfigurationError("numpy backend requested but numpy is not importable")
+        if not numpy_available():
+            raise ConfigurationError("numpy backend needs numpy, which is not importable")
         self._np = _np
 
-    def rfc_bulk(self, out_limits, dout, m_hat):
-        np = self._np
-        out = np.asarray(out_limits, dtype=np.int64)
-        return out - np.asarray(dout, dtype=np.int64) - np.asarray(m_hat, dtype=np.int64)
+    def outbound_limits_array(self, problem: "ForestProblem"):
+        """int64 mirror of ``problem``'s outbound bounds (lazy, cached on it).
 
-    def limits_array(self, table) -> "object":
-        """ndarray mirror of a limit table's flat twin (cached on it).
-
-        The mirror is boxed next to the flat twin, so every table
-        sharing the twin (copy-on-write views) shares the mirror too:
-        any write through any of them drops it, and the fork re-boxes —
-        a cached array can never go stale.
+        The problem owns the array next to the list it mirrors;
+        :meth:`ForestProblem.set_outbound_limit` drops it, so a cached
+        array can never go stale.
         """
-        cell = table._arr_cell
-        arr = cell[0]
+        arr = problem._out_limits_arr
         if arr is None:
-            arr = cell[0] = self._np.asarray(
-                table._flat, dtype=self._np.int64
+            arr = problem._out_limits_arr = self._np.asarray(
+                problem.outbound_limits(), dtype=self._np.int64
             )
         return arr
 
@@ -375,7 +331,7 @@ class NumpyBackend(ArrayBackend):
         from_source = arrays.from_source[:n]
         st = self.state_arrays(state)
         col = problem.dense_cost_matrix().column_array(subscriber)
-        limits = self.limits_array(problem.outbound)[members]
+        limits = self.outbound_limits_array(problem)[members]
         degrees = st.dout[members]
         path_cost = from_source + col[members]
         eligible = (degrees < limits) & (path_cost < problem.latency_bound_ms)
@@ -453,54 +409,18 @@ class NumpyBackend(ArrayBackend):
     def to_list(self, values) -> list:
         return values.tolist()
 
-    # -- delta patching ----------------------------------------------------------
-
-    def apply_count_deltas(self, counts, deltas):
-        pairs = deltas if isinstance(deltas, list) else list(deltas)
-        if len(pairs) < self._count_patch_min:
-            for index, delta in pairs:
-                counts[index] += delta
-            return
-        np = self._np
-        arr = np.asarray(counts, dtype=np.int64)
-        idx = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-        dlt = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        np.add.at(arr, idx, dlt)
-        counts[:] = arr.tolist()
-
 
 _python_backend = ArrayBackend()
-_numpy_backend: NumpyBackend | None = None
+_selected: ArrayBackend | None = None
 
 
-def _get_numpy_backend() -> NumpyBackend:
-    global _numpy_backend
-    if _numpy_backend is None:
-        _numpy_backend = NumpyBackend()
-    return _numpy_backend
+def resolve_backend() -> ArrayBackend:
+    """The array backend of this install: numpy when importable, else python.
 
-
-def resolve_backend(name: "str | ArrayBackend | None" = None) -> ArrayBackend:
-    """Resolve a backend knob to a backend instance.
-
-    ``name`` may be an existing backend instance (returned unchanged),
-    one of :data:`BACKEND_NAMES`, or ``None``/"auto" to consult
-    ``TELE3D_BACKEND`` and fall back to auto-detection.
+    Decided once per process; dense cost matrices bind the result at
+    construction, so one session never mixes backends.
     """
-    if isinstance(name, ArrayBackend):
-        return name
-    if name in (None, "auto"):
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip()
-        if env and env != "auto":
-            name = env
-        else:
-            return _get_numpy_backend() if numpy_available() else _python_backend
-    check_backend_name(name)
-    if name == "python":
-        return _python_backend
-    if not numpy_available():
-        raise ConfigurationError(
-            "numpy backend requested (via argument or TELE3D_BACKEND) "
-            "but numpy is not importable; use backend='python' or 'auto'"
-        )
-    return _get_numpy_backend()
+    global _selected
+    if _selected is None:
+        _selected = NumpyBackend() if numpy_available() else _python_backend
+    return _selected

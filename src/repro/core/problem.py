@@ -26,11 +26,12 @@ scenario × seed × algorithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError, SubscriptionError
-from repro.core.backend import ArrayBackend, resolve_backend
+from repro.core.backend import ArrayBackend
 from repro.core.model import MulticastGroup, SubscriptionRequest
 from repro.session.session import TISession
 from repro.topology.dense import DenseCostMatrix
@@ -39,175 +40,6 @@ from repro.workload.spec import SubscriptionWorkload
 
 #: Shared empty row handed out for subscribers with no requests.
 _EMPTY_U_ROW: dict[int, int] = {}
-
-
-class _CostRow(dict):
-    """One ``cost[a]`` row that writes through to the dense matrix.
-
-    The problem's dense matrix is the authoritative store for the hot
-    paths; tests (and exploratory code) historically tweak entries via
-    ``problem.cost[a][b] = x``, so assignments propagate.
-    """
-
-    __slots__ = ("_matrix", "_row_index")
-
-    def __init__(self, data: Mapping, matrix: DenseCostMatrix, row_index: int):
-        super().__init__(data)
-        self._matrix = matrix
-        self._row_index = row_index
-
-    def __setitem__(self, key, value) -> None:
-        if not isinstance(key, int) or not 0 <= key < self._matrix.n:
-            # A silent dict-only write would diverge from the dense
-            # matrix the hot paths actually read.
-            raise ConfigurationError(
-                f"unknown node {key!r} in cost row {self._row_index} "
-                f"(nodes are 0..{self._matrix.n - 1})"
-            )
-        super().__setitem__(key, value)
-        self._matrix.set_cost(self._row_index, key, value)
-
-    def update(self, *args, **kwargs) -> None:
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return self[key]
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-
-class _LazyCostTable(dict):
-    """A ``cost[a][b]`` surface materialized on demand from the dense matrix.
-
-    The trusted assembly path (:meth:`ForestProblem.from_workload`)
-    builds the dense matrix directly from the session; materializing the
-    full dict-of-dicts up front costs O(N²) time and memory that nothing
-    on the hot paths ever reads.  Rows appear (as write-through
-    :class:`_CostRow` views) the first time test-land code indexes them;
-    iteration surfaces behave like the fully-populated dict.
-    """
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: DenseCostMatrix):
-        super().__init__()
-        self._matrix = matrix
-
-    def __missing__(self, key):
-        if isinstance(key, int) and 0 <= key < self._matrix.n:
-            row = self._matrix.row(key)
-            view = _CostRow(
-                {j: row[j] for j in range(self._matrix.n)}, self._matrix, key
-            )
-            dict.__setitem__(self, key, view)
-            return view
-        raise KeyError(key)
-
-    def __len__(self) -> int:
-        return self._matrix.n
-
-    def __iter__(self):
-        return iter(range(self._matrix.n))
-
-    def __contains__(self, key) -> bool:
-        return isinstance(key, int) and 0 <= key < self._matrix.n
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def keys(self):
-        return range(self._matrix.n)
-
-    def values(self):
-        return [self[i] for i in range(self._matrix.n)]
-
-    def items(self):
-        return [(i, self[i]) for i in range(self._matrix.n)]
-
-
-class _LimitTable(dict):
-    """A degree-bound table that writes through to its flat list twin.
-
-    The hot paths (parent search, CO-RJ victim scan, builder-state
-    probes) index the flat list; the dict stays the public, test-visible
-    surface, so mutations like ``problem.inbound[v] = 0`` must stay
-    visible to both.  ``update``/``setdefault`` route through
-    ``__setitem__`` for the same reason, and entry removal is refused —
-    every node 0..n-1 must keep a bound.
-
-    Evolved problems get copy-on-write views (:meth:`cow_view`): the
-    flat twin is shared with the ancestor round until the first write,
-    which forks it — so ``problem.inbound[v] = 0`` on round *t* can
-    never leak into round *t-1*'s retained problem.
-    """
-
-    __slots__ = ("_flat", "_owns", "_arr_cell")
-
-    def __init__(
-        self,
-        data: Mapping,
-        flat: list[int],
-        owns: bool = True,
-        arr_cell: "list | None" = None,
-    ):
-        super().__init__(data)
-        self._flat = flat
-        self._owns = owns
-        # Backend-owned ndarray mirror of ``_flat``, boxed so every
-        # table sharing the flat twin shares the mirror too (see
-        # ``NumpyBackend.limits_array``).  Writes drop it; the
-        # copy-on-write fork re-boxes, leaving the ancestor's intact.
-        self._arr_cell = [None] if arr_cell is None else arr_cell
-
-    def cow_view(self) -> "_LimitTable":
-        """An independent dict copy sharing the flat twin until written."""
-        return type(self)(self, self._flat, owns=False, arr_cell=self._arr_cell)
-
-    def __setitem__(self, key, value) -> None:
-        flat = self._flat
-        if not isinstance(key, int) or not 0 <= key < len(flat):
-            # A silent dict-only write would diverge from the flat twin
-            # the hot paths actually read.
-            raise ConfigurationError(
-                f"unknown node {key!r} in degree-bound table "
-                f"(nodes are 0..{len(flat) - 1})"
-            )
-        if not self._owns:
-            flat = self._flat = list(flat)
-            self._owns = True
-            self._arr_cell = [None]
-        super().__setitem__(key, value)
-        flat[key] = value
-        self._arr_cell[0] = None
-
-    def update(self, *args, **kwargs) -> None:
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return self[key]
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def _refuse_drop(self, *args):
-        raise ConfigurationError(
-            "degree-bound tables cannot drop entries; set the bound to 0 "
-            "instead"
-        )
-
-    __delitem__ = _refuse_drop
-    pop = _refuse_drop
-    popitem = _refuse_drop
-    clear = _refuse_drop
 
 
 @dataclass(frozen=True)
@@ -260,66 +92,112 @@ class ProblemDelta:
         return cls(added=tuple(added), removed=removed, changed=tuple(changed))
 
 
-@dataclass
+def _check_node(n_nodes: int, node: int) -> None:
+    if not isinstance(node, int) or not 0 <= node < n_nodes:
+        raise ConfigurationError(
+            f"unknown node {node!r} (nodes are 0..{n_nodes - 1})"
+        )
+
+
+def _checked_cost(n_nodes: int, a: int, b: int, value: float) -> float:
+    """``value`` if it is a legal ``c(a, b)``: not NaN and ``>= 0``.
+
+    ``inf`` is legal — it marks ``b`` unreachable from ``a``.
+    """
+    _check_node(n_nodes, a)
+    _check_node(n_nodes, b)
+    if math.isnan(value) or value < 0:
+        raise ConfigurationError(
+            f"cost {a}->{b} must be a non-negative number, got {value!r}"
+        )
+    return value
+
+
+def _checked_limit(n_nodes: int, node: int, value: int) -> int:
+    """``value`` if it is a legal degree bound: an integer ``>= 0``."""
+    _check_node(n_nodes, node)
+    if not isinstance(value, int) or value < 0:
+        raise ConfigurationError(
+            f"degree bound at node {node} must be an integer >= 0, got {value!r}"
+        )
+    return value
+
+
 class ForestProblem:
-    """One overlay-construction instance over RP nodes ``0..n_nodes-1``."""
+    """One overlay-construction instance over RP nodes ``0..n_nodes-1``.
 
-    n_nodes: int
-    cost: dict[int, dict[int, float]]
-    inbound: dict[int, int]
-    outbound: dict[int, int]
-    groups: list[MulticastGroup]
-    latency_bound_ms: float
-    backend: "str | ArrayBackend | None" = None
+    Each table has exactly one representation: costs live in the
+    :class:`DenseCostMatrix`, the degree bounds in two node-indexed
+    ``list[int]``.  Reads go through the accessors below; the only
+    writes are :meth:`set_cost`, :meth:`set_inbound_limit` and
+    :meth:`set_outbound_limit`, which validate like the constructor.
 
-    def __post_init__(self) -> None:
-        self._backend = resolve_backend(self.backend)
-        if self.n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if self.latency_bound_ms <= 0:
-            raise ConfigurationError(
-                f"latency_bound_ms must be positive, got {self.latency_bound_ms}"
-            )
-        dense_rows: list[list[float]] = []
-        inbound_limits: list[int] = []
-        outbound_limits: list[int] = []
-        for node in range(self.n_nodes):
-            if node not in self.inbound or node not in self.outbound:
+    This constructor is the validating one for explicit tables
+    (``cost[a][b]``, ``inbound[v]``, ``outbound[v]`` mappings covering
+    every node); :meth:`from_workload` assembles from a trusted session.
+    """
+
+    def __init__(
+        self,
+        n_nodes: int,
+        cost: Mapping[int, Mapping[int, float]],
+        inbound: Mapping[int, int],
+        outbound: Mapping[int, int],
+        groups: list[MulticastGroup],
+        latency_bound_ms: float,
+    ) -> None:
+        if n_nodes < 1:
+            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
+        rows: list[list[float]] = []
+        in_limits: list[int] = []
+        out_limits: list[int] = []
+        for node in range(n_nodes):
+            if node not in inbound or node not in outbound:
                 raise ConfigurationError(f"missing degree bounds for node {node}")
-            if self.inbound[node] < 0 or self.outbound[node] < 0:
-                raise ConfigurationError(f"negative degree bound at node {node}")
-            inbound_limits.append(self.inbound[node])
-            outbound_limits.append(self.outbound[node])
-            row = self.cost.get(node)
+            in_limits.append(_checked_limit(n_nodes, node, inbound[node]))
+            out_limits.append(_checked_limit(n_nodes, node, outbound[node]))
+            row = cost.get(node)
             if row is None:
                 raise ConfigurationError(f"missing cost row for node {node}")
             dense_row: list[float] = []
-            for other in range(self.n_nodes):
+            for other in range(n_nodes):
                 if other not in row:
                     raise ConfigurationError(f"missing cost entry {node}->{other}")
-                value = row[other]
-                if value < 0:
-                    raise ConfigurationError(f"negative cost {node}->{other}")
-                dense_row.append(value)
-            dense_rows.append(dense_row)
-        # Contiguous form consumed by every latency probe below.  The
-        # ``cost`` rows become write-through views so in-place tweaks
-        # stay visible to the dense matrix.
-        self._dense = DenseCostMatrix(dense_rows, backend=self._backend)
-        self.cost = {
-            node: _CostRow(self.cost[node], self._dense, node)
-            for node in range(self.n_nodes)
-        }
-        # Flat, node-indexed limit twins for the hot paths; the dicts
-        # above become write-through views so test-land tweaks like
-        # ``problem.inbound[v] = 0`` stay visible to both surfaces.
-        self.inbound = _LimitTable(self.inbound, inbound_limits)
-        self.outbound = _LimitTable(self.outbound, outbound_limits)
+                dense_row.append(_checked_cost(n_nodes, node, other, row[other]))
+            rows.append(dense_row)
         seen_streams: set[StreamId] = set()
-        for group in self.groups:
+        for group in groups:
             if group.stream in seen_streams:
                 raise SubscriptionError(f"duplicate group for stream {group.stream}")
             seen_streams.add(group.stream)
+        self._bind(
+            DenseCostMatrix(rows), in_limits, out_limits, groups, latency_bound_ms
+        )
+
+    def _bind(
+        self,
+        dense: DenseCostMatrix,
+        in_limits: list[int],
+        out_limits: list[int],
+        groups: list[MulticastGroup],
+        latency_bound_ms: float,
+    ) -> None:
+        """Adopt already-validated tables and derive ``u`` and ``m``."""
+        if latency_bound_ms <= 0:
+            raise ConfigurationError(
+                f"latency_bound_ms must be positive, got {latency_bound_ms}"
+            )
+        self.n_nodes = dense.n
+        self.latency_bound_ms = latency_bound_ms
+        self._dense = dense
+        self._in_limits = in_limits
+        self._out_limits = out_limits
+        #: int64 mirror of ``_out_limits`` for the vectorized parent scan
+        #: (built by ``NumpyBackend.outbound_limits_array``, dropped by
+        #: :meth:`set_outbound_limit`).
+        self._out_limits_arr = None
+        self.groups = groups
+        for group in groups:
             self._check_group(group)
         self._u: dict[int, dict[int, int]] = self._compute_u()
         self._m_table: list[int] = self._compute_m()
@@ -436,20 +314,20 @@ class ForestProblem:
 
     @property
     def array_backend(self) -> ArrayBackend:
-        """The resolved array backend shared by this problem's structures."""
-        return self._backend
+        """The array backend bound to this problem's dense cost matrix."""
+        return self._dense.array_backend
 
     def inbound_limit(self, node: int) -> int:
         """``I(node)`` in stream units."""
-        return self.inbound._flat[node]
+        return self._in_limits[node]
 
     def outbound_limit(self, node: int) -> int:
         """``O(node)`` in stream units."""
-        return self.outbound._flat[node]
+        return self._out_limits[node]
 
     def inbound_limits(self) -> list[int]:
         """``I`` for every node, indexable by node id (shared, read-only)."""
-        return self.inbound._flat
+        return self._in_limits
 
     def outbound_limits(self) -> list[int]:
         """``O`` for every node, indexable by node id (shared, read-only).
@@ -457,7 +335,27 @@ class ForestProblem:
         This is the parent-search access pattern: one bulk fetch, then
         O(1) probes per candidate instead of a dict hop each.
         """
-        return self.outbound._flat
+        return self._out_limits
+
+    # -- mutators ----------------------------------------------------------------
+
+    def set_cost(self, a: int, b: int, value: float) -> None:
+        """Set ``c(a, b)`` (one direction; symmetric edits take two calls).
+
+        The matrix is shared with every problem evolved from the same
+        ancestor — costs are session constants — so the edit is visible
+        to all of them, and to row/column lists already handed out.
+        """
+        self._dense.set_cost(a, b, _checked_cost(self.n_nodes, a, b, value))
+
+    def set_inbound_limit(self, node: int, value: int) -> None:
+        """Set ``I(node)``; this problem's own list, no other round's."""
+        self._in_limits[node] = _checked_limit(self.n_nodes, node, value)
+
+    def set_outbound_limit(self, node: int, value: int) -> None:
+        """Set ``O(node)``; this problem's own list, no other round's."""
+        self._out_limits[node] = _checked_limit(self.n_nodes, node, value)
+        self._out_limits_arr = None
 
     def streams_to_send(self, node: int) -> int:
         """The paper's ``m_i``: streams of ``node`` wanted by >= 1 other RP.
@@ -485,10 +383,9 @@ class ForestProblem:
         """Assemble a problem instance from a session and one workload sample.
 
         The session's cost matrix is topology-derived (validated dense,
-        non-negative by construction), so this path skips the O(N²)
-        entry-by-entry re-validation of the table constructor and builds
-        the dense matrix directly; the dict-of-dicts ``cost`` surface is
-        materialized lazily for test-land consumers.
+        non-negative by construction) and its bounds come from the
+        capacity model, so this path skips the O(N²) entry-by-entry
+        re-validation of the table constructor.
         """
         if workload.n_sites != session.n_sites:
             raise SubscriptionError(
@@ -501,41 +398,22 @@ class ForestProblem:
                     raise SubscriptionError(
                         f"site {site} subscribes to unpublished stream {stream}"
                     )
-        if latency_bound_ms <= 0:
-            raise ConfigurationError(
-                f"latency_bound_ms must be positive, got {latency_bound_ms}"
-            )
         groups = [
             MulticastGroup(stream=stream, subscribers=members)
             for stream, members in sorted(workload.groups().items())
         ]
-        n_nodes = session.n_sites
-        backend = session.array_backend
         problem = cls.__new__(cls)
-        problem.n_nodes = n_nodes
-        problem.latency_bound_ms = latency_bound_ms
-        problem.backend = backend
-        problem._backend = backend
-        # Own copy of the session rows: problems may be cost-tweaked in
-        # place (tests, what-if probes) without touching the session.
-        rows = [list(row) for row in session.dense_cost_matrix().rows()]
-        problem._dense = DenseCostMatrix(rows, backend=backend)
-        problem.cost = _LazyCostTable(problem._dense)
-        inbound = {s.index: s.rp.inbound_limit for s in session.sites}
-        outbound = {s.index: s.rp.outbound_limit for s in session.sites}
-        problem.inbound = _LimitTable(
-            inbound, [inbound[i] for i in range(n_nodes)]
+        problem._bind(
+            # Own copy of the session rows: a problem's costs may be
+            # edited (tests, what-if probes) without touching the session.
+            DenseCostMatrix(
+                [list(row) for row in session.dense_cost_matrix().rows()]
+            ),
+            [site.rp.inbound_limit for site in session.sites],
+            [site.rp.outbound_limit for site in session.sites],
+            groups,
+            latency_bound_ms,
         )
-        problem.outbound = _LimitTable(
-            outbound, [outbound[i] for i in range(n_nodes)]
-        )
-        problem.groups = groups
-        for group in groups:
-            problem._check_group(group)
-        problem._u = problem._compute_u()
-        problem._m_table = problem._compute_m()
-        problem._requests_cache = None
-        problem._streams_by_source = None
         return problem
 
     @classmethod
@@ -548,16 +426,15 @@ class ForestProblem:
         latency_bound_ms: float,
     ) -> "ForestProblem":
         """Assemble a problem directly from explicit tables (tests, examples)."""
-        n_nodes = len(inbound)
         groups = [
             MulticastGroup(stream=stream, subscribers=frozenset(members))
             for stream, members in sorted(group_members.items())
         ]
         return cls(
-            n_nodes=n_nodes,
-            cost={i: dict(row) for i, row in cost.items()},
-            inbound=dict(inbound),
-            outbound=dict(outbound),
+            n_nodes=len(inbound),
+            cost=cost,
+            inbound=inbound,
+            outbound=outbound,
             groups=groups,
             latency_bound_ms=latency_bound_ms,
         )
@@ -572,8 +449,8 @@ class ForestProblem:
 
         Costs and degree bounds are per-session constants, so the new
         problem *shares* the previous one's dense cost matrix (including
-        its lazily-built transpose), write-through cost rows and limit
-        tables — none of the O(N²) work of :meth:`from_workload` is
+        its lazily-built transpose) and copies the two N-entry bound
+        lists — none of the O(N²) work of :meth:`from_workload` is
         repeated.  Only the multicast groups are rebuilt from
         ``workload`` (unchanged groups reuse the previous objects), and
         the derived ``u`` and ``m`` tables are patched copy-on-write for
@@ -581,12 +458,12 @@ class ForestProblem:
 
         The result is equivalent to a from-scratch assembly of the same
         workload: equal costs, limits, groups, ``u`` and ``m``, hence
-        bit-identical build results under the same RNG.  Cost tables are
-        shared (tweaks like ``problem.cost[a][b] = x`` are visible across
-        every problem evolved from the same ancestor — the control plane
-        treats them as read-only); limit tables are copy-on-write views,
-        so ``problem.inbound[v] = 0`` on the evolved problem forks its
-        table instead of corrupting the previous round's.
+        bit-identical build results under the same RNG.  The cost matrix
+        is shared (:meth:`set_cost` is visible across every problem
+        evolved from the same ancestor — the control plane treats costs
+        as read-only); the bound lists are per-round copies, so
+        :meth:`set_inbound_limit` on the evolved problem never reaches
+        the previous round's.
 
         Unlike :meth:`from_workload`, ``evolve`` has no session to
         check subscriptions against, so streams are **caller-trusted**:
@@ -640,16 +517,13 @@ class ForestProblem:
         """
         problem = cls.__new__(cls)
         problem.n_nodes = prev.n_nodes
-        problem.cost = prev.cost
-        # Copy-on-write limit views: the dict surface is per-round, the
-        # flat twin is shared with ``prev`` until the first write forks
-        # it — so round-t tweaks can never leak into round t-1.
-        problem.inbound = prev.inbound.cow_view()
-        problem.outbound = prev.outbound.cow_view()
         problem.latency_bound_ms = prev.latency_bound_ms
-        problem.backend = prev.backend
-        problem._backend = prev._backend
         problem._dense = prev._dense
+        # Own copies of the bounds, so a round-t edit can never leak
+        # into round t-1's retained problem.
+        problem._in_limits = list(prev._in_limits)
+        problem._out_limits = list(prev._out_limits)
+        problem._out_limits_arr = None
         problem._requests_cache = None
         problem._streams_by_source = None
         if delta.empty:
@@ -676,11 +550,10 @@ class ForestProblem:
         problem.groups = groups
         problem._u = cls._patch_u(prev._u, delta)
         m_table = list(prev._m_table)
-        prev._backend.apply_count_deltas(
-            m_table,
-            [(group.source, -1) for group in delta.removed]
-            + [(group.source, +1) for group in delta.added],
-        )
+        for group in delta.removed:
+            m_table[group.source] -= 1
+        for group in delta.added:
+            m_table[group.source] += 1
         problem._m_table = m_table
         return problem
 

@@ -109,17 +109,6 @@ class BuilderState:
         """Remaining forwarding capacity ``O_i - dout_i - m̂_i``."""
         return self._out_limits[node] - self.dout[node] - self.m_hat[node]
 
-    def rfc_bulk(self):
-        """``rfc`` for every node in one backend kernel.
-
-        Returns the problem backend's vector type (a list on the python
-        backend, an int64 ndarray on numpy); values are elementwise
-        identical across backends.
-        """
-        return self.problem.array_backend.rfc_bulk(
-            self._out_limits, self.dout, self.m_hat
-        )
-
     def inbound_free(self, node: int) -> bool:
         """True while ``din_i < I_i``."""
         return self.din[node] < self._in_limits[node]

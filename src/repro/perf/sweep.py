@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from repro.core.backend import resolve_backend
 from repro.core.problem import ForestProblem
 from repro.core.registry import make_builder
 from repro.errors import ConfigurationError, SimulationError
@@ -404,23 +405,18 @@ def reports_equal(a: DataPlaneReport, b: DataPlaneReport) -> bool:
     return True
 
 
-def _sweep_session(
-    n_sites: int, seed: int, streams_per_site: int, backend: str = "auto"
-) -> TISession:
+def _sweep_session(n_sites: int, seed: int, streams_per_site: int) -> TISession:
     """A deterministic N-site session on the ``synthetic-<n>`` backbone."""
     return build_session(
         load_backbone(f"synthetic-{n_sites}"),
         UniformCapacityModel(streams_per_site=streams_per_site),
         RngStream(seed, label=f"perf/N{n_sites}").spawn("session"),
-        SessionConfig(n_sites=n_sites, displays_per_site=2, backend=backend),
+        SessionConfig(n_sites=n_sites, displays_per_site=2),
     )
 
 
 def _scenario_spec(
-    n_sites: int,
-    seed: int,
-    rebuild_policy: str = "always",
-    backend: str = "auto",
+    n_sites: int, seed: int, rebuild_policy: str = "always"
 ) -> ScenarioSpec:
     """A small churn scenario used purely for round timing."""
     return ScenarioSpec(
@@ -434,12 +430,11 @@ def _scenario_spec(
         displays_per_site=1,
         fov_size=2,
         rebuild_policy=rebuild_policy,
-        backend=backend,
     )
 
 
 def _measure_control_convergence(
-    n_sites: int, seed: int, backend: str = "auto", lossy: bool = False
+    n_sites: int, seed: int, lossy: bool = False
 ) -> Timing:
     """Simulated convergence latency of the timing scenario, async control.
 
@@ -453,7 +448,7 @@ def _measure_control_convergence(
     from repro.scenarios.runtime import ScenarioRuntime
 
     spec = replace(
-        _scenario_spec(n_sites, seed, backend=backend),
+        _scenario_spec(n_sites, seed),
         async_control=True,
         control_delay_ms=CONTROL_DELAY_MS,
         debounce_ms=DEBOUNCE_MS,
@@ -589,7 +584,7 @@ def _time_dense_parent_scan(
 
 
 def _time_scenario_rounds(
-    n_sites: int, seed: int, rebuild_policy: str, backend: str = "auto"
+    n_sites: int, seed: int, rebuild_policy: str
 ) -> Timing:
     """Per-round control latency of the timing scenario at one policy.
 
@@ -604,7 +599,7 @@ def _time_scenario_rounds(
     """
     from repro.scenarios.runtime import ScenarioRuntime
 
-    spec = _scenario_spec(n_sites, seed, rebuild_policy, backend=backend)
+    spec = _scenario_spec(n_sites, seed, rebuild_policy)
     runtime = ScenarioRuntime(spec, audit=False)
     runtime.run()
     times = runtime.round_wall_s or [0.0]
@@ -627,7 +622,6 @@ def run_perf_case(
     mean_subscribers: float = DEFAULT_MEAN_SUBSCRIBERS,
     with_event_plane: bool = True,
     with_scenario: bool = True,
-    backend: str = "auto",
 ) -> PerfCase:
     """Time build + dissemination (+ one scenario round) at one size.
 
@@ -640,7 +634,7 @@ def run_perf_case(
         raise ConfigurationError(f"n_sites must be >= 2, got {n_sites}")
     with_event_plane = with_event_plane and n_sites <= EVENT_PLANE_MAX_SITES
     with_scenario = with_scenario and n_sites <= SCENARIO_MAX_SITES
-    session = _sweep_session(n_sites, seed, streams_per_site, backend)
+    session = _sweep_session(n_sites, seed, streams_per_site)
     rng = RngStream(seed, label=f"perf/N{n_sites}")
     workload = CoverageWorkloadModel(
         mean_subscribers=mean_subscribers, guarantee_coverage=False
@@ -703,20 +697,14 @@ def run_perf_case(
     convergence_timing: Timing | None = None
     convergence_lossy_timing: Timing | None = None
     if with_scenario:
-        scenario_timing = _time_scenario_rounds(
-            n_sites, seed, "always", backend=backend
-        )
+        scenario_timing = _time_scenario_rounds(n_sites, seed, "always")
         scenario_incremental_timing = _time_scenario_rounds(
-            n_sites, seed, "incremental", backend=backend
+            n_sites, seed, "incremental"
         )
-        scenario_hybrid_timing = _time_scenario_rounds(
-            n_sites, seed, "hybrid", backend=backend
-        )
-        convergence_timing = _measure_control_convergence(
-            n_sites, seed, backend=backend
-        )
+        scenario_hybrid_timing = _time_scenario_rounds(n_sites, seed, "hybrid")
+        convergence_timing = _measure_control_convergence(n_sites, seed)
         convergence_lossy_timing = _measure_control_convergence(
-            n_sites, seed, backend=backend, lossy=True
+            n_sites, seed, lossy=True
         )
 
     detection_timings: dict[str, Timing | None] = {
@@ -780,7 +768,6 @@ def run_perf_sweep(
     label: str = "PR2",
     with_event_plane: bool = True,
     with_scenario: bool = True,
-    backend: str = "auto",
 ) -> PerfReport:
     """Run the full sweep; see the module docstring for what is timed."""
     report = PerfReport(
@@ -795,7 +782,8 @@ def run_perf_sweep(
             "mean_subscribers": DEFAULT_MEAN_SUBSCRIBERS,
             "latency_bound_ms": DEFAULT_LATENCY_BOUND_MS,
             "backbone": "synthetic-<n>",
-            "backend": backend,
+            # The fact, not a request: what this install selected.
+            "backend": resolve_backend().name,
         },
     )
     for n_sites in sizes:
@@ -808,7 +796,6 @@ def run_perf_sweep(
                 algorithm=algorithm,
                 with_event_plane=with_event_plane,
                 with_scenario=with_scenario,
-                backend=backend,
             )
         )
     return report

@@ -380,7 +380,6 @@ class ScenarioRuntime:
             SessionConfig(
                 n_sites=spec.n_sites,
                 displays_per_site=spec.displays_per_site,
-                backend=spec.backend,
             ),
         )
 

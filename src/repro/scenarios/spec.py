@@ -163,10 +163,6 @@ class ScenarioSpec:
     capacity_base / capacity_jitter / streams_per_site:
         Overrides of the uniform capacity model — the capacity-starvation
         scenario shrinks these far below the paper's defaults.
-    backend:
-        Array backend for the run's sessions and problems: ``python``,
-        ``numpy`` or ``auto`` (numpy when importable).  Both backends are
-        pinned bit-identical, so this is a performance knob only.
     """
 
     name: str
@@ -204,7 +200,6 @@ class ScenarioSpec:
     data_nack: bool = False
     data_max_repair_attempts: int = 3
     data_repair_deadline_factor: float = 2.0
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -217,11 +212,6 @@ class ScenarioSpec:
         check_finite_non_negative("duration_ms", self.duration_ms)
         check_positive("duration_ms", self.duration_ms)
         check_rebuild_policy(self.rebuild_policy)
-        # Local import: repro.core.backend sits under the core package,
-        # whose __init__ indirectly imports session/scenario modules.
-        from repro.core.backend import check_backend_name
-
-        check_backend_name(self.backend)
         if self.nodes not in ("uniform", "heterogeneous"):
             raise ConfigurationError(
                 f"nodes must be 'uniform' or 'heterogeneous', got {self.nodes!r}"

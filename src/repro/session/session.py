@@ -10,7 +10,7 @@ the pairwise RP latency matrix the overlay layer consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SessionError
 from repro.fov.camera import camera_ring
@@ -31,22 +31,14 @@ class SessionConfig:
     displays_per_site: int = 4
     placement: str = "random"
     camera_ring_radius: float = 3.0
-    #: Array backend for the session's dense structures ("auto" |
-    #: "python" | "numpy"); see :mod:`repro.core.backend`.  "auto"
-    #: consults ``TELE3D_BACKEND`` and falls back to numpy-if-importable.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
-        # Local import: repro.core.problem imports this module.
-        from repro.core.backend import check_backend_name
-
         if self.n_sites < 1:
             raise SessionError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.displays_per_site < 1:
             raise SessionError(
                 f"displays_per_site must be >= 1, got {self.displays_per_site}"
             )
-        check_backend_name(self.backend)
 
 
 @dataclass
@@ -66,15 +58,8 @@ class TISession:
     topology: Topology
     sites: list[Site]
     registry: StreamRegistry
-    #: Array backend for the dense structures derived from this session.
-    backend: str = "auto"
-    _cost_matrix: dict[int, dict[int, float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # Local import: repro.core.problem imports this module.
-        from repro.core.backend import resolve_backend
-
-        self._array_backend = resolve_backend(self.backend)
         seen_pops: set[str] = set()
         for expected, site in enumerate(self.sites):
             if site.index != expected:
@@ -85,22 +70,14 @@ class TISession:
             if site.pop_id in seen_pops:
                 raise SessionError(f"two sites share PoP {site.pop_id!r}")
             seen_pops.add(site.pop_id)
-        # ``_dense_costs`` is the authoritative latency store; the dict
-        # field is kept only when a caller injected one (legacy path) and
-        # is otherwise derived on demand — materializing the O(N²) dict
-        # up front dominated assembly time and memory at N >= 1024.
-        if not self._cost_matrix:
-            pop_matrix = self.topology.dense_cost_matrix(
-                [s.pop_id for s in self.sites]
-            )
-            rows = [list(pop_matrix.row(i)) for i in range(len(self.sites))]
-            self._dense_costs = DenseCostMatrix(
-                rows, backend=self._array_backend
-            )
-        else:
-            self._dense_costs = DenseCostMatrix.from_nested(
-                self._cost_matrix, nodes=range(len(self.sites))
-            )
+        # The dense matrix is the only latency store; ``cost_matrix()``
+        # derives the O(N²) dict form on demand.
+        pop_matrix = self.topology.dense_cost_matrix(
+            [s.pop_id for s in self.sites]
+        )
+        self._dense_costs = DenseCostMatrix(
+            [list(pop_matrix.row(i)) for i in range(len(self.sites))]
+        )
 
     # -- accessors ---------------------------------------------------------------
 
@@ -118,8 +95,8 @@ class TISession:
 
     @property
     def array_backend(self):
-        """The resolved array backend for this session's dense structures."""
-        return self._array_backend
+        """The array backend bound to this session's dense cost matrix."""
+        return self._dense_costs.array_backend
 
     def cost_ms(self, a: int, b: int) -> float:
         """One-way RP-to-RP latency between sites ``a`` and ``b``."""
@@ -134,8 +111,6 @@ class TISession:
 
     def cost_matrix(self) -> dict[int, dict[int, float]]:
         """A copy of the site-indexed latency matrix (built on demand)."""
-        if self._cost_matrix:
-            return {a: dict(row) for a, row in self._cost_matrix.items()}
         rows = self._dense_costs.rows()
         n = len(self.sites)
         return {a: {b: rows[a][b] for b in range(n)} for a in range(n)}
@@ -187,12 +162,7 @@ def build_session(
         sites.append(
             _build_site(index, pop_id, assignment, registry, config)
         )
-    return TISession(
-        topology=topology,
-        sites=sites,
-        registry=registry,
-        backend=config.backend,
-    )
+    return TISession(topology=topology, sites=sites, registry=registry)
 
 
 def _build_site(

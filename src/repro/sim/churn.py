@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.model import MulticastGroup
-from repro.core.problem import ForestProblem
+from repro.core.problem import ForestProblem, ProblemDelta
 from repro.session.session import TISession
 from repro.util.rng import RngStream
 from repro.workload.spec import SubscriptionWorkload
@@ -50,7 +50,12 @@ def problem_without_site(
     problem: ForestProblem, leaving_site: int
 ) -> ForestProblem:
     """Derive the post-departure problem: the site publishes, subscribes
-    and relays nothing (its degree bounds drop to zero)."""
+    and relays nothing (its degree bounds drop to zero).
+
+    Costs do not change when a site leaves, so the derived problem
+    shares ``problem``'s dense matrix; only the two bound lists are
+    copied (:meth:`ForestProblem.evolve_delta`).
+    """
     groups = []
     for group in problem.groups:
         if group.source == leaving_site:
@@ -58,18 +63,12 @@ def problem_without_site(
         members = group.subscribers - {leaving_site}
         if members:
             groups.append(MulticastGroup(stream=group.stream, subscribers=members))
-    inbound = dict(problem.inbound)
-    outbound = dict(problem.outbound)
-    inbound[leaving_site] = 0
-    outbound[leaving_site] = 0
-    return ForestProblem(
-        n_nodes=problem.n_nodes,
-        cost={i: dict(row) for i, row in problem.cost.items()},
-        inbound=inbound,
-        outbound=outbound,
-        groups=groups,
-        latency_bound_ms=problem.latency_bound_ms,
+    reduced = ForestProblem.evolve_delta(
+        problem, ProblemDelta.between(problem.groups, groups)
     )
+    reduced.set_inbound_limit(leaving_site, 0)
+    reduced.set_outbound_limit(leaving_site, 0)
+    return reduced
 
 
 def rebuild_after_leave(

@@ -9,20 +9,17 @@ be handed to a scan loop at once.
 
 The row/column lists stay the authoritative storage on every array
 backend (scalar probes are faster on lists); when the numpy backend is
-active, :meth:`row_array`/:meth:`column_array` expose lazily-built
-ndarray mirrors for the vectorized bulk kernels.  ``set_cost`` patches
-rows, the lazy transpose and any mirrors in place, so a diffed round's
-single-entry cost tweaks no longer re-pay the O(N²) transpose rebuild.
+active, :meth:`column_array` exposes a lazily-built ndarray mirror for
+the vectorized parent scan.  ``set_cost`` patches rows, the lazy
+transpose and the mirror in place, so a single-entry cost tweak does
+not re-pay the O(N²) transpose rebuild.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import TopologyError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.backend import ArrayBackend
 
 
 class DenseCostMatrix:
@@ -40,8 +37,7 @@ class DenseCostMatrix:
         "_cols",
         "_labels",
         "_index",
-        "_backend",
-        "_rows_arr",
+        "array_backend",
         "_cols_arr",
     )
 
@@ -49,8 +45,11 @@ class DenseCostMatrix:
         self,
         rows: list[list[float]],
         labels: Sequence[Hashable] | None = None,
-        backend: "ArrayBackend | str | None" = None,
     ) -> None:
+        # Local import: repro.core's package init imports the session
+        # layer, which imports this module.
+        from repro.core.backend import resolve_backend
+
         self.n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != self.n:
@@ -59,8 +58,9 @@ class DenseCostMatrix:
                 )
         self._rows = rows
         self._cols: list[list[float]] | None = None
-        self._backend = backend
-        self._rows_arr = None
+        #: The array backend bound to this matrix (and, through it, to
+        #: the session or problems that own it).
+        self.array_backend = resolve_backend()
         self._cols_arr = None
         if labels is not None and len(labels) != self.n:
             raise TopologyError(
@@ -127,39 +127,19 @@ class DenseCostMatrix:
         return self._cols[b]
 
     def set_cost(self, a: int, b: int, value: float) -> None:
-        """Update one entry, patching the transpose and mirrors in place.
+        """Update one entry, patching the transpose and mirror in place.
 
-        Dropping the lazy transpose here would force a diffed round's
-        next ``column`` call to re-pay the O(N²) rebuild for a single
-        changed entry; instead every materialized view is kept in sync.
+        Dropping the lazy transpose here would force the next ``column``
+        call to re-pay the O(N²) rebuild for a single changed entry;
+        instead every materialized view is kept in sync.
         """
         self._rows[a][b] = value
         if self._cols is not None:
             self._cols[b][a] = value
-        if self._rows_arr is not None:
-            self._rows_arr[a, b] = value
         if self._cols_arr is not None:
             self._cols_arr[b, a] = value
 
-    # -- array mirrors -----------------------------------------------------------
-
-    @property
-    def array_backend(self) -> "ArrayBackend":
-        """The resolved array backend for this matrix (lazily bound)."""
-        from repro.core.backend import ArrayBackend, resolve_backend
-
-        if not isinstance(self._backend, ArrayBackend):
-            self._backend = resolve_backend(self._backend)
-        return self._backend
-
-    def row_array(self, a: int):
-        """Row ``a`` as this backend's vector type (ndarray on numpy)."""
-        backend = self.array_backend
-        if backend.name != "numpy":
-            return self._rows[a]
-        if self._rows_arr is None:
-            self._rows_arr = backend.as_vector(self._rows)
-        return self._rows_arr[a]
+    # -- array mirror ------------------------------------------------------------
 
     def column_array(self, b: int):
         """Column ``b`` as this backend's vector type (ndarray on numpy)."""
@@ -167,11 +147,9 @@ class DenseCostMatrix:
         if backend.name != "numpy":
             return self.column(b)
         if self._cols_arr is None:
-            if self._rows_arr is None:
-                self._rows_arr = backend.as_vector(self._rows)
             # Materialized (C-contiguous) so fancy-indexed gathers in the
             # parent scan do not stride across the transpose view.
-            self._cols_arr = self._rows_arr.T.copy()
+            self._cols_arr = backend.as_vector(self._rows).T.copy()
         return self._cols_arr[b]
 
     def index_of(self, label: Hashable) -> int:

@@ -45,7 +45,7 @@ class TestDirectUnicast:
 
     def test_latency_bound_respected(self, rng):
         problem = star_problem(10)
-        problem.cost[0][4] = 99.0
+        problem.set_cost(0, 4, 99.0)
         result = DirectUnicastBuilder().build(problem, rng)
         rejected = {r.subscriber for r, _ in result.rejected}
         assert 4 in rejected

@@ -3,6 +3,8 @@
 Also hosts the ``--runslow`` gate: tests marked ``slow`` or ``stress``
 are skipped by default so the tier-1 loop stays fast; ``pytest
 --runslow`` (as ``scripts/ci.sh`` does for the full run) enables them.
+``pytest --array-backend python`` runs the whole suite with the
+pure-python reference backend pinned (``scripts/ci.sh``'s second pass).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from repro.session.session import SessionConfig, build_session
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
+from tests.reference_paths import use_array_backend
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -24,6 +27,21 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="run tests marked slow or stress",
     )
+    parser.addoption(
+        "--array-backend",
+        choices=("python", "numpy"),
+        default=None,
+        help="pin the array backend for the whole run (default: what "
+        "resolve_backend() selects for this install)",
+    )
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    name = config.getoption("--array-backend")
+    if name is not None:
+        pin = use_array_backend(name)
+        pin.__enter__()
+        config.add_cleanup(lambda: pin.__exit__(None, None, None))
 
 
 def pytest_collection_modifyitems(

@@ -1,9 +1,10 @@
-"""The array-backend contract: resolution rules and bit-exact kernels.
+"""The array-backend contract: derived selection and bit-exact kernels.
 
 The numpy backend is an accelerator, never a semantics change: every
 kernel must reproduce the pure-python reference bit for bit.  These
-tests pin the resolution precedence (argument > env var > auto) and the
-kernel-level equivalences; the scenario digest matrix in
+tests pin the selection rule (numpy when importable, else python — not
+configurable; the reference is reached through ``use_array_backend``)
+and the kernel-level equivalences; the scenario digest matrix in
 ``tests/scenarios/test_backend_digests.py`` pins the end-to-end builds.
 """
 
@@ -13,10 +14,8 @@ import pytest
 
 import repro.core.backend as backend_mod
 from repro.core.backend import (
-    BACKEND_ENV_VAR,
     ArrayBackend,
     NumpyBackend,
-    check_backend_name,
     numpy_available,
     resolve_backend,
 )
@@ -26,12 +25,14 @@ from repro.core.problem import ForestProblem
 from repro.core.registry import make_builder
 from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
+from repro.scenarios.spec import ScenarioSpec
 from repro.session.capacity import UniformCapacityModel
 from repro.session.session import SessionConfig, build_session
 from repro.sim.dataplane import FastDataPlane
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
+from tests.reference_paths import use_array_backend
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -39,17 +40,20 @@ needs_numpy = pytest.mark.skipif(
 
 
 def _problem(backend: str, n_sites: int = 32, seed: int = 42):
-    """A deterministic problem on the requested backend."""
-    session = build_session(
-        load_backbone(f"synthetic-{n_sites}"),
-        UniformCapacityModel(streams_per_site=4),
-        RngStream(seed, label=f"bk/N{n_sites}").spawn("session"),
-        SessionConfig(n_sites=n_sites, displays_per_site=2, backend=backend),
-    )
-    workload = CoverageWorkloadModel(
-        mean_subscribers=6.0, guarantee_coverage=False
-    ).generate(session, RngStream(seed, label=f"bk/N{n_sites}").spawn("workload"))
-    return session, ForestProblem.from_workload(session, workload, 120.0)
+    """A deterministic session and problem bound to the named backend."""
+    with use_array_backend(backend):
+        session = build_session(
+            load_backbone(f"synthetic-{n_sites}"),
+            UniformCapacityModel(streams_per_site=4),
+            RngStream(seed, label=f"bk/N{n_sites}").spawn("session"),
+            SessionConfig(n_sites=n_sites, displays_per_site=2),
+        )
+        workload = CoverageWorkloadModel(
+            mean_subscribers=6.0, guarantee_coverage=False
+        ).generate(
+            session, RngStream(seed, label=f"bk/N{n_sites}").spawn("workload")
+        )
+        return session, ForestProblem.from_workload(session, workload, 120.0)
 
 
 def _forest_shape(result) -> dict:
@@ -68,52 +72,73 @@ def _forest_shape(result) -> dict:
     }
 
 
-class TestResolution:
-    def test_python_is_singleton(self):
-        assert resolve_backend("python") is resolve_backend("python")
-        assert resolve_backend("python").name == "python"
-
-    def test_instance_passes_through(self):
-        instance = resolve_backend("python")
-        assert resolve_backend(instance) is instance
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("fortran")
-        with pytest.raises(ConfigurationError):
-            check_backend_name("fortran")
-
-    def test_auto_without_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        resolved = resolve_backend(None)
+class TestSelection:
+    def test_follows_numpy_availability(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "_selected", None)
         expected = "numpy" if numpy_available() else "python"
-        assert resolved.name == expected
-        assert resolve_backend("auto").name == expected
+        assert resolve_backend().name == expected
+        assert resolve_backend() is resolve_backend()
 
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend(None).name == "python"
-        assert resolve_backend("auto").name == "python"
-
-    @needs_numpy
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend("numpy").name == "numpy"
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError):
-            resolve_backend(None)
-
-    def test_numpy_requested_but_missing(self, monkeypatch):
+    def test_falls_back_to_python_without_numpy(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_np", None)
         monkeypatch.setattr(backend_mod, "_np_checked", True)
+        monkeypatch.setattr(backend_mod, "_selected", None)
+        assert resolve_backend().name == "python"
         with pytest.raises(ConfigurationError):
-            resolve_backend("numpy")
+            NumpyBackend()
 
-    def test_config_knobs_validate(self):
-        with pytest.raises(ConfigurationError):
-            SessionConfig(n_sites=4, backend="fortran")
+    def test_takes_no_argument(self):
+        with pytest.raises(TypeError):
+            resolve_backend("python")
+
+    def test_environment_is_not_consulted(self, monkeypatch):
+        monkeypatch.setenv("TELE3D_BACKEND", "fortran")
+        monkeypatch.setattr(backend_mod, "_selected", None)
+        expected = "numpy" if numpy_available() else "python"
+        assert resolve_backend().name == expected
+
+    def test_use_array_backend_pins_and_restores(self):
+        before = resolve_backend()
+        with use_array_backend("python") as pinned:
+            assert pinned.name == "python"
+            assert resolve_backend() is pinned
+            session, problem = _problem("python", n_sites=8)
+        assert resolve_backend() is before
+        # What was built inside the block keeps the backend it bound.
+        assert session.array_backend is pinned
+        assert problem.array_backend is pinned
+        assert problem.dense_cost_matrix().array_backend is pinned
+
+    def test_use_array_backend_restores_after_an_error(self):
+        before = resolve_backend()
+        with pytest.raises(RuntimeError):
+            with use_array_backend("python"):
+                raise RuntimeError("boom")
+        assert resolve_backend() is before
+        with pytest.raises(KeyError):
+            with use_array_backend("fortran"):
+                pass
+        assert resolve_backend() is before
+
+    @needs_numpy
+    def test_use_array_backend_nests(self):
+        with use_array_backend("python"):
+            with use_array_backend("numpy"):
+                assert resolve_backend().name == "numpy"
+            assert resolve_backend().name == "python"
+
+    def test_backend_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            SessionConfig(n_sites=4, backend="python")
+        with pytest.raises(TypeError):
+            ScenarioSpec(
+                name="x",
+                n_sites=4,
+                initial_active=4,
+                duration_ms=100.0,
+                seed=1,
+                backend="numpy",
+            )
 
 
 @needs_numpy
@@ -122,17 +147,7 @@ class TestKernelEquivalence:
 
     def setup_method(self):
         self.py = ArrayBackend()
-        self.np_b = resolve_backend("numpy")
-        assert isinstance(self.np_b, NumpyBackend)
-
-    def test_rfc_bulk(self):
-        rng = RngStream(3, label="rfc")
-        limits = [rng.randint(0, 30) for _ in range(200)]
-        dout = [rng.randint(0, 10) for _ in range(200)]
-        m_hat = [rng.randint(0, 5) for _ in range(200)]
-        assert list(self.np_b.rfc_bulk(limits, dout, m_hat)) == self.py.rfc_bulk(
-            limits, dout, m_hat
-        )
+        self.np_b = NumpyBackend()
 
     def test_dataplane_kernels(self):
         rng = RngStream(5, label="plane")
@@ -155,19 +170,6 @@ class TestKernelEquivalence:
         assert self.np_b.vec_max(self.np_b.as_vector(values)) == (
             self.py.vec_max(values)
         )
-
-    @pytest.mark.parametrize("pairs", [7, 2048])
-    def test_apply_count_deltas(self, pairs):
-        # 7 stays on the scalar loop, 2048 crosses _count_patch_min.
-        rng = RngStream(pairs, label="patch")
-        a = [rng.randint(0, 9) for _ in range(300)]
-        b = list(a)
-        deltas = [
-            (rng.randint(0, 299), rng.randint(-3, 3)) for _ in range(pairs)
-        ]
-        self.py.apply_count_deltas(a, deltas)
-        self.np_b.apply_count_deltas(b, deltas)
-        assert a == b
 
 
 @needs_numpy
@@ -258,13 +260,10 @@ class TestDataPlaneEquivalence:
         assert reports_equal(reports[0], reports[1])
 
     def test_plane_kernel_gate(self):
-        from repro.core.backend import resolve_backend
-
-        np_backend = resolve_backend("numpy")
+        np_backend = NumpyBackend()
         assert np_backend.plane_kernels(16).name == "python"
         assert np_backend.plane_kernels(64).name == "numpy"
-        py_backend = resolve_backend("python")
-        assert py_backend.plane_kernels(10**6).name == "python"
+        assert ArrayBackend().plane_kernels(10**6).name == "python"
 
 
 class TestBulkDijkstraEquivalence:

@@ -50,7 +50,7 @@ class TestUHatCache:
         result = RandomJoinBuilder().build(starved_problem(), rng)
         assert result.u_hat(1, 0) == 1  # cache primed while rejected
         # Lift the source's outbound bound, then re-join subscriber 1.
-        result.problem.outbound[0] = 5
+        result.problem.set_outbound_limit(0, 5)
         outcome = add_subscription(
             result, SubscriptionRequest(subscriber=1, stream=StreamId(0, 0))
         )

@@ -48,9 +48,12 @@ def figure7() -> tuple[ForestProblem, BuilderState, OverlayForest]:
         latency_bound_ms=10.0,
     )
     # Path pieces of the figure: A->B = 2, B->F = 3, F->E = 4.
-    problem.cost[A][B] = problem.cost[B][A] = 2.0
-    problem.cost[B][F] = problem.cost[F][B] = 3.0
-    problem.cost[F][E] = problem.cost[E][F] = 4.0
+    problem.set_cost(A, B, 2.0)
+    problem.set_cost(B, A, 2.0)
+    problem.set_cost(B, F, 3.0)
+    problem.set_cost(F, B, 3.0)
+    problem.set_cost(F, E, 4.0)
+    problem.set_cost(E, F, 4.0)
 
     forest = OverlayForest()
     state = BuilderState(problem)
@@ -163,7 +166,7 @@ class TestFigure7Example:
     def test_swap_refused_when_latency_violated(self):
         """Condition (4): the new path must respect the bound."""
         problem, state, forest = figure7()
-        problem.cost[F][E] = 99.0
+        problem.set_cost(F, E, 99.0)
         handled = CorrelatedRandomJoinBuilder().on_rejected(
             problem, state, forest, self.request(), self.rejected_outcome()
         )

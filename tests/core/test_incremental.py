@@ -56,7 +56,7 @@ class TestAddSubscription:
         result = RandomJoinBuilder().build(problem, rng)
         assert len(result.rejected) == 2  # everything latency-infeasible
         # Make node 1 reachable and retry incrementally.
-        problem.cost[0][1] = 1.0
+        problem.set_cost(0, 1, 1.0)
         request = SubscriptionRequest(1, StreamId(0, 0))
         outcome = add_subscription(result, request)
         assert outcome.accepted

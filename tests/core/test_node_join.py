@@ -36,9 +36,9 @@ def figure6() -> tuple[ForestProblem, BuilderState, MulticastTree]:
         latency_bound_ms=10.0,
     )
     # Edge costs consulted by the join: member -> F.
-    problem.cost[A][F] = 5.0
-    problem.cost[D][F] = 3.0
-    problem.cost[E][F] = 3.0
+    problem.set_cost(A, F, 5.0)
+    problem.set_cost(D, F, 3.0)
+    problem.set_cost(E, F, 3.0)
 
     tree = MulticastTree(stream)
     tree.attach(S, A, 4.0)
@@ -120,7 +120,7 @@ class TestTreeSaturation:
     def test_all_parents_too_far(self):
         problem, state, tree = figure6()
         for node in (S, A, B, C, D, E):
-            problem.cost[node][F] = 99.0
+            problem.set_cost(node, F, 99.0)
         outcome = try_join(problem, state, tree, F)
         assert outcome.reason is RejectionReason.TREE_SATURATED
 
@@ -165,7 +165,7 @@ class TestReservation:
 class TestParentPolicies:
     def test_min_cost_prefers_cheapest(self):
         problem, state, tree = figure6()
-        problem.cost[S][F] = 0.5  # direct from S would be cheapest
+        problem.set_cost(S, F, 0.5)  # direct from S would be cheapest
         outcome = try_join(
             problem, state, tree, F, policy=ParentPolicy.MIN_COST
         )

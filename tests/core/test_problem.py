@@ -71,6 +71,47 @@ class TestConstruction:
                 latency_bound_ms=1.0,
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_bad_cost_names_the_edge(self, value):
+        cost = complete_cost(3)
+        cost[2][1] = value
+        with pytest.raises(ConfigurationError, match="2->1"):
+            ForestProblem.from_tables(
+                cost=cost,
+                inbound={0: 1, 1: 1, 2: 1},
+                outbound={0: 1, 1: 1, 2: 1},
+                group_members={},
+                latency_bound_ms=1.0,
+            )
+
+    def test_infinite_cost_accepted_as_unreachable(self):
+        cost = complete_cost(2)
+        cost[0][1] = float("inf")
+        problem = ForestProblem.from_tables(
+            cost=cost,
+            inbound={0: 1, 1: 1},
+            outbound={0: 1, 1: 1},
+            group_members={},
+            latency_bound_ms=1.0,
+        )
+        assert problem.edge_cost(0, 1) == float("inf")
+
+    @pytest.mark.parametrize("value", [-1, 1.5])
+    def test_bad_degree_bound_names_the_node(self, value):
+        with pytest.raises(ConfigurationError, match="node 1"):
+            ForestProblem.from_tables(
+                cost=complete_cost(2),
+                inbound={0: 1, 1: 1},
+                outbound={0: 1, 1: value},
+                group_members={},
+                latency_bound_ms=1.0,
+            )
+
+    def test_tables_have_one_representation(self):
+        problem = tiny_problem()
+        for attribute in ("cost", "inbound", "outbound", "backend"):
+            assert not hasattr(problem, attribute)
+
     def test_non_positive_bound_rejected(self):
         with pytest.raises(ConfigurationError):
             ForestProblem.from_tables(

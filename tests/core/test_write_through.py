@@ -1,27 +1,31 @@
-"""Write-through table views: strict keys, COW evolution, snapshots.
+"""Problem-table setters: visibility, round isolation, mirrors, snapshots.
 
-The dict surfaces (``problem.cost``, ``problem.inbound``/``outbound``)
-exist for tests and exploratory code; the hot paths read the dense
-matrix and flat lists behind them.  These tests pin the contract that
-keeps the two in sync: writes through any dict entry point propagate,
-unknown keys are refused loudly (a silent dict-only write would diverge
-the surfaces), and evolved problems fork their limit tables on first
-write instead of corrupting the previous round's.  Everything runs on
-both array backends.
+A :class:`ForestProblem` keeps one representation of each table — the
+dense cost matrix and two bound lists — and the only writes are
+``set_cost`` / ``set_inbound_limit`` / ``set_outbound_limit``.  These
+tests pin what the hot paths rely on: an edit is visible through row and
+column lists already handed out, an evolved problem's bound edit never
+reaches the round it was evolved from, the numpy bound mirror is rebuilt
+after an edit, and bad edits are refused naming the node.  Everything
+runs on both array backends.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core.backend import numpy_available, resolve_backend
+from repro.core.backend import numpy_available
 from repro.core.problem import ForestProblem
 from repro.core.registry import make_builder
+from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
 from repro.session.capacity import UniformCapacityModel
 from repro.session.session import SessionConfig, build_session
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
+from tests.reference_paths import use_array_backend
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -32,7 +36,8 @@ BACKENDS = ["python", pytest.param("numpy", marks=needs_numpy)]
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    return request.param
+    with use_array_backend(request.param) as pinned:
+        yield pinned
 
 
 @pytest.fixture
@@ -41,7 +46,7 @@ def session(tier1_topology, backend):
         tier1_topology,
         UniformCapacityModel(streams_per_site=6),
         RngStream(7, label="session"),
-        SessionConfig(n_sites=5, displays_per_site=2, backend=backend),
+        SessionConfig(n_sites=5, displays_per_site=2),
     )
 
 
@@ -57,137 +62,154 @@ def problem(session, workload):
     return ForestProblem.from_workload(session, workload, 200.0)
 
 
-class TestCostRowStrictKeys:
-    def test_unknown_key_rejected(self, problem):
-        with pytest.raises(ConfigurationError):
-            problem.cost[0]["bogus"] = 1.0
-        with pytest.raises(ConfigurationError):
-            problem.cost[0][999] = 1.0
-        assert "bogus" not in problem.cost[0]
-        assert 999 not in problem.cost[0]
-
-    def test_update_writes_through(self, problem):
-        problem.cost[0].update({1: 55.5})
+class TestSetCost:
+    def test_visible_through_held_row_and_column(self, problem):
+        row = problem.costs_row(0)
+        column = problem.costs_to(1)
+        problem.set_cost(0, 1, 55.5)
         assert problem.edge_cost(0, 1) == 55.5
-        assert problem.costs_to(1)[0] == 55.5
-        with pytest.raises(ConfigurationError):
-            problem.cost[0].update({999: 1.0})
+        assert row[1] == 55.5
+        assert column[0] == 55.5
+        assert problem.costs_row(0) is row
+        assert problem.costs_to(1) is column
 
-    def test_setdefault_existing_key_is_a_no_op(self, problem):
+    def test_one_direction_only(self, problem):
+        before = problem.edge_cost(3, 2)
+        problem.set_cost(2, 3, 41.25)
+        assert problem.edge_cost(2, 3) == 41.25
+        assert problem.edge_cost(3, 2) == before
+
+    def test_shared_with_evolved_rounds_not_with_the_session(
+        self, session, problem, workload
+    ):
+        evolved = ForestProblem.evolve(problem, workload)
+        before = session.cost_ms(0, 1)
+        evolved.set_cost(0, 1, before + 10.0)
+        assert problem.edge_cost(0, 1) == before + 10.0
+        assert session.cost_ms(0, 1) == before
+
+    def test_infinite_cost_is_legal(self, problem):
+        problem.set_cost(0, 1, math.inf)
+        assert problem.edge_cost(0, 1) == math.inf
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    def test_bad_value_refused(self, problem, value):
         before = problem.edge_cost(0, 1)
-        assert problem.cost[0].setdefault(1, 77.0) == before
+        with pytest.raises(ConfigurationError, match="0->1"):
+            problem.set_cost(0, 1, value)
         assert problem.edge_cost(0, 1) == before
 
-    def test_ior_writes_through(self, problem):
-        row = problem.cost[2]
-        row |= {3: 41.25}
-        assert problem.edge_cost(2, 3) == 41.25
-        assert problem.costs_row(2)[3] == 41.25
+    @pytest.mark.parametrize("node", [999, -1, "bogus", 1.0])
+    def test_unknown_node_refused(self, problem, node):
+        with pytest.raises(ConfigurationError, match="unknown node"):
+            problem.set_cost(0, node, 1.0)
+        with pytest.raises(ConfigurationError, match="unknown node"):
+            problem.set_cost(node, 0, 1.0)
 
 
-class TestLimitTableStrictKeys:
-    def test_unknown_key_rejected(self, problem):
-        for table in (problem.inbound, problem.outbound):
-            with pytest.raises(ConfigurationError):
-                table["bogus"] = 3
-            with pytest.raises(ConfigurationError):
-                table[999] = 3
-            assert 999 not in table
+class TestSetLimits:
+    def test_visible_through_held_list_and_builder_state(self, problem):
+        held = problem.outbound_limits()
+        state = BuilderState(problem)
+        problem.set_outbound_limit(2, 0)
+        problem.set_inbound_limit(1, 0)
+        assert problem.outbound_limit(2) == 0
+        assert held[2] == 0
+        assert problem.outbound_limits() is held
+        assert not state.outbound_free(2)
+        assert not state.inbound_free(1)
 
-    def test_update_and_ior_write_through(self, problem):
-        problem.inbound.update({1: 9})
-        assert problem.inbound_limit(1) == 9
-        assert problem.inbound_limits()[1] == 9
-        problem.outbound |= {2: 4}
-        assert problem.outbound_limit(2) == 4
-        assert problem.outbound_limits()[2] == 4
+    @pytest.mark.parametrize("value", [-1, 1.5, None])
+    def test_bad_value_refused(self, problem, value):
+        before = problem.inbound_limit(1), problem.outbound_limit(1)
+        with pytest.raises(ConfigurationError, match="node 1"):
+            problem.set_inbound_limit(1, value)
+        with pytest.raises(ConfigurationError, match="node 1"):
+            problem.set_outbound_limit(1, value)
+        assert (problem.inbound_limit(1), problem.outbound_limit(1)) == before
 
-    def test_setdefault_existing_key_is_a_no_op(self, problem):
-        before = problem.inbound_limit(0)
-        assert problem.inbound.setdefault(0, before + 5) == before
-        assert problem.inbound_limit(0) == before
-
-    def test_entry_removal_refused(self, problem):
-        with pytest.raises(ConfigurationError):
-            del problem.inbound[0]
-        with pytest.raises(ConfigurationError):
-            problem.outbound.pop(0)
+    @pytest.mark.parametrize("node", [999, -1, "bogus", 1.0])
+    def test_unknown_node_refused(self, problem, node):
+        with pytest.raises(ConfigurationError, match="unknown node"):
+            problem.set_inbound_limit(node, 3)
+        with pytest.raises(ConfigurationError, match="unknown node"):
+            problem.set_outbound_limit(node, 3)
 
 
-class TestEvolvedLimitTablesCopyOnWrite:
-    def test_shared_until_first_write(self, problem, workload):
+class TestEvolvedBoundsAreIsolated:
+    def test_round_t_write_does_not_reach_round_t_minus_1(
+        self, problem, workload
+    ):
         evolved = ForestProblem.evolve(problem, workload)
-        assert evolved.inbound_limits() is problem.inbound_limits()
-        assert evolved.outbound_limits() is problem.outbound_limits()
-
-    def test_setitem_forks_instead_of_leaking(self, problem, workload):
-        evolved = ForestProblem.evolve(problem, workload)
-        before = problem.inbound_limit(1)
-        evolved.inbound[1] = 0
-        assert evolved.inbound_limit(1) == 0
-        assert problem.inbound_limit(1) == before
+        assert evolved.inbound_limits() == problem.inbound_limits()
         assert evolved.inbound_limits() is not problem.inbound_limits()
-        # Already forked: the next write stays on the private list.
-        forked = evolved.inbound_limits()
-        before2 = problem.inbound_limit(2)
-        evolved.inbound[2] = 0
-        assert evolved.inbound_limits() is forked
-        assert problem.inbound_limit(2) == before2
-
-    def test_update_forks_too(self, problem, workload):
-        evolved = ForestProblem.evolve(problem, workload)
-        before = problem.outbound_limit(3)
-        evolved.outbound.update({3: 0})
+        assert evolved.outbound_limits() is not problem.outbound_limits()
+        before_in = problem.inbound_limit(1)
+        before_out = problem.outbound_limit(3)
+        evolved.set_inbound_limit(1, 0)
+        evolved.set_outbound_limit(3, 0)
+        assert evolved.inbound_limit(1) == 0
         assert evolved.outbound_limit(3) == 0
-        assert problem.outbound_limit(3) == before
+        assert problem.inbound_limit(1) == before_in
+        assert problem.outbound_limit(3) == before_out
 
-    def test_ancestor_write_after_fork_stays_private(self, problem, workload):
+    def test_ancestor_write_does_not_reach_the_evolved_round(
+        self, problem, workload
+    ):
         evolved = ForestProblem.evolve(problem, workload)
-        evolved.inbound[0] = 0  # fork
-        problem.inbound[0] = 7
-        assert evolved.inbound_limit(0) == 0
-        assert problem.inbound_limit(0) == 7
+        before = evolved.inbound_limit(0)
+        problem.set_inbound_limit(0, before + 7)
+        assert problem.inbound_limit(0) == before + 7
+        assert evolved.inbound_limit(0) == before
 
-    def test_chained_evolution_forks_each_round(self, problem, workload):
+    def test_chained_evolution_isolates_every_ancestor(
+        self, problem, workload
+    ):
         round1 = ForestProblem.evolve(problem, workload)
         round2 = ForestProblem.evolve(round1, workload)
-        round2.inbound[1] = 0
-        assert round1.inbound_limit(1) == problem.inbound_limit(1)
-        assert round1.inbound_limits() is problem.inbound_limits()
+        before = problem.inbound_limit(1)
+        round2.set_inbound_limit(1, 0)
+        assert round1.inbound_limit(1) == before
+        assert problem.inbound_limit(1) == before
 
 
 @needs_numpy
-class TestLimitsArrayMirror:
-    """The ndarray mirror the vectorized parent scan reads must track
-    every write path of the limit tables, including copy-on-write
-    aliasing across evolved rounds."""
+class TestOutboundLimitsMirror:
+    """The int64 mirror the vectorized parent scan reads must follow the
+    setter, per problem."""
 
-    def test_write_drops_cached_mirror(self, problem):
-        np_backend = resolve_backend("numpy")
-        arr = np_backend.limits_array(problem.outbound)
+    @pytest.fixture(params=["numpy"])
+    def backend(self, request):
+        with use_array_backend(request.param) as pinned:
+            yield pinned
+
+    def test_setter_drops_the_cached_mirror(self, backend, problem):
+        arr = backend.outbound_limits_array(problem)
         assert list(arr) == problem.outbound_limits()
-        assert np_backend.limits_array(problem.outbound) is arr
-        problem.outbound[2] = 1
-        fresh = np_backend.limits_array(problem.outbound)
+        assert backend.outbound_limits_array(problem) is arr
+        problem.set_outbound_limit(2, 1)
+        fresh = backend.outbound_limits_array(problem)
         assert fresh is not arr
         assert int(fresh[2]) == 1
 
-    def test_ancestor_write_invalidates_view_mirror(self, problem, workload):
-        evolved = ForestProblem.evolve(problem, workload)
-        np_backend = resolve_backend("numpy")
-        np_backend.limits_array(evolved.outbound)
-        # The ancestor owns the shared flat twin and writes it in place;
-        # the evolved view's cached mirror must not keep the old value.
-        problem.outbound[3] = 0
-        assert int(np_backend.limits_array(evolved.outbound)[3]) == 0
+    def test_inbound_setter_leaves_the_mirror(self, backend, problem):
+        arr = backend.outbound_limits_array(problem)
+        problem.set_inbound_limit(2, 1)
+        assert backend.outbound_limits_array(problem) is arr
 
-    def test_fork_leaves_ancestor_mirror_intact(self, problem, workload):
+    def test_mirrors_are_per_round(self, backend, problem, workload):
         evolved = ForestProblem.evolve(problem, workload)
-        np_backend = resolve_backend("numpy")
-        ancestor = np_backend.limits_array(problem.outbound)
-        evolved.outbound[1] = 0  # forks the flat twin and the mirror box
-        assert np_backend.limits_array(problem.outbound) is ancestor
-        assert int(np_backend.limits_array(evolved.outbound)[1]) == 0
+        ancestor = backend.outbound_limits_array(problem)
+        backend.outbound_limits_array(evolved)
+        evolved.set_outbound_limit(1, 0)
+        assert backend.outbound_limits_array(problem) is ancestor
+        assert int(ancestor[1]) == problem.outbound_limit(1)
+        assert int(backend.outbound_limits_array(evolved)[1]) == 0
+        problem.set_outbound_limit(3, 0)
+        assert int(backend.outbound_limits_array(problem)[3]) == 0
+        assert int(backend.outbound_limits_array(evolved)[3]) == (
+            evolved.outbound_limit(3)
+        )
 
 
 class TestBuilderStateSnapshot:
@@ -204,11 +226,3 @@ class TestBuilderStateSnapshot:
         # Defensive copy: mutating the snapshot must not touch the state.
         snap["dout"][0] = 10**6
         assert state.dout[0] != 10**6
-
-    def test_rfc_bulk_matches_scalar_probes(self, problem):
-        result = make_builder("rj").build(
-            problem, RngStream(3, label="build")
-        )
-        state = result.state
-        bulk = list(state.rfc_bulk())
-        assert bulk == [state.rfc(i) for i in range(problem.n_nodes)]

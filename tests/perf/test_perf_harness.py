@@ -106,6 +106,18 @@ class TestSweepReport:
         assert [case["n_sites"] for case in payload["cases"]] == [6, 8]
         assert payload["cases"][0]["reports_identical"] is True
 
+    def test_records_the_backend_that_ran(self):
+        from tests.reference_paths import use_array_backend
+
+        with use_array_backend("python"):
+            pinned = run_perf_sweep(
+                sizes=(6,), seed=5, duration_ms=200.0, repeats=1,
+                with_event_plane=False, with_scenario=False,
+            )
+        assert pinned.config["backend"] == "python"
+        with pytest.raises(TypeError):
+            run_perf_sweep(sizes=(6,), backend="python")
+
     def test_summary_lists_sizes(self, report):
         summary = report.summary()
         assert "perf sweep [TEST]" in summary

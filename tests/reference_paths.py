@@ -1,4 +1,5 @@
-"""Reference round paths for the equivalence suites.
+"""Reference round paths and the reference array backend, for the
+equivalence suites.
 
 The membership server works its round path out from ``rebuild_policy``
 (scratch assembly under ``always`` or with no previous problem, diffed
@@ -7,14 +8,40 @@ the drift estimate).  The slower paths those replaced are not product
 configuration: they live here, as overrides of one server *instance's*
 assembly or guard step, so the digest suites can keep pinning the
 product path to them.
+
+The same goes for the array backend: production code takes whatever
+``resolve_backend()`` selects for the install.  :func:`use_array_backend`
+pins that selection, so the cross-backend suites can build the same
+session under the pure-python reference and under numpy.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import repro.core.backend as backend_mod
 from repro.core.problem import ForestProblem
 from repro.pubsub.membership import MembershipServer
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.scenarios.spec import ScenarioSpec
+
+
+@contextmanager
+def use_array_backend(name: str):
+    """Pin ``resolve_backend()`` to ``"python"`` or ``"numpy"`` for the block.
+
+    Everything constructed inside the block binds the pinned backend and
+    keeps it afterwards; the previous selection is restored on exit.
+    """
+    previous = backend_mod._selected
+    backend_mod._selected = {
+        "python": lambda: backend_mod._python_backend,
+        "numpy": backend_mod.NumpyBackend,
+    }[name]()
+    try:
+        yield backend_mod._selected
+    finally:
+        backend_mod._selected = previous
 
 
 def use_reference_path(

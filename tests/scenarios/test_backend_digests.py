@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.backend import numpy_available
 from repro.scenarios import get_scenario, scenario_names
-from tests.reference_paths import reference_runtime
+from tests.reference_paths import reference_runtime, use_array_backend
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -47,10 +47,10 @@ def _digest(
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
-        backend=backend,
         **overrides,
     )
-    report = reference_runtime(spec, assembly=assembly).run()
+    with use_array_backend(backend):
+        report = reference_runtime(spec, assembly=assembly).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 
@@ -85,7 +85,7 @@ def test_backends_agree_full_matrix(name, algorithm, seed):
 @pytest.mark.parametrize("assembly", ["diffed", "scratch"])
 @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
 def test_backends_agree_on_assembly_paths(algorithm, assembly):
-    """Diffed (evolve + COW tables) vs scratch assembly, both backends."""
+    """Diffed (evolve, copied bounds) vs scratch assembly, both backends."""
     kwargs = dict(rebuild_policy="incremental", assembly=assembly)
     assert _digest(
         "mixed-churn", 13, algorithm, "python", **kwargs

@@ -20,9 +20,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.backend import numpy_available
+from repro.core.backend import numpy_available, resolve_backend
 from repro.scenarios import get_scenario
-from tests.reference_paths import reference_runtime
+from tests.reference_paths import reference_runtime, use_array_backend
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -46,10 +46,10 @@ def _digest(
     spec = replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
-        backend=backend,
         rebuild_policy=policy,
     )
-    report = reference_runtime(spec, **reference).run()
+    with use_array_backend(backend):
+        report = reference_runtime(spec, **reference).run()
     assert report.audit is not None and report.audit.ok
     return report.audit.digest
 
@@ -83,9 +83,10 @@ def _drift_mode_digest(
 @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
 @pytest.mark.parametrize("name", ["flash-crowd", "mixed-churn"])
 def test_dirty_delta_matches_scan_tier1(name, algorithm):
+    backend = resolve_backend().name  # this install's selection
     assert _delta_source_digest(
-        name, 13, algorithm, "auto", "dirty"
-    ) == _delta_source_digest(name, 13, algorithm, "auto", "scan")
+        name, 13, algorithm, backend, "dirty"
+    ) == _delta_source_digest(name, 13, algorithm, backend, "scan")
 
 
 @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
@@ -94,9 +95,10 @@ def test_estimated_drift_matches_measured_tier1(name, algorithm):
     # capacity-starvation is the load-bearing cell: the only scenario
     # whose hybrid guard ever fails, i.e. where a missed verification
     # would actually change the adopted forest.
+    backend = resolve_backend().name  # this install's selection
     assert _drift_mode_digest(
-        name, 13, algorithm, "auto", "estimate"
-    ) == _drift_mode_digest(name, 13, algorithm, "auto", "measure")
+        name, 13, algorithm, backend, "estimate"
+    ) == _drift_mode_digest(name, 13, algorithm, backend, "measure")
 
 
 @needs_numpy

@@ -118,6 +118,8 @@ class TestProblemDerivation:
         for a in range(problem.n_nodes):
             for b in range(problem.n_nodes):
                 assert reduced.edge_cost(a, b) == problem.edge_cost(a, b)
+        # Costs do not change when a site leaves: no second matrix is built.
+        assert reduced.dense_cost_matrix() is problem.dense_cost_matrix()
 
     def test_other_degree_bounds_untouched(self, small_session, workload):
         problem = ForestProblem.from_workload(small_session, workload, 200.0)

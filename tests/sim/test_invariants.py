@@ -82,7 +82,7 @@ class TestStructuralViolations:
 
     def test_inbound_bound_violation_detected(self, clean_result):
         node = clean_result.satisfied[0].subscriber
-        clean_result.problem.inbound[node] = 0
+        clean_result.problem.set_inbound_limit(node, 0)
         found = InvariantAuditor().audit_build(clean_result)
         assert "inbound-bound" in invariants_of(found)
 

@@ -129,6 +129,19 @@ class TestScenarioParser:
                 ["scenario", "run", "mass-leave", flag, value]
             )
 
+    def test_backend_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as scenario_exit:
+            build_parser().parse_args(
+                ["scenario", "run", "flash-crowd", "--backend", "numpy"]
+            )
+        assert scenario_exit.value.code == 2
+        with pytest.raises(SystemExit) as sweep_exit:
+            build_parser().parse_args(
+                ["perf", "sweep", "--sizes", "8", "--backend", "python"]
+            )
+        assert sweep_exit.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_async_control_flags(self):
         args = build_parser().parse_args(
             ["scenario", "run", "flash-crowd", "--async-control",

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.backbone import load_backbone
 from repro.topology.dense import DenseCostMatrix
+from tests.reference_paths import use_array_backend
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +44,24 @@ class TestDenseCostMatrix:
         assert matrix.column(0) is column  # patched, not rebuilt
         assert column == [0.0, 9.0]
 
-    def test_set_cost_patches_array_mirrors(self):
+    def test_set_cost_patches_array_mirror(self):
         pytest.importorskip("numpy")
-        matrix = DenseCostMatrix(
-            [[0.0, 1.0], [3.0, 0.0]], backend="numpy"
-        )
-        row = matrix.row_array(1)
+        with use_array_backend("numpy"):
+            matrix = DenseCostMatrix([[0.0, 1.0], [3.0, 0.0]])
         column = matrix.column_array(0)
         matrix.set_cost(1, 0, 9.0)
-        # The previously handed-out views see the patch: the mirrors are
+        # The previously handed-out view sees the patch: the mirror is
         # updated in place, not discarded.
-        assert float(row[0]) == 9.0
         assert float(column[1]) == 9.0
+
+    def test_column_array_is_the_list_column_on_python(self):
+        with use_array_backend("python"):
+            matrix = DenseCostMatrix([[0.0, 1.0], [3.0, 0.0]])
+        assert matrix.column_array(0) is matrix.column(0)
+
+    def test_backend_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            DenseCostMatrix([[0.0]], backend="numpy")
 
     def test_symmetry_check(self):
         assert DenseCostMatrix([[0.0, 1.0], [1.0, 0.0]]).is_symmetric()
@@ -132,8 +139,8 @@ class TestSessionDenseMatrix:
                 assert row[b] == small_problem.edge_cost(a, b)
                 assert col[b] == small_problem.edge_cost(b, a)
 
-    def test_problem_cost_writes_through(self, small_problem):
-        small_problem.cost[0][1] = 55.5
+    def test_problem_set_cost_reaches_rows_and_columns(self, small_problem):
+        small_problem.set_cost(0, 1, 55.5)
         assert small_problem.edge_cost(0, 1) == 55.5
         assert small_problem.costs_to(1)[0] == 55.5
         assert small_problem.costs_row(0)[1] == 55.5
