@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.forest import MulticastTree, OverlayForest
+from repro.core.forest import OverlayForest
 from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.core.node_join import JoinOutcome
 from repro.core.problem import ForestProblem
@@ -53,7 +53,6 @@ class _Swap:
     """A victim candidate: evict ``victim`` and reuse its edge for the target."""
 
     victim: SubscriptionRequest
-    victim_tree: MulticastTree
     parent: int
     quality: float  # the victim's criticality (lower = better victim)
 
@@ -89,16 +88,30 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         outcome: JoinOutcome,
     ) -> bool:
         """Attempt the Sec. 4.4 swap; returns True when the swap happened."""
+        swap = self.find_swap(problem, forest, request, outcome)
+        if swap is None:
+            return False
+        self.apply_swap(problem, state, forest, request, swap)
+        return True
+
+    def find_swap(
+        self,
+        problem: ForestProblem,
+        forest: OverlayForest,
+        request: SubscriptionRequest,
+        outcome: JoinOutcome,
+    ) -> _Swap | None:
+        """The swap a rejected ``request`` is entitled to, if any (read-only).
+
+        :meth:`apply_swap` then writes to exactly two trees of
+        ``forest``: the victim's and the request's.
+        """
         swappable = {RejectionReason.TREE_SATURATED}
         if self.swap_on_inbound:
             swappable.add(RejectionReason.INBOUND_SATURATED)
         if outcome.reason not in swappable:
-            return False
-        swap = self._find_victim(problem, forest, request)
-        if swap is None:
-            return False
-        self._apply_swap(problem, state, forest, request, swap)
-        return True
+            return None
+        return self._find_victim(problem, forest, request)
 
     def build(self, problem: ForestProblem, rng: RngStream):  # type: ignore[override]
         """RJ build, then criticality-ordered swap repair sweeps."""
@@ -132,7 +145,7 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
             if swap is None:
                 continue
             self._remove_rejection(forest, request)
-            self._apply_swap(problem, state, forest, request, swap)
+            self.apply_swap(problem, state, forest, request, swap)
             progressed = True
         if progressed:
             result.invalidate_caches()
@@ -200,7 +213,6 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
                     victim=SubscriptionRequest(
                         subscriber=subscriber, stream=stream
                     ),
-                    victim_tree=tree,
                     parent=parent,
                     quality=victim_q,
                 )
@@ -211,7 +223,7 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
                     best = candidate
         return best
 
-    def _apply_swap(
+    def apply_swap(
         self,
         problem: ForestProblem,
         state: BuilderState,
@@ -221,9 +233,10 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
     ) -> None:
         """Move the edge ``parent -> subscriber`` from the victim tree to T_j."""
         subscriber = request.subscriber
+        victim_tree = forest.trees[swap.victim.stream]
         # Detach first so the node's degrees are net-unchanged afterwards.
-        swap.victim_tree.detach_leaf(subscriber)
-        state.record_detach(swap.victim_tree, swap.parent, subscriber)
+        victim_tree.detach_leaf(subscriber)
+        state.record_detach(victim_tree, swap.parent, subscriber)
         target_tree = forest.tree(request.stream)
         edge_cost = problem.edge_cost(swap.parent, subscriber)
         target_tree.attach(swap.parent, subscriber, edge_cost)

@@ -90,6 +90,10 @@ class MulticastTree:
         """
         return self._cost_from_source
 
+    def parent_map(self) -> dict[int, int]:
+        """Receiver -> parent for every receiver (shared, read-only)."""
+        return self._parent
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All (parent, child) edges."""
         for child, parent in self._parent.items():
@@ -105,6 +109,23 @@ class MulticastTree:
             current = self._parent[current]
             hops += 1
         return hops
+
+    def clone(self) -> "MulticastTree":
+        """An independent copy with the same attach order.
+
+        Member order and every per-parent child order are kept — the
+        parent scan breaks ties by first occurrence, so a clone must
+        answer every later join exactly as the original would.  The
+        array mirror is not shared; the clone re-attaches one lazily.
+        """
+        tree = MulticastTree(self.stream)
+        tree._parent = dict(self._parent)
+        tree._children = {
+            node: list(children) for node, children in self._children.items()
+        }
+        tree._cost_from_source = dict(self._cost_from_source)
+        tree.disseminated = self.disseminated
+        return tree
 
     # -- mutation ----------------------------------------------------------------
 

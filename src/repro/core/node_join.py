@@ -79,6 +79,52 @@ _REJECT_TREE = JoinOutcome(
 )
 
 
+def plan_join(
+    problem: ForestProblem,
+    state: BuilderState,
+    tree: MulticastTree,
+    subscriber: int,
+    policy: ParentPolicy = ParentPolicy.MAX_RFC,
+) -> JoinOutcome:
+    """Decide a join of ``subscriber`` into ``tree`` without writing anything.
+
+    The outcome is what :func:`try_join` would return; an accepted one
+    is made real by :func:`commit_join`.  The incremental repairer plans
+    against trees it shares with the previous round and copies a tree
+    only once a join is known to land in it.
+    """
+    if subscriber in tree:
+        raise OverlayError(
+            f"node {subscriber} is already in tree {tree.stream}"
+        )
+    if not state.inbound_free(subscriber):
+        return _REJECT_INBOUND
+
+    candidate = _find_parent(problem, state, tree, subscriber, policy)
+    if candidate is None:
+        return _REJECT_TREE
+    path_cost = tree.cost_from_source(candidate) + problem.edge_cost(
+        candidate, subscriber
+    )
+    return JoinOutcome(True, candidate, path_cost)
+
+
+def commit_join(
+    problem: ForestProblem,
+    state: BuilderState,
+    tree: MulticastTree,
+    subscriber: int,
+    outcome: JoinOutcome,
+) -> None:
+    """Apply an accepted :func:`plan_join` outcome to ``tree`` and ``state``.
+
+    ``tree`` may be a clone of the tree the plan was made against.
+    """
+    parent = outcome.parent
+    tree.attach(parent, subscriber, problem.edge_cost(parent, subscriber))
+    state.record_attach(tree, parent, subscriber)
+
+
 def try_join(
     problem: ForestProblem,
     state: BuilderState,
@@ -92,22 +138,10 @@ def try_join(
     the builder state is updated (degrees, reservation release).  On
     rejection nothing is mutated.
     """
-    if subscriber in tree:
-        raise OverlayError(
-            f"node {subscriber} is already in tree {tree.stream}"
-        )
-    if not state.inbound_free(subscriber):
-        return _REJECT_INBOUND
-
-    candidate = _find_parent(problem, state, tree, subscriber, policy)
-    if candidate is None:
-        return _REJECT_TREE
-
-    edge_cost = problem.edge_cost(candidate, subscriber)
-    path_cost = tree.cost_from_source(candidate) + edge_cost
-    tree.attach(candidate, subscriber, edge_cost)
-    state.record_attach(tree, candidate, subscriber)
-    return JoinOutcome(True, candidate, path_cost)
+    outcome = plan_join(problem, state, tree, subscriber, policy)
+    if outcome.accepted:
+        commit_join(problem, state, tree, subscriber, outcome)
+    return outcome
 
 
 def _find_parent(

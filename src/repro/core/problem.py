@@ -202,6 +202,7 @@ class ForestProblem:
         self._u: dict[int, dict[int, int]] = self._compute_u()
         self._m_table: list[int] = self._compute_m()
         self._requests_cache: tuple[SubscriptionRequest, ...] | None = None
+        self._total_requests: int | None = None
         self._streams_by_source: dict[int, tuple[StreamId, ...]] | None = None
 
     def _check_group(self, group: MulticastGroup) -> None:
@@ -253,8 +254,17 @@ class ForestProblem:
         return {i: dict(row) for i, row in self._u.items()}
 
     def total_requests(self) -> int:
-        """Total number of subscription requests across all groups."""
-        return sum(group.size for group in self.groups)
+        """Total number of subscription requests across all groups.
+
+        Groups are immutable after construction, so the sum is taken
+        once (:meth:`evolve_delta` patches the ancestor's instead).
+        """
+        total = self._total_requests
+        if total is None:
+            total = self._total_requests = sum(
+                group.size for group in self.groups
+            )
+        return total
 
     def all_requests(self) -> list[SubscriptionRequest]:
         """Every request, grouped by stream, in deterministic order.
@@ -526,6 +536,11 @@ class ForestProblem:
         problem._out_limits_arr = None
         problem._requests_cache = None
         problem._streams_by_source = None
+        problem._total_requests = prev.total_requests() + (
+            sum(group.size for group in delta.added)
+            - sum(group.size for group in delta.removed)
+            + sum(new.size - old.size for old, new in delta.changed)
+        )
         if delta.empty:
             problem.groups = list(prev.groups)
             problem._u = prev._u

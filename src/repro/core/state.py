@@ -61,7 +61,6 @@ class BuilderState:
     """
 
     def __init__(self, problem: ForestProblem, reservations: bool = True) -> None:
-        self.problem = problem
         self.reservations = reservations
         # Flat lists indexed by node id: the parent-search inner loop
         # probes these per candidate, so they must be one C-level
@@ -72,17 +71,64 @@ class BuilderState:
         # an optional write-through ndarray mirror (attached lazily by
         # the numpy backend; see ``backend._StateArrays``).
         self.dout: list[int] = _MirroredCounts([0] * n)
+        self.m_hat: list[int] = _MirroredCounts([0] * n)
+        self._opened: set[StreamId] = set()
+        self._bind(problem)
+
+    def _bind(self, problem: ForestProblem) -> None:
+        """Point the per-problem tables at ``problem``."""
+        self.problem = problem
         # m_i is the static paper quantity (streams of i subscribed by
         # >= 1 other RP), precomputed per problem; m̂_i only grows as
         # groups are opened.
         self.m: list[int] = list(problem.m_table())
-        self.m_hat: list[int] = _MirroredCounts([0] * n)
         self._in_limits = problem.inbound_limits()
         self._out_limits = problem.outbound_limits()
-        self._opened: set[StreamId] = set()
+        dense = problem.dense_cost_matrix()
+        #: The tables as they stood when this state was bound: what
+        #: :meth:`built_against` compares a later problem with.
+        self._tables = (
+            dense,
+            dense.edits,
+            list(self._in_limits),
+            list(self._out_limits),
+            problem.latency_bound_ms,
+        )
         #: Backend-owned ``backend._StateArrays`` cache; ``None`` until a
         #: vectorized parent scan first needs it.
         self._arrays = None
+
+    def carried_to(self, problem: ForestProblem) -> "BuilderState":
+        """A state for ``problem`` that starts from this one's ledger.
+
+        The degree tables, ``m̂`` and the opened set are copied (this
+        state is left untouched); the array mirrors are not — the new
+        state re-attaches its own lazily.
+        """
+        state = BuilderState.__new__(BuilderState)
+        state.reservations = self.reservations
+        state.din = list(self.din)
+        state.dout = _MirroredCounts(self.dout)
+        state.m_hat = _MirroredCounts(self.m_hat)
+        state._opened = set(self._opened)
+        state._bind(problem)
+        return state
+
+    def built_against(self, problem: ForestProblem) -> bool:
+        """True when ``problem``'s tables are provably the ones bound here.
+
+        Same cost matrix object with no ``set_cost`` since, equal degree
+        bounds, equal latency bound: an edge that fitted this state's
+        problem then fits ``problem`` now.
+        """
+        dense, edits, in_limits, out_limits, bound = self._tables
+        return (
+            problem.dense_cost_matrix() is dense
+            and dense.edits == edits
+            and problem.latency_bound_ms == bound
+            and problem.inbound_limits() == in_limits
+            and problem.outbound_limits() == out_limits
+        )
 
     # -- reservation scope ---------------------------------------------------------
 
@@ -102,6 +148,10 @@ class BuilderState:
     def is_open(self, stream: StreamId) -> bool:
         """True once :meth:`open_group` has been called for ``stream``."""
         return stream in self._opened
+
+    def opened(self) -> set[StreamId]:
+        """Every stream :meth:`open_group` was called for (shared, read-only)."""
+        return self._opened
 
     # -- queries -----------------------------------------------------------------
 
@@ -158,6 +208,22 @@ class BuilderState:
             )
         if self.reservations and parent == tree.source and not tree.disseminated:
             self.m_hat[tree.source] += 1
+
+    def forget_tree(self, tree: MulticastTree) -> None:
+        """Un-account a whole tree: every edge, and its group's opening.
+
+        The inverse of :meth:`open_group` plus the tree's attaches — the
+        reservation the group still held (opened, not yet disseminated)
+        is released with it.
+        """
+        din, dout = self.din, self.dout
+        for parent, child in tree.edges():
+            dout[parent] -= 1
+            din[child] -= 1
+        if tree.stream in self._opened:
+            self._opened.discard(tree.stream)
+            if self.reservations and not tree.disseminated:
+                self.m_hat[tree.source] -= 1
 
     def _first_dissemination(self, tree: MulticastTree) -> bool:
         """True when the tree has exactly one source child (just added)."""

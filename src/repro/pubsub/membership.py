@@ -12,8 +12,9 @@ from scratch (the paper's model); ``"incremental"`` repairs the previous
 round's forest and only re-solves when the repair is infeasible;
 ``"hybrid"`` repairs but adopts the repair only while it stays within
 ``drift_budget`` of the from-scratch solution.  Per-round disruption
-(:func:`~repro.core.incremental.churn_rate` against the previous round)
-and repair-vs-rebuild counts are tracked for reporting.
+(:func:`~repro.core.incremental.churn_rate` against the previous round;
+a repair round reads it, like its directive's edge delta, off what the
+repair rewrote) and repair-vs-rebuild counts are tracked for reporting.
 
 Each round's :class:`~repro.core.problem.ForestProblem` is assembled
 the way the policy implies: ``"always"`` — and any round with no
@@ -30,6 +31,7 @@ are tracked for reporting.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError, SubscriptionError
@@ -38,6 +40,7 @@ from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.incremental import (
     DEFAULT_DRIFT_BUDGET,
     IncrementalRepairer,
+    RepairReport,
     churn_rate,
     overlay_cost,
     validate_rebuild_policy,
@@ -50,6 +53,39 @@ from repro.session.streams import StreamId
 from repro.util.rng import RngStream
 from repro.util.validation import check_non_negative
 from repro.workload.spec import SubscriptionWorkload
+
+
+def _edge_delta(
+    previous: BuildResult, result: BuildResult, rewritten: tuple[StreamId, ...]
+) -> tuple[tuple, tuple]:
+    """Sorted ``(added, removed)`` edges between two forests.
+
+    Only the ``rewritten`` streams are compared; the trees of all others
+    are one object in both forests.
+    """
+    old_trees, new_trees = previous.forest.trees, result.forest.trees
+    added: list = []
+    removed: list = []
+    for stream in rewritten:
+        old, new = old_trees.get(stream), new_trees.get(stream)
+        old_edges = set(old.edges()) if old is not None else set()
+        new_edges = set(new.edges()) if new is not None else set()
+        added.extend((stream, *edge) for edge in new_edges - old_edges)
+        removed.extend((stream, *edge) for edge in old_edges - new_edges)
+    return tuple(sorted(added)), tuple(sorted(removed))
+
+
+def _patched(edges: tuple, added: tuple, removed: tuple) -> tuple:
+    """The sorted edge tuple ``edges`` with ``removed`` out and ``added`` in."""
+    patched = list(edges)
+    for edge in removed:
+        index = bisect_left(patched, edge)
+        if index == len(patched) or patched[index] != edge:
+            raise ProtocolError(f"edge {edge} to remove was never dictated")
+        del patched[index]
+    for edge in added:
+        insort(patched, edge)
+    return tuple(patched)
 
 
 @dataclass(frozen=True)
@@ -366,6 +402,7 @@ class MembershipServer:
         problem = self._assemble_problem()
         previous = self._last_result
         result: BuildResult | None = None
+        repair: RepairReport | None = None
         mode = "rebuild"
         if self.rebuild_policy != "always" and previous is not None:
             repair = self._repairer.repair(previous, problem)
@@ -376,37 +413,36 @@ class MembershipServer:
                 result, mode = self._guard_hybrid(repair, problem, rng)
         if result is None:
             result = self.builder.build(problem, rng)
-        if mode == "rebuild":
-            # Any scratch-anchored round resets the drift estimate: the
-            # adopted forest *is* the from-scratch solution.
-            self._repairer.reset_drift()
-        if mode == "repair":
-            self._repairs += 1
-        else:
-            self._rebuilds += 1
         self._last_mode = mode
-        self._last_disruption = (
-            churn_rate(previous, result) if previous is not None else None
-        )
         self._last_result = result
         self._epoch += 1
-        edges = tuple(sorted(result.forest.edges()))
         rejected = tuple(result.rejected)
-        previous_edges = self._last_edges
-        self._last_edges = edges
-        if mode == "repair" and previous_edges is not None:
-            # Delta directive: the repairer left most of the forest in
-            # place, so ship only the adds/removes against the previous
-            # epoch (the full set rides along for auditing/gap recovery).
-            old_set, new_set = set(previous_edges), set(edges)
+        if mode == "repair":
+            # The repairer left most of the forest in place — the trees
+            # it did not rewrite are the previous round's objects and
+            # cannot have moved — so disruption and the edge delta come
+            # from what it rewrote, and the full set (which rides along
+            # for auditing/gap recovery) is the previous one patched.
+            self._repairs += 1
+            self._last_disruption = repair.disruption
+            added, removed = _edge_delta(previous, result, repair.rewritten)
+            edges = self._last_edges = _patched(self._last_edges, added, removed)
             return OverlayDirective(
                 epoch=self._epoch,
                 edges=edges,
                 rejected=rejected,
                 base_epoch=self._epoch - 1,
-                added=tuple(sorted(new_set - old_set)),
-                removed=tuple(sorted(old_set - new_set)),
+                added=added,
+                removed=removed,
             )
+        # Any scratch-anchored round resets the drift estimate: the
+        # adopted forest *is* the from-scratch solution.
+        self._repairer.reset_drift()
+        self._rebuilds += 1
+        self._last_disruption = (
+            churn_rate(previous, result) if previous is not None else None
+        )
+        edges = self._last_edges = tuple(sorted(result.forest.edges()))
         return OverlayDirective(epoch=self._epoch, edges=edges, rejected=rejected)
 
     def _assemble_problem(self) -> ForestProblem:

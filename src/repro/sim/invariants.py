@@ -353,6 +353,14 @@ class InvariantAuditor:
                         f"site {child} receives unrequested stream {stream}",
                     )
                 )
+        # What the directive has each site forward and receive, from one
+        # pass over its edges.  Local to this audit on purpose: directives
+        # are retained for the whole run, an index kept on them is not free.
+        forwarding: dict[int, dict] = {}
+        receiving: dict[int, set] = {}
+        for stream, parent, child in directive.edges:
+            forwarding.setdefault(parent, {}).setdefault(stream, []).append(child)
+            receiving.setdefault(child, set()).add(stream)
         for site in sorted(active):
             rp = rps.get(site)
             if rp is None:
@@ -369,10 +377,7 @@ class InvariantAuditor:
                         f"{directive.epoch}",
                     )
                 )
-            expected_table: dict = {}
-            for stream, child in directive.edges_of_site(site):
-                expected_table.setdefault(stream, []).append(child)
-            for stream, children in expected_table.items():
+            for stream, children in forwarding.get(site, {}).items():
                 if sorted(rp.next_hops(stream)) != sorted(children):
                     found.append(
                         Violation(
@@ -381,8 +386,7 @@ class InvariantAuditor:
                             f"{rp.next_hops(stream)}, directive says {children}",
                         )
                     )
-            expected_receiving = directive.streams_received_by(site)
-            if rp.received_streams() != expected_receiving:
+            if rp.received_streams() != receiving.get(site, set()):
                 found.append(
                     Violation(
                         "forwarding-table",

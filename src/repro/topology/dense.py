@@ -39,6 +39,7 @@ class DenseCostMatrix:
         "_index",
         "array_backend",
         "_cols_arr",
+        "edits",
     )
 
     def __init__(
@@ -62,6 +63,11 @@ class DenseCostMatrix:
         #: the session or problems that own it).
         self.array_backend = resolve_backend()
         self._cols_arr = None
+        #: How many times :meth:`set_cost` ran.  The matrix is shared by
+        #: every problem evolved from one ancestor, so a forest built
+        #: earlier can tell from this whether the costs it was checked
+        #: against still stand.
+        self.edits = 0
         if labels is not None and len(labels) != self.n:
             raise TopologyError(
                 f"{len(labels)} labels for {self.n} rows"
@@ -133,6 +139,7 @@ class DenseCostMatrix:
         call to re-pay the O(N²) rebuild for a single changed entry;
         instead every materialized view is kept in sync.
         """
+        self.edits += 1
         self._rows[a][b] = value
         if self._cols is not None:
             self._cols[b][a] = value

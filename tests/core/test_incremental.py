@@ -235,6 +235,54 @@ class TestChurnRate:
         assert churn_rate(a, b) == moved / common
 
 
+class TestChurnRateWalksTrees:
+    """Shared trees are skipped, the rest compared parent map to parent map
+    — unless a forest's receivers are not its satisfied requests."""
+
+    def pair_with_one_moved_leaf(self):
+        problem = roomy_problem()
+        a = RandomJoinBuilder().build(problem, RngStream(3))
+        b = RandomJoinBuilder().build(problem, RngStream(3))
+        leaf = next(
+            r for r in b.satisfied if b.forest.trees[r.stream].is_leaf(r.subscriber)
+        )
+        tree = b.forest.trees[leaf.stream]
+        new_parent = next(
+            node
+            for node in tree.members()
+            if node not in (leaf.subscriber, tree.parent(leaf.subscriber))
+        )
+        tree.detach_leaf(leaf.subscriber)
+        tree.attach(
+            new_parent, leaf.subscriber, problem.edge_cost(new_parent, leaf.subscriber)
+        )
+        return a, b, leaf
+
+    def test_trees_shared_by_identity_only_count(self):
+        a, b, leaf = self.pair_with_one_moved_leaf()
+        expected = 1 / len(a.satisfied)
+        assert churn_rate(a, b) == expected
+        for stream, tree in a.forest.trees.items():
+            if stream != leaf.stream:
+                b.forest.trees[stream] = tree
+        assert churn_rate(a, b) == expected
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_interior_removal_keeps_request_semantics(self, side):
+        """The relay stays in its tree but is no longer a satisfied
+        request, so it is not one of the common requests either."""
+        a, b, leaf = self.pair_with_one_moved_leaf()
+        edited = a if side == "before" else b
+        interior = next(
+            r
+            for r in edited.satisfied
+            if not edited.forest.trees[r.stream].is_leaf(r.subscriber)
+        )
+        remove_subscription(edited, interior)
+        assert interior.subscriber in edited.forest.trees[interior.stream]
+        assert churn_rate(a, b) == 1 / len(edited.satisfied)
+
+
 def _descends(tree, node: int, ancestor: int) -> bool:
     """True when ``node`` sits in ``ancestor``'s subtree."""
     current = node

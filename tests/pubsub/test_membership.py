@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.core.incremental import overlay_cost
+from repro.core.incremental import churn_rate, overlay_cost
 from repro.core.randomized import RandomJoinBuilder
 from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import Advertisement, SiteSubscription
@@ -215,6 +215,40 @@ class TestDeltaDirectives:
         assert patched == set(second.edges)
         # And it is genuinely smaller than re-shipping the forest.
         assert second.payload_edges() < len(first.edges) + len(second.edges)
+
+    def test_repair_round_fields_equal_the_whole_forest_derivation(
+        self, small_session
+    ):
+        """Edges, delta and disruption are taken from the trees the repair
+        rewrote; they must be what sorting and diffing both whole forests
+        and walking every common request gives."""
+        server = self.make_server(small_session)
+        n = small_session.n_sites
+        self.subscribe(server, small_session, sites=range(n))
+        rng = RngStream(5, label="t")
+        server.build_overlay(rng.spawn("r0"))
+        for round_no, site in enumerate((2, 0, 3), start=1):
+            previous = server.last_result
+            if round_no == 2:
+                server.withdraw_site(site)
+            else:
+                other = (site + 2) % n
+                server.register_subscription(
+                    SiteSubscription(
+                        site=site,
+                        streams=tuple(sorted(small_session.site(other).stream_ids))[:3],
+                    )
+                )
+            directive = server.build_overlay(rng.spawn(f"r{round_no}"))
+            assert server.last_mode == "repair"
+            result = server.last_result
+            old, new = set(previous.forest.edges()), set(result.forest.edges())
+            assert old != new
+            assert directive.edges == tuple(sorted(new))
+            assert directive.added == tuple(sorted(new - old))
+            assert directive.removed == tuple(sorted(old - new))
+            assert server.last_disruption == churn_rate(previous, result)
+            assert server.checkpoint().edges == directive.edges
 
     def test_rebuild_round_is_full(self, small_session):
         """An 'always' server never emits deltas even across rounds."""

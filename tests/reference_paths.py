@@ -13,14 +13,35 @@ The same goes for the array backend: production code takes whatever
 ``resolve_backend()`` selects for the install.  :func:`use_array_backend`
 pins that selection, so the cross-backend suites can build the same
 session under the pure-python reference and under numpy.
+
+And for the repair: :class:`~repro.core.incremental.IncrementalRepairer`
+shares untouched trees with the previous round and adjusts a copied
+ledger.  :func:`replay_repair` is the repair it replaced — every
+surviving edge replayed into a fresh forest and a fresh ledger — kept as
+the oracle the delta repair is pinned to; :func:`use_replay_repair`
+makes one server repair with it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import repro.core.backend as backend_mod
+from repro.core.base import BuildResult
+from repro.core.correlation import CorrelatedRandomJoinBuilder
+from repro.core.forest import OverlayForest
+from repro.core.incremental import (
+    IncrementalRepairer,
+    RepairReport,
+    _churn_rate_by_request,
+    churn_rate,
+)
+from repro.sim.invariants import InvariantAuditor
+from repro.core.model import SubscriptionRequest
+from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
+from repro.core.state import BuilderState
 from repro.pubsub.membership import MembershipServer
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.scenarios.spec import ScenarioSpec
@@ -100,3 +121,228 @@ def reference_runtime(
     runtime = ScenarioRuntime(spec, **runtime_options)
     use_reference_path(runtime.server, assembly, measure_drift)
     return runtime
+
+
+def replay_repair(
+    repairer: IncrementalRepairer, previous: BuildResult, problem: ForestProblem
+) -> RepairReport:
+    """The full-replay repair: the oracle for ``repairer.repair``.
+
+    Walks the whole previous forest top-down into a fresh
+    :class:`OverlayForest` and a fresh :class:`BuilderState`, re-validating
+    every carried edge, then re-joins orphans and every request the carry
+    did not serve in ``problem.all_requests()`` order.  Nothing is shared
+    with ``previous`` (``rewritten`` names every stream) and the drift
+    estimate of ``repairer`` is left alone.
+    """
+    forest = OverlayForest()
+    state = BuilderState(problem, reservations=previous.state.reservations)
+    prev_forest = previous.forest
+    prev_satisfied = set(prev_forest.satisfied)
+    new_streams = {group.stream for group in problem.groups}
+    dropped_trees = sum(
+        1
+        for stream, tree in prev_forest.trees.items()
+        if stream not in new_streams and len(tree) > 1
+    )
+
+    orphans: list[SubscriptionRequest] = []
+    handled: set[SubscriptionRequest] = set()
+    for group in sorted(problem.groups, key=lambda g: g.stream):
+        state.open_group(group.stream)
+        tree = forest.tree(group.stream)
+        old_tree = prev_forest.trees.get(group.stream)
+        if old_tree is None:
+            continue
+        for node in old_tree.members():
+            if node == old_tree.source:
+                continue
+            request = SubscriptionRequest(subscriber=node, stream=group.stream)
+            if node not in group.subscribers or request not in prev_satisfied:
+                continue
+            handled.add(request)
+            parent = old_tree.parent(node)
+            if parent in tree and repairer._edge_fits(
+                problem, state, tree, parent, node
+            ):
+                tree.attach(parent, node, problem.edge_cost(parent, node))
+                state.record_attach(tree, parent, node)
+                forest.satisfied.append(request)
+            else:
+                orphans.append(request)
+    carried = len(forest.satisfied)
+
+    swapper = (
+        CorrelatedRandomJoinBuilder(repair_passes=0) if repairer.use_swap else None
+    )
+
+    def rejoin(request: SubscriptionRequest) -> bool:
+        outcome = try_join(
+            problem,
+            state,
+            forest.tree(request.stream),
+            request.subscriber,
+            policy=repairer.policy,
+        )
+        if outcome.accepted:
+            forest.satisfied.append(request)
+            return True
+        if swapper is not None and swapper.on_rejected(
+            problem, state, forest, request, outcome
+        ):
+            return True
+        forest.rejected.append((request, outcome.reason))
+        return False
+
+    rejoined = sum(1 for request in orphans if rejoin(request))
+    fresh_joined = fresh_rejected = 0
+    for request in problem.all_requests():
+        if request in handled:
+            continue
+        if rejoin(request):
+            fresh_joined += 1
+        else:
+            fresh_rejected += 1
+
+    result = BuildResult(
+        problem=problem, forest=forest, state=state, algorithm=previous.algorithm
+    )
+    satisfied_now = set(forest.satisfied)
+    lost = sum(1 for request in handled if request not in satisfied_now)
+    moved = sum(
+        1
+        for request in orphans
+        if request in satisfied_now
+        and forest.trees[request.stream].parent(request.subscriber)
+        != prev_forest.trees[request.stream].parent(request.subscriber)
+    )
+    return RepairReport(
+        result=result,
+        feasible=lost == 0,
+        carried=carried,
+        orphaned=len(orphans),
+        rejoined=rejoined,
+        lost=lost,
+        fresh_joined=fresh_joined,
+        fresh_rejected=fresh_rejected,
+        dropped_trees=dropped_trees,
+        moved=moved,
+        rewritten=tuple(prev_forest.trees.keys() | forest.trees.keys()),
+    )
+
+
+def result_snapshot(result: BuildResult) -> tuple:
+    """Everything a later round could corrupt in ``result``, by value.
+
+    Trees with member order, per-parent child order, path costs and the
+    dissemination flag (in forest order); the satisfied and rejected
+    lists; the degree ledger, ``m̂``, ``m`` and the opened set.
+    """
+    forest, state = result.forest, result.state
+    return (
+        [
+            (
+                stream,
+                tree.members(),
+                [tree.children(node) for node in tree.members()],
+                dict(tree.parent_map()),
+                dict(tree.path_costs()),
+                tree.disseminated,
+            )
+            for stream, tree in forest.trees.items()
+        ],
+        list(forest.satisfied),
+        list(forest.rejected),
+        list(state.din),
+        list(state.dout),
+        list(state.m_hat),
+        list(state.m),
+        set(state.opened()),
+        state.reservations,
+    )
+
+
+#: The :class:`RepairReport` fields that are plain counts.
+REPORT_COUNTS = tuple(
+    field.name
+    for field in dataclasses.fields(RepairReport)
+    if field.name not in ("result", "rewritten")
+)
+
+
+def repair_checked_against_replay(
+    repairer: IncrementalRepairer, previous: BuildResult, problem: ForestProblem
+) -> RepairReport:
+    """``repairer.repair(previous, problem)``, pinned to :func:`replay_repair`.
+
+    Asserts that the delta repair left ``previous`` untouched, equals
+    the replay in every tree (attach order included), in the rejected
+    sequence, the satisfied set, the ledger and every report count,
+    audits clean, reports the disruption :func:`churn_rate` measures,
+    and shares with ``previous`` every tree it does not list as
+    rewritten.  Returns the delta repair's report.
+    """
+    before = result_snapshot(previous)
+    # The class's own repair, whatever stand-in the instance carries.
+    report = IncrementalRepairer.repair(repairer, previous, problem)
+    assert result_snapshot(previous) == before, "repair mutated `previous`"
+    oracle = replay_repair(repairer, previous, problem)
+    assert result_snapshot(previous) == before
+
+    got, want = result_snapshot(report.result), result_snapshot(oracle.result)
+    assert got[0] == want[0], "trees differ from the replay"
+    assert sorted(got[1]) == sorted(want[1]), "satisfied sets differ"
+    assert got[2:] == want[2:], "rejected sequence or ledger differ"
+    for name in REPORT_COUNTS:
+        assert getattr(report, name) == getattr(oracle, name), name
+    assert report.touched == oracle.touched
+    assert (
+        report.disruption
+        == churn_rate(previous, report.result)
+        == _churn_rate_by_request(previous, report.result)
+    )
+
+    report.result.verify()
+    violations = InvariantAuditor().audit_build(report.result)
+    assert not violations, [violation.render() for violation in violations]
+
+    rewritten = set(report.rewritten)
+    old_trees, new_trees = previous.forest.trees, report.result.forest.trees
+    assert old_trees.keys() - new_trees.keys() <= rewritten
+    for stream, tree in new_trees.items():
+        if stream in rewritten:
+            assert tree is not old_trees.get(stream)
+            assert tree._arrays is None or tree._arrays is not getattr(
+                old_trees.get(stream), "_arrays", None
+            )
+        else:
+            assert tree is old_trees[stream], f"{stream} copied but not listed"
+    state, old_state = report.result.state, previous.state
+    assert state is not old_state and state.problem is problem
+    assert state.dout is not old_state.dout and state.m_hat is not old_state.m_hat
+    assert state._arrays is None or state._arrays is not old_state._arrays
+    return report
+
+
+def use_replay_repair(server: MembershipServer) -> MembershipServer:
+    """Make ``server`` repair by full replay; returns it for chaining."""
+    repairer = server._repairer
+
+    def repair(previous: BuildResult, problem: ForestProblem) -> RepairReport:
+        report = replay_repair(repairer, previous, problem)
+        repairer._drift_estimate += report.touched_fraction(
+            problem.total_requests()
+        )
+        return report
+
+    repairer.repair = repair
+    return server
+
+
+def check_repairs_against_replay(server: MembershipServer) -> MembershipServer:
+    """Make every repair of ``server`` assert itself against the replay."""
+    repairer = server._repairer
+    repairer.repair = lambda previous, problem: repair_checked_against_replay(
+        repairer, previous, problem
+    )
+    return server

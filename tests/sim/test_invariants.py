@@ -195,6 +195,43 @@ class TestAuditRound:
         )
         assert "forwarding-table" in invariants_of(found)
 
+    def test_per_site_tables_match_the_directives_own_accessors(
+        self, round_state, small_session
+    ):
+        """The audit builds every site's expected tables in one pass over
+        the edges; they must be what the per-site accessors say, reported
+        site by site, forwarding before receiving."""
+        system, directive = round_state
+        sites = range(small_session.n_sites)
+        relay = next(rp for rp in system.rps.values() if rp._forwarding)
+        stream = next(iter(relay._forwarding))
+        relay._forwarding[stream] = relay._forwarding[stream] + [0]
+        deaf = next(rp for rp in system.rps.values() if rp._receiving)
+        deaf._receiving = set()
+        expected = []
+        for site in sites:
+            rp = system.rps[site]
+            table: dict = {}
+            for edge_stream, child in directive.edges_of_site(site):
+                table.setdefault(edge_stream, []).append(child)
+            for edge_stream, children in table.items():
+                if sorted(rp.next_hops(edge_stream)) != sorted(children):
+                    expected.append(
+                        f"site {site} forwards {edge_stream} to "
+                        f"{rp.next_hops(edge_stream)}, directive says {children}"
+                    )
+            if rp.received_streams() != directive.streams_received_by(site):
+                expected.append(
+                    f"site {site} receiving set diverges from directive"
+                )
+        found = InvariantAuditor().audit_round(
+            system.last_result, directive, system.rps, active=sites
+        )
+        assert len(expected) == 2
+        assert [
+            v.detail for v in found if v.invariant == "forwarding-table"
+        ] == expected
+
     def test_missing_rp_for_active_site_detected(self, round_state, small_session):
         system, directive = round_state
         rps = dict(system.rps)
