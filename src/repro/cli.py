@@ -42,7 +42,8 @@ import argparse
 import sys
 import time
 from dataclasses import replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import Tele3DError
 from repro.util.validation import REBUILD_POLICIES
@@ -64,6 +65,111 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="print tables only, skip ASCII plots")
     parser.add_argument("--audit", action="store_true",
                         help="audit every constructed overlay's invariants")
+
+
+def _parse_window(flag: str, shape: str, text: str):
+    """Parse one colon-separated window argument of ``flag``.
+
+    ``SITE:START:END`` is a site partition, ``START:END`` a server outage.
+    """
+    from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
+
+    parts = text.split(":")
+    if len(parts) != shape.count(":") + 1:
+        print(f"tele3d: error: {flag} expects {shape}, got {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        *site, start_ms, end_ms = parts
+        if site:
+            return PartitionWindow(int(site[0]), float(start_ms), float(end_ms))
+        return ServerOutageWindow(float(start_ms), float(end_ms))
+    except ValueError:
+        print(f"tele3d: error: {flag} expects {shape} numbers, got {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+_parse_partition = partial(_parse_window, "--partition", "SITE:START:END")
+_parse_outage = partial(_parse_window, "--server-outage", "START:END")
+
+
+class _SpecFlag(NamedTuple):
+    """One ``scenario run`` flag overriding one ScenarioSpec field.
+
+    ``parse`` is ``float``/``int`` for a value, ``bool`` for a switch, or
+    (with ``metavar``) a window parser for a repeatable flag.
+    """
+
+    flag: str
+    field: str
+    parse: Callable
+    implies_async: bool
+    help: str
+    metavar: str | None = None
+
+
+_SPEC_FLAGS = (
+    _SpecFlag("--control-delay-ms", "control_delay_ms", float, True,
+              "one-way control-link propagation delay (implies "
+              "--async-control; default 0)"),
+    _SpecFlag("--debounce-ms", "debounce_ms", float, True,
+              "dirty-state window the service coalesces before each build "
+              "round (implies --async-control; default 0)"),
+    _SpecFlag("--loss-rate", "loss_rate", float, True,
+              "control-link drop probability per message (implies "
+              "--async-control; default 0)"),
+    _SpecFlag("--jitter-ms", "jitter_ms", float, True,
+              "uniform [0,j] control-link delay jitter (implies "
+              "--async-control; default 0)"),
+    _SpecFlag("--duplicate-rate", "duplicate_rate", float, True,
+              "probability a delivered control message is delivered again "
+              "(implies --async-control)"),
+    _SpecFlag("--partition", "partitions", _parse_partition, True,
+              "cut one site's control link for [START,END) ms (repeatable; "
+              "implies --async-control)", "SITE:START:END"),
+    _SpecFlag("--heartbeat-ms", "heartbeat_ms", float, True,
+              "site heartbeat period; the server withdraws sites silent for "
+              "miss-threshold periods (implies --async-control; 0 disables)"),
+    _SpecFlag("--miss-threshold", "miss_threshold", int, True,
+              "missed heartbeat periods before the failure detector "
+              "withdraws a site (default 3)"),
+    _SpecFlag("--retransmit-timeout-ms", "retransmit_timeout_ms", float, True,
+              "ack timeout arming retransmission with capped exponential "
+              "backoff (implies --async-control; 0 keeps fire-and-forget)"),
+    _SpecFlag("--server-outage", "server_outages", _parse_outage, True,
+              "crash the membership server for [START,END) ms — it restarts "
+              "under a higher incarnation and reconstructs soft state from "
+              "the sites (repeatable; implies --async-control; requires "
+              "heartbeats + retransmission)", "START:END"),
+    _SpecFlag("--phi-threshold", "phi_threshold", float, True,
+              "phi-accrual suspicion threshold replacing the static "
+              "miss-threshold deadline on both failure detectors (implies "
+              "--async-control; 0 keeps the static deadline)"),
+    _SpecFlag("--checkpoint-interval-ms", "checkpoint_interval_ms", float, True,
+              "period of the server's durable soft-state checkpoint for warm "
+              "restarts (implies --async-control; 0 restarts cold)"),
+    # Data-plane chaos lives on its own simulator, so these do NOT imply
+    # --async-control.
+    _SpecFlag("--data-loss-rate", "data_loss_rate", float, False,
+              "data-plane frame drop probability per hop (routes "
+              "dissemination to the event plane; does not imply "
+              "--async-control)"),
+    _SpecFlag("--data-jitter-ms", "data_jitter_ms", float, False,
+              "uniform [0,j] per-hop data-plane delay jitter"),
+    _SpecFlag("--data-duplicate-rate", "data_duplicate_rate", float, False,
+              "probability a delivered frame is delivered again (receivers "
+              "de-duplicate by sequence)"),
+    _SpecFlag("--data-nack", "data_nack", bool, False,
+              "arm the NACK/repair layer: receivers detect sequence gaps and "
+              "request retransmission up their dissemination tree"),
+    _SpecFlag("--data-max-repair-attempts", "data_max_repair_attempts", int,
+              False, "NACK retries per missing frame before giving up "
+              "(default 3)"),
+    _SpecFlag("--data-repair-deadline-factor", "data_repair_deadline_factor",
+              float, False, "repair deadline as a multiple of the latency "
+              "bound, measured from gap detection (default 2.0)"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,54 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
                                "membership service (delayed control links, "
                                "debounced overlapping rounds) instead of one "
                                "synchronous round per event")
-    scen_run.add_argument("--control-delay-ms", type=float, default=None,
-                          help="one-way control-link propagation delay "
-                               "(implies --async-control; default 0)")
-    scen_run.add_argument("--debounce-ms", type=float, default=None,
-                          help="dirty-state window the service coalesces "
-                               "before each build round (implies "
-                               "--async-control; default 0)")
-    scen_run.add_argument("--loss-rate", type=float, default=None,
-                          help="control-link drop probability per message "
-                               "(implies --async-control; default 0)")
-    scen_run.add_argument("--jitter-ms", type=float, default=None,
-                          help="uniform [0,j] control-link delay jitter "
-                               "(implies --async-control; default 0)")
-    scen_run.add_argument("--duplicate-rate", type=float, default=None,
-                          help="probability a delivered control message is "
-                               "delivered again (implies --async-control)")
-    scen_run.add_argument("--partition", action="append", default=None,
-                          metavar="SITE:START:END",
-                          help="cut one site's control link for "
-                               "[START,END) ms (repeatable; implies "
-                               "--async-control)")
-    scen_run.add_argument("--heartbeat-ms", type=float, default=None,
-                          help="site heartbeat period; the server withdraws "
-                               "sites silent for miss-threshold periods "
-                               "(implies --async-control; 0 disables)")
-    scen_run.add_argument("--miss-threshold", type=int, default=None,
-                          help="missed heartbeat periods before the failure "
-                               "detector withdraws a site (default 3)")
-    scen_run.add_argument("--retransmit-timeout-ms", type=float, default=None,
-                          help="ack timeout arming retransmission with "
-                               "capped exponential backoff (implies "
-                               "--async-control; 0 keeps fire-and-forget)")
-    scen_run.add_argument("--server-outage", action="append", default=None,
-                          metavar="START:END",
-                          help="crash the membership server for [START,END) "
-                               "ms — it restarts under a higher incarnation "
-                               "and reconstructs soft state from the sites "
-                               "(repeatable; implies --async-control; "
-                               "requires heartbeats + retransmission)")
-    scen_run.add_argument("--phi-threshold", type=float, default=None,
-                          help="phi-accrual suspicion threshold replacing "
-                               "the static miss-threshold deadline on both "
-                               "failure detectors (implies --async-control; "
-                               "0 keeps the static deadline)")
-    scen_run.add_argument("--checkpoint-interval-ms", type=float, default=None,
-                          help="period of the server's durable soft-state "
-                               "checkpoint for warm restarts (implies "
-                               "--async-control; 0 restarts cold)")
+    for entry in _SPEC_FLAGS:
+        if entry.parse is bool:
+            scen_run.add_argument(entry.flag, action="store_true", help=entry.help)
+        elif entry.metavar is not None:
+            scen_run.add_argument(entry.flag, action="append", default=None,
+                                  metavar=entry.metavar, help=entry.help)
+        else:
+            scen_run.add_argument(entry.flag, type=entry.parse, default=None,
+                                  help=entry.help)
     scen_run.add_argument("--max-unrecovered", type=int, default=None,
                           help="fail (exit 1) if more than this many active "
                                "sites end the run unregistered (chaos gate)")
@@ -191,27 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fail (exit 1) if more than this many parked "
                                "reports end the run unreplayed (server-crash "
                                "gate)")
-    scen_run.add_argument("--data-loss-rate", type=float, default=None,
-                          help="data-plane frame drop probability per hop "
-                               "(routes dissemination to the event plane; "
-                               "does not imply --async-control)")
-    scen_run.add_argument("--data-jitter-ms", type=float, default=None,
-                          help="uniform [0,j] per-hop data-plane delay jitter")
-    scen_run.add_argument("--data-duplicate-rate", type=float, default=None,
-                          help="probability a delivered frame is delivered "
-                               "again (receivers de-duplicate by sequence)")
-    scen_run.add_argument("--data-nack", action="store_true",
-                          help="arm the NACK/repair layer: receivers detect "
-                               "sequence gaps and request retransmission up "
-                               "their dissemination tree")
-    scen_run.add_argument("--data-max-repair-attempts", type=int, default=None,
-                          help="NACK retries per missing frame before "
-                               "giving up (default 3)")
-    scen_run.add_argument("--data-repair-deadline-factor", type=float,
-                          default=None,
-                          help="repair deadline as a multiple of the latency "
-                               "bound, measured from gap detection "
-                               "(default 2.0)")
     scen_run.add_argument("--max-unrecovered-frames", type=int, default=None,
                           help="fail (exit 1) if more than this many frame "
                                "instances end the run unrecovered on the "
@@ -418,54 +464,6 @@ def cmd_scorecard(args: argparse.Namespace) -> None:
     print(render_scorecard(claims))
 
 
-def _parse_partition(text: str):
-    """Parse one ``SITE:START:END`` partition-window argument."""
-    from repro.pubsub.faults import PartitionWindow
-
-    parts = text.split(":")
-    if len(parts) != 3:
-        print(
-            f"tele3d: error: --partition expects SITE:START:END, got {text!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    try:
-        return PartitionWindow(
-            site=int(parts[0]), start_ms=float(parts[1]), end_ms=float(parts[2])
-        )
-    except ValueError:
-        print(
-            f"tele3d: error: --partition expects SITE:START:END numbers, "
-            f"got {text!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2) from None
-
-
-def _parse_outage(text: str):
-    """Parse one ``START:END`` server-outage-window argument."""
-    from repro.pubsub.faults import ServerOutageWindow
-
-    parts = text.split(":")
-    if len(parts) != 2:
-        print(
-            f"tele3d: error: --server-outage expects START:END, got {text!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    try:
-        return ServerOutageWindow(
-            start_ms=float(parts[0]), end_ms=float(parts[1])
-        )
-    except ValueError:
-        print(
-            f"tele3d: error: --server-outage expects START:END numbers, "
-            f"got {text!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2) from None
-
-
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Dispatch ``scenario run`` / ``scenario list``."""
     from repro.scenarios import (
@@ -485,123 +483,16 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         spec = replace(spec, algorithm=args.algorithm)
     if args.rebuild_policy:
         spec = replace(spec, rebuild_policy=args.rebuild_policy)
-    chaos_overrides = (
-        args.loss_rate,
-        args.jitter_ms,
-        args.duplicate_rate,
-        args.partition,
-        args.heartbeat_ms,
-        args.miss_threshold,
-        args.retransmit_timeout_ms,
-        args.server_outage,
-        args.phi_threshold,
-        args.checkpoint_interval_ms,
-    )
-    if (
-        args.async_control
-        or args.control_delay_ms is not None
-        or args.debounce_ms is not None
-        or any(value is not None for value in chaos_overrides)
-    ):
-        spec = replace(
-            spec,
-            async_control=True,
-            control_delay_ms=(
-                args.control_delay_ms
-                if args.control_delay_ms is not None
-                else spec.control_delay_ms
-            ),
-            debounce_ms=(
-                args.debounce_ms
-                if args.debounce_ms is not None
-                else spec.debounce_ms
-            ),
-            loss_rate=(
-                args.loss_rate if args.loss_rate is not None else spec.loss_rate
-            ),
-            jitter_ms=(
-                args.jitter_ms if args.jitter_ms is not None else spec.jitter_ms
-            ),
-            duplicate_rate=(
-                args.duplicate_rate
-                if args.duplicate_rate is not None
-                else spec.duplicate_rate
-            ),
-            partitions=(
-                tuple(_parse_partition(text) for text in args.partition)
-                if args.partition is not None
-                else spec.partitions
-            ),
-            heartbeat_ms=(
-                args.heartbeat_ms
-                if args.heartbeat_ms is not None
-                else spec.heartbeat_ms
-            ),
-            miss_threshold=(
-                args.miss_threshold
-                if args.miss_threshold is not None
-                else spec.miss_threshold
-            ),
-            retransmit_timeout_ms=(
-                args.retransmit_timeout_ms
-                if args.retransmit_timeout_ms is not None
-                else spec.retransmit_timeout_ms
-            ),
-            server_outages=(
-                tuple(_parse_outage(text) for text in args.server_outage)
-                if args.server_outage is not None
-                else spec.server_outages
-            ),
-            phi_threshold=(
-                args.phi_threshold
-                if args.phi_threshold is not None
-                else spec.phi_threshold
-            ),
-            checkpoint_interval_ms=(
-                args.checkpoint_interval_ms
-                if args.checkpoint_interval_ms is not None
-                else spec.checkpoint_interval_ms
-            ),
-        )
-    # Data-plane chaos overrides live on their own simulator, so they do
-    # NOT imply --async-control (unlike the control-chaos block above).
-    if (
-        args.data_loss_rate is not None
-        or args.data_jitter_ms is not None
-        or args.data_duplicate_rate is not None
-        or args.data_nack
-        or args.data_max_repair_attempts is not None
-        or args.data_repair_deadline_factor is not None
-    ):
-        spec = replace(
-            spec,
-            data_loss_rate=(
-                args.data_loss_rate
-                if args.data_loss_rate is not None
-                else spec.data_loss_rate
-            ),
-            data_jitter_ms=(
-                args.data_jitter_ms
-                if args.data_jitter_ms is not None
-                else spec.data_jitter_ms
-            ),
-            data_duplicate_rate=(
-                args.data_duplicate_rate
-                if args.data_duplicate_rate is not None
-                else spec.data_duplicate_rate
-            ),
-            data_nack=args.data_nack or spec.data_nack,
-            data_max_repair_attempts=(
-                args.data_max_repair_attempts
-                if args.data_max_repair_attempts is not None
-                else spec.data_max_repair_attempts
-            ),
-            data_repair_deadline_factor=(
-                args.data_repair_deadline_factor
-                if args.data_repair_deadline_factor is not None
-                else spec.data_repair_deadline_factor
-            ),
-        )
+    overrides: dict = {"async_control": args.async_control or spec.async_control}
+    for entry in _SPEC_FLAGS:
+        value = getattr(args, entry.flag[2:].replace("-", "_"))
+        if value is None or value is False:
+            continue
+        if entry.metavar is not None:
+            value = tuple(entry.parse(text) for text in value)
+        overrides[entry.field] = value
+        overrides["async_control"] |= entry.implies_async
+    spec = replace(spec, **overrides)
     report = run_scenario(
         spec, audit=args.audit, strict=args.strict, dataplane=args.dataplane
     )

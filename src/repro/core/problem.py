@@ -36,6 +36,7 @@ from repro.core.model import MulticastGroup, SubscriptionRequest
 from repro.session.session import TISession
 from repro.topology.dense import DenseCostMatrix
 from repro.session.streams import StreamId
+from repro.util.validation import check_positive
 from repro.workload.spec import SubscriptionWorkload
 
 #: Shared empty row handed out for subscribers with no requests.
@@ -183,10 +184,8 @@ class ForestProblem:
         latency_bound_ms: float,
     ) -> None:
         """Adopt already-validated tables and derive ``u`` and ``m``."""
-        if latency_bound_ms <= 0:
-            raise ConfigurationError(
-                f"latency_bound_ms must be positive, got {latency_bound_ms}"
-            )
+        # NaN-safe: a NaN bound would switch the latency constraint off.
+        check_positive("latency_bound_ms", latency_bound_ms)
         self.n_nodes = dense.n
         self.latency_bound_ms = latency_bound_ms
         self._dense = dense

@@ -1,11 +1,22 @@
-"""φ-accrual failure detection (Hayashibara et al., SRDS 2004).
+"""Failure detectors: a static deadline and φ-accrual (Hayashibara et al., SRDS 2004).
 
-The static detector the chaos control plane shipped with (PR 7) declares
-a site dead after ``miss_threshold x heartbeat_ms`` of silence — one
-deadline for every link, so a quiet LAN pays WAN-sized detection latency
-and a lossy WAN link still gets falsely suspected whenever a few beats
-vanish in a row.  The φ-accrual detector replaces the boolean deadline
-with a *suspicion level*: each monitored peer gets a sliding window of
+A detector is pure per-peer bookkeeping: it makes no RNG draws, owns no
+timers, and never touches the simulator — callers feed it arrivals
+(:meth:`observe` for a cadenced heartbeat, :meth:`touch` for any other
+proof of life), drop history with :meth:`forget` / :meth:`reset`, and
+poll :meth:`suspect` from their own sweep; a peer never heard from is
+never suspected.  Both implementations share that one surface, and the
+control plane runs two instances of whichever is configured: the
+membership server scores every registered site's heartbeat stream, and
+(when server failover is armed) each site scores the server's response
+stream to decide when to start buffering reports.
+
+:class:`DeadlineDetector` declares a peer dead after
+``miss_threshold x heartbeat_ms`` of silence — one deadline for every
+link, so a quiet LAN pays WAN-sized detection latency and a lossy WAN
+link still gets falsely suspected whenever a few beats vanish in a row.
+:class:`PhiAccrualDetector` replaces the boolean deadline with a
+*suspicion level*: each monitored peer gets a sliding window of
 observed heartbeat inter-arrival times, the current silence is scored
 against that empirical distribution, and
 
@@ -18,14 +29,6 @@ wildly improbable).  The tail probability uses the standard logistic
 approximation of the normal CDF (the same one production φ detectors
 use), with the standard deviation floored so a perfectly regular link
 cannot divide by zero.
-
-The detector is pure bookkeeping: it makes no RNG draws, owns no
-timers, and never touches the simulator — callers feed it arrivals via
-:meth:`observe` and poll :meth:`suspect` from their own sweep.  Both
-ends of the control plane share this one class: the membership server
-scores every registered site's heartbeat stream, and (when server
-failover is armed) each site scores the server's response stream to
-decide when to start buffering reports.
 """
 
 from __future__ import annotations
@@ -34,13 +37,49 @@ import math
 from collections import deque
 
 from repro.errors import ConfigurationError
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite_non_negative, check_positive
 
 #: Sliding-window length of remembered inter-arrival samples per peer.
 DEFAULT_WINDOW = 32
 #: Lowest admissible tail probability — phi saturates at 300 rather
 #: than overflowing ``log10`` for astronomically long silences.
 _MIN_P_LATER = 1e-300
+
+
+class DeadlineDetector:
+    """Static failure detector: suspect after ``deadline_ms`` of silence.
+
+    The only state is each peer's last arrival time; cadenced and
+    non-cadenced arrivals count alike.
+    """
+
+    def __init__(self, deadline_ms: float) -> None:
+        check_finite_non_negative("deadline_ms", deadline_ms)
+        self.deadline_ms = deadline_ms
+        self._last_arrival: dict[int, float] = {}
+
+    def observe(self, peer: int, now: float) -> None:
+        """Record an arrival from ``peer`` (resets its silence clock)."""
+        self._last_arrival[peer] = now
+
+    touch = observe
+
+    def forget(self, peer: int) -> None:
+        """Drop ``peer``'s history (withdrawn, failed, or re-admitted)."""
+        self._last_arrival.pop(peer, None)
+
+    def reset(self) -> None:
+        """Drop every peer's history (server crash: soft state is gone)."""
+        self._last_arrival.clear()
+
+    def known(self, peer: int) -> bool:
+        """True once ``peer`` has been heard from at least once."""
+        return peer in self._last_arrival
+
+    def suspect(self, peer: int, now: float) -> bool:
+        """True when a known ``peer`` has been silent past the deadline."""
+        last = self._last_arrival.get(peer)
+        return last is not None and now - last > self.deadline_ms
 
 
 class PhiAccrualDetector:

@@ -32,7 +32,7 @@ onto the deterministic :class:`~repro.sim.engine.Simulator` as an
 
 Every message crosses a :class:`~repro.pubsub.faults.FaultyLink`, which
 is where chaos enters: seeded per-message loss, jitter, duplication and
-timed site<->server partitions.  The protocol survives them with three
+timed site<->server partitions.  The protocol survives them with four
 mechanisms, each inert until its knob is turned:
 
 * **Idempotent sequencing** — each site-side report carries a per-site
@@ -42,23 +42,27 @@ mechanisms, each inert until its knob is turned:
   are dead on arrival (the reorder that would otherwise resurrect a
   departed site).
 * **Retransmit with capped exponential backoff**
-  (``retransmit_timeout_ms > 0``) — sequenced reports are re-sent until
-  a :class:`~repro.pubsub.messages.ControlAck` lands, directive pushes
-  until their :class:`~repro.pubsub.messages.DirectiveAck` does; both
-  back off exponentially (capped) and give up after
-  ``max_retransmits`` attempts so partitions cannot pin a round open
-  forever.
+  (``retransmit_timeout_ms > 0``) — one :class:`RetransmitQueue` loop
+  serves both directions: sequenced reports are re-sent until a
+  :class:`~repro.pubsub.messages.ControlAck` lands, directive pushes
+  until their :class:`~repro.pubsub.messages.DirectiveAck` does.  Both
+  back off exponentially (capped) and are exhausted after
+  ``MAX_RETRANSMITS`` attempts, so partitions cannot pin a round open
+  forever; the two queues differ only in their resend and on-exhausted
+  callbacks.
 * **Heartbeat failure detection** (``heartbeat_ms > 0``) — live sites
   beat on a recurring timer; the server withdraws any registered site
-  silent for ``miss_threshold`` beat periods, turning ``FAIL`` from a
-  declared event into a *detected* one.  A heartbeat from a site the
-  server no longer knows (a zombie: falsely suspected across a
-  partition) provokes a :class:`~repro.pubsub.messages.RejoinRequest`,
-  and the live site re-admits itself as a fresh join.  With
-  ``phi_threshold > 0`` the static deadline is replaced on both ends
-  by the φ-accrual detector
-  (:class:`~repro.pubsub.detector.PhiAccrualDetector`), which adapts
-  its silence budget to each link's observed heartbeat cadence.
+  its detector suspects, turning ``FAIL`` from a declared event into a
+  *detected* one.  A heartbeat from a site the server no longer knows
+  (a zombie: falsely suspected across a partition) provokes a
+  :class:`~repro.pubsub.messages.RejoinRequest`, and the live site
+  re-admits itself as a fresh join.  The detector is chosen once, from
+  ``phi_threshold``: the static ``miss_threshold x heartbeat_ms``
+  :class:`~repro.pubsub.detector.DeadlineDetector`, or the φ-accrual
+  :class:`~repro.pubsub.detector.PhiAccrualDetector`, which adapts its
+  silence budget to each link's observed heartbeat cadence.  Two
+  instances of it run: the server scoring sites, and (failover armed)
+  the sites scoring the server.
 * **Server crash / recovery** (``faults.outages`` or an explicit
   ``crash_server()``) — the membership server itself can die: all of
   its soft state (registrations, epochs, dedup floors, pending
@@ -88,11 +92,11 @@ layer's reliability machinery armed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.base import BuildResult
 from repro.errors import ConfigurationError, ProtocolError
-from repro.pubsub.detector import PhiAccrualDetector
+from repro.pubsub.detector import DeadlineDetector, PhiAccrualDetector
 from repro.pubsub.faults import FaultConfig, FaultyLink
 from repro.pubsub.membership import MembershipServer, ServerCheckpoint
 from repro.pubsub.messages import (
@@ -113,6 +117,7 @@ from repro.pubsub.rp import RPAgent
 from repro.sim.engine import Simulator, Timer
 from repro.util.rng import RngStream
 from repro.util.validation import (
+    check_at_least,
     check_finite_non_negative,
     check_phi_threshold,
 )
@@ -127,28 +132,99 @@ RETRANSMIT_BACKOFF = 2.0
 RETRANSMIT_BACKOFF_CAP = 8.0
 #: Attempts after the original send before a message is abandoned —
 #: what bounds drain time when a partition outlives every backoff.
-DEFAULT_MAX_RETRANSMITS = 6
+MAX_RETRANSMITS = 6
 
 
 @dataclass
-class _PendingReport:
-    """Site-side retransmit state for one sequenced report."""
+class _Pending:
+    """Retransmit state for one tracked message.
+
+    A sequenced report carries its envelope and is numbered by its
+    ``seq``; a directive push carries its :class:`ControlRound` and is
+    numbered by the epoch.
+    """
 
     site: int
+    number: int
     kind: str
-    message: ControlEnvelope
+    payload: Any
     attempts: int = 0
     timer: Timer | None = None
 
 
-@dataclass
-class _PendingDirective:
-    """Server-side retransmit state for one (epoch, site) push."""
+class RetransmitQueue:
+    """Sends awaiting an ack: re-sent with capped backoff until settled.
 
-    site: int
-    round_: "ControlRound"
-    attempts: int = 0
-    timer: Timer | None = None
+    An entry is tracked right after its first transmission.  Its first
+    timer fires at ``timeout_ms``, the k-th retry then waits
+    ``min(timeout * RETRANSMIT_BACKOFF**k, timeout * RETRANSMIT_BACKOFF_CAP)``,
+    and after ``MAX_RETRANSMITS`` unanswered copies the entry is
+    dropped and handed to ``on_exhausted``.  The queue knows nothing
+    about what it re-sends: ``resend(entry)`` puts one more copy on the
+    wire (``entry.attempts`` already counts it) and
+    ``on_exhausted(entry)`` decides what giving up means.  Every way
+    out of the queue disarms the entry's timer, so nothing ever fires
+    for a message that is no longer tracked.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        timeout_ms: float,
+        resend: Callable[[_Pending], None],
+        on_exhausted: Callable[[_Pending], None],
+    ) -> None:
+        self.sim = sim
+        self.timeout_ms = timeout_ms
+        self.resend = resend
+        self.on_exhausted = on_exhausted
+        #: Copies sent after the original, over every entry ever tracked.
+        self.retransmits = 0
+        self._entries: dict[tuple[int, int], _Pending] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def track(self, entry: _Pending) -> None:
+        """Start waiting for the ack of ``entry``, which was just sent."""
+        self._entries[(entry.site, entry.number)] = entry
+        entry.timer = self.sim.schedule_timer(
+            self.timeout_ms, lambda: self._retransmit(entry)
+        )
+
+    def _retransmit(self, entry: _Pending) -> None:
+        if entry.attempts >= MAX_RETRANSMITS:
+            del self._entries[(entry.site, entry.number)]
+            entry.timer = None
+            self.on_exhausted(entry)
+            return
+        entry.attempts += 1
+        self.retransmits += 1
+        self.resend(entry)
+        entry.timer = self.sim.schedule_timer(
+            min(
+                self.timeout_ms * (RETRANSMIT_BACKOFF**entry.attempts),
+                self.timeout_ms * RETRANSMIT_BACKOFF_CAP,
+            ),
+            lambda: self._retransmit(entry),
+        )
+
+    def settle(self, site: int, number: int) -> _Pending | None:
+        """Stop tracking one entry (its ack landed, or the wait is moot)."""
+        entry = self._entries.pop((site, number), None)
+        if entry is not None:
+            entry.timer.cancel()
+            entry.timer = None
+        return entry
+
+    def cancel_site(self, site: int) -> list[_Pending]:
+        """Stop tracking ``site``'s entries; returns them by ascending number."""
+        keys = sorted(key for key in self._entries if key[0] == site)
+        return [self.settle(*key) for key in keys]
+
+    def clear(self) -> list[_Pending]:
+        """Stop tracking everything; returns the entries in tracking order."""
+        return [self.settle(*key) for key in list(self._entries)]
 
 
 @dataclass
@@ -233,22 +309,22 @@ class MembershipService:
         Ack timeout arming the retransmit machinery for reports and
         directive pushes; 0 keeps the legacy fire-and-forget transport
         (no acks at all).
-    max_retransmits:
-        Attempts after the original send before giving up.
     phi_threshold:
         φ-accrual suspicion threshold (see
         :class:`~repro.pubsub.detector.PhiAccrualDetector`); 0 keeps
-        the static ``miss_threshold x heartbeat_ms`` deadline.
-        Requires heartbeats to have a cadence to score.
+        the static ``miss_threshold x heartbeat_ms`` deadline
+        (:class:`~repro.pubsub.detector.DeadlineDetector`).  Requires
+        heartbeats to have a cadence to score.
     checkpoint_interval_ms:
         Period of the server's durable soft-state checkpoint; 0
         disables checkpointing (a crashed server restarts cold and
         rebuilds purely from the sites' refresh).
-    server_failover:
-        Arms the client-side half of server crash tolerance: heartbeat
-        responses, server suspicion, report parking/replay.  ``None``
-        arms it exactly when the fault model schedules outages, which
-        keeps the machinery bit-invisible in crash-free runs.
+
+    The client-side half of server crash tolerance (heartbeat
+    responses, server suspicion, report parking/replay) is armed
+    exactly when the fault model schedules outages
+    (``server_failover``), which keeps the machinery bit-invisible in
+    crash-free runs.
     """
 
     def __init__(
@@ -266,29 +342,18 @@ class MembershipService:
         heartbeat_ms: float = 0.0,
         miss_threshold: int = 3,
         retransmit_timeout_ms: float = 0.0,
-        max_retransmits: int = DEFAULT_MAX_RETRANSMITS,
         phi_threshold: float = 0.0,
         checkpoint_interval_ms: float = 0.0,
-        server_failover: bool | None = None,
     ) -> None:
         if faults is None:
             faults = FaultConfig()
-        if server_failover is None:
-            server_failover = bool(faults.outages)
         check_finite_non_negative("control_delay_ms", control_delay_ms)
         check_finite_non_negative("debounce_ms", debounce_ms)
         check_finite_non_negative("heartbeat_ms", heartbeat_ms)
         check_finite_non_negative("retransmit_timeout_ms", retransmit_timeout_ms)
         check_phi_threshold(phi_threshold)
         check_finite_non_negative("checkpoint_interval_ms", checkpoint_interval_ms)
-        if miss_threshold < 1:
-            raise ConfigurationError(
-                f"miss_threshold must be >= 1, got {miss_threshold}"
-            )
-        if max_retransmits < 0:
-            raise ConfigurationError(
-                f"max_retransmits must be >= 0, got {max_retransmits}"
-            )
+        check_at_least("miss_threshold", miss_threshold, 1)
         if phi_threshold > 0 and heartbeat_ms <= 0:
             raise ConfigurationError(
                 "phi_threshold requires heartbeats: the detector scores "
@@ -306,10 +371,10 @@ class MembershipService:
         self.heartbeat_ms = heartbeat_ms
         self.miss_threshold = miss_threshold
         self.retransmit_timeout_ms = retransmit_timeout_ms
-        self.max_retransmits = max_retransmits
         self.phi_threshold = phi_threshold
         self.checkpoint_interval_ms = checkpoint_interval_ms
-        self.server_failover = server_failover
+        #: Sites tolerate server crashes: armed by scheduled outages only.
+        self.server_failover = bool(faults.outages)
         #: The transport every control message crosses.
         self.link = FaultyLink(
             sim,
@@ -343,14 +408,17 @@ class MembershipService:
         self.duplicate_directives = 0
         self.duplicate_acks = 0
         # -- retransmission ------------------------------------------------
-        self._unacked: dict[tuple[int, int], _PendingReport] = {}
-        self._pending_directives: dict[tuple[int, int], _PendingDirective] = {}
-        self.retransmits = 0
+        #: Site->server: sequenced reports awaiting their ControlAck.
+        self._reports = RetransmitQueue(
+            sim, retransmit_timeout_ms, self._offer, self._report_exhausted
+        )
+        #: Server->site: directive pushes awaiting their DirectiveAck.
+        self._pushes = RetransmitQueue(
+            sim, retransmit_timeout_ms, self._push, self._push_exhausted
+        )
         self.retransmit_giveups = 0
         # -- heartbeats / failure detection --------------------------------
         self._live: set[int] = set()
-        self._heartbeat_timers: dict[int, Timer] = {}
-        self._last_seen: dict[int, float] = {}
         self._fail_times: dict[int, float] = {}
         self._quiesced = False
         self.heartbeats_sent = 0
@@ -361,24 +429,10 @@ class MembershipService:
         self.readmissions = 0
         #: Silence-to-withdrawal latency per detected real failure.
         self.detection_latencies: list[float] = []
-        self._detector: Timer | None = None
-        if self.heartbeat_ms > 0:
-            self._detector = sim.schedule_timer(
-                self.heartbeat_ms, self._detect, interval_ms=self.heartbeat_ms
-            )
-        # -- φ-accrual detectors (None keeps the static deadline) -----------
-        self._site_detector: PhiAccrualDetector | None = None
-        self._server_detector: PhiAccrualDetector | None = None
-        if self.phi_threshold > 0:
-            self._site_detector = PhiAccrualDetector(
-                threshold=self.phi_threshold,
-                initial_interval_ms=self.heartbeat_ms,
-            )
-            if self.server_failover:
-                self._server_detector = PhiAccrualDetector(
-                    threshold=self.phi_threshold,
-                    initial_interval_ms=self.heartbeat_ms,
-                )
+        #: The server's view of each site's liveness, and (consulted in
+        #: failover mode only) each site's view of the server's.
+        self._site_detector = self._make_detector()
+        self._server_detector = self._make_detector()
         # -- server crash / recovery ----------------------------------------
         #: The server's current incarnation; bumped on every recovery.
         self.incarnation = 1
@@ -389,7 +443,7 @@ class MembershipService:
         #: Reports parked while their site suspects the server is down
         #: (no timers: parked entries replay on recovery, so they never
         #: show up as armed retransmit state).
-        self._parked: dict[tuple[int, int], _PendingReport] = {}
+        self._parked: dict[tuple[int, int], _Pending] = {}
         #: Sites currently suspecting the server.
         self._suspecting: set[int] = set()
         #: (incarnation, epoch) of the directive each site last installed
@@ -398,17 +452,7 @@ class MembershipService:
         #: so sites order directives by incarnation first.  Site-side
         #: state: survives server crashes.
         self._installed_rounds: dict[int, tuple[int, int]] = {}
-        #: Per-site "lingering departure" probes: a site that withdrew
-        #: while the server was unreachable stays up just long enough to
-        #: deliver its parked farewell (no heartbeats anymore, so the
-        #: probe is its only remaining path to learning the server came
-        #: back).
-        self._linger_timers: dict[int, Timer] = {}
-        #: Last server contact per site (acks, directives, rejoins).
-        self._server_last_seen: dict[int, float] = {}
         self._checkpoint: ServerCheckpoint | None = None
-        self._checkpoint_timer: Timer | None = None
-        self._client_sweep: Timer | None = None
         self._recovery_started: float | None = None
         self.server_crashes = 0
         self.server_recoveries = 0
@@ -424,21 +468,54 @@ class MembershipService:
         #: Recovery-to-reconverged latency per server recovery (the time
         #: from restart until every live site is registered again).
         self.recovery_latencies: list[float] = []
-        if self.checkpoint_interval_ms > 0:
-            self._checkpoint_timer = sim.schedule_timer(
-                self.checkpoint_interval_ms,
-                self._take_checkpoint,
-                interval_ms=self.checkpoint_interval_ms,
-            )
-        if self.server_failover and self.heartbeat_ms > 0:
-            self._client_sweep = sim.schedule_timer(
-                self.heartbeat_ms,
-                self._client_detect,
-                interval_ms=self.heartbeat_ms,
-            )
+        #: Every self-rearming timer, which is what :meth:`quiesce` must
+        #: silence: the recurring sweeps by name, each live site's
+        #: heartbeat as ``("beat", site)``, and ``("linger", site)`` — the
+        #: probe of a site that withdrew while the server was unreachable
+        #: and stays up just long enough to deliver its parked farewell
+        #: (no heartbeats anymore, so the probe is its only remaining
+        #: path to learning the server came back).
+        self._timers: dict[object, Timer] = {}
+        self._arm_sweeps()
         for window in faults.outages:
             sim.schedule_at(window.start_ms, self.crash_server)
             sim.schedule_at(window.end_ms, self.recover_server)
+
+    def _make_detector(self) -> DeadlineDetector | PhiAccrualDetector:
+        """The configured failure detector: φ-accrual or static deadline."""
+        if self.phi_threshold > 0:
+            return PhiAccrualDetector(
+                threshold=self.phi_threshold,
+                initial_interval_ms=self.heartbeat_ms,
+            )
+        return DeadlineDetector(self.miss_threshold * self.heartbeat_ms)
+
+    def _arm_sweeps(self) -> None:
+        """Arm every configured recurring sweep that is not running.
+
+        The server's detector sweep and checkpoint die with it and are
+        re-armed on recovery; the sites' sweep of the server runs from
+        construction until :meth:`quiesce`.
+        """
+        for name, period_ms, sweep in (
+            ("detector", self.heartbeat_ms, self._detect),
+            ("checkpoint", self.checkpoint_interval_ms, self._take_checkpoint),
+            (
+                "client-sweep",
+                self.heartbeat_ms if self.server_failover else 0.0,
+                self._client_detect,
+            ),
+        ):
+            if period_ms > 0 and name not in self._timers:
+                self._timers[name] = self.sim.schedule_timer(
+                    period_ms, sweep, interval_ms=period_ms
+                )
+
+    def _cancel_timers(self, *keys: object) -> None:
+        for key in keys:
+            timer = self._timers.pop(key, None)
+            if timer is not None:
+                timer.cancel()
 
     @property
     def reliable(self) -> bool:
@@ -510,21 +587,15 @@ class MembershipService:
         return None
 
     def _cancel_site_reports(self, site: int) -> None:
-        """Drop every pending retransmit of ``site``'s tracked reports.
+        """Drop every tracked or parked report of ``site``.
 
-        Pops the ``_unacked`` entries *and* cancels their timers as one
-        unit, so a departed (withdrawn or failed) site can never fire a
-        ghost retransmit after its entry is gone.
+        A departed (withdrawn or failed) site can never fire a ghost
+        retransmit: leaving the queue disarms the entry's timer.
         """
-        for key in [k for k in self._unacked if k[0] == site]:
-            entry = self._unacked.pop(key)
-            if entry.timer is not None:
-                entry.timer.cancel()
+        self._reports.cancel_site(site)
         for key in [k for k in self._parked if k[0] == site]:
             del self._parked[key]
-        timer = self._linger_timers.pop(site, None)
-        if timer is not None:
-            timer.cancel()
+        self._cancel_timers(("linger", site))
 
     def mark_dirty(self) -> None:
         """Force a build round even without control traffic.
@@ -543,21 +614,7 @@ class MembershipService:
         at the horizon before its final drain.
         """
         self._quiesced = True
-        for timer in self._heartbeat_timers.values():
-            timer.cancel()
-        self._heartbeat_timers.clear()
-        if self._detector is not None:
-            self._detector.cancel()
-            self._detector = None
-        if self._client_sweep is not None:
-            self._client_sweep.cancel()
-            self._client_sweep = None
-        if self._checkpoint_timer is not None:
-            self._checkpoint_timer.cancel()
-            self._checkpoint_timer = None
-        for timer in self._linger_timers.values():
-            timer.cancel()
-        self._linger_timers.clear()
+        self._cancel_timers(*self._timers)
 
     # -- message propagation -------------------------------------------------------
 
@@ -577,82 +634,58 @@ class MembershipService:
         self._next_seq[site] = seq
         return seq
 
-    def _send(self, message: ControlEnvelope, site: int | None = None) -> None:
-        if site is None:
-            site = message.site  # type: ignore[attr-defined]
-        kind = _kind_of(message)
+    def _transmit(
+        self,
+        site: int,
+        deliver: Callable[[], None],
+        kind: str,
+        message: object,
+        attempt: int = 0,
+    ) -> None:
+        """Put one message on ``site``'s control link, either direction."""
+        self.link.transmit(site, self.delay_for(site), deliver, kind, message, attempt)
+
+    def _send(self, message: ControlEnvelope, site: int) -> None:
+        entry = _Pending(site, message.seq, _kind_of(message), message)
         if self.server_failover and site in self._suspecting:
             # The site believes the server is down: transmitting would
             # only burn retransmit attempts into a dead socket.  Park
             # the report; it replays in seq order on the next server
             # contact (same or higher incarnation).
-            self._parked[(site, message.seq)] = _PendingReport(
-                site=site, kind=kind, message=message
-            )
-            self.reports_parked += 1
-            self._ensure_linger(site)
+            self._park(entry)
             return
-        self.link.transmit(
-            site,
-            self.delay_for(site),
+        self._offer(entry)
+        if self.reliable:
+            self._reports.track(entry)
+
+    def _offer(self, entry: _Pending) -> None:
+        """One copy of a report onto the wire: first send, retransmit,
+        replay or linger probe."""
+        message = entry.payload
+        self._transmit(
+            entry.site,
             lambda: self._receive(message),
-            kind=kind,
-            message=message,
-        )
-        if self.reliable and kind != "heartbeat":
-            self._track_report(site, message, kind)
-
-    def _track_report(
-        self, site: int, message: ControlEnvelope, kind: str
-    ) -> None:
-        entry = _PendingReport(site=site, kind=kind, message=message)
-        self._unacked[(site, message.seq)] = entry
-        entry.timer = self.sim.schedule_timer(
-            self.retransmit_timeout_ms,
-            lambda: self._retransmit_report(site, message.seq),
+            entry.kind,
+            message,
+            entry.attempts,
         )
 
-    def _retransmit_report(self, site: int, seq: int) -> None:
-        entry = self._unacked.get((site, seq))
-        if entry is None:
-            return
-        if entry.attempts >= self.max_retransmits:
-            del self._unacked[(site, seq)]
-            if self.server_failover:
-                # Ack starvation with failover armed is a server-death
-                # signal, not a reason to lose the report: park it (and
-                # everything else this site has in flight) for replay.
-                entry.timer = None
-                entry.attempts = 0
-                self._parked[(site, seq)] = entry
-                self.reports_parked += 1
-                self._suspect_server(site)
-                self._ensure_linger(site)
-                return
+    def _park(self, entry: _Pending) -> None:
+        """Buffer a report, timer-free, until the server is heard again."""
+        entry.attempts = 0
+        self._parked[(entry.site, entry.number)] = entry
+        self.reports_parked += 1
+        self._ensure_linger(entry.site)
+
+    def _report_exhausted(self, entry: _Pending) -> None:
+        if not self.server_failover:
             self.retransmit_giveups += 1
             return
-        entry.attempts += 1
-        self.retransmits += 1
-        message = entry.message
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._receive(message),
-            kind=entry.kind,
-            message=message,
-            attempt=entry.attempts,
-        )
-        entry.timer = self.sim.schedule_timer(
-            self._backoff(entry.attempts),
-            lambda: self._retransmit_report(site, seq),
-        )
-
-    def _backoff(self, attempts: int) -> float:
-        """Capped exponential wait before retransmit attempt ``attempts+1``."""
-        return min(
-            self.retransmit_timeout_ms * (RETRANSMIT_BACKOFF**attempts),
-            self.retransmit_timeout_ms * RETRANSMIT_BACKOFF_CAP,
-        )
+        # Ack starvation with failover armed is a server-death signal,
+        # not a reason to lose the report: park it (and everything else
+        # this site has in flight) for replay.
+        self._park(entry)
+        self._suspect_server(entry.site)
 
     # -- server-side arrival --------------------------------------------------------
 
@@ -667,9 +700,7 @@ class MembershipService:
             return
         site: int = message.site  # type: ignore[attr-defined]
         kind = _kind_of(message)
-        self._last_seen[site] = self.sim.now
-        if self._site_detector is not None:
-            self._site_detector.touch(site, self.sim.now)
+        self._site_detector.touch(site, self.sim.now)
         # A restarted (cold) server must never hand out epochs below
         # what sites already installed — fast-forward to any higher
         # epoch a report carries.  Provably inert crash-free: a site's
@@ -721,8 +752,7 @@ class MembershipService:
                 return
             self.server.withdraw_site(site)
             self._withdrawn.add(site)
-            if self._site_detector is not None:
-                self._site_detector.forget(site)
+            self._site_detector.forget(site)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected control message {message!r}")
         if self.reliable:
@@ -759,24 +789,16 @@ class MembershipService:
             kind=kind,
             incarnation=self.incarnation,
         )
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._receive_control_ack(ack),
-            kind="control-ack",
-            message=ack,
+        self._transmit(
+            site, lambda: self._receive_control_ack(ack), "control-ack", ack
         )
 
     def _receive_control_ack(self, ack: ControlAck) -> None:
         """Site-side arrival of a report ack: stop that retransmit loop."""
         if self._note_server_contact(ack.site, ack.incarnation) == "stale":
             return
-        entry = self._unacked.pop((ack.site, ack.acked_seq), None)
-        if entry is None:
+        if self._reports.settle(ack.site, ack.acked_seq) is None:
             self.duplicate_acks += 1
-            return
-        if entry.timer is not None:
-            entry.timer.cancel()
 
     # -- heartbeats / failure detection ----------------------------------------------
 
@@ -787,18 +809,16 @@ class MembershipService:
 
     def _site_down(self, site: int) -> None:
         self._live.discard(site)
-        timer = self._heartbeat_timers.pop(site, None)
-        if timer is not None:
-            timer.cancel()
+        self._cancel_timers(("beat", site))
 
     def _start_heartbeat(self, site: int) -> None:
         if (
             self.heartbeat_ms <= 0
             or self._quiesced
-            or site in self._heartbeat_timers
+            or ("beat", site) in self._timers
         ):
             return
-        self._heartbeat_timers[site] = self.sim.schedule_timer(
+        self._timers["beat", site] = self.sim.schedule_timer(
             self.heartbeat_ms,
             lambda: self._beat(site),
             interval_ms=self.heartbeat_ms,
@@ -811,21 +831,13 @@ class MembershipService:
         message = Heartbeat(
             sent_ms=self.sim.now, epoch=self._site_epoch(site), site=site
         )
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._receive(message),
-            kind="heartbeat",
-            message=message,
-        )
+        self._transmit(site, lambda: self._receive(message), "heartbeat", message)
 
     def _receive_heartbeat(self, message: Heartbeat) -> None:
         site = message.site
         self.heartbeats_received += 1
-        self._last_seen[site] = self.sim.now
         self.server.ensure_epoch_floor(message.epoch)
-        if self._site_detector is not None:
-            self._site_detector.observe(site, self.sim.now)
+        self._site_detector.observe(site, self.sim.now)
         if self.server_failover:
             # Answer every beat: the stream of these acks is what the
             # site's server-suspicion detector scores, and the
@@ -838,12 +850,11 @@ class MembershipService:
                 site=site,
                 incarnation=self.incarnation,
             )
-            self.link.transmit(
+            self._transmit(
                 site,
-                self.delay_for(site),
                 lambda: self._receive_heartbeat_ack(ack),
-                kind="heartbeat-ack",
-                message=ack,
+                "heartbeat-ack",
+                ack,
             )
         if not self.server.is_registered(site):
             # A zombie: alive enough to beat, but the server forgot it
@@ -857,12 +868,8 @@ class MembershipService:
                 site=site,
                 incarnation=self.incarnation,
             )
-            self.link.transmit(
-                site,
-                self.delay_for(site),
-                lambda: self._receive_rejoin(request),
-                kind="rejoin",
-                message=request,
+            self._transmit(
+                site, lambda: self._receive_rejoin(request), "rejoin", request
             )
 
     def _receive_heartbeat_ack(self, ack: HeartbeatAck) -> None:
@@ -880,21 +887,13 @@ class MembershipService:
         if verdict == "refreshed":
             return  # the incarnation bump already replayed a full refresh
         self.readmissions += 1
-        rp = self.rps[site]
-        self.advertise(rp.advertisement())
-        self.subscribe(rp.aggregate_subscription())
+        self._reannounce(site)
 
     def _detect(self) -> None:
         """Recurring server-side sweep: suspect silent registered sites."""
         now = self.sim.now
-        if self._site_detector is not None:
-            for site in self.server.registered_sites():
-                if self._site_detector.suspect(site, now):
-                    self._suspect(site)
-            return
-        deadline = self.miss_threshold * self.heartbeat_ms
         for site in self.server.registered_sites():
-            if now - self._last_seen.get(site, now) > deadline:
+            if self._site_detector.suspect(site, now):
                 self._suspect(site)
 
     def _suspect(self, site: int) -> None:
@@ -907,8 +906,7 @@ class MembershipService:
             if fail_ms is not None:
                 self.detection_latencies.append(self.sim.now - fail_ms)
         self._withdrawn.add(site)
-        if self._site_detector is not None:
-            self._site_detector.forget(site)
+        self._site_detector.forget(site)
         self.server.withdraw_site(site)
         self._mark_dirty()
 
@@ -935,34 +933,19 @@ class MembershipService:
             self._pending = None
             self._trigger_ms = None
             self._coalesced = 0
-        if self._detector is not None:
-            self._detector.cancel()
-            self._detector = None
-        if self._checkpoint_timer is not None:
-            self._checkpoint_timer.cancel()
-            self._checkpoint_timer = None
-        for entry in self._pending_directives.values():
-            if entry.timer is not None:
-                entry.timer.cancel()
-            # The dead incarnation stops waiting on this site — same
-            # settling as a retransmit give-up, so the round can still
-            # converge and audit against the sites that did install.
-            round_ = entry.round_
-            round_._awaiting_ack.discard(entry.site)
-            self._check_converged(round_)
-            if entry.site in round_._awaiting_install:
-                round_._awaiting_install.discard(entry.site)
-                if not round_._awaiting_install:
-                    self._finish_install(round_)
-        self._pending_directives.clear()
+        self._cancel_timers("detector", "checkpoint")
+        for entry in self._pushes.clear():
+            # The dead incarnation stops waiting on this site — the same
+            # settling as a retransmit give-up (uncounted), so the round
+            # can still converge and audit against the sites that did
+            # install.
+            self._abandon_push(entry)
         # Server-side per-site soft state.
         self._applied_seq.clear()
         self._withdraw_floor.clear()
         self._withdrawn.clear()
-        self._last_seen.clear()
         self._fail_times.clear()
-        if self._site_detector is not None:
-            self._site_detector.reset()
+        self._site_detector.reset()
         self._recovery_started = None
         self.server.crash()
 
@@ -986,18 +969,7 @@ class MembershipService:
         self._recovery_started = self.sim.now
         self._check_recovered()
         if not self._quiesced:
-            if self.heartbeat_ms > 0 and self._detector is None:
-                self._detector = self.sim.schedule_timer(
-                    self.heartbeat_ms,
-                    self._detect,
-                    interval_ms=self.heartbeat_ms,
-                )
-            if self.checkpoint_interval_ms > 0 and self._checkpoint_timer is None:
-                self._checkpoint_timer = self.sim.schedule_timer(
-                    self.checkpoint_interval_ms,
-                    self._take_checkpoint,
-                    interval_ms=self.checkpoint_interval_ms,
-                )
+            self._arm_sweeps()
 
     def _take_checkpoint(self) -> None:
         """Recurring durable snapshot of the server's registrations."""
@@ -1008,8 +980,6 @@ class MembershipService:
 
     def _check_recovered(self) -> None:
         """Close the open recovery-latency measurement once reconverged."""
-        if self._recovery_started is None:
-            return
         registered = set(self.server.registered_sites())
         if self._live <= registered:
             self.recovery_latencies.append(self.sim.now - self._recovery_started)
@@ -1033,13 +1003,10 @@ class MembershipService:
             self.stale_incarnation_discards += 1
             return "stale"
         if self.server_failover:
-            now = self.sim.now
-            self._server_last_seen[site] = now
-            if self._server_detector is not None:
-                if beat:
-                    self._server_detector.observe(site, now)
-                else:
-                    self._server_detector.touch(site, now)
+            if beat:
+                self._server_detector.observe(site, self.sim.now)
+            else:
+                self._server_detector.touch(site, self.sim.now)
         if incarnation > known:
             self._known_incarnation[site] = incarnation
             self._refresh_site(site)
@@ -1063,6 +1030,10 @@ class MembershipService:
         if site not in self._live:
             return
         self.refresh_replays += 1
+        self._reannounce(site)
+
+    def _reannounce(self, site: int) -> None:
+        """Re-send the site's authoritative advertise/subscribe pair."""
         rp = self.rps[site]
         self.advertise(rp.advertisement())
         self.subscribe(rp.aggregate_subscription())
@@ -1070,19 +1041,13 @@ class MembershipService:
     def _client_detect(self) -> None:
         """Recurring site-side sweep: suspect a silent server (failover mode)."""
         now = self.sim.now
-        deadline = self.miss_threshold * self.heartbeat_ms
         for site in sorted(self._live):
             if site in self._suspecting:
                 continue
-            last = self._server_last_seen.get(site)
-            if last is None:
+            if not self._server_detector.known(site):
                 continue  # never heard from the server: nothing to score
-            if self._server_detector is not None:
-                if not self._server_detector.suspect(site, now):
-                    continue
-            elif now - last <= deadline:
-                continue
-            self._suspect_server(site)
+            if self._server_detector.suspect(site, now):
+                self._suspect_server(site)
 
     def _suspect_server(self, site: int) -> None:
         """One site starts believing the server is down: park its traffic."""
@@ -1090,15 +1055,8 @@ class MembershipService:
             return
         self._suspecting.add(site)
         self.server_suspicions += 1
-        for key in sorted(k for k in self._unacked if k[0] == site):
-            entry = self._unacked.pop(key)
-            if entry.timer is not None:
-                entry.timer.cancel()
-            entry.timer = None
-            entry.attempts = 0
-            self._parked[key] = entry
-            self.reports_parked += 1
-        self._ensure_linger(site)
+        for entry in self._reports.cancel_site(site):
+            self._park(entry)
 
     def _ensure_linger(self, site: int) -> None:
         """Keep a departed site alive until its parked farewell lands.
@@ -1113,34 +1071,25 @@ class MembershipService:
         the horizon is exactly what ``unrecovered_reports`` counts.
         """
         if (
-            not self.server_failover
-            or self.retransmit_timeout_ms <= 0
+            self.retransmit_timeout_ms <= 0
             or self._quiesced
             or site in self._live
-            or site in self._linger_timers
+            or ("linger", site) in self._timers
             or not any(k[0] == site for k in self._parked)
         ):
             return
-        self._linger_timers[site] = self.sim.schedule_timer(
+        self._timers["linger", site] = self.sim.schedule_timer(
             self.retransmit_timeout_ms, lambda: self._linger_probe(site)
         )
 
     def _linger_probe(self, site: int) -> None:
-        self._linger_timers.pop(site, None)
+        del self._timers["linger", site]
         keys = sorted(k for k in self._parked if k[0] == site)
         if not keys or site in self._live or self._quiesced:
             return
-        entry = self._parked[keys[0]]
-        message = entry.message
         self.linger_probes += 1
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._receive(message),
-            kind=entry.kind,
-            message=message,
-        )
-        self._linger_timers[site] = self.sim.schedule_timer(
+        self._offer(self._parked[keys[0]])
+        self._timers["linger", site] = self.sim.schedule_timer(
             self.retransmit_timeout_ms * RETRANSMIT_BACKOFF_CAP,
             lambda: self._linger_probe(site),
         )
@@ -1148,32 +1097,16 @@ class MembershipService:
     def _unsuspect(self, site: int) -> None:
         """Server contact re-established: replay the site's parked reports."""
         self._suspecting.discard(site)
-        timer = self._linger_timers.pop(site, None)
-        if timer is not None:
-            timer.cancel()
-        if self._server_detector is not None:
-            # The silence is explained (crash, not drift): start the
-            # site's estimate of the new server's cadence fresh.
-            self._server_detector.forget(site)
-            self._server_last_seen.pop(site, None)
+        self._cancel_timers(("linger", site))
+        # The silence is explained (crash, not drift): start the site's
+        # estimate of the new server's cadence fresh.
+        self._server_detector.forget(site)
         for key in sorted(k for k in self._parked if k[0] == site):
             entry = self._parked.pop(key)
             self.reports_replayed += 1
-            message = entry.message
-            self.link.transmit(
-                site,
-                self.delay_for(site),
-                lambda message=message: self._receive(message),
-                kind=entry.kind,
-                message=message,
-            )
-            if self.reliable and entry.kind != "heartbeat":
-                self._unacked[key] = entry
-                seq = message.seq
-                entry.timer = self.sim.schedule_timer(
-                    self.retransmit_timeout_ms,
-                    lambda site=site, seq=seq: self._retransmit_report(site, seq),
-                )
+            self._offer(entry)
+            if self.reliable:
+                self._reports.track(entry)
 
     # -- debounced build rounds ------------------------------------------------------
 
@@ -1221,63 +1154,40 @@ class MembershipService:
             self._finish_install(round_)
             return
         for site in installed:
-            self._push_directive(site, round_)
+            entry = _Pending(site, round_.epoch, "directive", round_)
+            self._push(entry)
+            if self.reliable:
+                self._pushes.track(entry)
 
     # -- directive installation ------------------------------------------------------
 
-    def _push_directive(self, site: int, round_: ControlRound) -> None:
-        self.link.transmit(
+    def _push(self, entry: _Pending) -> None:
+        """One copy of a directive onto the wire: first push or retransmit."""
+        site = entry.site
+        round_: ControlRound = entry.payload
+        self._transmit(
             site,
-            self.delay_for(site),
             lambda: self._deliver(site, round_),
-            kind="directive",
-            message=round_.directive,
-        )
-        if self.reliable:
-            entry = _PendingDirective(site=site, round_=round_)
-            self._pending_directives[(round_.epoch, site)] = entry
-            entry.timer = self.sim.schedule_timer(
-                self.retransmit_timeout_ms,
-                lambda: self._retransmit_directive(site, round_.epoch),
-            )
-
-    def _retransmit_directive(self, site: int, epoch: int) -> None:
-        entry = self._pending_directives.get((epoch, site))
-        if entry is None:
-            return
-        round_ = entry.round_
-        if entry.attempts >= self.max_retransmits:
-            del self._pending_directives[(epoch, site)]
-            self.retransmit_giveups += 1
-            # Unreachable for this epoch (partitioned or dead): stop
-            # waiting so the round can settle.  A later epoch, or the
-            # site's re-admission, brings it back up to date.
-            round_._awaiting_ack.discard(site)
-            self._check_converged(round_)
-            if site in round_._awaiting_install:
-                round_._awaiting_install.discard(site)
-                if not round_._awaiting_install:
-                    self._finish_install(round_)
-            return
-        entry.attempts += 1
-        self.retransmits += 1
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._deliver(site, round_),
-            kind="directive",
-            message=round_.directive,
-            attempt=entry.attempts,
-        )
-        entry.timer = self.sim.schedule_timer(
-            self._backoff(entry.attempts),
-            lambda: self._retransmit_directive(site, epoch),
+            entry.kind,
+            round_.directive,
+            entry.attempts,
         )
 
-    def _cancel_pending_directive(self, site: int, epoch: int) -> None:
-        entry = self._pending_directives.pop((epoch, site), None)
-        if entry is not None and entry.timer is not None:
-            entry.timer.cancel()
+    def _push_exhausted(self, entry: _Pending) -> None:
+        # Unreachable for this epoch (partitioned or dead).  A later
+        # epoch, or the site's re-admission, brings it back up to date.
+        self.retransmit_giveups += 1
+        self._abandon_push(entry)
+
+    def _abandon_push(self, entry: _Pending) -> None:
+        """Stop waiting on one site so the round can settle without it."""
+        round_: ControlRound = entry.payload
+        round_._awaiting_ack.discard(entry.site)
+        self._check_converged(round_)
+        if entry.site in round_._awaiting_install:
+            round_._awaiting_install.discard(entry.site)
+            if not round_._awaiting_install:
+                self._finish_install(round_)
 
     def _installed_key(self, site: int, incarnation: int) -> tuple[int, int]:
         """The ballot the site's installed table holds, for ordering
@@ -1322,7 +1232,7 @@ class MembershipService:
             self.stale_directives += 1
             round_.stale_sites = round_.stale_sites + (site,)
             round_._awaiting_ack.discard(site)
-            self._cancel_pending_directive(site, round_.epoch)
+            self._pushes.settle(site, round_.epoch)
             self._check_converged(round_)
         else:
             # Supersession: a higher incarnation replaces whatever the
@@ -1341,12 +1251,8 @@ class MembershipService:
         ack = DirectiveAck(
             sent_ms=self.sim.now, epoch=round_.directive.epoch, site=site
         )
-        self.link.transmit(
-            site,
-            self.delay_for(site),
-            lambda: self._receive_ack(ack, round_),
-            kind="directive-ack",
-            message=ack,
+        self._transmit(
+            site, lambda: self._receive_ack(ack, round_), "directive-ack", ack
         )
 
     def _receive_ack(self, ack: DirectiveAck, round_: ControlRound) -> None:
@@ -1357,7 +1263,7 @@ class MembershipService:
             raise ProtocolError(
                 f"ack for epoch {ack.epoch} routed to round {round_.epoch}"
             )
-        self._cancel_pending_directive(ack.site, round_.epoch)
+        self._pushes.settle(ack.site, round_.epoch)
         if ack.site not in round_._awaiting_ack:
             self.duplicate_acks += 1
             return
@@ -1411,6 +1317,11 @@ class MembershipService:
         return set(self._live)
 
     @property
+    def retransmits(self) -> int:
+        """Copies re-sent after their original, reports and pushes."""
+        return self._reports.retransmits + self._pushes.retransmits
+
+    @property
     def armed_retransmit_state(self) -> int:
         """Sequenced messages still tracked for retransmission.
 
@@ -1418,7 +1329,7 @@ class MembershipService:
         a full drain this must be zero — every entry ends acked,
         cancelled, or given up; the scenario runtime asserts it.
         """
-        return len(self._unacked) + len(self._pending_directives)
+        return len(self._reports) + len(self._pushes)
 
     @property
     def server_down(self) -> bool:
@@ -1463,15 +1374,11 @@ class MembershipService:
 
     def mean_recovery_ms(self) -> float:
         """Mean restart-to-reconverged latency over server recoveries."""
-        if not self.recovery_latencies:
-            return 0.0
-        return sum(self.recovery_latencies) / len(self.recovery_latencies)
+        return _mean(self.recovery_latencies)
 
     def max_recovery_ms(self) -> float:
         """Worst-case restart-to-reconverged latency over server recoveries."""
-        if not self.recovery_latencies:
-            return 0.0
-        return max(self.recovery_latencies)
+        return max(self.recovery_latencies, default=0.0)
 
     def converged_rounds(self) -> list[ControlRound]:
         """Rounds whose last ack has arrived."""
@@ -1479,29 +1386,21 @@ class MembershipService:
 
     def mean_convergence_ms(self) -> float:
         """Mean control-convergence latency over converged rounds."""
-        converged = self.converged_rounds()
-        if not converged:
-            return 0.0
-        return sum(r.convergence_ms for r in converged) / len(converged)
+        return _mean([r.convergence_ms for r in self.converged_rounds()])
 
     def max_convergence_ms(self) -> float:
         """Worst-case control-convergence latency over converged rounds."""
-        converged = self.converged_rounds()
-        if not converged:
-            return 0.0
-        return max(r.convergence_ms for r in converged)
+        return max(
+            (r.convergence_ms for r in self.converged_rounds()), default=0.0
+        )
 
     def mean_detection_ms(self) -> float:
         """Mean silence-to-withdrawal latency over detected real failures."""
-        if not self.detection_latencies:
-            return 0.0
-        return sum(self.detection_latencies) / len(self.detection_latencies)
+        return _mean(self.detection_latencies)
 
     def max_detection_ms(self) -> float:
         """Worst-case detection latency over detected real failures."""
-        if not self.detection_latencies:
-            return 0.0
-        return max(self.detection_latencies)
+        return max(self.detection_latencies, default=0.0)
 
     def overlapping_rounds(self) -> int:
         """Rounds triggered while the previous round was still converging.
@@ -1520,6 +1419,11 @@ class MembershipService:
         return overlaps
 
 
+def _mean(values: list[float]) -> float:
+    """Arithmetic mean; 0.0 over no samples."""
+    return sum(values) / len(values) if values else 0.0
+
+
 def _kind_of(message: ControlEnvelope) -> str:
     """Wire-kind label of a site-to-server envelope (dedup/fault routing)."""
     if isinstance(message, Advertise):
@@ -1528,6 +1432,4 @@ def _kind_of(message: ControlEnvelope) -> str:
         return "subscribe"
     if isinstance(message, Withdraw):
         return "withdraw"
-    if isinstance(message, Heartbeat):
-        return "heartbeat"
     return type(message).__name__.lower()

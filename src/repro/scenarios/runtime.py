@@ -264,6 +264,21 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
+#: Service counters a chaotic run copies into the same-named report fields.
+_CHAOS_COUNTERS = (
+    "retransmits", "retransmit_giveups", "duplicates_discarded",
+    "stale_reports_discarded", "duplicate_withdraws", "heartbeats_sent",
+    "detected_failures", "false_suspicions", "readmissions",
+)
+#: The same, for a run whose server recovery was armed or exercised.
+_RECOVERY_COUNTERS = (
+    "server_crashes", "server_recoveries", "refresh_replays",
+    "stale_incarnation_discards", "server_suspicions", "reports_parked",
+    "reports_replayed", "messages_lost_to_outage", "checkpoints_taken",
+    "checkpoint_restores",
+)
+
+
 class ScenarioRuntime:
     """Executes one :class:`ScenarioSpec` against a live control plane.
 
@@ -369,9 +384,11 @@ class ScenarioRuntime:
             capacity_model = HeterogeneousCapacityModel()
         else:
             capacity_model = UniformCapacityModel(
-                base=spec.capacity_base or 20,
+                base=20 if spec.capacity_base is None else spec.capacity_base,
                 jitter=spec.capacity_jitter,
-                streams_per_site=spec.streams_per_site or 20,
+                streams_per_site=(
+                    20 if spec.streams_per_site is None else spec.streams_per_site
+                ),
             )
         return build_session(
             load_backbone(spec.backbone),
@@ -619,17 +636,8 @@ class ScenarioRuntime:
             self.report.messages_sent = link.sent
             self.report.messages_dropped = link.dropped
             self.report.messages_duplicated = link.duplicated
-            self.report.retransmits = service.retransmits
-            self.report.retransmit_giveups = service.retransmit_giveups
-            self.report.duplicates_discarded = service.duplicates_discarded
-            self.report.stale_reports_discarded = (
-                service.stale_reports_discarded
-            )
-            self.report.duplicate_withdraws = service.duplicate_withdraws
-            self.report.heartbeats_sent = service.heartbeats_sent
-            self.report.detected_failures = service.detected_failures
-            self.report.false_suspicions = service.false_suspicions
-            self.report.readmissions = service.readmissions
+            for counter in _CHAOS_COUNTERS:
+                setattr(self.report, counter, getattr(service, counter))
             self.report.mean_detection_ms = service.mean_detection_ms()
             self.report.max_detection_ms = service.max_detection_ms()
             registered = set(self.server.registered_sites())
@@ -640,24 +648,11 @@ class ScenarioRuntime:
             service.server_failover or service.server_crashes
         )
         if self.report.server_recovery:
-            self.report.server_crashes = service.server_crashes
-            self.report.server_recoveries = service.server_recoveries
+            for counter in _RECOVERY_COUNTERS:
+                setattr(self.report, counter, getattr(service, counter))
             self.report.mean_recovery_ms = service.mean_recovery_ms()
             self.report.max_recovery_ms = service.max_recovery_ms()
-            self.report.refresh_replays = service.refresh_replays
-            self.report.stale_incarnation_discards = (
-                service.stale_incarnation_discards
-            )
-            self.report.server_suspicions = service.server_suspicions
-            self.report.reports_parked = service.reports_parked
-            self.report.reports_replayed = service.reports_replayed
-            self.report.messages_lost_to_outage = (
-                service.messages_lost_to_outage
-            )
-            self.report.checkpoints_taken = service.checkpoints_taken
-            self.report.checkpoint_restores = service.checkpoint_restores
             self.report.unrecovered_reports = service.parked_reports
-
 
     def _measure_dataplane(self, result) -> None:
         """Disseminate one capture span over the just-installed forest."""

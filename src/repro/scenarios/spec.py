@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
 from repro.util.rng import RngStream
 from repro.util.validation import (
+    check_at_least,
     check_disjoint_windows,
     check_finite_non_negative,
     check_non_negative,
@@ -218,10 +219,12 @@ class ScenarioSpec:
             )
         if self.fov_size < 1:
             raise ConfigurationError(f"fov_size must be >= 1, got {self.fov_size}")
-        if self.capacity_base is not None and self.capacity_base < 1:
-            raise ConfigurationError(
-                f"capacity_base must be >= 1, got {self.capacity_base}"
-            )
+        check_positive("latency_bound_ms", self.latency_bound_ms)
+        if self.capacity_base is not None:
+            check_at_least("capacity_base", self.capacity_base, 1)
+        if self.streams_per_site is not None:
+            check_at_least("streams_per_site", self.streams_per_site, 1)
+        check_at_least("capacity_jitter", self.capacity_jitter, 0)
         check_finite_non_negative("control_delay_ms", self.control_delay_ms)
         check_finite_non_negative("debounce_ms", self.debounce_ms)
         if not self.async_control and (

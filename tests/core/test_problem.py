@@ -112,15 +112,21 @@ class TestConstruction:
         for attribute in ("cost", "inbound", "outbound", "backend"):
             assert not hasattr(problem, attribute)
 
-    def test_non_positive_bound_rejected(self):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("bound", (0.0, -1.0, float("nan")))
+    def test_non_positive_bound_rejected(self, bound):
+        """NaN included: ``nan <= 0`` is False, and a NaN bound would
+        silently admit every request whatever its latency."""
+        with pytest.raises(ConfigurationError, match="latency_bound_ms"):
             ForestProblem.from_tables(
                 cost=complete_cost(2),
                 inbound={0: 1, 1: 1},
                 outbound={0: 1, 1: 1},
                 group_members={},
-                latency_bound_ms=0.0,
+                latency_bound_ms=bound,
             )
+
+    def test_infinite_bound_is_legal(self):
+        assert tiny_problem(latency=float("inf")).latency_bound_ms == float("inf")
 
     def test_duplicate_group_rejected(self):
         groups = [

@@ -1,4 +1,4 @@
-"""Unit tests for the φ-accrual failure detector.
+"""Unit tests for the failure detectors (static deadline and φ-accrual).
 
 The detector's contract has two halves the static deadline cannot offer
 at once: on a quiet link a silent peer is suspected *no later* than the
@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pubsub.detector import PhiAccrualDetector
+from repro.pubsub.detector import DeadlineDetector, PhiAccrualDetector
 from repro.util.rng import RngStream
 
 HEARTBEAT_MS = 40.0
@@ -24,6 +24,65 @@ def quiet_detector(threshold: float = 8.0) -> PhiAccrualDetector:
     return PhiAccrualDetector(
         threshold=threshold, initial_interval_ms=HEARTBEAT_MS
     )
+
+
+def deadline_detector(missed_beats: int = 3) -> DeadlineDetector:
+    return DeadlineDetector(missed_beats * HEARTBEAT_MS)
+
+
+@pytest.mark.parametrize("make", (quiet_detector, deadline_detector))
+class TestDetectorInterface:
+    """The surface the control plane drives, whichever detector is configured."""
+
+    def test_unknown_peer_never_suspected(self, make):
+        detector = make()
+        assert not detector.known(3)
+        assert not detector.suspect(3, 1e9)
+
+    def test_touch_alone_makes_peer_scoreable(self, make):
+        detector = make()
+        detector.touch(0, 0.0)
+        assert detector.known(0)
+        assert not detector.suspect(0, HEARTBEAT_MS)
+        assert detector.suspect(0, 10 * HEARTBEAT_MS)
+
+    def test_touch_resets_the_silence_clock(self, make):
+        detector = make()
+        detector.observe(0, 0.0)
+        detector.touch(0, 9 * HEARTBEAT_MS)  # a report, long after the beat
+        assert not detector.suspect(0, 10 * HEARTBEAT_MS)
+
+    def test_forget_drops_one_peer_reset_drops_all(self, make):
+        detector = make()
+        for peer in (0, 1, 2):
+            detector.observe(peer, 0.0)
+        detector.forget(0)
+        assert not detector.known(0)
+        assert not detector.suspect(0, 1e9)
+        assert detector.suspect(1, 1e9)
+        detector.reset()
+        assert not detector.known(1) and not detector.known(2)
+        assert not detector.suspect(1, 1e9)
+
+
+class TestDeadlineDetector:
+    def test_suspects_strictly_after_the_deadline(self):
+        detector = deadline_detector(missed_beats=3)
+        detector.observe(0, 100.0)
+        assert not detector.suspect(0, 100.0 + 3 * HEARTBEAT_MS)
+        assert detector.suspect(0, 100.0 + 3 * HEARTBEAT_MS + 0.001)
+
+    def test_beats_and_other_arrivals_count_alike(self):
+        detector = deadline_detector()
+        detector.observe(0, 0.0)
+        detector.touch(1, 0.0)
+        at = 3 * HEARTBEAT_MS + 1.0
+        assert detector.suspect(0, at) and detector.suspect(1, at)
+
+    @pytest.mark.parametrize("deadline", (-1.0, float("inf"), float("nan")))
+    def test_bad_deadline_rejected(self, deadline):
+        with pytest.raises(ConfigurationError, match="deadline_ms"):
+            DeadlineDetector(deadline)
 
 
 class TestConstruction:

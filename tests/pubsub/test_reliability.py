@@ -13,7 +13,7 @@ import pytest
 from repro.core.randomized import RandomJoinBuilder
 from repro.pubsub.faults import FaultConfig, PartitionWindow
 from repro.pubsub.messages import Advertise, Subscribe, Withdraw
-from repro.pubsub.service import MembershipService
+from repro.pubsub.service import MAX_RETRANSMITS, MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -189,8 +189,7 @@ class TestRetransmission:
         # Every report was acked on first delivery: no retransmits, and
         # no pending state survives the drain.
         assert service.retransmits == 0
-        assert not service._unacked
-        assert not service._pending_directives
+        assert service.armed_retransmit_state == 0
 
     def test_give_up_bounds_unreachable_destinations(self, small_session):
         def drop_directives(kind, message, attempt):
@@ -205,7 +204,7 @@ class TestRetransmission:
         sim.run()  # terminating at all proves the backoff chain is capped
         # Exactly one give-up per unreachable destination — never more.
         assert service.retransmit_giveups == 4
-        assert service.retransmits == 4 * service.max_retransmits
+        assert service.retransmits == 4 * MAX_RETRANSMITS
         # The round settled by giving the sites up, not by acks.
         round_ = service.rounds[-1]
         assert round_.converged
@@ -233,7 +232,7 @@ class TestRetransmission:
         sim.run()
         # advertise + subscribe from site 2, nothing else.
         assert service.retransmit_giveups == 2
-        assert service.retransmits == 2 * service.max_retransmits
+        assert service.retransmits == 2 * MAX_RETRANSMITS
         assert service.armed_retransmit_state == 0
         # The reports themselves arrived (only the acks died), so the
         # membership is intact and the round converged.
@@ -243,7 +242,7 @@ class TestRetransmission:
 
 class TestRetransmitTimerHygiene:
     """A departed site's pending report must never fire a ghost
-    retransmit after its ``_unacked`` entry is gone."""
+    retransmit after its queue entry is gone."""
 
     def drop_site2_report_acks(self, kind, message, attempt):
         return (
@@ -417,5 +416,4 @@ class TestHeartbeatDetection:
         sim.run(until_ms=50.0)
         service.quiesce()
         sim.run()  # would never return if beats kept rearming
-        assert service._detector is None
-        assert not service._heartbeat_timers
+        assert not service._timers

@@ -38,7 +38,6 @@ def make_crash_service(
     debounce_ms: float = 0.0,
     phi_threshold: float | None = None,
     checkpoint_interval_ms: float | None = None,
-    server_failover: bool | None = None,
 ):
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
@@ -54,7 +53,6 @@ def make_crash_service(
         retransmit_timeout_ms=retransmit_timeout_ms,
         phi_threshold=phi_threshold,
         checkpoint_interval_ms=checkpoint_interval_ms,
-        server_failover=server_failover,
     )
     return system, service, sim
 

@@ -39,6 +39,17 @@ class TestRun:
         assert report.audit is not None
         assert report.audit.events_audited == report.rounds
 
+    def test_capacity_overrides_reach_the_session(self):
+        """Small overrides are honoured as given; only ``None`` falls back
+        to the paper's 20 streams / capacity 20."""
+        small = ScenarioRuntime(
+            tiny_spec(streams_per_site=1, capacity_base=2, capacity_jitter=0)
+        ).session
+        assert all(len(site.stream_ids) == 1 for site in small.sites)
+        assert all(site.rp.outbound_limit == 2 for site in small.sites)
+        default = ScenarioRuntime(tiny_spec(streams_per_site=None)).session
+        assert all(len(site.stream_ids) == 20 for site in default.sites)
+
     def test_audit_disabled(self):
         report = run_scenario(tiny_spec(), audit=False)
         assert report.audit is None

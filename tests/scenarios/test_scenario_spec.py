@@ -61,6 +61,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=knob):
             minimal_spec(async_control=True, **{knob: value})
 
+    @pytest.mark.parametrize("value", (float("nan"), 0.0, -5.0))
+    def test_latency_bound_must_be_positive(self, value):
+        """NaN compares False to everything, so a naive ``<= 0`` check lets
+        it through and the latency constraint silently switches off."""
+        with pytest.raises(ConfigurationError, match="latency_bound_ms"):
+            minimal_spec(latency_bound_ms=value)
+
+    def test_infinite_latency_bound_means_no_bound(self):
+        assert minimal_spec(latency_bound_ms=float("inf")).latency_bound_ms > 1e300
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("streams_per_site", 0), ("streams_per_site", -3), ("capacity_jitter", -1)],
+    )
+    def test_capacity_overrides_name_the_bad_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            minimal_spec(**{field: value})
+
     def test_bad_phase_rejected(self):
         with pytest.raises(ConfigurationError):
             SchedulePhase(EventKind.JOIN, 10.0, 5.0, 1)
