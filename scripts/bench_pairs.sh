@@ -2,15 +2,21 @@
 # Show a performance claim the way benchmarks/e2e/README.md asks: pairs of
 # parent and change, alternating which side runs first.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> <metric> [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> <workload> <metric>|all [pairs=10]
 #
-# The parent is checked out into a temporary `git worktree` (removed on
-# exit); the change is this working tree.  Each side runs its own
-# benchmarks/e2e/run.py, one process at a time, with the run length
-# BENCHMARK.json fixes.  Prints every pair, each side's median and
-# quartiles, the pair wins (ties count for neither) and whether the rule
-# holds: wins on at least nine tenths of the pairs and medians apart by
-# more than the distance between the parent's quartiles.
+# The parent is exported (`git archive`) into a temporary directory
+# (removed on exit; TMPDIR picks where); the change is this working tree.
+# Each side runs its own benchmarks/e2e/run.py, one process at a time,
+# with the run length BENCHMARK.json fixes.  Prints every pair, each
+# side's median and quartiles, the pair wins (ties count for neither) and
+# whether the rule holds: wins on at least nine tenths of the pairs and
+# medians apart by more than the distance between the parent's quartiles.
+# For an end-to-end metric it also says whether the change's median is
+# worse than the parent's by more than the metric's bound.
+#
+# With `all` in place of a metric, all five end-to-end metrics are read
+# from the same child runs and reported one block each: the claimed row
+# and the four "not worse" rows of a workload from one session.
 #
 # SEED (default 7) seeds both sides of every pair; repeat with SEED=23,
 # the held-out seed.  A per-layer metric is read from the traced pass.
@@ -18,7 +24,7 @@
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-    sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 PARENT_REF="$1"
@@ -29,63 +35,68 @@ SEED="${SEED:-7}"
 
 cd "$(dirname "$0")/.."
 CHANGE_DIR="$PWD"
-PARENT_DIR="$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs-parent.XXXXXX")"
-VALUES="$(mktemp "${TMPDIR:-/tmp}/bench-pairs-values.XXXXXX")"
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")"
+trap 'rm -rf "$WORK"' EXIT
+PARENT_DIR="$WORK/parent"
+RUNS="$WORK/runs.jsonl"
 
-cleanup() {
-    git -C "$CHANGE_DIR" worktree remove --force "$PARENT_DIR" >/dev/null 2>&1 || true
-    git -C "$CHANGE_DIR" worktree prune >/dev/null 2>&1 || true
-    rm -rf "$PARENT_DIR" "$VALUES"
-}
-trap cleanup EXIT
-
-git worktree add --detach "$PARENT_DIR" "$PARENT_REF" >/dev/null
-echo "parent $(git -C "$PARENT_DIR" rev-parse --short HEAD) in $PARENT_DIR"
+mkdir "$PARENT_DIR"
+git archive "$PARENT_REF" src benchmarks/e2e BENCHMARK.json | tar -x -C "$PARENT_DIR"
+echo "parent $(git rev-parse --short "$PARENT_REF") in $PARENT_DIR"
 echo "change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + working tree') in $CHANGE_DIR"
 
 # End-to-end metrics come from the untraced passes, per-layer ones from
-# the traced pass; BENCHMARK.json says which is which and which way is up.
-read -r TRACE BETTER < <(python3 - "$METRIC" <<'EOF'
+# the traced pass; BENCHMARK.json says which is which, which way is up
+# and, for the end-to-end ones, the bound.  One "name better bound" line
+# per metric to report (bound "-" for a per-layer metric).
+cat >"$WORK/metrics.py" <<'EOF'
 import json, sys
 spec = json.load(open("BENCHMARK.json"))
-metric = sys.argv[1]
+wanted = sys.argv[1]
+if wanted == "all":
+    print(0)
+    for entry in spec["end_to_end"]:
+        print(entry["name"], entry["better"], entry["bound"])
+    raise SystemExit
 for trace, key in ((0, "end_to_end"), (1, "per_layer")):
     for entry in spec[key]:
-        if entry["name"] == metric:
-            print(trace, entry["better"])
+        if entry["name"] == wanted:
+            print(trace)
+            print(entry["name"], entry["better"], entry.get("bound", "-"))
             raise SystemExit
-raise SystemExit(f"bench_pairs.sh: BENCHMARK.json declares no metric {metric!r}")
+raise SystemExit(f"bench_pairs.sh: BENCHMARK.json declares no metric {wanted!r}")
 EOF
-)
+python3 "$WORK/metrics.py" "$METRIC" >"$WORK/metrics.txt"
+TRACE="$(head -n 1 "$WORK/metrics.txt")"
 
-measure() {  # measure <checkout>  ->  the metric's value
-    (cd "$1" && python3 benchmarks/e2e/run.py --workload "$WORKLOAD" \
-        --seed "$SEED" --trace "$TRACE") | tail -n 1 | python3 -c '
-import json, sys
-result = json.loads(sys.stdin.readline())
-if not result["correct"] or result["failed"]:
-    raise SystemExit("bench_pairs.sh: the run failed its output checks")
-print(result["metrics"][sys.argv[1]]["value"])' "$METRIC"
+measure() {  # measure <side> <checkout>  ->  one "side <result object>" line
+    printf '%s ' "$1" >>"$RUNS"
+    (cd "$2" && python3 benchmarks/e2e/run.py --workload "$WORKLOAD" \
+        --seed "$SEED" --trace "$TRACE") | tail -n 1 >>"$RUNS"
 }
 
-echo "$WORKLOAD $METRIC (better: $BETTER), seed $SEED, $PAIRS pairs"
+echo "$WORKLOAD $METRIC, seed $SEED, $PAIRS pairs"
 for ((pair = 1; pair <= PAIRS; pair++)); do
     if ((pair % 2)); then
-        parent=$(measure "$PARENT_DIR"); change=$(measure "$CHANGE_DIR"); first=parent
+        measure parent "$PARENT_DIR"; measure change "$CHANGE_DIR"; first=parent
     else
-        change=$(measure "$CHANGE_DIR"); parent=$(measure "$PARENT_DIR"); first=change
+        measure change "$CHANGE_DIR"; measure parent "$PARENT_DIR"; first=change
     fi
-    echo "$parent $change" >>"$VALUES"
-    printf 'pair %2d  parent %-12.6g change %-12.6g (%s first)\n' \
-        "$pair" "$parent" "$change" "$first"
+    echo "pair $pair done ($first first)"
 done
 
-python3 - "$VALUES" "$BETTER" <<'EOF'
-import statistics, sys
+python3 - "$WORK/metrics.txt" "$RUNS" "$WORKLOAD" "$SEED" <<'EOF'
+import json, statistics, sys
 
-pairs = [tuple(map(float, line.split())) for line in open(sys.argv[1])]
-lower = sys.argv[2] == "lower"
-parent, change = zip(*pairs)
+metrics = [line.split() for line in open(sys.argv[1]).read().splitlines()[1:]]
+workload, seed = sys.argv[3:5]
+runs = {"parent": [], "change": []}
+for line in open(sys.argv[2]):
+    side, _, text = line.partition(" ")
+    result = json.loads(text)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit("bench_pairs.sh: a run failed its output checks")
+    runs[side].append(result["metrics"])
 
 
 def describe(name, values):
@@ -97,13 +108,27 @@ def describe(name, values):
     return q1, median, q3
 
 
-q1, parent_median, q3 = describe("parent", parent)
-_, change_median, _ = describe("change", change)
-wins = sum((c < p) if lower else (c > p) for p, c in pairs)
-losses = sum((c > p) if lower else (c < p) for p, c in pairs)
-gain = (parent_median - change_median) if lower else (change_median - parent_median)
-print(f"change wins {wins} of {len(pairs)} pairs, loses {losses}")
-print(f"medians apart by {gain:.6g}, parent's quartiles by {q3 - q1:.6g}")
-holds = wins >= 0.9 * len(pairs) and gain > q3 - q1
-print("rule holds: a gain may be claimed" if holds else "rule does not hold: no gain shown")
+for name, better, bound in metrics:
+    lower = better == "lower"
+    parent = [run[name]["value"] for run in runs["parent"]]
+    change = [run[name]["value"] for run in runs["change"]]
+    pairs = list(zip(parent, change))
+    print(f"\n== {workload} {name} (better: {better}), seed {seed}, {len(pairs)} pairs ==")
+    for number, (p, c) in enumerate(pairs, start=1):
+        first = "parent" if number % 2 else "change"
+        print(f"pair {number:2d}  parent {p:<12.6g} change {c:<12.6g} ({first} first)")
+    q1, parent_median, q3 = describe("parent", parent)
+    _, change_median, _ = describe("change", change)
+    wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+    losses = sum((c > p) if lower else (c < p) for p, c in pairs)
+    gain = (parent_median - change_median) if lower else (change_median - parent_median)
+    print(f"change wins {wins} of {len(pairs)} pairs, loses {losses}")
+    print(f"medians apart by {gain:.6g}, parent's quartiles by {q3 - q1:.6g}")
+    holds = wins >= 0.9 * len(pairs) and gain > q3 - q1
+    print("rule holds: a gain may be claimed" if holds else "rule does not hold: no gain shown")
+    if bound != "-" and parent_median:
+        worse = -gain / parent_median
+        verdict = "within" if worse <= float(bound) else "BEYOND"
+        side = f"{worse:.1%} worse" if worse > 0 else f"{-worse:.1%} better"
+        print(f"change's median is {side} than the parent's: {verdict} the bound {bound}")
 EOF

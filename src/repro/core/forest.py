@@ -94,6 +94,10 @@ class MulticastTree:
         """Receiver -> parent for every receiver (shared, read-only)."""
         return self._parent
 
+    def children_map(self) -> dict[int, list[int]]:
+        """Member -> its children, in attach order (shared, read-only)."""
+        return self._children
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All (parent, child) edges."""
         for child, parent in self._parent.items():

@@ -60,7 +60,7 @@ from repro.core.node_join import (
 )
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
-from repro.session.streams import StreamId
+from repro.session.streams import StreamId, by_stream, stream_order
 from repro.util.validation import REBUILD_POLICIES, check_rebuild_policy
 
 #: Default hybrid drift budget: the repaired forest may cost at most
@@ -382,7 +382,7 @@ class IncrementalRepairer:
         trees: dict[StreamId, MulticastTree] = {}
         recarried: list[tuple[MulticastGroup, MulticastTree | None]] = []
         old_trees = dict(prev_forest.trees)
-        for group in sorted(problem.groups, key=_stream_order):
+        for group in sorted(problem.groups, key=by_stream):
             stream = group.stream
             before = prev_groups.get(stream)
             old_tree = old_trees.pop(stream, None)
@@ -440,7 +440,8 @@ class IncrementalRepairer:
             stream = request.stream
             if stream in trees and stream not in owned:
                 fresh.append(request)
-        fresh.sort(key=_request_order)
+        # ``problem.all_requests()`` order: by stream, then subscriber.
+        fresh.sort(key=lambda r: (*stream_order(r.stream), r.subscriber))
 
         swapper = (
             CorrelatedRandomJoinBuilder(repair_passes=0) if self.use_swap else None
@@ -628,14 +629,3 @@ class IncrementalRepairer:
             and tree.cost_from_source(parent) + problem.edge_cost(parent, node)
             < problem.latency_bound_ms
         )
-
-
-def _stream_order(group: MulticastGroup) -> tuple[int, int]:
-    stream = group.stream
-    return stream.site, stream.index
-
-
-def _request_order(request: SubscriptionRequest) -> tuple[int, int, int]:
-    """``problem.all_requests()`` order: by stream, then subscriber."""
-    stream = request.stream
-    return stream.site, stream.index, request.subscriber

@@ -35,7 +35,7 @@ from repro.core.backend import ArrayBackend
 from repro.core.model import MulticastGroup, SubscriptionRequest
 from repro.session.session import TISession
 from repro.topology.dense import DenseCostMatrix
-from repro.session.streams import StreamId
+from repro.session.streams import StreamId, by_stream
 from repro.util.validation import check_positive
 from repro.workload.spec import SubscriptionWorkload
 
@@ -275,7 +275,7 @@ class ForestProblem:
         cached = self._requests_cache
         if cached is None:
             out: list[SubscriptionRequest] = []
-            for group in sorted(self.groups, key=lambda g: g.stream):
+            for group in sorted(self.groups, key=by_stream):
                 out.extend(group.requests())
             cached = self._requests_cache = tuple(out)
         return list(cached)
@@ -560,7 +560,7 @@ class ForestProblem:
             # Both halves are stream-sorted, so this is a near-sorted
             # merge — Timsort handles it in O(groups).
             groups.extend(delta.added)
-            groups.sort(key=lambda g: g.stream)
+            groups.sort(key=by_stream)
         problem.groups = groups
         problem._u = cls._patch_u(prev._u, delta)
         m_table = list(prev._m_table)

@@ -17,7 +17,7 @@ from repro.pubsub.messages import (
     SiteSubscription,
 )
 from repro.session.entities import Site
-from repro.session.streams import StreamId
+from repro.session.streams import StreamId, stream_order
 
 
 class RPAgent:
@@ -26,6 +26,11 @@ class RPAgent:
     def __init__(self, site: Site) -> None:
         self.site = site
         self._display_subs: dict[str, tuple[StreamId, ...]] = {}
+        #: The two reports, held while what they are built from stands:
+        #: the camera array is fixed at session assembly, and only
+        #: submit/clear below write ``_display_subs``.
+        self._advertisement: Advertisement | None = None
+        self._subscription: SiteSubscription | None = None
         self._forwarding: dict[StreamId, list[int]] = {}
         self._receiving: set[StreamId] = set()
         self._epoch = -1
@@ -46,31 +51,46 @@ class RPAgent:
                 f"{self.site.index}"
             )
         self._display_subs[subscription.display_id] = subscription.streams
+        self._subscription = None
 
     def clear_display_subscription(self, display_id: str) -> None:
         """Drop a display's subscription (display switched off)."""
         self._display_subs.pop(display_id, None)
+        self._subscription = None
 
     def aggregate_subscription(self) -> SiteSubscription:
         """Union of the local displays' subscriptions (Sec. 3.2).
 
         "Each RP requests only those streams that are subscribed by at
-        least one of its local displays."
+        least one of its local displays."  The same object is returned
+        until a display submits or clears a subscription.
         """
-        union: set[StreamId] = set()
-        for streams in self._display_subs.values():
-            union.update(streams)
-        return SiteSubscription(
-            site=self.site.index, streams=tuple(sorted(union))
-        )
+        held = self._subscription
+        if held is None:
+            union: set[StreamId] = set()
+            for streams in self._display_subs.values():
+                union.update(streams)
+            held = self._subscription = SiteSubscription(
+                site=self.site.index,
+                streams=tuple(sorted(union, key=stream_order)),
+            )
+        return held
 
     # -- local star: cameras ---------------------------------------------------------
 
     def advertisement(self) -> Advertisement:
-        """Advertise the streams the local camera array publishes."""
-        return Advertisement(
-            site=self.site.index, streams=tuple(sorted(self.site.stream_ids))
-        )
+        """Advertise the streams the local camera array publishes.
+
+        The camera array is fixed once the session is assembled, so the
+        advertisement is built on first use and held.
+        """
+        held = self._advertisement
+        if held is None:
+            held = self._advertisement = Advertisement(
+                site=self.site.index,
+                streams=tuple(sorted(self.site.stream_ids, key=stream_order)),
+            )
+        return held
 
     # -- overlay directive -----------------------------------------------------------
 
@@ -143,6 +163,14 @@ class RPAgent:
     def epoch(self) -> int:
         """Epoch of the installed directive (-1 before the first one)."""
         return self._epoch
+
+    def forwarding_table(self) -> dict[StreamId, list[int]]:
+        """Relayed stream -> children sites (shared, read-only)."""
+        return self._forwarding
+
+    def receiving_set(self) -> set[StreamId]:
+        """Streams delivered to this site (shared, read-only)."""
+        return self._receiving
 
     def next_hops(self, stream: StreamId) -> list[int]:
         """Children sites this RP must relay ``stream`` to."""

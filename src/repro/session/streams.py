@@ -9,6 +9,7 @@ sites to the streams they publish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import SubscriptionError
@@ -44,6 +45,15 @@ class StreamId:
 
     def __str__(self) -> str:
         return f"s{self.site}^{self.index}"
+
+
+#: Sort key for stream ids: the ``(site, index)`` order ``StreamId.__lt__``
+#: defines, compared as a C-level int tuple instead of through the
+#: dataclass's python-level method.
+stream_order = attrgetter("site", "index")
+#: The same order for whatever names its id as ``.stream`` (multicast
+#: groups, subscription requests).
+by_stream = attrgetter("stream.site", "stream.index")
 
 
 @dataclass(frozen=True)

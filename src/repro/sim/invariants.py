@@ -21,27 +21,53 @@ principles:
   than ``B_cost``;
 * **pub-sub ↔ forest consistency** — the directive repeats the forest
   edge-for-edge, every RP's forwarding table and receiving set match the
-  directive, streams are delivered only to sites that requested them,
-  and every satisfied request is actually receivable at its subscriber.
+  directive (no dictated entry missing, no undictated one left), streams
+  are delivered only to sites that requested them, and every satisfied
+  request is actually receivable at its subscriber.
 
 Every audited event appends a canonical line (event label, forest
 fingerprint, violation count) to an internal log; the SHA-256 over that
 log is the :attr:`AuditReport.digest`, so two runs of the same scenario
 and seed can be compared bit-for-bit.
+
+**Cost.**  Every invariant is decided from the audited round's own data,
+every round; what is avoided is deciding it wastefully.  The forest is
+walked once, in ``(site, index)`` stream order: each tree yields its
+``(parent, child)``-sorted edge segment, and the segments joined *are*
+``sorted(forest.edges())`` — one list that feeds the degree recount, the
+directive comparison and the fingerprint.  Each check first tries a
+cheap route that *proves* "no violation" (list equality of sorted edges,
+the six per-node degree conditions at once, ``cost < bound`` read from
+the tree's cost map); only when the proof fails does the naming code run
+and build its sets, so the reported violations are the same either way.
+Examining a tree (the soundness proof, the sort, the fingerprint text)
+is the one part that is remembered: per stream the auditor keeps what
+the examination produced *together with its own copies of the tree's
+parent and children maps*, and reuses it only while the live tree's maps
+still compare equal to those copies.  Nothing is taken on trust — not
+tree identity, not the repairer's report of what it rewrote, not which
+result was audited before — so a tree mutated behind the auditor's back
+is re-examined like any other, results may be audited in any order, and
+a fresh ``InvariantAuditor()`` is the memo-free audit.  The memo holds
+records only for sound trees of the forest audited last: at most one
+forest's maps.  What stays O(edges) a round is honest work: comparing
+every tree's maps, the degree recount, and rebuilding each site's
+dictated forwarding/receiving view from the directive.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from repro.core.base import BuildResult
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.errors import SimulationError
+from repro.session.streams import StreamId, stream_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pubsub.messages import OverlayDirective
+    from repro.pubsub.messages import Edge, OverlayDirective
     from repro.pubsub.rp import RPAgent
 
 
@@ -89,6 +115,66 @@ class AuditReport:
         return "\n".join(lines)
 
 
+class _TreeRecord(NamedTuple):
+    """What examining one sound tree produced, and the content it came from.
+
+    ``source`` / ``parent`` / ``children`` are the auditor's own copies of
+    what it read; ``edges`` is the tree's ``(stream, parent, child)``
+    segment of ``sorted(forest.edges())`` and ``text`` that segment's
+    share of the fingerprint.
+    """
+
+    source: int
+    parent: dict[int, int]
+    children: dict[int, list[int]]
+    edges: list[Edge]
+    text: str
+
+    @classmethod
+    def of(cls, stream: StreamId, tree: MulticastTree) -> "_TreeRecord":
+        """Sort and print one tree's edges; copy the maps they came from."""
+        parent = tree.parent_map()
+        pairs = sorted(zip(parent.values(), parent))
+        name = str(stream)
+        return cls(
+            source=tree.source,
+            parent=dict(parent),
+            children={
+                node: list(kids) for node, kids in tree.children_map().items()
+            },
+            edges=[(stream, node, child) for node, child in pairs],
+            text=",".join(f"{name}:{node}>{child}" for node, child in pairs),
+        )
+
+
+def _provably_sound(
+    source: int, parent: dict[int, int], children: dict[int, list[int]]
+) -> bool:
+    """True when the two maps provably describe one tree rooted at ``source``.
+
+    Both adjacency views carry the same edges (parent ⊆ children and
+    children ⊆ parent, edge by edge) and every member reaches the source
+    through members — within ``len(children)`` steps, which no walk that
+    revisits a node can do.
+    """
+    for child, node in parent.items():
+        kids = children.get(node)
+        if kids is None or child not in kids:
+            return False
+    limit = len(children)
+    for node, kids in children.items():
+        for kid in kids:
+            if parent.get(kid) != node:
+                return False
+        steps = 0
+        while node != source:
+            node = parent.get(node)
+            if node is None or node not in children or steps == limit:
+                return False
+            steps += 1
+    return True
+
+
 class InvariantAuditor:
     """Re-derives control-plane invariants after every audited event.
 
@@ -105,6 +191,10 @@ class InvariantAuditor:
         self.checks_run = 0
         self.violations: list[Violation] = []
         self._log = hashlib.sha256()
+        #: Per stream of the forest audited last, the record of its tree
+        #: if that tree was sound.  A record is reused only while the
+        #: live tree's maps still equal the copies the record holds.
+        self._memo: dict[tuple[int, int], _TreeRecord] = {}
 
     # -- audit entry points -------------------------------------------------------
 
@@ -112,12 +202,8 @@ class InvariantAuditor:
         self, result: BuildResult, event: str = "build", time_ms: float = 0.0
     ) -> list[Violation]:
         """Audit one build result (forest + state, no pub-sub layer)."""
-        found: list[Violation] = []
-        found.extend(self._check_forest_structure(result.forest))
-        found.extend(self._check_degrees(result))
-        found.extend(self._check_latency(result))
-        found.extend(self._check_accounting(result))
-        self._commit(event, time_ms, result.forest, found)
+        found, _, fingerprint = self._check_build(result)
+        self._commit(event, time_ms, result.forest, fingerprint, found)
         return found
 
     def audit_round(
@@ -130,13 +216,11 @@ class InvariantAuditor:
         time_ms: float = 0.0,
     ) -> list[Violation]:
         """Audit one full control round: build plus directive installation."""
-        found: list[Violation] = []
-        found.extend(self._check_forest_structure(result.forest))
-        found.extend(self._check_degrees(result))
-        found.extend(self._check_latency(result))
-        found.extend(self._check_accounting(result))
-        found.extend(self._check_membership(result, directive, rps, set(active)))
-        self._commit(event, time_ms, result.forest, found)
+        found, edges, fingerprint = self._check_build(result)
+        found.extend(
+            self._check_membership(result, directive, rps, set(active), edges)
+        )
+        self._commit(event, time_ms, result.forest, fingerprint, found)
         return found
 
     def report(self) -> AuditReport:
@@ -150,15 +234,67 @@ class InvariantAuditor:
 
     # -- individual invariants -----------------------------------------------------
 
-    def _check_forest_structure(self, forest: OverlayForest) -> list[Violation]:
-        """Acyclicity, reachability and parent/child symmetry per tree."""
+    def _check_build(
+        self, result: BuildResult
+    ) -> tuple[list[Violation], list[Edge], str]:
+        """Everything a build alone decides, plus the forest's sorted
+        edges and their fingerprint (the one pass over the trees yields
+        both)."""
+        found, edges, fingerprint = self._check_forest_structure(result.forest)
+        found.extend(self._check_degrees(result, edges))
+        found.extend(self._check_latency(result))
+        found.extend(self._check_accounting(result))
+        return found, edges, fingerprint
+
+    def _check_forest_structure(
+        self, forest: OverlayForest
+    ) -> tuple[list[Violation], list[Edge], str]:
+        """Acyclicity, reachability and parent/child symmetry per tree.
+
+        The one pass over the forest: trees are visited in ``(site,
+        index)`` stream order and each contributes its ``(parent,
+        child)``-sorted edge segment, so the segments joined are
+        ``sorted(forest.edges())``.  A tree whose maps still equal the
+        copies its record holds is not examined again; any other tree
+        is, and only a sound tree's record is kept — a violation is
+        re-derived every time it is reported.
+        """
         found: list[Violation] = []
-        for stream, tree in forest.trees.items():
-            self.checks_run += 1
-            found.extend(self._check_tree(stream, tree))
-        return found
+        edges: list[Edge] = []
+        texts: list[str] = []
+        trees = forest.trees
+        memo = self._memo
+        kept: dict[tuple[int, int], _TreeRecord] = {}
+        self.checks_run += len(trees)
+        # The (site, index) pair orders the streams and keys the memo: int
+        # tuples sort and hash at C level, a StreamId does neither.
+        for key, (stream, tree) in sorted(
+            zip(map(stream_order, trees), trees.items())
+        ):
+            record = memo.get(key)
+            if (
+                record is not None
+                and record.source == tree.source
+                and record.parent == tree.parent_map()
+                and record.children == tree.children_map()
+            ):
+                kept[key] = record
+            else:
+                violations = self._check_tree(stream, tree)
+                record = _TreeRecord.of(stream, tree)
+                if violations:
+                    found.extend(violations)
+                else:
+                    kept[key] = record
+            edges.extend(record.edges)
+            if record.text:
+                texts.append(record.text)
+        self._memo = kept
+        return found, edges, ",".join(texts)
 
     def _check_tree(self, stream, tree: MulticastTree) -> list[Violation]:
+        if _provably_sound(tree.source, tree.parent_map(), tree.children_map()):
+            return []
         found: list[Violation] = []
         members = set(tree.members())
         # Parent/child symmetry: both adjacency views carry the same edges.
@@ -206,26 +342,42 @@ class InvariantAuditor:
                 current = parent
         return found
 
-    def _check_degrees(self, result: BuildResult) -> list[Violation]:
+    def _check_degrees(
+        self, result: BuildResult, edges: list[Edge]
+    ) -> list[Violation]:
         """Per-RP capacity bounds and ledger/forest agreement."""
         found: list[Violation] = []
         problem, state, forest = result.problem, result.state, result.forest
-        din = {i: 0 for i in range(problem.n_nodes)}
-        dout = {i: 0 for i in range(problem.n_nodes)}
-        for _, parent, child in forest.edges():
+        nodes = range(problem.n_nodes)
+        din = dict.fromkeys(nodes, 0)
+        dout = dict.fromkeys(nodes, 0)
+        for _, parent, child in edges:
             dout[parent] += 1
             din[child] += 1
         # Reservation accounting: m̂_i must equal the number of opened
         # groups sourced at i whose streams are not yet disseminated.
-        expected_m_hat = {i: 0 for i in range(problem.n_nodes)}
+        expected_m_hat = dict.fromkeys(nodes, 0)
         if state.reservations:
+            trees, opened = forest.trees, state.opened()
             for group in problem.groups:
-                tree = forest.trees.get(group.stream)
-                disseminated = tree is not None and tree.disseminated
-                if state.is_open(group.stream) and not disseminated:
-                    expected_m_hat[group.source] += 1
-        for node in range(problem.n_nodes):
-            self.checks_run += 1
+                stream = group.stream
+                tree = trees.get(stream)
+                if (tree is None or not tree.disseminated) and stream in opened:
+                    expected_m_hat[stream.site] += 1
+        in_limits, out_limits = problem.inbound_limits(), problem.outbound_limits()
+        ledger_in, ledger_out = state.din, state.dout
+        m_hat, m = state.m_hat, state.m
+        self.checks_run += len(nodes)
+        for node in nodes:
+            if (
+                din[node] <= in_limits[node]
+                and dout[node] <= out_limits[node]
+                and din[node] == ledger_in[node]
+                and dout[node] == ledger_out[node]
+                and 0 <= m_hat[node] <= m[node]
+                and m_hat[node] == expected_m_hat[node]
+            ):
+                continue
             if din[node] > problem.inbound_limit(node):
                 found.append(
                     Violation(
@@ -274,9 +426,14 @@ class InvariantAuditor:
         """Path cost < B_cost for every satisfied subscriber."""
         found: list[Violation] = []
         bound = result.problem.latency_bound_ms
+        trees = result.forest.trees
+        self.checks_run += len(result.satisfied)
         for request in result.satisfied:
-            self.checks_run += 1
-            tree = result.forest.trees.get(request.stream)
+            tree = trees.get(request.stream)
+            if tree is not None and request.subscriber in tree.children_map():
+                cost = tree.path_costs().get(request.subscriber)
+                if cost is not None and cost < bound:
+                    continue
             if tree is None or request.subscriber not in tree:
                 found.append(
                     Violation(
@@ -307,6 +464,8 @@ class InvariantAuditor:
                     f"{result.total_requests} resolved, {expected} in problem",
                 )
             )
+        if not result.rejected:
+            return found  # nothing a satisfied request could also be
         satisfied = set(result.satisfied)
         rejected = {request for request, _ in result.rejected}
         for request in satisfied & rejected:
@@ -324,35 +483,53 @@ class InvariantAuditor:
         directive: "OverlayDirective",
         rps: Mapping[int, "RPAgent"],
         active: set[int],
+        edges: list[Edge],
     ) -> list[Violation]:
-        """Pub-sub membership ↔ forest consistency."""
+        """Pub-sub membership ↔ forest consistency.
+
+        ``edges`` is ``sorted(forest.edges())`` from the structure pass.
+        """
         found: list[Violation] = []
-        forest_edges = set(result.forest.edges())
-        directive_edges = set(directive.edges)
         self.checks_run += 1
-        for edge in forest_edges - directive_edges:
-            found.append(
-                Violation("directive-fidelity", f"forest edge {edge} not dictated")
-            )
-        for edge in directive_edges - forest_edges:
-            found.append(
-                Violation("directive-fidelity", f"phantom directive edge {edge}")
-            )
-        # Delivery only to requesters: each receiving site asked for the stream.
-        requested = {
-            (member, group.stream)
-            for group in result.problem.groups
-            for member in group.subscribers
-        }
-        for stream, _, child in directive_edges:
-            self.checks_run += 1
-            if (child, stream) not in requested:
+        if list(directive.edges) == edges:
+            directive_edges: Collection[Edge] = edges
+        else:
+            # Not the same sorted list: name what differs, if anything does.
+            forest_edges = set(edges)
+            directive_edges = set(directive.edges)
+            for edge in forest_edges - directive_edges:
                 found.append(
                     Violation(
-                        "membership",
-                        f"site {child} receives unrequested stream {stream}",
+                        "directive-fidelity", f"forest edge {edge} not dictated"
                     )
                 )
+            for edge in directive_edges - forest_edges:
+                found.append(
+                    Violation("directive-fidelity", f"phantom directive edge {edge}")
+                )
+        # Delivery only to requesters: each receiving site asked for the stream.
+        self.checks_run += len(directive_edges)
+        subscribers = {
+            group.stream: group.subscribers for group in result.problem.groups
+        }
+        nobody: frozenset[int] = frozenset()
+        if not all(
+            child in subscribers.get(stream, nobody)
+            for stream, _, child in directive_edges
+        ):
+            requested = {
+                (member, group.stream)
+                for group in result.problem.groups
+                for member in group.subscribers
+            }
+            for stream, _, child in set(directive.edges):
+                if (child, stream) not in requested:
+                    found.append(
+                        Violation(
+                            "membership",
+                            f"site {child} receives unrequested stream {stream}",
+                        )
+                    )
         # What the directive has each site forward and receive, from one
         # pass over its edges.  Local to this audit on purpose: directives
         # are retained for the whole run, an index kept on them is not free.
@@ -377,26 +554,38 @@ class InvariantAuditor:
                         f"{directive.epoch}",
                     )
                 )
-            for stream, children in forwarding.get(site, {}).items():
-                if sorted(rp.next_hops(stream)) != sorted(children):
-                    found.append(
-                        Violation(
-                            "forwarding-table",
-                            f"site {site} forwards {stream} to "
-                            f"{rp.next_hops(stream)}, directive says {children}",
+            dictated = forwarding.get(site, {})
+            table = rp.forwarding_table()
+            if table != dictated:
+                for stream, children in dictated.items():
+                    if sorted(rp.next_hops(stream)) != sorted(children):
+                        found.append(
+                            Violation(
+                                "forwarding-table",
+                                f"site {site} forwards {stream} to "
+                                f"{rp.next_hops(stream)}, directive says {children}",
+                            )
                         )
-                    )
-            if rp.received_streams() != receiving.get(site, set()):
+                for stream in table:
+                    if stream not in dictated:
+                        found.append(
+                            Violation(
+                                "forwarding-table",
+                                f"site {site} forwards undictated stream "
+                                f"{stream} to {rp.next_hops(stream)}",
+                            )
+                        )
+            if rp.receiving_set() != receiving.get(site, set()):
                 found.append(
                     Violation(
                         "forwarding-table",
                         f"site {site} receiving set diverges from directive",
                     )
                 )
+        self.checks_run += len(result.satisfied)
         for request in result.satisfied:
-            self.checks_run += 1
             rp = rps.get(request.subscriber)
-            if rp is not None and not rp.is_receiving(request.stream):
+            if rp is not None and request.stream not in rp.receiving_set():
                 found.append(
                     Violation(
                         "membership",
@@ -412,6 +601,7 @@ class InvariantAuditor:
         event: str,
         time_ms: float,
         forest: OverlayForest,
+        fingerprint: str,
         found: list[Violation],
     ) -> None:
         """Stamp the audited event into the report and the digest log."""
@@ -421,10 +611,6 @@ class InvariantAuditor:
             for v in found
         ]
         self.violations.extend(stamped)
-        fingerprint = ",".join(
-            f"{stream}:{parent}>{child}"
-            for stream, parent, child in sorted(forest.edges())
-        )
         line = (
             f"{time_ms:.3f}|{event}|{fingerprint}|"
             f"sat={len(forest.satisfied)}|rej={len(forest.rejected)}|"

@@ -99,3 +99,19 @@ def complete_cost(n: int, off_diagonal: float = 1.0) -> dict[int, dict[int, floa
         i: {j: (0.0 if i == j else off_diagonal) for j in range(n)}
         for i in range(n)
     }
+
+
+def audit_log_line(forest, event: str, time_ms: float, violations: int) -> bytes:
+    """The line one audited event adds to the auditor's digest log.
+
+    Written out from the forest's own edge iterator, so it is both the
+    pin on the log's bytes and what a memo-free audit must have logged.
+    """
+    fingerprint = ",".join(
+        f"{stream}:{parent}>{child}"
+        for stream, parent, child in sorted(forest.edges())
+    )
+    return (
+        f"{time_ms:.3f}|{event}|{fingerprint}|sat={len(forest.satisfied)}|"
+        f"rej={len(forest.rejected)}|viol={violations}\n"
+    ).encode("utf-8")

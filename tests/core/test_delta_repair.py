@@ -456,6 +456,10 @@ def test_delta_repair_equals_replay_on_random_churn(scenario, seed, co_rj):
     builder = CorrelatedRandomJoinBuilder() if co_rj else RandomJoinBuilder()
     previous = builder.build(problem, RngStream(seed))
     repairer = IncrementalRepairer(use_swap=co_rj)
+    # One auditor follows the whole chain, so from the second forest on
+    # it answers for the shared trees from what it remembers.
+    auditor = InvariantAuditor()
+    assert_segments_are_the_sorted_edges(auditor, previous.forest)
     for rerolled, drawn, tighten in rounds:
         groups = {g.stream: g.subscribers for g in previous.problem.groups}
         for stream in rerolled:
@@ -474,6 +478,18 @@ def test_delta_repair_equals_replay_on_random_churn(scenario, seed, co_rj):
                 after.set_outbound_limit(a, max(0, after.outbound_limit(a) - 1))
         report = repair_checked_against_replay(repairer, previous, after)
         previous = report.result
+        assert_segments_are_the_sorted_edges(auditor, previous.forest)
+
+
+def assert_segments_are_the_sorted_edges(auditor, forest):
+    """The auditor's per-tree segments, joined, are ``sorted(forest.edges())``."""
+    violations, edges, text = auditor._check_forest_structure(forest)
+    assert violations == []
+    assert edges == sorted(forest.edges())
+    assert text == ",".join(f"{s}:{p}>{c}" for s, p, c in sorted(forest.edges()))
+    assert (violations, edges, text) == InvariantAuditor()._check_forest_structure(
+        forest
+    )
 
 
 def test_previous_snapshot_survives_a_chain_of_repairs():

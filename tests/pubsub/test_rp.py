@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProtocolError
-from repro.pubsub.messages import DisplaySubscription, OverlayDirective
+from repro.pubsub.messages import (
+    DisplaySubscription,
+    OverlayDirective,
+    SiteSubscription,
+)
 from repro.pubsub.rp import RPAgent
 from repro.session.streams import StreamId
 
@@ -59,12 +63,64 @@ class TestDisplayAggregation:
             )
 
 
+class TestHeldSubscription:
+    """The aggregate is rebuilt only after a display wrote to the agent."""
+
+    def union(self, agent):
+        """The aggregate from scratch, straight off the display table."""
+        streams = {s for held in agent._display_subs.values() for s in held}
+        return SiteSubscription(site=0, streams=tuple(sorted(streams)))
+
+    def test_follows_every_submit_and_clear(self, agent):
+        steps = [
+            lambda: agent.submit_display_subscription(
+                sub("disp-0-0", [StreamId(2, 1), StreamId(1, 0)])
+            ),
+            lambda: agent.submit_display_subscription(
+                sub("disp-0-1", [StreamId(1, 0), StreamId(3, 2)])
+            ),
+            lambda: agent.submit_display_subscription(
+                sub("disp-0-0", [StreamId(1, 5)])
+            ),
+            lambda: agent.clear_display_subscription("disp-0-1"),
+            lambda: agent.clear_display_subscription("disp-0-1"),
+            lambda: agent.clear_display_subscription("disp-0-0"),
+        ]
+        assert agent.aggregate_subscription() == self.union(agent)
+        for step in steps:
+            step()
+            assert agent.aggregate_subscription() == self.union(agent)
+        assert agent.aggregate_subscription().streams == ()
+
+    def test_same_object_while_nothing_changed(self, agent):
+        agent.submit_display_subscription(sub("disp-0-0", [StreamId(1, 0)]))
+        held = agent.aggregate_subscription()
+        assert agent.aggregate_subscription() is held
+        agent.submit_display_subscription(sub("disp-0-0", [StreamId(1, 0)]))
+        again = agent.aggregate_subscription()
+        assert again == held and again is not held
+
+    def test_rejected_submission_keeps_the_held_one(self, agent):
+        agent.submit_display_subscription(sub("disp-0-0", [StreamId(1, 0)]))
+        held = agent.aggregate_subscription()
+        with pytest.raises(ProtocolError):
+            agent.submit_display_subscription(sub("ghost", [StreamId(2, 0)]))
+        assert agent.aggregate_subscription() is held
+
+
 class TestAdvertisement:
     def test_advertises_local_streams(self, agent, small_session):
         advertisement = agent.advertisement()
         assert advertisement.site == 0
         assert set(advertisement.streams) == set(
             small_session.site(0).stream_ids
+        )
+
+    def test_built_once_in_stream_order(self, agent, small_session):
+        advertisement = agent.advertisement()
+        assert agent.advertisement() is advertisement
+        assert advertisement.streams == tuple(
+            sorted(small_session.site(0).stream_ids)
         )
 
 

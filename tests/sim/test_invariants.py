@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.randomized import RandomJoinBuilder
@@ -10,6 +12,7 @@ from repro.pubsub.system import PubSubSystem
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor, Violation
 from repro.util.rng import RngStream
+from tests.conftest import audit_log_line
 
 
 @pytest.fixture
@@ -243,3 +246,238 @@ class TestAuditRound:
             active=range(small_session.n_sites),
         )
         assert "membership" in invariants_of(found)
+
+
+def first_remote_streams(session, site, count=3, skip=0):
+    return sorted(
+        stream_id
+        for other in session.sites
+        if other.index != site.index
+        for stream_id in other.stream_ids
+    )[skip:skip + count]
+
+
+@pytest.fixture
+def delta_rounds(small_session):
+    """An incremental system after one full round; ``next_round()`` moves
+    site 0's first display to other streams and runs a delta round."""
+    rng = RngStream(99, label="round")
+    system = PubSubSystem(
+        session=small_session,
+        builder=RandomJoinBuilder(),
+        latency_bound_ms=200.0,
+        rebuild_policy="incremental",
+    )
+    for site in small_session.sites:
+        system.subscribe_display(
+            site.index,
+            site.displays[0].display_id,
+            first_remote_streams(small_session, site),
+        )
+    first = system.run_control_round(rng.spawn("first"))
+    assert not first.is_delta
+
+    def next_round():
+        site = small_session.site(0)
+        system.subscribe_display(
+            0,
+            site.displays[0].display_id,
+            first_remote_streams(small_session, site, skip=2),
+        )
+        directive = system.run_control_round(rng.spawn("second"))
+        assert directive.is_delta and (directive.added or directive.removed)
+        return directive
+
+    return system, first, next_round
+
+
+def audit(auditor, system, directive, session, **stamp):
+    return auditor.audit_round(
+        system.last_result,
+        directive,
+        system.rps,
+        active=range(session.n_sites),
+        **stamp,
+    )
+
+
+STRAY = StreamId(0, 999)
+
+
+class TestUndictatedForwarding:
+    """A table entry for a stream the directive never gave the site."""
+
+    def expected(self, site):
+        return [
+            Violation(
+                "forwarding-table",
+                f"site {site} forwards undictated stream {STRAY} to [1]",
+            )
+        ]
+
+    def test_flagged_after_a_full_install(self, round_state, small_session):
+        system, directive = round_state
+        system.rps[0]._forwarding[STRAY] = [1]
+        found = audit(InvariantAuditor(), system, directive, small_session)
+        assert found == self.expected(0)
+
+    def test_empty_stray_entry_is_flagged_too(self, round_state, small_session):
+        system, directive = round_state
+        system.rps[2]._forwarding[STRAY] = []
+        found = audit(InvariantAuditor(), system, directive, small_session)
+        assert [v.detail for v in found] == [
+            f"site 2 forwards undictated stream {STRAY} to []"
+        ]
+
+    def test_a_full_install_replaces_the_table(self, delta_rounds, small_session):
+        system, first, _ = delta_rounds
+        system.rps[0]._forwarding[STRAY] = [1]
+        system.rps[0].apply_directive(first, supersede=True)
+        assert audit(InvariantAuditor(), system, first, small_session) == []
+
+    def test_clean_delta_round(self, delta_rounds, small_session):
+        system, _, next_round = delta_rounds
+        directive = next_round()
+        assert audit(InvariantAuditor(), system, directive, small_session) == []
+
+    def test_flagged_when_a_delta_install_leaves_it(
+        self, delta_rounds, small_session
+    ):
+        system, _, next_round = delta_rounds
+        system.rps[1]._forwarding[STRAY] = [1]
+        directive = next_round()
+        found = audit(InvariantAuditor(), system, directive, small_session)
+        assert found == self.expected(1)
+
+
+def poke_cycle(result, system):
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    member = next(n for n in tree.members() if n != tree.source)
+    tree._parent[member] = member
+    return "acyclicity"
+
+
+def poke_symmetry(result, system):
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    member = next(n for n in tree.members() if n != tree.source)
+    tree._children[tree._parent[member]].remove(member)
+    return "parent-child-symmetry"
+
+
+def poke_children_only_edge(result, system):
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    tree._children[tree.source].append(tree.source)
+    return "parent-child-symmetry"
+
+
+def poke_forwarding(result, system):
+    rp = next(rp for rp in system.rps.values() if rp._forwarding)
+    stream = next(iter(rp._forwarding))
+    rp._forwarding[stream] += [0]
+    return "forwarding-table"
+
+
+def poke_receiving(result, system):
+    rp = next(rp for rp in system.rps.values() if rp._receiving)
+    rp._receiving = set()
+    return "forwarding-table"
+
+
+class TestTamperAfterACleanAudit:
+    """The auditor that has seen the clean state is the one asked again.
+
+    What it remembers is verified against the live content, so a write
+    behind its back — the way a later round would corrupt a tree it
+    shares with this one — is caught like on a first look.
+    """
+
+    @pytest.mark.parametrize(
+        "poke",
+        [
+            poke_cycle,
+            poke_symmetry,
+            poke_children_only_edge,
+            poke_forwarding,
+            poke_receiving,
+        ],
+    )
+    def test_caught_by_the_same_instance(self, round_state, small_session, poke):
+        system, directive = round_state
+        auditor = InvariantAuditor()
+        assert audit(auditor, system, directive, small_session) == []
+        assert audit(auditor, system, directive, small_session) == []
+        invariant = poke(system.last_result, system)
+        found = audit(auditor, system, directive, small_session)
+        assert invariant in invariants_of(found)
+        # Still there on the next look, and what a first look reports.
+        assert audit(auditor, system, directive, small_session) == found
+        assert audit(InvariantAuditor(), system, directive, small_session) == found
+
+    def test_build_audit_too(self, clean_result):
+        auditor = InvariantAuditor()
+        assert auditor.audit_build(clean_result) == []
+        assert poke_cycle(clean_result, None) == "acyclicity"
+        assert "acyclicity" in invariants_of(auditor.audit_build(clean_result))
+
+    def test_a_repaired_tree_audits_clean_again(self, clean_result):
+        tree = next(
+            t for t in clean_result.forest.trees.values() if len(t) >= 2
+        )
+        member = next(n for n in tree.members() if n != tree.source)
+        parent = tree._parent[member]
+        auditor = InvariantAuditor()
+        tree._parent[member] = member
+        assert auditor.audit_build(clean_result) != []
+        tree._parent[member] = parent
+        assert auditor.audit_build(clean_result) == []
+
+    def test_memo_holds_the_last_forest_only(self, delta_rounds, small_session):
+        system, first, next_round = delta_rounds
+        auditor = InvariantAuditor()
+        audit(auditor, system, first, small_session)
+        before = set(system.last_result.forest.trees)
+        directive = next_round()
+        audit(auditor, system, directive, small_session)
+        after = set(system.last_result.forest.trees)
+        assert before - after, "the round dropped no tree"
+        assert {StreamId(*key) for key in auditor._memo} == after
+
+
+class TestOutOfOrder:
+    def test_later_round_first_logs_what_fresh_auditors_log(
+        self, delta_rounds, small_session
+    ):
+        """The async service audits an epoch when its last delivery lands,
+        so a later round's result can come first."""
+        system, first, next_round = delta_rounds
+        earlier = system.last_result
+        second = next_round()
+        later = system.last_result
+        assert any(
+            later.forest.trees.get(stream) is tree
+            for stream, tree in earlier.forest.trees.items()
+        ), "the repair shared no tree"
+        sites = range(small_session.n_sites)
+        rounds = [
+            (later, second, "epoch-2", 20.0),
+            (earlier, first, "epoch-1", 20.0),  # RPs moved on: violations
+        ]
+        one = InvariantAuditor()
+        log = hashlib.sha256()
+        checks = 0
+        for result, directive, event, time_ms in rounds:
+            fresh = InvariantAuditor()
+            expected = fresh.audit_round(
+                result, directive, system.rps, sites, event=event, time_ms=time_ms
+            )
+            found = one.audit_round(
+                result, directive, system.rps, sites, event=event, time_ms=time_ms
+            )
+            assert found == expected
+            line = audit_log_line(result.forest, event, time_ms, len(expected))
+            assert fresh.report().digest == hashlib.sha256(line).hexdigest()
+            log.update(line)
+            checks += fresh.checks_run
+        assert "directive-fidelity" in invariants_of(expected)
+        assert one.report().digest == log.hexdigest()
+        assert one.report().checks_run == checks
