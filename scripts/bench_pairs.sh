@@ -2,7 +2,7 @@
 # Show a performance claim the way benchmarks/e2e/README.md asks: pairs of
 # parent and change, alternating which side runs first.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> <metric>|all [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> <workload>|all <metric>|all [pairs=10]
 #
 # The parent is exported (`git archive`) into a temporary directory
 # (removed on exit; TMPDIR picks where); the change is this working tree.
@@ -16,7 +16,11 @@
 #
 # With `all` in place of a metric, all five end-to-end metrics are read
 # from the same child runs and reported one block each: the claimed row
-# and the four "not worse" rows of a workload from one session.
+# and the four "not worse" rows of a workload from one session.  With
+# `all` in place of the workload, every run measures all four workloads
+# (run.py interleaves their passes) and each gets its own blocks: `all
+# all` is the claimed row and the nineteen "not worse" rows from one
+# alternating session, so box drift between sessions stays out of them.
 #
 # SEED (default 7) seeds both sides of every pair; repeat with SEED=23,
 # the held-out seed.  A per-layer metric is read from the traced pass.
@@ -24,7 +28,7 @@
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 PARENT_REF="$1"
@@ -68,10 +72,12 @@ raise SystemExit(f"bench_pairs.sh: BENCHMARK.json declares no metric {wanted!r}"
 EOF
 python3 "$WORK/metrics.py" "$METRIC" >"$WORK/metrics.txt"
 TRACE="$(head -n 1 "$WORK/metrics.txt")"
+# run.py measures every workload when none is named.
+if [[ "$WORKLOAD" == all ]]; then SELECT=""; else SELECT="--workload $WORKLOAD"; fi
 
 measure() {  # measure <side> <checkout>  ->  one "side <result object>" line
     printf '%s ' "$1" >>"$RUNS"
-    (cd "$2" && python3 benchmarks/e2e/run.py --workload "$WORKLOAD" \
+    (cd "$2" && python3 benchmarks/e2e/run.py $SELECT \
         --seed "$SEED" --trace "$TRACE") | tail -n 1 >>"$RUNS"
 }
 
@@ -86,10 +92,16 @@ for ((pair = 1; pair <= PAIRS; pair++)); do
 done
 
 python3 - "$WORK/metrics.txt" "$RUNS" "$WORKLOAD" "$SEED" <<'EOF'
-import json, statistics, sys
+import itertools, json, statistics, sys
 
 metrics = [line.split() for line in open(sys.argv[1]).read().splitlines()[1:]]
 workload, seed = sys.argv[3:5]
+# Several workloads in one run: run.py prefixes each metric with its workload.
+workloads = (
+    [entry["name"] for entry in json.load(open("BENCHMARK.json"))["workloads"]]
+    if workload == "all"
+    else [workload]
+)
 runs = {"parent": [], "change": []}
 for line in open(sys.argv[2]):
     side, _, text = line.partition(" ")
@@ -108,10 +120,11 @@ def describe(name, values):
     return q1, median, q3
 
 
-for name, better, bound in metrics:
+for workload, (name, better, bound) in itertools.product(workloads, metrics):
+    key = f"{workload}.{name}" if len(workloads) > 1 else name
     lower = better == "lower"
-    parent = [run[name]["value"] for run in runs["parent"]]
-    change = [run[name]["value"] for run in runs["change"]]
+    parent = [run[key]["value"] for run in runs["parent"]]
+    change = [run[key]["value"] for run in runs["change"]]
     pairs = list(zip(parent, change))
     print(f"\n== {workload} {name} (better: {better}), seed {seed}, {len(pairs)} pairs ==")
     for number, (p, c) in enumerate(pairs, start=1):

@@ -7,14 +7,14 @@ The overlay hot paths operate on two very different shapes of data:
   times faster than ``ndarray.__getitem__`` for these, so the
   authoritative storage for degree tables, limit tables and dense cost
   rows stays plain Python lists on *every* backend.
-* **bulk kernels** — large-tree parent scans and per-tree data-plane
-  arithmetic.  These are where numpy pays, and they are the only places
-  the numpy backend diverges from the reference implementation.
+* **bulk kernels** — large-tree parent scans and the forest-level
+  data-plane kernel.  These are where numpy pays, and they are the only
+  places the numpy backend diverges from the reference implementation.
 
 Both backends are pinned bit-identical: every numpy kernel is either
 elementwise float64 arithmetic (IEEE-identical to the scalar loop), a
 ``cumsum``-based left-to-right sum (numpy's pairwise ``np.sum`` is
-*not* used anywhere), or an ``argmax``/``argmin`` first-occurrence
+*not* used on floats anywhere), or an ``argmax``/``argmin`` first-occurrence
 selection that matches the strict-inequality scalar loops.  The
 equivalence suites in ``tests/core/test_backend.py`` and the scenario
 digest matrix enforce this.
@@ -23,14 +23,17 @@ The backend is not configuration.  :func:`resolve_backend` selects it
 from what the install offers — numpy when importable, the pure-python
 reference otherwise — and each dense cost matrix binds the selection
 once at construction; sessions and problems read it off their matrix.
-Within the numpy backend the size-derived gates (``vector_scan_min``,
-``plane_vector_min``) decide per call whether a kernel pays.  The python
-backend is also the test oracle: the equivalence suites pin it through
-``tests/reference_paths.py::use_array_backend``.
+Within the numpy backend the size-derived gate ``vector_scan_min``
+decides per scan whether the vector kernel pays (the data-plane kernel
+wins at every frame count and has none).  The python backend is also the
+test oracle, pinned through ``tests/reference_paths.py::use_array_backend``.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -103,85 +106,95 @@ class ArrayBackend:
 
         return scan_parent_scalar(problem, state, tree, subscriber, policy)
 
-    # -- data-plane kernels ------------------------------------------------------
-
-    #: Minimum frame-vector length before the data-plane kernels pay off
-    #: as ndarrays: below it, per-op dispatch overhead makes numpy ~2x
-    #: slower than the list comprehensions (measured crossover ~64).
-    plane_vector_min: float = float("inf")
-
-    def plane_kernels(self, n_frames: int) -> "ArrayBackend":
-        """The backend to run one tree's frame arithmetic on.
-
-        Both backends produce bit-identical reports, so this is purely a
-        cost decision: short frame vectors (the default 1 s sweep run is
-        16 frames) stay on the list kernels even under numpy.
-        """
-        if n_frames < self.plane_vector_min:
-            return _python_backend
-        return self
-
-    def as_vector(self, values: list[float]):
-        """Adopt a list of floats as this backend's vector type."""
-        return values
-
-    def shift(self, values, delta: float):
-        """Elementwise ``values + delta``."""
-        return [v + delta for v in values]
-
-    def deltas(self, a, b):
-        """Elementwise ``a - b``."""
-        return [x - y for x, y in zip(a, b)]
-
-    def seq_sum(self, values) -> float:
-        """Left-to-right float sum (the event-plane accumulation order)."""
-        return float(sum(values))
-
-    def vec_max(self, values) -> float:
-        """Maximum of a non-empty vector."""
-        return float(max(values))
-
-    # -- sampled-plane kernels ---------------------------------------------------
+    # -- data-plane kernel -------------------------------------------------------
     #
-    # The sampled noisy plane draws per-hop jitter/loss from an
-    # RngStream (never backend-native RNG, so both backends see the
-    # exact same draws) and hands the post-processing to these kernels.
-    # Like the data-plane kernels above, every numpy override is
-    # elementwise float64 arithmetic or an order-preserving selection —
-    # bit-identical to the scalar loops.
+    # Three calls carry an analytic data-plane run (``sim/dataplane.py``).
+    # The list forms here work a row at a time and define the semantics;
+    # each numpy override does the same IEEE-754 operation per element.
 
-    def survivors(self, draws, threshold: float):
-        """Per-draw survival mask: ``draw >= threshold``.
+    def unit_floats(self, words: bytes):
+        """``random()`` values from :meth:`RngStream.random_words` output.
 
-        Matches :class:`~repro.sim.network.LatencyNetwork`'s drop test
-        (``random() < loss_probability`` drops), so a draw strictly
-        below the loss probability is a loss.
+        Each word pair ``w0, w1`` becomes ``((w0 >> 5) * 2**26 + (w1 >>
+        6)) / 2**53``, CPython's own ``random()`` formula, exact at
+        every step.
         """
-        return [d >= threshold for d in draws]
+        pairs = iter(struct.unpack(f"<{len(words) // 4}I", words))
+        return [
+            ((w0 >> 5) * 67108864.0 + (w1 >> 6)) / 9007199254740992.0
+            for w0, w1 in zip(pairs, pairs)
+        ]
 
-    def mask_and(self, a, b):
-        """Elementwise boolean AND of two masks."""
-        return [x and y for x, y in zip(a, b)]
+    def frame_sizes(self, means, lows, highs, draws):
+        """Frame sizes, one row per clock, from clock-major ``random()`` draws.
 
-    def add_vec(self, a, b):
-        """Elementwise ``a + b`` of two equal-length vectors."""
-        return [x + y for x, y in zip(a, b)]
+        ``max(1, int(mean * (low + (high - low) * draw)))`` per element:
+        :meth:`FrameClock.sample_size_bytes` with ``uniform`` written out.
+        """
+        count = len(draws) // len(means)
+        return [
+            [
+                max(1, int(mean * (low + (high - low) * draw)))
+                for draw in draws[i * count : (i + 1) * count]
+            ]
+            for i, (mean, low, high) in enumerate(zip(means, lows, highs))
+        ]
 
-    def compress(self, values, mask):
-        """Order-preserving selection of ``values`` where ``mask``."""
-        return [v for v, m in zip(values, mask) if m]
+    def disseminate(
+        self, times, parent_rows, hops, tree_rows, sizes,
+        loss=0.0, jitter=0.0, noise=None, collect=False,
+    ):
+        """Delivery figures of one batch of whole multicast trees.
 
-    def count_true(self, mask) -> int:
-        """Number of true entries in a mask."""
-        return sum(1 for m in mask if m)
+        One row per receiver, parents before children: ``parent_rows[r]``
+        is the row of ``r``'s tree parent (``-1`` under the source, whose
+        arrivals are the capture ``times``), ``hops[r]`` the cost of its
+        last hop, ``tree_rows[r]`` its stream's row of ``sizes``.  A
+        frame reaches ``r`` at its parent's arrival ``+ hop + jitter *
+        draw`` and survives the hop when ``draw >= loss``; lost above
+        ``r``, it is lost at ``r``.  ``noise`` holds the draws in row
+        order, a row's loss draws for all frames before its jitter
+        draws, whichever of the two are armed.
 
-    def masked_int_sum(self, values, mask) -> int:
-        """Exact integer sum of ``values`` where ``mask``."""
-        return sum(v for v, m in zip(values, mask) if m)
-
-    def to_list(self, values) -> list:
-        """Materialize a backend vector as a plain Python list."""
-        return list(values)
+        Returns per-row lists ``(frames, totals, maxima, sent)`` —
+        deliveries, their latency sum and maximum, the bytes the parent
+        put on the hop — and every delivered latency when ``collect``.
+        The sum runs strictly left to right, as the event plane records
+        deliveries; builtin ``sum`` compensates float addition from
+        Python 3.12 on and answers differently.
+        """
+        n = len(times)
+        stride = n * ((loss > 0.0) + (jitter > 0.0))
+        # Row -1 is every tree's source; None means "all frames alive".
+        arrivals = [None] * len(parent_rows) + [times]
+        alive = [None] * (len(parent_rows) + 1)
+        frames, totals, maxima, sent, delivered = [], [], [], [], []
+        for row, (above, hop) in enumerate(zip(parent_rows, hops)):
+            reached = survived = alive[above]
+            arrived = [a + hop for a in arrivals[above]]
+            at = row * stride
+            if loss > 0.0:
+                survived = [draw >= loss for draw in noise[at : at + n]]
+                if reached is not None:
+                    survived = [a and b for a, b in zip(reached, survived)]
+                at += n
+            if jitter > 0.0:
+                draws = noise[at : at + n]
+                arrived = [a + jitter * draw for a, draw in zip(arrived, draws)]
+            arrivals[row], alive[row] = arrived, survived
+            row_sizes = sizes[tree_rows[row]]
+            if reached is not None:
+                row_sizes = [size for size, kept in zip(row_sizes, reached) if kept]
+            sent.append(sum(row_sizes))
+            latencies = [a - t for a, t in zip(arrived, times)]
+            if survived is not None:
+                latencies = [v for v, kept in zip(latencies, survived) if kept]
+            frames.append(len(latencies))
+            totals.append(reduce(add, latencies, 0.0))
+            maxima.append(max(latencies + [0.0]))
+            if collect:
+                delivered += latencies
+        return frames, totals, maxima, sent, delivered
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
@@ -282,7 +295,6 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
     vector_scan_min = 32
-    plane_vector_min = 64
 
     def __init__(self) -> None:
         if not numpy_available():
@@ -302,6 +314,11 @@ class NumpyBackend(ArrayBackend):
                 problem.outbound_limits(), dtype=self._np.int64
             )
         return arr
+
+    def column_mirror(self, rows: list[list[float]]):
+        """``rows`` transposed into a C-contiguous float64 ndarray, so a
+        column gather in the parent scan does not stride across a view."""
+        return self._np.asarray(rows, dtype=self._np.float64).T.copy()
 
     def tree_arrays(self, tree) -> _TreeArrays:
         """The attach-ordered member/cost mirror of ``tree`` (lazy).
@@ -364,50 +381,83 @@ class NumpyBackend(ArrayBackend):
             return int(members[best])
         return fallback
 
-    # -- data-plane kernels ------------------------------------------------------
+    # -- data-plane kernel -------------------------------------------------------
 
-    def as_vector(self, values):
-        return self._np.asarray(values, dtype=self._np.float64)
-
-    def shift(self, values, delta):
-        return values + delta
-
-    def deltas(self, a, b):
-        return a - b
-
-    def seq_sum(self, values) -> float:
-        if len(values) == 0:  # pragma: no cover - trees always deliver frames
-            return 0.0
-        # cumsum accumulates left-to-right like the event plane's loop;
-        # np.sum's pairwise reduction would not be bit-identical.
-        return float(self._np.cumsum(values)[-1])
-
-    def vec_max(self, values) -> float:
-        return float(values.max())
-
-    # -- sampled-plane kernels ---------------------------------------------------
-
-    def survivors(self, draws, threshold: float):
-        return self._np.asarray(draws, dtype=self._np.float64) >= threshold
-
-    def mask_and(self, a, b):
-        return a & b
-
-    def add_vec(self, a, b):
-        return a + b
-
-    def compress(self, values, mask):
-        return values[mask]
-
-    def count_true(self, mask) -> int:
-        return int(mask.sum())
-
-    def masked_int_sum(self, values, mask) -> int:
+    def unit_floats(self, words: bytes):
         np = self._np
-        return int(np.asarray(values, dtype=np.int64)[mask].sum())
+        raw = np.frombuffer(words, dtype="<u4")
+        return ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) / 9007199254740992.0
 
-    def to_list(self, values) -> list:
-        return values.tolist()
+    def frame_sizes(self, means, lows, highs, draws):
+        np = self._np
+        mean, low, high = (
+            np.asarray(column, dtype=np.float64)[:, None]
+            for column in (means, lows, highs)
+        )
+        scale = low + (high - low) * draws.reshape(len(means), -1)
+        return np.maximum(1, (mean * scale).astype(np.int64))
+
+    def disseminate(
+        self, times, parent_rows, hops, tree_rows, sizes,
+        loss=0.0, jitter=0.0, noise=None, collect=False,
+    ):
+        """The reference recurrence, one elementwise op per tree *level*.
+
+        A row depends only on its parent's, so all rows whose parents
+        are placed move together: a level of the whole batch is one
+        ``(rows x frames)`` add.  The sources share one extra last row —
+        the capture times, every frame alive — where parent row ``-1``
+        points.  Lost frames stay in the matrix as ``0.0`` latencies,
+        which a left-to-right sum passes over (``x + 0.0 == x``);
+        ``cumsum`` is that sum, pairwise ``sum`` / ``add.reduce`` are not.
+        """
+        np = self._np
+        times = np.asarray(times, dtype=np.float64)
+        n = times.size
+        above = np.asarray(parent_rows, dtype=np.intp)
+        hop = np.asarray(hops, dtype=np.float64)[:, None]
+        tree = np.asarray(tree_rows, dtype=np.intp)
+        alive = wobble = None
+        if noise is not None:
+            noise = noise.reshape(above.size, -1, n)
+            if loss > 0.0:
+                alive = np.ones((above.size + 1, n), dtype=bool)
+                alive[:-1] = noise[:, 0] >= loss
+            if jitter > 0.0:
+                wobble = jitter * noise[:, -1]
+        arrivals = np.empty((above.size + 1, n))
+        arrivals[-1] = times
+        placed = np.zeros(above.size + 1, dtype=bool)
+        placed[-1] = True
+        sent = sizes.sum(axis=1)[tree]
+        while True:
+            rows = np.flatnonzero(placed[above] & ~placed[:-1])
+            if not rows.size:
+                break
+            placed[rows] = True
+            parents = above[rows]
+            block = arrivals[parents] + hop[rows]
+            if wobble is not None:
+                block += wobble[rows]
+            arrivals[rows] = block
+            if alive is not None:
+                reached = alive[parents]
+                sent[rows] = (reached * sizes[tree[rows]]).sum(axis=1)
+                alive[rows] &= reached
+        latencies = delivered = arrivals[:-1] - times
+        if alive is None:
+            frames = [n] * above.size
+        else:
+            alive = alive[:-1]
+            frames = alive.sum(axis=1).tolist()
+            delivered = latencies[alive]
+            latencies = np.where(alive, latencies, 0.0)
+        # Ascending: the percentile sort downstream then only has a few
+        # sorted runs to merge.
+        delivered = np.sort(delivered, axis=None).tolist() if collect else []
+        totals = np.cumsum(latencies, axis=1)[:, -1].tolist()
+        maxima = np.maximum(latencies.max(axis=1), 0.0).tolist()
+        return frames, totals, maxima, sent.tolist(), delivered
 
 
 _python_backend = ArrayBackend()

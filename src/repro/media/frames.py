@@ -8,7 +8,9 @@ mean (compression efficiency varies with motion).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.session.streams import StreamId
@@ -44,12 +46,16 @@ class FrameClock:
     size_jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
+        # Chained so that NaN fails too; an infinite rate is a zero
+        # capture interval, which no capture loop ever gets past.
+        if not 0.0 < self.bandwidth_mbps < math.inf:
             raise ConfigurationError(
-                f"bandwidth must be positive, got {self.bandwidth_mbps}"
+                f"bandwidth_mbps must be finite and positive, got {self.bandwidth_mbps!r}"
             )
-        if self.fps <= 0:
-            raise ConfigurationError(f"fps must be positive, got {self.fps}")
+        if not 0.0 < self.fps < math.inf:
+            raise ConfigurationError(
+                f"fps must be finite and positive, got {self.fps!r}"
+            )
         if not 0.0 <= self.size_jitter < 1.0:
             raise ConfigurationError(
                 f"size_jitter must be in [0, 1), got {self.size_jitter}"
@@ -68,24 +74,14 @@ class FrameClock:
     def sample_size_bytes(self, rng: RngStream) -> int:
         """Draw one frame's jittered size (exactly one uniform draw).
 
-        Both data planes consume these draws — the event-driven plane
-        via :meth:`frame`, the analytic fast plane via
-        :meth:`sample_sizes` — so a shared camera RNG stream yields
-        bit-identical size sequences.
+        Every data plane consumes these draws — the event-driven plane
+        via :meth:`frame`, the analytic planes via :func:`batched_sizes`
+        — so a shared camera RNG stream yields bit-identical size
+        sequences.
         """
         low = 1.0 - self.size_jitter
         high = 1.0 + self.size_jitter
         return max(1, int(self.mean_frame_bytes * rng.uniform(low, high)))
-
-    def sample_sizes(self, rng: RngStream, count: int) -> list[int]:
-        """Draw ``count`` frame sizes — the batch form of
-        :meth:`sample_size_bytes`, same draws in the same order, with
-        the per-frame attribute lookups hoisted out of the loop."""
-        mean = self.mean_frame_bytes
-        low = 1.0 - self.size_jitter
-        high = 1.0 + self.size_jitter
-        uniform = rng.uniform
-        return [max(1, int(mean * uniform(low, high))) for _ in range(count)]
 
     def capture_times(self, duration_ms: float) -> list[float]:
         """Capture instants over ``duration_ms``, replicating
@@ -109,3 +105,22 @@ class FrameClock:
             capture_time_ms=capture_time_ms,
             size_bytes=self.sample_size_bytes(rng),
         )
+
+
+def batched_sizes(clocks: Sequence[FrameClock], words: bytes, backend):
+    """Every clock's next frame sizes, as ``backend``'s (clocks x count)
+    integer matrix.
+
+    The batch form of :meth:`FrameClock.sample_size_bytes`.  ``words`` is
+    each clock's camera stream's ``random_words(count)``, joined in
+    clock order: the same ``count`` draws, put through the same
+    arithmetic — ``uniform(low, high)`` is ``low + (high - low) *
+    random()`` — so each row equals ``count`` one-at-a-time calls bit
+    for bit, and each stream is left where those calls would leave it.
+    """
+    return backend.frame_sizes(
+        [clock.mean_frame_bytes for clock in clocks],
+        [1.0 - clock.size_jitter for clock in clocks],
+        [1.0 + clock.size_jitter for clock in clocks],
+        backend.unit_floats(words),
+    )

@@ -7,7 +7,7 @@ delivery latency.  With zero jitter the measured latency of every
 delivery equals the tree path cost, which the builder guaranteed to be
 below ``B_cost`` — the report cross-checks exactly that.
 
-Two implementations share the :class:`DataPlaneReport` contract:
+Three implementations share the :class:`DataPlaneReport` contract:
 
 * :class:`ForestDataPlane` — the event-driven simulator: every hop of
   every frame is a scheduled callback.  Required whenever jitter, loss
@@ -16,18 +16,19 @@ Two implementations share the :class:`DataPlaneReport` contract:
   their tree parent, repairs cascade back down the affected subtree).
 * :class:`FastDataPlane` — the analytic batched plane: with zero
   jitter/loss the run is fully determined by the capture schedule and
-  the per-tree hop costs, so the report is computed with per-tree
-  array arithmetic (frames x hop costs) and **no** simulator events.
-  It reproduces the event-driven report bit for bit, including the
-  floating-point accumulation order.
+  the hop costs, so the report is computed with (members x frames)
+  array arithmetic and **no** simulator events.  It reproduces the
+  event-driven report bit for bit, including the floating-point
+  accumulation order.
 * :class:`SampledDataPlane` — the sampled-percentile noisy plane:
   per-hop jitter/loss drawn in bulk and convolved along tree paths, so
   noisy sweeps report latency percentiles without the event heap.  It
   models the same noise *distribution* as the event plane (the event
-  plane stays the oracle) and degrades to the exact
-  :class:`FastDataPlane` arithmetic at zero noise.
+  plane stays the oracle).
 
-:func:`make_dataplane` dispatches between them automatically.
+The analytic planes are one forest-level kernel (:func:`_disseminate`,
+the fast plane its zero-noise case); :func:`make_dataplane` dispatches
+between the three automatically.
 """
 
 from __future__ import annotations
@@ -37,14 +38,19 @@ from dataclasses import dataclass, field
 
 from repro.core.forest import OverlayForest
 from repro.errors import SimulationError
-from repro.media.frames import Frame3D, FrameClock
+from repro.media.frames import Frame3D, FrameClock, batched_sizes
 from repro.media.source import CameraSource
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.sim.engine import Simulator, Timer
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import (
+    check_finite_non_negative,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 #: Percentiles every latency distribution is summarized at.
 LATENCY_QUANTILES = (50, 90, 99)
@@ -171,7 +177,39 @@ class _PendingRepair:
     timer: Timer | None = None
 
 
-class ForestDataPlane:
+class _Plane:
+    """What every plane is built from and which cameras it runs."""
+
+    def __init__(
+        self, session: TISession, forest: OverlayForest, rng: RngStream,
+        fps: float, latency_bound_ms: float,
+    ) -> None:
+        self.session = session
+        self.forest = forest
+        self.rng = rng
+        self.fps = fps
+        # NaN-safe: against a NaN bound no latency is ever a violation.
+        self.latency_bound_ms = check_positive("latency_bound_ms", latency_bound_ms)
+
+    def _cameras(self, duration_ms: float):
+        """The streams a run of ``duration_ms`` captures, in forest order.
+
+        Yields one ``(tree, clock, camera stream)`` per tree somebody
+        receives; every plane takes its cameras from here, so all three
+        frame the same streams with the same size draws.  The horizon is
+        checked here for all of them: captures repeat until they pass
+        it, which never happens for ``inf`` or NaN.
+        """
+        check_finite_non_negative("duration_ms", duration_ms)
+        for stream_id, tree in self.forest.trees.items():
+            if not tree.parent_map():
+                continue  # nobody subscribed; camera stays local
+            descriptor = self.session.registry.describe(stream_id)
+            clock = FrameClock(stream_id, descriptor.bandwidth_mbps, fps=self.fps)
+            yield tree, clock, self.rng.spawn(f"camera-{stream_id}")
+
+
+class ForestDataPlane(_Plane):
     """Runs the media data plane over a built forest (event-driven).
 
     With ``nack_enabled`` the plane layers gap recovery on top of the
@@ -214,11 +252,7 @@ class ForestDataPlane:
                 f"max_repair_attempts must be >= 1, got {max_repair_attempts}"
             )
         check_non_negative("repair_deadline_factor", repair_deadline_factor)
-        self.session = session
-        self.forest = forest
-        self.rng = rng
-        self.fps = fps
-        self.latency_bound_ms = latency_bound_ms
+        super().__init__(session, forest, rng, fps, latency_bound_ms)
         self.nack_enabled = nack_enabled
         self.max_repair_attempts = max_repair_attempts
         self.repair_deadline_factor = repair_deadline_factor
@@ -290,25 +324,15 @@ class ForestDataPlane:
     # -- internals ---------------------------------------------------------------
 
     def _make_sources(self, duration_ms: float) -> list[CameraSource]:
-        sources = []
-        for stream_id, tree in self.forest.trees.items():
-            if not tree.receivers():
-                continue  # nobody subscribed; camera stays local
-            descriptor = self.session.registry.describe(stream_id)
-            clock = FrameClock(
-                stream_id=stream_id,
-                bandwidth_mbps=descriptor.bandwidth_mbps,
-                fps=self.fps,
+        return [
+            CameraSource(
+                clock=clock,
+                rng=camera_rng,
+                on_frame=self._on_capture,
+                end_time_ms=duration_ms,
             )
-            sources.append(
-                CameraSource(
-                    clock=clock,
-                    rng=self.rng.spawn(f"camera-{stream_id}"),
-                    on_frame=self._on_capture,
-                    end_time_ms=duration_ms,
-                )
-            )
-        return sources
+            for _tree, clock, camera_rng in self._cameras(duration_ms)
+        ]
 
     def _on_capture(self, frame: Frame3D) -> None:
         self._captured += 1
@@ -480,26 +504,17 @@ class ForestDataPlane:
                         self._start_repair(stream_id, site, sequence)
 
 
-class FastDataPlane:
+class FastDataPlane(_Plane):
     """Analytic batched data plane for deterministic (zero jitter/loss) runs.
 
     Exploits the determinism the event-driven plane only discovers the
     hard way: with no jitter and no loss, every frame captured at ``t0``
     arrives at member ``v`` at exactly ``t0 + sum(hop costs on the
     source->v tree path)``, accumulated hop by hop in IEEE-754 — the
-    same float recurrence the simulator's clock performs.  One pass per
-    tree over (members x frames) float adds therefore reproduces the
-    event-driven :class:`DataPlaneReport` bit for bit, with no heap,
-    no callbacks, and no per-frame object construction.
-
-    The per-tree arithmetic runs on the session's array backend: plain
-    list comprehensions on the python backend, elementwise ndarray
-    kernels on numpy.  Both are pinned to the same float results — the
-    numpy path uses only elementwise float64 ops plus a ``cumsum``-based
-    left-to-right sum, never ``np.sum``'s pairwise reduction.  Short
-    frame vectors stay on the list kernels even under numpy
-    (``ArrayBackend.plane_kernels``): per-op ndarray dispatch overhead
-    loses below ~64 frames, and the results are identical either way.
+    same float recurrence the simulator's clock performs.  One pass of
+    (members x frames) float adds over the whole forest therefore
+    reproduces the event-driven :class:`DataPlaneReport` bit for bit,
+    with no heap, no callbacks, and no per-frame object construction.
 
     Raises :class:`~repro.errors.SimulationError` when constructed with
     jitter or loss — those runs need the event-driven plane (use
@@ -525,90 +540,33 @@ class FastDataPlane:
                 f"got jitter_ms={jitter_ms}, loss={loss_probability} "
                 "(use make_dataplane() to dispatch)"
             )
-        self.session = session
-        self.forest = forest
-        self.rng = rng
-        self.fps = fps
-        self.latency_bound_ms = latency_bound_ms
+        super().__init__(session, forest, rng, fps, latency_bound_ms)
 
     def run(self, duration_ms: float = 2000.0) -> DataPlaneReport:
         """Compute ``duration_ms`` of capture and dissemination analytically."""
-        deliveries: dict[tuple[StreamId, int], DeliveryStats] = {}
-        bytes_sent: dict[int, int] = {
-            site.index: 0 for site in self.session.sites
-        }
-        captured = 0
-        delivered = 0
-        cost_ms = self.session.cost_ms
-        backend = self.session.array_backend
-        for stream_id, tree in self.forest.trees.items():
-            if not tree.receivers():
-                continue  # nobody subscribed; camera stays local
-            descriptor = self.session.registry.describe(stream_id)
-            clock = FrameClock(
-                stream_id=stream_id,
-                bandwidth_mbps=descriptor.bandwidth_mbps,
-                fps=self.fps,
-            )
-            camera_rng = self.rng.spawn(f"camera-{stream_id}")
-            times = clock.capture_times(duration_ms)
-            n_frames = len(times)
-            kern = backend.plane_kernels(n_frames)
-            stream_bytes = int(sum(clock.sample_sizes(camera_rng, n_frames)))
-            captured += n_frames
-            source = tree.source
-            # Per-member arrival-time vectors, parents before children
-            # (path_costs iterates in attach order).
-            times_v = kern.as_vector(times)
-            arrivals: dict[int, object] = {source: times_v}
-            parent_of = tree.parent
-            for node in tree.path_costs():
-                if node == source:
-                    continue
-                parent = parent_of(node)
-                hop = cost_ms(parent, node)
-                node_arrivals = kern.shift(arrivals[parent], hop)
-                arrivals[node] = node_arrivals
-                bytes_sent[parent] += stream_bytes
-                latencies = kern.deltas(node_arrivals, times_v)
-                stats = DeliveryStats()
-                stats.frames = n_frames
-                stats.total_latency_ms = kern.seq_sum(latencies)
-                stats.max_latency_ms = max(0.0, kern.vec_max(latencies))
-                deliveries[(stream_id, node)] = stats
-                delivered += n_frames
-        return DataPlaneReport(
-            duration_ms=duration_ms,
-            frames_captured=captured,
-            frames_delivered=delivered,
-            deliveries=deliveries,
-            bytes_sent_by_site=bytes_sent,
-            latency_bound_ms=self.latency_bound_ms,
-        )
+        return _disseminate(self, duration_ms)
 
 
-class SampledDataPlane:
+class SampledDataPlane(_Plane):
     """Sampled-percentile noisy plane: bulk draws convolved along paths.
 
     The event-driven plane is the oracle for noisy runs but pays a heap
     event per hop per frame.  This plane exploits the same structure the
     :class:`FastDataPlane` does — a frame's delivery time at node ``v``
     is the source capture time plus the per-hop terms along the tree
-    path — except the per-hop terms are now random: arrival vectors
-    accumulate ``hop_cost + Uniform(0, jitter)`` down the tree, and a
-    survival mask ANDs per-hop ``Uniform(0, 1) >= loss`` draws so a
-    frame dropped at a hop is dead for the whole subtree below it
-    (exactly the event plane's loss correlation).
+    path — except the per-hop terms are now random: arrivals accumulate
+    ``hop_cost + Uniform(0, jitter)`` down the tree, and a survival mask
+    ANDs per-hop ``Uniform(0, 1) >= loss`` draws so a frame dropped at a
+    hop is dead for the whole subtree below it (exactly the event
+    plane's loss correlation).
 
     All randomness comes from the :class:`~repro.util.rng.RngStream`
     (never backend-native RNG), so reports are bit-identical across
-    array backends; the backend kernels only vectorize the arithmetic.
+    array backends; the backend kernel only vectorizes the arithmetic.
     The draws are *differently ordered* than the event plane's, so
     noisy reports agree with the oracle in distribution — percentiles
     within tolerance, pinned by test — not bit-for-bit.  At zero noise
-    no draws happen and the arithmetic collapses to the fast plane's,
-    reproducing its report exactly (minus the percentiles, which this
-    plane always fills).
+    the report is the fast plane's, plus the percentiles.
 
     Duplication and NACK/repair are not modelled here — those runs need
     the event plane (:func:`make_dataplane` enforces this).
@@ -627,114 +585,120 @@ class SampledDataPlane:
         loss_probability: float = 0.0,
         latency_bound_ms: float = 120.0,
     ) -> None:
-        check_non_negative("jitter_ms", jitter_ms)
-        check_probability("loss_probability", loss_probability)
-        self.session = session
-        self.forest = forest
-        self.rng = rng
-        self.fps = fps
-        self.jitter_ms = jitter_ms
-        self.loss_probability = loss_probability
-        self.latency_bound_ms = latency_bound_ms
+        super().__init__(session, forest, rng, fps, latency_bound_ms)
+        self.jitter_ms = check_non_negative("jitter_ms", jitter_ms)
+        self.loss_probability = check_probability("loss_probability", loss_probability)
 
     def run(self, duration_ms: float = 2000.0) -> DataPlaneReport:
         """Sample ``duration_ms`` of noisy capture and dissemination."""
-        deliveries: dict[tuple[StreamId, int], DeliveryStats] = {}
-        bytes_sent: dict[int, int] = {
-            site.index: 0 for site in self.session.sites
-        }
-        captured = 0
-        delivered = 0
-        dropped = 0
-        all_latencies: list[float] = []
-        cost_ms = self.session.cost_ms
-        backend = self.session.array_backend
-        jitter = self.jitter_ms
-        loss = self.loss_probability
-        noise_rng = self.rng.spawn("network")
-        for stream_id, tree in self.forest.trees.items():
-            if not tree.receivers():
-                continue  # nobody subscribed; camera stays local
-            descriptor = self.session.registry.describe(stream_id)
-            clock = FrameClock(
-                stream_id=stream_id,
-                bandwidth_mbps=descriptor.bandwidth_mbps,
-                fps=self.fps,
-            )
-            camera_rng = self.rng.spawn(f"camera-{stream_id}")
-            times = clock.capture_times(duration_ms)
-            n_frames = len(times)
-            kern = backend.plane_kernels(n_frames)
-            sizes = clock.sample_sizes(camera_rng, n_frames)
-            stream_bytes = int(sum(sizes))
-            captured += n_frames
-            source = tree.source
-            times_v = kern.as_vector(times)
-            arrivals: dict[int, object] = {source: times_v}
-            # Survival masks down each path; None means "all alive"
-            # (the zero-loss case never materializes a mask, keeping
-            # the arithmetic identical to FastDataPlane's).
-            alive: dict[int, object] = {source: None}
-            parent_of = tree.parent
-            for node in tree.path_costs():
-                if node == source:
-                    continue
-                parent = parent_of(node)
-                hop = cost_ms(parent, node)
-                # Per-hop draw order mirrors LatencyNetwork.send: the
-                # loss draw first, then the jitter draw.
-                node_alive = alive[parent]
-                if loss > 0.0:
-                    survive = kern.survivors(
-                        noise_rng.uniforms(0.0, 1.0, n_frames), loss
-                    )
-                    node_alive = (
-                        survive
-                        if node_alive is None
-                        else kern.mask_and(node_alive, survive)
-                    )
-                node_arrivals = kern.shift(arrivals[parent], hop)
-                if jitter > 0.0:
-                    node_arrivals = kern.add_vec(
-                        node_arrivals,
-                        kern.as_vector(
-                            noise_rng.uniforms(0.0, jitter, n_frames)
-                        ),
-                    )
-                arrivals[node] = node_arrivals
-                alive[node] = node_alive
-                parent_alive = alive[parent]
-                if parent_alive is None:
-                    bytes_sent[parent] += stream_bytes
-                else:
-                    bytes_sent[parent] += kern.masked_int_sum(
-                        sizes, parent_alive
-                    )
-                latencies = kern.deltas(node_arrivals, times_v)
-                if node_alive is None:
-                    n_delivered = n_frames
-                else:
-                    latencies = kern.compress(latencies, node_alive)
-                    n_delivered = kern.count_true(node_alive)
-                stats = DeliveryStats()
-                stats.frames = n_delivered
-                if n_delivered:
-                    stats.total_latency_ms = kern.seq_sum(latencies)
-                    stats.max_latency_ms = max(0.0, kern.vec_max(latencies))
-                    all_latencies.extend(kern.to_list(latencies))
-                deliveries[(stream_id, node)] = stats
-                delivered += n_delivered
-                dropped += n_frames - n_delivered
-        return DataPlaneReport(
-            duration_ms=duration_ms,
-            frames_captured=captured,
-            frames_delivered=delivered,
-            deliveries=deliveries,
-            bytes_sent_by_site=bytes_sent,
-            latency_bound_ms=self.latency_bound_ms,
-            sends_dropped=dropped,
-            latency_percentiles=latency_percentiles(all_latencies),
+        return _disseminate(
+            self, duration_ms, self.jitter_ms, self.loss_probability, percentiles=True
         )
+
+
+def _disseminate(
+    plane: _Plane, duration_ms: float, jitter=0.0, loss=0.0, percentiles=False
+) -> DataPlaneReport:
+    """The analytic run of a whole forest: every (receiver x frame) at once.
+
+    :func:`_batches` lays the receivers out as rows and
+    ``ArrayBackend.disseminate`` moves the capture schedule down all
+    trees together.  Per-hop noise is drawn in row order from the
+    plane's ``network`` stream: a receiver's loss draws for all frames,
+    then its jitter draws (``LatencyNetwork.send``'s order for one).
+    """
+    session = plane.session
+    backend = session.array_backend
+    trees, times, sizes = _captures(plane, duration_ms)
+    n_frames = len(times)
+    draws_per_row = n_frames * ((loss > 0.0) + (jitter > 0.0))
+    noise_rng = plane.rng.spawn("network") if draws_per_row else None
+    deliveries: dict[tuple[StreamId, int], DeliveryStats] = {}
+    bytes_sent: dict[int, int] = {site.index: 0 for site in session.sites}
+    latencies: list[float] = []
+    receivers = delivered = 0
+    batches = _batches(session, trees, n_frames)
+    for keys, parents, parent_rows, hops, tree_rows in batches:
+        noise = noise_rng and backend.unit_floats(
+            noise_rng.random_words(draws_per_row * len(keys))
+        )
+        frames, totals, maxima, sent, batch_latencies = backend.disseminate(
+            times, parent_rows, hops, tree_rows, sizes, loss, jitter, noise, percentiles
+        )
+        rows = zip(keys, parents, frames, totals, maxima, sent)
+        for key, parent, count, total, peak, size in rows:
+            deliveries[key] = DeliveryStats(count, total, peak)
+            bytes_sent[parent] += size
+        receivers += len(keys)
+        delivered += sum(frames)
+        latencies += batch_latencies
+    return DataPlaneReport(
+        duration_ms=duration_ms,
+        frames_captured=n_frames * len(trees),
+        frames_delivered=delivered,
+        deliveries=deliveries,
+        bytes_sent_by_site=bytes_sent,
+        latency_bound_ms=plane.latency_bound_ms,
+        sends_dropped=n_frames * receivers - delivered,
+        latency_percentiles=latency_percentiles(latencies),
+    )
+
+
+def _captures(plane: _Plane, duration_ms: float):
+    """``(trees, times, sizes)`` of a run's cameras: the trees somebody
+    receives, the one capture schedule their shared fps gives them, and
+    a row of frame sizes each.
+
+    Each camera's seeded stream is drawn from and dropped before the
+    next is made: held together through the run, the benchmark forest's
+    106 cost one more full garbage collection every 200 calls.
+    """
+    trees, clocks, words, times = [], [], [], []
+    for tree, clock, camera_rng in plane._cameras(duration_ms):
+        if not trees:
+            times = clock.capture_times(duration_ms)
+        trees.append(tree)
+        clocks.append(clock)
+        words.append(camera_rng.random_words(len(times)))
+    if not trees:
+        return trees, times, None
+    backend = plane.session.array_backend
+    return trees, times, batched_sizes(clocks, b"".join(words), backend)
+
+
+def _batches(session: TISession, trees, n_frames: int):
+    """The trees' receivers as kernel rows, a batch of whole trees at a time.
+
+    Rows run tree-major in attach order, so a parent always precedes
+    its children.  Yields the columns ``(keys, parents, parent_rows,
+    hops, tree_rows)``: delivery key ``(stream, node)``, parent site,
+    the parent's row in the batch (``-1`` under the source), hop cost
+    from the session's dense matrix, index in ``trees``.  A batch closes
+    at the first tree that takes it past 2**15 (receiver x frame) cells
+    — 256 KiB a float matrix — which bounds the kernel's transients for
+    any forest and horizon (2**16 already reads +3 MB of peak RSS).
+    """
+    cost_rows = session.dense_cost_matrix().rows()
+    keys, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
+    for tree_row, tree in enumerate(trees):
+        stream_id = tree.stream
+        parent_of = tree.parent_map()
+        # The source has no row: its children take the default.
+        row_of = dict(zip(parent_of, range(len(nodes), len(nodes) + len(parent_of))))
+        keys += [(stream_id, node) for node in parent_of]
+        nodes += parent_of
+        parents += parent_of.values()
+        parent_rows += [row_of.get(parent, -1) for parent in parent_of.values()]
+        tree_rows += [tree_row] * len(parent_of)
+        if len(nodes) * n_frames < 1 << 15 and tree_row + 1 < len(trees):
+            continue
+        sites = nodes + parents
+        if min(sites) < 0 or max(sites) >= len(cost_rows):
+            for parent, node in zip(parents, nodes):
+                session.cost_ms(parent, node)  # raises, naming the first bad hop
+        hops = [cost_rows[parent][node] for parent, node in zip(parents, nodes)]
+        yield keys, parents, parent_rows, hops, tree_rows
+        keys, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
 
 
 #: Accepted values for :func:`make_dataplane`'s ``plane`` knob.
@@ -772,51 +736,30 @@ def make_dataplane(
         raise SimulationError(
             f"unknown data plane {plane!r}; expected one of {PLANE_NAMES}"
         )
+    # What all three constructors take; the event plane takes the rest.
+    shared = dict(
+        session=session, forest=forest, rng=rng, fps=fps, jitter_ms=jitter_ms,
+        loss_probability=loss_probability, latency_bound_ms=latency_bound_ms,
+    )
     if plane == "sampled":
         if duplicate_probability != 0.0 or nack_enabled:
             raise SimulationError(
                 "the sampled plane models neither duplication nor "
                 "NACK/repair; use plane='event' (or 'auto')"
             )
-        return SampledDataPlane(
-            session=session,
-            forest=forest,
-            rng=rng,
-            fps=fps,
-            jitter_ms=jitter_ms,
-            loss_probability=loss_probability,
-            latency_bound_ms=latency_bound_ms,
-        )
-    deterministic = (
-        jitter_ms == 0.0
-        and loss_probability == 0.0
-        and duplicate_probability == 0.0
-    )
+        return SampledDataPlane(**shared)
+    deterministic = jitter_ms == loss_probability == duplicate_probability == 0.0
     if plane == "fast" or (plane == "auto" and deterministic):
         if duplicate_probability != 0.0:
             raise SimulationError(
                 "FastDataPlane is exact only for zero duplication; "
                 f"got duplicate_probability={duplicate_probability}"
             )
-        return FastDataPlane(
-            session=session,
-            forest=forest,
-            rng=rng,
-            fps=fps,
-            jitter_ms=jitter_ms,
-            loss_probability=loss_probability,
-            latency_bound_ms=latency_bound_ms,
-        )
+        return FastDataPlane(**shared)
     return ForestDataPlane(
-        session=session,
-        forest=forest,
-        rng=rng,
-        fps=fps,
-        jitter_ms=jitter_ms,
-        loss_probability=loss_probability,
         duplicate_probability=duplicate_probability,
-        latency_bound_ms=latency_bound_ms,
         nack_enabled=nack_enabled,
         max_repair_attempts=max_repair_attempts,
         repair_deadline_factor=repair_deadline_factor,
+        **shared,
     )

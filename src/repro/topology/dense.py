@@ -154,9 +154,7 @@ class DenseCostMatrix:
         if backend.name != "numpy":
             return self.column(b)
         if self._cols_arr is None:
-            # Materialized (C-contiguous) so fancy-indexed gathers in the
-            # parent scan do not stride across the transpose view.
-            self._cols_arr = backend.as_vector(self._rows).T.copy()
+            self._cols_arr = backend.column_mirror(self._rows)
         return self._cols_arr[b]
 
     def index_of(self, label: Hashable) -> int:

@@ -66,12 +66,19 @@ class RngStream:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
-    def uniforms(self, low: float, high: float, count: int) -> list[float]:
-        """Draw ``count`` uniform floats in [low, high] — the batch form
-        of :meth:`uniform`, same draws in the same order, with the
-        method lookup hoisted out of the loop."""
-        uniform = self._random.uniform
-        return [uniform(low, high) for _ in range(count)]
+    def random_words(self, count: int) -> bytes:
+        """The raw generator output behind the next ``count`` :meth:`random` calls.
+
+        ``random()`` consumes two 32-bit Mersenne-Twister words per value
+        and returns ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``.  One
+        ``getrandbits(64 * count)`` takes the same words in the same
+        order (first word lowest) and leaves the stream in the same
+        state, so applying that formula to the ``2 * count`` little-endian
+        uint32 words returned here (``ArrayBackend.unit_floats``)
+        reproduces the draws bit for bit without ``count`` python-level
+        calls.
+        """
+        return self._random.getrandbits(64 * count).to_bytes(8 * count, "little")
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], both ends included."""

@@ -141,35 +141,85 @@ class TestSelection:
             )
 
 
+BACKENDS = ("python", pytest.param("numpy", marks=needs_numpy))
+
+
+def _backend(name: str) -> ArrayBackend:
+    return NumpyBackend() if name == "numpy" else ArrayBackend()
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestBulkDraws:
+    """``unit_floats(random_words(n))`` is ``n`` calls of ``random()``."""
+
+    @pytest.mark.parametrize("count", (0, 1, 2, 1000, 10**5))
+    def test_equals_random_calls(self, name, count):
+        bulk, single = RngStream(5, label="draws"), RngStream(5, label="draws")
+        draws = _backend(name).unit_floats(bulk.random_words(count))
+        assert list(draws) == [single.random() for _ in range(count)]
+        # Same generator words consumed: the streams go on in step.
+        assert bulk.random() == single.random()
+
+    def test_scaled_draw_is_uniform(self, name):
+        """``low + (high - low) * r`` is ``uniform(low, high)``, the
+        identity every batched draw leans on."""
+        bulk, single = RngStream(9), RngStream(9)
+        for low, high in ((0.8, 1.2), (0.0, 5.0), (0.0, 1.0), (-3.0, 7.5)):
+            for r in list(_backend(name).unit_floats(bulk.random_words(250))):
+                assert low + (high - low) * r == single.uniform(low, high)
+
+
 @needs_numpy
 class TestKernelEquivalence:
-    """Each numpy kernel against the pure-python reference, bit for bit."""
+    """The numpy plane kernel against the pure-python reference, bit for
+    bit, on a random forest of rows (the plane-level pins against the
+    per-delivery loops are in ``tests/sim/test_plane_kernel.py``)."""
 
-    def setup_method(self):
-        self.py = ArrayBackend()
-        self.np_b = NumpyBackend()
-
-    def test_dataplane_kernels(self):
+    @pytest.mark.parametrize(
+        "loss, jitter", ((0.0, 0.0), (0.3, 0.0), (0.0, 4.0), (0.3, 4.0))
+    )
+    def test_disseminate(self, loss, jitter):
         rng = RngStream(5, label="plane")
-        values = [rng.random() * 100.0 for _ in range(1000)]
-        other = [rng.random() * 100.0 for _ in range(1000)]
-        delta = 17.3
-        py_shift = self.py.shift(values, delta)
-        np_shift = self.np_b.shift(self.np_b.as_vector(values), delta)
-        assert list(np_shift) == py_shift
-        py_deltas = self.py.deltas(values, other)
-        np_deltas = self.np_b.deltas(
-            self.np_b.as_vector(values), self.np_b.as_vector(other)
-        )
-        assert list(np_deltas) == py_deltas
-        # The sums must match the *sequential* left-to-right order, not
-        # just be numerically close.
-        assert self.np_b.seq_sum(self.np_b.as_vector(py_deltas)) == (
-            self.py.seq_sum(py_deltas)
-        )
-        assert self.np_b.vec_max(self.np_b.as_vector(values)) == (
-            self.py.vec_max(values)
-        )
+        n_frames, n_trees = 37, 6
+        times = [66.0 * k for k in range(n_frames)]
+        parent_rows, tree_rows = [], []
+        for tree in range(n_trees):
+            first = len(parent_rows)
+            for row in range(first, first + 15):
+                # Under the source, or under any earlier row of this tree.
+                parent_rows.append(rng.choice([-1, *range(first, row)]))
+                tree_rows.append(tree)
+        n_rows = len(parent_rows)
+        hops = [rng.random() * 40.0 for _ in range(n_rows)]
+        words = RngStream(6).random_words(n_trees * n_frames)
+        stride = n_frames * ((loss > 0.0) + (jitter > 0.0))
+        noise_words = RngStream(7).random_words(stride * n_rows)
+        results = []
+        for backend in (ArrayBackend(), NumpyBackend()):
+            sizes = backend.frame_sizes(
+                [40_000 + 9_000 * k for k in range(n_trees)],
+                [0.8] * n_trees,
+                [1.2] * n_trees,
+                backend.unit_floats(words),
+            )
+            noise = backend.unit_floats(noise_words) if stride else None
+            frames, totals, maxima, sent, delivered = backend.disseminate(
+                times, parent_rows, hops, tree_rows, sizes, loss, jitter, noise, True
+            )
+            results.append(
+                (
+                    [list(map(int, row)) for row in sizes],
+                    frames,
+                    totals,
+                    maxima,
+                    sent,
+                    sorted(delivered),
+                )
+            )
+        assert results[0] == results[1]
+        assert sum(results[0][1]) == len(results[0][5])
+        if loss:
+            assert 0 < sum(results[0][1]) < n_rows * n_frames
 
 
 @needs_numpy
@@ -240,9 +290,6 @@ class TestParentScanEquivalence:
 
 @needs_numpy
 class TestDataPlaneEquivalence:
-    # 8 s at 15 fps = 121 frames, past plane_vector_min=64 — the numpy
-    # run below really exercises the ndarray kernels, not the list
-    # fallback both backends share for short frame vectors.
     @pytest.mark.parametrize("duration_ms", [1000.0, 8000.0])
     def test_fast_plane_reports_identical(self, duration_ms):
         from repro.perf.sweep import reports_equal
@@ -258,12 +305,6 @@ class TestDataPlaneEquivalence:
             )
             reports.append(plane.run(duration_ms=duration_ms))
         assert reports_equal(reports[0], reports[1])
-
-    def test_plane_kernel_gate(self):
-        np_backend = NumpyBackend()
-        assert np_backend.plane_kernels(16).name == "python"
-        assert np_backend.plane_kernels(64).name == "numpy"
-        assert ArrayBackend().plane_kernels(10**6).name == "python"
 
 
 class TestBulkDijkstraEquivalence:

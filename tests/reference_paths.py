@@ -20,6 +20,13 @@ ledger.  :func:`replay_repair` is the repair it replaced — every
 surviving edge replayed into a fresh forest and a fresh ledger — kept as
 the oracle the delta repair is pinned to; :func:`use_replay_repair`
 makes one server repair with it.
+
+And for the analytic data planes: ``FastDataPlane`` and
+``SampledDataPlane`` run one forest-level (receivers x frames) kernel.
+:func:`per_delivery_fast_run` and :func:`per_delivery_sampled_run` are
+the per-tree, per-delivery loops it replaced, on plain lists with one
+``uniform()`` call per draw — the oracle the kernel is pinned to, bit
+for bit, on both array backends.
 """
 
 from __future__ import annotations
@@ -42,9 +49,17 @@ from repro.core.model import SubscriptionRequest
 from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
+from repro.media.frames import FrameClock
 from repro.pubsub.membership import MembershipServer
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.dataplane import (
+    DataPlaneReport,
+    DeliveryStats,
+    FastDataPlane,
+    SampledDataPlane,
+    latency_percentiles,
+)
 
 
 @contextmanager
@@ -346,3 +361,139 @@ def check_repairs_against_replay(server: MembershipServer) -> MembershipServer:
         repairer, previous, problem
     )
     return server
+
+
+def _seq_sum(values: list[float]) -> float:
+    """Left-to-right float sum, the event plane's accumulation order.
+
+    Spelled out: builtin ``sum`` compensates float addition from Python
+    3.12 on and answers differently in the last bits.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _camera(plane, stream_id, duration_ms: float):
+    """One stream's capture times and frame sizes, a draw at a time."""
+    descriptor = plane.session.registry.describe(stream_id)
+    clock = FrameClock(
+        stream_id=stream_id, bandwidth_mbps=descriptor.bandwidth_mbps, fps=plane.fps
+    )
+    camera_rng = plane.rng.spawn(f"camera-{stream_id}")
+    times = clock.capture_times(duration_ms)
+    return times, [clock.sample_size_bytes(camera_rng) for _ in times]
+
+
+def per_delivery_fast_run(plane: FastDataPlane, duration_ms: float) -> DataPlaneReport:
+    """``plane.run(duration_ms)`` as the per-tree list loop computed it."""
+    deliveries: dict = {}
+    bytes_sent = {site.index: 0 for site in plane.session.sites}
+    captured = delivered = 0
+    cost_ms = plane.session.cost_ms
+    for stream_id, tree in plane.forest.trees.items():
+        if not tree.receivers():
+            continue  # nobody subscribed; camera stays local
+        times, sizes = _camera(plane, stream_id, duration_ms)
+        n_frames = len(times)
+        stream_bytes = sum(sizes)
+        captured += n_frames
+        source = tree.source
+        # Per-member arrival-time vectors, parents before children
+        # (path_costs iterates in attach order).
+        arrivals = {source: times}
+        for node in tree.path_costs():
+            if node == source:
+                continue
+            parent = tree.parent(node)
+            hop = cost_ms(parent, node)
+            arrivals[node] = [t + hop for t in arrivals[parent]]
+            bytes_sent[parent] += stream_bytes
+            latencies = [a - t for a, t in zip(arrivals[node], times)]
+            stats = DeliveryStats()
+            stats.frames = n_frames
+            stats.total_latency_ms = _seq_sum(latencies)
+            stats.max_latency_ms = max(0.0, max(latencies))
+            deliveries[(stream_id, node)] = stats
+            delivered += n_frames
+    return DataPlaneReport(
+        duration_ms=duration_ms,
+        frames_captured=captured,
+        frames_delivered=delivered,
+        deliveries=deliveries,
+        bytes_sent_by_site=bytes_sent,
+        latency_bound_ms=plane.latency_bound_ms,
+    )
+
+
+def per_delivery_sampled_run(
+    plane: SampledDataPlane, duration_ms: float
+) -> DataPlaneReport:
+    """``plane.run(duration_ms)`` as the per-tree list loop computed it."""
+    deliveries: dict = {}
+    bytes_sent = {site.index: 0 for site in plane.session.sites}
+    captured = delivered = dropped = 0
+    all_latencies: list[float] = []
+    cost_ms = plane.session.cost_ms
+    jitter, loss = plane.jitter_ms, plane.loss_probability
+    noise_rng = plane.rng.spawn("network")
+    for stream_id, tree in plane.forest.trees.items():
+        if not tree.receivers():
+            continue  # nobody subscribed; camera stays local
+        times, sizes = _camera(plane, stream_id, duration_ms)
+        n_frames = len(times)
+        captured += n_frames
+        source = tree.source
+        arrivals = {source: times}
+        # Survival masks down each path; None means "all alive" (the
+        # zero-loss case never materializes a mask).
+        alive: dict = {source: None}
+        for node in tree.path_costs():
+            if node == source:
+                continue
+            parent = tree.parent(node)
+            hop = cost_ms(parent, node)
+            # Per-hop draw order mirrors LatencyNetwork.send: the loss
+            # draw first, then the jitter draw.
+            node_alive = parent_alive = alive[parent]
+            if loss > 0.0:
+                node_alive = [
+                    noise_rng.uniform(0.0, 1.0) >= loss for _ in range(n_frames)
+                ]
+                if parent_alive is not None:
+                    node_alive = [a and b for a, b in zip(parent_alive, node_alive)]
+            node_arrivals = [t + hop for t in arrivals[parent]]
+            if jitter > 0.0:
+                draws = [noise_rng.uniform(0.0, jitter) for _ in range(n_frames)]
+                node_arrivals = [a + d for a, d in zip(node_arrivals, draws)]
+            arrivals[node] = node_arrivals
+            alive[node] = node_alive
+            if parent_alive is None:
+                bytes_sent[parent] += sum(sizes)
+            else:
+                bytes_sent[parent] += sum(
+                    size for size, kept in zip(sizes, parent_alive) if kept
+                )
+            latencies = [a - t for a, t in zip(node_arrivals, times)]
+            if node_alive is not None:
+                latencies = [v for v, kept in zip(latencies, node_alive) if kept]
+            stats = DeliveryStats()
+            stats.frames = len(latencies)
+            if latencies:
+                stats.total_latency_ms = _seq_sum(latencies)
+                stats.max_latency_ms = max(0.0, max(latencies))
+                all_latencies.extend(latencies)
+            deliveries[(stream_id, node)] = stats
+            delivered += len(latencies)
+            dropped += n_frames - len(latencies)
+    return DataPlaneReport(
+        duration_ms=duration_ms,
+        frames_captured=captured,
+        frames_delivered=delivered,
+        deliveries=deliveries,
+        bytes_sent_by_site=bytes_sent,
+        latency_bound_ms=plane.latency_bound_ms,
+        sends_dropped=dropped,
+        latency_percentiles=latency_percentiles(all_latencies),
+    )

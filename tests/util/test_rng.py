@@ -54,6 +54,20 @@ class TestRngStream:
         assert max(values) <= 7
         assert set(values) == {3, 4, 5, 6, 7}
 
+    def test_random_words_are_the_next_getrandbits(self):
+        """Two little-endian uint32 words per ``random()`` value, the
+        stream advanced by exactly those (the conversion back to floats
+        is pinned in ``tests/core/test_backend.py``)."""
+        words = RngStream(9).random_words(3)
+        assert len(words) == 3 * 8
+        assert int.from_bytes(words, "little") == RngStream(9)._random.getrandbits(192)
+        assert RngStream(9).random_words(0) == b""
+        advanced, reference = RngStream(9), RngStream(9)
+        advanced.random_words(3)
+        for _ in range(3):
+            reference.random()
+        assert advanced.random() == reference.random()
+
     def test_uniform_bounds(self):
         stream = RngStream(9)
         values = [stream.uniform(-1.0, 2.0) for _ in range(200)]
