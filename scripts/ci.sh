@@ -91,6 +91,10 @@ if [[ "${1:-}" == "--full" ]]; then
         --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0
 
     echo
+    echo "== interpreter gate: every exact block equal on every python present =="
+    scripts/interp_pairs.sh
+
+    echo
     echo "== perf smoke (fast plane must beat the event-driven plane) =="
     python -m repro.cli perf smoke --sites 12
 

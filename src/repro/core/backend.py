@@ -2,47 +2,38 @@
 
 The overlay hot paths operate on two very different shapes of data:
 
-* **scalar probes** — one ``dout[member]`` read, one ``rfc`` compare,
-  one cost lookup per candidate.  CPython list indexing is several
-  times faster than ``ndarray.__getitem__`` for these, so the
-  authoritative storage for degree tables, limit tables and dense cost
-  rows stays plain Python lists on *every* backend.
-* **bulk kernels** — large-tree parent scans and the forest-level
-  data-plane kernel.  These are where numpy pays, and they are the only
-  places the numpy backend diverges from the reference implementation.
+* **scalar probes** — the parent scan of every node join: one
+  ``dout[member]`` read, one ``rfc`` compare, one cost lookup per
+  candidate, on trees of a few to a few dozen members.  CPython list
+  indexing is several times faster than ``ndarray.__getitem__`` for
+  these, so degree tables, limit tables and dense cost rows are plain
+  Python lists, and both backends run the one scalar scan.
+* **bulk kernels** — the forest-level data-plane kernel.  This is where
+  numpy pays, and it is the only place the numpy backend diverges from
+  the reference implementation.
 
 Both backends are pinned bit-identical: every numpy kernel is either
-elementwise float64 arithmetic (IEEE-identical to the scalar loop), a
+elementwise float64 arithmetic (IEEE-identical to the scalar loop) or a
 ``cumsum``-based left-to-right sum (numpy's pairwise ``np.sum`` is
-*not* used on floats anywhere), or an ``argmax``/``argmin`` first-occurrence
-selection that matches the strict-inequality scalar loops.  The
-equivalence suites in ``tests/core/test_backend.py`` and the scenario
-digest matrix enforce this.
+*not* used on floats anywhere).  The equivalence suites in
+``tests/core/test_backend.py`` and the scenario digest matrix enforce
+this.
 
 The backend is not configuration.  :func:`resolve_backend` selects it
 from what the install offers — numpy when importable, the pure-python
 reference otherwise — and each dense cost matrix binds the selection
 once at construction; sessions and problems read it off their matrix.
-Within the numpy backend the size-derived gate ``vector_scan_min``
-decides per scan whether the vector kernel pays (the data-plane kernel
-wins at every frame count and has none).  The python backend is also the
-test oracle, pinned through ``tests/reference_paths.py::use_array_backend``.
+The python backend is also the test oracle, pinned through
+``tests/reference_paths.py::use_array_backend``.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import reduce
-from operator import add
-from typing import TYPE_CHECKING
 
+from repro.core.node_join import scan_parent_scalar
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.problem import ForestProblem
-    from repro.core.state import BuilderState
-    from repro.core.forest import MulticastTree
-    from repro.core.node_join import ParentPolicy
+from repro.util.floats import left_sum
 
 __all__ = [
     "ArrayBackend",
@@ -79,32 +70,11 @@ class ArrayBackend:
 
     name = "python"
 
-    #: Minimum tree size before ``try_join`` routes the parent scan
-    #: through :meth:`parent_scan` instead of the inline scalar loop.
-    #: With the write-through array mirrors (``_TreeArrays`` /
-    #: ``_StateArrays``) the vectorized scan does no per-scan gathers
-    #: from python state and wins from ~30 members (measured crossover
-    #: ~29), so the python backend never dispatches and numpy gates
-    #: at 32.
-    vector_scan_min: float = float("inf")
-
-    def parent_scan(
-        self,
-        problem: "ForestProblem",
-        state: "BuilderState",
-        tree: "MulticastTree",
-        subscriber: int,
-        policy: "ParentPolicy",
-    ) -> int | None:
-        """Best attach point for ``subscriber`` in ``tree`` (or None).
-
-        The reference semantics live in the scalar loop in
-        :mod:`repro.core.node_join`; this delegates to it so the two can
-        never drift.
-        """
-        from repro.core.node_join import scan_parent_scalar
-
-        return scan_parent_scalar(problem, state, tree, subscriber, policy)
+    #: ``parent_scan(problem, state, tree, subscriber, policy)``: the
+    #: best attach point for ``subscriber`` in ``tree``, or None.  Every
+    #: node join reaches :func:`~repro.core.node_join.scan_parent_scalar`
+    #: through this name, on both backends.
+    parent_scan = staticmethod(scan_parent_scalar)
 
     # -- data-plane kernel -------------------------------------------------------
     #
@@ -159,9 +129,8 @@ class ArrayBackend:
         Returns per-row lists ``(frames, totals, maxima, sent)`` —
         deliveries, their latency sum and maximum, the bytes the parent
         put on the hop — and every delivered latency when ``collect``.
-        The sum runs strictly left to right, as the event plane records
-        deliveries; builtin ``sum`` compensates float addition from
-        Python 3.12 on and answers differently.
+        The sum runs strictly left to right (:func:`left_sum`), as the
+        event plane records deliveries.
         """
         n = len(times)
         stride = n * ((loss > 0.0) + (jitter > 0.0))
@@ -190,7 +159,7 @@ class ArrayBackend:
             if survived is not None:
                 latencies = [v for v, kept in zip(latencies, survived) if kept]
             frames.append(len(latencies))
-            totals.append(reduce(add, latencies, 0.0))
+            totals.append(left_sum(latencies))
             maxima.append(max(latencies + [0.0]))
             if collect:
                 delivered += latencies
@@ -204,88 +173,6 @@ class ArrayBackend:
 PythonBackend = ArrayBackend
 
 
-class _TreeArrays:
-    """Attach-ordered ndarray mirror of one tree's scan inputs.
-
-    ``members[:size]`` and ``from_source[:size]`` hold the tree's member
-    ids and source-to-member path costs in exactly the iteration order of
-    ``MulticastTree.path_costs()`` (source first, then attach order; a
-    detach shifts the tail left, matching dict deletion).  The tree
-    write-throughs on :meth:`MulticastTree.attach` /
-    :meth:`MulticastTree.detach_leaf` keep the mirror current, so the
-    vectorized parent scan never re-gathers the member list per scan —
-    the per-scan cost drops from O(members) python-loop gathers to pure
-    fancy indexing.
-
-    Capacity doubles on append (amortized O(1)); costs are stored as the
-    exact float64 the attach computed, so the mirror is bit-identical to
-    the dict it shadows.
-    """
-
-    __slots__ = ("_np", "members", "from_source", "size")
-
-    def __init__(self, np_mod, tree: "MulticastTree") -> None:
-        self._np = np_mod
-        costs = tree.path_costs()
-        n = len(costs)
-        cap = max(16, 2 * n)
-        self.members = np_mod.empty(cap, dtype=np_mod.intp)
-        self.from_source = np_mod.empty(cap, dtype=np_mod.float64)
-        self.members[:n] = np_mod.fromiter(costs.keys(), dtype=np_mod.intp, count=n)
-        self.from_source[:n] = np_mod.fromiter(
-            costs.values(), dtype=np_mod.float64, count=n
-        )
-        self.size = n
-
-    def append(self, node: int, cost_from_source: float) -> None:
-        n = self.size
-        if n == len(self.members):
-            self._grow()
-        self.members[n] = node
-        self.from_source[n] = cost_from_source
-        self.size = n + 1
-
-    def _grow(self) -> None:
-        np_mod = self._np
-        cap = 2 * len(self.members)
-        members = np_mod.empty(cap, dtype=np_mod.intp)
-        from_source = np_mod.empty(cap, dtype=np_mod.float64)
-        n = self.size
-        members[:n] = self.members[:n]
-        from_source[:n] = self.from_source[:n]
-        self.members = members
-        self.from_source = from_source
-
-    def remove(self, node: int) -> None:
-        n = self.size
-        members = self.members
-        idx = int(self._np.nonzero(members[:n] == node)[0][0])
-        members[idx : n - 1] = members[idx + 1 : n]
-        self.from_source[idx : n - 1] = self.from_source[idx + 1 : n]
-        self.size = n - 1
-
-
-class _StateArrays:
-    """Full-length int64 mirrors of a builder state's degree tables.
-
-    Construction snapshots ``state.dout`` / ``state.m_hat`` and installs
-    the arrays as those lists' write-through mirrors (the lists are
-    ``_MirroredCounts``), so every subsequent write — the builder choke
-    points and direct test pokes alike — updates both.  The parent scan
-    then reads ``dout[members]`` / ``m_hat[members]`` as single
-    fancy-index gathers instead of a python loop over the authoritative
-    lists.
-    """
-
-    __slots__ = ("dout", "m_hat")
-
-    def __init__(self, np_mod, state: "BuilderState") -> None:
-        self.dout = np_mod.asarray(state.dout, dtype=np_mod.int64)
-        self.m_hat = np_mod.asarray(state.m_hat, dtype=np_mod.int64)
-        state.dout.mirror = self.dout
-        state.m_hat.mirror = self.m_hat
-
-
 class NumpyBackend(ArrayBackend):
     """numpy bulk kernels, pinned bit-identical to the reference.
 
@@ -294,92 +181,14 @@ class NumpyBackend(ArrayBackend):
     """
 
     name = "numpy"
-    vector_scan_min = 32
+    # The one parent scan, bound in this class's own dict as well so a
+    # wrapper installed on it sees every join.
+    parent_scan = ArrayBackend.__dict__["parent_scan"]
 
     def __init__(self) -> None:
         if not numpy_available():
             raise ConfigurationError("numpy backend needs numpy, which is not importable")
         self._np = _np
-
-    def outbound_limits_array(self, problem: "ForestProblem"):
-        """int64 mirror of ``problem``'s outbound bounds (lazy, cached on it).
-
-        The problem owns the array next to the list it mirrors;
-        :meth:`ForestProblem.set_outbound_limit` drops it, so a cached
-        array can never go stale.
-        """
-        arr = problem._out_limits_arr
-        if arr is None:
-            arr = problem._out_limits_arr = self._np.asarray(
-                problem.outbound_limits(), dtype=self._np.int64
-            )
-        return arr
-
-    def column_mirror(self, rows: list[list[float]]):
-        """``rows`` transposed into a C-contiguous float64 ndarray, so a
-        column gather in the parent scan does not stride across a view."""
-        return self._np.asarray(rows, dtype=self._np.float64).T.copy()
-
-    def tree_arrays(self, tree) -> _TreeArrays:
-        """The attach-ordered member/cost mirror of ``tree`` (lazy).
-
-        Created (one O(members) backfill) on a tree's first vectorized
-        scan; the tree's mutation choke points write through afterwards.
-        """
-        arrays = tree._arrays
-        if arrays is None:
-            arrays = tree._arrays = _TreeArrays(self._np, tree)
-        return arrays
-
-    def state_arrays(self, state) -> _StateArrays:
-        """The int64 degree-table mirror of ``state`` (lazy)."""
-        arrays = state._arrays
-        if arrays is None:
-            arrays = state._arrays = _StateArrays(self._np, state)
-        return arrays
-
-    def parent_scan(self, problem, state, tree, subscriber, policy):
-        from repro.core.node_join import ParentPolicy
-
-        np = self._np
-        arrays = self.tree_arrays(tree)
-        n = arrays.size
-        members = arrays.members[:n]
-        from_source = arrays.from_source[:n]
-        st = self.state_arrays(state)
-        col = problem.dense_cost_matrix().column_array(subscriber)
-        limits = self.outbound_limits_array(problem)[members]
-        degrees = st.dout[members]
-        path_cost = from_source + col[members]
-        eligible = (degrees < limits) & (path_cost < problem.latency_bound_ms)
-        if policy is ParentPolicy.FIRST_FIT:
-            hits = np.flatnonzero(eligible)
-            return int(members[hits[0]]) if hits.size else None
-        if policy is ParentPolicy.MIN_COST:
-            masked = np.where(eligible, path_cost, np.inf)
-            best = int(np.argmin(masked))
-            return int(members[best]) if np.isfinite(masked[best]) else None
-        # MAX_RFC.  The scalar loop special-cases the source: when the
-        # source has not disseminated yet it becomes the provisional best
-        # *without* entering the rfc competition, and any member with
-        # rfc > 0 (strict) takes over.  argmax is first-occurrence, which
-        # matches the strict-> scan in attach order.
-        reservations = st.m_hat[members]
-        rfc = limits - degrees - reservations
-        source = tree.source
-        fallback = None
-        in_competition = eligible
-        if not tree.disseminated:
-            is_source = members == source
-            src_hits = np.flatnonzero(is_source & eligible)
-            if src_hits.size:
-                fallback = source
-            in_competition = eligible & ~is_source
-        masked = np.where(in_competition, rfc, 0)
-        best = int(np.argmax(masked))
-        if masked[best] > 0:
-            return int(members[best])
-        return fallback
 
     # -- data-plane kernel -------------------------------------------------------
 

@@ -29,11 +29,6 @@ class MulticastTree:
         self._parent: dict[int, int] = {}
         self._children: dict[int, list[int]] = {self.source: []}
         self._cost_from_source: dict[int, float] = {self.source: 0.0}
-        #: Backend-owned attach-ordered ndarray mirror of the member ids
-        #: and path costs (``backend._TreeArrays``); ``None`` until a
-        #: vectorized parent scan first touches this tree.  The mutation
-        #: methods below write through so it can never go stale.
-        self._arrays = None
         #: True once the source has relayed the stream to at least one
         #: other RP ("disseminated out", which releases the m-hat slot).
         self.disseminated = False
@@ -119,8 +114,7 @@ class MulticastTree:
 
         Member order and every per-parent child order are kept — the
         parent scan breaks ties by first occurrence, so a clone must
-        answer every later join exactly as the original would.  The
-        array mirror is not shared; the clone re-attaches one lazily.
+        answer every later join exactly as the original would.
         """
         tree = MulticastTree(self.stream)
         tree._parent = dict(self._parent)
@@ -150,10 +144,9 @@ class MulticastTree:
         self._parent[child] = parent
         self._children[parent].append(child)
         self._children[child] = []
-        cost = self._cost_from_source[parent] + edge_cost
-        self._cost_from_source[child] = cost
-        if self._arrays is not None:
-            self._arrays.append(child, cost)
+        self._cost_from_source[child] = (
+            self._cost_from_source[parent] + edge_cost
+        )
         if parent == self.source:
             self.disseminated = True
 
@@ -175,8 +168,6 @@ class MulticastTree:
         self._children[parent].remove(node)
         del self._children[node]
         del self._cost_from_source[node]
-        if self._arrays is not None:
-            self._arrays.remove(node)
         self.disseminated = bool(self._children[self.source])
         return parent
 

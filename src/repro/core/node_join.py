@@ -34,12 +34,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import OverlayError
-from repro.core.forest import MulticastTree
 from repro.core.model import RejectionReason
-from repro.core.problem import ForestProblem
-from repro.core.state import BuilderState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the array backend
+    # binds this module's scan, and the problem imports the backend.
+    from repro.core.forest import MulticastTree
+    from repro.core.problem import ForestProblem
+    from repro.core.state import BuilderState
 
 
 class ParentPolicy(enum.Enum):
@@ -100,7 +104,9 @@ def plan_join(
     if not state.inbound_free(subscriber):
         return _REJECT_INBOUND
 
-    candidate = _find_parent(problem, state, tree, subscriber, policy)
+    candidate = problem.array_backend.parent_scan(
+        problem, state, tree, subscriber, policy
+    )
     if candidate is None:
         return _REJECT_TREE
     path_cost = tree.cost_from_source(candidate) + problem.edge_cost(
@@ -144,26 +150,6 @@ def try_join(
     return outcome
 
 
-def _find_parent(
-    problem: ForestProblem,
-    state: BuilderState,
-    tree: MulticastTree,
-    subscriber: int,
-    policy: ParentPolicy,
-) -> int | None:
-    """Select a parent for ``subscriber`` under ``policy``; None if saturated.
-
-    Small trees (the common case at the paper's group sizes) run the
-    scalar scan below; once a tree outgrows the backend's
-    ``vector_scan_min`` the scan dispatches to the backend's masked
-    argmax/argmin kernel, which is pinned to identical selections.
-    """
-    backend = problem.array_backend
-    if len(tree) >= backend.vector_scan_min:
-        return backend.parent_scan(problem, state, tree, subscriber, policy)
-    return scan_parent_scalar(problem, state, tree, subscriber, policy)
-
-
 def scan_parent_scalar(
     problem: ForestProblem,
     state: BuilderState,
@@ -171,14 +157,15 @@ def scan_parent_scalar(
     subscriber: int,
     policy: ParentPolicy,
 ) -> int | None:
-    """The reference parent scan (scalar probes, one pass in attach order).
+    """The parent scan (scalar probes, one pass in attach order).
 
     One pass over the tree members against the precomputed dense cost
     column of the subscriber — no per-candidate dict-of-dict hops.  The
     degree/reservation tables are likewise read directly: this loop is
-    the innermost hot path of every overlay build, and it defines the
-    selection semantics every vectorized backend kernel must reproduce
-    (first-occurrence ties, strictly-positive rfc, source special-case).
+    the innermost hot path of every overlay build.  Ties go to the first
+    member in attach order, MAX_RFC needs a strictly positive rfc, and an
+    undisseminated source is the provisional best.  Joins reach it as
+    ``problem.array_backend.parent_scan``.
     """
     best: int | None = None
     best_rfc = 0  # MAX_RFC requires strictly positive rfc (paper's max <- 0)
@@ -186,9 +173,7 @@ def scan_parent_scalar(
     cost_to_subscriber = problem.costs_to(subscriber)
     path_costs = tree.path_costs()
     bound = problem.latency_bound_ms
-    # Flat node-indexed arrays: every probe below is a plain list
-    # indexing (the degree tables and limit twins are kept in lockstep
-    # with their dict views).
+    # Flat node-indexed lists: every probe below is one list indexing.
     dout = state.dout
     outbound = problem.outbound_limits()
     m_hat = state.m_hat

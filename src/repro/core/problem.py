@@ -191,10 +191,6 @@ class ForestProblem:
         self._dense = dense
         self._in_limits = in_limits
         self._out_limits = out_limits
-        #: int64 mirror of ``_out_limits`` for the vectorized parent scan
-        #: (built by ``NumpyBackend.outbound_limits_array``, dropped by
-        #: :meth:`set_outbound_limit`).
-        self._out_limits_arr = None
         self.groups = groups
         for group in groups:
             self._check_group(group)
@@ -364,7 +360,6 @@ class ForestProblem:
     def set_outbound_limit(self, node: int, value: int) -> None:
         """Set ``O(node)``; this problem's own list, no other round's."""
         self._out_limits[node] = _checked_limit(self.n_nodes, node, value)
-        self._out_limits_arr = None
 
     def streams_to_send(self, node: int) -> int:
         """The paper's ``m_i``: streams of ``node`` wanted by >= 1 other RP.
@@ -532,7 +527,6 @@ class ForestProblem:
         # into round t-1's retained problem.
         problem._in_limits = list(prev._in_limits)
         problem._out_limits = list(prev._out_limits)
-        problem._out_limits_arr = None
         problem._requests_cache = None
         problem._streams_by_source = None
         problem._total_requests = prev.total_requests() + (

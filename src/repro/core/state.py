@@ -21,29 +21,6 @@ from repro.core.problem import ForestProblem
 from repro.session.streams import StreamId
 
 
-class _MirroredCounts(list):
-    """A flat counts list that writes through to an optional array mirror.
-
-    Reads stay C-speed list indexing (``__getitem__`` is not overridden,
-    so the scalar parent-scan probes pay nothing); only ``__setitem__``
-    carries the extra branch.  A vectorizing backend boxes its int64
-    ndarray twin into :attr:`mirror`, after which *every* write — the
-    builder choke points and direct test pokes alike — lands in both, so
-    the mirror can never go stale.
-    """
-
-    __slots__ = ("mirror",)
-
-    def __init__(self, values) -> None:
-        super().__init__(values)
-        self.mirror = None
-
-    def __setitem__(self, index, value) -> None:
-        list.__setitem__(self, index, value)
-        if self.mirror is not None:
-            self.mirror[index] = value
-
-
 class BuilderState:
     """Cross-tree degree and reservation accounting for one build.
 
@@ -67,11 +44,8 @@ class BuilderState:
         # indexing, not a hash lookup.
         n = problem.n_nodes
         self.din: list[int] = [0] * n
-        # dout and m_hat feed the vectorized parent scan, so they carry
-        # an optional write-through ndarray mirror (attached lazily by
-        # the numpy backend; see ``backend._StateArrays``).
-        self.dout: list[int] = _MirroredCounts([0] * n)
-        self.m_hat: list[int] = _MirroredCounts([0] * n)
+        self.dout: list[int] = [0] * n
+        self.m_hat: list[int] = [0] * n
         self._opened: set[StreamId] = set()
         self._bind(problem)
 
@@ -94,22 +68,18 @@ class BuilderState:
             list(self._out_limits),
             problem.latency_bound_ms,
         )
-        #: Backend-owned ``backend._StateArrays`` cache; ``None`` until a
-        #: vectorized parent scan first needs it.
-        self._arrays = None
 
     def carried_to(self, problem: ForestProblem) -> "BuilderState":
         """A state for ``problem`` that starts from this one's ledger.
 
         The degree tables, ``m̂`` and the opened set are copied (this
-        state is left untouched); the array mirrors are not — the new
-        state re-attaches its own lazily.
+        state is left untouched).
         """
         state = BuilderState.__new__(BuilderState)
         state.reservations = self.reservations
         state.din = list(self.din)
-        state.dout = _MirroredCounts(self.dout)
-        state.m_hat = _MirroredCounts(self.m_hat)
+        state.dout = list(self.dout)
+        state.m_hat = list(self.m_hat)
         state._opened = set(self._opened)
         state._bind(problem)
         return state

@@ -42,14 +42,11 @@ from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.util.tables import Table
 from repro.workload.coverage import CoverageWorkloadModel
-from repro.workload.spec import SubscriptionWorkload
 
 #: The tracked sweep sizes (acceptance: 16..256).
 DEFAULT_SIZES = (16, 32, 64, 128, 256)
 
-#: Extended sizes for the array-backend baselines: the numpy kernels
-#: only separate from the python fallback once trees cross the
-#: vectorization threshold, which needs sessions this large.
+#: Extended sizes for the large-N baselines.
 EXTENDED_SIZES = DEFAULT_SIZES + (1024, 4096)
 
 #: The event-driven plane replays every hop of every frame as a heap
@@ -92,14 +89,6 @@ PHI_THRESHOLD = 8.0
 #: the series adds nothing the small cases don't already gate.
 DETECTION_MAX_SITES = 64
 
-#: Dense-workload share of the large-tree build series: every site
-#: subscribes to each of site 0's streams with this probability, so at
-#: N=256 each tree has ~192 members — far past the numpy kernels'
-#: vectorization threshold, giving the vector scan a committed,
-#: ratchetable series (the base ``build`` series tops out at ~6-member
-#: groups where the python fallback wins).
-DENSE_SUBSCRIBE_PROBABILITY = 0.75
-
 #: Control-link delay / debounce of the tracked async-control series.
 #: The recorded convergence is *simulated* milliseconds — deterministic
 #: per (scenario, seed, N), so regressions in it are real behavior
@@ -136,10 +125,6 @@ class PerfCase:
     #: :data:`LOSSY_JITTER_MS` / :data:`LOSSY_RETRANSMIT_TIMEOUT_MS`).
     #: Also simulated (deterministic) milliseconds.
     control_convergence_lossy: Timing | None = None
-    #: Wall-clock build time over the dense single-publisher workload
-    #: (:data:`DENSE_SUBSCRIBE_PROBABILITY`): trees with ~0.75N members,
-    #: the regime the vectorized candidate-scan kernels exist for.
-    build_large_tree: Timing | None = None
     #: Wall-clock time of the sampled-percentile noisy plane over the
     #: same forest at :data:`LOSSY_LOSS_RATE` / :data:`LOSSY_JITTER_MS`
     #: — the fast path for noisy sweeps the event plane prices per hop
@@ -151,10 +136,6 @@ class PerfCase:
     #: only estimator-triggered verification rounds pay the scratch
     #: solve.
     scenario_round_hybrid: Timing | None = None
-    #: One MAX_RFC parent scan per non-member site against the largest
-    #: dense-build tree (~0.75N members) — the committed series
-    #: protecting the mirror-fed vectorized scan kernel.
-    parent_scan_dense: Timing | None = None
     #: Simulated mean failure-detection latency of the rolling-failure
     #: scenario (``best_ms``; ``repeats`` is the detection count), one
     #: series per detector x link profile: static deadline vs φ-accrual
@@ -202,22 +183,12 @@ class PerfCase:
                 if self.control_convergence_lossy
                 else None
             ),
-            "build_large_tree": (
-                self.build_large_tree.to_dict()
-                if self.build_large_tree
-                else None
-            ),
             "sampled_plane": (
                 self.sampled_plane.to_dict() if self.sampled_plane else None
             ),
             "scenario_round_hybrid": (
                 self.scenario_round_hybrid.to_dict()
                 if self.scenario_round_hybrid
-                else None
-            ),
-            "parent_scan_dense": (
-                self.parent_scan_dense.to_dict()
-                if self.parent_scan_dense
                 else None
             ),
             "detection_static": (
@@ -286,8 +257,6 @@ class PerfReport:
                 "round(hyb) ms",
                 "conv ms(sim)",
                 "conv-lossy ms(sim)",
-                "dense-build ms",
-                "pscan ms",
                 "sampled ms",
                 "detect st/phi ms(sim)",
                 "detect@20% st/phi ms(sim)",
@@ -331,16 +300,6 @@ class PerfReport:
                     (
                         f"{case.control_convergence_lossy.best_ms:.1f}"
                         if case.control_convergence_lossy
-                        else "-"
-                    ),
-                    (
-                        f"{case.build_large_tree.best_ms:.1f}"
-                        if case.build_large_tree
-                        else "-"
-                    ),
-                    (
-                        f"{case.parent_scan_dense.best_ms:.2f}"
-                        if case.parent_scan_dense
                         else "-"
                     ),
                     (
@@ -514,75 +473,6 @@ def _measure_detection_latency(
     )
 
 
-def _dense_problem(session: TISession, seed: int) -> ForestProblem:
-    """A single-publisher dense workload: trees with ~0.75N members each.
-
-    Every other site subscribes to each of site 0's streams with
-    probability :data:`DENSE_SUBSCRIBE_PROBABILITY` (seeded draws, so
-    the workload is deterministic per (seed, N)).  The resulting groups
-    are an order of magnitude larger than the coverage workload's, which
-    is what pushes the candidate scans past the vectorization threshold.
-    """
-    rng = RngStream(seed, label=f"perf/dense/N{session.n_sites}")
-    streams = session.site(0).stream_ids
-    site_sets: dict[int, tuple] = {}
-    for site in range(1, session.n_sites):
-        chosen = tuple(
-            stream
-            for stream in streams
-            if rng.random() < DENSE_SUBSCRIBE_PROBABILITY
-        )
-        if chosen:
-            site_sets[site] = chosen
-    workload = SubscriptionWorkload.from_site_sets(session.n_sites, site_sets)
-    return ForestProblem.from_workload(
-        session, workload, DEFAULT_LATENCY_BOUND_MS
-    )
-
-
-def _time_dense_parent_scan(
-    problem: ForestProblem, result, repeats: int, n_sites: int
-) -> Timing | None:
-    """One MAX_RFC parent scan per non-member site, largest dense tree.
-
-    The scan is read-only, so repeating it is deterministic; the tree
-    holds ~0.75N members, which keeps the series in the vectorized
-    regime the array mirrors exist for (the python backend runs the
-    scalar reference loop over the same tree, so the series is
-    comparable across backends).
-    """
-    from repro.core.node_join import ParentPolicy
-
-    trees = [tree for tree in result.forest.trees.values() if len(tree) >= 2]
-    if not trees:
-        return None
-    tree = max(trees, key=len)
-    if len(tree) < 64:
-        # Below the vectorized regime one pass is single-digit
-        # microseconds — pure timer noise that a 2x ratchet would trip
-        # on, and not the kernel this series protects.
-        return None
-    backend = problem.array_backend
-    state = result.state
-    outsiders = [
-        site for site in range(problem.n_nodes) if site not in tree
-    ]
-
-    def scan_all() -> None:
-        for subscriber in outsiders:
-            backend.parent_scan(
-                problem, state, tree, subscriber, ParentPolicy.MAX_RFC
-            )
-
-    # Warm the lazy mirrors so the timed repeats measure the steady
-    # state (the backfill is paid once per tree in real builds too).
-    scan_all()
-    timing, _ = time_call(
-        scan_all, repeats=repeats, label=f"parent-scan-dense/N{n_sites}"
-    )
-    return timing
-
-
 def _time_scenario_rounds(
     n_sites: int, seed: int, rebuild_policy: str
 ) -> Timing:
@@ -722,19 +612,6 @@ def run_perf_case(
                 lossy=key.endswith("lossy"),
             )
 
-    dense_timing: Timing | None = None
-    parent_scan_timing: Timing | None = None
-    if n_sites <= SCENARIO_MAX_SITES:
-        dense_problem = _dense_problem(session, seed)
-        dense_timing, dense_result = time_call(
-            lambda: builder.build(dense_problem, rng.spawn("dense-build")),
-            repeats=repeats,
-            label=f"build-large-tree/{algorithm}/N{n_sites}",
-        )
-        parent_scan_timing = _time_dense_parent_scan(
-            dense_problem, dense_result, repeats, n_sites
-        )
-
     return PerfCase(
         n_sites=n_sites,
         requests=problem.total_requests(),
@@ -748,10 +625,8 @@ def run_perf_case(
         scenario_round_incremental=scenario_incremental_timing,
         control_convergence=convergence_timing,
         control_convergence_lossy=convergence_lossy_timing,
-        build_large_tree=dense_timing,
         sampled_plane=sampled_timing,
         scenario_round_hybrid=scenario_hybrid_timing,
-        parent_scan_dense=parent_scan_timing,
         detection_static=detection_timings["static"],
         detection_static_lossy=detection_timings["static_lossy"],
         detection_phi=detection_timings["phi"],
@@ -879,16 +754,11 @@ def compare_reports(old: dict, new: dict) -> str:
 #: ``control_convergence`` is *simulated* milliseconds — deterministic
 #: per (seed, N), so its gate catches behavior regressions (extra
 #: rounds, slower settling) rather than machine noise.
-#: ``build_large_tree`` is the dense-workload build: the committed
-#: series protecting the vectorized candidate-scan kernels (the base
-#: ``build`` series never leaves the small-group python-fallback
-#: regime).
 #: ``sampled_plane`` is the sampled-percentile noisy plane under the
 #: tracked lossy noise model — the series protecting the bulk-draw
 #: convolution path noisy sweeps ride instead of the event heap.
 #: ``scenario_round_hybrid`` protects the estimator-gated scratch-free
-#: hybrid (between re-solves a round must stay ~incremental cost), and
-#: ``parent_scan_dense`` the mirror-fed vectorized parent scan itself.
+#: hybrid (between re-solves a round must stay ~incremental cost).
 #: The four ``detection_*`` series are simulated failure-detection
 #: latencies (static vs φ-accrual, quiet vs 20% loss): deterministic
 #: per (seed, N), they ratchet the PR 10 detector-behavior pins — a
@@ -900,8 +770,6 @@ RATCHET_METRICS = (
     "scenario_round_incremental",
     "scenario_round_hybrid",
     "control_convergence",
-    "build_large_tree",
-    "parent_scan_dense",
     "sampled_plane",
     "detection_static",
     "detection_static_lossy",

@@ -115,6 +115,7 @@ from repro.pubsub.messages import (
 )
 from repro.pubsub.rp import RPAgent
 from repro.sim.engine import Simulator, Timer
+from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
     check_at_least,
@@ -1421,7 +1422,7 @@ class MembershipService:
 
 def _mean(values: list[float]) -> float:
     """Arithmetic mean; 0.0 over no samples."""
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def _kind_of(message: ControlEnvelope) -> str:

@@ -41,6 +41,7 @@ from repro.sim.dataplane import make_dataplane
 from repro.sim.engine import Simulator
 from repro.sim.invariants import AuditReport, InvariantAuditor
 from repro.topology.backbone import load_backbone
+from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 
 
@@ -620,7 +621,7 @@ class ScenarioRuntime:
         self.report.debounce_ms = service.debounce_ms
         converged = service.converged_rounds()
         self.report.convergence_rounds = len(converged)
-        self.report.convergence_total_ms = sum(
+        self.report.convergence_total_ms = left_sum(
             round_.convergence_ms for round_ in converged
         )
         self.report.max_convergence_ms = service.max_convergence_ms()
@@ -670,7 +671,7 @@ class ScenarioRuntime:
             repair_deadline_factor=spec.data_repair_deadline_factor,
         ).run(self.dataplane_duration_ms)
         self.report.dataplane_frames_delivered += report.frames_delivered
-        self.report.dataplane_total_latency_ms += sum(
+        self.report.dataplane_total_latency_ms += left_sum(
             stats.total_latency_ms for stats in report.deliveries.values()
         )
         self.report.dataplane_max_latency_ms = max(

@@ -7,17 +7,15 @@ dict-of-dict matrix pays two hash lookups per probe; the
 list of row lists, so a probe is two list indexings and a whole row can
 be handed to a scan loop at once.
 
-The row/column lists stay the authoritative storage on every array
-backend (scalar probes are faster on lists); when the numpy backend is
-active, :meth:`column_array` exposes a lazily-built ndarray mirror for
-the vectorized parent scan.  ``set_cost`` patches rows, the lazy
-transpose and the mirror in place, so a single-entry cost tweak does
-not re-pay the O(N²) transpose rebuild.
+The rows and the lazy transpose are plain lists on every array backend
+(scalar probes are faster on lists).  ``set_cost`` patches both in
+place, so a single-entry cost tweak does not re-pay the O(N²) transpose
+rebuild.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from repro.errors import TopologyError
 
@@ -38,7 +36,6 @@ class DenseCostMatrix:
         "_labels",
         "_index",
         "array_backend",
-        "_cols_arr",
         "edits",
     )
 
@@ -62,7 +59,6 @@ class DenseCostMatrix:
         #: The array backend bound to this matrix (and, through it, to
         #: the session or problems that own it).
         self.array_backend = resolve_backend()
-        self._cols_arr = None
         #: How many times :meth:`set_cost` ran.  The matrix is shared by
         #: every problem evolved from one ancestor, so a forest built
         #: earlier can tell from this whether the costs it was checked
@@ -78,34 +74,6 @@ class DenseCostMatrix:
             if self._labels is not None
             else None
         )
-
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def from_nested(
-        cls,
-        nested: Mapping,
-        nodes: Iterable[Hashable] | None = None,
-    ) -> "DenseCostMatrix":
-        """Build from a ``nested[a][b] -> cost`` mapping.
-
-        ``nodes`` fixes the index order; by default the mapping's own
-        key order is used.  Missing entries raise
-        :class:`~repro.errors.TopologyError`.
-        """
-        order = list(nodes) if nodes is not None else list(nested)
-        rows: list[list[float]] = []
-        for a in order:
-            source = nested.get(a)
-            if source is None:
-                raise TopologyError(f"missing cost row for node {a!r}")
-            try:
-                rows.append([float(source[b]) for b in order])
-            except KeyError as missing:
-                raise TopologyError(
-                    f"missing cost entry {a!r}->{missing.args[0]!r}"
-                ) from None
-        return cls(rows, labels=order)
 
     # -- lookups -----------------------------------------------------------------
 
@@ -133,29 +101,15 @@ class DenseCostMatrix:
         return self._cols[b]
 
     def set_cost(self, a: int, b: int, value: float) -> None:
-        """Update one entry, patching the transpose and mirror in place.
+        """Update one entry, patching the transpose in place.
 
         Dropping the lazy transpose here would force the next ``column``
-        call to re-pay the O(N²) rebuild for a single changed entry;
-        instead every materialized view is kept in sync.
+        call to re-pay the O(N²) rebuild for a single changed entry.
         """
         self.edits += 1
         self._rows[a][b] = value
         if self._cols is not None:
             self._cols[b][a] = value
-        if self._cols_arr is not None:
-            self._cols_arr[b, a] = value
-
-    # -- array mirror ------------------------------------------------------------
-
-    def column_array(self, b: int):
-        """Column ``b`` as this backend's vector type (ndarray on numpy)."""
-        backend = self.array_backend
-        if backend.name != "numpy":
-            return self.column(b)
-        if self._cols_arr is None:
-            self._cols_arr = backend.column_mirror(self._rows)
-        return self._cols_arr[b]
 
     def index_of(self, label: Hashable) -> int:
         """Index of an external node id (requires labels)."""
@@ -180,17 +134,6 @@ class DenseCostMatrix:
                 if abs(row[j] - rows[j][i]) > tolerance:
                     return False
         return True
-
-    def to_nested(self) -> dict:
-        """Export back to the legacy ``nested[a][b]`` dict form.
-
-        Keys are labels when present, indices otherwise.
-        """
-        keys = self._labels if self._labels is not None else list(range(self.n))
-        return {
-            keys[i]: {keys[j]: self._rows[i][j] for j in range(self.n)}
-            for i in range(self.n)
-        }
 
     def __len__(self) -> int:
         return self.n

@@ -12,10 +12,8 @@ previous round's object.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backend import numpy_available
 from repro.core.base import BuildResult
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.forest import OverlayForest
@@ -31,7 +29,6 @@ from tests.conftest import complete_cost
 from tests.reference_paths import (
     repair_checked_against_replay,
     result_snapshot,
-    use_array_backend,
 )
 
 
@@ -256,29 +253,26 @@ class TestCopyOnWrite:
             SubscriptionRequest(2, SB2)
         ]
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-    def test_array_mirrors_are_never_shared(self):
-        with use_array_backend("numpy") as backend:
-            n = backend.vector_scan_min + 8
-            big, small = StreamId(0, 0), StreamId(1, 0)
-            problem = tables_problem(
-                n, {big: set(range(1, n - 1)), small: {2, 3}}, 4, 4, bound=50.0
-            )
-            previous = RandomJoinBuilder().build(problem, RngStream(2))
-            old_tree = previous.forest.trees[big]
-            assert old_tree._arrays is not None  # the vector scan ran
-            assert previous.state._arrays is not None
-            report = repair_checked_against_replay(
-                IncrementalRepairer(),
-                previous,
-                evolved(problem, {big: set(range(1, n)), small: {2, 3}}),
-            )
-            new_tree = report.result.forest.trees[big]
-            assert n - 1 in new_tree and n - 1 not in old_tree
-            assert old_tree._arrays.size == len(old_tree)
-            assert new_tree._arrays is not old_tree._arrays
-            assert report.result.state._arrays is not previous.state._arrays
-            assert report.result.state.dout.mirror is not previous.state.dout.mirror
+    def test_large_tree_repair_leaves_the_previous_round(self):
+        n = 40
+        big, small = StreamId(0, 0), StreamId(1, 0)
+        problem = tables_problem(
+            n, {big: set(range(1, n - 1)), small: {2, 3}}, 4, 4, bound=50.0
+        )
+        previous = RandomJoinBuilder().build(problem, RngStream(2))
+        old_tree = previous.forest.trees[big]
+        old_parents = dict(old_tree.parent_map())
+        old_counts = previous.state.snapshot()
+        report = repair_checked_against_replay(
+            IncrementalRepairer(),
+            previous,
+            evolved(problem, {big: set(range(1, n)), small: {2, 3}}),
+        )
+        new_tree = report.result.forest.trees[big]
+        assert n - 1 in new_tree and n - 1 not in old_tree
+        assert old_tree.parent_map() == old_parents
+        assert previous.state.snapshot() == old_counts
+        assert report.result.state.din[n - 1] == old_counts["din"][n - 1] + 1
 
 
 class TestReservationsCarry:

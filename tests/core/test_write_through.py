@@ -1,13 +1,12 @@
-"""Problem-table setters: visibility, round isolation, mirrors, snapshots.
+"""Problem-table setters: visibility, round isolation, snapshots.
 
 A :class:`ForestProblem` keeps one representation of each table — the
 dense cost matrix and two bound lists — and the only writes are
 ``set_cost`` / ``set_inbound_limit`` / ``set_outbound_limit``.  These
 tests pin what the hot paths rely on: an edit is visible through row and
-column lists already handed out, an evolved problem's bound edit never
-reaches the round it was evolved from, the numpy bound mirror is rebuilt
-after an edit, and bad edits are refused naming the node.  Everything
-runs on both array backends.
+column lists already handed out and to the next parent scan, an evolved
+problem's bound edit never reaches the round it was evolved from, and
+bad edits are refused naming the node.  Everything runs on both array backends.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ import math
 import pytest
 
 from repro.core.backend import numpy_available
+from repro.core.forest import OverlayForest
+from repro.core.node_join import ParentPolicy
 from repro.core.problem import ForestProblem
 from repro.core.registry import make_builder
 from repro.core.state import BuilderState
@@ -173,43 +174,54 @@ class TestEvolvedBoundsAreIsolated:
         assert problem.inbound_limit(1) == before
 
 
-@needs_numpy
-class TestOutboundLimitsMirror:
-    """The int64 mirror the vectorized parent scan reads must follow the
-    setter, per problem."""
+class TestParentScanReadsTheTables:
+    """The parent scan reads the live tables: an edit counts from the next
+    scan on, in its own round only."""
 
-    @pytest.fixture(params=["numpy"])
-    def backend(self, request):
-        with use_array_backend(request.param) as pinned:
-            yield pinned
-
-    def test_setter_drops_the_cached_mirror(self, backend, problem):
-        arr = backend.outbound_limits_array(problem)
-        assert list(arr) == problem.outbound_limits()
-        assert backend.outbound_limits_array(problem) is arr
-        problem.set_outbound_limit(2, 1)
-        fresh = backend.outbound_limits_array(problem)
-        assert fresh is not arr
-        assert int(fresh[2]) == 1
-
-    def test_inbound_setter_leaves_the_mirror(self, backend, problem):
-        arr = backend.outbound_limits_array(problem)
-        problem.set_inbound_limit(2, 1)
-        assert backend.outbound_limits_array(problem) is arr
-
-    def test_mirrors_are_per_round(self, backend, problem, workload):
-        evolved = ForestProblem.evolve(problem, workload)
-        ancestor = backend.outbound_limits_array(problem)
-        backend.outbound_limits_array(evolved)
-        evolved.set_outbound_limit(1, 0)
-        assert backend.outbound_limits_array(problem) is ancestor
-        assert int(ancestor[1]) == problem.outbound_limit(1)
-        assert int(backend.outbound_limits_array(evolved)[1]) == 0
-        problem.set_outbound_limit(3, 0)
-        assert int(backend.outbound_limits_array(problem)[3]) == 0
-        assert int(backend.outbound_limits_array(evolved)[3]) == (
-            evolved.outbound_limit(3)
+    def _source_join(self, problem):
+        """An undisseminated tree and a subscriber its source can serve."""
+        stream = problem.groups[0].stream
+        tree = OverlayForest().tree(stream)
+        subscriber = next(
+            node
+            for node in range(problem.n_nodes)
+            if node != tree.source
+            and problem.edge_cost(tree.source, node) < problem.latency_bound_ms
         )
+        return tree, subscriber
+
+    def _parents(self, problem, tree, subscriber):
+        state = BuilderState(problem)
+        return {
+            problem.array_backend.parent_scan(
+                problem, state, tree, subscriber, policy
+            )
+            for policy in ParentPolicy
+        }
+
+    def test_edits_reach_the_next_scan(self, problem):
+        tree, subscriber = self._source_join(problem)
+        source, limit = tree.source, problem.outbound_limit(tree.source)
+        assert self._parents(problem, tree, subscriber) == {source}
+        problem.set_outbound_limit(source, 0)
+        assert self._parents(problem, tree, subscriber) == {None}
+        problem.set_outbound_limit(source, limit)
+        problem.set_cost(source, subscriber, math.inf)
+        assert self._parents(problem, tree, subscriber) == {None}
+
+    def test_evolved_edit_leaves_the_ancestors_scan(self, problem, workload):
+        tree, subscriber = self._source_join(problem)
+        evolved = ForestProblem.evolve(problem, workload)
+        evolved.set_outbound_limit(tree.source, 0)
+        assert self._parents(evolved, tree, subscriber) == {None}
+        assert self._parents(problem, tree, subscriber) == {tree.source}
+
+    def test_ancestor_edit_leaves_the_evolved_scan(self, problem, workload):
+        tree, subscriber = self._source_join(problem)
+        evolved = ForestProblem.evolve(problem, workload)
+        problem.set_outbound_limit(tree.source, 0)
+        assert self._parents(problem, tree, subscriber) == {None}
+        assert self._parents(evolved, tree, subscriber) == {tree.source}
 
 
 class TestBuilderStateSnapshot:

@@ -45,6 +45,7 @@ from repro.core.incremental import (
     churn_rate,
 )
 from repro.sim.invariants import InvariantAuditor
+from repro.util.floats import left_sum
 from repro.core.model import SubscriptionRequest
 from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
@@ -327,15 +328,11 @@ def repair_checked_against_replay(
     for stream, tree in new_trees.items():
         if stream in rewritten:
             assert tree is not old_trees.get(stream)
-            assert tree._arrays is None or tree._arrays is not getattr(
-                old_trees.get(stream), "_arrays", None
-            )
         else:
             assert tree is old_trees[stream], f"{stream} copied but not listed"
     state, old_state = report.result.state, previous.state
     assert state is not old_state and state.problem is problem
     assert state.dout is not old_state.dout and state.m_hat is not old_state.m_hat
-    assert state._arrays is None or state._arrays is not old_state._arrays
     return report
 
 
@@ -361,18 +358,6 @@ def check_repairs_against_replay(server: MembershipServer) -> MembershipServer:
         repairer, previous, problem
     )
     return server
-
-
-def _seq_sum(values: list[float]) -> float:
-    """Left-to-right float sum, the event plane's accumulation order.
-
-    Spelled out: builtin ``sum`` compensates float addition from Python
-    3.12 on and answers differently in the last bits.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _camera(plane, stream_id, duration_ms: float):
@@ -413,7 +398,7 @@ def per_delivery_fast_run(plane: FastDataPlane, duration_ms: float) -> DataPlane
             latencies = [a - t for a, t in zip(arrivals[node], times)]
             stats = DeliveryStats()
             stats.frames = n_frames
-            stats.total_latency_ms = _seq_sum(latencies)
+            stats.total_latency_ms = left_sum(latencies)
             stats.max_latency_ms = max(0.0, max(latencies))
             deliveries[(stream_id, node)] = stats
             delivered += n_frames
@@ -481,7 +466,7 @@ def per_delivery_sampled_run(
             stats = DeliveryStats()
             stats.frames = len(latencies)
             if latencies:
-                stats.total_latency_ms = _seq_sum(latencies)
+                stats.total_latency_ms = left_sum(latencies)
                 stats.max_latency_ms = max(0.0, max(latencies))
                 all_latencies.extend(latencies)
             deliveries[(stream_id, node)] = stats
