@@ -17,6 +17,9 @@ if [[ "${1:-}" == "--full" ]]; then
 fi
 
 echo "== tier-1 tests (this install's array backend) =="
+# Tier-1 includes the golden digests (tests/test_golden_digests.py): the
+# 78 scenario cells and the seed-7 benchmark exact blocks against
+# tests/golden/digests.json; --full adds the seed-23 blocks.
 python -m pytest -x -q "${EXTRA[@]}"
 
 # The numpy kernels are pinned bit-identical to the python reference, so

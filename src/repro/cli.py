@@ -88,6 +88,9 @@ def _parse_window(flag: str, shape: str, text: str):
         print(f"tele3d: error: {flag} expects {shape} numbers, got {text!r}",
               file=sys.stderr)
         raise SystemExit(2) from None
+    except Tele3DError as error:
+        print(f"tele3d: error: {flag} {text!r}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 _parse_partition = partial(_parse_window, "--partition", "SITE:START:END")

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.base import BuildResult
+from repro.util.floats import left_sum
 
 
 def rejection_ratio(result: BuildResult) -> float:
@@ -66,7 +67,7 @@ def correlation_weighted_rejection(result: BuildResult) -> float:
         if not row:
             continue
         u_min = min(row.values())
-        inner = sum(
+        inner = left_sum(
             u_hat.get(i, {}).get(j, 0) / (u_ij * u_ij)
             for j, u_ij in row.items()
             if u_ij > 0
@@ -171,11 +172,11 @@ class ForestMetrics:
 def _mean(values: list[float]) -> float:
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def _std(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = _mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
+    return math.sqrt(left_sum([(v - mu) ** 2 for v in values]) / len(values))

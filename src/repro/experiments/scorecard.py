@@ -17,6 +17,7 @@ from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.fig11 import improvement_factor, run_fig11
 from repro.experiments.settings import ExperimentSetting
+from repro.util.floats import left_sum
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,9 @@ def evaluate_fig8(samples: int = 40, seed: int = 42) -> list[Claim]:
                 Claim(
                     label,
                     "LTF beats STF on average",
-                    sum(ltf) < sum(stf),
-                    f"mean ltf {sum(ltf)/len(ltf):.4f} "
-                    f"vs stf {sum(stf)/len(stf):.4f}",
+                    left_sum(ltf) < left_sum(stf),
+                    f"mean ltf {left_sum(ltf)/len(ltf):.4f} "
+                    f"vs stf {left_sum(stf)/len(stf):.4f}",
                 )
             )
         else:
@@ -74,9 +75,9 @@ def evaluate_fig8(samples: int = 40, seed: int = 42) -> list[Claim]:
                     label,
                     "LTF beats-or-ties STF over the first half of the sweep "
                     "(STF catches up at large N — documented deviation)",
-                    sum(ltf[:half]) <= sum(stf[:half]) * 1.005,
-                    f"first-half ltf {sum(ltf[:half]):.4f} "
-                    f"vs stf {sum(stf[:half]):.4f}",
+                    left_sum(ltf[:half]) <= left_sum(stf[:half]) * 1.005,
+                    f"first-half ltf {left_sum(ltf[:half]):.4f} "
+                    f"vs stf {left_sum(stf[:half]):.4f}",
                 )
             )
         claims.append(
@@ -84,8 +85,9 @@ def evaluate_fig8(samples: int = 40, seed: int = 42) -> list[Claim]:
                 label,
                 "RJ within 5% of the best algorithm on average "
                 "(paper: RJ best outright)",
-                sum(rj) <= 1.05 * min(sum(ltf), sum(stf), sum(mctf)),
-                f"mean rj {sum(rj)/len(rj):.4f}",
+                left_sum(rj)
+                <= 1.05 * min(left_sum(ltf), left_sum(stf), left_sum(mctf)),
+                f"mean rj {left_sum(rj)/len(rj):.4f}",
             )
         )
     return claims

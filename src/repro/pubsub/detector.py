@@ -37,6 +37,7 @@ import math
 from collections import deque
 
 from repro.errors import ConfigurationError
+from repro.util.floats import left_sum
 from repro.util.validation import check_finite_non_negative, check_positive
 
 #: Sliding-window length of remembered inter-arrival samples per peer.
@@ -143,6 +144,10 @@ class PhiAccrualDetector:
         self._samples: dict[int, deque[float]] = {}
         self._last_arrival: dict[int, float] = {}
         self._last_beat: dict[int, float] = {}
+        #: Per-peer ``(mean, std)`` of the window, computed by :meth:`phi`
+        #: on demand and dropped whenever the window gains a sample or the
+        #: peer is forgotten (so a first-contact seeding never finds one).
+        self._stats: dict[int, tuple[float, float]] = {}
 
     # -- observation ---------------------------------------------------------------
 
@@ -167,6 +172,7 @@ class PhiAccrualDetector:
                 interval = now - last_beat
                 if interval > 0:
                     self._samples[peer].append(interval)
+                    self._stats.pop(peer, None)
         self._last_beat[peer] = now
         self._last_arrival[peer] = now
 
@@ -188,12 +194,14 @@ class PhiAccrualDetector:
         self._samples.pop(peer, None)
         self._last_arrival.pop(peer, None)
         self._last_beat.pop(peer, None)
+        self._stats.pop(peer, None)
 
     def reset(self) -> None:
         """Drop every peer's history (server crash: soft state is gone)."""
         self._samples.clear()
         self._last_arrival.clear()
         self._last_beat.clear()
+        self._stats.clear()
 
     def known(self, peer: int) -> bool:
         """True once ``peer`` has been observed at least once."""
@@ -207,12 +215,18 @@ class PhiAccrualDetector:
         if last is None:
             return 0.0
         elapsed = now - last
-        if elapsed <= 0:
+        # Every sample is > 0, so the window mean is too: inside the grace
+        # the numerator below cannot be positive, and phi is 0 unscored.
+        if elapsed <= self.acceptable_pause_ms:
             return 0.0
-        samples = self._samples[peer]
-        mean = sum(samples) / len(samples)
-        variance = sum((s - mean) ** 2 for s in samples) / len(samples)
-        std = max(math.sqrt(variance), self.min_std_ms)
+        stats = self._stats.get(peer)
+        if stats is None:
+            samples = self._samples[peer]
+            mean = left_sum(samples) / len(samples)
+            variance = left_sum([(s - mean) ** 2 for s in samples]) / len(samples)
+            std = max(math.sqrt(variance), self.min_std_ms)
+            stats = self._stats[peer] = (mean, std)
+        mean, std = stats
         y = (elapsed - mean - self.acceptable_pause_ms) / std
         if y <= 0:
             return 0.0

@@ -58,11 +58,8 @@ class PartitionWindow:
     def __post_init__(self) -> None:
         if self.site < 0:
             raise ConfigurationError(f"partition site must be >= 0, got {self.site}")
-        if self.start_ms < 0:
-            raise ConfigurationError(
-                f"partition start must be >= 0, got {self.start_ms}"
-            )
-        if self.end_ms <= self.start_ms:
+        check_finite_non_negative("partition start", self.start_ms)
+        if not self.end_ms > self.start_ms:  # NaN-safe
             raise ConfigurationError(
                 f"partition end {self.end_ms} must be after start {self.start_ms}"
             )
@@ -182,11 +179,20 @@ class FaultyLink:
     dropped_forced: int = field(default=0, init=False)
     duplicated: int = field(default=0, init=False)
 
+    def __post_init__(self) -> None:
+        # site -> its [start_ms, end_ms) cuts; the config is frozen.
+        self._cuts: dict[int, list[tuple[float, float]]] = {}
+        for window in self.config.partitions:
+            self._cuts.setdefault(window.site, []).append(
+                (window.start_ms, window.end_ms)
+            )
+
     def partitioned(self, site: int, time_ms: float) -> bool:
         """True when ``site``'s link is cut at ``time_ms``."""
-        return any(
-            window.covers(site, time_ms) for window in self.config.partitions
-        )
+        for start_ms, end_ms in self._cuts.get(site, ()):
+            if start_ms <= time_ms < end_ms:
+                return True
+        return False
 
     def transmit(
         self,
@@ -222,8 +228,9 @@ class FaultyLink:
             self.dropped_loss += 1
             return False
         delay = base_delay_ms
+        # ``j * random()`` is ``uniform(0.0, j)`` bit for bit, same draw.
         if config.jitter_ms > 0:
-            delay += self.rng.uniform(0.0, config.jitter_ms)
+            delay += config.jitter_ms * self.rng.random()
         self.delivered += 1
         self.sim.schedule_in(delay, deliver)
         if config.duplicate_rate > 0 and self.rng.random() < config.duplicate_rate:
@@ -232,7 +239,7 @@ class FaultyLink:
             # engine's (time, sequence) order lands it strictly later.
             copy_delay = delay
             if config.jitter_ms > 0:
-                copy_delay += self.rng.uniform(0.0, config.jitter_ms)
+                copy_delay += config.jitter_ms * self.rng.random()
             self.duplicated += 1
             self.sim.schedule_in(copy_delay, deliver)
         return True

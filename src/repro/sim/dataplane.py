@@ -44,6 +44,7 @@ from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.sim.engine import Simulator, Timer
 from repro.sim.network import LatencyNetwork
+from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
     check_finite_non_negative,
@@ -129,7 +130,7 @@ class DataPlaneReport:
     @property
     def mean_latency_ms(self) -> float:
         """Mean end-to-end latency across all deliveries."""
-        total = sum(s.total_latency_ms for s in self.deliveries.values())
+        total = left_sum(s.total_latency_ms for s in self.deliveries.values())
         count = sum(s.frames for s in self.deliveries.values())
         return total / count if count else 0.0
 

@@ -104,7 +104,9 @@ class Simulator:
         """Schedule ``callback`` after ``delay_ms`` from now."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
-        self.schedule_at(self._now + delay_ms, callback)
+        # Pushed here, not through schedule_at: now + delay >= now.
+        heapq.heappush(self._queue, (self._now + delay_ms, self._sequence, callback))
+        self._sequence += 1
 
     def schedule_timer(
         self,

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.errors import TopologyError
 from repro.topology.dense import DenseCostMatrix
 from repro.topology.geo import GeoPoint, haversine_km
+from repro.util.floats import left_sum
 from repro.util.units import propagation_delay_ms
 
 
@@ -319,7 +320,7 @@ class TopologyStats:
         return cls(
             pops=len(topology),
             links=len(link_costs),
-            mean_link_cost_ms=sum(link_costs) / len(link_costs),
+            mean_link_cost_ms=left_sum(link_costs) / len(link_costs),
             max_link_cost_ms=max(link_costs),
             diameter_ms=diameter,
         )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.session.session import TISession
 from repro.session.streams import StreamId
+from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.workload.spec import SubscriptionWorkload
 
@@ -140,7 +141,7 @@ class CoverageWorkloadModel:
                 j: 1.0 / float(rank + 1) ** self.focus_skew
                 for rank, j in enumerate(order)
             }
-            mean = sum(raw.values()) / len(raw)
+            mean = left_sum(raw.values()) / len(raw)
             weights.append({j: raw[j] / mean for j in others})
         return weights
 
@@ -155,6 +156,6 @@ class CoverageWorkloadModel:
         weights = [
             1.0 / float(q + 1) ** self.zipf_exponent for q in range(n_streams)
         ]
-        mean_weight = sum(weights) / n_streams
+        mean_weight = left_sum(weights) / n_streams
         scale = base_interest / mean_weight if mean_weight > 0 else 0.0
         return [min(1.0, w * scale) for w in weights]

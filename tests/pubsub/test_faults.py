@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +16,7 @@ from repro.pubsub.faults import (
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
 
+NAN, INF = float("nan"), float("inf")
 
 class CountingRng:
     """RngStream stand-in that counts every draw."""
@@ -93,6 +96,35 @@ class TestJitter:
         assert all(10.0 <= t <= 15.0 for t in arrivals)
         assert len(set(arrivals)) > 1  # jitter actually varied
 
+    @pytest.mark.parametrize("jitter_ms", (1e-9, 0.1, 5.0, 8.0, 123.456))
+    def test_scaled_draw_is_uniform_bit_for_bit(self, jitter_ms):
+        """The link draws jitter as ``j * random()``: the same value and
+        the same generator words as ``uniform(0.0, j)``, 2 000 draws per
+        ``j`` (10^4 in all)."""
+        scaled, reference = RngStream(11, "jitter"), RngStream(11, "jitter")
+        for _ in range(2_000):
+            got = jitter_ms * scaled.random()
+            assert got.hex() == reference.uniform(0.0, jitter_ms).hex()
+        assert scaled._random.getstate() == reference._random.getstate()
+
+    def test_link_arrivals_are_base_plus_uniform(self):
+        sim = Simulator()
+        config = FaultConfig(jitter_ms=8.0, duplicate_rate=0.3)
+        link = FaultyLink(sim, RngStream(5, "link"), config)
+        arrivals: list[float] = []
+        for _ in range(200):
+            link.transmit(0, 10.0, lambda: arrivals.append(sim.now))
+        sim.run()
+        reference = RngStream(5, "link")
+        expected: list[float] = []
+        for _ in range(200):  # one jitter, one duplicate draw, copy jitter
+            delay = 10.0 + reference.uniform(0.0, 8.0)
+            expected.append(delay)
+            if reference.random() < 0.3:
+                expected.append(delay + reference.uniform(0.0, 8.0))
+        assert sorted(arrivals) == sorted(expected)
+        assert link.duplicated == len(expected) - 200 > 0
+
 
 class TestDuplication:
     def test_certain_duplication_delivers_twice(self):
@@ -154,6 +186,60 @@ class TestPartitions:
         with pytest.raises(ConfigurationError):
             PartitionWindow(site=0, start_ms=5.0, end_ms=5.0)
 
+    @pytest.mark.parametrize(
+        "start_ms,end_ms",
+        ((0.0, NAN), (NAN, 5.0), (NAN, NAN), (INF, INF), (INF, 5.0)),
+    )
+    def test_nan_and_infinite_bounds_rejected(self, start_ms, end_ms):
+        """A NaN bound used to construct a window that never cut."""
+        with pytest.raises(ConfigurationError, match="partition"):
+            PartitionWindow(0, start_ms, end_ms)
+
+    def test_unbounded_end_accepted(self):
+        window = PartitionWindow(0, 5.0, INF)
+        assert window.covers(0, 1e300) and not window.covers(0, 4.0)
+
+
+#: Several windows on site 1 (two overlapping), one on site 3, none on
+#: sites 0, 2 and 4.
+TABLE_WINDOWS = (
+    PartitionWindow(1, 10.0, 20.0),
+    PartitionWindow(3, 0.0, 5.0),
+    PartitionWindow(1, 15.0, 30.0),
+    PartitionWindow(1, 50.0, 60.0),
+)
+
+
+class TestPartitionTable:
+    """``FaultyLink.partitioned`` reads a per-site table built once; it
+    must answer exactly what scanning every window's ``covers`` did."""
+
+    def test_agrees_with_every_window_covers(self):
+        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        bounds = {w.start_ms for w in TABLE_WINDOWS} | {w.end_ms for w in TABLE_WINDOWS}
+        times = [t / 4.0 for t in range(-8, 280)]
+        times += [math.nextafter(b, d) for b in bounds for d in (-INF, INF)]
+        for site in range(5):
+            for t in times:
+                assert link.partitioned(site, t) == any(
+                    w.covers(site, t) for w in TABLE_WINDOWS
+                ), (site, t)
+
+    def test_start_inclusive_end_exclusive(self):
+        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        assert link.partitioned(1, 10.0) and not link.partitioned(1, 60.0)
+        assert link.partitioned(1, 20.0)  # inside the overlapping window
+        assert not link.partitioned(1, 30.0) and not link.partitioned(1, 45.0)
+        assert link.partitioned(3, 0.0) and not link.partitioned(3, 5.0)
+
+    def test_site_without_a_window_is_never_cut(self):
+        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        assert not any(
+            link.partitioned(site, t) for site in (0, 2, 4) for t in (0.0, 15.0, 55.0)
+        )
+        _, _, unpartitioned = make_link(FaultConfig(loss_rate=0.5))
+        assert not unpartitioned.partitioned(1, 15.0)
+
 
 class TestDropFilter:
     def test_forced_drop_consumes_no_randomness(self):
@@ -198,6 +284,13 @@ class TestOutageWindowValidation:
             ServerOutageWindow(50.0, 50.0)
         with pytest.raises(ConfigurationError, match="end 10.0 must be after"):
             ServerOutageWindow(50.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "start_ms,end_ms", ((0.0, NAN), (NAN, 5.0), (NAN, NAN), (INF, INF))
+    )
+    def test_nan_and_infinite_bounds_rejected(self, start_ms, end_ms):
+        with pytest.raises(ConfigurationError, match="outage"):
+            ServerOutageWindow(start_ms, end_ms)
 
     def test_overlapping_outages_rejected_with_both_windows_named(self):
         with pytest.raises(

@@ -12,10 +12,19 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.errors import ConfigurationError
 from repro.pubsub.detector import DeadlineDetector, PhiAccrualDetector
 from repro.util.rng import RngStream
+from tests.reference_paths import window_walk_phi
 
 HEARTBEAT_MS = 40.0
 
@@ -218,3 +227,78 @@ class TestObserveVersusTouch:
         detector.reset()
         assert not detector.known(1)
         assert detector.phi(1, 1000.0) == 0.0
+
+
+PEERS = st.integers(0, 1)
+#: How far a rule moves the sim clock: mostly forward in 5 ms steps,
+#: sometimes backwards (non-monotone feeds happen when a peer is forgotten
+#: and re-admitted, or in hand-driven tests), sometimes by any float.
+STEPS = st.one_of(
+    st.integers(-8, 40).map(lambda k: k * 5.0),
+    st.floats(min_value=-100.0, max_value=2_000.0, allow_nan=False),
+)
+
+
+class PhiAgainstWindowWalk(RuleBasedStateMachine):
+    """Random observe/touch/forget/reset/phi sequences: ``phi`` equals the
+    window walk bit for bit, and ``suspect`` agrees with it."""
+
+    @initialize(
+        window=st.integers(2, 5),
+        min_std_ms=st.sampled_from((None, 0.5, 50.0)),
+        acceptable_pause_ms=st.sampled_from((None, 0.0, 7.5)),
+        threshold=st.sampled_from((0.5, 8.0)),
+    )
+    def build(self, window, min_std_ms, acceptable_pause_ms, threshold):
+        self.now = 0.0
+        self.detector = PhiAccrualDetector(
+            threshold=threshold,
+            initial_interval_ms=HEARTBEAT_MS,
+            window=window,  # small, so the window wraps within a run
+            min_std_ms=min_std_ms,  # 50 ms floors every std
+            acceptable_pause_ms=acceptable_pause_ms,
+        )
+
+    def advance(self, step: float) -> float:
+        self.now += step
+        return self.now
+
+    @rule(peer=PEERS, step=STEPS)
+    def observe(self, peer, step):
+        self.detector.observe(peer, self.advance(step))
+
+    @rule(peer=PEERS, step=STEPS)
+    def touch(self, peer, step):
+        self.detector.touch(peer, self.advance(step))
+
+    @rule(peer=PEERS)
+    def forget(self, peer):
+        self.detector.forget(peer)
+
+    @rule()
+    def reset(self):
+        self.detector.reset()
+
+    @rule(peer=PEERS, step=STEPS)
+    def phi(self, peer, step):
+        self.check(peer, self.advance(step))
+
+    @invariant()
+    def phi_matches_window_walk(self):
+        """After every step, ask about each peer across the silence range
+        (filling the cache, so a stale entry shows at the next step)."""
+        for peer in (0, 1):
+            for offset in (-5.0, 0.0, 45.0, 90.0, 150.0, 400.0):
+                self.check(peer, self.now + offset)
+
+    def check(self, peer: int, now: float) -> None:
+        want = window_walk_phi(self.detector, peer, now)
+        for _ in range(2):  # the second question reads the cached stats
+            assert self.detector.phi(peer, now).hex() == want.hex(), (peer, now)
+        assert self.detector.suspect(peer, now) == (want > self.detector.threshold)
+
+
+TestPhiAgainstWindowWalk = PhiAgainstWindowWalk.TestCase
+TestPhiAgainstWindowWalk.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)

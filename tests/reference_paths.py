@@ -27,14 +27,21 @@ And for the analytic data planes: ``FastDataPlane`` and
 the per-tree, per-delivery loops it replaced, on plain lists with one
 ``uniform()`` call per draw — the oracle the kernel is pinned to, bit
 for bit, on both array backends.
+
+And for the φ detector: ``PhiAccrualDetector.phi`` returns 0 inside the
+grace period without scoring and reads a per-peer (mean, std) cached
+until the window changes.  :func:`window_walk_phi` walks the window on
+every question, as ``phi`` did before — the oracle it is pinned to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from contextlib import contextmanager
 
 import repro.core.backend as backend_mod
+import repro.pubsub.detector as detector_mod
 from repro.core.base import BuildResult
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.forest import OverlayForest
@@ -358,6 +365,32 @@ def check_repairs_against_replay(server: MembershipServer) -> MembershipServer:
         repairer, previous, problem
     )
     return server
+
+
+def window_walk_phi(
+    detector: detector_mod.PhiAccrualDetector, peer: int, now: float
+) -> float:
+    """``detector.phi(peer, now)``, with the window's mean and variance
+    recomputed on every call and no grace shortcut."""
+    last = detector._last_arrival.get(peer)
+    if last is None:
+        return 0.0
+    elapsed = now - last
+    if elapsed <= 0:
+        return 0.0
+    samples = detector._samples[peer]
+    mean = left_sum(samples) / len(samples)
+    variance = left_sum((s - mean) ** 2 for s in samples) / len(samples)
+    std = max(math.sqrt(variance), detector.min_std_ms)
+    y = (elapsed - mean - detector.acceptable_pause_ms) / std
+    if y <= 0:
+        return 0.0
+    exponent = -y * (1.5976 + 0.070566 * y * y)
+    if exponent < -690.0:
+        return 300.0
+    e = math.exp(exponent)
+    p_later = e / (1.0 + e)
+    return -math.log10(max(p_later, detector_mod._MIN_P_LATER))
 
 
 def _camera(plane, stream_id, duration_ms: float):

@@ -46,8 +46,35 @@ class TestScheduling:
             sim.run()
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1.0, lambda: None)
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.schedule_in(-1.0, lambda: None)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.schedule_in(-1e-300, lambda: None)
+        assert sim.pending_events == 0
+        sim.schedule_in(0.0, lambda: None)  # zero is a delay, not the past
+        assert sim.pending_events == 1
+
+    def test_schedule_in_and_at_share_one_sequence(self):
+        """``schedule_in`` pushes its own entry; it must order against
+        ``schedule_at`` exactly as the ``schedule_at`` call it replaced:
+        by time, then by scheduling order across both entry points."""
+        sim = Simulator()
+        order = []
+
+        def at_ten() -> None:
+            for tag, delay in (("in-a", 5.0), ("in-b", 0.0), ("in-c", 5.0)):
+                sim.schedule_in(delay, lambda t=tag: order.append((t, sim.now)))
+            sim.schedule_at(15.0, lambda: order.append(("at-d", sim.now)))
+            sim.schedule_in(5.0, lambda: order.append(("in-e", sim.now)))
+            sim.schedule_at(10.0, lambda: order.append(("at-f", sim.now)))
+
+        sim.schedule_at(10.0, at_ten)
+        sim.run()
+        assert order == [
+            ("in-b", 10.0), ("at-f", 10.0),
+            ("in-a", 15.0), ("in-c", 15.0), ("at-d", 15.0), ("in-e", 15.0),
+        ]
 
 
 class TestTimer:

@@ -190,6 +190,21 @@ class TestScenarioParser:
         with pytest.raises(SystemExit):
             _parse_partition("a:b:c")
 
+    @pytest.mark.parametrize(
+        "flag,text",
+        (("--partition", "0:nan:500"), ("--partition", "0:0:nan"),
+         ("--partition", "0:inf:inf"), ("--partition", "0:-1:500"),
+         ("--server-outage", "nan:500"), ("--server-outage", "0:nan")),
+    )
+    def test_invalid_window_exits_2_naming_the_flag(self, capsys, flag, text):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "run", "flash-crowd", "--sites", "4", flag, text])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tele3d: error: {flag} '{text}': ")
+
 
 class TestConvergenceParser:
     def test_defaults(self):
