@@ -94,6 +94,16 @@ if [[ "${1:-}" == "--full" ]]; then
         --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0
 
     echo
+    echo "== combined gate: control faults and server restarts with data loss, NACK/repair =="
+    # Repairs end at the deadline (20 x the bound), not after a few NACKs:
+    # a receiver keeps asking while its parent fetches its own copy.
+    python -m repro.cli scenario run server-restart-churn --sites 8 --seed 7 \
+        --data-loss-rate 0.15 --data-jitter-ms 5 --data-duplicate-rate 0.05 \
+        --data-nack --data-max-repair-attempts 1000 \
+        --data-repair-deadline-factor 20 --audit --strict --max-unrecovered 0 \
+        --max-unrecovered-reports 0 --max-unrecovered-frames 0
+
+    echo
     echo "== interpreter gate: every exact block equal on every python present =="
     scripts/interp_pairs.sh
 

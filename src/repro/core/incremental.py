@@ -45,6 +45,7 @@ drift budget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import OverlayError, SubscriptionError
 from repro.core.base import BuildResult
@@ -60,7 +61,7 @@ from repro.core.node_join import (
 )
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
-from repro.session.streams import StreamId, by_stream, stream_order
+from repro.session.streams import StreamId
 from repro.util.validation import REBUILD_POLICIES, check_rebuild_policy
 
 #: Default hybrid drift budget: the repaired forest may cost at most
@@ -382,7 +383,7 @@ class IncrementalRepairer:
         trees: dict[StreamId, MulticastTree] = {}
         recarried: list[tuple[MulticastGroup, MulticastTree | None]] = []
         old_trees = dict(prev_forest.trees)
-        for group in sorted(problem.groups, key=by_stream):
+        for group in sorted(problem.groups, key=attrgetter("stream")):
             stream = group.stream
             before = prev_groups.get(stream)
             old_tree = old_trees.pop(stream, None)
@@ -417,12 +418,8 @@ class IncrementalRepairer:
                     for node in tree.receivers()
                 )
             if gone:
-                # An int probe first: hashing a request costs two calls.
-                nodes = {request.subscriber for request in gone}
                 satisfied = [
-                    request
-                    for request in satisfied
-                    if request.subscriber not in nodes or request not in gone
+                    request for request in satisfied if request not in gone
                 ]
 
         forest = OverlayForest(trees=trees, satisfied=satisfied)
@@ -441,7 +438,7 @@ class IncrementalRepairer:
             if stream in trees and stream not in owned:
                 fresh.append(request)
         # ``problem.all_requests()`` order: by stream, then subscriber.
-        fresh.sort(key=lambda r: (*stream_order(r.stream), r.subscriber))
+        fresh.sort(key=attrgetter("stream", "subscriber"))
 
         swapper = (
             CorrelatedRandomJoinBuilder(repair_passes=0) if self.use_swap else None

@@ -19,26 +19,35 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SubscriptionError
 from repro.session.streams import StreamId
 
 
-@dataclass(frozen=True, order=True)
-class SubscriptionRequest:
-    """The paper's ``r_i(s_j^q)``: RP ``i`` requests stream ``s_j^q``."""
+class SubscriptionRequest(
+    NamedTuple("SubscriptionRequest", [("subscriber", int), ("stream", StreamId)])
+):
+    """The paper's ``r_i(s_j^q)``: RP ``i`` requests stream ``s_j^q``.
 
-    subscriber: int
-    stream: StreamId
+    A tuple like :class:`StreamId`, ordered subscriber first.
+    """
 
-    def __post_init__(self) -> None:
-        if self.subscriber < 0:
-            raise SubscriptionError(f"negative subscriber index: {self.subscriber}")
-        if self.subscriber == self.stream.site:
+    __slots__ = ()
+
+    def __new__(cls, subscriber: int, stream: StreamId) -> "SubscriptionRequest":
+        if subscriber < 0:
+            raise SubscriptionError(f"negative subscriber index: {subscriber}")
+        if subscriber == stream.site:
             raise SubscriptionError(
-                f"site {self.subscriber} cannot subscribe to its own stream "
-                f"{self.stream}"
+                f"site {subscriber} cannot subscribe to its own stream {stream}"
             )
+        return tuple.__new__(cls, (subscriber, stream))
+
+    @classmethod
+    def _make(cls, iterable) -> "SubscriptionRequest":
+        # ``_replace`` builds through ``_make``: both validate.
+        return cls(*iterable)
 
     @property
     def source(self) -> int:
@@ -79,19 +88,10 @@ class MulticastGroup:
         return len(self.subscribers)
 
     def requests(self) -> list[SubscriptionRequest]:
-        """The group's requests in deterministic (sorted) order.
-
-        The expansion is cached on the (frozen) group; each call returns
-        a fresh list so callers may reorder it freely.
-        """
-        cached = getattr(self, "_requests", None)
-        if cached is None:
-            cached = tuple(
-                SubscriptionRequest(subscriber=i, stream=self.stream)
-                for i in sorted(self.subscribers)
-            )
-            object.__setattr__(self, "_requests", cached)
-        return list(cached)
+        """The group's requests in deterministic (sorted) order, as a fresh
+        list callers may reorder."""
+        stream = self.stream
+        return [SubscriptionRequest(i, stream) for i in sorted(self.subscribers)]
 
     def __str__(self) -> str:
         members = ",".join(str(i) for i in sorted(self.subscribers))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError, SubscriptionError
@@ -35,7 +36,7 @@ from repro.core.backend import ArrayBackend
 from repro.core.model import MulticastGroup, SubscriptionRequest
 from repro.session.session import TISession
 from repro.topology.dense import DenseCostMatrix
-from repro.session.streams import StreamId, by_stream
+from repro.session.streams import StreamId
 from repro.util.validation import check_positive
 from repro.workload.spec import SubscriptionWorkload
 
@@ -196,7 +197,6 @@ class ForestProblem:
             self._check_group(group)
         self._u: dict[int, dict[int, int]] = self._compute_u()
         self._m_table: list[int] = self._compute_m()
-        self._requests_cache: tuple[SubscriptionRequest, ...] | None = None
         self._total_requests: int | None = None
         self._streams_by_source: dict[int, tuple[StreamId, ...]] | None = None
 
@@ -262,19 +262,12 @@ class ForestProblem:
         return total
 
     def all_requests(self) -> list[SubscriptionRequest]:
-        """Every request, grouped by stream, in deterministic order.
-
-        Groups are immutable after construction, so the expansion is
-        computed once; each call returns a fresh list (builders shuffle
-        it in place).
-        """
-        cached = self._requests_cache
-        if cached is None:
-            out: list[SubscriptionRequest] = []
-            for group in sorted(self.groups, key=by_stream):
-                out.extend(group.requests())
-            cached = self._requests_cache = tuple(out)
-        return list(cached)
+        """Every request, grouped by stream, in deterministic order (a
+        fresh list: builders shuffle it in place)."""
+        out: list[SubscriptionRequest] = []
+        for group in sorted(self.groups, key=attrgetter("stream")):
+            out.extend(group.requests())
+        return out
 
     def streams_by_source(self) -> dict[int, tuple[StreamId, ...]]:
         """Streams grouped by publishing site (cached, read-only).
@@ -527,7 +520,6 @@ class ForestProblem:
         # into round t-1's retained problem.
         problem._in_limits = list(prev._in_limits)
         problem._out_limits = list(prev._out_limits)
-        problem._requests_cache = None
         problem._streams_by_source = None
         problem._total_requests = prev.total_requests() + (
             sum(group.size for group in delta.added)
@@ -554,7 +546,7 @@ class ForestProblem:
             # Both halves are stream-sorted, so this is a near-sorted
             # merge — Timsort handles it in O(groups).
             groups.extend(delta.added)
-            groups.sort(key=by_stream)
+            groups.sort(key=attrgetter("stream"))
         problem.groups = groups
         problem._u = cls._patch_u(prev._u, delta)
         m_table = list(prev._m_table)

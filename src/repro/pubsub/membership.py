@@ -49,7 +49,7 @@ from repro.core.model import MulticastGroup
 from repro.core.problem import ForestProblem, ProblemDelta
 from repro.pubsub.messages import Advertisement, OverlayDirective, SiteSubscription
 from repro.session.session import TISession
-from repro.session.streams import StreamId, stream_order
+from repro.session.streams import StreamId
 from repro.util.rng import RngStream
 from repro.util.validation import check_non_negative
 from repro.workload.spec import SubscriptionWorkload
@@ -498,7 +498,7 @@ class MembershipServer:
         removed: list[MulticastGroup] = []
         changed: list[tuple[MulticastGroup, MulticastGroup]] = []
         index = self._group_index
-        for stream in sorted(self._dirty_streams, key=stream_order):
+        for stream in sorted(self._dirty_streams):
             old = index.get(stream)
             members = self._subscribers_by_stream.get(stream)
             live = members if (members and stream in self._available) else None

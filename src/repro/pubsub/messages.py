@@ -136,18 +136,6 @@ class OverlayDirective:
             return len(self.added) + len(self.removed)
         return len(self.edges)
 
-    def edges_of_site(self, site: int) -> list[tuple[StreamId, int]]:
-        """Outgoing forwarding entries of ``site``: (stream, child)."""
-        return [
-            (stream, child)
-            for stream, parent, child in self.edges
-            if parent == site
-        ]
-
-    def streams_received_by(self, site: int) -> set[StreamId]:
-        """Streams that arrive at ``site`` on some tree edge."""
-        return {stream for stream, _, child in self.edges if child == site}
-
 
 # -- event-driven control envelopes (repro.pubsub.service) ---------------------------
 

@@ -9,6 +9,8 @@ forwarding table — which the data-plane simulator then executes.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro.errors import ProtocolError
 from repro.pubsub.messages import (
     Advertisement,
@@ -17,11 +19,31 @@ from repro.pubsub.messages import (
     SiteSubscription,
 )
 from repro.session.entities import Site
-from repro.session.streams import StreamId, stream_order
+from repro.session.streams import StreamId
+
+
+def _index(directive: OverlayDirective) -> tuple[dict, dict]:
+    """Per site, the forwarding and receiving tables of ``directive``, from
+    one pass over its edges (child lists and stream keys in edge order).
+    A stream delivered to one site twice makes the directive malformed."""
+    forwarding: dict[int, dict[StreamId, list[int]]] = {}
+    receiving: dict[int, set[StreamId]] = {}
+    for stream, parent, child in directive.edges:
+        received = receiving.setdefault(child, set())
+        if stream in received:
+            raise ProtocolError(f"directive delivers {stream} to site {child} twice")
+        received.add(stream)
+        forwarding.setdefault(parent, {}).setdefault(stream, []).append(child)
+    return forwarding, receiving
 
 
 class RPAgent:
     """Control-plane state machine of one site's rendezvous point."""
+
+    #: The directive indexed last (held, so ``is`` cannot match a newer one
+    #: at a reused address) and its tables: one slot for the class, not
+    #: one per directive, since drivers retain every directive.
+    _indexed: tuple[OverlayDirective | None, tuple[dict, dict]] = (None, ({}, {}))
 
     def __init__(self, site: Site) -> None:
         self.site = site
@@ -72,7 +94,7 @@ class RPAgent:
                 union.update(streams)
             held = self._subscription = SiteSubscription(
                 site=self.site.index,
-                streams=tuple(sorted(union, key=stream_order)),
+                streams=tuple(sorted(union)),
             )
         return held
 
@@ -88,7 +110,7 @@ class RPAgent:
         if held is None:
             held = self._advertisement = Advertisement(
                 site=self.site.index,
-                streams=tuple(sorted(self.site.stream_ids, key=stream_order)),
+                streams=tuple(sorted(self.site.stream_ids)),
             )
         return held
 
@@ -118,11 +140,16 @@ class RPAgent:
         if not supersede and directive.is_delta and directive.base_epoch == self._epoch:
             self._apply_delta(directive)
         else:
-            forwarding: dict[StreamId, list[int]] = {}
-            for stream, child in directive.edges_of_site(self.site.index):
-                forwarding.setdefault(stream, []).append(child)
-            self._forwarding = forwarding
-            self._receiving = directive.streams_received_by(self.site.index)
+            indexed, (forwarding, receiving) = RPAgent._indexed
+            if indexed is not directive:
+                forwarding, receiving = _index(directive)
+                RPAgent._indexed = (directive, (forwarding, receiving))
+            # Copies: the delta path patches the tables in place.
+            me = self.site.index
+            self._forwarding = {
+                stream: list(kids) for stream, kids in forwarding.get(me, {}).items()
+            }
+            self._receiving = set(receiving.get(me, ()))
         self._epoch = directive.epoch
 
     def _apply_delta(self, directive: OverlayDirective) -> None:
@@ -130,7 +157,8 @@ class RPAgent:
 
         Removals run first so a parent switch (remove + add of the same
         (stream, child) pair under different parents) nets out to an
-        unchanged receiving set.
+        unchanged receiving set.  Removing an edge the site lacks, or
+        adding one it holds or a second parent, is a protocol error.
         """
         me = self.site.index
         for stream, parent, child in directive.removed:
@@ -149,12 +177,19 @@ class RPAgent:
         for stream, parent, child in directive.added:
             if parent == me:
                 children = self._forwarding.setdefault(stream, [])
-                children.append(child)
-                # Keep the child list in the order a full install yields
-                # (edges are dictated sorted), so delta and full paths
-                # produce identical tables.
-                children.sort()
+                if child in children:
+                    raise ProtocolError(
+                        f"delta adds installed edge {stream}:{parent}->"
+                        f"{child} at site {me}"
+                    )
+                # Sorted, as a full install of the sorted edges leaves it.
+                insort(children, child)
             if child == me:
+                if stream in self._receiving:
+                    raise ProtocolError(
+                        f"delta adds a second parent {parent} for {stream} "
+                        f"at site {me}"
+                    )
                 self._receiving.add(stream)
 
     # -- forwarding-table queries ------------------------------------------------------

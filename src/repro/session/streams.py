@@ -9,16 +9,17 @@ sites to the streams they publish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import SubscriptionError
 from repro.util.units import mbps_for_stream
 
 
-@dataclass(frozen=True, order=True)
-class StreamId:
+class StreamId(NamedTuple("StreamId", [("site", int), ("index", int)])):
     """Identity of one 3D video stream: ``s_{site}^{index}``.
+
+    A ``(site, index)`` tuple, so hashing, equality and the site-major
+    order run at C level; the hash is ``hash((site, index))``.
 
     Attributes
     ----------
@@ -28,32 +29,22 @@ class StreamId:
         Local camera/stream index ``q`` within the site.
     """
 
-    site: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.site < 0:
-            raise SubscriptionError(f"negative site index: {self.site}")
-        if self.index < 0:
-            raise SubscriptionError(f"negative stream index: {self.index}")
-        # Stream ids key every per-tree dict on the build hot path;
-        # precomputing the (immutable) hash saves a tuple build per probe.
-        object.__setattr__(self, "_hash", hash((self.site, self.index)))
+    def __new__(cls, site: int, index: int) -> "StreamId":
+        if site < 0:
+            raise SubscriptionError(f"negative site index: {site}")
+        if index < 0:
+            raise SubscriptionError(f"negative stream index: {index}")
+        return tuple.__new__(cls, (site, index))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, iterable) -> "StreamId":
+        # ``_replace`` builds through ``_make``: both validate.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"s{self.site}^{self.index}"
-
-
-#: Sort key for stream ids: the ``(site, index)`` order ``StreamId.__lt__``
-#: defines, compared as a C-level int tuple instead of through the
-#: dataclass's python-level method.
-stream_order = attrgetter("site", "index")
-#: The same order for whatever names its id as ``.stream`` (multicast
-#: groups, subscription requests).
-by_stream = attrgetter("stream.site", "stream.index")
 
 
 @dataclass(frozen=True)

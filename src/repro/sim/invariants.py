@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 from repro.core.base import BuildResult
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.errors import SimulationError
-from repro.session.streams import StreamId, stream_order
+from repro.session.streams import StreamId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pubsub.messages import Edge, OverlayDirective
@@ -194,7 +194,7 @@ class InvariantAuditor:
         #: Per stream of the forest audited last, the record of its tree
         #: if that tree was sound.  A record is reused only while the
         #: live tree's maps still equal the copies the record holds.
-        self._memo: dict[tuple[int, int], _TreeRecord] = {}
+        self._memo: dict[StreamId, _TreeRecord] = {}
 
     # -- audit entry points -------------------------------------------------------
 
@@ -264,28 +264,24 @@ class InvariantAuditor:
         texts: list[str] = []
         trees = forest.trees
         memo = self._memo
-        kept: dict[tuple[int, int], _TreeRecord] = {}
+        kept: dict[StreamId, _TreeRecord] = {}
         self.checks_run += len(trees)
-        # The (site, index) pair orders the streams and keys the memo: int
-        # tuples sort and hash at C level, a StreamId does neither.
-        for key, (stream, tree) in sorted(
-            zip(map(stream_order, trees), trees.items())
-        ):
-            record = memo.get(key)
+        for stream, tree in sorted(trees.items()):
+            record = memo.get(stream)
             if (
                 record is not None
                 and record.source == tree.source
                 and record.parent == tree.parent_map()
                 and record.children == tree.children_map()
             ):
-                kept[key] = record
+                kept[stream] = record
             else:
                 violations = self._check_tree(stream, tree)
                 record = _TreeRecord.of(stream, tree)
                 if violations:
                     found.extend(violations)
                 else:
-                    kept[key] = record
+                    kept[stream] = record
             edges.extend(record.edges)
             if record.text:
                 texts.append(record.text)
@@ -531,8 +527,7 @@ class InvariantAuditor:
                         )
                     )
         # What the directive has each site forward and receive, from one
-        # pass over its edges.  Local to this audit on purpose: directives
-        # are retained for the whole run, an index kept on them is not free.
+        # pass over its edges: not the RP agents' index, which it checks.
         forwarding: dict[int, dict] = {}
         receiving: dict[int, set] = {}
         for stream, parent, child in directive.edges:

@@ -13,7 +13,7 @@ from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import Advertisement, SiteSubscription
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from tests.reference_paths import use_reference_path
+from tests.reference_paths import streams_received_by, use_reference_path
 
 
 @pytest.fixture
@@ -165,7 +165,7 @@ class TestWithdrawRacingPendingRound:
         )
         # Nothing is delivered *to* the withdrawn site either, and no
         # satisfied request names it.
-        assert directive.streams_received_by(2) == set()
+        assert streams_received_by(directive, 2) == set()
         result = server.last_result
         assert all(request.subscriber != 2 for request in result.satisfied)
         auditor = InvariantAuditor(strict=True)
@@ -284,7 +284,7 @@ class TestBuildOverlay:
             )
         )
         directive = server.build_overlay(rng)
-        received = directive.streams_received_by(0)
+        received = streams_received_by(directive, 0)
         assert received == {StreamId(1, 0), StreamId(2, 0)}
         assert server.last_result is not None
         assert not server.last_result.rejected

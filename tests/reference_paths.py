@@ -32,6 +32,16 @@ And for the φ detector: ``PhiAccrualDetector.phi`` returns 0 inside the
 grace period without scoring and reads a per-peer (mean, std) cached
 until the window changes.  :func:`window_walk_phi` walks the window on
 every question, as ``phi`` did before — the oracle it is pinned to.
+
+And for the directive install: ``RPAgent.apply_directive`` reads a
+site's tables from one pass over the directive's edges.
+:func:`edges_of_site` and :func:`streams_received_by` scan every edge
+once per site, as the install did before — the oracle it is pinned to.
+
+And for the id types: ``StreamId`` and ``SubscriptionRequest`` are
+tuples.  :class:`DataclassStreamId` and :class:`DataclassRequest` are the
+frozen, ordered dataclasses they were, kept as the oracles for ``repr``,
+``hash``, order and validation.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import repro.core.backend as backend_mod
 import repro.pubsub.detector as detector_mod
@@ -57,8 +68,10 @@ from repro.core.model import SubscriptionRequest
 from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
+from repro.errors import SubscriptionError
 from repro.media.frames import FrameClock
 from repro.pubsub.membership import MembershipServer
+from repro.pubsub.messages import OverlayDirective
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.dataplane import (
@@ -515,3 +528,75 @@ def per_delivery_sampled_run(
         sends_dropped=dropped,
         latency_percentiles=latency_percentiles(all_latencies),
     )
+
+
+def edges_of_site(directive: OverlayDirective, site: int) -> list[tuple]:
+    """Outgoing forwarding entries of ``site``: (stream, child), in edge order."""
+    return [
+        (stream, child)
+        for stream, parent, child in directive.edges
+        if parent == site
+    ]
+
+
+def streams_received_by(directive: OverlayDirective, site: int) -> set:
+    """Streams that arrive at ``site`` on some tree edge."""
+    return {stream for stream, _, child in directive.edges if child == site}
+
+
+def installed_tables(directive: OverlayDirective, site: int) -> tuple[dict, set]:
+    """The forwarding and receiving tables a full install gave ``site``
+    when it scanned every edge for it."""
+    forwarding: dict = {}
+    for stream, child in edges_of_site(directive, site):
+        forwarding.setdefault(stream, []).append(child)
+    return forwarding, streams_received_by(directive, site)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassStreamId:
+    """``StreamId`` as the frozen, ordered dataclass it was."""
+
+    __qualname__ = "StreamId"  # the name its ``repr`` printed
+
+    site: int
+    index: int
+
+    def __post_init__(self) -> None:
+        if self.site < 0:
+            raise SubscriptionError(f"negative site index: {self.site}")
+        if self.index < 0:
+            raise SubscriptionError(f"negative stream index: {self.index}")
+        object.__setattr__(self, "_hash", hash((self.site, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return f"s{self.site}^{self.index}"
+
+
+@dataclass(frozen=True, order=True)
+class DataclassRequest:
+    """``SubscriptionRequest`` as the frozen, ordered dataclass it was."""
+
+    __qualname__ = "SubscriptionRequest"
+
+    subscriber: int
+    stream: DataclassStreamId
+
+    def __post_init__(self) -> None:
+        if self.subscriber < 0:
+            raise SubscriptionError(f"negative subscriber index: {self.subscriber}")
+        if self.subscriber == self.stream.site:
+            raise SubscriptionError(
+                f"site {self.subscriber} cannot subscribe to its own stream "
+                f"{self.stream}"
+            )
+
+    @property
+    def source(self) -> int:
+        return self.stream.site
+
+    def __str__(self) -> str:
+        return f"r{self.subscriber}({self.stream})"

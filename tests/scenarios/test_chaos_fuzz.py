@@ -66,13 +66,23 @@ def random_chaos_spec(seed: int):
         server_outages=outages,
         phi_threshold=rng.choice((0.0, 8.0)),
         checkpoint_interval_ms=rng.choice((0.0, 150.0)),
+        data_loss_rate=rng.uniform(0.0, 0.25),
+        data_jitter_ms=rng.uniform(0.0, 10.0),
+        data_duplicate_rate=rng.uniform(0.0, 0.3),
+        data_nack=True,
+        # The deadline (20 x the bound) ends a repair, not the attempt
+        # count: a receiver retries on its own hop's round trip while its
+        # parent repairs its own copy upstream, and at 30 attempts seed 2
+        # gave up a frame its parent was still fetching.
+        data_max_repair_attempts=1000,
+        data_repair_deadline_factor=20.0,
     )
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_schedule_holds_the_invariants(seed):
     spec = random_chaos_spec(seed)
-    runtime = ScenarioRuntime(spec, strict=True)
+    runtime = ScenarioRuntime(spec, strict=True, dataplane=True)
     runtime.run()
     report = runtime.report
     context = f"fuzz seed {seed}: {spec.describe()}"
@@ -84,6 +94,11 @@ def test_random_schedule_holds_the_invariants(seed):
     # server hasn't already applied, which unrecovered_reports counts.)
     assert report.unrecovered_suspicions == 0, context
     assert report.unrecovered_reports == 0, context
+    # The data plane ran every round under its own faults and NACK/repair
+    # recovered every lost frame.
+    assert report.dataplane_frames_delivered > 0, context
+    assert report.dataplane_sends_dropped > 0, context
+    assert report.dataplane_frames_unrecovered == 0, context
     # Give-ups bounded: abandonment is a per-epoch, per-site event, not
     # a storm (directive give-ups to partitioned sites are legitimate).
     assert report.retransmit_giveups <= 8 * report.server_crashes + 16, context

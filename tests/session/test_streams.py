@@ -5,13 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SubscriptionError
-from repro.core.model import MulticastGroup, SubscriptionRequest
 from repro.session.streams import (
     StreamDescriptor,
     StreamId,
     StreamRegistry,
-    by_stream,
-    stream_order,
 )
 
 
@@ -30,15 +27,6 @@ class TestStreamId:
     def test_ordering_site_major(self):
         assert StreamId(0, 5) < StreamId(1, 0)
         assert StreamId(1, 0) < StreamId(1, 1)
-
-    def test_sort_keys_give_the_ids_own_order(self):
-        ids = [StreamId(s, i) for s in (10, 2, 0, 7) for i in (11, 3, 0)]
-        assert sorted(ids, key=stream_order) == sorted(ids)
-        groups = [MulticastGroup(sid, frozenset({99})) for sid in ids]
-        assert sorted(groups, key=by_stream) == sorted(
-            groups, key=lambda group: group.stream
-        )
-        assert by_stream(SubscriptionRequest(5, ids[0])) == stream_order(ids[0])
 
     def test_hashable_and_equal(self):
         assert StreamId(1, 2) == StreamId(1, 2)

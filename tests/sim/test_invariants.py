@@ -13,6 +13,7 @@ from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor, Violation
 from repro.util.rng import RngStream
 from tests.conftest import audit_log_line
+from tests.reference_paths import edges_of_site, streams_received_by
 
 
 @pytest.fixture
@@ -198,12 +199,12 @@ class TestAuditRound:
         )
         assert "forwarding-table" in invariants_of(found)
 
-    def test_per_site_tables_match_the_directives_own_accessors(
+    def test_per_site_tables_match_the_per_site_scan(
         self, round_state, small_session
     ):
         """The audit builds every site's expected tables in one pass over
-        the edges; they must be what the per-site accessors say, reported
-        site by site, forwarding before receiving."""
+        the edges; they must be what scanning the edges per site says,
+        reported site by site, forwarding before receiving."""
         system, directive = round_state
         sites = range(small_session.n_sites)
         relay = next(rp for rp in system.rps.values() if rp._forwarding)
@@ -215,7 +216,7 @@ class TestAuditRound:
         for site in sites:
             rp = system.rps[site]
             table: dict = {}
-            for edge_stream, child in directive.edges_of_site(site):
+            for edge_stream, child in edges_of_site(directive, site):
                 table.setdefault(edge_stream, []).append(child)
             for edge_stream, children in table.items():
                 if sorted(rp.next_hops(edge_stream)) != sorted(children):
@@ -223,7 +224,7 @@ class TestAuditRound:
                         f"site {site} forwards {edge_stream} to "
                         f"{rp.next_hops(edge_stream)}, directive says {children}"
                     )
-            if rp.received_streams() != directive.streams_received_by(site):
+            if rp.received_streams() != streams_received_by(directive, site):
                 expected.append(
                     f"site {site} receiving set diverges from directive"
                 )
