@@ -106,35 +106,6 @@ if [[ "${1:-}" == "--full" ]]; then
     echo
     echo "== interpreter gate: every exact block equal on every python present =="
     scripts/interp_pairs.sh
-
-    echo
-    echo "== perf smoke (fast plane must beat the event-driven plane) =="
-    python -m repro.cli perf smoke --sites 12
-
-    echo
-    echo "== perf ratchet (no >2x regression vs last committed baseline) =="
-    if [[ "${TELE3D_SKIP_RATCHET:-0}" == "1" ]]; then
-        # Escape hatch for machines much slower than the baseline's
-        # recorder; the committed thresholds assume comparable hardware.
-        echo "ci.sh: TELE3D_SKIP_RATCHET=1, skipping perf ratchet"
-    else
-        # Committed baselines only (stray local sweeps must not gate);
-        # -V: version sort, so BENCH_PR10 ranks after BENCH_PR9.
-        BASELINE=$(git ls-files 'BENCH_*.json' | sort -V | tail -1 || true)
-        if [[ -z "${BASELINE}" ]]; then
-            echo "ci.sh: no committed BENCH_*.json baseline found" >&2
-            exit 1
-        fi
-        CI_BENCH=$(mktemp /tmp/tele3d_bench_ci.XXXXXX.json)
-        trap 'rm -f "${CI_BENCH}"' EXIT
-        # Scenario timings stay on so the ratcheted
-        # scenario-round(incremental|hybrid) series are present on both
-        # sides; N=1024 rides along so the headline O(churn) round
-        # latency is gated, not just the small sizes.
-        python -m repro.cli perf sweep --sizes 16,32,1024 --label CI \
-            --output "${CI_BENCH}" --no-event-plane
-        python -m repro.cli perf compare "${BASELINE}" "${CI_BENCH}" --ratchet
-    fi
 fi
 
 echo

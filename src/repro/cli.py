@@ -25,13 +25,6 @@ and runs audited stress scenarios against the control plane::
     tele3d disruption --scenario mixed-churn --sizes 8,16,32
     tele3d convergence --scenario flash-crowd --delays 0,20,50,100
 
-and the tracked performance baseline::
-
-    tele3d perf sweep --sizes 16,32,64,128,256 --label PR3
-    tele3d perf compare BENCH_PR2.json BENCH_PR3.json
-    tele3d perf compare BENCH_PR3.json BENCH_CI.json --ratchet
-    tele3d perf smoke
-
 Any figure command accepts ``--audit`` to re-derive every structural
 invariant of every constructed overlay (fails loudly on violation).
 """
@@ -91,6 +84,16 @@ def _parse_window(flag: str, shape: str, text: str):
     except Tele3DError as error:
         print(f"tele3d: error: {flag} {text!r}: {error}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def _parse_list(parse: Callable, text: str) -> tuple:
+    """A comma-separated ``type=`` list; an empty or unparsable item exits 2."""
+    try:
+        return tuple(parse(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {parse.__name__} values, got {text!r}"
+        ) from None
 
 
 _parse_partition = partial(_parse_window, "--partition", "SITE:START:END")
@@ -273,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pdisr.add_argument("--scenario", default="mixed-churn",
                        help="named scenario to replay (see 'scenario list')")
-    pdisr.add_argument("--sizes", default="8,16,32",
-                       help="comma-separated site-pool sizes")
+    pdisr.add_argument("--sizes", type=partial(_parse_list, int),
+                       default="8,16,32", help="comma-separated site-pool sizes")
     pdisr.add_argument("--seed", type=int, default=7, help="root RNG seed")
     pdisr.add_argument("--audit", action="store_true",
                        help="audit every control round of every run")
@@ -288,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pconv.add_argument("--scenario", default="flash-crowd",
                        help="named scenario to replay (see 'scenario list')")
-    pconv.add_argument("--delays", default="0,20,50,100",
+    pconv.add_argument("--delays", type=partial(_parse_list, float),
+                       default="0,20,50,100",
                        help="comma-separated control_delay_ms values")
     pconv.add_argument("--sites", type=int, default=8,
                        help="site-pool size (default 8)")
@@ -301,46 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     pconv.add_argument("--no-plot", action="store_true",
                        help="print the table only, skip the ASCII plot")
 
-    pperf = sub.add_parser(
-        "perf", help="performance sweeps and tracked baselines"
-    )
-    perf_sub = pperf.add_subparsers(dest="perf_command", required=True)
-    perf_sweep = perf_sub.add_parser(
-        "sweep", help="time build/dissemination/scenario rounds across N"
-    )
-    perf_sweep.add_argument("--sizes", default="16,32,64,128,256",
-                            help="comma-separated site counts")
-    perf_sweep.add_argument("--seed", type=int, default=42, help="root RNG seed")
-    perf_sweep.add_argument("--duration-ms", type=float, default=1000.0,
-                            help="data-plane capture span per run")
-    perf_sweep.add_argument("--repeats", type=int, default=3,
-                            help="timed repeats (best-of) for build/fast plane")
-    perf_sweep.add_argument("--label", default="PR2",
-                            help="baseline label (file: BENCH_<label>.json)")
-    perf_sweep.add_argument("--output", default=None,
-                            help="write BENCH json here (default "
-                                 "BENCH_<label>.json; '-' to skip)")
-    perf_sweep.add_argument("--no-event-plane", action="store_true",
-                            help="skip the event-driven baseline timing")
-    perf_sweep.add_argument("--no-scenario", action="store_true",
-                            help="skip the scenario-round timing")
-    perf_compare = perf_sub.add_parser(
-        "compare", help="diff two BENCH_*.json baselines"
-    )
-    perf_compare.add_argument("old", help="previous BENCH_*.json")
-    perf_compare.add_argument("new", help="new BENCH_*.json")
-    perf_compare.add_argument("--ratchet", action="store_true",
-                              help="fail (exit 1) when build or fast-plane "
-                                   "timings regress beyond the threshold")
-    perf_compare.add_argument("--threshold", type=float, default=2.0,
-                              help="ratchet regression threshold as a "
-                                   "new/old ratio (default 2.0)")
-    perf_smoke = perf_sub.add_parser(
-        "smoke", help="assert the fast plane outruns the event-driven plane"
-    )
-    perf_smoke.add_argument("--sites", type=int, default=12,
-                            help="session size for the smoke check")
-    perf_smoke.add_argument("--seed", type=int, default=42, help="root RNG seed")
     return parser
 
 
@@ -537,9 +501,8 @@ def cmd_disruption(args: argparse.Namespace) -> int:
     """Run the rebuild-policy disruption sweep and render it."""
     from repro.experiments.disruption import run_disruption
 
-    sizes = tuple(int(part) for part in args.sizes.split(",") if part)
     result = run_disruption(
-        scenario=args.scenario, sizes=sizes, seed=args.seed, audit=args.audit
+        scenario=args.scenario, sizes=args.sizes, seed=args.seed, audit=args.audit
     )
     title = (
         f"Disruption under churn ({args.scenario}): mean per-round parent "
@@ -556,10 +519,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     """Run the control-convergence-vs-delay sweep and render it."""
     from repro.experiments.convergence import run_convergence
 
-    delays = tuple(float(part) for part in args.delays.split(",") if part)
     result = run_convergence(
         scenario=args.scenario,
-        delays=delays,
+        delays=args.delays,
         sites=args.sites,
         seed=args.seed,
         debounce_ms=args.debounce_ms,
@@ -579,81 +541,6 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Dispatch ``perf sweep`` / ``perf compare`` / ``perf smoke``."""
-    import json
-
-    from repro.perf import (
-        compare_reports,
-        ratchet_check,
-        run_perf_case,
-        run_perf_sweep,
-    )
-
-    if args.perf_command == "sweep":
-        sizes = tuple(int(part) for part in args.sizes.split(",") if part)
-        report = run_perf_sweep(
-            sizes=sizes,
-            seed=args.seed,
-            duration_ms=args.duration_ms,
-            repeats=args.repeats,
-            label=args.label,
-            with_event_plane=not args.no_event_plane,
-            with_scenario=not args.no_scenario,
-        )
-        print(report.summary())
-        output = args.output or f"BENCH_{args.label}.json"
-        if output != "-":
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            print(f"\nwrote {output}")
-        return 0
-    if args.perf_command == "compare":
-        try:
-            with open(args.old, encoding="utf-8") as handle:
-                old = json.load(handle)
-            with open(args.new, encoding="utf-8") as handle:
-                new = json.load(handle)
-        except FileNotFoundError as error:
-            print(f"perf compare: missing baseline: {error.filename}",
-                  file=sys.stderr)
-            return 1
-        print(compare_reports(old, new))
-        if not args.ratchet:
-            return 0
-        failures = ratchet_check(old, new, threshold=args.threshold)
-        if failures:
-            print("\nperf ratchet FAILED:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"\nperf ratchet passed (threshold {args.threshold:.1f}x)")
-        return 0
-    # smoke: the CI gate — the fast plane must beat the event-driven one.
-    from repro.errors import SimulationError
-
-    try:
-        # run_perf_case raises SimulationError if the planes diverge.
-        case = run_perf_case(
-            args.sites, seed=args.seed, duration_ms=500.0, repeats=2,
-            with_scenario=False,
-        )
-    except SimulationError as error:
-        print(f"perf smoke FAILED: {error}", file=sys.stderr)
-        return 1
-    speedup = case.speedup or 0.0
-    print(
-        f"perf smoke at N={args.sites}: fast {case.fast_plane.best_ms:.2f}ms, "
-        f"event {case.event_plane.best_ms:.2f}ms, speedup {speedup:.1f}x, "
-        f"reports identical: {case.reports_identical}"
-    )
-    if speedup < 1.0:
-        print("perf smoke FAILED: fast plane slower than event plane",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
@@ -669,7 +556,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "scenario": cmd_scenario,
         "disruption": cmd_disruption,
         "convergence": cmd_convergence,
-        "perf": cmd_perf,
     }
     try:
         outcome = handlers[args.command](args)

@@ -27,7 +27,7 @@ scenario × seed × algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -604,38 +604,4 @@ class ForestProblem:
         return (
             f"ForestProblem(nodes={self.n_nodes}, groups={self.n_groups}, "
             f"requests={self.total_requests()}, Bcost={self.latency_bound_ms}ms)"
-        )
-
-
-@dataclass
-class ProblemStats:
-    """Aggregate statistics of a problem instance (for reports)."""
-
-    n_nodes: int
-    n_groups: int
-    n_requests: int
-    mean_group_size: float
-    density: float = field(default=0.0)
-
-    @classmethod
-    def of(cls, problem: ForestProblem) -> "ProblemStats":
-        """Compute stats; *density* is mean requested in-degree / capacity."""
-        n_requests = problem.total_requests()
-        mean_size = n_requests / problem.n_groups if problem.n_groups else 0.0
-        demand = {i: 0 for i in range(problem.n_nodes)}
-        for group in problem.groups:
-            for member in group.subscribers:
-                demand[member] += 1
-        ratios = [
-            demand[i] / problem.inbound_limit(i)
-            for i in range(problem.n_nodes)
-            if problem.inbound_limit(i) > 0
-        ]
-        density = sum(ratios) / len(ratios) if ratios else 0.0
-        return cls(
-            n_nodes=problem.n_nodes,
-            n_groups=problem.n_groups,
-            n_requests=n_requests,
-            mean_group_size=mean_size,
-            density=density,
         )

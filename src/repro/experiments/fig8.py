@@ -36,17 +36,3 @@ def run_fig8(
     return sweep_mean_metric(
         setting, list(n_sites_values), builders, mean_pairwise_rejection
     )
-
-
-def run_fig8_panel(
-    workload: str,
-    nodes: str,
-    samples: int = 200,
-    seed: int = 42,
-    n_sites_values: Sequence[int] = FIG8_SITES,
-) -> SeriesResult:
-    """Convenience wrapper selecting the panel by its two setting axes."""
-    setting = ExperimentSetting(
-        workload=workload, nodes=nodes, samples=samples, seed=seed
-    )
-    return run_fig8(setting, n_sites_values=n_sites_values)

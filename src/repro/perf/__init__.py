@@ -1,42 +1,5 @@
-"""Performance harness: timers, the tracked perf sweep, and baselines.
+"""Data-plane report equality: ``sweep.reports_equal``.
 
-``tele3d perf sweep`` times the overlay build, both data planes, and
-scenario control rounds across N — plus the deterministic simulated
-``control-convergence`` series of the event-driven control plane —
-writing ``BENCH_<label>.json`` as the repo's tracked performance
-trajectory; ``tele3d perf compare`` diffs two
-such baselines (``--ratchet`` turns the diff into a CI gate that fails
-on >2x regressions of the build or fast-plane timings) and ``tele3d
-perf smoke`` asserts the fast plane actually outruns the event-driven
-one.
+Performance is measured by ``benchmarks/e2e`` (``BENCHMARK.json``) and,
+above the benchmark's 96 sites, by ``scripts/scale_probe.py``.
 """
-
-from repro.perf.timing import Stopwatch, Timing, time_call
-from repro.perf.sweep import (
-    DEFAULT_SIZES,
-    RATCHET_METRICS,
-    RATCHET_THRESHOLD,
-    PerfCase,
-    PerfReport,
-    compare_reports,
-    ratchet_check,
-    reports_equal,
-    run_perf_case,
-    run_perf_sweep,
-)
-
-__all__ = [
-    "Stopwatch",
-    "Timing",
-    "time_call",
-    "DEFAULT_SIZES",
-    "RATCHET_METRICS",
-    "RATCHET_THRESHOLD",
-    "PerfCase",
-    "PerfReport",
-    "compare_reports",
-    "ratchet_check",
-    "reports_equal",
-    "run_perf_case",
-    "run_perf_sweep",
-]

@@ -349,9 +349,8 @@ class ScenarioRuntime:
         #: (the equivalence suite compares these across control styles).
         self.directives: list[OverlayDirective] = []
         #: Wall-clock seconds of each synchronous control round
-        #: (advertise through install, audit excluded).  The perf sweep
-        #: reads this so round timings carry real per-round best/mean
-        #: instead of one smeared total.
+        #: (advertise through install, audit excluded): the step the
+        #: benchmark's ``churn_incremental`` workload times.
         self.round_wall_s: list[float] = []
         self.service: MembershipService | None = None
         if spec.async_control:

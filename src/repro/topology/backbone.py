@@ -152,8 +152,8 @@ def load_backbone(name: str = "tier1") -> Topology:
 
     Beyond the embedded datasets, ``synthetic-<n>`` (e.g.
     ``synthetic-256``) generates a deterministic Waxman backbone with
-    ``n`` PoPs, which is how scenario and perf sweeps scale past the
-    26-PoP tier-1 map.
+    ``n`` PoPs, which is how scenarios and ``scripts/scale_probe.py``
+    scale past the 26-PoP tier-1 map.
 
     Raises
     ------

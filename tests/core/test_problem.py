@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SubscriptionError
 from repro.core.model import MulticastGroup
-from repro.core.problem import ForestProblem, ProblemStats
+from repro.core.problem import ForestProblem
 from repro.session.streams import StreamId
 from repro.workload.coverage import CoverageWorkloadModel
 from repro.workload.spec import SubscriptionWorkload
@@ -198,14 +198,3 @@ class TestFromWorkload:
         )
         with pytest.raises(SubscriptionError):
             ForestProblem.from_workload(small_session, workload, 100.0)
-
-
-class TestStats:
-    def test_stats(self):
-        stats = ProblemStats.of(tiny_problem())
-        assert stats.n_nodes == 3
-        assert stats.n_groups == 2
-        assert stats.n_requests == 3
-        assert stats.mean_group_size == pytest.approx(1.5)
-        # node 1 requests 2 of 4 inbound slots, node 2 requests 1 of 4.
-        assert stats.density == pytest.approx((0.5 + 0.25 + 0.0) / 3)

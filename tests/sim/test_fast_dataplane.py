@@ -13,6 +13,7 @@ import pytest
 
 from repro import make_builder, quick_problem, quick_session
 from repro.errors import SimulationError
+from repro.perf.sweep import reports_equal
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.sim.dataplane import FastDataPlane, ForestDataPlane, make_dataplane
@@ -167,3 +168,13 @@ class TestScenarioDataplaneMeasurement:
             first.dataplane_total_latency_ms
             == second.dataplane_total_latency_ms
         )
+
+
+class TestReportsEqual:
+    def test_detects_divergence(self):
+        session, forest = build_forest(4, 4, "rj")
+        a = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
+        b = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
+        assert reports_equal(a, b)
+        b.frames_delivered += 1
+        assert not reports_equal(a, b)

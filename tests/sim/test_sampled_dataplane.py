@@ -207,23 +207,22 @@ class TestSpeedup:
         """The acceptance bar: >= 5x over the event plane at N=256 under
         20% loss (best-of to shave scheduler noise)."""
         from repro.core.problem import ForestProblem
-        from repro.perf.sweep import (
-            DEFAULT_LATENCY_BOUND_MS,
-            DEFAULT_MEAN_SUBSCRIBERS,
-            DEFAULT_STREAMS_PER_SITE,
-            _sweep_session,
-        )
+        from repro.session.capacity import UniformCapacityModel
+        from repro.session.session import SessionConfig, build_session
+        from repro.topology.backbone import load_backbone
         from repro.workload.coverage import CoverageWorkloadModel
 
-        session = _sweep_session(256, 42, DEFAULT_STREAMS_PER_SITE)
         rng = RngStream(42, label="perf/N256")
-        workload = CoverageWorkloadModel(
-            mean_subscribers=DEFAULT_MEAN_SUBSCRIBERS,
-            guarantee_coverage=False,
-        ).generate(session, rng.spawn("workload"))
-        problem = ForestProblem.from_workload(
-            session, workload, DEFAULT_LATENCY_BOUND_MS
+        session = build_session(
+            load_backbone("synthetic-256"),
+            UniformCapacityModel(streams_per_site=4),
+            rng.spawn("session"),
+            SessionConfig(n_sites=256, displays_per_site=2),
         )
+        workload = CoverageWorkloadModel(
+            mean_subscribers=6.0, guarantee_coverage=False
+        ).generate(session, rng.spawn("workload"))
+        problem = ForestProblem.from_workload(session, workload, 120.0)
         forest = make_builder("rj").build(problem, rng.spawn("build")).forest
 
         def best_of(runs, plane_cls):

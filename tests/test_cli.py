@@ -135,11 +135,6 @@ class TestScenarioParser:
                 ["scenario", "run", "flash-crowd", "--backend", "numpy"]
             )
         assert scenario_exit.value.code == 2
-        with pytest.raises(SystemExit) as sweep_exit:
-            build_parser().parse_args(
-                ["perf", "sweep", "--sizes", "8", "--backend", "python"]
-            )
-        assert sweep_exit.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
     def test_async_control_flags(self):
@@ -211,7 +206,7 @@ class TestConvergenceParser:
         args = build_parser().parse_args(["convergence"])
         assert args.command == "convergence"
         assert args.scenario == "flash-crowd"
-        assert args.delays == "0,20,50,100"
+        assert args.delays == (0.0, 20.0, 50.0, 100.0)
         assert args.sites == 8
         assert args.debounce_ms == 10.0
         assert not args.audit
@@ -222,7 +217,7 @@ class TestConvergenceParser:
              "--sites", "12", "--debounce-ms", "25", "--audit", "--no-plot"]
         )
         assert args.scenario == "mixed-churn"
-        assert args.delays == "0,80"
+        assert args.delays == (0.0, 80.0)
         assert args.sites == 12
         assert args.debounce_ms == 25.0
         assert args.audit
@@ -234,7 +229,7 @@ class TestDisruptionParser:
         args = build_parser().parse_args(["disruption"])
         assert args.command == "disruption"
         assert args.scenario == "mixed-churn"
-        assert args.sizes == "8,16,32"
+        assert args.sizes == (8, 16, 32)
         assert args.seed == 7
         assert not args.audit
 
@@ -244,23 +239,24 @@ class TestDisruptionParser:
              "--seed", "3", "--audit", "--no-plot"]
         )
         assert args.scenario == "mass-leave"
-        assert args.sizes == "4,6"
+        assert args.sizes == (4, 6)
         assert args.audit and args.no_plot
 
 
-class TestPerfCompareParser:
-    def test_ratchet_defaults(self):
-        args = build_parser().parse_args(["perf", "compare", "a.json", "b.json"])
-        assert not args.ratchet
-        assert args.threshold == 2.0
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        (["disruption", "--sizes", "8,x"], ["disruption", "--sizes", ""],
+         ["disruption", "--sizes", "8,,16"], ["disruption", "--sizes", "4,"],
+         ["convergence", "--delays", "0,abc"], ["convergence", "--delays", ""]),
+    )
+    def test_bad_item_exits_2_naming_the_flag(self, capsys, argv):
+        from repro.cli import main
 
-    def test_ratchet_options(self):
-        args = build_parser().parse_args(
-            ["perf", "compare", "a.json", "b.json", "--ratchet",
-             "--threshold", "1.5"]
-        )
-        assert args.ratchet
-        assert args.threshold == 1.5
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
 class TestScenarioCommands:
