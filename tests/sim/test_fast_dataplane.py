@@ -170,11 +170,56 @@ class TestScenarioDataplaneMeasurement:
         )
 
 
+def twin_reports():
+    """Two equal reports from separate runs, so neither shares the other's state."""
+    session, forest = build_forest(4, 4, "rj")
+    a = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
+    b = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
+    assert reports_equal(a, b)
+    return a, b
+
+
 class TestReportsEqual:
     def test_detects_divergence(self):
-        session, forest = build_forest(4, 4, "rj")
-        a = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
-        b = FastDataPlane(session, forest, RngStream(1).spawn("dp")).run(300.0)
-        assert reports_equal(a, b)
+        a, b = twin_reports()
         b.frames_delivered += 1
         assert not reports_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "name",
+        ("duration_ms", "frames_captured", "frames_delivered",
+         "latency_bound_ms", "sends_dropped", "duplicates_discarded",
+         "nacks_sent", "repairs_sent", "frames_recovered",
+         "frames_unrecovered"),
+    )
+    def test_every_counter_is_compared(self, name):
+        a, b = twin_reports()
+        setattr(b, name, getattr(b, name) + 1)
+        assert not reports_equal(a, b)
+        assert not reports_equal(b, a)
+
+    @pytest.mark.parametrize(
+        "name", ("frames", "total_latency_ms", "max_latency_ms")
+    )
+    def test_every_pair_statistic_is_compared(self, name):
+        a, b = twin_reports()
+        stats = next(iter(b.deliveries.values()))
+        setattr(stats, name, getattr(stats, name) + 1)
+        assert not reports_equal(a, b)
+
+    def test_a_missing_pair_is_a_divergence(self):
+        a, b = twin_reports()
+        del b.deliveries[next(iter(b.deliveries))]
+        assert not reports_equal(a, b)
+        assert not reports_equal(b, a)
+
+    def test_bytes_per_site_are_compared(self):
+        a, b = twin_reports()
+        site = next(iter(b.bytes_sent_by_site))
+        b.bytes_sent_by_site[site] += 1
+        assert not reports_equal(a, b)
+
+    def test_latency_percentiles_are_not_compared(self):
+        a, b = twin_reports()
+        b.latency_percentiles = {50: 1.0, 90: 2.0, 99: 3.0}
+        assert reports_equal(a, b)
