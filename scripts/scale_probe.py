@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Time the large-N rows at several git refs, on one box, in alternation.
 
-    scripts/scale_probe.py [--passes 3] [--sizes 1024,4096] REF [REF ...]
+    scripts/scale_probe.py REF [REF ...]
 
 Each REF's ``src`` is exported (`git archive`) into a temporary directory
-(removed on exit; TMPDIR picks where).  Every pass runs one fresh child per
-(N, ref) with ``PYTHONPATH=<export>/src``, so each ref runs its own code
-and this file only drives it; odd passes take the refs in the order given,
-even passes reversed.  A child times each row once, in table order:
+(removed on exit; TMPDIR picks where).  Each of the PASSES passes runs
+one fresh child per (N in SIZES, ref) with ``PYTHONPATH=<export>/src``,
+so each ref runs its own code and this file only drives it; odd passes
+take the refs in the order given, even passes reversed.  A child times each row once, in table order:
 
     session      build_session on synthetic-N, 4 streams/site, 2 displays
     build        rj over the coverage workload: mean 6 subscribers, 120 ms
@@ -37,6 +37,8 @@ import tempfile
 import time
 
 SEED = 42
+SIZES = (1024, 4096)
+PASSES = 4
 
 
 def _counts(problem, result) -> dict:
@@ -162,10 +164,7 @@ def report(runs: list[dict], name: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("refs", nargs="+")
-    parser.add_argument("--passes", type=int, default=3)
-    parser.add_argument("--sizes", default="1024,4096")
     args = parser.parse_args()
-    sizes = [int(part) for part in args.sizes.split(",")]
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     runs: dict[tuple[int, str], list[dict]] = {}
     with tempfile.TemporaryDirectory(prefix="scale-probe.") as work:
@@ -180,15 +179,15 @@ def main() -> int:
             subprocess.run(["tar", "-x", "-C", exports[ref]], input=archive.stdout,
                            check=True)
             print(f"{ref} in {exports[ref]}", flush=True)
-        for number in range(args.passes):
-            for n in sizes:
+        for number in range(PASSES):
+            for n in SIZES:
                 for ref in args.refs[:: 1 if number % 2 == 0 else -1]:
                     runs.setdefault((n, ref), []).append(measure(exports[ref], n))
-                    print(f"pass {number + 1}/{args.passes} N={n} {ref} done",
+                    print(f"pass {number + 1}/{PASSES} N={n} {ref} done",
                           flush=True)
-    for n in sizes:
+    for n in SIZES:
         for name, _ in ROWS:
-            print(f"\n== {name}, N={n}, {args.passes} passes ==")
+            print(f"\n== {name}, N={n}, {PASSES} passes ==")
             for ref in args.refs:
                 print(f"{ref:<12} {report(runs[(n, ref)], name)}")
     return 0

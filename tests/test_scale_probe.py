@@ -75,11 +75,16 @@ class TestMeasure:
         assert all("s" in row for row in rows.values())
 
     def test_a_failing_child_marks_every_row(self, tmp_path):
+        # An export whose repro cannot import: PYTHONPATH puts it ahead of
+        # any installed copy, so the child dies whatever is installed.
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('raise ImportError("broken export")\n')
         rows = scale_probe.measure(str(tmp_path), 16)
         assert sorted(rows) == sorted(ROW_NAMES)
         for row in rows.values():
             assert row["error"].startswith("child exited 1: ")
-            assert "ModuleNotFoundError" in row["error"]
+            assert "ImportError: broken export" in row["error"]
 
 
 class TestReport:
