@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
 # Show that one seed gives one answer on every interpreter: run the four
-# benchmark workload drivers and the 78 digest cells once each under the
-# default python3 and under every ~/.pyenv/versions/3.1[0-3]*/bin/python
-# present, and compare their `exact` blocks field by field and the cells
-# hash by hash.
+# benchmark workload drivers, the 78 digest cells and the reproduction
+# scorecard (`repro.cli scorecard --samples 10 --seed 42`, ~3 s) once
+# each under the default python3 and under every
+# ~/.pyenv/versions/3.1[0-3]*/bin/python present, and compare their
+# `exact` blocks field by field, the cells hash by hash and the scorecard
+# line by line.
 #
 #   scripts/interp_pairs.sh
 #
-# SEED (default 7) seeds every workload run.  Both come from
-# scripts/digest_cells.py (its `--exact SEED` mode imports the drivers
-# straight from benchmarks/e2e/workloads.py: run.py's child needs numpy,
-# which an interpreter may lack; without it the python array backend
-# runs, pinned bit-identical to numpy).  Interpreters that are absent are
-# skipped.  Exits 1 naming every field or cell that differs and the
-# interpreter it differs on.
+# SEED (default 7) seeds every workload run.  The workloads and cells
+# come from scripts/digest_cells.py (its `--exact SEED` mode imports the
+# drivers straight from benchmarks/e2e/workloads.py: run.py's child needs
+# numpy, which an interpreter may lack; without it the python array
+# backend runs, pinned bit-identical to numpy).  Interpreters that are
+# absent are skipped.  Exits 1 naming every field, cell or scorecard line
+# that differs and the interpreter it differs on.
 
 set -euo pipefail
 
 if [[ $# -ne 0 ]]; then
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 SEED="${SEED:-7}"
@@ -27,10 +29,12 @@ cd "$(dirname "$0")/.."
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/interp-pairs.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-digests() {  # digests <python> <label>  ->  $WORK/<label>.json, $WORK/<label>.cells
-    echo "running the workloads and the cells under $1 ($2)"
+digests() {  # digests <python> <label>  ->  $WORK/<label>.{json,cells,scorecard}
+    echo "running the workloads, the cells and the scorecard under $1 ($2)"
     PYTHONPATH="src" "$1" scripts/digest_cells.py --exact "$SEED" >"$WORK/$2.json"
     PYTHONPATH="src" "$1" scripts/digest_cells.py >"$WORK/$2.cells"
+    PYTHONPATH="src" "$1" -m repro.cli scorecard --samples 10 --seed 42 \
+        >"$WORK/$2.scorecard"
 }
 
 where() { "$1" -c 'import os, sys; print(os.path.realpath(sys.executable))'; }
@@ -48,6 +52,7 @@ done
 python3 - "$WORK" "$SEED" "${LABELS[@]}" <<'EOF'
 import json
 import sys
+from itertools import zip_longest
 
 work, seed, labels = sys.argv[1], sys.argv[2], sys.argv[3:]
 default = json.load(open(f"{work}/default.json"))
@@ -62,8 +67,14 @@ def cells(label):
     return dict(line.rsplit(" ", 1) for line in lines)
 
 
+def scorecard(label):
+    return open(f"{work}/{label}.scorecard").read().splitlines()
+
+
 default_cells = cells("default")
 print(f"{len(default_cells)} digest cells")
+default_scorecard = scorecard("default")
+print(default_scorecard[-1].strip())
 differing = []
 for label in labels:
     other = json.load(open(f"{work}/{label}.json"))
@@ -79,10 +90,19 @@ for label in labels:
     for cell in default_cells.keys() | other_cells.keys():
         if default_cells.get(cell) != other_cells.get(cell):
             differing.append(f"{label}: cell {cell}")
+    for mine, theirs in zip_longest(default_scorecard, scorecard(label)):
+        if mine != theirs:
+            differing.append(f"{label}: scorecard: {theirs!r} != {mine!r} (default)")
 checked = ", ".join(labels) or "no other interpreter present"
 if differing:
-    print(f"{len(differing)} field(s) or cell(s) differ from the default interpreter:")
+    print(
+        f"{len(differing)} field(s), cell(s) or scorecard line(s) differ "
+        "from the default interpreter:"
+    )
     print("\n".join(sorted(differing)))
     sys.exit(1)
-print(f"every exact field and every cell equal across default, {checked}")
+print(
+    "every exact field, every cell and the scorecard equal across "
+    f"default, {checked}"
+)
 EOF

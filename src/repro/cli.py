@@ -240,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--rebuild-policy", default=None,
                           choices=REBUILD_POLICIES,
                           help="overlay maintenance across rounds: re-solve "
-                               "from scratch (always), repair the surviving "
-                               "forest (incremental), or repair under a "
-                               "drift budget (hybrid)")
+                               "from scratch (always) or repair the surviving "
+                               "forest (incremental)")
     scen_run.add_argument("--async-control", action="store_true",
                           help="replay the schedule through the event-driven "
                                "membership service (delayed control links, "

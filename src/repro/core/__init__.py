@@ -36,15 +36,12 @@ from repro.core.randomized import RandomJoinBuilder
 from repro.core.granularity import GranularityBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder, criticality
 from repro.core.incremental import (
-    DEFAULT_DRIFT_BUDGET,
-    REBUILD_POLICIES,
     IncrementalRepairer,
     RepairReport,
     add_subscription,
     churn_rate,
     overlay_cost,
     remove_subscription,
-    validate_rebuild_policy,
 )
 from repro.core.metrics import (
     ForestMetrics,
@@ -78,12 +75,9 @@ __all__ = [
     "add_subscription",
     "remove_subscription",
     "churn_rate",
-    "DEFAULT_DRIFT_BUDGET",
-    "REBUILD_POLICIES",
     "IncrementalRepairer",
     "RepairReport",
     "overlay_cost",
-    "validate_rebuild_policy",
     "ForestMetrics",
     "rejection_ratio",
     "pairwise_rejection_sum",

@@ -22,24 +22,19 @@ needs between full re-solves:
   are not disturbed by unrelated churn, the previous result is left
   exactly as it was, and the round costs O(groups + churn).
 
-The :data:`REBUILD_POLICIES` threaded through ``TISession``,
-``MembershipServer`` and ``ScenarioRuntime`` pick between repair and
-re-solve:
+The rebuild policies (``repro.util.validation.REBUILD_POLICIES``)
+threaded through ``MembershipServer`` and ``ScenarioRuntime`` pick
+between repair and re-solve:
 
 * ``"always"`` — the paper's model: re-solve from scratch every round;
 * ``"incremental"`` — repair every round, falling back to a scratch
   rebuild only when the repair is infeasible (a previously-served
   request could not be re-homed: capacity exhaustion or disconnected
-  residue);
-* ``"hybrid"`` — repair, but quality-guard each round against the
-  from-scratch solution: adopt the repair only while its rejection
-  count does not exceed scratch and its forest cost stays within the
-  configured drift budget.
+  residue).
 
 Incremental joins never move existing edges, so satisfied users are
 never disturbed; the price is that the incremental answer can be worse
-than a fresh solve (quantified by :func:`churn_rate` and the hybrid
-drift budget).
+than a fresh solve (compare :func:`overlay_cost` across policies).
 """
 
 from __future__ import annotations
@@ -62,24 +57,13 @@ from repro.core.node_join import (
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
-from repro.util.validation import REBUILD_POLICIES, check_rebuild_policy
-
-#: Default hybrid drift budget: the repaired forest may cost at most
-#: ``(1 + budget)`` times the from-scratch solution before the round
-#: falls back to the scratch rebuild.
-DEFAULT_DRIFT_BUDGET = 0.15
-
-#: Canonical validator (the constant itself lives in
-#: :mod:`repro.util.validation` so the session layer can share it).
-validate_rebuild_policy = check_rebuild_policy
 
 
 def overlay_cost(result: BuildResult) -> float:
     """Total relay cost of the forest: sum of every tree edge's latency.
 
-    This is the quality metric the hybrid policy budgets: local repair
-    keeps stale edges alive, so its forest drifts away from the
-    from-scratch optimum; the drift budget caps how far.
+    The quality price of repair: local repair keeps stale edges alive,
+    so its forest can drift away from the from-scratch solution.
     """
     problem = result.problem
     total = 0.0
@@ -290,16 +274,6 @@ class RepairReport:
         common = self.carried + self.orphaned - self.lost
         return self.moved / common if common else 0.0
 
-    def touched_fraction(self, total_requests: int) -> float:
-        """``touched`` as a fraction of the round's request volume.
-
-        This is the per-round increment of the scratch-free hybrid's
-        drift estimate: every request the repair had to place greedily
-        on top of the stale forest is a potential deviation from the
-        from-scratch optimum.
-        """
-        return self.touched / total_requests if total_requests > 0 else 0.0
-
 
 @dataclass
 class IncrementalRepairer:
@@ -342,25 +316,6 @@ class IncrementalRepairer:
 
     policy: ParentPolicy = field(default=ParentPolicy.MAX_RFC)
     use_swap: bool = False
-    #: Accumulated drift estimate since the last from-scratch anchor:
-    #: the sum of each repair's touched fraction.  The scratch-free
-    #: hybrid policy compares this against its drift budget to decide
-    #: when a verification re-solve is due; it re-anchors via
-    #: :meth:`reset_drift` whenever a scratch solution is computed.
-    _drift_estimate: float = field(default=0.0, init=False, repr=False)
-
-    @property
-    def drift_estimate(self) -> float:
-        """Estimated cost drift accumulated since the last anchor."""
-        return self._drift_estimate
-
-    def reset_drift(self, value: float = 0.0) -> None:
-        """Re-anchor the drift estimate (after a scratch solve).
-
-        ``value`` lets a verification that *kept* the repair re-anchor
-        on the drift it actually measured instead of zero.
-        """
-        self._drift_estimate = value
 
     def repair(
         self, previous: BuildResult, problem: ForestProblem
@@ -501,7 +456,7 @@ class IncrementalRepairer:
         # be served, whether the repair orphaned them (no re-home found)
         # or a victim swap evicted them after the carry.
         lost = len(orphans) - rejoined + evicted
-        report = RepairReport(
+        return RepairReport(
             result=BuildResult(
                 problem=problem,
                 forest=forest,
@@ -519,8 +474,6 @@ class IncrementalRepairer:
             moved=moved,
             rewritten=(*owned, *old_trees),
         )
-        self._drift_estimate += report.touched_fraction(problem.total_requests())
-        return report
 
     def _carry_tree(
         self,

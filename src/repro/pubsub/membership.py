@@ -9,18 +9,17 @@ dictates the resulting forest to all RPs as an :class:`OverlayDirective`.
 The server's ``rebuild_policy`` decides how each round's overlay is
 obtained (see :mod:`repro.core.incremental`): ``"always"`` re-solves
 from scratch (the paper's model); ``"incremental"`` repairs the previous
-round's forest and only re-solves when the repair is infeasible;
-``"hybrid"`` repairs but adopts the repair only while it stays within
-``drift_budget`` of the from-scratch solution.  Per-round disruption
-(:func:`~repro.core.incremental.churn_rate` against the previous round;
-a repair round reads it, like its directive's edge delta, off what the
-repair rewrote) and repair-vs-rebuild counts are tracked for reporting.
+round's forest and only re-solves when the repair is infeasible.
+Per-round disruption (:func:`~repro.core.incremental.churn_rate`
+against the previous round; a repair round reads it, like its
+directive's edge delta, off what the repair rewrote) and
+repair-vs-rebuild counts are tracked for reporting.
 
 Each round's :class:`~repro.core.problem.ForestProblem` is assembled
 the way the policy implies: ``"always"`` — and any round with no
 previous problem (the first, or the first after a crash) — re-derives
-the dense O(N²) cost/limit tables from the session (*scratch*); the
-repairing policies instead evolve the previous round's problem by the
+the dense O(N²) cost/limit tables from the session (*scratch*);
+``"incremental"`` instead evolves the previous round's problem by the
 dirty-registration delta (*diffed*,
 :meth:`~repro.core.problem.ForestProblem.evolve_delta`), carrying the
 dense matrix across rounds and patching only the groups that churned.
@@ -37,21 +36,14 @@ from dataclasses import dataclass, field
 from repro.errors import ProtocolError, SubscriptionError
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
-from repro.core.incremental import (
-    DEFAULT_DRIFT_BUDGET,
-    IncrementalRepairer,
-    RepairReport,
-    churn_rate,
-    overlay_cost,
-    validate_rebuild_policy,
-)
+from repro.core.incremental import IncrementalRepairer, RepairReport, churn_rate
 from repro.core.model import MulticastGroup
 from repro.core.problem import ForestProblem, ProblemDelta
 from repro.pubsub.messages import Advertisement, OverlayDirective, SiteSubscription
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from repro.util.validation import check_non_negative
+from repro.util.validation import check_rebuild_policy
 from repro.workload.spec import SubscriptionWorkload
 
 
@@ -122,11 +114,8 @@ class MembershipServer:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    #: Overlay maintenance policy ("always" | "incremental").
     rebuild_policy: str = "always"
-    #: Hybrid-mode quality budget: the repaired forest may cost at most
-    #: ``(1 + drift_budget)`` times the scratch solution of the round.
-    drift_budget: float = DEFAULT_DRIFT_BUDGET
     _advertised: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     _subscriptions: dict[int, tuple[StreamId, ...]] = field(default_factory=dict)
     #: Advertiser count per stream — a stream is *available* (its groups
@@ -152,11 +141,9 @@ class MembershipServer:
     _last_mode: str | None = None
     _registrations_applied: int = 0
     _registrations_skipped: int = 0
-    _verifications: int = 0
 
     def __post_init__(self) -> None:
-        validate_rebuild_policy(self.rebuild_policy)
-        check_non_negative("drift_budget", self.drift_budget)
+        check_rebuild_policy(self.rebuild_policy)
         # Repair joins mirror the configured builder: same parent
         # policy, and the CO-RJ victim swap only when the builder itself
         # is correlation-aware — keeping repair and rebuild semantics
@@ -313,7 +300,6 @@ class MembershipServer:
         self._last_problem = None
         self._last_result = None
         self._last_edges = None
-        self._repairer.reset_drift()
 
     def checkpoint(self) -> ServerCheckpoint:
         """Snapshot the soft state a warm restart would reload."""
@@ -395,22 +381,20 @@ class MembershipServer:
     def build_overlay(self, rng: RngStream) -> OverlayDirective:
         """Obtain the round's forest (repair or re-solve) and emit the directive.
 
-        The first round always builds from scratch; afterwards the
-        configured ``rebuild_policy`` decides whether the previous forest
-        is repaired in place or the problem is re-solved.
+        The first round always builds from scratch; afterwards
+        ``"incremental"`` repairs the previous forest in place and
+        re-solves only when the repair is infeasible, while ``"always"``
+        re-solves every round.
         """
         problem = self._assemble_problem()
         previous = self._last_result
         result: BuildResult | None = None
         repair: RepairReport | None = None
         mode = "rebuild"
-        if self.rebuild_policy != "always" and previous is not None:
+        if self.rebuild_policy == "incremental" and previous is not None:
             repair = self._repairer.repair(previous, problem)
-            if self.rebuild_policy == "incremental":
-                if repair.feasible:
-                    result, mode = repair.result, "repair"
-            else:
-                result, mode = self._guard_hybrid(repair, problem, rng)
+            if repair.feasible:
+                result, mode = repair.result, "repair"
         if result is None:
             result = self.builder.build(problem, rng)
         self._last_mode = mode
@@ -435,9 +419,6 @@ class MembershipServer:
                 added=added,
                 removed=removed,
             )
-        # Any scratch-anchored round resets the drift estimate: the
-        # adopted forest *is* the from-scratch solution.
-        self._repairer.reset_drift()
         self._rebuilds += 1
         self._last_disruption = (
             churn_rate(previous, result) if previous is not None else None
@@ -533,55 +514,6 @@ class MembershipServer:
         self._group_index = {group.stream: group for group in problem.groups}
         self._dirty_streams.clear()
 
-    def _guard_hybrid(
-        self, repair, problem: ForestProblem, rng: RngStream
-    ) -> tuple[BuildResult | None, str]:
-        """Hybrid adoption: quality-guard the repair against scratch.
-
-        The scratch solve is skipped while the repair is feasible,
-        rejection-free and the accumulated repair-delta estimate stays
-        inside the drift budget; otherwise the round *verifies* against
-        a real scratch solve.
-        """
-        if repair.feasible:
-            if (
-                not repair.result.rejected
-                and self._repairer.drift_estimate <= self.drift_budget
-            ):
-                return repair.result, "repair"
-            self._verifications += 1
-        return self._verify_against_scratch(repair, problem, rng)
-
-    def _verify_against_scratch(
-        self, repair, problem: ForestProblem, rng: RngStream
-    ) -> tuple[BuildResult | None, str]:
-        """Solve from scratch and keep the repair only if it is within budget.
-
-        The solve draws from the ``"scratch"`` RNG label — spawning is
-        stateless, so rounds that skip it leave every other draw
-        untouched and a verified round is bit-identical to one of a
-        server that verifies every round.  A verification that keeps
-        the repair re-anchors the estimate on the drift it measured.
-        """
-        scratch = self.builder.build(problem, rng.spawn("scratch"))
-        if repair.feasible and self._within_budget(repair.result, scratch):
-            scratch_cost = overlay_cost(scratch)
-            measured = (
-                overlay_cost(repair.result) / scratch_cost - 1.0
-                if scratch_cost > 0.0
-                else 0.0
-            )
-            self._repairer.reset_drift(max(0.0, measured))
-            return repair.result, "repair"
-        return scratch, "rebuild"
-
-    def _within_budget(self, repaired: BuildResult, scratch: BuildResult) -> bool:
-        """Hybrid adoption rule: no extra rejections, bounded cost drift."""
-        if len(repaired.rejected) > len(scratch.rejected):
-            return False
-        budget = overlay_cost(scratch) * (1.0 + self.drift_budget)
-        return overlay_cost(repaired) <= budget + 1e-9
-
     # -- inspection ---------------------------------------------------------------
 
     @property
@@ -636,13 +568,12 @@ class MembershipServer:
 
     @property
     def verifications(self) -> int:
-        """Estimator-triggered scratch verifications (hybrid policy)."""
-        return self._verifications
+        """Always 0: no policy re-solves a round to check a repair.
 
-    @property
-    def drift_estimate(self) -> float:
-        """The repairer's accumulated drift estimate since its last anchor."""
-        return self._repairer.drift_estimate
+        Kept read-only because the benchmark's counter snapshot
+        (``benchmarks/e2e/workloads.py::_server_counters``) reports it.
+        """
+        return 0
 
     @property
     def last_disruption(self) -> float | None:

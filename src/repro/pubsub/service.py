@@ -389,9 +389,6 @@ class MembershipService:
         #: Hook invoked right after each round is built (before any
         #: directive delivery): ``on_round(round)``.
         self.on_round: Callable[[ControlRound], None] | None = None
-        #: Hook invoked when an epoch finishes installing (last
-        #: delivery landed): ``on_installed(round)``.
-        self.on_installed: Callable[[ControlRound], None] | None = None
         self._pending: Timer | None = None
         self._trigger_ms: float | None = None
         self._coalesced = 0
@@ -1302,8 +1299,6 @@ class MembershipService:
                 event=f"epoch-{round_.epoch}",
                 time_ms=self.sim.now,
             )
-        if self.on_installed is not None:
-            self.on_installed(round_)
 
     # -- inspection ---------------------------------------------------------------
 

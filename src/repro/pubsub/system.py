@@ -38,7 +38,7 @@ class PubSubSystem:
     session: TISession
     builder: OverlayBuilder
     latency_bound_ms: float = 120.0
-    #: Overlay maintenance policy ("always" | "incremental" | "hybrid").
+    #: Overlay maintenance policy ("always" | "incremental").
     rebuild_policy: str = "always"
     rps: dict[int, RPAgent] = field(default_factory=dict)
     server: MembershipServer = field(init=False)

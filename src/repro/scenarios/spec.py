@@ -103,12 +103,11 @@ class ScenarioSpec:
         Overlay builder name (see :func:`repro.core.registry.make_builder`).
     rebuild_policy:
         How the membership server maintains the overlay across rounds:
-        ``always`` (re-solve from scratch, the paper's model),
-        ``incremental`` (repair the surviving forest) or ``hybrid``
-        (repair under a drift budget); see
+        ``always`` (re-solve from scratch, the paper's model) or
+        ``incremental`` (repair the surviving forest); see
         :mod:`repro.core.incremental`.  The policy also fixes how each
-        round's problem is assembled (``always`` from scratch, the
-        others diffed from the previous round's).
+        round's problem is assembled (``always`` from scratch,
+        ``incremental`` diffed from the previous round's).
     async_control:
         Replay the schedule through the event-driven
         :class:`~repro.pubsub.service.MembershipService` instead of
@@ -147,7 +146,8 @@ class ScenarioSpec:
         ``heartbeat_ms > 0``.
     checkpoint_interval_ms:
         Period of the server's durable soft-state checkpoint for warm
-        restarts; 0 means crashed servers restart cold.
+        restarts; 0 means crashed servers restart cold.  Requires
+        ``async_control`` (the service takes the checkpoints).
     data_loss_rate / data_jitter_ms / data_duplicate_rate:
         Data-plane fault model for the per-round dissemination
         measurement (the data mirror of the control knobs above).  Any
@@ -250,7 +250,7 @@ class ScenarioSpec:
             "checkpoint_interval_ms", self.checkpoint_interval_ms
         )
         check_disjoint_windows("server outage", self.server_outages)
-        chaotic = bool(
+        needs_service = bool(
             self.loss_rate
             or self.jitter_ms
             or self.duplicate_rate
@@ -258,11 +258,13 @@ class ScenarioSpec:
             or self.heartbeat_ms
             or self.retransmit_timeout_ms
             or self.server_outages
+            or self.checkpoint_interval_ms
         )
-        if chaotic and not self.async_control:
+        if needs_service and not self.async_control:
             raise ConfigurationError(
-                "fault/heartbeat/retransmit knobs require async_control=True "
-                "(the synchronous path has no control links to impair)"
+                "fault/heartbeat/retransmit/checkpoint knobs require "
+                "async_control=True (the synchronous path has no control "
+                "links to impair and no service to take checkpoints)"
             )
         if self.phi_threshold > 0 and self.heartbeat_ms <= 0:
             raise ConfigurationError(

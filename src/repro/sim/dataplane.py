@@ -587,7 +587,7 @@ class SampledDataPlane(_Plane):
         latency_bound_ms: float = 120.0,
     ) -> None:
         super().__init__(session, forest, rng, fps, latency_bound_ms)
-        self.jitter_ms = check_non_negative("jitter_ms", jitter_ms)
+        self.jitter_ms = check_finite_non_negative("jitter_ms", jitter_ms)
         self.loss_probability = check_probability("loss_probability", loss_probability)
 
     def run(self, duration_ms: float = 2000.0) -> DataPlaneReport:

@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.session.session import TISession
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import check_finite_non_negative, check_probability
 
 
 @dataclass
@@ -41,7 +41,7 @@ class LatencyNetwork:
     duplicated: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        check_non_negative("jitter_ms", self.jitter_ms)
+        check_finite_non_negative("jitter_ms", self.jitter_ms)
         check_probability("loss_probability", self.loss_probability)
         check_probability("duplicate_probability", self.duplicate_probability)
 

@@ -62,7 +62,7 @@ def check_at_least(name: str, value: int, minimum: int) -> int:
 #: here, below the core and scenario layers, so both can validate the
 #: knob without import cycles; the semantics are documented in
 #: :mod:`repro.core.incremental`).
-REBUILD_POLICIES = ("always", "incremental", "hybrid")
+REBUILD_POLICIES = ("always", "incremental")
 
 
 def check_rebuild_policy(value: str) -> str:

@@ -37,9 +37,10 @@ class TestRunDisruption:
 
     def test_series_per_policy(self, result):
         assert result.xs == [4, 6]
-        for policy in ("always", "incremental", "hybrid"):
-            assert len(result.series[policy]) == 2
-            assert len(result.series[f"{policy}-rejection"]) == 2
+        assert set(result.series) == {
+            "always", "always-rejection", "incremental", "incremental-rejection"
+        }
+        assert all(len(series) == 2 for series in result.series.values())
 
     def test_repair_is_less_disruptive(self, result):
         """The paired sweep reproduces the headline property."""

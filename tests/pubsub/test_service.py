@@ -80,16 +80,13 @@ class TestZeroDelayRound:
         assert round_.directive.edges == ()
         assert round_.convergence_ms == 4.0
 
-    def test_hooks_fire_in_order(self, small_session):
+    def test_round_hook_fires_once_per_round(self, small_session):
         system, service, sim = make_service(small_session)
         calls: list[str] = []
         service.on_round = lambda round_: calls.append(f"round-{round_.epoch}")
-        service.on_installed = lambda round_: calls.append(
-            f"installed-{round_.epoch}"
-        )
         announce_all(system, service)
         sim.run()
-        assert calls == ["round-1", "installed-1"]
+        assert calls == ["round-1"]
 
 
 class TestDebounce:

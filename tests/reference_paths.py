@@ -3,11 +3,10 @@ equivalence suites.
 
 The membership server works its round path out from ``rebuild_policy``
 (scratch assembly under ``always`` or with no previous problem, diffed
-assembly from the dirty-registration delta otherwise; hybrid guarded by
-the drift estimate).  The slower paths those replaced are not product
-configuration: they live here, as overrides of one server *instance's*
-assembly or guard step, so the digest suites can keep pinning the
-product path to them.
+assembly from the dirty-registration delta otherwise).  The slower paths
+those replaced are not product configuration: they live here, as
+overrides of one server *instance's* assembly step, so the digest suites
+can keep pinning the product path to them.
 
 The same goes for the array backend: production code takes whatever
 ``resolve_backend()`` selects for the install.  :func:`use_array_backend`
@@ -102,9 +101,7 @@ def use_array_backend(name: str):
 
 
 def use_reference_path(
-    server: MembershipServer,
-    assembly: str | None = None,
-    measure_drift: bool = False,
+    server: MembershipServer, assembly: str | None = None
 ) -> MembershipServer:
     """Pin ``server`` to a reference path; returns it for chaining.
 
@@ -112,8 +109,7 @@ def use_reference_path(
     whatever the rebuild policy: ``"scratch"`` re-derives the problem
     from the session, ``"diffed"`` evolves it from the dirty-registration
     delta, ``"scan"`` evolves it by diffing a full workload re-scan
-    (:meth:`ForestProblem.evolve`).  ``measure_drift`` makes hybrid solve
-    from scratch every round instead of consulting the drift estimate.
+    (:meth:`ForestProblem.evolve`).
     """
     if assembly is not None:
         step = {
@@ -132,8 +128,6 @@ def use_reference_path(
             return problem
 
         server._assemble_problem = assemble
-    if measure_drift:
-        server._guard_hybrid = server._verify_against_scratch
     return server
 
 
@@ -148,14 +142,11 @@ def _assemble_scanned(
 
 
 def reference_runtime(
-    spec: ScenarioSpec,
-    assembly: str | None = None,
-    measure_drift: bool = False,
-    **runtime_options,
+    spec: ScenarioSpec, assembly: str | None = None, **runtime_options
 ) -> ScenarioRuntime:
     """A not-yet-run :class:`ScenarioRuntime` whose server is pinned."""
     runtime = ScenarioRuntime(spec, **runtime_options)
-    use_reference_path(runtime.server, assembly, measure_drift)
+    use_reference_path(runtime.server, assembly)
     return runtime
 
 
@@ -168,8 +159,7 @@ def replay_repair(
     :class:`OverlayForest` and a fresh :class:`BuilderState`, re-validating
     every carried edge, then re-joins orphans and every request the carry
     did not serve in ``problem.all_requests()`` order.  Nothing is shared
-    with ``previous`` (``rewritten`` names every stream) and the drift
-    estimate of ``repairer`` is left alone.
+    with ``previous`` (``rewritten`` names every stream).
     """
     forest = OverlayForest()
     state = BuilderState(problem, reservations=previous.state.reservations)
@@ -359,15 +349,9 @@ def repair_checked_against_replay(
 def use_replay_repair(server: MembershipServer) -> MembershipServer:
     """Make ``server`` repair by full replay; returns it for chaining."""
     repairer = server._repairer
-
-    def repair(previous: BuildResult, problem: ForestProblem) -> RepairReport:
-        report = replay_repair(repairer, previous, problem)
-        repairer._drift_estimate += report.touched_fraction(
-            problem.total_requests()
-        )
-        return report
-
-    repairer.repair = repair
+    repairer.repair = lambda previous, problem: replay_repair(
+        repairer, previous, problem
+    )
     return server
 
 

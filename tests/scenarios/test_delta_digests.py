@@ -1,15 +1,13 @@
 """Audit-digest equivalence for the O(churn) control-round paths.
 
-Three pure-cost rewrites ride the round path: diffed assembly consumes
+Two pure-cost rewrites ride the round path: diffed assembly consumes
 the server's dirty-registration delta instead of rescanning the
-workload's groups, hybrid gates its scratch verification behind the
-repairer's drift estimate instead of re-solving every round, and the
-repair shares untouched trees with the previous round instead of
-replaying the whole forest.  None is allowed to change a single
-structural fact of any round: each must be digest-identical to its
-reference path (``scan`` / ``measure`` / the replay repair, reached
-through :mod:`tests.reference_paths`) across the scenario matrix, on
-both array backends.
+workload's groups, and the repair shares untouched trees with the
+previous round instead of replaying the whole forest.  Neither is
+allowed to change a single structural fact of any round: each must be
+digest-identical to its reference path (``scan`` / the replay repair,
+reached through :mod:`tests.reference_paths`) across the scenario
+matrix, on both array backends.
 
 The tier-1 subset keeps the fast loop fast; ``--runslow`` enables the
 full six-scenario x seed x algorithm x backend matrix from the PR's
@@ -48,44 +46,15 @@ ALL_SCENARIOS = (
 BACKENDS = ("python", "numpy")
 
 
-def _digest(
-    name: str, seed: int, algorithm: str, backend: str, policy: str, **reference
-):
-    spec = replace(
-        get_scenario(name, sites=6, seed=seed),
-        algorithm=algorithm,
-        rebuild_policy=policy,
-    )
-    with use_array_backend(backend):
-        report = reference_runtime(spec, **reference).run()
-    assert report.audit is not None and report.audit.ok
-    return report.audit.digest
-
-
 def _delta_source_digest(
     name: str, seed: int, algorithm: str, backend: str, delta_source: str
 ):
-    return _digest(
-        name,
-        seed,
-        algorithm,
-        backend,
-        "incremental",
-        assembly="scan" if delta_source == "scan" else None,
-    )
-
-
-def _drift_mode_digest(
-    name: str, seed: int, algorithm: str, backend: str, drift_mode: str
-):
-    return _digest(
-        name,
-        seed,
-        algorithm,
-        backend,
-        "hybrid",
-        measure_drift=drift_mode == "measure",
-    )
+    spec = _repair_spec(name, seed, algorithm)
+    assembly = "scan" if delta_source == "scan" else None
+    with use_array_backend(backend):
+        report = reference_runtime(spec, assembly=assembly).run()
+    assert report.audit is not None and report.audit.ok
+    return report.audit.digest
 
 
 @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
@@ -95,18 +64,6 @@ def test_dirty_delta_matches_scan_tier1(name, algorithm):
     assert _delta_source_digest(
         name, 13, algorithm, backend, "dirty"
     ) == _delta_source_digest(name, 13, algorithm, backend, "scan")
-
-
-@pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
-@pytest.mark.parametrize("name", ["capacity-starvation", "mixed-churn"])
-def test_estimated_drift_matches_measured_tier1(name, algorithm):
-    # capacity-starvation is the load-bearing cell: the only scenario
-    # whose hybrid guard ever fails, i.e. where a missed verification
-    # would actually change the adopted forest.
-    backend = resolve_backend().name  # this install's selection
-    assert _drift_mode_digest(
-        name, 13, algorithm, backend, "estimate"
-    ) == _drift_mode_digest(name, 13, algorithm, backend, "measure")
 
 
 @needs_numpy
@@ -119,20 +76,6 @@ def test_dirty_delta_matches_scan_full_matrix(name, algorithm, seed, backend):
     assert _delta_source_digest(
         name, seed, algorithm, backend, "dirty"
     ) == _delta_source_digest(name, seed, algorithm, backend, "scan")
-
-
-@needs_numpy
-@pytest.mark.slow
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", [13, 29])
-@pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_estimated_drift_matches_measured_full_matrix(
-    name, algorithm, seed, backend
-):
-    assert _drift_mode_digest(
-        name, seed, algorithm, backend, "estimate"
-    ) == _drift_mode_digest(name, seed, algorithm, backend, "measure")
 
 
 def _assert_delta_repair_matches_replay(spec, backend: str) -> ScenarioRuntime:
@@ -159,11 +102,11 @@ def _assert_delta_repair_matches_replay(spec, backend: str) -> ScenarioRuntime:
     return delta
 
 
-def _repair_spec(name: str, seed: int, algorithm: str, policy: str = "incremental"):
+def _repair_spec(name: str, seed: int, algorithm: str):
     return replace(
         get_scenario(name, sites=6, seed=seed),
         algorithm=algorithm,
-        rebuild_policy=policy,
+        rebuild_policy="incremental",
     )
 
 
@@ -171,18 +114,12 @@ def _repair_spec(name: str, seed: int, algorithm: str, policy: str = "incrementa
 @pytest.mark.parametrize("name", ["capacity-starvation", "mixed-churn"])
 def test_delta_repair_matches_replay_tier1(name, algorithm):
     # capacity-starvation carries standing rejections (retried into
-    # shared trees) and, under co-rj, victim swaps; mixed-churn has the
-    # joins, leaves and failures that drop and orphan.
+    # shared trees) and, under co-rj, victim swaps and infeasible
+    # repairs that fall back to a rebuild; mixed-churn has the joins,
+    # leaves and failures that drop and orphan.
     backend = resolve_backend().name  # this install's selection
     _assert_delta_repair_matches_replay(
         _repair_spec(name, 13, algorithm), backend
-    )
-
-
-def test_delta_repair_matches_replay_under_hybrid_tier1():
-    backend = resolve_backend().name
-    _assert_delta_repair_matches_replay(
-        _repair_spec("capacity-starvation", 13, "co-rj", "hybrid"), backend
     )
 
 

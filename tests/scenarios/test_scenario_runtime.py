@@ -147,9 +147,9 @@ class TestRebuildPolicy:
         assert report.mean_disruption >= 0.0
 
     def test_summary_mentions_maintenance(self):
-        report = run_scenario(tiny_spec(rebuild_policy="hybrid"))
+        report = run_scenario(tiny_spec(rebuild_policy="incremental"))
         summary = report.summary()
-        assert "overlay maintenance [hybrid]" in summary
+        assert "overlay maintenance [incremental]" in summary
         assert "mean disruption" in summary
 
     def test_policy_threaded_into_server(self):

@@ -55,11 +55,23 @@ class TestValidation:
             "heartbeat_ms",
             "retransmit_timeout_ms",
             "data_jitter_ms",
+            "checkpoint_interval_ms",
         ],
     )
     def test_millisecond_knobs_must_be_finite_and_non_negative(self, knob, value):
         with pytest.raises(ConfigurationError, match=knob):
             minimal_spec(async_control=True, **{knob: value})
+
+    def test_hybrid_policy_rejected(self):
+        with pytest.raises(ConfigurationError, match="always, incremental$"):
+            minimal_spec(rebuild_policy="hybrid")
+
+    def test_checkpoint_interval_requires_async_control(self):
+        """A synchronous run has no service to take checkpoints."""
+        with pytest.raises(ConfigurationError, match="checkpoint.*async_control"):
+            minimal_spec(checkpoint_interval_ms=50.0)
+        spec = minimal_spec(async_control=True, checkpoint_interval_ms=50.0)
+        assert spec.checkpoint_interval_ms == 50.0
 
     @pytest.mark.parametrize("value", (float("nan"), 0.0, -5.0))
     def test_latency_bound_must_be_positive(self, value):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
@@ -39,6 +39,10 @@ class TestDelivery:
         base = small_session.cost_ms(0, 1)
         assert all(base <= lat <= base + 5.0 for lat in latencies)
         assert max(latencies) > base  # jitter actually applied
+
+    def test_infinite_jitter_rejected(self, small_session):
+        with pytest.raises(ConfigurationError, match="jitter_ms must be finite"):
+            make_network(small_session, jitter_ms=float("inf"))
 
     def test_loss_drops_messages(self, small_session):
         network, simulator = make_network(small_session, loss_probability=1.0)
@@ -92,7 +96,5 @@ class TestDuplication:
         assert network.duplicated == 20
 
     def test_bad_probability_rejected(self, small_session):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             make_network(small_session, duplicate_probability=1.5)

@@ -333,3 +333,9 @@ class TestInputsNoPlaneCanRun:
     def test_bad_latency_bound(self, kind, bound):
         with pytest.raises(ConfigurationError, match="latency_bound_ms"):
             self.plane(kind, latency_bound_ms=bound)
+
+    @pytest.mark.parametrize("jitter_ms", (-1.0, float("nan"), float("inf")))
+    @pytest.mark.parametrize("kind", ("sampled", "event"))
+    def test_bad_jitter(self, kind, jitter_ms):
+        with pytest.raises(ConfigurationError, match="jitter_ms"):
+            self.plane(kind, jitter_ms=jitter_ms)

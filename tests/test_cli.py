@@ -115,6 +115,14 @@ class TestScenarioParser:
                 ["scenario", "run", "mass-leave", "--rebuild-policy", "never"]
             )
 
+    def test_hybrid_policy_exits_2(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as run_exit:
+            main(["scenario", "run", "mass-leave", "--rebuild-policy", "hybrid"])
+        assert run_exit.value.code == 2
+        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -381,4 +389,4 @@ class TestDisruptionCommand:
         assert code == 0
         assert "always" in out
         assert "incremental" in out
-        assert "hybrid" in out
+        assert "hybrid" not in out
