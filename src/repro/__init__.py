@@ -41,7 +41,8 @@ on the command line, and every figure command accepts ``--audit`` to
 verify each constructed overlay during a sweep.
 
 See ``examples/`` for end-to-end scenarios (``examples/stress_audit.py``
-for the audited stress loop) and ``benchmarks/`` for the per-figure
+for the audited stress loop), and ``tests/experiments/test_figure_shapes.py``
+and ``tests/experiments/test_ablations.py`` for the per-figure
 reproduction harnesses.
 """
 

@@ -1,11 +1,10 @@
 """Machine-checkable reproduction scorecard.
 
-EXPERIMENTS.md states, per figure, which of the paper's qualitative
-shapes this library reproduces.  This module encodes those claims as
-executable checks over freshly-run harness results, so the scorecard
-can never silently drift from the code: ``tele3d scorecard`` (or the
-corresponding test) re-runs every figure at a reduced sample count and
-evaluates each claim.
+This module states, per figure, which of the paper's qualitative
+shapes this library reproduces, as executable checks over freshly-run
+harness results, so the scorecard can never silently drift from the
+code: ``tele3d scorecard`` (or the corresponding test) re-runs every
+figure at a reduced sample count and evaluates each claim.
 """
 
 from __future__ import annotations

@@ -24,15 +24,15 @@ class CameraSource:
     end_time_ms: float
     frames_emitted: int = field(default=0, init=False)
 
-    def start(self, schedule: Callable[[float, Callable[[], None]], None]) -> None:
-        """Begin capturing; ``schedule(at_ms, fn)`` is the simulator hook."""
+    def start(self, schedule: Callable[..., None]) -> None:
+        """Begin capturing; ``schedule(at_ms, fn, *args)`` is the simulator hook."""
         self._schedule = schedule
         self._capture_at(0.0)
 
     def _capture_at(self, time_ms: float) -> None:
         if time_ms > self.end_time_ms:
             return
-        self._schedule(time_ms, lambda t=time_ms: self._capture(t))
+        self._schedule(time_ms, self._capture, time_ms)
 
     def _capture(self, time_ms: float) -> None:
         frame = self.clock.frame(self.frames_emitted, time_ms, self.rng)

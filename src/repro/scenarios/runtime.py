@@ -418,9 +418,7 @@ class ScenarioRuntime:
             if not self.active:
                 self.service.mark_dirty()
         for event in self.spec.compile(self.rng.spawn("schedule")):
-            self.sim.schedule_at(
-                event.time_ms, lambda event=event: self._execute(event)
-            )
+            self.sim.schedule_at(event.time_ms, self._execute, event)
         self.sim.run(until_ms=self.spec.duration_ms)
         if self.service is not None:
             # Silence the self-rearming timers (heartbeats, failure
@@ -670,9 +668,7 @@ class ScenarioRuntime:
             repair_deadline_factor=spec.data_repair_deadline_factor,
         ).run(self.dataplane_duration_ms)
         self.report.dataplane_frames_delivered += report.frames_delivered
-        self.report.dataplane_total_latency_ms += left_sum(
-            stats.total_latency_ms for stats in report.deliveries.values()
-        )
+        self.report.dataplane_total_latency_ms += left_sum(report.deliveries.totals)
         self.report.dataplane_max_latency_ms = max(
             self.report.dataplane_max_latency_ms, report.max_latency_ms
         )

@@ -29,7 +29,6 @@ from repro.util.validation import (
     check_at_least,
     check_disjoint_windows,
     check_finite_non_negative,
-    check_non_negative,
     check_phi_threshold,
     check_positive,
     check_probability,
@@ -283,7 +282,7 @@ class ScenarioSpec:
         check_probability("data_loss_rate", self.data_loss_rate)
         check_finite_non_negative("data_jitter_ms", self.data_jitter_ms)
         check_probability("data_duplicate_rate", self.data_duplicate_rate)
-        check_non_negative(
+        check_finite_non_negative(
             "data_repair_deadline_factor", self.data_repair_deadline_factor
         )
         if self.data_max_repair_attempts < 1:

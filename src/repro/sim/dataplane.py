@@ -29,12 +29,20 @@ Three implementations share the :class:`DataPlaneReport` contract:
 The analytic planes are one forest-level kernel (:func:`_disseminate`,
 the fast plane its zero-noise case); :func:`make_dataplane` dispatches
 between the three automatically.
+
+Every plane reports its per-pair accounting as a :class:`DeliveryTable`:
+a few flat columns instead of a dict of per-pair objects, so a kept
+report costs the garbage collector a fixed handful of objects however
+many subscribers it covers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from operator import indexOf
+from typing import NamedTuple
 
 from repro.core.forest import OverlayForest
 from repro.errors import SimulationError
@@ -42,13 +50,12 @@ from repro.media.frames import Frame3D, FrameClock, batched_sizes
 from repro.media.source import CameraSource
 from repro.session.session import TISession
 from repro.session.streams import StreamId
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
     check_finite_non_negative,
-    check_non_negative,
     check_positive,
     check_probability,
 )
@@ -76,19 +83,12 @@ def latency_percentiles(
     }
 
 
-@dataclass
-class DeliveryStats:
-    """Per (stream, subscriber) delivery accounting."""
+class DeliveryStats(NamedTuple):
+    """Per (stream, subscriber) delivery accounting, an immutable value."""
 
     frames: int = 0
     total_latency_ms: float = 0.0
     max_latency_ms: float = 0.0
-
-    def record(self, latency_ms: float) -> None:
-        """Accumulate one delivery."""
-        self.frames += 1
-        self.total_latency_ms += latency_ms
-        self.max_latency_ms = max(self.max_latency_ms, latency_ms)
 
     @property
     def mean_latency_ms(self) -> float:
@@ -98,6 +98,74 @@ class DeliveryStats:
         return self.total_latency_ms / self.frames
 
 
+class DeliveryTable(Mapping):
+    """``(stream, subscriber) -> DeliveryStats``, stored as columns.
+
+    Row ``r`` is the pair ``(streams[r], nodes[r])`` with ``frames[r]``
+    deliveries, latency sum ``totals[r]`` and maximum ``maxima[r]``; rows
+    run in the order the pairs first received a frame (tree-major attach
+    order on the analytic planes).  The columns are shared, read-only
+    lists of ints, floats and the trees' own :class:`StreamId` objects,
+    and each :class:`DeliveryStats` is built when it is read, so the
+    table is six objects to the garbage collector at any size.  For the
+    same reason no index is kept: a lookup scans the rows.
+    """
+
+    __slots__ = ("streams", "nodes", "frames", "totals", "maxima")
+
+    def __init__(
+        self,
+        streams: list[StreamId],
+        nodes: list[int],
+        frames: list[int],
+        totals: list[float],
+        maxima: list[float],
+    ) -> None:
+        self.streams = streams
+        self.nodes = nodes
+        self.frames = frames
+        self.totals = totals
+        self.maxima = maxima
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self):
+        return zip(self.streams, self.nodes)
+
+    def __getitem__(self, key) -> DeliveryStats:
+        try:
+            row = indexOf(self, key)
+        except ValueError:
+            raise KeyError(key) from None
+        return DeliveryStats(self.frames[row], self.totals[row], self.maxima[row])
+
+    def _stats(self):
+        return map(DeliveryStats, self.frames, self.totals, self.maxima)
+
+    def items(self) -> ItemsView:
+        return _TableItems(self)
+
+    def values(self) -> ValuesView:
+        return _TableValues(self)
+
+
+class _TableItems(ItemsView):
+    """Rows read in one pass, with no per-key lookup."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._stats())
+
+
+class _TableValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._stats()
+
+
 @dataclass
 class DataPlaneReport:
     """Aggregated results of one data-plane run."""
@@ -105,7 +173,7 @@ class DataPlaneReport:
     duration_ms: float
     frames_captured: int
     frames_delivered: int
-    deliveries: dict[tuple[StreamId, int], DeliveryStats]
+    deliveries: DeliveryTable
     bytes_sent_by_site: dict[int, int]
     latency_bound_ms: float
     # -- data-chaos outcome counters (all zero on deterministic runs,
@@ -130,24 +198,18 @@ class DataPlaneReport:
     @property
     def mean_latency_ms(self) -> float:
         """Mean end-to-end latency across all deliveries."""
-        total = left_sum(s.total_latency_ms for s in self.deliveries.values())
-        count = sum(s.frames for s in self.deliveries.values())
-        return total / count if count else 0.0
+        count = sum(self.deliveries.frames)
+        return left_sum(self.deliveries.totals) / count if count else 0.0
 
     @property
     def max_latency_ms(self) -> float:
         """Worst end-to-end latency observed."""
-        if not self.deliveries:
-            return 0.0
-        return max(s.max_latency_ms for s in self.deliveries.values())
+        return max(self.deliveries.maxima, default=0.0)
 
     def bound_violations(self) -> int:
         """Subscriber-stream pairs whose max latency breached the bound."""
-        return sum(
-            1
-            for stats in self.deliveries.values()
-            if stats.max_latency_ms >= self.latency_bound_ms
-        )
+        bound = self.latency_bound_ms
+        return sum(1 for peak in self.deliveries.maxima if peak >= bound)
 
     def out_mbps_by_site(self) -> dict[int, float]:
         """Mean outbound data-plane rate per site over the run."""
@@ -160,22 +222,12 @@ class DataPlaneReport:
         }
 
 
-@dataclass(frozen=True)
-class _NackRequest:
-    """A receiver's gap-repair request, sent up its tree parent."""
-
-    stream_id: StreamId
-    sequence: int
-    requester: int
-
-
 @dataclass
 class _PendingRepair:
     """One missing (stream, site, sequence) instance under repair."""
 
     attempts: int
     deadline_ms: float
-    timer: Timer | None = None
 
 
 class _Plane:
@@ -252,7 +304,7 @@ class ForestDataPlane(_Plane):
             raise SimulationError(
                 f"max_repair_attempts must be >= 1, got {max_repair_attempts}"
             )
-        check_non_negative("repair_deadline_factor", repair_deadline_factor)
+        check_finite_non_negative("repair_deadline_factor", repair_deadline_factor)
         super().__init__(session, forest, rng, fps, latency_bound_ms)
         self.nack_enabled = nack_enabled
         self.max_repair_attempts = max_repair_attempts
@@ -267,15 +319,20 @@ class ForestDataPlane(_Plane):
             loss_probability=loss_probability,
             duplicate_probability=duplicate_probability,
         )
-        self._deliveries: dict[tuple[StreamId, int], DeliveryStats] = {}
+        # The report's table, a row per (stream, site) opened at its
+        # first arrival, and each row's received sequences.
+        self._table = DeliveryTable([], [], [], [], [])
+        self._rows: dict[tuple[StreamId, int], int] = {}
+        self._received: list[set[int]] = []
         self._bytes_sent: dict[int, int] = {
             site.index: 0 for site in session.sites
         }
         self._captured = 0
-        self._delivered = 0
-        # NACK/repair state: per-(stream, site) received sequences and
-        # frame buffers, and the in-flight repairs keyed by instance.
-        self._received: dict[tuple[StreamId, int], set[int]] = {}
+        # The forest's maps, read once per run.
+        self._children: dict[StreamId, dict[int, list[int]]] = {}
+        self._parents: dict[StreamId, dict[int, int]] = {}
+        # NACK/repair state: per-(stream, site) frame buffers and highest
+        # sequence, and the in-flight repairs keyed by instance.
         self._buffers: dict[tuple[StreamId, int], dict[int, Frame3D]] = {}
         self._highest: dict[tuple[StreamId, int], int] = {}
         self._pending: dict[tuple[StreamId, int, int], _PendingRepair] = {}
@@ -288,6 +345,10 @@ class ForestDataPlane(_Plane):
 
     def run(self, duration_ms: float = 2000.0) -> DataPlaneReport:
         """Simulate ``duration_ms`` of capture and dissemination."""
+        for stream_id, tree in self.forest.trees.items():
+            parent_of = self._parents[stream_id] = tree.parent_map()
+            self._children[stream_id] = tree.children_map()
+            _check_hops(self.session, parent_of.values(), parent_of)
         sources = self._make_sources(duration_ms)
         for source in sources:
             source.start(self.simulator.schedule_at)
@@ -305,8 +366,8 @@ class ForestDataPlane(_Plane):
         return DataPlaneReport(
             duration_ms=duration_ms,
             frames_captured=self._captured,
-            frames_delivered=self._delivered,
-            deliveries=dict(self._deliveries),
+            frames_delivered=sum(self._table.frames),
+            deliveries=self._table,
             bytes_sent_by_site=dict(self._bytes_sent),
             latency_bound_ms=self.latency_bound_ms,
             sends_dropped=self.network.dropped,
@@ -346,21 +407,27 @@ class ForestDataPlane(_Plane):
 
     def _relay(self, at_site: int, frame: Frame3D) -> None:
         """Forward ``frame`` to the site's children in the stream's tree."""
-        tree = self.forest.trees[frame.stream_id]
-        for child in tree.children(at_site):
-            self._bytes_sent[at_site] += frame.size_bytes
-            self.network.send(
-                at_site,
-                child,
-                frame,
-                lambda payload, _latency, child=child: self._on_arrival(
-                    child, payload
-                ),
-            )
+        children = self._children[frame.stream_id].get(at_site)
+        if not children:
+            return
+        self._bytes_sent[at_site] += frame.size_bytes * len(children)
+        send, arrive = self.network.send, self._on_arrival
+        for child in children:
+            send(at_site, child, arrive, child, frame)
 
     def _on_arrival(self, at_site: int, frame: Frame3D) -> None:
         key = (frame.stream_id, at_site)
-        seen = self._received.setdefault(key, set())
+        table = self._table
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = len(table)
+            table.streams.append(frame.stream_id)
+            table.nodes.append(at_site)
+            table.frames.append(0)
+            table.totals.append(0.0)
+            table.maxima.append(0.0)
+            self._received.append(set())
+        seen = self._received[row]
         if frame.sequence in seen:
             # Network duplication, or a repair overlapping the cascade
             # (the subtree relay re-delivers to receivers that already
@@ -370,34 +437,38 @@ class ForestDataPlane(_Plane):
         seen.add(frame.sequence)
         if self.nack_enabled:
             self._buffers.setdefault(key, {})[frame.sequence] = frame
-            pending = self._pending.pop(
-                (frame.stream_id, at_site, frame.sequence), None
-            )
-            if pending is not None:
-                if pending.timer is not None:
-                    pending.timer.cancel()
+            if self._pending.pop((*key, frame.sequence), None) is not None:
                 self.frames_recovered += 1
-            self._detect_gaps(at_site, frame)
+            self._detect_gaps(key, frame.sequence, seen)
+        # One delivery, accumulated from 0.0 left to right in arrival
+        # order: the order the analytic kernels reproduce.
         latency = self.simulator.now - frame.capture_time_ms
-        stats = self._deliveries.setdefault(key, DeliveryStats())
-        stats.record(latency)
+        table.frames[row] += 1
+        table.totals[row] += latency
+        if latency > table.maxima[row]:
+            table.maxima[row] = latency
         if self.collect_percentiles:
             self._latencies.append(latency)
-        self._delivered += 1
         self._relay(at_site, frame)
 
     # -- NACK/repair state machine -------------------------------------------
+    #
+    # Each open repair has exactly one retry call in flight.  A repair
+    # closes when its frame arrives (a received key never reopens: the
+    # site then buffers the frame, so nothing asks it to repair that
+    # sequence again) or when its own retry gives it up, which schedules
+    # nothing further; so a retry that finds its key absent is stale.
 
-    def _detect_gaps(self, at_site: int, frame: Frame3D) -> None:
-        """Start repairs for sequences skipped below ``frame``."""
-        key = (frame.stream_id, at_site)
+    def _detect_gaps(
+        self, key: tuple[StreamId, int], sequence: int, received: set[int]
+    ) -> None:
+        """Start repairs for sequences skipped below ``sequence``."""
         highest = self._highest.get(key, -1)
-        if frame.sequence > highest:
-            received = self._received[key]
-            for missing in range(highest + 1, frame.sequence):
+        if sequence > highest:
+            for missing in range(highest + 1, sequence):
                 if missing not in received:
-                    self._start_repair(frame.stream_id, at_site, missing)
-            self._highest[key] = frame.sequence
+                    self._start_repair(*key, missing)
+            self._highest[key] = sequence
 
     def _start_repair(
         self, stream_id: StreamId, site: int, sequence: int
@@ -411,7 +482,7 @@ class ForestDataPlane(_Plane):
         pending_key = (stream_id, site, sequence)
         if pending_key in self._pending:
             return
-        if self.forest.trees[stream_id].parent(site) is None:
+        if site not in self._parents[stream_id]:
             raise SimulationError(
                 f"source site {site} missing its own frame "
                 f"{stream_id}#{sequence}"
@@ -422,26 +493,20 @@ class ForestDataPlane(_Plane):
         )
         pending = _PendingRepair(attempts=0, deadline_ms=deadline)
         self._pending[pending_key] = pending
-        self._send_nack(pending_key, pending)
+        self._send_nack(stream_id, site, sequence, pending)
 
     def _send_nack(
-        self,
-        pending_key: tuple[StreamId, int, int],
-        pending: _PendingRepair,
+        self, stream_id: StreamId, site: int, sequence: int, pending: _PendingRepair
     ) -> None:
-        stream_id, site, sequence = pending_key
-        parent = self.forest.trees[stream_id].parent(site)
+        parent = self._parents[stream_id][site]
         pending.attempts += 1
         self.nacks_sent += 1
         self.network.send(
-            site,
-            parent,
-            _NackRequest(stream_id=stream_id, sequence=sequence, requester=site),
-            lambda payload, _latency: self._on_nack(parent, payload),
+            site, parent, self._on_nack, parent, stream_id, sequence, site
         )
-        pending.timer = self.simulator.schedule_timer(
+        self.simulator.schedule_in(
             self._nack_retry_ms(parent, site),
-            lambda: self._retry_repair(pending_key),
+            self._retry_repair, stream_id, site, sequence,
         )
 
     def _nack_retry_ms(self, parent: int, site: int) -> float:
@@ -450,10 +515,11 @@ class ForestDataPlane(_Plane):
         rtt = 2.0 * (self.session.cost_ms(parent, site) + self.network.jitter_ms)
         return max(rtt, 1.0)
 
-    def _retry_repair(self, pending_key: tuple[StreamId, int, int]) -> None:
+    def _retry_repair(self, stream_id: StreamId, site: int, sequence: int) -> None:
+        pending_key = (stream_id, site, sequence)
         pending = self._pending.get(pending_key)
         if pending is None:
-            return  # repaired before the timer fired
+            return  # repaired before the retry came due
         if (
             pending.attempts >= self.max_repair_attempts
             or self.simulator.now > pending.deadline_ms
@@ -461,29 +527,22 @@ class ForestDataPlane(_Plane):
             del self._pending[pending_key]
             self.frames_unrecovered += 1
             return
-        self._send_nack(pending_key, pending)
+        self._send_nack(stream_id, site, sequence, pending)
 
-    def _on_nack(self, at_site: int, nack: _NackRequest) -> None:
-        frame = self._buffers.get((nack.stream_id, at_site), {}).get(
-            nack.sequence
-        )
+    def _on_nack(
+        self, at_site: int, stream_id: StreamId, sequence: int, requester: int
+    ) -> None:
+        frame = self._buffers.get((stream_id, at_site), {}).get(sequence)
         if frame is not None:
             self.repairs_sent += 1
             self._bytes_sent[at_site] += frame.size_bytes
-            self.network.send(
-                at_site,
-                nack.requester,
-                frame,
-                lambda payload, _latency: self._on_arrival(
-                    nack.requester, payload
-                ),
-            )
+            self.network.send(at_site, requester, self._on_arrival, requester, frame)
             return
         # This site lost its copy too (possibly still undetected):
         # escalate a repair of its own.  When the repaired frame lands
         # here it relays to every child, so the requester is served by
         # the cascade.
-        self._start_repair(nack.stream_id, at_site, nack.sequence)
+        self._start_repair(stream_id, at_site, sequence)
 
     def _tail_audit(self) -> None:
         """Sweep for losses no later frame could reveal.
@@ -499,7 +558,8 @@ class ForestDataPlane(_Plane):
             if not expected:
                 continue
             for site in tree.receivers():
-                seen = self._received.get((stream_id, site), set())
+                row = self._rows.get((stream_id, site))
+                seen = self._received[row] if row is not None else ()
                 for sequence in expected:
                     if sequence not in seen:
                         self._start_repair(stream_id, site, sequence)
@@ -614,33 +674,34 @@ def _disseminate(
     n_frames = len(times)
     draws_per_row = n_frames * ((loss > 0.0) + (jitter > 0.0))
     noise_rng = plane.rng.spawn("network") if draws_per_row else None
-    deliveries: dict[tuple[StreamId, int], DeliveryStats] = {}
+    table = DeliveryTable([], [], [], [], [])
     bytes_sent: dict[int, int] = {site.index: 0 for site in session.sites}
     latencies: list[float] = []
-    receivers = delivered = 0
     batches = _batches(session, trees, n_frames)
-    for keys, parents, parent_rows, hops, tree_rows in batches:
+    for streams, nodes, parents, parent_rows, hops, tree_rows in batches:
         noise = noise_rng and backend.unit_floats(
-            noise_rng.random_words(draws_per_row * len(keys))
+            noise_rng.random_words(draws_per_row * len(nodes))
         )
         frames, totals, maxima, sent, batch_latencies = backend.disseminate(
             times, parent_rows, hops, tree_rows, sizes, loss, jitter, noise, percentiles
         )
-        rows = zip(keys, parents, frames, totals, maxima, sent)
-        for key, parent, count, total, peak, size in rows:
-            deliveries[key] = DeliveryStats(count, total, peak)
+        table.streams += streams
+        table.nodes += nodes
+        table.frames += frames
+        table.totals += totals
+        table.maxima += maxima
+        for parent, size in zip(parents, sent):
             bytes_sent[parent] += size
-        receivers += len(keys)
-        delivered += sum(frames)
         latencies += batch_latencies
+    delivered = sum(table.frames)
     return DataPlaneReport(
         duration_ms=duration_ms,
         frames_captured=n_frames * len(trees),
         frames_delivered=delivered,
-        deliveries=deliveries,
+        deliveries=table,
         bytes_sent_by_site=bytes_sent,
         latency_bound_ms=plane.latency_bound_ms,
-        sends_dropped=n_frames * receivers - delivered,
+        sends_dropped=n_frames * len(table) - delivered,
         latency_percentiles=latency_percentiles(latencies),
     )
 
@@ -671,35 +732,41 @@ def _batches(session: TISession, trees, n_frames: int):
     """The trees' receivers as kernel rows, a batch of whole trees at a time.
 
     Rows run tree-major in attach order, so a parent always precedes
-    its children.  Yields the columns ``(keys, parents, parent_rows,
-    hops, tree_rows)``: delivery key ``(stream, node)``, parent site,
-    the parent's row in the batch (``-1`` under the source), hop cost
-    from the session's dense matrix, index in ``trees``.  A batch closes
+    its children.  Yields the columns ``(streams, nodes, parents,
+    parent_rows, hops, tree_rows)``: the tree's stream, the receiver,
+    its parent site, the parent's row in the batch (``-1`` under the
+    source), hop cost from the session's dense matrix, index in
+    ``trees``.  A batch closes
     at the first tree that takes it past 2**15 (receiver x frame) cells
     — 256 KiB a float matrix — which bounds the kernel's transients for
     any forest and horizon (2**16 already reads +3 MB of peak RSS).
     """
     cost_rows = session.dense_cost_matrix().rows()
-    keys, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
+    streams, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
     for tree_row, tree in enumerate(trees):
-        stream_id = tree.stream
         parent_of = tree.parent_map()
         # The source has no row: its children take the default.
         row_of = dict(zip(parent_of, range(len(nodes), len(nodes) + len(parent_of))))
-        keys += [(stream_id, node) for node in parent_of]
+        streams += [tree.stream] * len(parent_of)
         nodes += parent_of
         parents += parent_of.values()
         parent_rows += [row_of.get(parent, -1) for parent in parent_of.values()]
         tree_rows += [tree_row] * len(parent_of)
         if len(nodes) * n_frames < 1 << 15 and tree_row + 1 < len(trees):
             continue
-        sites = nodes + parents
-        if min(sites) < 0 or max(sites) >= len(cost_rows):
-            for parent, node in zip(parents, nodes):
-                session.cost_ms(parent, node)  # raises, naming the first bad hop
+        _check_hops(session, parents, nodes)
         hops = [cost_rows[parent][node] for parent, node in zip(parents, nodes)]
-        yield keys, parents, parent_rows, hops, tree_rows
-        keys, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
+        yield streams, nodes, parents, parent_rows, hops, tree_rows
+        streams, nodes, parents, parent_rows, tree_rows = [], [], [], [], []
+
+
+def _check_hops(session: TISession, parents, nodes) -> None:
+    """Raise the session's error for the first hop that leaves the session,
+    before anything indexes the dense matrix (a negative site would wrap)."""
+    sites = [*parents, *nodes]
+    if sites and (min(sites) < 0 or max(sites) >= len(session.sites)):
+        for parent, node in zip(parents, nodes):
+            session.cost_ms(parent, node)  # raises, naming the first bad hop
 
 
 #: Accepted values for :func:`make_dataplane`'s ``plane`` knob.

@@ -1,10 +1,13 @@
 """A small deterministic discrete-event engine.
 
-Events are (time, tie-break sequence) ordered in a binary heap; equal
-timestamps execute in scheduling order, so runs are reproducible
-regardless of callback content.  The engine is deliberately synchronous
-and single-threaded — 3DTI sessions are small, and determinism is worth
-more than parallelism for reproduction work.
+Events are ``(time, tie-break sequence, callback, args)`` entries in a
+binary heap; equal timestamps execute in scheduling order, so runs are
+reproducible regardless of callback content (the unique sequence means
+callbacks and arguments are never compared).  The arguments ride in the
+entry, so a caller schedules ``(method, *args)`` without a closure.
+The engine is deliberately synchronous and single-threaded — 3DTI
+sessions are small, and determinism is worth more than parallelism for
+reproduction work.
 
 Besides one-shot scheduling, the engine offers :class:`Timer` — a
 cancellable, optionally recurring handle.  The event-driven control
@@ -72,7 +75,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._processed = 0
         self._running = False
 
@@ -91,21 +94,27 @@ class Simulator:
         """Number of events still queued."""
         return len(self._queue)
 
-    def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute time ``time_ms``."""
+    def schedule_at(
+        self, time_ms: float, callback: Callable[..., None], *args: object
+    ) -> None:
+        """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
         if time_ms < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: {time_ms} < now {self._now}"
             )
-        heapq.heappush(self._queue, (time_ms, self._sequence, callback))
+        heapq.heappush(self._queue, (time_ms, self._sequence, callback, args))
         self._sequence += 1
 
-    def schedule_in(self, delay_ms: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after ``delay_ms`` from now."""
+    def schedule_in(
+        self, delay_ms: float, callback: Callable[..., None], *args: object
+    ) -> None:
+        """Schedule ``callback(*args)`` after ``delay_ms`` from now."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
         # Pushed here, not through schedule_at: now + delay >= now.
-        heapq.heappush(self._queue, (self._now + delay_ms, self._sequence, callback))
+        heapq.heappush(
+            self._queue, (self._now + delay_ms, self._sequence, callback, args)
+        )
         self._sequence += 1
 
     def schedule_timer(
@@ -146,12 +155,11 @@ class Simulator:
         executed = 0
         try:
             while self._queue:
-                time_ms, _, callback = self._queue[0]
-                if until_ms is not None and time_ms > until_ms:
+                if until_ms is not None and self._queue[0][0] > until_ms:
                     break
-                heapq.heappop(self._queue)
+                time_ms, _, callback, args = heapq.heappop(self._queue)
                 self._now = time_ms
-                callback()
+                callback(*args)
                 executed += 1
                 self._processed += 1
                 if executed > max_events:

@@ -23,7 +23,12 @@ from repro.util.validation import check_finite_non_negative, check_probability
 
 @dataclass
 class LatencyNetwork:
-    """Point-to-point RP message delivery with latency, jitter, loss."""
+    """Point-to-point RP message delivery with latency, jitter, loss.
+
+    Hop costs come from the session's dense cost matrix: callers send
+    between sites of the session (the data plane checks its forest's
+    sites once per run).
+    """
 
     session: TISession
     simulator: Simulator
@@ -32,10 +37,14 @@ class LatencyNetwork:
     loss_probability: float = 0.0
     duplicate_probability: float = 0.0
     #: Deterministic drop hook for tests: ``drop_filter(src, dst,
-    #: payload) -> True`` drops the message *before* any RNG draw, so
+    #: args) -> True`` drops the message *before* any RNG draw, so
     #: installing one never perturbs the seeded loss/jitter sequence.
-    drop_filter: Callable[[int, int, object], bool] | None = None
+    #: ``args`` is the tuple the arrival callback would have received.
+    drop_filter: Callable[[int, int, tuple], bool] | None = None
     sent: int = field(default=0, init=False)
+    #: Arrivals scheduled, duplicate copies included: every send that
+    #: is not dropped counts once, plus once more when it is copied.
+    #: Each of them lands when the simulator drains.
     delivered: int = field(default=0, init=False)
     dropped: int = field(default=0, init=False)
     duplicated: int = field(default=0, init=False)
@@ -44,51 +53,46 @@ class LatencyNetwork:
         check_finite_non_negative("jitter_ms", self.jitter_ms)
         check_probability("loss_probability", self.loss_probability)
         check_probability("duplicate_probability", self.duplicate_probability)
+        self._cost_rows = self.session.dense_cost_matrix().rows()
 
     def send(
         self,
         src: int,
         dst: int,
-        payload: object,
-        on_delivery: Callable[[object, float], None],
+        on_delivery: Callable[..., None],
+        *args: object,
     ) -> None:
-        """Send ``payload`` from site ``src`` to ``dst``.
+        """Send a message from site ``src`` to ``dst``.
 
-        ``on_delivery(payload, latency_ms)`` fires at arrival time unless
-        the message is lost.
+        ``on_delivery(*args)`` runs at arrival time unless the message
+        is lost; the simulator clock then reads the arrival time.
         """
         if src == dst:
             raise SimulationError(f"site {src} sending to itself")
         self.sent += 1
-        if self.drop_filter is not None and self.drop_filter(src, dst, payload):
+        if self.drop_filter is not None and self.drop_filter(src, dst, args):
             self.dropped += 1
             return
-        if self.loss_probability > 0 and self.rng.random() < self.loss_probability:
+        rng = self.rng
+        if self.loss_probability > 0 and rng.random() < self.loss_probability:
             self.dropped += 1
             return
-        latency = self.session.cost_ms(src, dst)
-        if self.jitter_ms > 0:
-            latency += self.rng.uniform(0.0, self.jitter_ms)
-
-        def deliver() -> None:
-            self.delivered += 1
-            on_delivery(payload, latency)
-
-        self.simulator.schedule_in(latency, deliver)
+        latency = self._cost_rows[src][dst]
+        # ``j * random()`` is ``uniform(0.0, j)`` bit for bit, same draw.
+        jitter = self.jitter_ms
+        if jitter > 0:
+            latency += jitter * rng.random()
+        self.delivered += 1
+        self.simulator.schedule_in(latency, on_delivery, *args)
         if (
             self.duplicate_probability > 0
-            and self.rng.random() < self.duplicate_probability
+            and rng.random() < self.duplicate_probability
         ):
             # The copy rides behind the original: same deterministic
             # latency plus its own jitter, and even at zero jitter the
             # engine's (time, sequence) order lands it strictly later.
-            copy_latency = latency
-            if self.jitter_ms > 0:
-                copy_latency += self.rng.uniform(0.0, self.jitter_ms)
+            if jitter > 0:
+                latency += jitter * rng.random()
             self.duplicated += 1
-
-            def deliver_copy() -> None:
-                self.delivered += 1
-                on_delivery(payload, copy_latency)
-
-            self.simulator.schedule_in(copy_latency, deliver_copy)
+            self.delivered += 1
+            self.simulator.schedule_in(latency, on_delivery, *args)

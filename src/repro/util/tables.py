@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper reports; this
 module renders them as aligned ASCII tables so the output is readable in a
-terminal and diffable in EXPERIMENTS.md.
+terminal and diffable between runs.
 """
 
 from __future__ import annotations

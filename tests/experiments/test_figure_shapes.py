@@ -7,7 +7,7 @@ shape, not absolute numbers:
   heterogeneous/uniform nodes, N = 3..10, STF/LTF/MCTF/RJ): rejection
   grows with N;
 * Fig. 9 — Gran-LTF's granularity from 1 (== LTF) toward F (== RJ) at
-  N=10: the paper's decreasing curve is *flat* here (EXPERIMENTS.md), so
+  N=10: the paper's decreasing curve is *flat* here (see the scorecard), so
   the check is that the spectrum stays within a band around its ends;
 * Fig. 10 — RJ out-degree utilization and load balance, N = 4..20:
   utilization near 100 %, small deviation, a substantial relay share;

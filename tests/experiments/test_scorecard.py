@@ -33,7 +33,7 @@ class TestEvaluation:
         """The headline check: every documented shape-claim holds.
 
         Uses a modest sample count; the claims were written with margins
-        that absorb that noise (see EXPERIMENTS.md for 200-sample data).
+        that absorb that noise.
         """
         claims = full_scorecard(samples=25, seed=42)
         text = render_scorecard(claims)

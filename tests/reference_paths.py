@@ -76,6 +76,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sim.dataplane import (
     DataPlaneReport,
     DeliveryStats,
+    DeliveryTable,
     FastDataPlane,
     SampledDataPlane,
     latency_percentiles,
@@ -401,6 +402,14 @@ def _camera(plane, stream_id, duration_ms: float):
     return times, [clock.sample_size_bytes(camera_rng) for _ in times]
 
 
+def table_of(deliveries: dict) -> DeliveryTable:
+    """The report table of a ``{(stream, node): DeliveryStats}`` dict, in its order."""
+    rows = [(*key, *stats) for key, stats in deliveries.items()]
+    return DeliveryTable(*map(list, zip(*rows))) if rows else DeliveryTable(
+        [], [], [], [], []
+    )
+
+
 def per_delivery_fast_run(plane: FastDataPlane, duration_ms: float) -> DataPlaneReport:
     """``plane.run(duration_ms)`` as the per-tree list loop computed it."""
     deliveries: dict = {}
@@ -426,17 +435,15 @@ def per_delivery_fast_run(plane: FastDataPlane, duration_ms: float) -> DataPlane
             arrivals[node] = [t + hop for t in arrivals[parent]]
             bytes_sent[parent] += stream_bytes
             latencies = [a - t for a, t in zip(arrivals[node], times)]
-            stats = DeliveryStats()
-            stats.frames = n_frames
-            stats.total_latency_ms = left_sum(latencies)
-            stats.max_latency_ms = max(0.0, max(latencies))
-            deliveries[(stream_id, node)] = stats
+            deliveries[(stream_id, node)] = DeliveryStats(
+                n_frames, left_sum(latencies), max(0.0, max(latencies))
+            )
             delivered += n_frames
     return DataPlaneReport(
         duration_ms=duration_ms,
         frames_captured=captured,
         frames_delivered=delivered,
-        deliveries=deliveries,
+        deliveries=table_of(deliveries),
         bytes_sent_by_site=bytes_sent,
         latency_bound_ms=plane.latency_bound_ms,
     )
@@ -494,10 +501,10 @@ def per_delivery_sampled_run(
             if node_alive is not None:
                 latencies = [v for v, kept in zip(latencies, node_alive) if kept]
             stats = DeliveryStats()
-            stats.frames = len(latencies)
             if latencies:
-                stats.total_latency_ms = left_sum(latencies)
-                stats.max_latency_ms = max(0.0, max(latencies))
+                stats = DeliveryStats(
+                    len(latencies), left_sum(latencies), max(0.0, max(latencies))
+                )
                 all_latencies.extend(latencies)
             deliveries[(stream_id, node)] = stats
             delivered += len(latencies)
@@ -506,7 +513,7 @@ def per_delivery_sampled_run(
         duration_ms=duration_ms,
         frames_captured=captured,
         frames_delivered=delivered,
-        deliveries=deliveries,
+        deliveries=table_of(deliveries),
         bytes_sent_by_site=bytes_sent,
         latency_bound_ms=plane.latency_bound_ms,
         sends_dropped=dropped,

@@ -26,6 +26,19 @@ class TestScheduling:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_fifo_for_equal_times_with_args(self):
+        """Arguments ride in the entry; same-time events still run in
+        scheduling order, across both entry points, and arguments are
+        never compared (dicts would raise)."""
+        sim = Simulator()
+        order = []
+        for tag in "abc":
+            sim.schedule_at(1.0, order.append, {"tag": tag})
+        sim.schedule_in(1.0, order.append, {"tag": "d"})
+        sim.schedule_at(1.0, lambda *args: order.append(args), 1, "x", None)
+        sim.run()
+        assert order == [{"tag": t} for t in "abcd"] + [(1, "x", None)]
+
     def test_schedule_in_relative(self):
         sim = Simulator()
         seen = []

@@ -16,7 +16,12 @@ from repro.errors import SimulationError
 from repro.perf.sweep import reports_equal
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runtime import ScenarioRuntime
-from repro.sim.dataplane import FastDataPlane, ForestDataPlane, make_dataplane
+from repro.sim.dataplane import (
+    DeliveryTable,
+    FastDataPlane,
+    ForestDataPlane,
+    make_dataplane,
+)
 from repro.util.rng import RngStream
 
 
@@ -203,13 +208,21 @@ class TestReportsEqual:
     )
     def test_every_pair_statistic_is_compared(self, name):
         a, b = twin_reports()
-        stats = next(iter(b.deliveries.values()))
-        setattr(stats, name, getattr(stats, name) + 1)
+        column = {"frames": "frames", "total_latency_ms": "totals",
+                  "max_latency_ms": "maxima"}[name]
+        getattr(b.deliveries, column)[0] += 1
+        assert getattr(next(iter(b.deliveries.values())), name) != getattr(
+            next(iter(a.deliveries.values())), name
+        )
         assert not reports_equal(a, b)
 
     def test_a_missing_pair_is_a_divergence(self):
         a, b = twin_reports()
-        del b.deliveries[next(iter(b.deliveries))]
+        table = b.deliveries
+        b.deliveries = DeliveryTable(
+            table.streams[1:], table.nodes[1:], table.frames[1:],
+            table.totals[1:], table.maxima[1:],
+        )
         assert not reports_equal(a, b)
         assert not reports_equal(b, a)
 

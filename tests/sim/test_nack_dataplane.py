@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro import make_builder, quick_problem, quick_session
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.media.frames import Frame3D
 from repro.perf.sweep import reports_equal
 from repro.sim.dataplane import (
@@ -103,6 +103,14 @@ class TestRecovery:
         assert reports_equal(first, second)
         assert first.latency_percentiles == second.latency_percentiles
 
+    @pytest.mark.parametrize("factor", (float("inf"), float("nan"), -1.0))
+    def test_repair_deadline_must_be_finite(self, factor):
+        session, forest = build_forest(4, 7)
+        with pytest.raises(ConfigurationError, match="repair_deadline_factor"):
+            ForestDataPlane(
+                session, forest, RngStream(7), repair_deadline_factor=factor
+            )
+
     def test_starved_budget_leaves_frames_unrecovered(self):
         session, forest = build_forest(8, 7)
         report = ForestDataPlane(
@@ -140,10 +148,11 @@ class TestBoundedGiveUp:
             max_repair_attempts=attempts,
             repair_deadline_factor=1000.0,  # only the attempt cap binds
         )
+        # A frame arrives as ``(receiver, frame)``; a NACK carries no frame.
         plane.network.drop_filter = (
-            lambda src, dst, payload: dst == leaf
-            and isinstance(payload, Frame3D)
-            and payload.stream_id == stream
+            lambda src, dst, args: dst == leaf
+            and isinstance(args[-1], Frame3D)
+            and args[-1].stream_id == stream
         )
         report = plane.run(500.0)
         # Every stream runs the same 15fps clock, so frames split evenly

@@ -21,24 +21,44 @@ def make_network(small_session, **kwargs) -> tuple[LatencyNetwork, Simulator]:
     return network, simulator
 
 
+def arrivals_into(simulator: Simulator, into: list):
+    """An arrival callback recording ``(now, *args)``; sends leave at 0 ms,
+    so ``now`` is the message's latency."""
+    return lambda *args: into.append((simulator.now, *args))
+
+
 class TestDelivery:
     def test_latency_equals_cost(self, small_session):
         network, simulator = make_network(small_session)
         deliveries = []
-        network.send(0, 1, "payload", lambda p, lat: deliveries.append((p, lat)))
+        network.send(0, 1, arrivals_into(simulator, deliveries), "payload", 7)
         simulator.run()
-        assert deliveries == [("payload", small_session.cost_ms(0, 1))]
-        assert simulator.now == pytest.approx(small_session.cost_ms(0, 1))
+        assert deliveries == [(small_session.cost_ms(0, 1), "payload", 7)]
 
     def test_jitter_adds_bounded_delay(self, small_session):
         network, simulator = make_network(small_session, jitter_ms=5.0)
-        latencies = []
+        arrivals = []
         for _ in range(50):
-            network.send(0, 1, None, lambda _p, lat: latencies.append(lat))
+            network.send(0, 1, arrivals_into(simulator, arrivals))
         simulator.run()
         base = small_session.cost_ms(0, 1)
+        latencies = [now for now, in arrivals]
         assert all(base <= lat <= base + 5.0 for lat in latencies)
         assert max(latencies) > base  # jitter actually applied
+
+    def test_jitter_is_the_uniform_draw_bit_for_bit(self, small_session):
+        """``jitter * random()`` is ``uniform(0, jitter)``: same values,
+        same generator words."""
+        network, simulator = make_network(small_session, jitter_ms=5.0)
+        twin = RngStream(5)
+        arrivals = []
+        for _ in range(100):
+            network.send(0, 1, arrivals_into(simulator, arrivals))
+        simulator.run()
+        base = small_session.cost_ms(0, 1)
+        expected = [base + twin.uniform(0.0, 5.0) for _ in range(100)]
+        assert sorted(now for now, in arrivals) == sorted(expected)
+        assert network.rng.random() == twin.random()
 
     def test_infinite_jitter_rejected(self, small_session):
         with pytest.raises(ConfigurationError, match="jitter_ms must be finite"):
@@ -47,7 +67,7 @@ class TestDelivery:
     def test_loss_drops_messages(self, small_session):
         network, simulator = make_network(small_session, loss_probability=1.0)
         deliveries = []
-        network.send(0, 1, None, lambda _p, _l: deliveries.append(1))
+        network.send(0, 1, arrivals_into(simulator, deliveries), None)
         simulator.run()
         assert deliveries == []
         assert network.dropped == 1
@@ -57,15 +77,43 @@ class TestDelivery:
     def test_counters(self, small_session):
         network, simulator = make_network(small_session)
         for _ in range(3):
-            network.send(0, 2, None, lambda _p, _l: None)
+            network.send(0, 2, lambda: None)
         simulator.run()
         assert network.sent == 3
         assert network.delivered == 3
 
+    def test_delivered_counts_arrivals_when_scheduled(self, small_session):
+        """``delivered`` counts every arrival the network schedules, a
+        duplicate copy included, at send time; the drain lands them all."""
+        network, simulator = make_network(small_session, duplicate_probability=1.0)
+        arrivals = []
+        for _ in range(3):
+            network.send(0, 2, arrivals_into(simulator, arrivals))
+        assert network.delivered == 6 and arrivals == []
+        simulator.run()
+        assert len(arrivals) == network.delivered == 6
+
+    def test_drop_filter_sees_the_arguments_and_draws_nothing(self, small_session):
+        network, simulator = make_network(
+            small_session, loss_probability=0.5, jitter_ms=5.0
+        )
+        seen = []
+        network.drop_filter = (
+            lambda src, dst, args: seen.append((src, dst, args)) or args[0] == "drop"
+        )
+        state = network.rng._random.getstate()
+        arrivals = []
+        network.send(0, 1, arrivals_into(simulator, arrivals), "drop", 7)
+        assert seen == [(0, 1, ("drop", 7))]
+        assert network.rng._random.getstate() == state
+        assert network.dropped == network.sent == 1
+        simulator.run()
+        assert arrivals == []
+
     def test_self_send_rejected(self, small_session):
         network, _ = make_network(small_session)
         with pytest.raises(SimulationError):
-            network.send(1, 1, None, lambda _p, _l: None)
+            network.send(1, 1, lambda: None)
 
 
 class TestDuplication:
@@ -74,10 +122,10 @@ class TestDuplication:
             small_session, duplicate_probability=1.0
         )
         deliveries = []
-        network.send(0, 1, "payload", lambda p, lat: deliveries.append((p, lat)))
+        network.send(0, 1, arrivals_into(simulator, deliveries), "payload")
         simulator.run()
         base = small_session.cost_ms(0, 1)
-        assert deliveries == [("payload", base), ("payload", base)]
+        assert deliveries == [(base, "payload"), (base, "payload")]
         assert network.duplicated == 1
         assert network.sent == 1
         assert network.delivered == 2
@@ -86,11 +134,11 @@ class TestDuplication:
         network, simulator = make_network(
             small_session, duplicate_probability=1.0, jitter_ms=5.0
         )
-        latencies = []
+        arrivals = []
         for _ in range(20):
-            network.send(0, 1, None, lambda _p, lat: latencies.append(lat))
+            network.send(0, 1, arrivals_into(simulator, arrivals))
         simulator.run()
-        assert len(latencies) == 40
+        assert len(arrivals) == 40
         # Each copy carries the original latency plus its own jitter, so
         # it can only trail its original.
         assert network.duplicated == 20

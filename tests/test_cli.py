@@ -300,6 +300,16 @@ class TestScenarioCommands:
         assert "overlay maintenance [incremental]" in out
         assert "0 violations" in out
 
+    def test_infinite_repair_deadline_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["scenario", "run", "lossy-dissemination", "--sites", "4", "--seed",
+             "7", "--data-repair-deadline-factor", "inf"]
+        )
+        assert code == 2
+        assert "data_repair_deadline_factor" in capsys.readouterr().err
+
     def test_non_finite_control_delay_rejected(self, capsys):
         from repro.cli import main
 
