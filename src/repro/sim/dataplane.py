@@ -29,17 +29,12 @@ Three implementations share the :class:`DataPlaneReport` contract:
 The analytic planes are one forest-level kernel (:func:`_disseminate`,
 the fast plane its zero-noise case); :func:`make_dataplane` dispatches
 between the three automatically.
-
-Every plane reports its per-pair accounting as a :class:`DeliveryTable`:
-a few flat columns instead of a dict of per-pair objects, so a kept
-report costs the garbage collector a fixed handful of objects however
-many subscribers it covers.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import indexOf
 from typing import NamedTuple
@@ -98,34 +93,24 @@ class DeliveryStats(NamedTuple):
         return self.total_latency_ms / self.frames
 
 
+@dataclass(eq=False, slots=True)
 class DeliveryTable(Mapping):
     """``(stream, subscriber) -> DeliveryStats``, stored as columns.
 
     Row ``r`` is the pair ``(streams[r], nodes[r])`` with ``frames[r]``
-    deliveries, latency sum ``totals[r]`` and maximum ``maxima[r]``; rows
-    run in the order the pairs first received a frame (tree-major attach
-    order on the analytic planes).  The columns are shared, read-only
-    lists of ints, floats and the trees' own :class:`StreamId` objects,
-    and each :class:`DeliveryStats` is built when it is read, so the
-    table is six objects to the garbage collector at any size.  For the
-    same reason no index is kept: a lookup scans the rows.
+    deliveries, latency sum ``totals[r]`` and maximum ``maxima[r]``, in
+    the order the pairs first received a frame.  The columns hold ints,
+    floats and the trees' own :class:`StreamId` objects and each
+    :class:`DeliveryStats` is built when read, so the table is six
+    objects to the garbage collector at any size; for the same reason
+    no index is kept and a lookup scans the rows.
     """
 
-    __slots__ = ("streams", "nodes", "frames", "totals", "maxima")
-
-    def __init__(
-        self,
-        streams: list[StreamId],
-        nodes: list[int],
-        frames: list[int],
-        totals: list[float],
-        maxima: list[float],
-    ) -> None:
-        self.streams = streams
-        self.nodes = nodes
-        self.frames = frames
-        self.totals = totals
-        self.maxima = maxima
+    streams: list[StreamId]
+    nodes: list[int]
+    frames: list[int]
+    totals: list[float]
+    maxima: list[float]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -140,30 +125,13 @@ class DeliveryTable(Mapping):
             raise KeyError(key) from None
         return DeliveryStats(self.frames[row], self.totals[row], self.maxima[row])
 
-    def _stats(self):
-        return map(DeliveryStats, self.frames, self.totals, self.maxima)
+    def items(self) -> list[tuple[tuple[StreamId, int], DeliveryStats]]:
+        """Every ``(pair, stats)`` in row order, read in one pass."""
+        return list(zip(self, self.values()))
 
-    def items(self) -> ItemsView:
-        return _TableItems(self)
-
-    def values(self) -> ValuesView:
-        return _TableValues(self)
-
-
-class _TableItems(ItemsView):
-    """Rows read in one pass, with no per-key lookup."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._stats())
-
-
-class _TableValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._stats()
+    def values(self) -> list[DeliveryStats]:
+        """Every row's stats in row order, read in one pass."""
+        return list(map(DeliveryStats, self.frames, self.totals, self.maxima))
 
 
 @dataclass
@@ -349,9 +317,11 @@ class ForestDataPlane(_Plane):
             parent_of = self._parents[stream_id] = tree.parent_map()
             self._children[stream_id] = tree.children_map()
             _check_hops(self.session, parent_of.values(), parent_of)
-        sources = self._make_sources(duration_ms)
-        for source in sources:
-            source.start(self.simulator.schedule_at)
+        for _tree, clock, camera_rng in self._cameras(duration_ms):
+            CameraSource(
+                clock=clock, rng=camera_rng, on_frame=self._on_capture,
+                end_time_ms=duration_ms,
+            ).start(self.simulator.schedule_at)
         if self.nack_enabled:
             # Sweep for undetectable tail losses once every original
             # delivery has had time to land (path costs stay below the
@@ -384,17 +354,6 @@ class ForestDataPlane(_Plane):
         )
 
     # -- internals ---------------------------------------------------------------
-
-    def _make_sources(self, duration_ms: float) -> list[CameraSource]:
-        return [
-            CameraSource(
-                clock=clock,
-                rng=camera_rng,
-                on_frame=self._on_capture,
-                end_time_ms=duration_ms,
-            )
-            for _tree, clock, camera_rng in self._cameras(duration_ms)
-        ]
 
     def _on_capture(self, frame: Frame3D) -> None:
         self._captured += 1
@@ -453,11 +412,9 @@ class ForestDataPlane(_Plane):
 
     # -- NACK/repair state machine -------------------------------------------
     #
-    # Each open repair has exactly one retry call in flight.  A repair
-    # closes when its frame arrives (a received key never reopens: the
-    # site then buffers the frame, so nothing asks it to repair that
-    # sequence again) or when its own retry gives it up, which schedules
-    # nothing further; so a retry that finds its key absent is stale.
+    # Each open repair has one retry call in flight.  It closes when its
+    # frame arrives (a received key never reopens: the site buffers the
+    # frame) or when that retry gives up; a retry finding no entry is stale.
 
     def _detect_gaps(
         self, key: tuple[StreamId, int], sequence: int, received: set[int]
@@ -736,10 +693,10 @@ def _batches(session: TISession, trees, n_frames: int):
     parent_rows, hops, tree_rows)``: the tree's stream, the receiver,
     its parent site, the parent's row in the batch (``-1`` under the
     source), hop cost from the session's dense matrix, index in
-    ``trees``.  A batch closes
-    at the first tree that takes it past 2**15 (receiver x frame) cells
-    — 256 KiB a float matrix — which bounds the kernel's transients for
-    any forest and horizon (2**16 already reads +3 MB of peak RSS).
+    ``trees``.  A batch closes at the first tree that takes it past
+    2**15 (receiver x frame) cells — 256 KiB a float matrix — which
+    bounds the kernel's transients for any forest and horizon (2**16
+    already reads +3 MB of peak RSS).
     """
     cost_rows = session.dense_cost_matrix().rows()
     streams, nodes, parents, parent_rows, tree_rows = [], [], [], [], []

@@ -1,13 +1,11 @@
 """A small deterministic discrete-event engine.
 
-Events are ``(time, tie-break sequence, callback, args)`` entries in a
-binary heap; equal timestamps execute in scheduling order, so runs are
-reproducible regardless of callback content (the unique sequence means
-callbacks and arguments are never compared).  The arguments ride in the
-entry, so a caller schedules ``(method, *args)`` without a closure.
-The engine is deliberately synchronous and single-threaded — 3DTI
-sessions are small, and determinism is worth more than parallelism for
-reproduction work.
+Events are ``(time, tie-break sequence, callback, args)`` heap entries:
+equal timestamps run in scheduling order and callbacks or arguments are
+never compared, so runs are reproducible and a caller schedules
+``(method, *args)`` without a closure.  The engine is deliberately
+synchronous and single-threaded — 3DTI sessions are small, and
+determinism is worth more than parallelism for reproduction work.
 
 Besides one-shot scheduling, the engine offers :class:`Timer` — a
 cancellable, optionally recurring handle.  The event-driven control

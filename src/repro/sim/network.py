@@ -23,12 +23,7 @@ from repro.util.validation import check_finite_non_negative, check_probability
 
 @dataclass
 class LatencyNetwork:
-    """Point-to-point RP message delivery with latency, jitter, loss.
-
-    Hop costs come from the session's dense cost matrix: callers send
-    between sites of the session (the data plane checks its forest's
-    sites once per run).
-    """
+    """Point-to-point RP message delivery with latency, jitter, loss."""
 
     session: TISession
     simulator: Simulator
