@@ -51,17 +51,16 @@ class LatencyNetwork:
         self._cost_rows = self.session.dense_cost_matrix().rows()
 
     def send(
-        self,
-        src: int,
-        dst: int,
-        on_delivery: Callable[..., None],
-        *args: object,
+        self, src: int, dst: int, on_delivery: Callable[..., None], *args: object
     ) -> None:
         """Send a message from site ``src`` to ``dst``.
 
         ``on_delivery(*args)`` runs at arrival time unless the message
         is lost; the simulator clock then reads the arrival time.
         """
+        sites = len(self._cost_rows)
+        if not (0 <= src < sites and 0 <= dst < sites):
+            self.session.cost_ms(src, dst)  # raises, naming both sites
         if src == dst:
             raise SimulationError(f"site {src} sending to itself")
         self.sent += 1

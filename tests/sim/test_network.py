@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SessionError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
@@ -114,6 +114,15 @@ class TestDelivery:
         network, _ = make_network(small_session)
         with pytest.raises(SimulationError):
             network.send(1, 1, lambda: None)
+
+    @pytest.mark.parametrize("src, dst", ((-1, 0), (0, -1), (0, 99), (99, 0)))
+    def test_sites_outside_the_session_rejected(self, small_session, src, dst):
+        """A negative site would wrap around the dense rows; every send
+        outside the session raises the session's error, sending nothing."""
+        network, simulator = make_network(small_session)
+        with pytest.raises(SessionError, match=f"{src}->{dst}"):
+            network.send(src, dst, lambda: None)
+        assert network.sent == 0 and simulator.pending_events == 0
 
 
 class TestDuplication:
