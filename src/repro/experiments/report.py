@@ -1,4 +1,4 @@
-"""Rendering experiment results as tables and plots."""
+"""Rendering experiment results as tables / plots / markdown sections."""
 
 from __future__ import annotations
 
@@ -25,3 +25,21 @@ def series_plot(
     names = include if include is not None else result.names()
     series = {name: result.series[name] for name in names}
     return line_plot(series, result.xs, title=title, height=height)
+
+
+def markdown_section(
+    heading: str,
+    expectation: str,
+    result: SeriesResult,
+    x_name: str,
+    observations: str = "",
+) -> str:
+    """One markdown section: expectation, data table, observations."""
+    lines = [f"### {heading}", "", f"**Paper expectation.** {expectation}", ""]
+    lines.append("```")
+    lines.append(series_table(result, x_name))
+    lines.append("```")
+    if observations:
+        lines.extend(["", f"**Observed.** {observations}"])
+    lines.append("")
+    return "\n".join(lines)

@@ -292,9 +292,7 @@ class ForestDataPlane(_Plane):
         self._table = DeliveryTable([], [], [], [], [])
         self._rows: dict[tuple[StreamId, int], int] = {}
         self._received: list[set[int]] = []
-        self._bytes_sent: dict[int, int] = {
-            site.index: 0 for site in session.sites
-        }
+        self._bytes_sent = {site.index: 0 for site in session.sites}
         self._captured = 0
         # The forest's maps, read once per run.
         self._children: dict[StreamId, dict[int, list[int]]] = {}
@@ -346,11 +344,8 @@ class ForestDataPlane(_Plane):
             repairs_sent=self.repairs_sent,
             frames_recovered=self.frames_recovered,
             frames_unrecovered=self.frames_unrecovered,
-            latency_percentiles=(
-                latency_percentiles(self._latencies)
-                if self.collect_percentiles
-                else {}
-            ),
+            # Empty, and so ``{}``, unless percentiles were collected.
+            latency_percentiles=latency_percentiles(self._latencies),
         )
 
     # -- internals ---------------------------------------------------------------
@@ -358,10 +353,8 @@ class ForestDataPlane(_Plane):
     def _on_capture(self, frame: Frame3D) -> None:
         self._captured += 1
         if self.nack_enabled:
-            source = frame.stream_id.site
-            self._buffers.setdefault((frame.stream_id, source), {})[
-                frame.sequence
-            ] = frame
+            source = (frame.stream_id, frame.stream_id.site)
+            self._buffers.setdefault(source, {})[frame.sequence] = frame
         self._relay(frame.stream_id.site, frame)
 
     def _relay(self, at_site: int, frame: Frame3D) -> None:
@@ -427,9 +420,7 @@ class ForestDataPlane(_Plane):
                     self._start_repair(*key, missing)
             self._highest[key] = sequence
 
-    def _start_repair(
-        self, stream_id: StreamId, site: int, sequence: int
-    ) -> None:
+    def _start_repair(self, stream_id: StreamId, site: int, sequence: int) -> None:
         """Open a repair for one missing instance (no-op if in flight).
 
         The repair deadline runs from *detection* (now), not capture:

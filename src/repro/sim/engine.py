@@ -92,9 +92,7 @@ class Simulator:
         """Number of events still queued."""
         return len(self._queue)
 
-    def schedule_at(
-        self, time_ms: float, callback: Callable[..., None], *args: object
-    ) -> None:
+    def schedule_at(self, time_ms: float, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
         if time_ms < self._now:
             raise SimulationError(
@@ -103,9 +101,7 @@ class Simulator:
         heapq.heappush(self._queue, (time_ms, self._sequence, callback, args))
         self._sequence += 1
 
-    def schedule_in(
-        self, delay_ms: float, callback: Callable[..., None], *args: object
-    ) -> None:
+    def schedule_in(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` after ``delay_ms`` from now."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")

@@ -50,9 +50,7 @@ class LatencyNetwork:
         check_probability("duplicate_probability", self.duplicate_probability)
         self._cost_rows = self.session.dense_cost_matrix().rows()
 
-    def send(
-        self, src: int, dst: int, on_delivery: Callable[..., None], *args: object
-    ) -> None:
+    def send(self, src: int, dst: int, on_delivery: Callable[..., None], *args) -> None:
         """Send a message from site ``src`` to ``dst``.
 
         ``on_delivery(*args)`` runs at arrival time unless the message
@@ -78,10 +76,7 @@ class LatencyNetwork:
             latency += jitter * rng.random()
         self.delivered += 1
         self.simulator.schedule_in(latency, on_delivery, *args)
-        if (
-            self.duplicate_probability > 0
-            and rng.random() < self.duplicate_probability
-        ):
+        if self.duplicate_probability > 0 and rng.random() < self.duplicate_probability:
             # The copy rides behind the original: same deterministic
             # latency plus its own jitter, and even at zero jitter the
             # engine's (time, sequence) order lands it strictly later.

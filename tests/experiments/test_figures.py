@@ -8,7 +8,7 @@ from repro.experiments.fig8 import FIG8_ALGORITHMS, run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.fig11 import improvement_factor, run_fig11
-from repro.experiments.report import series_plot, series_table
+from repro.experiments.report import markdown_section, series_plot, series_table
 from repro.experiments.settings import ExperimentSetting
 
 
@@ -65,3 +65,12 @@ class TestReport:
         assert "N" in table and "rj" in table
         plot = series_plot(result, "title")
         assert "rj" in plot
+
+    def test_markdown_section(self):
+        result = run_fig8(tiny(), n_sites_values=(3,), algorithms=("rj",))
+        section = markdown_section(
+            "Fig X", "expectation text", result, "N", observations="obs"
+        )
+        assert section.startswith("### Fig X")
+        assert "expectation text" in section
+        assert "obs" in section

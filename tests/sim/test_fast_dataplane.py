@@ -33,8 +33,10 @@ def assert_reports_identical(fast, event) -> None:
     assert fast.latency_bound_ms == event.latency_bound_ms
     assert fast.bytes_sent_by_site == event.bytes_sent_by_site
     assert set(fast.deliveries) == set(event.deliveries)
+    # One dict up front: a table lookup scans its rows.
+    event_stats = dict(event.deliveries.items())
     for key, stats in fast.deliveries.items():
-        other = event.deliveries[key]
+        other = event_stats[key]
         assert stats.frames == other.frames, key
         assert stats.total_latency_ms == other.total_latency_ms, key
         assert stats.max_latency_ms == other.max_latency_ms, key

@@ -94,8 +94,9 @@ class TestRecovery:
         assert lossy.frames_captured == fast.frames_captured
         assert lossy.frames_delivered == fast.frames_delivered
         assert set(lossy.deliveries) == set(fast.deliveries)
+        fast_stats = dict(fast.deliveries.items())  # a table lookup scans
         for key, stats in lossy.deliveries.items():
-            assert stats.frames == fast.deliveries[key].frames, key
+            assert stats.frames == fast_stats[key].frames, key
 
     def test_recovery_is_deterministic(self):
         _, _, first = self.run_lossy(seed=23)
