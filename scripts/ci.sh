@@ -38,12 +38,14 @@ echo
 echo "== audited scenario smoke check =="
 python -m repro.cli scenario run flash-crowd --sites 6 --seed 7 --audit --strict
 
-if [[ "${1:-}" == "--full" ]]; then
-    echo
-    echo "== audited async-control scenario (mid-build joins under delay) =="
-    python -m repro.cli scenario run flash-crowd --sites 8 --seed 7 \
-        --control-delay-ms 50 --debounce-ms 15 --audit --strict
+echo
+echo "== audited async-control scenario (mid-build joins under delay) =="
+# The only gate that runs the control link unimpaired: no draws, every
+# message at its base delay.
+python -m repro.cli scenario run flash-crowd --sites 8 --seed 7 \
+    --control-delay-ms 50 --debounce-ms 15 --audit --strict
 
+if [[ "${1:-}" == "--full" ]]; then
     echo
     echo "== audited high-churn scenario on the diffed-assembly path =="
     # --rebuild-policy incremental selects diffed assembly; the summary

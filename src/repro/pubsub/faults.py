@@ -1,16 +1,16 @@
 """Fault injection for control links: jitter, loss, duplication, partitions.
 
 The event-driven control plane (:mod:`repro.pubsub.service`) moves every
-message through a :class:`FaultyLink`.  The link is the single place
-chaos enters the system: per-message loss and jitter draws come from one
-dedicated seeded :class:`~repro.util.rng.RngStream` (so a chaos run is
-exactly as reproducible as a clean one), duplication re-delivers a copy
-strictly after the original, and :class:`PartitionWindow` cuts a
-site<->server link for a timed interval that heals on its own.
+message through a :class:`FaultyLink`: the control front of the one
+seeded link, :class:`repro.sim.network.SeededLink`, whose other front
+carries the data plane.  The core draws loss, jitter and duplication
+from one dedicated seeded :class:`~repro.util.rng.RngStream`; this
+front adds :class:`PartitionWindow` cuts of a site<->server link for a
+timed interval that heals on its own.
 
 Two properties the rest of the system leans on:
 
-* **Zero-fault transparency** — with an unimpaired :class:`FaultConfig`
+* **No draws when unimpaired** — with an unimpaired :class:`FaultConfig`
   the link makes *no* RNG draws and schedules delivery exactly like
   ``sim.schedule_in(delay, deliver)``, so the fault layer in the stack
   is bit-invisible: audit digests of a zero-fault run equal those of a
@@ -28,11 +28,12 @@ property tests pin that retransmission is invisible to the overlay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
+from repro.sim.network import SeededLink
 from repro.util.rng import RngStream
 from repro.util.validation import (
     check_disjoint_windows,
@@ -88,18 +89,12 @@ class ServerOutageWindow:
     end_ms: float
 
     def __post_init__(self) -> None:
-        if self.start_ms < 0:
-            raise ConfigurationError(
-                f"outage start must be >= 0, got {self.start_ms}"
-            )
+        check_finite_non_negative("outage start", self.start_ms)
+        check_finite_non_negative("outage end", self.end_ms)
         if not self.end_ms > self.start_ms:
             raise ConfigurationError(
                 f"outage end {self.end_ms} must be after start {self.start_ms}"
             )
-
-    def covers(self, time_ms: float) -> bool:
-        """True while the server is down at ``time_ms``."""
-        return self.start_ms <= time_ms < self.end_ms
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,8 @@ class FaultConfig:
         """True when any *link* fault can actually fire.
 
         Server outages deliberately do not count: they impair the
-        server, not the link, so an outage-only config keeps the link's
-        zero-fault fast path (no RNG draws, undisturbed scheduling).
+        server, not the link, so an outage-only link makes no RNG draws
+        and schedules every message at its base delay.
         """
         return bool(
             self.loss_rate
@@ -154,9 +149,9 @@ class FaultConfig:
         )
 
 
-@dataclass
-class FaultyLink:
-    """The transport every control message crosses.
+class FaultyLink(SeededLink):
+    """The transport every control message crosses: the seeded link of
+    :mod:`repro.sim.network`, behind the config's partitions.
 
     ``transmit`` either schedules ``deliver`` (possibly jittered,
     possibly twice) or drops the message; the return value says whether
@@ -164,25 +159,24 @@ class FaultyLink:
     without second-guessing the fault model.
     """
 
-    sim: Simulator
-    rng: RngStream
-    config: FaultConfig = field(default_factory=FaultConfig)
-    #: Test hook: ``drop_filter(kind, message, attempt) -> bool`` forces
-    #: a deterministic drop when it returns True (checked after
-    #: partitions, before any RNG draw — forced drops never consume
-    #: randomness, so they compose with seeded runs).
-    drop_filter: Callable[[str, object, int], bool] | None = None
-    sent: int = field(default=0, init=False)
-    delivered: int = field(default=0, init=False)
-    dropped_loss: int = field(default=0, init=False)
-    dropped_partition: int = field(default=0, init=False)
-    dropped_forced: int = field(default=0, init=False)
-    duplicated: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        rng: RngStream,
+        config: FaultConfig = FaultConfig(),
+        drop_filter: Callable[[str, object, int], bool] | None = None,
+    ) -> None:
+        super().__init__(
+            sim, rng, config.jitter_ms, config.loss_rate, config.duplicate_rate
+        )
+        #: Test hook: ``drop_filter(kind, message, attempt) -> bool``
+        #: forces a deterministic drop when it returns True (checked
+        #: after partitions, before any RNG draw — forced drops never
+        #: consume randomness, so they compose with seeded runs).
+        self.drop_filter = drop_filter
         # site -> its [start_ms, end_ms) cuts; the config is frozen.
         self._cuts: dict[int, list[tuple[float, float]]] = {}
-        for window in self.config.partitions:
+        for window in config.partitions:
             self._cuts.setdefault(window.site, []).append(
                 (window.start_ms, window.end_ms)
             )
@@ -210,41 +204,10 @@ class FaultyLink:
         back (it was already in flight when the cut happened).
         """
         self.sent += 1
-        config = self.config
-        if not config.impaired and self.drop_filter is None:
-            # Zero-fault fast path: no RNG draws, and scheduling is
-            # byte-for-byte what the pre-fault-layer service did — this
-            # is what keeps the zero-fault digests bit-identical.
-            self.delivered += 1
-            self.sim.schedule_in(base_delay_ms, deliver)
-            return True
-        if self.partitioned(site, self.sim.now):
-            self.dropped_partition += 1
+        if site in self._cuts and self.partitioned(site, self.simulator.now):
+            self.dropped += 1
             return False
         if self.drop_filter is not None and self.drop_filter(kind, message, attempt):
-            self.dropped_forced += 1
+            self.dropped += 1
             return False
-        if config.loss_rate > 0 and self.rng.random() < config.loss_rate:
-            self.dropped_loss += 1
-            return False
-        delay = base_delay_ms
-        # ``j * random()`` is ``uniform(0.0, j)`` bit for bit, same draw.
-        if config.jitter_ms > 0:
-            delay += config.jitter_ms * self.rng.random()
-        self.delivered += 1
-        self.sim.schedule_in(delay, deliver)
-        if config.duplicate_rate > 0 and self.rng.random() < config.duplicate_rate:
-            # The copy rides behind the original: same deterministic
-            # delay plus its own jitter, and even at zero jitter the
-            # engine's (time, sequence) order lands it strictly later.
-            copy_delay = delay
-            if config.jitter_ms > 0:
-                copy_delay += config.jitter_ms * self.rng.random()
-            self.duplicated += 1
-            self.sim.schedule_in(copy_delay, deliver)
-        return True
-
-    @property
-    def dropped(self) -> int:
-        """Total drops, every cause."""
-        return self.dropped_loss + self.dropped_partition + self.dropped_forced
+        return self.carry(base_delay_ms, deliver, ())

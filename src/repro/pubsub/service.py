@@ -30,9 +30,10 @@ onto the deterministic :class:`~repro.sim.engine.Simulator` as an
   acknowledgment — the paper-level metric an interactive 3DTI session
   actually feels.
 
-Every message crosses a :class:`~repro.pubsub.faults.FaultyLink`, which
-is where chaos enters: seeded per-message loss, jitter, duplication and
-timed site<->server partitions.  The protocol survives them with four
+Every message crosses a :class:`~repro.pubsub.faults.FaultyLink`, the
+control front of the one seeded link the data plane also rides
+(:class:`~repro.sim.network.SeededLink`): seeded per-message loss,
+jitter, duplication, and on this front timed site<->server partitions.  The protocol survives them with four
 mechanisms, each inert until its knob is turned:
 
 * **Idempotent sequencing** — each site-side report carries a per-site

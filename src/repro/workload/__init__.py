@@ -18,7 +18,6 @@ from repro.workload.spec import SubscriptionWorkload, WorkloadSpec
 from repro.workload.zipf import ZipfPopularity
 from repro.workload.uniform import UniformPopularity
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.traces import workload_from_dict, workload_to_dict
 
 __all__ = [
     "SubscriptionWorkload",
@@ -26,6 +25,4 @@ __all__ = [
     "ZipfPopularity",
     "UniformPopularity",
     "WorkloadGenerator",
-    "workload_from_dict",
-    "workload_to_dict",
 ]

@@ -70,7 +70,7 @@ class TestLoss:
             assert not link.transmit(0, 1.0, lambda: arrivals.append(sim.now))
         sim.run()
         assert arrivals == []
-        assert link.dropped_loss == 10
+        assert link.dropped == 10
         assert link.delivered == 0
 
     def test_loss_is_deterministic_per_seed(self):
@@ -134,7 +134,7 @@ class TestDuplication:
         sim.run()
         assert arrivals == [3.0, 3.0]
         assert link.duplicated == 1
-        assert link.delivered == 1  # the copy is not counted as delivered
+        assert link.delivered == 2  # arrivals scheduled, the copy included
 
     def test_copy_lands_strictly_after_original(self):
         sim, _, link = make_link(FaultConfig(duplicate_rate=1.0))
@@ -159,7 +159,7 @@ class TestPartitions:
             sim.schedule_at(t, send)
         sim.run()
         assert arrivals == [6.0, 26.0]
-        assert link.dropped_partition == 2
+        assert link.dropped == 2
 
     def test_other_sites_unaffected(self):
         window = PartitionWindow(site=1, start_ms=0.0, end_ms=100.0)
@@ -247,7 +247,7 @@ class TestDropFilter:
             FaultConfig(), drop_filter=lambda kind, message, attempt: True
         )
         assert not link.transmit(0, 1.0, lambda: None, kind="advertise")
-        assert link.dropped_forced == 1
+        assert link.dropped == 1
         assert rng.draws == 0
 
     def test_filter_sees_kind_message_attempt(self):
@@ -278,7 +278,7 @@ class TestConfigValidation:
 
 class TestOutageWindowValidation:
     def test_bad_bounds_rejected_with_the_offending_values(self):
-        with pytest.raises(ConfigurationError, match="start must be >= 0"):
+        with pytest.raises(ConfigurationError, match="start must be non-negative"):
             ServerOutageWindow(-1.0, 50.0)
         with pytest.raises(ConfigurationError, match="end 50.0 must be after"):
             ServerOutageWindow(50.0, 50.0)
@@ -291,6 +291,12 @@ class TestOutageWindowValidation:
     def test_nan_and_infinite_bounds_rejected(self, start_ms, end_ms):
         with pytest.raises(ConfigurationError, match="outage"):
             ServerOutageWindow(start_ms, end_ms)
+
+    def test_unending_outage_rejected_naming_its_end(self):
+        """An infinite end used to "recover" the server at t = inf while
+        the simulator drained."""
+        with pytest.raises(ConfigurationError, match="outage end must be finite"):
+            ServerOutageWindow(300.0, INF)
 
     def test_overlapping_outages_rejected_with_both_windows_named(self):
         with pytest.raises(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SessionError, SimulationError
+from repro.pubsub.faults import FaultConfig, FaultyLink
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
@@ -155,3 +156,42 @@ class TestDuplication:
     def test_bad_probability_rejected(self, small_session):
         with pytest.raises(ConfigurationError):
             make_network(small_session, duplicate_probability=1.5)
+
+
+@pytest.mark.parametrize(
+    "loss, jitter_ms, duplicate",
+    ((0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 0.4),
+     (0.25, 6.0, 0.3), (1.0, 6.0, 1.0)),
+)
+def test_both_fronts_share_one_draw_order(small_session, loss, jitter_ms, duplicate):
+    """The data plane's network and the control plane's link are two
+    fronts over one core: the same seed and rates give the same drops,
+    arrival offsets and copies, and leave the stream in the same state."""
+    network, data_sim = make_network(
+        small_session,
+        jitter_ms=jitter_ms,
+        loss_probability=loss,
+        duplicate_probability=duplicate,
+    )
+    control_sim = Simulator()
+    link = FaultyLink(
+        control_sim,
+        RngStream(5),
+        FaultConfig(loss_rate=loss, jitter_ms=jitter_ms, duplicate_rate=duplicate),
+    )
+    base = small_session.cost_ms(0, 1)
+    data, control = [], []
+    for message in range(200):
+        network.send(0, 1, arrivals_into(data_sim, data), message)
+        link.transmit(0, base, lambda m=message: control.append((control_sim.now, m)))
+    data_sim.run()
+    control_sim.run()
+    assert data == control
+    assert (network.sent, network.delivered, network.dropped, network.duplicated) == (
+        link.sent, link.delivered, link.dropped, link.duplicated
+    )
+    state = network.rng._random.getstate()
+    assert state == link.rng._random.getstate()
+    if not (loss or jitter_ms or duplicate):
+        assert state == RngStream(5)._random.getstate()  # no draws at all
+        assert data == [(base, message) for message in range(200)]

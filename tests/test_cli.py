@@ -197,7 +197,8 @@ class TestScenarioParser:
         "flag,text",
         (("--partition", "0:nan:500"), ("--partition", "0:0:nan"),
          ("--partition", "0:inf:inf"), ("--partition", "0:-1:500"),
-         ("--server-outage", "nan:500"), ("--server-outage", "0:nan")),
+         ("--server-outage", "nan:500"), ("--server-outage", "0:nan"),
+         ("--server-outage", "300:inf")),
     )
     def test_invalid_window_exits_2_naming_the_flag(self, capsys, flag, text):
         from repro.cli import main
