@@ -12,7 +12,7 @@ Two properties the rest of the system leans on:
 
 * **No draws when unimpaired** — with an unimpaired :class:`FaultConfig`
   the link makes *no* RNG draws and schedules delivery exactly like
-  ``sim.schedule_in(delay, deliver)``, so the fault layer in the stack
+  ``sim.schedule_in(delay, deliver, *args)``, so the fault layer in the stack
   is bit-invisible: audit digests of a zero-fault run equal those of a
   run without the layer at all (pinned in
   ``tests/scenarios/test_async_control.py``).
@@ -153,7 +153,7 @@ class FaultyLink(SeededLink):
     """The transport every control message crosses: the seeded link of
     :mod:`repro.sim.network`, behind the config's partitions.
 
-    ``transmit`` either schedules ``deliver`` (possibly jittered,
+    ``transmit`` either schedules ``deliver(*args)`` (possibly jittered,
     possibly twice) or drops the message; the return value says whether
     at least one copy was scheduled, so callers can count outcomes
     without second-guessing the fault model.
@@ -192,10 +192,11 @@ class FaultyLink(SeededLink):
         self,
         site: int,
         base_delay_ms: float,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
         kind: str = "control",
         message: object = None,
         attempt: int = 0,
+        args: tuple = (),
     ) -> bool:
         """Move one message across the link; True if a copy was scheduled.
 
@@ -210,4 +211,4 @@ class FaultyLink(SeededLink):
         if self.drop_filter is not None and self.drop_filter(kind, message, attempt):
             self.dropped += 1
             return False
-        return self.carry(base_delay_ms, deliver, ())
+        return self.carry(base_delay_ms, deliver, args)

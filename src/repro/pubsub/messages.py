@@ -28,6 +28,7 @@ authoritative set for auditing and for RPs that missed an epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 from repro.errors import ProtocolError
 from repro.core.model import RejectionReason, SubscriptionRequest
@@ -138,88 +139,52 @@ class OverlayDirective:
 
 
 # -- event-driven control envelopes (repro.pubsub.service) ---------------------------
+#
+# Every asynchronous control message is an immutable ``NamedTuple``,
+# cheap enough to build per heartbeat: ``sent_ms`` (when the sender
+# handed it to its link), ``epoch`` (the sender's installed directive
+# epoch, -1 before any; on a :class:`DirectiveAck`, the acknowledged
+# one), the kind's own fields, then two trailing defaults.  ``seq`` is
+# the sender's per-site monotonic number: the receiver discards anything
+# at or below the latest applied per (site, kind), so reports are
+# idempotent under duplication, retransmission and reordering.
+# ``incarnation`` stamps server-originated envelopes: sites discard
+# older ones and answer the first from a higher one (the server crashed
+# and came back empty) with a full soft-state refresh.  ``0`` means
+# unsequenced / unversioned, which always applies.  Kinds with equal
+# fields compare equal as tuples: dispatch goes by ``isinstance`` and
+# dedup by ``(site, seq)``, never by comparing or hashing envelopes.
 
 
-@dataclass(frozen=True)
-class ControlEnvelope:
-    """Common header of every asynchronous control message.
-
-    Attributes
-    ----------
-    sent_ms:
-        Simulation time the sender handed the message to its control
-        link.
-    epoch:
-        The sender's installed directive epoch at send time (-1 before
-        any directive).  On RP-to-server reports it is provenance the
-        wire format carries (how stale a view the report was made
-        under); on a :class:`DirectiveAck` it names the acknowledged
-        epoch and the service validates it against the pending round.
-    seq:
-        Per-site monotonic sequence number, assigned by the sending
-        service.  The receiving side keeps the latest applied ``seq``
-        per (site, message kind) and discards anything at or below it,
-        which makes every report idempotent under the duplication,
-        retransmission and reordering a lossy link produces.  ``0``
-        marks an unsequenced envelope (hand-built test messages, or
-        kinds like heartbeats that never need dedup) — those always
-        apply.
-    incarnation:
-        The membership server's incarnation number at send time,
-        stamped on every *server-originated* envelope (acks, rejoin
-        requests, heartbeat responses).  Sites discard anything from an
-        incarnation below the highest they have seen, and treat the
-        first contact from a *higher* incarnation as "the server
-        crashed and came back empty": they answer with a full
-        soft-state refresh.  ``0`` marks an unversioned envelope
-        (site-to-server reports, hand-built test messages) — those are
-        never discarded on incarnation grounds.
-    """
+class Advertise(NamedTuple):
+    """An RP pushes its :class:`Advertisement` to the membership service."""
 
     sent_ms: float
     epoch: int
-    seq: int = field(default=0, kw_only=True)
-    incarnation: int = field(default=0, kw_only=True)
-
-
-@dataclass(frozen=True)
-class Advertise(ControlEnvelope):
-    """An RP pushes its :class:`Advertisement` to the membership service."""
-
     advertisement: Advertisement
+    seq: int = 0
+    incarnation: int = 0
 
     @property
     def site(self) -> int:
         return self.advertisement.site
 
 
-@dataclass(frozen=True)
-class Subscribe(ControlEnvelope):
+class Subscribe(NamedTuple):
     """An RP pushes its aggregated :class:`SiteSubscription`."""
 
+    sent_ms: float
+    epoch: int
     subscription: SiteSubscription
+    seq: int = 0
+    incarnation: int = 0
 
     @property
     def site(self) -> int:
         return self.subscription.site
 
 
-@dataclass(frozen=True)
-class Withdraw(ControlEnvelope):
-    """A site leaves (or is declared failed): forget its state."""
-
-    site: int
-
-
-@dataclass(frozen=True)
-class DirectiveAck(ControlEnvelope):
-    """An RP confirms installation of the directive at ``epoch``."""
-
-    site: int
-
-
-@dataclass(frozen=True)
-class ControlAck(ControlEnvelope):
+class ControlAck(NamedTuple):
     """The server acknowledges one sequenced report from ``site``.
 
     Sent only when the service runs with retransmission enabled
@@ -230,13 +195,38 @@ class ControlAck(ControlEnvelope):
     monotonic across kinds.
     """
 
+    sent_ms: float
+    epoch: int
     site: int
     acked_seq: int
     kind: str = ""
+    seq: int = 0
+    incarnation: int = 0
 
 
-@dataclass(frozen=True)
-class Heartbeat(ControlEnvelope):
+class _SiteEnvelope(NamedTuple):
+    """The header plus ``site``: the fields of the five kinds below."""
+
+    sent_ms: float
+    epoch: int
+    site: int
+    seq: int = 0
+    incarnation: int = 0
+
+
+class Withdraw(_SiteEnvelope):
+    """A site leaves (or is declared failed): forget its state."""
+
+    __slots__ = ()
+
+
+class DirectiveAck(_SiteEnvelope):
+    """An RP confirms installation of the directive at ``epoch``."""
+
+    __slots__ = ()
+
+
+class Heartbeat(_SiteEnvelope):
     """A live site's periodic beat; absence of these *is* the failure signal.
 
     Heartbeats are fire-and-forget (no seq dedup, no retransmit): the
@@ -244,11 +234,10 @@ class Heartbeat(ControlEnvelope):
     latest arrival time.
     """
 
-    site: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HeartbeatAck(ControlEnvelope):
+class HeartbeatAck(_SiteEnvelope):
     """Server-to-site heartbeat response (server-failover mode only).
 
     Sent for every received :class:`Heartbeat` when the control plane
@@ -259,11 +248,10 @@ class HeartbeatAck(ControlEnvelope):
     provokes the next ack.
     """
 
-    site: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RejoinRequest(ControlEnvelope):
+class RejoinRequest(_SiteEnvelope):
     """Server-to-site: "I no longer know you — re-announce if you're alive."
 
     Sent when a heartbeat arrives from a site the server has already
@@ -274,4 +262,17 @@ class RejoinRequest(ControlEnvelope):
     being provoked.
     """
 
-    site: int
+    __slots__ = ()
+
+
+#: Any asynchronous control message; see the shared header above.
+ControlEnvelope = Union[
+    Advertise,
+    Subscribe,
+    Withdraw,
+    DirectiveAck,
+    ControlAck,
+    Heartbeat,
+    HeartbeatAck,
+    RejoinRequest,
+]

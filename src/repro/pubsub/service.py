@@ -191,7 +191,7 @@ class RetransmitQueue:
         """Start waiting for the ack of ``entry``, which was just sent."""
         self._entries[(entry.site, entry.number)] = entry
         entry.timer = self.sim.schedule_timer(
-            self.timeout_ms, lambda: self._retransmit(entry)
+            self.timeout_ms, self._retransmit, entry
         )
 
     def _retransmit(self, entry: _Pending) -> None:
@@ -208,7 +208,8 @@ class RetransmitQueue:
                 self.timeout_ms * (RETRANSMIT_BACKOFF**entry.attempts),
                 self.timeout_ms * RETRANSMIT_BACKOFF_CAP,
             ),
-            lambda: self._retransmit(entry),
+            self._retransmit,
+            entry,
         )
 
     def settle(self, site: int, number: int) -> _Pending | None:
@@ -636,13 +637,23 @@ class MembershipService:
     def _transmit(
         self,
         site: int,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
         kind: str,
         message: object,
         attempt: int = 0,
+        args: tuple | None = None,
     ) -> None:
-        """Put one message on ``site``'s control link, either direction."""
-        self.link.transmit(site, self.delay_for(site), deliver, kind, message, attempt)
+        """Put one message on ``site``'s control link, either direction:
+        it lands as ``deliver(*args)``, by default ``deliver(message)``."""
+        self.link.transmit(
+            site,
+            self.delay_for(site),
+            deliver,
+            kind,
+            message,
+            attempt,
+            (message,) if args is None else args,
+        )
 
     def _send(self, message: ControlEnvelope, site: int) -> None:
         entry = _Pending(site, message.seq, _kind_of(message), message)
@@ -660,13 +671,8 @@ class MembershipService:
     def _offer(self, entry: _Pending) -> None:
         """One copy of a report onto the wire: first send, retransmit,
         replay or linger probe."""
-        message = entry.payload
         self._transmit(
-            entry.site,
-            lambda: self._receive(message),
-            entry.kind,
-            message,
-            entry.attempts,
+            entry.site, self._receive, entry.kind, entry.payload, entry.attempts
         )
 
     def _park(self, entry: _Pending) -> None:
@@ -788,9 +794,7 @@ class MembershipService:
             kind=kind,
             incarnation=self.incarnation,
         )
-        self._transmit(
-            site, lambda: self._receive_control_ack(ack), "control-ack", ack
-        )
+        self._transmit(site, self._receive_control_ack, "control-ack", ack)
 
     def _receive_control_ack(self, ack: ControlAck) -> None:
         """Site-side arrival of a report ack: stop that retransmit loop."""
@@ -818,19 +822,15 @@ class MembershipService:
         ):
             return
         self._timers["beat", site] = self.sim.schedule_timer(
-            self.heartbeat_ms,
-            lambda: self._beat(site),
-            interval_ms=self.heartbeat_ms,
+            self.heartbeat_ms, self._beat, site, interval_ms=self.heartbeat_ms
         )
 
     def _beat(self, site: int) -> None:
         if site not in self._live or self._quiesced:
             return
         self.heartbeats_sent += 1
-        message = Heartbeat(
-            sent_ms=self.sim.now, epoch=self._site_epoch(site), site=site
-        )
-        self._transmit(site, lambda: self._receive(message), "heartbeat", message)
+        message = Heartbeat(self.sim.now, self._site_epoch(site), site)
+        self._transmit(site, self._receive, "heartbeat", message)
 
     def _receive_heartbeat(self, message: Heartbeat) -> None:
         site = message.site
@@ -844,17 +844,9 @@ class MembershipService:
             # came back.  Fire-and-forget — the next beat provokes the
             # next ack.
             ack = HeartbeatAck(
-                sent_ms=self.sim.now,
-                epoch=-1,
-                site=site,
-                incarnation=self.incarnation,
+                self.sim.now, -1, site, incarnation=self.incarnation
             )
-            self._transmit(
-                site,
-                lambda: self._receive_heartbeat_ack(ack),
-                "heartbeat-ack",
-                ack,
-            )
+            self._transmit(site, self._receive_heartbeat_ack, "heartbeat-ack", ack)
         if not self.server.is_registered(site):
             # A zombie: alive enough to beat, but the server forgot it
             # (suspected across a partition, or every report was lost).
@@ -867,9 +859,7 @@ class MembershipService:
                 site=site,
                 incarnation=self.incarnation,
             )
-            self._transmit(
-                site, lambda: self._receive_rejoin(request), "rejoin", request
-            )
+            self._transmit(site, self._receive_rejoin, "rejoin", request)
 
     def _receive_heartbeat_ack(self, ack: HeartbeatAck) -> None:
         """Site-side arrival of a heartbeat response (failover mode)."""
@@ -1078,7 +1068,7 @@ class MembershipService:
         ):
             return
         self._timers["linger", site] = self.sim.schedule_timer(
-            self.retransmit_timeout_ms, lambda: self._linger_probe(site)
+            self.retransmit_timeout_ms, self._linger_probe, site
         )
 
     def _linger_probe(self, site: int) -> None:
@@ -1090,7 +1080,8 @@ class MembershipService:
         self._offer(self._parked[keys[0]])
         self._timers["linger", site] = self.sim.schedule_timer(
             self.retransmit_timeout_ms * RETRANSMIT_BACKOFF_CAP,
-            lambda: self._linger_probe(site),
+            self._linger_probe,
+            site,
         )
 
     def _unsuspect(self, site: int) -> None:
@@ -1166,10 +1157,11 @@ class MembershipService:
         round_: ControlRound = entry.payload
         self._transmit(
             site,
-            lambda: self._deliver(site, round_),
+            self._deliver,
             entry.kind,
             round_.directive,
             entry.attempts,
+            (site, round_),
         )
 
     def _push_exhausted(self, entry: _Pending) -> None:
@@ -1251,7 +1243,7 @@ class MembershipService:
             sent_ms=self.sim.now, epoch=round_.directive.epoch, site=site
         )
         self._transmit(
-            site, lambda: self._receive_ack(ack, round_), "directive-ack", ack
+            site, self._receive_ack, "directive-ack", ack, args=(ack, round_)
         )
 
     def _receive_ack(self, ack: DirectiveAck, round_: ControlRound) -> None:

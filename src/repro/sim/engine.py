@@ -8,11 +8,10 @@ synchronous and single-threaded — 3DTI sessions are small, and
 determinism is worth more than parallelism for reproduction work.
 
 Besides one-shot scheduling, the engine offers :class:`Timer` — a
-cancellable, optionally recurring handle.  The event-driven control
-plane schedules its debounce windows (one-shot form) and its heartbeat
-beats and failure-detector sweeps (recurring form) through it; the
-retransmit machinery leans on cancellation to stop a backoff chain the
-moment its ack lands.
+cancellable, optionally recurring ``(callback, *args)`` handle.  The
+control plane schedules its debounce windows (one-shot form), heartbeat
+beats and detector sweeps (recurring form) through it; retransmits lean
+on cancellation to stop a backoff chain the moment its ack lands.
 """
 
 from __future__ import annotations
@@ -34,16 +33,18 @@ class Timer:
     cancelled (including from inside their own callback).
     """
 
-    __slots__ = ("_sim", "_callback", "interval_ms", "_cancelled", "fired")
+    __slots__ = ("_sim", "_callback", "_args", "interval_ms", "_cancelled", "fired")
 
     def __init__(
         self,
         sim: "Simulator",
-        callback: Callable[[], None],
+        callback: Callable[..., None],
+        args: tuple = (),
         interval_ms: float | None = None,
     ) -> None:
         self._sim = sim
         self._callback = callback
+        self._args = args
         self.interval_ms = interval_ms
         self._cancelled = False
         #: Number of times the callback has actually run.
@@ -62,7 +63,7 @@ class Timer:
         if self._cancelled:
             return
         self.fired += 1
-        self._callback()
+        self._callback(*self._args)
         if self.interval_ms is not None and not self._cancelled:
             self._sim.schedule_in(self.interval_ms, self._fire)
 
@@ -94,17 +95,17 @@ class Simulator:
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
-        if time_ms < self._now:
+        if not time_ms >= self._now:  # NaN-safe
             raise SimulationError(
-                f"cannot schedule into the past: {time_ms} < now {self._now}"
+                f"cannot schedule at {time_ms}: in the past (now {self._now}) or NaN"
             )
         heapq.heappush(self._queue, (time_ms, self._sequence, callback, args))
         self._sequence += 1
 
     def schedule_in(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` after ``delay_ms`` from now."""
-        if delay_ms < 0:
-            raise SimulationError(f"negative delay {delay_ms}")
+        if not delay_ms >= 0:  # NaN-safe
+            raise SimulationError(f"negative delay or NaN: {delay_ms}")
         # Pushed here, not through schedule_at: now + delay >= now.
         heapq.heappush(
             self._queue, (self._now + delay_ms, self._sequence, callback, args)
@@ -114,21 +115,24 @@ class Simulator:
     def schedule_timer(
         self,
         delay_ms: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
+        *args,
         interval_ms: float | None = None,
     ) -> Timer:
-        """Schedule a cancellable callback; returns its :class:`Timer`.
+        """Schedule a cancellable ``callback(*args)``; returns its :class:`Timer`.
 
         With ``interval_ms`` the timer recurs every ``interval_ms``
-        after the first firing at ``delay_ms`` until cancelled; without
-        it the timer is one-shot (but can still be cancelled before it
-        fires).
+        after the first firing at ``delay_ms`` until cancelled, passing
+        the same ``args`` each time; without it the timer is one-shot
+        (but can still be cancelled before it fires).  ``interval_ms``
+        is keyword-only: a positional number after ``callback`` is an
+        argument to it, not an interval.
         """
-        if interval_ms is not None and interval_ms <= 0:
+        if interval_ms is not None and not interval_ms > 0:  # NaN-safe
             raise SimulationError(
                 f"recurring interval must be positive, got {interval_ms}"
             )
-        timer = Timer(self, callback, interval_ms=interval_ms)
+        timer = Timer(self, callback, args, interval_ms)
         self.schedule_in(delay_ms, timer._fire)
         return timer
 
@@ -145,6 +149,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
+        if until_ms is not None and until_ms != until_ms:
+            raise SimulationError(f"cannot run until NaN: {until_ms}")
         self._running = True
         executed = 0
         try:

@@ -50,6 +50,9 @@ class RngStream:
         self.seed = int(seed)
         self.label = label
         self._random = random.Random(self.seed)
+        #: Uniform float in [0, 1): the generator's own bound method, so
+        #: a draw on a hot path costs no wrapper frame.
+        self.random = self._random.random
 
     def spawn(self, label: str) -> "RngStream":
         """Create an independent child stream identified by ``label``."""
@@ -58,16 +61,12 @@ class RngStream:
 
     # -- thin delegation helpers -------------------------------------------------
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._random.random()
-
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
     def random_words(self, count: int) -> bytes:
-        """The raw generator output behind the next ``count`` :meth:`random` calls.
+        """The raw generator output behind the next ``count`` ``random()`` calls.
 
         ``random()`` consumes two 32-bit Mersenne-Twister words per value
         and returns ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``.  One

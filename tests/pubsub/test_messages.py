@@ -6,16 +6,25 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.core.model import RejectionReason, SubscriptionRequest
+from repro.core.randomized import RandomJoinBuilder
 from repro.pubsub.messages import (
     Advertise,
     Advertisement,
+    ControlAck,
     DirectiveAck,
     DisplaySubscription,
+    Heartbeat,
+    HeartbeatAck,
     OverlayDirective,
+    RejoinRequest,
     SiteSubscription,
     Subscribe,
     Withdraw,
 )
+from repro.pubsub.service import _kind_of
+from repro.pubsub.system import PubSubSystem
+from repro.sim.engine import Simulator
+from repro.util.rng import RngStream
 from repro.session.streams import StreamId
 from tests.reference_paths import edges_of_site, streams_received_by
 
@@ -115,3 +124,57 @@ class TestControlEnvelopes:
         ack = DirectiveAck(sent_ms=7.0, epoch=3, site=4)
         assert (withdraw.site, withdraw.epoch) == (4, 2)
         assert (ack.site, ack.epoch) == (4, 3)
+
+    ENVELOPES = (
+        Advertise(1.0, 0, Advertisement(site=2, streams=(StreamId(2, 0),))),
+        Subscribe(1.0, 0, SiteSubscription(site=2, streams=(StreamId(0, 0),))),
+        Withdraw(1.0, 0, 2),
+        DirectiveAck(1.0, 0, 2),
+        ControlAck(1.0, -1, 2, 5, "advertise"),
+        Heartbeat(1.0, 0, 2),
+        HeartbeatAck(1.0, -1, 2),
+        RejoinRequest(1.0, -1, 2),
+    )
+
+    @pytest.mark.parametrize("message", ENVELOPES, ids=lambda m: type(m).__name__)
+    def test_every_kind_is_immutable(self, message):
+        with pytest.raises(AttributeError):
+            message.sent_ms = 2.0
+        with pytest.raises(AttributeError):
+            message.seq = 9
+        assert (message.site, message.seq, message.incarnation) == (2, 0, 0)
+
+    def test_kind_of_maps_every_kind(self):
+        assert [_kind_of(message) for message in self.ENVELOPES] == [
+            "advertise",
+            "subscribe",
+            "withdraw",
+            "directiveack",
+            "controlack",
+            "heartbeat",
+            "heartbeatack",
+            "rejoinrequest",
+        ]
+
+    def test_retransmitted_report_is_the_same_envelope(self, small_session):
+        """Every copy of a report on the wire is the one envelope the
+        site built; immutability is what makes sharing it safe."""
+        system = PubSubSystem(session=small_session, builder=RandomJoinBuilder())
+        sim = Simulator()
+        service = system.async_service(
+            sim, RngStream(5, label="envelope-test"), retransmit_timeout_ms=10.0
+        )
+        wire = []
+
+        def lose_two_advertise_copies(kind, message, attempt):
+            wire.append((kind, message, attempt))
+            return kind == "advertise" and attempt < 2
+
+        service.link.drop_filter = lose_two_advertise_copies
+        sent = service.advertise(system.rps[0].advertisement())
+        sim.run()
+        copies = [(m, a) for kind, m, a in wire if kind == "advertise"]
+        assert [attempt for _, attempt in copies] == [0, 1, 2]
+        assert all(message is sent for message, _ in copies)
+        assert service.retransmits == 2
+

@@ -68,6 +68,32 @@ class TestScheduling:
         sim.schedule_in(0.0, lambda: None)  # zero is a delay, not the past
         assert sim.pending_events == 1
 
+    def test_nan_time_rejected(self):
+        """A NaN time compares false both ways: unchecked, it would run
+        first and leave the clock at NaN."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_in(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_timer(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_never_reorders_later_events(self):
+        sim = Simulator()
+        order = []
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), order.append, "at-nan")
+        sim.schedule_in(5.0, order.append, "five")
+        sim.run()
+        assert order == ["five"]
+        assert sim.now == 5.0
+
     def test_schedule_in_and_at_share_one_sequence(self):
         """``schedule_in`` pushes its own entry; it must order against
         ``schedule_at`` exactly as the ``schedule_at`` call it replaced:
@@ -141,6 +167,56 @@ class TestTimer:
     def test_non_positive_interval_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_timer(1.0, lambda: None, interval_ms=0.0)
+        with pytest.raises(SimulationError):
+            Simulator().schedule_timer(1.0, lambda: None, interval_ms=float("nan"))
+
+    def test_one_shot_passes_its_args(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_timer(5.0, lambda *args: fired.append(args), "a", 2)
+        sim.run()
+        assert fired == [("a", 2)]
+
+    def test_recurring_passes_the_same_args_on_every_firing(self):
+        sim = Simulator()
+        fired = []
+        payload = {"site": 3}
+        timer = sim.schedule_timer(
+            5.0,
+            lambda site, entry: fired.append((sim.now, site, entry)),
+            3,
+            payload,
+            interval_ms=10.0,
+        )
+        sim.run(until_ms=30.0)
+        timer.cancel()
+        sim.run()
+        assert fired == [(5.0, 3, payload), (15.0, 3, payload), (25.0, 3, payload)]
+        assert all(entry is payload for _, _, entry in fired)
+
+    def test_recurring_with_args_cancel_from_inside_callback(self):
+        sim = Simulator()
+        fired = []
+
+        def beat(site: int) -> None:
+            fired.append((sim.now, site))
+            if len(fired) == 2:
+                timer.cancel()
+
+        timer = sim.schedule_timer(1.0, beat, 7, interval_ms=1.0)
+        sim.run()
+        assert fired == [(1.0, 7), (2.0, 7)]
+        assert timer.fired == 2 and timer.cancelled
+
+    def test_interval_is_keyword_only(self):
+        """A positional number after the callback is an argument to the
+        callback, never an interval: the timer stays one-shot."""
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule_timer(1.0, fired.append, 10.0)
+        sim.run()
+        assert fired == [10.0]
+        assert timer.interval_ms is None and timer.fired == 1
 
     def test_cancelled_event_is_noop_not_removed(self):
         # Cancellation is lazy: the heap entry stays and pops as a no-op.
@@ -163,6 +239,19 @@ class TestRun:
         assert seen == [1]
         assert sim.pending_events == 1
         assert sim.now == 5.0
+
+    def test_run_until_nan_rejected(self):
+        """Every comparison with NaN is false, so an unchecked NaN bound
+        would drain the whole queue."""
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(5.0, seen.append, 5)
+        sim.schedule_at(50.0, seen.append, 50)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until_ms=float("nan"))
+        assert seen == [] and sim.pending_events == 2 and sim.now == 0.0
+        sim.run(until_ms=10.0)  # a failed call leaves the engine usable
+        assert seen == [5]
 
     def test_resume_after_until(self):
         sim = Simulator()
