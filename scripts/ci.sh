@@ -39,6 +39,13 @@ echo "== audited scenario smoke check =="
 python -m repro.cli scenario run flash-crowd --sites 6 --seed 7 --audit --strict
 
 echo
+echo "== audited CO-RJ scenario under capacity starvation (victim swaps) =="
+# Rejects about three requests in four, and the CO-RJ victim swap fires
+# (54 swaps in 20 of the 21 rounds); the smoke above rejects nothing.
+python -m repro.cli scenario run capacity-starvation --sites 8 --seed 7 \
+    --algorithm co-rj --audit --strict
+
+echo
 echo "== audited async-control scenario (mid-build joins under delay) =="
 # The only gate that runs the control link unimpaired: no draws, every
 # message at its base delay.

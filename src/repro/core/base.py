@@ -88,10 +88,10 @@ class BuildResult:
         for request in self.satisfied:
             tree = self.forest.trees[request.stream]
             cost = tree.cost_from_source(request.subscriber)
-            if cost >= bound:
+            if not cost < bound:  # NaN fails too
                 raise AssertionError(
                     f"satisfied request {request} violates latency bound: "
-                    f"{cost} >= {bound}"
+                    f"{cost} is not < {bound}"
                 )
         expected = self.problem.total_requests()
         if self.total_requests != expected:

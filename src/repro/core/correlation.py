@@ -48,6 +48,15 @@ def criticality(problem: ForestProblem, subscriber: int, source: int) -> float:
     return 1.0 / u
 
 
+#: The rejections a victim swap may answer, by ``swap_on_inbound``.
+_SWAPPABLE = {
+    False: frozenset({RejectionReason.TREE_SATURATED}),
+    True: frozenset(
+        {RejectionReason.TREE_SATURATED, RejectionReason.INBOUND_SATURATED}
+    ),
+}
+
+
 @dataclass(frozen=True)
 class _Swap:
     """A victim candidate: evict ``victim`` and reuse its edge for the target."""
@@ -106,10 +115,7 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         :meth:`apply_swap` then writes to exactly two trees of
         ``forest``: the victim's and the request's.
         """
-        swappable = {RejectionReason.TREE_SATURATED}
-        if self.swap_on_inbound:
-            swappable.add(RejectionReason.INBOUND_SATURATED)
-        if outcome.reason not in swappable:
+        if outcome.reason not in _SWAPPABLE[self.swap_on_inbound]:
             return None
         return self._find_victim(problem, forest, request)
 
@@ -179,17 +185,19 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         per tree.  The winner is the minimum under the total order
         ``(criticality, str(stream))``, so enumeration order is
         irrelevant and the selection is bit-identical to the full scan.
+        Each probe reads the trees' maps directly; only the winner
+        becomes a :class:`_Swap`.
         """
         subscriber = request.subscriber
         u_row = problem.u_row(subscriber)
         own_u = u_row.get(request.source, 0)
         own_q = float("inf") if own_u == 0 else 1.0 / own_u
-        target_tree = forest.tree(request.stream)
-        best: _Swap | None = None
+        target_costs = forest.tree(request.stream).path_costs()
         cost_to_subscriber = problem.costs_to(subscriber)
         trees = forest.trees
         by_source = problem.streams_by_source()
         bound = problem.latency_bound_ms
+        best = best_stream = best_parent = None
         for site, victim_u in u_row.items():
             if site == request.source:  # condition (1): k != j
                 continue
@@ -198,30 +206,28 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
                 continue
             for stream in by_source.get(site, ()):
                 tree = trees.get(stream)
-                if tree is None or not tree.is_leaf(subscriber):  # condition (2)
+                # Condition (2): a member with no children ([] is falsy,
+                # a non-member's default and a parent's children are not).
+                if tree is None or tree.children_map().get(subscriber, True):
                     continue
-                parent = tree.parent(subscriber)
-                if parent is None or parent not in target_tree:  # condition (3)
+                parent = tree.parent_map().get(subscriber)
+                # Condition (3): None when the parent is not in T_j.
+                cost_from_source = target_costs.get(parent)
+                if cost_from_source is None:
                     continue
-                new_cost = (
-                    target_tree.cost_from_source(parent)
-                    + cost_to_subscriber[parent]
-                )
-                if new_cost >= bound:  # condition (4)
+                # Condition (4); a NaN path is never under the bound.
+                if not cost_from_source + cost_to_subscriber[parent] < bound:
                     continue
-                candidate = _Swap(
-                    victim=SubscriptionRequest(
-                        subscriber=subscriber, stream=stream
-                    ),
-                    parent=parent,
-                    quality=victim_q,
-                )
-                if best is None or (candidate.quality, str(stream)) < (
-                    best.quality,
-                    str(best.victim.stream),
-                ):
-                    best = candidate
-        return best
+                key = (victim_q, str(stream))
+                if best is None or key < best:
+                    best, best_stream, best_parent = key, stream, parent
+        if best is None:
+            return None
+        return _Swap(
+            victim=SubscriptionRequest(subscriber, best_stream),
+            parent=best_parent,
+            quality=best[0],
+        )
 
     def apply_swap(
         self,

@@ -59,11 +59,6 @@ class MulticastTree:
         """Children of ``node`` (empty for leaves and non-members)."""
         return list(self._children.get(node, []))
 
-    def child_count(self, node: int) -> int:
-        """Number of children of ``node`` (no list copy)."""
-        children = self._children.get(node)
-        return len(children) if children else 0
-
     def is_leaf(self, node: int) -> bool:
         """True when ``node`` is a member with no children."""
         return node in self._children and not self._children[node]
@@ -139,8 +134,8 @@ class MulticastTree:
             )
         if child in self._children:
             raise OverlayError(f"{child} is already in tree {self.stream}")
-        if edge_cost < 0:
-            raise OverlayError(f"negative edge cost {edge_cost}")
+        if not edge_cost >= 0:  # NaN fails too; inf is a legal cost
+            raise OverlayError(f"edge cost {edge_cost} is not >= 0")
         self._parent[child] = parent
         self._children[parent].append(child)
         self._children[child] = []
@@ -172,7 +167,16 @@ class MulticastTree:
         return parent
 
     def validate(self) -> None:
-        """Check structural invariants; raises :class:`OverlayError`."""
+        """Check structural invariants; raises :class:`OverlayError`.
+
+        Includes the flag the parent scan trusts: :attr:`disseminated`
+        holds exactly when the source has a child.
+        """
+        if self.disseminated != bool(self._children[self.source]):
+            raise OverlayError(
+                f"disseminated flag {self.disseminated} disagrees with the "
+                f"source's children in tree {self.stream}"
+            )
         for child, parent in self._parent.items():
             if parent not in self._children:
                 raise OverlayError(f"dangling parent {parent} in tree {self.stream}")

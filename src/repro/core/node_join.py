@@ -33,8 +33,7 @@ the first eligible member, both ignoring rfc.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import OverlayError
 from repro.core.model import RejectionReason
@@ -57,20 +56,38 @@ class ParentPolicy(enum.Enum):
     FIRST_FIT = "first-fit"
 
 
-@dataclass(frozen=True)
-class JoinOutcome:
+class JoinOutcome(
+    NamedTuple(
+        "JoinOutcome",
+        [
+            ("accepted", bool),
+            ("parent", int | None),
+            ("path_cost_ms", float | None),
+            ("reason", RejectionReason | None),
+        ],
+    )
+):
     """Result of one join attempt."""
 
-    accepted: bool
-    parent: int | None = None
-    path_cost_ms: float | None = None
-    reason: RejectionReason | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.accepted and self.parent is None:
+    def __new__(
+        cls,
+        accepted: bool,
+        parent: int | None = None,
+        path_cost_ms: float | None = None,
+        reason: RejectionReason | None = None,
+    ) -> "JoinOutcome":
+        if accepted and parent is None:
             raise OverlayError("accepted join must name a parent")
-        if not self.accepted and self.reason is None:
+        if not accepted and reason is None:
             raise OverlayError("rejected join must carry a reason")
+        return tuple.__new__(cls, (accepted, parent, path_cost_ms, reason))
+
+    @classmethod
+    def _make(cls, iterable) -> "JoinOutcome":
+        # ``_replace`` builds through ``_make``: both validate.
+        return cls(*iterable)
 
 
 # Rejections carry no per-attempt data, so the two possible outcomes are
@@ -97,7 +114,8 @@ def plan_join(
     against trees it shares with the previous round and copies a tree
     only once a join is known to land in it.
     """
-    if subscriber in tree:
+    path_costs = tree.path_costs()  # keyed by member
+    if subscriber in path_costs:
         raise OverlayError(
             f"node {subscriber} is already in tree {tree.stream}"
         )
@@ -109,9 +127,7 @@ def plan_join(
     )
     if candidate is None:
         return _REJECT_TREE
-    path_cost = tree.cost_from_source(candidate) + problem.edge_cost(
-        candidate, subscriber
-    )
+    path_cost = path_costs[candidate] + problem.edge_cost(candidate, subscriber)
     return JoinOutcome(True, candidate, path_cost)
 
 
@@ -157,46 +173,51 @@ def scan_parent_scalar(
     subscriber: int,
     policy: ParentPolicy,
 ) -> int | None:
-    """The parent scan (scalar probes, one pass in attach order).
+    """The parent scan: one pass over the members in attach order.
 
-    One pass over the tree members against the precomputed dense cost
-    column of the subscriber — no per-candidate dict-of-dict hops.  The
-    degree/reservation tables are likewise read directly: this loop is
-    the innermost hot path of every overlay build.  Ties go to the first
-    member in attach order, MAX_RFC needs a strictly positive rfc, and an
-    undisseminated source is the provisional best.  Joins reach it as
-    ``problem.array_backend.parent_scan``.
+    The subscriber's dense cost column and the flat degree tables are
+    fetched once, so each member costs a few list indexings.  Joins
+    reach this as ``problem.array_backend.parent_scan``.
+
+    * An undisseminated tree is its source alone (trees grow by
+      attaching leaves, and :meth:`MulticastTree.detach_leaf` recomputes
+      the flag), and the source may serve its stream's first
+      dissemination from its reserved slot whatever its rfc: it is the
+      parent when its out-degree is free and the edge is under the
+      bound, under every policy.
+    * MAX_RFC (the paper's) takes the first member of largest strictly
+      positive ``rfc = O - dout - m̂``.  Since ``m̂ >= 0``, a positive
+      rfc implies ``dout < O``, so the path sum is read only for a
+      member that would become the new best.
+    * MIN_COST takes the first cheapest path under the bound, FIRST_FIT
+      the first path under it; both need ``dout < O``.
+
+    A NaN path sum is never under the bound.
     """
-    best: int | None = None
-    best_rfc = 0  # MAX_RFC requires strictly positive rfc (paper's max <- 0)
-    best_cost = float("inf")
-    cost_to_subscriber = problem.costs_to(subscriber)
-    path_costs = tree.path_costs()
     bound = problem.latency_bound_ms
-    # Flat node-indexed lists: every probe below is one list indexing.
+    cost_to_subscriber = problem.costs_to(subscriber)
     dout = state.dout
     outbound = problem.outbound_limits()
-    m_hat = state.m_hat
-    for member, cost_from_source in path_costs.items():
-        out_limit = outbound[member]
-        if dout[member] >= out_limit:
-            continue
-        path_cost = cost_from_source + cost_to_subscriber[member]
-        if path_cost >= bound:
-            continue
-        if policy is ParentPolicy.FIRST_FIT:
-            return member
-        if policy is ParentPolicy.MIN_COST:
-            if path_cost < best_cost:
-                best, best_cost = member, path_cost
-            continue
-        # MAX_RFC (the paper's policy)
-        if member == tree.source and not tree.disseminated:
-            # Reserved slot: the source may always serve the first
-            # dissemination of its own stream (rfc not consulted).
-            best = member
-            continue
-        rfc = out_limit - dout[member] - m_hat[member]
-        if rfc > best_rfc:
-            best, best_rfc = member, rfc
+    best = None
+    if not tree.disseminated:
+        source = tree.source
+        if dout[source] < outbound[source] and cost_to_subscriber[source] < bound:
+            best = source
+    elif policy is ParentPolicy.MAX_RFC:
+        m_hat = state.m_hat
+        best_rfc = 0
+        for member, cost_from_source in tree.path_costs().items():
+            rfc = outbound[member] - dout[member] - m_hat[member]
+            if rfc > best_rfc and cost_from_source + cost_to_subscriber[member] < bound:
+                best, best_rfc = member, rfc
+    else:
+        first_fit = policy is ParentPolicy.FIRST_FIT
+        best_cost = bound
+        for member, cost_from_source in tree.path_costs().items():
+            if dout[member] < outbound[member]:
+                path_cost = cost_from_source + cost_to_subscriber[member]
+                if path_cost < best_cost:
+                    if first_fit:
+                        return member
+                    best, best_cost = member, path_cost
     return best

@@ -153,7 +153,7 @@ class BuilderState:
         if (
             self.reservations
             and parent == tree.source
-            and self._first_dissemination(tree)
+            and len(tree.children_map()[parent]) == 1
         ):
             self.m_hat[tree.source] -= 1
             if self.m_hat[tree.source] < 0:
@@ -184,26 +184,38 @@ class BuilderState:
 
         The inverse of :meth:`open_group` plus the tree's attaches — the
         reservation the group still held (opened, not yet disseminated)
-        is released with it.
+        is released with it.  A degree or ``m̂`` that would go negative
+        (a tree forgotten twice) raises :class:`OverlayError`.
         """
         din, dout = self.din, self.dout
         for parent, child in tree.edges():
             dout[parent] -= 1
             din[child] -= 1
+            if dout[parent] < 0 or din[child] < 0:
+                raise OverlayError(
+                    f"degree underflow forgetting edge {parent}->{child} "
+                    f"for stream {tree.stream}"
+                )
         if tree.stream in self._opened:
             self._opened.discard(tree.stream)
             if self.reservations and not tree.disseminated:
                 self.m_hat[tree.source] -= 1
-
-    def _first_dissemination(self, tree: MulticastTree) -> bool:
-        """True when the tree has exactly one source child (just added)."""
-        return tree.child_count(tree.source) == 1
+                if self.m_hat[tree.source] < 0:
+                    raise OverlayError(
+                        f"reservation underflow at node {tree.source} "
+                        f"for stream {tree.stream}"
+                    )
 
     # -- diagnostics ---------------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Raise :class:`OverlayError` if any degree bound is violated."""
         for node in range(self.problem.n_nodes):
+            if self.din[node] < 0 or self.dout[node] < 0:
+                raise OverlayError(
+                    f"negative degree at node {node}: "
+                    f"din {self.din[node]}, dout {self.dout[node]}"
+                )
             if self.din[node] > self._in_limits[node]:
                 raise OverlayError(
                     f"node {node} exceeds inbound bound: "

@@ -439,11 +439,11 @@ class InvariantAuditor:
                 )
                 continue
             cost = tree.cost_from_source(request.subscriber)
-            if cost >= bound:
+            if not cost < bound:  # NaN fails too
                 found.append(
                     Violation(
                         "latency-bound",
-                        f"{request}: path {cost:.1f}ms >= B_cost {bound:.1f}ms",
+                        f"{request}: path {cost:.1f}ms is not < B_cost {bound:.1f}ms",
                     )
                 )
         return found

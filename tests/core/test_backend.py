@@ -10,6 +10,8 @@ and the kernel-level equivalences; the scenario digest matrix in
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import repro.core.backend as backend_mod
@@ -19,14 +21,17 @@ from repro.core.backend import (
     numpy_available,
     resolve_backend,
 )
-from repro.core.forest import OverlayForest
+from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.node_join import ParentPolicy, scan_parent_scalar
 from repro.core.problem import ForestProblem
 from repro.core.registry import make_builder
 from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import ScenarioSpec
-from repro.session.capacity import UniformCapacityModel
+from repro.session.capacity import (
+    HeterogeneousCapacityModel,
+    UniformCapacityModel,
+)
 from repro.session.session import SessionConfig, build_session
 from repro.sim.dataplane import FastDataPlane
 from repro.topology.backbone import load_backbone
@@ -282,6 +287,74 @@ class TestParentScan:
                     answers[policy].add(parent)
         # The sweep exercised the scan: every policy chose many parents.
         assert all(len(found) > 2 for found in answers.values())
+
+    @pytest.mark.parametrize("mode", ["lazy", "phase", "off"])
+    @pytest.mark.parametrize("algorithm", ["rj", "co-rj", "ltf"])
+    @pytest.mark.parametrize("build_policy", list(ParentPolicy))
+    def test_all_policies_mid_build(
+        self, monkeypatch, algorithm, mode, build_policy
+    ):
+        """Every scan a build takes, checked against the rule under every
+        policy on the state as it stands at that join.
+
+        A saturated problem leaves reservations outstanding, members
+        with free out-degree but no positive rfc, rfc ties and (for
+        co-rj) trees a victim swap detached a leaf from; the sweep must
+        meet each of them.
+        """
+        session = build_session(
+            load_backbone("synthetic-14"),
+            HeterogeneousCapacityModel(
+                large=9, medium=6, small=3, streams_low=2, streams_high=5
+            ),
+            RngStream(11, label="mid").spawn("session"),
+            SessionConfig(n_sites=14, displays_per_site=2),
+        )
+        workload = CoverageWorkloadModel(
+            mean_subscribers=7.0, guarantee_coverage=False
+        ).generate(session, RngStream(11, label="mid").spawn("workload"))
+        problem = ForestProblem.from_workload(session, workload, 100.0)
+        outbound = problem.outbound_limits()
+        detached: set[MulticastTree] = set()
+        met: Counter[str] = Counter()
+
+        real_detach = MulticastTree.detach_leaf
+
+        def detach_leaf(tree, node):
+            detached.add(tree)
+            return real_detach(tree, node)
+
+        def checked(problem, state, tree, subscriber, policy):
+            for other in ParentPolicy:
+                assert scan_parent_scalar(
+                    problem, state, tree, subscriber, other
+                ) == _parent_by_rule(problem, state, tree, subscriber, other)
+            members = tree.members()
+            met["reserved slot"] += not tree.disseminated
+            met["m-hat outstanding"] += any(state.m_hat[m] > 0 for m in members)
+            met["free but rfc <= 0"] += any(
+                state.dout[m] < outbound[m] and state.rfc(m) <= 0
+                for m in members
+            )
+            rfcs = [state.rfc(m) for m in members]
+            met["rfc tie"] += tree.disseminated and rfcs.count(max(rfcs)) > 1
+            met["detached tree"] += tree in detached
+            return scan_parent_scalar(problem, state, tree, subscriber, policy)
+
+        monkeypatch.setattr(MulticastTree, "detach_leaf", detach_leaf)
+        monkeypatch.setattr(
+            type(problem.array_backend), "parent_scan", staticmethod(checked)
+        )
+        builder = make_builder(
+            algorithm, parent_policy=build_policy, reservation_mode=mode
+        )
+        builder.build(problem, RngStream(11, label="mid").spawn("build")).verify()
+        wanted = {"reserved slot", "rfc tie"}
+        if mode != "off":  # without m̂, rfc > 0 is exactly dout < O
+            wanted |= {"m-hat outstanding", "free but rfc <= 0"}
+        if algorithm == "co-rj":
+            wanted.add("detached tree")
+        assert {name for name, count in met.items() if count} >= wanted
 
     @needs_numpy
     @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])

@@ -62,6 +62,14 @@ class TestBuildResult:
         with pytest.raises(Exception):
             result.verify()
 
+    def test_verify_detects_planted_nan_path_cost(self, rng):
+        result = RandomJoinBuilder().build(one_group_problem(), rng)
+        request = result.satisfied[0]
+        tree = result.forest.trees[request.stream]
+        tree.path_costs()[request.subscriber] = float("nan")
+        with pytest.raises(AssertionError, match="latency bound"):
+            result.verify()
+
     def test_invalid_reservation_mode(self, rng):
         builder = RandomJoinBuilder(reservation_mode="bogus")
         with pytest.raises(ValueError):

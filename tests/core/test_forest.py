@@ -54,6 +54,44 @@ class TestMulticastTree:
         with pytest.raises(OverlayError):
             tree.attach(0, 1, -1.0)
 
+    def test_nan_edge_cost_rejected(self):
+        tree = MulticastTree(StreamId(0, 0))
+        with pytest.raises(OverlayError, match="nan"):
+            tree.attach(0, 1, float("nan"))
+        assert tree.members() == [0]
+        assert not tree.disseminated
+
+    def test_infinite_edge_cost_accepted(self):
+        # The cost matrix holds inf for unreachable pairs; the latency
+        # bound, not attach, keeps such an edge out of a build.
+        tree = MulticastTree(StreamId(0, 0))
+        tree.attach(0, 1, float("inf"))
+        assert tree.cost_from_source(1) == float("inf")
+
+    def test_validate_rejects_a_lying_dissemination_flag(self):
+        # The parent scan trusts the flag to mean "the source has a
+        # child"; validate() is where that premise is checked.
+        tree = MulticastTree(StreamId(0, 0))
+        tree.disseminated = True
+        with pytest.raises(OverlayError, match="disseminated"):
+            tree.validate()
+        tree = chain_tree()
+        tree.disseminated = False
+        with pytest.raises(OverlayError, match="disseminated"):
+            tree.validate()
+
+    def test_detach_back_to_source_only_clears_the_flag(self):
+        tree = MulticastTree(StreamId(0, 0))
+        tree.attach(0, 1, 1.0)
+        tree.attach(1, 2, 1.0)
+        tree.detach_leaf(2)
+        assert tree.disseminated
+        tree.validate()
+        tree.detach_leaf(1)
+        assert tree.members() == [0]
+        assert not tree.disseminated
+        tree.validate()
+
     def test_parent_children_leaf(self):
         tree = chain_tree()
         assert tree.parent(2) == 1

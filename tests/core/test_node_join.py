@@ -193,6 +193,14 @@ class TestJoinOutcome:
         with pytest.raises(OverlayError):
             JoinOutcome(accepted=False)
 
+    def test_replace_validates_too(self):
+        outcome = JoinOutcome(True, 3, 12.5)
+        assert outcome == (True, 3, 12.5, None)
+        with pytest.raises(OverlayError):
+            outcome._replace(parent=None)
+        with pytest.raises(OverlayError):
+            outcome._replace(accepted=False)
+
     def test_join_of_member_rejected(self):
         problem, state, tree = figure6()
         with pytest.raises(OverlayError):

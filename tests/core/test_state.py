@@ -139,6 +139,39 @@ class TestRecordAttachDetach:
             state.record_detach(tree, 0, 1)
 
 
+class TestForgetTree:
+    def _built(self):
+        state = BuilderState(three_node_problem())
+        stream = StreamId(0, 0)
+        state.open_group(stream)
+        tree = MulticastTree(stream)
+        for parent, child in ((0, 1), (1, 2)):
+            tree.attach(parent, child, 1.0)
+            state.record_attach(tree, parent, child)
+        return state, tree
+
+    def test_forget_undoes_the_tree(self):
+        state, tree = self._built()
+        state.forget_tree(tree)
+        assert state.din == state.dout == state.m_hat == [0, 0, 0]
+        assert not state.is_open(tree.stream)
+        state.check_invariants()
+
+    def test_forgetting_twice_raises(self):
+        state, tree = self._built()
+        state.forget_tree(tree)
+        with pytest.raises(OverlayError, match="underflow"):
+            state.forget_tree(tree)
+
+    def test_reservation_underflow_raises(self):
+        state = BuilderState(three_node_problem())
+        tree = MulticastTree(StreamId(0, 0))
+        state.open_group(tree.stream)
+        state.m_hat[0] = 0  # a ledger that lost the reservation
+        with pytest.raises(OverlayError, match="reservation underflow"):
+            state.forget_tree(tree)
+
+
 class TestInvariants:
     def test_check_invariants_passes_fresh(self):
         BuilderState(three_node_problem()).check_invariants()
@@ -153,6 +186,13 @@ class TestInvariants:
         state = BuilderState(three_node_problem())
         state.dout[1] = 99
         with pytest.raises(OverlayError):
+            state.check_invariants()
+
+    @pytest.mark.parametrize("table", ["din", "dout"])
+    def test_negative_degree_detected(self, table):
+        state = BuilderState(three_node_problem())
+        getattr(state, table)[2] = -1
+        with pytest.raises(OverlayError, match="negative degree"):
             state.check_invariants()
 
     def test_snapshot_is_copy(self):

@@ -97,6 +97,13 @@ class TestStructuralViolations:
         found = InvariantAuditor().audit_build(clean_result)
         assert "latency-bound" in invariants_of(found)
 
+    def test_nan_path_cost_detected(self, clean_result):
+        request = clean_result.satisfied[0]
+        tree = clean_result.forest.trees[request.stream]
+        tree._cost_from_source[request.subscriber] = float("nan")
+        found = InvariantAuditor().audit_build(clean_result)
+        assert "latency-bound" in invariants_of(found)
+
     def test_reservation_accounting_mismatch_detected(self, clean_result):
         source = clean_result.problem.groups[0].source
         clean_result.state.m_hat[source] += 1
