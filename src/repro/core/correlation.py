@@ -48,22 +48,12 @@ def criticality(problem: ForestProblem, subscriber: int, source: int) -> float:
     return 1.0 / u
 
 
-#: The rejections a victim swap may answer, by ``swap_on_inbound``.
-_SWAPPABLE = {
-    False: frozenset({RejectionReason.TREE_SATURATED}),
-    True: frozenset(
-        {RejectionReason.TREE_SATURATED, RejectionReason.INBOUND_SATURATED}
-    ),
-}
-
-
 @dataclass(frozen=True)
 class _Swap:
     """A victim candidate: evict ``victim`` and reuse its edge for the target."""
 
     victim: SubscriptionRequest
     parent: int
-    quality: float  # the victim's criticality (lower = better victim)
 
 
 @dataclass
@@ -115,7 +105,10 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         :meth:`apply_swap` then writes to exactly two trees of
         ``forest``: the victim's and the request's.
         """
-        if outcome.reason not in _SWAPPABLE[self.swap_on_inbound]:
+        reason = outcome.reason
+        if reason is not RejectionReason.TREE_SATURATED and not (
+            self.swap_on_inbound and reason is RejectionReason.INBOUND_SATURATED
+        ):
             return None
         return self._find_victim(problem, forest, request)
 
@@ -176,17 +169,12 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
     ) -> _Swap | None:
         """Find the best victim meeting all 4 conditions.
 
-        Candidates are enumerated from the subscriber's sparse ``u`` row
-        crossed with the problem's streams-by-source index rather than by
-        probing every constructed tree: only sites the subscriber
-        actually requests can yield a finite victim criticality, and
-        condition (2) restricts victims to trees the subscriber is a
-        member of — both of which the old full-forest scan rediscovered
-        per tree.  The winner is the minimum under the total order
-        ``(criticality, str(stream))``, so enumeration order is
-        irrelevant and the selection is bit-identical to the full scan.
-        Each probe reads the trees' maps directly; only the winner
-        becomes a :class:`_Swap`.
+        Candidates come from the subscriber's sparse ``u`` row crossed
+        with the streams-by-source index: only sites the subscriber
+        requests have a finite victim criticality, and condition (2)
+        needs a tree the subscriber is in.  The winner is the minimum of
+        ``(criticality, str(stream))``, a total order, so enumeration
+        order does not matter; only the winner becomes a :class:`_Swap`.
         """
         subscriber = request.subscriber
         u_row = problem.u_row(subscriber)
@@ -206,28 +194,19 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
                 continue
             for stream in by_source.get(site, ()):
                 tree = trees.get(stream)
-                # Condition (2): a member with no children ([] is falsy,
-                # a non-member's default and a parent's children are not).
+                # Condition (2): a leaf's children are [], the default True.
                 if tree is None or tree.children_map().get(subscriber, True):
                     continue
                 parent = tree.parent_map().get(subscriber)
-                # Condition (3): None when the parent is not in T_j.
-                cost_from_source = target_costs.get(parent)
-                if cost_from_source is None:
-                    continue
-                # Condition (4); a NaN path is never under the bound.
-                if not cost_from_source + cost_to_subscriber[parent] < bound:
-                    continue
+                cost = target_costs.get(parent)  # condition (3): parent in T_j
+                if cost is None or not cost + cost_to_subscriber[parent] < bound:
+                    continue  # condition (4); a NaN path never fits
                 key = (victim_q, str(stream))
                 if best is None or key < best:
                     best, best_stream, best_parent = key, stream, parent
         if best is None:
             return None
-        return _Swap(
-            victim=SubscriptionRequest(subscriber, best_stream),
-            parent=best_parent,
-            quality=best[0],
-        )
+        return _Swap(SubscriptionRequest(subscriber, best_stream), best_parent)
 
     def apply_swap(
         self,

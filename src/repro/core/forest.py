@@ -167,16 +167,9 @@ class MulticastTree:
         return parent
 
     def validate(self) -> None:
-        """Check structural invariants; raises :class:`OverlayError`.
-
-        Includes the flag the parent scan trusts: :attr:`disseminated`
-        holds exactly when the source has a child.
-        """
+        """Check structure and the dissemination flag; raises :class:`OverlayError`."""
         if self.disseminated != bool(self._children[self.source]):
-            raise OverlayError(
-                f"disseminated flag {self.disseminated} disagrees with the "
-                f"source's children in tree {self.stream}"
-            )
+            raise OverlayError(f"disseminated flag is wrong in tree {self.stream}")
         for child, parent in self._parent.items():
             if parent not in self._children:
                 raise OverlayError(f"dangling parent {parent} in tree {self.stream}")

@@ -59,12 +59,8 @@ class ParentPolicy(enum.Enum):
 class JoinOutcome(
     NamedTuple(
         "JoinOutcome",
-        [
-            ("accepted", bool),
-            ("parent", int | None),
-            ("path_cost_ms", float | None),
-            ("reason", RejectionReason | None),
-        ],
+        [("accepted", bool), ("parent", int | None),
+         ("path_cost_ms", float | None), ("reason", RejectionReason | None)],
     )
 ):
     """Result of one join attempt."""
@@ -175,24 +171,15 @@ def scan_parent_scalar(
 ) -> int | None:
     """The parent scan: one pass over the members in attach order.
 
-    The subscriber's dense cost column and the flat degree tables are
-    fetched once, so each member costs a few list indexings.  Joins
-    reach this as ``problem.array_backend.parent_scan``.
-
-    * An undisseminated tree is its source alone (trees grow by
-      attaching leaves, and :meth:`MulticastTree.detach_leaf` recomputes
-      the flag), and the source may serve its stream's first
-      dissemination from its reserved slot whatever its rfc: it is the
-      parent when its out-degree is free and the edge is under the
-      bound, under every policy.
-    * MAX_RFC (the paper's) takes the first member of largest strictly
-      positive ``rfc = O - dout - m̂``.  Since ``m̂ >= 0``, a positive
-      rfc implies ``dout < O``, so the path sum is read only for a
-      member that would become the new best.
-    * MIN_COST takes the first cheapest path under the bound, FIRST_FIT
-      the first path under it; both need ``dout < O``.
-
-    A NaN path sum is never under the bound.
+    Joins reach it as ``problem.array_backend.parent_scan``.  An
+    undisseminated tree is its source alone (trees grow by leaves, and
+    ``detach_leaf`` recomputes the flag); the source serves the first
+    dissemination from its reserved slot whatever its rfc, under every
+    policy.  MAX_RFC takes the first member of largest positive
+    ``rfc = O - dout - m̂``; as ``m̂ >= 0`` that implies ``dout < O``,
+    so the path sum is read only for a would-be new best.  MIN_COST
+    takes the first cheapest path under the bound, FIRST_FIT the first
+    such path.  A NaN path is never under the bound.
     """
     bound = problem.latency_bound_ms
     cost_to_subscriber = problem.costs_to(subscriber)

@@ -201,10 +201,7 @@ class BuilderState:
             if self.reservations and not tree.disseminated:
                 self.m_hat[tree.source] -= 1
                 if self.m_hat[tree.source] < 0:
-                    raise OverlayError(
-                        f"reservation underflow at node {tree.source} "
-                        f"for stream {tree.stream}"
-                    )
+                    raise OverlayError(f"reservation underflow for stream {tree.stream}")
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -212,10 +209,7 @@ class BuilderState:
         """Raise :class:`OverlayError` if any degree bound is violated."""
         for node in range(self.problem.n_nodes):
             if self.din[node] < 0 or self.dout[node] < 0:
-                raise OverlayError(
-                    f"negative degree at node {node}: "
-                    f"din {self.din[node]}, dout {self.dout[node]}"
-                )
+                raise OverlayError(f"negative degree at node {node}")
             if self.din[node] > self._in_limits[node]:
                 raise OverlayError(
                     f"node {node} exceeds inbound bound: "
