@@ -195,7 +195,9 @@ def scan_parent_scalar(
         best_rfc = 0
         for member, cost_from_source in tree.path_costs().items():
             rfc = outbound[member] - dout[member] - m_hat[member]
-            if rfc > best_rfc and cost_from_source + cost_to_subscriber[member] < bound:
+            if rfc > best_rfc and (
+                cost_from_source + cost_to_subscriber[member] < bound
+            ):
                 best, best_rfc = member, rfc
     else:
         first_fit = policy is ParentPolicy.FIRST_FIT

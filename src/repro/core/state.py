@@ -201,7 +201,7 @@ class BuilderState:
             if self.reservations and not tree.disseminated:
                 self.m_hat[tree.source] -= 1
                 if self.m_hat[tree.source] < 0:
-                    raise OverlayError(f"reservation underflow for stream {tree.stream}")
+                    raise OverlayError(f"reservation underflow in {tree.stream}")
 
     # -- diagnostics ---------------------------------------------------------------
 
