@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time the large-N rows at several git refs, on one box, in alternation.
 
-    scripts/scale_probe.py REF [REF ...]
+    scripts/scale_probe.py REF [REF ...] [--sizes N [N ...]]
 
 Each REF's ``src`` is exported (`git archive`) into a temporary directory
 (removed on exit; TMPDIR picks where).  Each of the PASSES passes runs
-one fresh child per (N in SIZES, ref) with ``PYTHONPATH=<export>/src``,
+one fresh child per (N in --sizes, default SIZES, ref) with
+``PYTHONPATH=<export>/src``,
 so each ref runs its own code and this file only drives it; odd passes
 take the refs in the order given, even passes reversed.  A child times each row once, in table order:
 
@@ -21,8 +22,8 @@ recordings compare like with like.  Prints per row and ref the median and
 quartiles over the passes and the row's counts (requests, satisfied,
 largest tree, ...), so equal inputs are shown rather than assumed.  A row
 whose API a ref lacks prints ``n/a: <error>``.  On a 2-vCPU box a child
-at N=4096 takes about 2.5 minutes, most of it session setup, and peaks
-at about 2.2 GB.
+at N=4096 takes about 50 s, a third of it session set-up, and peaks at
+about 1.9 GB.
 """
 
 from __future__ import annotations
@@ -161,10 +162,13 @@ def report(runs: list[dict], name: str) -> str:
     return f"median {median:8.3f} s  quartiles {q1:.3f} .. {q3:.3f}  {shown}"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("refs", nargs="+")
-    args = parser.parse_args()
+    parser.add_argument("--sizes", nargs="+", type=int, default=list(SIZES),
+                        metavar="N", help="site counts to probe (default: "
+                        f"{' '.join(map(str, SIZES))})")
+    args = parser.parse_args(argv)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     runs: dict[tuple[int, str], list[dict]] = {}
     with tempfile.TemporaryDirectory(prefix="scale-probe.") as work:
@@ -180,12 +184,12 @@ def main() -> int:
                            check=True)
             print(f"{ref} in {exports[ref]}", flush=True)
         for number in range(PASSES):
-            for n in SIZES:
+            for n in args.sizes:
                 for ref in args.refs[:: 1 if number % 2 == 0 else -1]:
                     runs.setdefault((n, ref), []).append(measure(exports[ref], n))
                     print(f"pass {number + 1}/{PASSES} N={n} {ref} done",
                           flush=True)
-    for n in SIZES:
+    for n in args.sizes:
         for name, _ in ROWS:
             print(f"\n== {name}, N={n}, {PASSES} passes ==")
             for ref in args.refs:

@@ -10,10 +10,12 @@ the pairwise RP latency matrix the overlay layer consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import SessionError
 from repro.fov.camera import camera_ring
+from repro.fov.geometry import Pose
 from repro.session.capacity import CapacityAssignment, CapacityModel
 from repro.session.entities import Camera3D, Display3D, RendezvousPoint, Site
 from repro.session.streams import StreamDescriptor, StreamId, StreamRegistry
@@ -72,11 +74,8 @@ class TISession:
             seen_pops.add(site.pop_id)
         # The dense matrix is the only latency store; ``cost_matrix()``
         # derives the O(N²) dict form on demand.
-        pop_matrix = self.topology.dense_cost_matrix(
-            [s.pop_id for s in self.sites]
-        )
         self._dense_costs = DenseCostMatrix(
-            [list(pop_matrix.row(i)) for i in range(len(self.sites))]
+            self.topology.dense_cost_matrix([s.pop_id for s in self.sites]).rows()
         )
 
     # -- accessors ---------------------------------------------------------------
@@ -157,10 +156,16 @@ def build_session(
     )
     assignments = capacity_model.assign(config.n_sites, capacity_rng)
     registry = StreamRegistry()
+    # One camera ring per stream count, shared by the sites that have it
+    # (poses are frozen values) and dropped with this call.
+    ring = functools.cache(
+        lambda n: tuple(camera_ring(n, radius=config.camera_ring_radius))
+    )
     sites = []
     for index, (pop_id, assignment) in enumerate(zip(pops, assignments)):
+        poses = ring(assignment.n_streams)
         sites.append(
-            _build_site(index, pop_id, assignment, registry, config)
+            _build_site(index, pop_id, assignment, poses, registry, config)
         )
     return TISession(topology=topology, sites=sites, registry=registry)
 
@@ -169,17 +174,17 @@ def _build_site(
     index: int,
     pop_id: str,
     assignment: CapacityAssignment,
+    poses: tuple[Pose, ...],
     registry: StreamRegistry,
     config: SessionConfig,
 ) -> Site:
-    """Create one site: RP, camera ring (one stream each), display array."""
+    """Create one site: RP, a camera per ring pose (one stream each), display array."""
     rp = RendezvousPoint(
         site=index,
         pop_id=pop_id,
         inbound_limit=assignment.inbound_limit,
         outbound_limit=assignment.outbound_limit,
     )
-    poses = camera_ring(assignment.n_streams, radius=config.camera_ring_radius)
     cameras = []
     for q, pose in enumerate(poses):
         stream_id = StreamId(site=index, index=q)

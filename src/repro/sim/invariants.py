@@ -17,6 +17,9 @@ principles:
   recount from the forest edges, and the reservation counter ``m̂``
   equals, per node, the number of *opened* groups it sources whose
   streams have not yet been disseminated (Sec. 4.3.1's accounting);
+* **path costs** — every member's cached source-to-node cost is its
+  parent's plus ``c(parent, member)``, the sum the tree's ``attach``
+  makes;
 * **latency bound** — every satisfied subscriber's tree path costs less
   than ``B_cost``;
 * **pub-sub ↔ forest consistency** — the directive repeats the forest
@@ -44,27 +47,32 @@ Examining a tree (the soundness proof, the sort, the fingerprint text)
 is the one part that is remembered: per stream the auditor keeps what
 the examination produced *together with its own copies of the tree's
 parent and children maps*, and reuses it only while the live tree's maps
-still compare equal to those copies.  Nothing is taken on trust — not
-tree identity, not the repairer's report of what it rewrote, not which
-result was audited before — so a tree mutated behind the auditor's back
-is re-examined like any other, results may be audited in any order, and
-a fresh ``InvariantAuditor()`` is the memo-free audit.  The memo holds
-records only for sound trees of the forest audited last: at most one
-forest's maps.  What stays O(edges) a round is honest work: comparing
-every tree's maps, the degree recount, and rebuilding each site's
-dictated forwarding/receiving view from the directive.
+still compare equal to those copies.  The path-cost check is remembered
+the same way, against a copy of the tree's cost map and the cost matrix
+(and its ``edits`` count) it was checked under; a new or edited matrix,
+as scratch assembly brings every round, re-checks the costs alone.
+Nothing is taken on trust — not tree identity, not the repairer's report
+of what it rewrote, not which result was audited before — so a tree
+mutated behind the auditor's back is re-examined like any other,
+results may be audited in any order, and a fresh ``InvariantAuditor()``
+is the memo-free audit.  The memo holds records only for sound trees of
+the forest audited last: at most one forest's maps.  What stays O(edges)
+a round is honest work: comparing every tree's maps, the degree
+recount, and rebuilding each site's dictated forwarding/receiving view
+from the directive.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro.core.base import BuildResult
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.errors import SimulationError
 from repro.session.streams import StreamId
+from repro.topology.dense import DenseCostMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pubsub.messages import Edge, OverlayDirective
@@ -115,13 +123,16 @@ class AuditReport:
         return "\n".join(lines)
 
 
-class _TreeRecord(NamedTuple):
+@dataclass
+class _TreeRecord:
     """What examining one sound tree produced, and the content it came from.
 
     ``source`` / ``parent`` / ``children`` are the auditor's own copies of
     what it read; ``edges`` is the tree's ``(stream, parent, child)``
     segment of ``sorted(forest.edges())`` and ``text`` that segment's
-    share of the fingerprint.
+    share of the fingerprint.  ``costs`` / ``matrix`` / ``edits`` are the
+    copy of the tree's cost map last found consistent, the cost matrix it
+    was checked against and that matrix's edit count then.
     """
 
     source: int
@@ -129,6 +140,9 @@ class _TreeRecord(NamedTuple):
     children: dict[int, list[int]]
     edges: list[Edge]
     text: str
+    costs: dict[int, float] | None = None
+    matrix: DenseCostMatrix | None = None
+    edits: int = -1
 
     @classmethod
     def of(cls, stream: StreamId, tree: MulticastTree) -> "_TreeRecord":
@@ -145,6 +159,33 @@ class _TreeRecord(NamedTuple):
             edges=[(stream, node, child) for node, child in pairs],
             text=",".join(f"{name}:{node}>{child}" for node, child in pairs),
         )
+
+    def check_costs(
+        self, stream: StreamId, tree: MulticastTree, matrix: DenseCostMatrix
+    ) -> list[Violation]:
+        """Each member's cached path cost against its parent's plus
+        ``c(parent, member)``, summed as ``attach`` sums them; a clean
+        check replaces the copy.
+        """
+        costs = tree.path_costs()
+        found: list[Violation] = []
+        for node, kids in tree.children_map().items():
+            base, row = costs.get(node), matrix.row(node)
+            for kid in kids:
+                cost = costs.get(kid)
+                if cost is None:
+                    detail = f"{kid} has no cached cost"
+                elif base is not None and cost != base + row[kid]:
+                    detail = (
+                        f"{kid}: cached cost {cost!r} != {base!r} + "
+                        f"c({node}, {kid}) {row[kid]!r}"
+                    )
+                else:
+                    continue
+                found.append(Violation("path-cost", f"{detail} in tree {stream}"))
+        if not found:
+            self.costs, self.matrix, self.edits = dict(costs), matrix, matrix.edits
+        return found
 
 
 def _provably_sound(
@@ -240,29 +281,33 @@ class InvariantAuditor:
         """Everything a build alone decides, plus the forest's sorted
         edges and their fingerprint (the one pass over the trees yields
         both)."""
-        found, edges, fingerprint = self._check_forest_structure(result.forest)
+        found, edges, fingerprint = self._check_forest_structure(result)
         found.extend(self._check_degrees(result, edges))
         found.extend(self._check_latency(result))
         found.extend(self._check_accounting(result))
         return found, edges, fingerprint
 
     def _check_forest_structure(
-        self, forest: OverlayForest
+        self, result: BuildResult
     ) -> tuple[list[Violation], list[Edge], str]:
-        """Acyclicity, reachability and parent/child symmetry per tree.
+        """Acyclicity, reachability, parent/child symmetry and path costs
+        per tree.
 
         The one pass over the forest: trees are visited in ``(site,
         index)`` stream order and each contributes its ``(parent,
         child)``-sorted edge segment, so the segments joined are
         ``sorted(forest.edges())``.  A tree whose maps still equal the
-        copies its record holds is not examined again; any other tree
-        is, and only a sound tree's record is kept — a violation is
+        copies its record holds is not examined again (its path costs
+        are, when they or the cost matrix changed); any other tree is,
+        and only a sound tree's record is kept — a violation is
         re-derived every time it is reported.
         """
         found: list[Violation] = []
         edges: list[Edge] = []
         texts: list[str] = []
-        trees = forest.trees
+        trees = result.forest.trees
+        matrix = result.problem.dense_cost_matrix()
+        edits = matrix.edits
         memo = self._memo
         kept: dict[StreamId, _TreeRecord] = {}
         self.checks_run += len(trees)
@@ -274,14 +319,20 @@ class InvariantAuditor:
                 and record.parent == tree.parent_map()
                 and record.children == tree.children_map()
             ):
-                kept[stream] = record
+                violations = []
             else:
                 violations = self._check_tree(stream, tree)
                 record = _TreeRecord.of(stream, tree)
-                if violations:
-                    found.extend(violations)
-                else:
-                    kept[stream] = record
+            if (
+                record.matrix is not matrix
+                or record.edits != edits
+                or record.costs != tree.path_costs()
+            ):
+                violations.extend(record.check_costs(stream, tree, matrix))
+            if violations:
+                found.extend(violations)
+            else:
+                kept[stream] = record
             edges.extend(record.edges)
             if record.text:
                 texts.append(record.text)
@@ -438,8 +489,10 @@ class InvariantAuditor:
                     )
                 )
                 continue
-            cost = tree.cost_from_source(request.subscriber)
-            if not cost < bound:  # NaN fails too
+            # A member without a cached cost is a path-cost violation,
+            # reported where its tree is examined.
+            cost = tree.path_costs().get(request.subscriber)
+            if cost is not None and not cost < bound:  # NaN fails too
                 found.append(
                     Violation(
                         "latency-bound",

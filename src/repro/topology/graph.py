@@ -6,14 +6,16 @@ links.  Each link's cost is a one-way latency in milliseconds, derived
 from great-circle distance exactly as the paper computes edge costs
 ("based on the geographical distances between the nodes").
 
-All-pairs shortest-path costs are computed with repeated Dijkstra and
-cached; the overlay layer consumes the resulting dense cost matrix.
+All-pairs shortest-path costs are computed with repeated Dijkstra over
+integer PoP indices and cached as rows; the overlay layer consumes the
+resulting dense cost matrix.
 """
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -60,7 +62,7 @@ class Topology:
         self.name = name
         self._coords: dict[str, GeoPoint] = {}
         self._adj: dict[str, dict[str, float]] = {}
-        self._apsp_cache: dict[str, dict[str, float]] = {}
+        self._apsp_cache: dict[str, array] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -149,83 +151,52 @@ class Topology:
 
     # -- shortest paths ----------------------------------------------------------
 
-    #: Below this many PoPs the pure-Python Dijkstra wins (and every
-    #: tier-1 topology stays on the reference path); above it, a single
-    #: scipy sparse-graph solve replaces per-source heap runs when scipy
-    #: is importable.
+    #: From this many PoPs on, one scipy sparse-graph solve (when scipy is
+    #: importable) replaces the per-source heap runs; below it the heap
+    #: wins, and no tier-1 topology or benchmark backbone imports scipy.
     _BULK_SSSP_MIN_POPS = 128
 
-    def _bulk_shortest_costs(self, sources: Iterable[str]) -> None:
-        """Pre-fill the APSP cache for ``sources`` in one sparse solve.
+    def _shortest_rows(self, sources: list[str]) -> list[array]:
+        """Each source's shortest-path costs to every PoP (cached).
 
-        Purely an accelerator: scipy's Dijkstra performs the identical
-        ``dist[u] + w`` float relaxation, and with non-negative weights
-        the per-node distances are the unique fixpoint of that
-        recurrence — bit-for-bit equal to :meth:`shortest_costs_from`
-        (pinned by the equivalence test).  No-ops (leaving the reference
-        path in charge) on small graphs or when scipy is missing.
+        A row is an ``array("d")`` in :attr:`pop_ids` order, ``inf`` where
+        no path exists: unlike N lists of N floats, arrays add nothing
+        for the garbage collector to traverse.  With non-negative
+        weights the distances are the unique fixpoint of the
+        ``dist[u] + w`` relaxation whatever order equal-distance nodes
+        settle in, so the heap Dijkstra and scipy's give the same rows
+        bit for bit (pinned by the equivalence tests).
         """
-        missing = [s for s in sources if s not in self._apsp_cache]
-        if not missing or len(self._coords) < self._BULK_SSSP_MIN_POPS:
-            return
-        try:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-        except ImportError:  # pragma: no cover - depends on environment
-            return
-        pops = list(self._coords)
-        index = {pop: i for i, pop in enumerate(pops)}
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for a, nbrs in self._adj.items():
-            ia = index[a]
-            for b, cost in nbrs.items():
-                rows.append(ia)
-                cols.append(index[b])
-                data.append(cost)
-        graph = csr_matrix(
-            (data, (rows, cols)), shape=(len(pops), len(pops))
-        )
-        dist = dijkstra(
-            graph, directed=True, indices=[index[s] for s in missing]
-        )
-        unreachable = float("inf")
-        for source, row in zip(missing, dist):
-            self._apsp_cache[source] = {
-                pops[j]: float(row[j])
-                for j in range(len(pops))
-                if row[j] != unreachable
-            }
+        cache = self._apsp_cache
+        missing = [s for s in dict.fromkeys(sources) if s not in cache]
+        if missing:
+            index = {pop: i for i, pop in enumerate(self._coords)}
+            adjacency = [
+                [(index[b], cost) for b, cost in nbrs.items()]
+                for nbrs in self._adj.values()
+            ]
+            roots = [index[s] for s in missing]
+            rows = None
+            if len(adjacency) >= self._BULK_SSSP_MIN_POPS:
+                rows = _scipy_rows(adjacency, roots)
+            if rows is None:
+                rows = [_dijkstra_row(adjacency, root) for root in roots]
+            cache.update(zip(missing, rows))
+        return [cache[s] for s in sources]
 
     def shortest_costs_from(self, source: str) -> Mapping[str, float]:
-        """Dijkstra single-source latency costs (cached).
+        """Dijkstra single-source latency costs, read-only.
 
-        Returns the cached row itself wrapped read-only — callers on the
-        sweep hot path hit this per sample, and copying the whole row
-        per hit dominated profile time.  Use ``dict(...)`` for a
-        mutable copy.
+        Maps every PoP reachable from ``source`` to its cost; built from
+        the cached row on each call.  Use ``dict(...)`` for a mutable
+        copy.
         """
         if source not in self._coords:
             raise TopologyError(f"unknown PoP {source!r}")
-        cached = self._apsp_cache.get(source)
-        if cached is not None:
-            return MappingProxyType(cached)
-        dist: dict[str, float] = {source: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, source)]
-        done: set[str] = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for nbr, cost in self._adj[node].items():
-                nd = d + cost
-                if nd < dist.get(nbr, float("inf")):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        self._apsp_cache[source] = dist
-        return MappingProxyType(dist)
+        (row,) = self._shortest_rows([source])
+        return MappingProxyType(
+            {pop: cost for pop, cost in zip(self._coords, row) if cost != _INF}
+        )
 
     def cost_ms(self, a: str, b: str) -> float:
         """Shortest-path one-way latency between two PoPs."""
@@ -240,27 +211,12 @@ class Topology:
     def cost_matrix(self, pops: Iterable[str] | None = None) -> dict[str, dict[str, float]]:
         """Dense pairwise latency matrix restricted to ``pops``.
 
-        This is the object the overlay layer consumes: a symmetric
-        mapping ``matrix[a][b] -> ms`` over the selected PoPs.
+        A symmetric mapping ``matrix[a][b] -> ms`` over the selected
+        PoPs: :meth:`dense_cost_matrix` keyed by PoP id.
         """
-        selected = list(pops) if pops is not None else self.pop_ids
-        for node in selected:
-            if node not in self._coords:
-                raise TopologyError(f"unknown PoP {node!r}")
-        self._bulk_shortest_costs(selected)
-        matrix: dict[str, dict[str, float]] = {}
-        for a in selected:
-            costs = self.shortest_costs_from(a)
-            row: dict[str, float] = {}
-            for b in selected:
-                if a == b:
-                    row[b] = 0.0
-                elif b in costs:
-                    row[b] = costs[b]
-                else:
-                    raise TopologyError(f"no path from {a!r} to {b!r}")
-            matrix[a] = row
-        return matrix
+        dense = self.dense_cost_matrix(pops)
+        labels = dense.labels
+        return {a: dict(zip(labels, row)) for a, row in zip(labels, dense.rows())}
 
     def dense_cost_matrix(
         self, pops: Iterable[str] | None = None
@@ -268,25 +224,22 @@ class Topology:
         """The pairwise latency matrix as an index-mapped dense matrix.
 
         This is the form the overlay hot paths consume: contiguous row
-        lists with O(1) ``edge_cost`` and bulk row access, labelled by
-        PoP id in the order of ``pops``.
+        lists of plain floats with O(1) ``edge_cost`` and bulk row
+        access, labelled by PoP id in the order of ``pops``.  The rows
+        are new lists, the caller's to keep or edit.
         """
         selected = list(pops) if pops is not None else self.pop_ids
         for a in selected:
             if a not in self._coords:
                 raise TopologyError(f"unknown PoP {a!r}")
-        self._bulk_shortest_costs(selected)
+        index = {pop: i for i, pop in enumerate(self._coords)}
+        columns = [index[b] for b in selected]
         rows: list[list[float]] = []
-        for a in selected:
-            costs = self.shortest_costs_from(a)
-            row: list[float] = []
-            for b in selected:
-                if a == b:
-                    row.append(0.0)
-                elif b in costs:
-                    row.append(costs[b])
-                else:
-                    raise TopologyError(f"no path from {a!r} to {b!r}")
+        for a, full in zip(selected, self._shortest_rows(selected)):
+            row = [full[k] for k in columns]
+            if _INF in row:
+                b = selected[row.index(_INF)]
+                raise TopologyError(f"no path from {a!r} to {b!r}")
             rows.append(row)
         return DenseCostMatrix(rows, labels=selected)
 
@@ -295,6 +248,43 @@ class Topology:
             f"Topology(name={self.name!r}, pops={len(self._coords)}, "
             f"links={self.link_count()})"
         )
+
+
+_INF = float("inf")
+
+
+def _dijkstra_row(adjacency: list[list[tuple[int, float]]], source: int) -> array:
+    """Heap Dijkstra from ``source``: the cost to every node, ``inf`` if none."""
+    dist = [_INF] * len(adjacency)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heappop(heap)
+        if d > dist[node]:
+            continue  # a stale entry: ``node`` settled at a lower cost
+        for nbr, cost in adjacency[node]:
+            nd = d + cost
+            if nd < dist[nbr]:
+                dist[nbr] = nd
+                heappush(heap, (nd, nbr))
+    return array("d", dist)
+
+
+def _scipy_rows(
+    adjacency: list[list[tuple[int, float]]], sources: list[int]
+) -> list[array] | None:
+    """The same rows from one scipy sparse-graph solve; None without scipy."""
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+    except ImportError:  # pragma: no cover - depends on environment
+        return None
+    edges = [(a, b, cost) for a, nbrs in enumerate(adjacency) for b, cost in nbrs]
+    rows, cols, data = zip(*edges)
+    n = len(adjacency)
+    graph = csr_matrix((data, (rows, cols)), shape=(n, n))
+    solved = dijkstra(graph, directed=True, indices=sources)
+    return [array("d", row.tobytes()) for row in solved]
 
 
 @dataclass

@@ -8,6 +8,8 @@ studies.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError, TopologyError
 from repro.topology.geo import haversine_km
 from repro.topology.graph import Topology
@@ -55,23 +57,32 @@ def place_sites(
 def _farthest_point_sample(
     topology: Topology, n_sites: int, rng: RngStream | None
 ) -> list[str]:
-    """Greedy farthest-point sampling over great-circle distances."""
+    """Greedy farthest-point sampling over great-circle distances.
+
+    Each PoP keeps its distance to the nearest chosen PoP, lowered by the
+    newest pick only; the first PoP farthest from the chosen set wins.
+    """
     pops = topology.pop_ids
+    locations = [topology.location(pop) for pop in pops]
     first = rng.choice(pops) if rng is not None else pops[0]
     chosen = [first]
+    taken = {first}
+    nearest = [math.inf] * len(pops)
+    newest = topology.location(first)
     while len(chosen) < n_sites:
         best_pop = None
         best_distance = -1.0
-        for pop in pops:
-            if pop in chosen:
+        for k, pop in enumerate(pops):
+            if pop in taken:
                 continue
-            nearest = min(
-                haversine_km(topology.location(pop), topology.location(c))
-                for c in chosen
-            )
-            if nearest > best_distance:
-                best_distance = nearest
+            distance = haversine_km(locations[k], newest)
+            if distance < nearest[k]:
+                nearest[k] = distance
+            if nearest[k] > best_distance:
+                best_distance = nearest[k]
                 best_pop = pop
         assert best_pop is not None  # n_sites <= len(pops) guarantees progress
         chosen.append(best_pop)
+        taken.add(best_pop)
+        newest = topology.location(best_pop)
     return chosen

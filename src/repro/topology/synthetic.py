@@ -11,6 +11,8 @@ always connected.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -78,52 +80,55 @@ def synthetic_backbone(config: SyntheticBackboneConfig, rng: RngStream) -> Topol
     Waxman links until the target mean degree is reached.
     """
     config.validate()
-    topology = Topology(name=f"synthetic-{config.n_pops}")
-    points: list[tuple[str, GeoPoint]] = []
+    n = config.n_pops
+    topology = Topology(name=f"synthetic-{n}")
     names = [name for name, *_ in config.regions]
     weights = [weight for _, weight, *_ in config.regions]
     boxes = {name: box for name, _, *box in config.regions}
-    for index in range(config.n_pops):
+    for index in range(n):
         region = rng.weighted_choice(names, weights)
         lat_min, lat_max, lon_min, lon_max = boxes[region]
         point = GeoPoint(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max))
         pop_id = f"pop-{index:03d}-{region}"
         topology.add_pop(pop_id, point)
-        points.append((pop_id, point))
+    ids = topology.pop_ids
+    points = [topology.location(pop) for pop in ids]
 
     # Connectivity first: greedily attach each new PoP to its nearest
-    # already-placed PoP (a randomized nearest-neighbour tree).
-    for index in range(1, len(points)):
-        pop_id, point = points[index]
-        nearest = min(
-            points[:index], key=lambda entry: haversine_km(point, entry[1])
-        )
-        topology.add_link(pop_id, nearest[0])
+    # already-placed PoP, the first on ties (a randomized nearest-neighbour
+    # tree).  Each pair's distance is computed once: column j holds
+    # haversine_km(points[i], points[j]) for i < j at j * (j - 1) // 2 + i,
+    # and the haversine is symmetric bit for bit.
+    distances = array("d")
+    tree_links: set[tuple[int, int]] = set()
+    for j in range(1, n):
+        point = points[j]
+        column = [haversine_km(points[i], point) for i in range(j)]
+        nearest = column.index(min(column))
+        topology.add_link(ids[j], ids[nearest])
+        tree_links.add((nearest, j))
+        distances.extend(column)
 
     # Waxman extra links: P(u, v) = beta * exp(-d / (alpha * d_max)).
-    max_distance = max(
-        haversine_km(pa, pb)
-        for i, (_, pa) in enumerate(points)
-        for _, pb in points[i + 1 :]
-    ) if len(points) > 1 else 1.0
-    scale = config.waxman_alpha * max(max_distance, 1e-9)
-    target_links = int(config.n_pops * config.extra_degree / 2)
-    candidates = [
-        (a_id, b_id, haversine_km(a_pt, b_pt))
-        for i, (a_id, a_pt) in enumerate(points)
-        for b_id, b_pt in points[i + 1 :]
-    ]
+    # The candidates are the pairs i < j in row-major order: shuffling
+    # their indices takes the same draws as shuffling the pairs.  Each
+    # pair comes up once, so only a tree link can already be there.
+    scale = config.waxman_alpha * max(max(distances), 1e-9)
+    target_links = int(n * config.extra_degree / 2)
+    row_starts = [i * n - i * (i + 1) // 2 for i in range(n - 1)]
+    candidates = array("q", range(len(distances)))
     rng.shuffle(candidates)
     added = 0
-    existing = {frozenset((link.a, link.b)) for link in topology.links()}
-    for a_id, b_id, dist in candidates:
+    for candidate in candidates:
         if added >= target_links:
             break
-        if frozenset((a_id, b_id)) in existing:
+        i = bisect_right(row_starts, candidate) - 1
+        j = candidate - row_starts[i] + i + 1
+        if (i, j) in tree_links:
             continue
+        dist = distances[j * (j - 1) // 2 + i]
         probability = config.waxman_beta * math.exp(-dist / scale)
         if rng.random() < probability:
-            topology.add_link(a_id, b_id)
-            existing.add(frozenset((a_id, b_id)))
+            topology.add_link(ids[i], ids[j])
             added += 1
     return topology

@@ -453,7 +453,7 @@ def test_delta_repair_equals_replay_on_random_churn(scenario, seed, co_rj):
     # One auditor follows the whole chain, so from the second forest on
     # it answers for the shared trees from what it remembers.
     auditor = InvariantAuditor()
-    assert_segments_are_the_sorted_edges(auditor, previous.forest)
+    assert_segments_are_the_sorted_edges(auditor, previous)
     for rerolled, drawn, tighten in rounds:
         groups = {g.stream: g.subscribers for g in previous.problem.groups}
         for stream in rerolled:
@@ -472,17 +472,18 @@ def test_delta_repair_equals_replay_on_random_churn(scenario, seed, co_rj):
                 after.set_outbound_limit(a, max(0, after.outbound_limit(a) - 1))
         report = repair_checked_against_replay(repairer, previous, after)
         previous = report.result
-        assert_segments_are_the_sorted_edges(auditor, previous.forest)
+        assert_segments_are_the_sorted_edges(auditor, previous)
 
 
-def assert_segments_are_the_sorted_edges(auditor, forest):
+def assert_segments_are_the_sorted_edges(auditor, result):
     """The auditor's per-tree segments, joined, are ``sorted(forest.edges())``."""
-    violations, edges, text = auditor._check_forest_structure(forest)
+    forest = result.forest
+    violations, edges, text = auditor._check_forest_structure(result)
     assert violations == []
     assert edges == sorted(forest.edges())
     assert text == ",".join(f"{s}:{p}>{c}" for s, p, c in sorted(forest.edges()))
     assert (violations, edges, text) == InvariantAuditor()._check_forest_structure(
-        forest
+        result
     )
 
 

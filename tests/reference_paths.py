@@ -41,11 +41,20 @@ And for the id types: ``StreamId`` and ``SubscriptionRequest`` are
 tuples.  :class:`DataclassStreamId` and :class:`DataclassRequest` are the
 frozen, ordered dataclasses they were, kept as the oracles for ``repr``,
 ``hash``, order and validation.
+
+And for the session set-up: ``synthetic_backbone`` computes each PoP
+pair's distance once and shuffles candidate indices,
+``_farthest_point_sample`` keeps each PoP's distance to the chosen set,
+and ``Topology`` answers every shortest-path question from one
+integer-indexed Dijkstra.  :func:`reference_synthetic_backbone`,
+:func:`reference_farthest_point_sample` and :func:`dict_dijkstra` are the
+loops they replaced, kept as the oracles they are pinned to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -81,6 +90,10 @@ from repro.sim.dataplane import (
     SampledDataPlane,
     latency_percentiles,
 )
+from repro.topology.geo import GeoPoint, haversine_km
+from repro.topology.graph import Topology
+from repro.topology.synthetic import SyntheticBackboneConfig
+from repro.util.rng import RngStream
 
 
 @contextmanager
@@ -591,3 +604,105 @@ class DataclassRequest:
 
     def __str__(self) -> str:
         return f"r{self.subscriber}({self.stream})"
+
+
+def reference_synthetic_backbone(
+    config: SyntheticBackboneConfig, rng: RngStream
+) -> Topology:
+    """``synthetic_backbone`` as it was: three distances per PoP pair and a
+    shuffled list of ``(id, id, km)`` candidate tuples."""
+    config.validate()
+    topology = Topology(name=f"synthetic-{config.n_pops}")
+    points: list[tuple[str, GeoPoint]] = []
+    names = [name for name, *_ in config.regions]
+    weights = [weight for _, weight, *_ in config.regions]
+    boxes = {name: box for name, _, *box in config.regions}
+    for index in range(config.n_pops):
+        region = rng.weighted_choice(names, weights)
+        lat_min, lat_max, lon_min, lon_max = boxes[region]
+        point = GeoPoint(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max))
+        pop_id = f"pop-{index:03d}-{region}"
+        topology.add_pop(pop_id, point)
+        points.append((pop_id, point))
+
+    # Connectivity first: greedily attach each new PoP to its nearest
+    # already-placed PoP (a randomized nearest-neighbour tree).
+    for index in range(1, len(points)):
+        pop_id, point = points[index]
+        nearest = min(
+            points[:index], key=lambda entry: haversine_km(point, entry[1])
+        )
+        topology.add_link(pop_id, nearest[0])
+
+    # Waxman extra links: P(u, v) = beta * exp(-d / (alpha * d_max)).
+    max_distance = max(
+        haversine_km(pa, pb)
+        for i, (_, pa) in enumerate(points)
+        for _, pb in points[i + 1 :]
+    ) if len(points) > 1 else 1.0
+    scale = config.waxman_alpha * max(max_distance, 1e-9)
+    target_links = int(config.n_pops * config.extra_degree / 2)
+    candidates = [
+        (a_id, b_id, haversine_km(a_pt, b_pt))
+        for i, (a_id, a_pt) in enumerate(points)
+        for b_id, b_pt in points[i + 1 :]
+    ]
+    rng.shuffle(candidates)
+    added = 0
+    existing = {frozenset((link.a, link.b)) for link in topology.links()}
+    for a_id, b_id, dist in candidates:
+        if added >= target_links:
+            break
+        if frozenset((a_id, b_id)) in existing:
+            continue
+        probability = config.waxman_beta * math.exp(-dist / scale)
+        if rng.random() < probability:
+            topology.add_link(a_id, b_id)
+            existing.add(frozenset((a_id, b_id)))
+            added += 1
+    return topology
+
+
+def reference_farthest_point_sample(
+    topology: Topology, n_sites: int, rng: RngStream | None
+) -> list[str]:
+    """``_farthest_point_sample`` as it was: the minimum over the whole
+    chosen set re-taken for every PoP on every pick."""
+    pops = topology.pop_ids
+    first = rng.choice(pops) if rng is not None else pops[0]
+    chosen = [first]
+    while len(chosen) < n_sites:
+        best_pop = None
+        best_distance = -1.0
+        for pop in pops:
+            if pop in chosen:
+                continue
+            nearest = min(
+                haversine_km(topology.location(pop), topology.location(c))
+                for c in chosen
+            )
+            if nearest > best_distance:
+                best_distance = nearest
+                best_pop = pop
+        assert best_pop is not None  # n_sites <= len(pops) guarantees progress
+        chosen.append(best_pop)
+    return chosen
+
+
+def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
+    """Single-source costs from the heap Dijkstra over PoP-id-keyed dicts
+    that ``Topology.shortest_costs_from`` ran; unreachable PoPs are absent."""
+    dist: dict[str, float] = {source: 0.0}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    done: set[str] = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for nbr, cost in topology.neighbors(node).items():
+            nd = d + cost
+            if nd < dist.get(nbr, float("inf")):
+                dist[nbr] = nd
+                heapq.heappush(heap, (nd, nbr))
+    return dist

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core.problem import ForestProblem
 from repro.errors import SessionError
-from repro.session.capacity import UniformCapacityModel
+from repro.fov.camera import camera_ring
+from repro.session.capacity import HeterogeneousCapacityModel, UniformCapacityModel
 from repro.session.session import SessionConfig, TISession, build_session
+from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
+from repro.workload.spec import SubscriptionWorkload
+from tests.reference_paths import use_array_backend
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestBuildSession:
@@ -58,6 +70,20 @@ class TestBuildSession:
         for site in small_session.sites:
             assert all(camera.pose is not None for camera in site.cameras)
 
+    def test_equal_ring_sizes_share_equal_poses(self):
+        session = build_session(
+            load_backbone("synthetic-56"),
+            HeterogeneousCapacityModel(),
+            RngStream(7),
+            SessionConfig(n_sites=56, camera_ring_radius=2.5),
+        )
+        rings: dict[int, list] = {}
+        for site in session.sites:
+            poses = [camera.pose for camera in site.cameras]
+            assert poses == camera_ring(len(poses), radius=2.5)
+            assert poses == rings.setdefault(len(poses), poses)
+        assert len(rings) < session.n_sites
+
     def test_unknown_site_raises(self, small_session):
         with pytest.raises(SessionError):
             small_session.site(99)
@@ -86,3 +112,53 @@ class TestSessionValidation:
             SessionConfig(n_sites=0)
         with pytest.raises(SessionError):
             SessionConfig(displays_per_site=0)
+
+
+class TestCostRows:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("name", ["synthetic-24", "synthetic-130"])
+    def test_every_entry_is_a_plain_float(self, backend, name):
+        """Both the heap rows and, from 128 PoPs, the scipy rows."""
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        with use_array_backend(backend):
+            session = build_session(
+                load_backbone(name),
+                UniformCapacityModel(streams_per_site=2),
+                RngStream(5),
+                SessionConfig(n_sites=24),
+            )
+            workload = SubscriptionWorkload.from_site_sets(
+                24, {1: session.site(0).stream_ids}
+            )
+            problem = ForestProblem.from_workload(session, workload, 120.0)
+        for rows in (
+            session.dense_cost_matrix().rows(),
+            problem.dense_cost_matrix().rows(),
+        ):
+            assert len(rows) == 24
+            assert all(type(x) is float for row in rows for x in row)
+
+    def test_benchmark_sized_sessions_leave_scipy_unimported(self):
+        """Below 128 PoPs the shortest paths never reach for scipy."""
+        code = (
+            "import sys\n"
+            "from repro.session.capacity import UniformCapacityModel\n"
+            "from repro.session.session import SessionConfig, build_session\n"
+            "from repro.topology.backbone import load_backbone\n"
+            "from repro.util.rng import RngStream\n"
+            "for n in (56, 64, 96):\n"
+            "    build_session(load_backbone(f'synthetic-{n}'),\n"
+            "                  UniformCapacityModel(), RngStream(7),\n"
+            "                  SessionConfig(n_sites=n))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.errors import SimulationError
 from repro.pubsub.system import PubSubSystem
@@ -129,6 +130,62 @@ class TestStructuralViolations:
         assert violation.event == "probe"
         assert violation.time_ms == 42.0
         assert "probe" in violation.render()
+
+
+@pytest.fixture
+def chain_result():
+    """An rj build of s0^0 over 4 sites: edges 0->2->3, costs 0/50/100 ms.
+
+    ``c(0, 3)`` is over the 120 ms bound and site 0 relays one stream, so
+    3 joins below 2.
+    """
+    cost = {
+        0: {0: 0.0, 1: 10.0, 2: 50.0, 3: 130.0},
+        1: {0: 10.0, 1: 0.0, 2: 10.0, 3: 10.0},
+        2: {0: 50.0, 1: 10.0, 2: 0.0, 3: 50.0},
+        3: {0: 130.0, 1: 10.0, 2: 50.0, 3: 0.0},
+    }
+    problem = ForestProblem.from_tables(
+        cost, dict.fromkeys(range(4), 4), {0: 1, 1: 4, 2: 4, 3: 4},
+        {StreamId(0, 0): {2, 3}}, 120.0,
+    )
+    result = RandomJoinBuilder().build(problem, RngStream(0))
+    tree = result.forest.trees[StreamId(0, 0)]
+    assert tree.parent_map() == {2: 0, 3: 2}
+    assert tree.path_costs() == {0: 0.0, 2: 50.0, 3: 100.0}
+    return result
+
+
+class TestPathCosts:
+    """The cached source-to-node costs are checked, not taken on trust."""
+
+    def test_a_stale_cached_cost_is_reported(self, chain_result):
+        tree = chain_result.forest.trees[StreamId(0, 0)]
+        tree.path_costs()[3] = 1.0
+        chain_result.problem.set_cost(2, 3, 500.0)
+        found = InvariantAuditor().audit_build(chain_result)
+        assert [(v.invariant, v.detail) for v in found] == [
+            (
+                "path-cost",
+                "3: cached cost 1.0 != 50.0 + c(2, 3) 500.0 in tree s0^0",
+            )
+        ]
+
+    def test_a_missing_cached_cost_is_reported_not_raised(self, chain_result):
+        chain_result.forest.trees[StreamId(0, 0)].path_costs().pop(3)
+        found = InvariantAuditor().audit_build(chain_result)
+        assert [(v.invariant, v.detail) for v in found] == [
+            ("path-cost", "3 has no cached cost in tree s0^0")
+        ]
+
+    def test_a_matrix_edit_after_a_clean_audit_is_caught(self, chain_result):
+        auditor = InvariantAuditor()
+        assert auditor.audit_build(chain_result) == []
+        assert auditor.audit_build(chain_result) == []
+        chain_result.problem.set_cost(2, 3, 60.0)
+        found = auditor.audit_build(chain_result)
+        assert invariants_of(found) == {"path-cost"}
+        assert found == InvariantAuditor().audit_build(chain_result)
 
 
 @pytest.fixture
@@ -391,6 +448,22 @@ def poke_receiving(result, system):
     return "forwarding-table"
 
 
+def poke_path_cost(result, system):
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    member = next(n for n in tree.members() if n != tree.source)
+    tree._cost_from_source[member] += 1.0
+    return "path-cost"
+
+
+def poke_edge_cost(result, system):
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    member = next(n for n in tree.members() if n != tree.source)
+    parent = tree.parent(member)
+    problem = result.problem
+    problem.set_cost(parent, member, problem.edge_cost(parent, member) + 1.0)
+    return "path-cost"
+
+
 class TestTamperAfterACleanAudit:
     """The auditor that has seen the clean state is the one asked again.
 
@@ -407,6 +480,8 @@ class TestTamperAfterACleanAudit:
             poke_children_only_edge,
             poke_forwarding,
             poke_receiving,
+            poke_path_cost,
+            poke_edge_cost,
         ],
     )
     def test_caught_by_the_same_instance(self, round_state, small_session, poke):

@@ -87,6 +87,33 @@ class TestMeasure:
             assert "ImportError: broken export" in row["error"]
 
 
+class TestMain:
+    def test_sizes_pick_the_probed_site_counts(self, monkeypatch, capsys):
+        measured = []
+
+        def fake_measure(export, n):
+            measured.append(n)
+            return {name: {"s": 1.0, "counts": {"sites": n}} for name in ROW_NAMES}
+
+        monkeypatch.setattr(scale_probe, "measure", fake_measure)
+        assert scale_probe.main(["HEAD", "--sizes", "4096"]) == 0
+        assert measured == [4096] * scale_probe.PASSES
+        out = capsys.readouterr().out
+        assert "== session, N=4096, 4 passes ==" in out
+        assert "N=1024" not in out
+
+    def test_sizes_default_to_1024_and_4096(self, monkeypatch, capsys):
+        measured = []
+        monkeypatch.setattr(
+            scale_probe, "measure",
+            lambda export, n: measured.append(n) or {
+                name: {"s": 1.0, "counts": {}} for name in ROW_NAMES
+            },
+        )
+        scale_probe.main(["HEAD"])
+        assert measured == [1024, 4096] * scale_probe.PASSES
+
+
 class TestReport:
     def test_median_and_quartiles(self):
         runs = [{"build": {"s": s, "counts": {"requests": 9}}} for s in (3.0, 1.0, 2.0)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.topology.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
@@ -34,9 +36,15 @@ class TestHaversine:
         assert haversine_km(p, p) == pytest.approx(0.0)
 
     def test_symmetry(self):
-        a = GeoPoint(40.71, -74.01)
-        b = GeoPoint(51.51, -0.13)
-        assert haversine_km(a, b) == pytest.approx(haversine_km(b, a))
+        """Bit for bit: the synthetic backbone computes each pair once."""
+        draws = random.Random(11)
+        points = [
+            GeoPoint(draws.uniform(-90.0, 90.0), draws.uniform(-180.0, 180.0))
+            for _ in range(200)
+        ]
+        points += [GeoPoint(40.71, -74.01), GeoPoint(51.51, -0.13)]
+        for a, b in zip(points, points[1:]):
+            assert haversine_km(a, b) == haversine_km(b, a)
 
     def test_new_york_to_london(self):
         # Well-known great-circle distance ~5570 km.

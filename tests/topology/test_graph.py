@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology.backbone import load_backbone
 from repro.topology.geo import GeoPoint
 from repro.topology.graph import Link, Topology, TopologyStats
+from tests.reference_paths import dict_dijkstra
 
 
 def line_topology() -> Topology:
@@ -161,3 +163,39 @@ class TestStats:
         stats = TopologyStats.of(Topology())
         assert stats.pops == 0
         assert stats.links == 0
+
+
+ROW_TOPOLOGIES = ["tier1", "abilene"] + [
+    f"synthetic-{n}" for n in (*range(2, 41), 96, 130)
+]
+
+
+class TestShortestPathRows:
+    """The integer-indexed solve, the old dict Dijkstra and scipy agree."""
+
+    @pytest.mark.parametrize("name", ROW_TOPOLOGIES)
+    def test_rows_match_the_dict_dijkstra(self, name):
+        topo = load_backbone(name)
+        pops = topo.pop_ids
+        rows = topo.dense_cost_matrix().rows()
+        for pop, row in zip(pops, rows):
+            costs = dict_dijkstra(topo, pop)
+            assert row == [costs[other] for other in pops]
+            assert dict(topo.shortest_costs_from(pop)) == costs
+
+    @pytest.mark.parametrize("name", ROW_TOPOLOGIES)
+    def test_heap_and_scipy_rows_agree(self, name):
+        pytest.importorskip("scipy")
+        heap, bulk = load_backbone(name), load_backbone(name)
+        # Instance attributes shadow the class gate: one copy never takes
+        # the scipy path, the other always does.
+        heap._BULK_SSSP_MIN_POPS = 10**9
+        bulk._BULK_SSSP_MIN_POPS = 0
+        assert heap.dense_cost_matrix().rows() == bulk.dense_cost_matrix().rows()
+
+    def test_unreachable_pop_is_absent_and_has_no_matrix_entry(self):
+        topo = line_topology()
+        topo.add_pop("island", GeoPoint(5.0, 5.0))
+        assert "island" not in topo.shortest_costs_from("a")
+        with pytest.raises(TopologyError, match="no path from 'a' to 'island'"):
+            topo.dense_cost_matrix()

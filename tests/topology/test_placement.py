@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
+from repro.topology.backbone import load_backbone
 from repro.topology.geo import haversine_km
 from repro.topology.placement import place_sites
 from repro.util.rng import RngStream
+from tests.reference_paths import reference_farthest_point_sample
 
 
 class TestRandomPlacement:
@@ -103,3 +105,18 @@ class TestEdgeCases:
         )
         assert len(set(random_placed)) == 3
         assert len(set(spread_placed)) == 3
+
+
+class TestSpreadAgainstTheReferenceLoop:
+    @pytest.mark.parametrize(
+        "name", ["tier1", "synthetic-2", "synthetic-32", "synthetic-64"]
+    )
+    @pytest.mark.parametrize("seed", [None, 3, 8])
+    def test_identical_picks(self, name, seed):
+        topology = load_backbone(name)
+        for n_sites in sorted({1, 2, len(topology) // 2, len(topology)}):
+            fast = RngStream(seed) if seed is not None else None
+            slow = RngStream(seed) if seed is not None else None
+            assert place_sites(
+                topology, n_sites, rng=fast, strategy="spread"
+            ) == reference_farthest_point_sample(topology, n_sites, slow)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.topology.backbone import SYNTHETIC_BACKBONE_SEED
 from repro.topology.synthetic import SyntheticBackboneConfig, synthetic_backbone
 from repro.util.rng import RngStream
+from tests.reference_paths import reference_synthetic_backbone
 
 
 class TestConfig:
@@ -88,3 +90,33 @@ class TestGenerator:
             SyntheticBackboneConfig(n_pops=8), RngStream(2)
         )
         assert all("pop-" in pop for pop in topo.pop_ids)
+
+
+def generated(generator, n_pops: int, seed: int) -> tuple:
+    """Everything one generation decides, and the RNG's next draw after it."""
+    rng = RngStream(seed, label=f"synthetic-{n_pops}")
+    topology = generator(SyntheticBackboneConfig(n_pops=n_pops), rng)
+    pops = topology.pop_ids
+    return (
+        topology.name,
+        pops,
+        [topology.location(pop) for pop in pops],
+        [list(topology.neighbors(pop).items()) for pop in pops],
+        rng.random(),
+    )
+
+
+class TestAgainstTheReferenceGenerator:
+    """PoP ids, coordinates, links with their costs (in adjacency order)
+    and the RNG's state match the three-distances-a-pair generator."""
+
+    @pytest.mark.parametrize(
+        "n_pops",
+        [*range(2, 41), 56, 64, 96]
+        + [pytest.param(n, marks=pytest.mark.slow) for n in (128, 256, 1024)],
+    )
+    @pytest.mark.parametrize("seed", [SYNTHETIC_BACKBONE_SEED, 5])
+    def test_identical_backbone_and_draws(self, n_pops, seed):
+        assert generated(synthetic_backbone, n_pops, seed) == generated(
+            reference_synthetic_backbone, n_pops, seed
+        )
