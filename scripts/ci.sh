@@ -98,6 +98,25 @@ if [[ "${1:-}" == "--full" ]]; then
         --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0
 
     echo
+    echo "== server-crash gate: delta directives over async pushes and a warm restore =="
+    # --rebuild-policy incremental makes repair rounds ship delta
+    # directives; the summary is checked for repairs and a warm restore so
+    # the gate cannot silently run without either.
+    RESTART_OUT=$(python -m repro.cli scenario run server-restart-churn \
+        --sites 8 --seed 7 --rebuild-policy incremental --audit --strict \
+        --max-unrecovered 0 --max-unrecovered-reports 0)
+    echo "${RESTART_OUT}"
+    if ! grep -Eq '^overlay maintenance \[incremental\]: [1-9][0-9]* repairs' \
+        <<<"${RESTART_OUT}"; then
+        echo "ci.sh: delta-directive gate ran no repair rounds" >&2
+        exit 1
+    fi
+    if ! grep -Eq ' [1-9][0-9]* warm restores$' <<<"${RESTART_OUT}"; then
+        echo "ci.sh: delta-directive gate ran no warm restore" >&2
+        exit 1
+    fi
+
+    echo
     echo "== server-crash gate: outage inside a site partition window =="
     python -m repro.cli scenario run server-crash-partition-overlap --sites 8 \
         --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0

@@ -30,16 +30,26 @@ are tracked for reporting.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.errors import ProtocolError, SubscriptionError
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
+from repro.core.forest import MulticastTree
 from repro.core.incremental import IncrementalRepairer, RepairReport, churn_rate
 from repro.core.model import MulticastGroup
 from repro.core.problem import ForestProblem, ProblemDelta
-from repro.pubsub.messages import Advertisement, OverlayDirective, SiteSubscription
+from repro.pubsub.messages import (
+    Advertisement,
+    EdgeTable,
+    OverlayDirective,
+    RejectionTable,
+    SiteSubscription,
+    StreamIndex,
+)
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
@@ -67,17 +77,59 @@ def _edge_delta(
     return tuple(sorted(added)), tuple(sorted(removed))
 
 
-def _patched(edges: tuple, added: tuple, removed: tuple) -> tuple:
-    """The sorted edge tuple ``edges`` with ``removed`` out and ``added`` in."""
-    patched = list(edges)
+def _edge_table(trees: dict[StreamId, MulticastTree], index: StreamIndex) -> EdgeTable:
+    """``sorted(forest.edges())`` as a table on ``index``, read tree by
+    tree in stream order.  A tree's edges are ordered by parent, then
+    child, with two sorts of plain ints: by child, then stably by parent.
+    """
+    ordinal = index.ordinal
+    ordinals, parents, children = array("I"), array("I"), array("I")
+    for stream in sorted(trees):
+        parent = trees[stream].parent_map()
+        if parent:
+            kids = sorted(parent)
+            kids.sort(key=parent.__getitem__)
+            ordinals.extend(repeat(ordinal[stream], len(kids)))
+            parents.extend(map(parent.__getitem__, kids))
+            children.extend(kids)
+    return EdgeTable(index.streams, ordinals, parents, children)
+
+
+def _patched(
+    table: EdgeTable, added: tuple, removed: tuple, index: StreamIndex
+) -> EdgeTable:
+    """The sorted edge table ``table`` on ``index`` with ``removed`` out
+    and ``added`` in.
+
+    Every column of a sorted table is sorted within each run of equal
+    values in the one before it, so an edge is found by bisecting the
+    ordinals, then the parents, then the children.
+    """
+    ordinal = index.ordinal
+    ordinals, parents, children = table.columns()
+
+    def position(edge: tuple) -> tuple[int, int, int]:
+        """The ordinal of ``edge``'s stream, where the edge is or would go,
+        and the end of its (stream, parent) run."""
+        stream, parent, child = edge
+        key = ordinal.get(stream, -1)
+        lo = bisect_left(ordinals, key)
+        hi = bisect_right(ordinals, key, lo)
+        lo = bisect_left(parents, parent, lo, hi)
+        hi = bisect_right(parents, parent, lo, hi)
+        return key, bisect_left(children, child, lo, hi), hi
+
     for edge in removed:
-        index = bisect_left(patched, edge)
-        if index == len(patched) or patched[index] != edge:
+        _, row, end = position(edge)
+        if row == end or children[row] != edge[2]:
             raise ProtocolError(f"edge {edge} to remove was never dictated")
-        del patched[index]
+        del ordinals[row], parents[row], children[row]
     for edge in added:
-        insort(patched, edge)
-    return tuple(patched)
+        key, row, _ = position(edge)
+        ordinals.insert(row, key)
+        parents.insert(row, edge[1])
+        children.insert(row, edge[2])
+    return EdgeTable(index.streams, ordinals, parents, children)
 
 
 @dataclass(frozen=True)
@@ -87,7 +139,7 @@ class ServerCheckpoint:
     Everything a warm restart needs: the registrations (from which all
     derived indices are rebuilt), the epoch counter (so post-restart
     directives outrank what sites already installed), and the last
-    forest's edge summary.  Snapshots are plain immutable data — what a
+    forest's edge table.  Snapshots are plain immutable data — what a
     deployment would serialize to disk — taken periodically by the
     event-driven service when ``checkpoint_interval_ms`` is armed.
     """
@@ -95,8 +147,8 @@ class ServerCheckpoint:
     epoch: int
     advertised: tuple[tuple[int, tuple[StreamId, ...]], ...]
     subscriptions: tuple[tuple[int, tuple[StreamId, ...]], ...]
-    #: Edge summary of the last emitted forest (None before any round).
-    edges: tuple | None
+    #: Edge table of the last emitted forest (None before any round).
+    edges: EdgeTable | None
 
     @property
     def registered(self) -> int:
@@ -131,7 +183,7 @@ class MembershipServer:
     _epoch: int = 0
     _last_problem: ForestProblem | None = None
     _last_result: BuildResult | None = None
-    _last_edges: tuple | None = None
+    _last_edges: EdgeTable | None = None
     _repairs: int = 0
     _rebuilds: int = 0
     _assemblies_diffed: int = 0
@@ -151,6 +203,11 @@ class MembershipServer:
         self._repairer = IncrementalRepairer(
             policy=self.builder.parent_policy,
             use_swap=isinstance(self.builder, CorrelatedRandomJoinBuilder),
+        )
+        # Every directive's tables name a stream by its place in the
+        # session's sorted stream ids: one tuple, shared by all.
+        self._stream_index = StreamIndex.of(
+            descriptor.stream_id for descriptor in self.session.registry
         )
 
     # -- registration ------------------------------------------------------------
@@ -400,7 +457,7 @@ class MembershipServer:
         self._last_mode = mode
         self._last_result = result
         self._epoch += 1
-        rejected = tuple(result.rejected)
+        rejected = RejectionTable.of(result.rejected, self._stream_index)
         if mode == "repair":
             # The repairer left most of the forest in place — the trees
             # it did not rewrite are the previous round's objects and
@@ -410,7 +467,9 @@ class MembershipServer:
             self._repairs += 1
             self._last_disruption = repair.disruption
             added, removed = _edge_delta(previous, result, repair.rewritten)
-            edges = self._last_edges = _patched(self._last_edges, added, removed)
+            edges = self._last_edges = _patched(
+                self._last_edges, added, removed, self._stream_index
+            )
             return OverlayDirective(
                 epoch=self._epoch,
                 edges=edges,
@@ -423,7 +482,9 @@ class MembershipServer:
         self._last_disruption = (
             churn_rate(previous, result) if previous is not None else None
         )
-        edges = self._last_edges = tuple(sorted(result.forest.edges()))
+        edges = self._last_edges = _edge_table(
+            result.forest.trees, self._stream_index
+        )
         return OverlayDirective(epoch=self._epoch, edges=edges, rejected=rejected)
 
     def _assemble_problem(self) -> ForestProblem:

@@ -23,12 +23,23 @@ incremental repairer, the directive names the edge adds/removes against
 the previous epoch (``base_epoch``/``added``/``removed``) — the wire
 payload a deployment would ship — while ``edges`` keeps the full
 authoritative set for auditing and for RPs that missed an epoch.
+
+A directive's ``edges`` and ``rejected`` are flat tables
+(:class:`EdgeTable`, :class:`RejectionTable`): integer columns in
+``bytes`` plus one tuple of the :class:`StreamId` objects they name.
+Drivers keep every directive, and a tuple per edge would stay tracked by
+the garbage collector for good; a table is a fixed number of tracked
+objects at any size.  Each reads, prints, compares and hashes as the
+tuple it replaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from repro.errors import ProtocolError
 from repro.core.model import RejectionReason, SubscriptionRequest
@@ -77,6 +88,265 @@ class Advertisement:
 #: One relay edge on the wire: (stream, parent site, child site).
 Edge = tuple[StreamId, int, int]
 
+#: Every table column packs unsigned C ints; a site field must fit one.
+_COLUMN = "I"
+_WIDTH = array(_COLUMN).itemsize
+_FIELD_MAX = (1 << 8 * _WIDTH) - 1
+_REASONS = tuple(RejectionReason)
+_REASON_INDEX = {reason: index for index, reason in enumerate(_REASONS)}
+
+
+def _view(column: bytes) -> memoryview:
+    """``column`` read as the unsigned ints it packs."""
+    return memoryview(column).cast(_COLUMN)
+
+
+class StreamIndex(NamedTuple):
+    """Sorted stream ids and each one's place in them: what a table's
+    stream ordinals index.  The membership server keeps one for the
+    session's streams, so every table it emits shares one tuple."""
+
+    streams: tuple[StreamId, ...]
+    ordinal: dict[StreamId, int]
+
+    @classmethod
+    def of(cls, streams: Iterable[StreamId]) -> "StreamIndex":
+        """The index of the distinct ``streams``."""
+        ordered = tuple(sorted(set(streams)))
+        return cls(ordered, {stream: place for place, stream in enumerate(ordered)})
+
+
+def _checked_edge(edge, ordinal: dict[StreamId, int] | None) -> Edge:
+    """``edge`` as ``(stream, parent, child)``, or a :class:`ProtocolError`
+    naming it; with ``ordinal``, its stream must be one of those."""
+    try:
+        stream, parent, child = edge
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"malformed edge {edge!r}: not (stream, parent, child)"
+        ) from None
+    if not isinstance(stream, StreamId):
+        problem = f"{stream!r} is not a stream id"
+    elif ordinal is not None and stream not in ordinal:
+        problem = f"stream {stream} is not indexed"
+    elif not all(
+        isinstance(site, int) and 0 <= site <= _FIELD_MAX for site in (parent, child)
+    ):
+        problem = f"a site outside 0..{_FIELD_MAX}"
+    elif parent == child:
+        problem = f"self-loop at site {parent}"
+    else:
+        return stream, parent, child
+    raise ProtocolError(f"malformed edge {edge!r}: {problem}")
+
+
+class _Table(Sequence):
+    """What a directive table shares with the tuple of its rows.
+
+    A table holds ``streams`` and ``bytes`` columns (:meth:`_raw`) and
+    decodes rows on the way out (``__iter__``, :meth:`_row`); length,
+    indexing, slicing, ``==``, ``hash``, ``+`` and ``repr`` answer what
+    the tuple of those rows answers.
+    """
+
+    __slots__ = ()
+    streams: tuple[StreamId, ...]
+
+    def _raw(self) -> tuple[bytes, ...]:
+        raise NotImplementedError
+
+    def _row(self, index: int) -> tuple:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._raw()[0]) // _WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return self._row(index)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Table):
+            if type(other) is type(self) and other.streams == self.streams:
+                return other._raw() == self._raw()
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, _Table)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class EdgeTable(_Table):
+    """A directive's relay edges, read as the tuple of :data:`Edge`.
+
+    Row ``r`` is ``(streams[ordinals[r]], parents[r], children[r])``,
+    where ``streams`` is a :class:`StreamIndex`'s sorted tuple, so the
+    rows of a sorted edge sequence have sorted columns and a position
+    can be found with :mod:`bisect` on them (:meth:`columns`).  Decoded
+    edges hold the ``streams`` objects themselves; none is built per
+    edge.
+    """
+
+    __slots__ = ("streams", "_ordinals", "_parents", "_children")
+
+    def __init__(
+        self, streams: tuple[StreamId, ...], ordinals, parents, children
+    ) -> None:
+        """Wrap columns (buffers of unsigned C ints) as they are; to
+        encode edges, use :meth:`of`."""
+        self.streams = streams
+        self._ordinals = bytes(ordinals)
+        self._parents = bytes(parents)
+        self._children = bytes(children)
+
+    @classmethod
+    def of(
+        cls, edges: Iterable[Edge], index: StreamIndex | None = None
+    ) -> "EdgeTable":
+        """Encode ``edges`` in their order, duplicates kept, on ``index``
+        (by default, the index of the streams they name).
+
+        Raises
+        ------
+        ProtocolError
+            Naming the first edge that is not ``(StreamId, parent,
+            child)`` with an indexed stream and two distinct sites that
+            fit a column.
+        """
+        known = None if index is None else index.ordinal
+        rows = [_checked_edge(edge, known) for edge in edges]
+        if index is None:
+            index = StreamIndex.of(stream for stream, _, _ in rows)
+        ordinal = index.ordinal
+        return cls(
+            index.streams,
+            array(_COLUMN, [ordinal[stream] for stream, _, _ in rows]),
+            array(_COLUMN, [parent for _, parent, _ in rows]),
+            array(_COLUMN, [child for _, _, child in rows]),
+        )
+
+    def _raw(self) -> tuple[bytes, ...]:
+        return self._ordinals, self._parents, self._children
+
+    def _row(self, index: int) -> Edge:
+        return (
+            self.streams[_view(self._ordinals)[index]],
+            _view(self._parents)[index],
+            _view(self._children)[index],
+        )
+
+    def __iter__(self) -> Iterator[Edge]:
+        return zip(
+            map(self.streams.__getitem__, _view(self._ordinals)),
+            _view(self._parents),
+            _view(self._children),
+        )
+
+    def rows(self) -> Iterator[tuple[int, int, int]]:
+        """``(ordinal, parent, child)`` per edge, in order, where
+        ``streams[ordinal]`` is the edge's stream."""
+        return zip(*map(_view, self._raw()))
+
+    def columns(self) -> tuple[array, array, array]:
+        """Mutable copies of the ordinal, parent and child columns."""
+        copies = array(_COLUMN), array(_COLUMN), array(_COLUMN)
+        for copy, column in zip(copies, self._raw()):
+            copy.frombytes(column)
+        return copies
+
+
+class RejectionTable(_Table):
+    """A directive's rejected requests, read as the tuple of
+    ``(SubscriptionRequest, RejectionReason)`` pairs.
+
+    Row ``r`` is ``(SubscriptionRequest(subscribers[r],
+    streams[ordinals[r]]), RejectionReason member reasons[r])``;
+    ``streams`` is a :class:`StreamIndex`'s, as for :class:`EdgeTable`.
+    """
+
+    __slots__ = ("streams", "_subscribers", "_ordinals", "_reasons")
+
+    def __init__(
+        self, streams: tuple[StreamId, ...], subscribers, ordinals, reasons
+    ) -> None:
+        self.streams = streams
+        self._subscribers = bytes(subscribers)
+        self._ordinals = bytes(ordinals)
+        self._reasons = bytes(reasons)
+
+    @classmethod
+    def of(
+        cls,
+        rejected: Iterable[tuple[SubscriptionRequest, RejectionReason]],
+        index: StreamIndex | None = None,
+    ) -> "RejectionTable":
+        """Encode ``rejected`` in its order, duplicates kept, on ``index``
+        (by default, the index of the streams it names); an entry that is
+        not a (request, reason) pair on an indexed stream is a
+        :class:`ProtocolError`."""
+        rows = list(rejected)
+        for entry in rows:
+            try:
+                request, reason = entry
+            except (TypeError, ValueError):
+                request = reason = None
+            if not (
+                isinstance(request, SubscriptionRequest)
+                and isinstance(reason, RejectionReason)
+                and request.subscriber <= _FIELD_MAX
+                and (index is None or request.stream in index.ordinal)
+            ):
+                raise ProtocolError(
+                    f"malformed rejection {entry!r}: not (request, reason) "
+                    "on an indexed stream"
+                )
+        if index is None:
+            index = StreamIndex.of(request.stream for request, _ in rows)
+        ordinal = index.ordinal
+        return cls(
+            index.streams,
+            array(_COLUMN, [request.subscriber for request, _ in rows]),
+            array(_COLUMN, [ordinal[request.stream] for request, _ in rows]),
+            array(_COLUMN, [_REASON_INDEX[reason] for _, reason in rows]),
+        )
+
+    def _raw(self) -> tuple[bytes, ...]:
+        return self._subscribers, self._ordinals, self._reasons
+
+    def _row(self, index: int) -> tuple[SubscriptionRequest, RejectionReason]:
+        fields = (
+            _view(self._subscribers)[index],
+            self.streams[_view(self._ordinals)[index]],
+        )
+        return (
+            tuple.__new__(SubscriptionRequest, fields),
+            _REASONS[_view(self._reasons)[index]],
+        )
+
+    def __iter__(self) -> Iterator[tuple[SubscriptionRequest, RejectionReason]]:
+        # Rows were validated as requests when encoded: rebuild them
+        # without re-running the constructor's checks.
+        requests = map(
+            tuple.__new__,
+            repeat(SubscriptionRequest),
+            zip(
+                _view(self._subscribers),
+                map(self.streams.__getitem__, _view(self._ordinals)),
+            ),
+        )
+        return zip(requests, map(_REASONS.__getitem__, _view(self._reasons)))
+
 
 @dataclass(frozen=True)
 class OverlayDirective:
@@ -87,11 +357,14 @@ class OverlayDirective:
     epoch:
         Monotonic control-round counter.
     edges:
-        All relay edges as (stream, parent site, child site).  Always
-        the full authoritative set, even for delta directives — the
-        invariant auditor and gap-recovering RPs consume it.
+        All relay edges as (stream, parent site, child site), in an
+        :class:`EdgeTable` (any iterable of edges given is encoded into
+        one).  Always the full authoritative set, even for delta
+        directives — the invariant auditor and gap-recovering RPs
+        consume it.
     rejected:
-        Requests the overlay could not satisfy, with reasons.
+        Requests the overlay could not satisfy, with reasons, in a
+        :class:`RejectionTable` (encoded like ``edges``).
     base_epoch:
         For a delta directive, the epoch the delta applies against
         (``None`` for a full directive).  Rounds served by the
@@ -100,14 +373,13 @@ class OverlayDirective:
         anyone with an epoch gap falls back to ``edges``.
     added / removed:
         The edge delta against ``base_epoch`` (empty for full
-        directives).
+        directives): plain tuples of edges, small and walked by every
+        RP.
     """
 
     epoch: int
-    edges: tuple[Edge, ...]
-    rejected: tuple[tuple[SubscriptionRequest, RejectionReason], ...] = field(
-        default_factory=tuple
-    )
+    edges: EdgeTable
+    rejected: RejectionTable = ()
     base_epoch: int | None = None
     added: tuple[Edge, ...] = ()
     removed: tuple[Edge, ...] = ()
@@ -120,6 +392,10 @@ class OverlayDirective:
             )
         if self.base_epoch is None and (self.added or self.removed):
             raise ProtocolError("edge delta without a base epoch")
+        if not isinstance(self.edges, EdgeTable):
+            object.__setattr__(self, "edges", EdgeTable.of(self.edges))
+        if not isinstance(self.rejected, RejectionTable):
+            object.__setattr__(self, "rejected", RejectionTable.of(self.rejected))
 
     @property
     def is_delta(self) -> bool:

@@ -10,6 +10,7 @@ forwarding table — which the data-plane simulator then executes.
 from __future__ import annotations
 
 from bisect import insort
+from collections import defaultdict
 
 from repro.errors import ProtocolError
 from repro.pubsub.messages import (
@@ -22,19 +23,28 @@ from repro.session.entities import Site
 from repro.session.streams import StreamId
 
 
-def _index(directive: OverlayDirective) -> tuple[dict, dict]:
+def _index(directive: OverlayDirective) -> tuple[tuple, dict, dict]:
     """Per site, the forwarding and receiving tables of ``directive``, from
-    one pass over its edges (child lists and stream keys in edge order).
+    one pass over its edge rows (child lists and stream keys in edge order),
+    with streams as ordinals into the returned ``directive.edges.streams``.
     A stream delivered to one site twice makes the directive malformed."""
-    forwarding: dict[int, dict[StreamId, list[int]]] = {}
-    receiving: dict[int, set[StreamId]] = {}
-    for stream, parent, child in directive.edges:
-        received = receiving.setdefault(child, set())
-        if stream in received:
-            raise ProtocolError(f"directive delivers {stream} to site {child} twice")
-        received.add(stream)
-        forwarding.setdefault(parent, {}).setdefault(stream, []).append(child)
-    return forwarding, receiving
+    edges = directive.edges
+    forwarding: dict[int, dict[int, list[int]]] = defaultdict(dict)
+    receiving: dict[int, set[int]] = defaultdict(set)
+    for ordinal, parent, child in edges.rows():
+        received = receiving[child]
+        if ordinal in received:
+            raise ProtocolError(
+                f"directive delivers {edges.streams[ordinal]} to site {child} twice"
+            )
+        received.add(ordinal)
+        table = forwarding[parent]
+        children = table.get(ordinal)
+        if children is None:
+            table[ordinal] = [child]
+        else:
+            children.append(child)
+    return edges.streams, forwarding, receiving
 
 
 class RPAgent:
@@ -43,7 +53,10 @@ class RPAgent:
     #: The directive indexed last (held, so ``is`` cannot match a newer one
     #: at a reused address) and its tables: one slot for the class, not
     #: one per directive, since drivers retain every directive.
-    _indexed: tuple[OverlayDirective | None, tuple[dict, dict]] = (None, ({}, {}))
+    _indexed: tuple[OverlayDirective | None, tuple[tuple, dict, dict]] = (
+        None,
+        ((), {}, {}),
+    )
 
     def __init__(self, site: Site) -> None:
         self.site = site
@@ -140,16 +153,17 @@ class RPAgent:
         if not supersede and directive.is_delta and directive.base_epoch == self._epoch:
             self._apply_delta(directive)
         else:
-            indexed, (forwarding, receiving) = RPAgent._indexed
+            indexed, (streams, forwarding, receiving) = RPAgent._indexed
             if indexed is not directive:
-                forwarding, receiving = _index(directive)
-                RPAgent._indexed = (directive, (forwarding, receiving))
+                streams, forwarding, receiving = _index(directive)
+                RPAgent._indexed = (directive, (streams, forwarding, receiving))
             # Copies: the delta path patches the tables in place.
             me = self.site.index
             self._forwarding = {
-                stream: list(kids) for stream, kids in forwarding.get(me, {}).items()
+                streams[ordinal]: list(kids)
+                for ordinal, kids in forwarding.get(me, {}).items()
             }
-            self._receiving = set(receiving.get(me, ()))
+            self._receiving = set(map(streams.__getitem__, receiving.get(me, ())))
         self._epoch = directive.epoch
 
     def _apply_delta(self, directive: OverlayDirective) -> None:

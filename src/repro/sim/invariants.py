@@ -66,7 +66,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from operator import eq
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.base import BuildResult
 from repro.core.forest import MulticastTree, OverlayForest
@@ -537,41 +538,46 @@ class InvariantAuditor:
         """Pub-sub membership ↔ forest consistency.
 
         ``edges`` is ``sorted(forest.edges())`` from the structure pass.
+        The directive's edge table is decoded once, compared edge by edge
+        with ``edges``; when they are equal every later check walks the
+        tuples of ``edges`` instead.
         """
         found: list[Violation] = []
         self.checks_run += 1
-        if list(directive.edges) == edges:
-            directive_edges: Collection[Edge] = edges
+        if len(directive.edges) == len(edges) and all(
+            map(eq, directive.edges, edges)
+        ):
+            directive_edges = distinct = edges
         else:
             # Not the same sorted list: name what differs, if anything does.
-            forest_edges = set(edges)
-            directive_edges = set(directive.edges)
-            for edge in forest_edges - directive_edges:
+            directive_edges = list(directive.edges)
+            forest_edges, distinct = set(edges), set(directive_edges)
+            for edge in forest_edges - distinct:
                 found.append(
                     Violation(
                         "directive-fidelity", f"forest edge {edge} not dictated"
                     )
                 )
-            for edge in directive_edges - forest_edges:
+            for edge in distinct - forest_edges:
                 found.append(
                     Violation("directive-fidelity", f"phantom directive edge {edge}")
                 )
         # Delivery only to requesters: each receiving site asked for the stream.
-        self.checks_run += len(directive_edges)
+        self.checks_run += len(distinct)
         subscribers = {
             group.stream: group.subscribers for group in result.problem.groups
         }
         nobody: frozenset[int] = frozenset()
         if not all(
             child in subscribers.get(stream, nobody)
-            for stream, _, child in directive_edges
+            for stream, _, child in distinct
         ):
             requested = {
                 (member, group.stream)
                 for group in result.problem.groups
                 for member in group.subscribers
             }
-            for stream, _, child in set(directive.edges):
+            for stream, _, child in set(directive_edges):
                 if (child, stream) not in requested:
                     found.append(
                         Violation(
@@ -583,7 +589,7 @@ class InvariantAuditor:
         # pass over its edges: not the RP agents' index, which it checks.
         forwarding: dict[int, dict] = {}
         receiving: dict[int, set] = {}
-        for stream, parent, child in directive.edges:
+        for stream, parent, child in directive_edges:
             forwarding.setdefault(parent, {}).setdefault(stream, []).append(child)
             receiving.setdefault(child, set()).add(stream)
         for site in sorted(active):

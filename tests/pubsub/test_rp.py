@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.pubsub.messages import (
     DisplaySubscription,
+    EdgeTable,
     OverlayDirective,
     SiteSubscription,
 )
@@ -356,6 +358,25 @@ class TestOnePassInstall:
             agent = RPAgent(_site(site))
             agent.apply_directive(directive)
             assert_oracle_tables(agent, directive)
+
+    @settings(max_examples=150, deadline=None)
+    @given(directive=directives())
+    def test_the_edge_table_is_the_tuple_it_replaces(self, directive):
+        """Re-encoded, hashed, printed and installed, the directive's
+        edge table is the plain tuple of its edges: every site's full
+        install is the slice a scan of that tuple gives."""
+        edges = tuple(directive.edges)
+        assert directive.edges == edges and edges == directive.edges
+        assert hash(directive.edges) == hash(edges)
+        assert repr(directive.edges) == repr(edges)
+        assert EdgeTable.of(edges) == directive.edges
+        plain = SimpleNamespace(edges=edges)
+        for site in range(N_SITES):
+            agent = RPAgent(_site(site))
+            agent.apply_directive(directive)
+            forwarding, receiving = installed_tables(plain, site)
+            assert list(agent.forwarding_table().items()) == list(forwarding.items())
+            assert agent.receiving_set() == receiving
 
     @settings(max_examples=60, deadline=None)
     @given(first=directives(), second=directives())
