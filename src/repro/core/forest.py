@@ -231,14 +231,6 @@ class OverlayForest:
         """Total in-degree of ``node`` across all trees."""
         return sum(1 for _, _, child in self.edges() if child == node)
 
-    def relay_degree(self, node: int) -> int:
-        """Out-edges of ``node`` carrying streams that originate elsewhere."""
-        return sum(
-            1
-            for stream, parent, _ in self.edges()
-            if parent == node and stream.site != node
-        )
-
     def validate(self) -> None:
         """Validate every tree's structural invariants."""
         for tree in self.trees.values():

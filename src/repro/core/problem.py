@@ -65,11 +65,6 @@ class ProblemDelta:
         """True when the two workloads produced identical groups."""
         return not (self.added or self.removed or self.changed)
 
-    @property
-    def touched_groups(self) -> int:
-        """How many groups the delta patches (reporting/diagnostics)."""
-        return len(self.added) + len(self.removed) + len(self.changed)
-
     @classmethod
     def between(
         cls,

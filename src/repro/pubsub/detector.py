@@ -73,10 +73,6 @@ class DeadlineDetector:
         """Drop every peer's history (server crash: soft state is gone)."""
         self._last_arrival.clear()
 
-    def known(self, peer: int) -> bool:
-        """True once ``peer`` has been heard from at least once."""
-        return peer in self._last_arrival
-
     def suspect(self, peer: int, now: float) -> bool:
         """True when a known ``peer`` has been silent past the deadline."""
         last = self._last_arrival.get(peer)
@@ -160,19 +156,20 @@ class PhiAccrualDetector:
         part of the cadence (reports, acks) — those would otherwise
         pollute the distribution with near-zero intervals.
         """
-        if peer not in self._last_arrival:
+        # A peer with a last beat has a last arrival too, so one lookup
+        # settles the common case, a peer that is already beating.
+        last_beat = self._last_beat.get(peer)
+        if last_beat is not None:
+            interval = now - last_beat
+            if interval > 0:
+                self._samples[peer].append(interval)
+                self._stats.pop(peer, None)
+        elif peer not in self._last_arrival:
             # First contact: seed the window with the configured prior
             # so phi is defined immediately.
             self._samples[peer] = deque(
                 [self.initial_interval_ms], maxlen=self.window
             )
-        else:
-            last_beat = self._last_beat.get(peer)
-            if last_beat is not None:
-                interval = now - last_beat
-                if interval > 0:
-                    self._samples[peer].append(interval)
-                    self._stats.pop(peer, None)
         self._last_beat[peer] = now
         self._last_arrival[peer] = now
 
@@ -202,10 +199,6 @@ class PhiAccrualDetector:
         self._last_arrival.clear()
         self._last_beat.clear()
         self._stats.clear()
-
-    def known(self, peer: int) -> bool:
-        """True once ``peer`` has been observed at least once."""
-        return peer in self._last_arrival
 
     # -- scoring -------------------------------------------------------------------
 
@@ -240,5 +233,12 @@ class PhiAccrualDetector:
         return -math.log10(max(p_later, _MIN_P_LATER))
 
     def suspect(self, peer: int, now: float) -> bool:
-        """True when ``peer``'s silence has become implausible."""
+        """True when ``peer``'s silence has become implausible.
+
+        Inside the grace window phi is exactly 0, below any threshold,
+        so a peer heard from that recently is cleared unscored.
+        """
+        last = self._last_arrival.get(peer)
+        if last is None or now - last <= self.acceptable_pause_ms:
+            return False
         return self.phi(peer, now) > self.threshold

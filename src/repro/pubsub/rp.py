@@ -225,22 +225,6 @@ class RPAgent:
         """Children sites this RP must relay ``stream`` to."""
         return list(self._forwarding.get(stream, []))
 
-    def is_receiving(self, stream: StreamId) -> bool:
-        """True when some tree edge delivers ``stream`` to this site."""
-        return stream in self._receiving
-
-    def received_streams(self) -> set[StreamId]:
-        """All streams delivered to this site by the current overlay."""
-        return set(self._receiving)
-
-    def displays_for(self, stream: StreamId) -> list[str]:
-        """Local displays whose subscription includes ``stream``."""
-        return [
-            display_id
-            for display_id, streams in self._display_subs.items()
-            if stream in streams
-        ]
-
     def satisfied_fraction(self) -> float:
         """Fraction of this site's aggregated subscription actually arriving."""
         wanted = set(self.aggregate_subscription().streams)

@@ -618,12 +618,6 @@ class MembershipService:
 
     # -- message propagation -------------------------------------------------------
 
-    def delay_for(self, site: int) -> float:
-        """One-way control-link delay for ``site`` (read at send time)."""
-        if self.site_delays is not None and site in self.site_delays:
-            return self.site_delays[site]
-        return self.control_delay_ms
-
     def _site_epoch(self, site: int) -> int:
         rp = self.rps.get(site)
         return rp.epoch if rp is not None else -1
@@ -644,10 +638,14 @@ class MembershipService:
         args: tuple | None = None,
     ) -> None:
         """Put one message on ``site``'s control link, either direction:
-        it lands as ``deliver(*args)``, by default ``deliver(message)``."""
+        it lands as ``deliver(*args)``, by default ``deliver(message)``,
+        after the site's one-way delay as it reads at send time."""
+        delay_ms = self.control_delay_ms
+        if self.site_delays is not None:
+            delay_ms = self.site_delays.get(site, delay_ms)
         self.link.transmit(
             site,
-            self.delay_for(site),
+            delay_ms,
             deliver,
             kind,
             message,
@@ -699,9 +697,6 @@ class MembershipService:
         if self._server_down:
             # Dead process: the message crossed the link into nothing.
             self.messages_lost_to_outage += 1
-            return
-        if isinstance(message, Heartbeat):
-            self._receive_heartbeat(message)
             return
         site: int = message.site  # type: ignore[attr-defined]
         kind = _kind_of(message)
@@ -829,23 +824,27 @@ class MembershipService:
         if site not in self._live or self._quiesced:
             return
         self.heartbeats_sent += 1
-        message = Heartbeat(self.sim.now, self._site_epoch(site), site)
-        self._transmit(site, self._receive, "heartbeat", message)
+        rp = self.rps.get(site)
+        message = Heartbeat(self.sim.now, -1 if rp is None else rp.epoch, site)
+        self._transmit(site, self._receive_heartbeat, "heartbeat", message)
 
     def _receive_heartbeat(self, message: Heartbeat) -> None:
+        """Server-side arrival of one heartbeat."""
+        if self._server_down:
+            self.messages_lost_to_outage += 1
+            return
         site = message.site
+        now = self.sim.now
         self.heartbeats_received += 1
         self.server.ensure_epoch_floor(message.epoch)
-        self._site_detector.observe(site, self.sim.now)
+        self._site_detector.observe(site, now)
         if self.server_failover:
             # Answer every beat: the stream of these acks is what the
             # site's server-suspicion detector scores, and the
             # incarnation stamp is how a site first learns the server
             # came back.  Fire-and-forget — the next beat provokes the
             # next ack.
-            ack = HeartbeatAck(
-                self.sim.now, -1, site, incarnation=self.incarnation
-            )
+            ack = HeartbeatAck(now, -1, site, 0, self.incarnation)
             self._transmit(site, self._receive_heartbeat_ack, "heartbeat-ack", ack)
         if not self.server.is_registered(site):
             # A zombie: alive enough to beat, but the server forgot it
@@ -854,7 +853,7 @@ class MembershipService:
             # and the next beat re-provokes it if this copy drops.
             self.rejoin_requests += 1
             request = RejoinRequest(
-                sent_ms=self.sim.now,
+                sent_ms=now,
                 epoch=-1,
                 site=site,
                 incarnation=self.incarnation,
@@ -863,7 +862,16 @@ class MembershipService:
 
     def _receive_heartbeat_ack(self, ack: HeartbeatAck) -> None:
         """Site-side arrival of a heartbeat response (failover mode)."""
-        self._note_server_contact(ack.site, ack.incarnation, beat=True)
+        site = ack.site
+        if (
+            ack.incarnation == self._known_incarnation.get(site, 1)
+            and site not in self._suspecting
+        ):
+            # The common case: the contact changes nothing but the
+            # score, which is all _note_server_contact would do here.
+            self._server_detector.observe(site, self.sim.now)
+            return
+        self._note_server_contact(site, ack.incarnation, beat=True)
 
     def _receive_rejoin(self, request: RejoinRequest) -> None:
         """Site-side arrival of a rejoin request: re-announce if alive."""
@@ -881,8 +889,9 @@ class MembershipService:
     def _detect(self) -> None:
         """Recurring server-side sweep: suspect silent registered sites."""
         now = self.sim.now
+        suspect = self._site_detector.suspect
         for site in self.server.registered_sites():
-            if self._site_detector.suspect(site, now):
+            if suspect(site, now):
                 self._suspect(site)
 
     def _suspect(self, site: int) -> None:
@@ -1030,12 +1039,12 @@ class MembershipService:
     def _client_detect(self) -> None:
         """Recurring site-side sweep: suspect a silent server (failover mode)."""
         now = self.sim.now
+        suspect = self._server_detector.suspect
         for site in sorted(self._live):
             if site in self._suspecting:
                 continue
-            if not self._server_detector.known(site):
-                continue  # never heard from the server: nothing to score
-            if self._server_detector.suspect(site, now):
+            # A site that never heard from the server is not suspected.
+            if suspect(site, now):
                 self._suspect_server(site)
 
     def _suspect_server(self, site: int) -> None:

@@ -108,12 +108,6 @@ class TISession:
             raise SessionError(f"no cost entry for sites {a}->{b}")
         return self._dense_costs.edge_cost(a, b)
 
-    def cost_matrix(self) -> dict[int, dict[int, float]]:
-        """A copy of the site-indexed latency matrix (built on demand)."""
-        rows = self._dense_costs.rows()
-        n = len(self.sites)
-        return {a: {b: rows[a][b] for b in range(n)} for a in range(n)}
-
     def dense_cost_matrix(self) -> DenseCostMatrix:
         """The shared site-indexed dense latency matrix (read-only)."""
         return self._dense_costs

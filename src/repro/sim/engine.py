@@ -17,6 +17,7 @@ on cancellation to stop a backoff chain the moment its ack lands.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -65,7 +66,7 @@ class Timer:
         self.fired += 1
         self._callback(*self._args)
         if self.interval_ms is not None and not self._cancelled:
-            self._sim.schedule_in(self.interval_ms, self._fire)
+            self._sim.schedule_args(self.interval_ms, self._fire, ())
 
 
 class Simulator:
@@ -75,7 +76,6 @@ class Simulator:
         self._now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._processed = 0
         self._running = False
 
     @property
@@ -85,8 +85,9 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
+        """Number of events popped so far: every event ever scheduled
+        that is no longer queued, also one whose callback raised."""
+        return self._sequence - len(self._queue)
 
     @property
     def pending_events(self) -> int:
@@ -104,6 +105,13 @@ class Simulator:
 
     def schedule_in(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` after ``delay_ms`` from now."""
+        self.schedule_args(delay_ms, callback, args)
+
+    def schedule_args(
+        self, delay_ms: float, callback: Callable[..., None], args: tuple
+    ) -> None:
+        """:meth:`schedule_in` for a caller that already holds the
+        arguments as one tuple: it is queued as is."""
         if not delay_ms >= 0:  # NaN-safe
             raise SimulationError(f"negative delay or NaN: {delay_ms}")
         # Pushed here, not through schedule_at: now + delay >= now.
@@ -145,27 +153,30 @@ class Simulator:
             Stop once the next event lies strictly beyond this time
             (the event stays queued).  None drains everything.
         max_events:
-            Runaway guard; exceeding it raises :class:`SimulationError`.
+            Runaway guard: after ``max_events`` callbacks, a further
+            event that is due raises :class:`SimulationError` and stays
+            queued.
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
         if until_ms is not None and until_ms != until_ms:
             raise SimulationError(f"cannot run until NaN: {until_ms}")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = math.inf if until_ms is None else until_ms
         executed = 0
         try:
-            while self._queue:
-                if until_ms is not None and self._queue[0][0] > until_ms:
-                    break
-                time_ms, _, callback, args = heapq.heappop(self._queue)
-                self._now = time_ms
-                callback(*args)
-                executed += 1
-                self._processed += 1
-                if executed > max_events:
+            while queue and queue[0][0] <= horizon:
+                if executed >= max_events:
                     raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
+                        f"max_events={max_events} run with events still due; "
+                        "runaway simulation?"
                     )
+                time_ms, _, callback, args = pop(queue)
+                self._now = time_ms
+                executed += 1
+                callback(*args)
             if until_ms is not None and until_ms > self._now:
                 self._now = until_ms
         finally:

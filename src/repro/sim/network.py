@@ -70,7 +70,7 @@ class SeededLink:
         if jitter > 0:
             delay_ms += jitter * rng.random()
         self.delivered += 1
-        self.simulator.schedule_in(delay_ms, callback, *args)
+        self.simulator.schedule_args(delay_ms, callback, args)
         if self.duplicate_probability > 0 and rng.random() < self.duplicate_probability:
             # The copy rides behind the original: same deterministic
             # delay plus its own jitter, and even at zero jitter the
@@ -79,7 +79,7 @@ class SeededLink:
                 delay_ms += jitter * rng.random()
             self.duplicated += 1
             self.delivered += 1
-            self.simulator.schedule_in(delay_ms, callback, *args)
+            self.simulator.schedule_args(delay_ms, callback, args)
         return True
 
 

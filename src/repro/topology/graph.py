@@ -208,16 +208,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no path from {a!r} to {b!r}") from None
 
-    def cost_matrix(self, pops: Iterable[str] | None = None) -> dict[str, dict[str, float]]:
-        """Dense pairwise latency matrix restricted to ``pops``.
-
-        A symmetric mapping ``matrix[a][b] -> ms`` over the selected
-        PoPs: :meth:`dense_cost_matrix` keyed by PoP id.
-        """
-        dense = self.dense_cost_matrix(pops)
-        labels = dense.labels
-        return {a: dict(zip(labels, row)) for a, row in zip(labels, dense.rows())}
-
     def dense_cost_matrix(
         self, pops: Iterable[str] | None = None
     ) -> DenseCostMatrix:

@@ -10,6 +10,15 @@ from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.session.streams import StreamId
 
 
+def relay_degree(forest: OverlayForest, node: int) -> int:
+    """Out-edges of ``node`` carrying streams that originate elsewhere."""
+    return sum(
+        1
+        for stream, parent, _ in forest.edges()
+        if parent == node and stream.site != node
+    )
+
+
 def chain_tree() -> MulticastTree:
     """source 0 -> 1 -> 2, plus leaf 3 under the source."""
     tree = MulticastTree(StreamId(0, 0))
@@ -180,7 +189,7 @@ class TestOverlayForest:
         t2.attach(0, 1, 1.0)  # node 0 relays site 2's stream
         t1 = forest.tree(StreamId(0, 0))
         t1.attach(0, 3, 1.0)  # node 0 sends its own stream
-        assert forest.relay_degree(0) == 1
+        assert relay_degree(forest, 0) == 1
 
     def test_str_counts(self):
         forest = OverlayForest()

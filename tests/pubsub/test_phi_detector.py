@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,6 +27,11 @@ from repro.util.rng import RngStream
 from tests.reference_paths import window_walk_phi
 
 HEARTBEAT_MS = 40.0
+
+
+def known(detector, peer: int) -> bool:
+    """True once ``peer`` has been heard from, on either detector."""
+    return peer in detector._last_arrival
 
 
 def quiet_detector(threshold: float = 8.0) -> PhiAccrualDetector:
@@ -45,13 +50,13 @@ class TestDetectorInterface:
 
     def test_unknown_peer_never_suspected(self, make):
         detector = make()
-        assert not detector.known(3)
+        assert not known(detector, 3)
         assert not detector.suspect(3, 1e9)
 
     def test_touch_alone_makes_peer_scoreable(self, make):
         detector = make()
         detector.touch(0, 0.0)
-        assert detector.known(0)
+        assert known(detector, 0)
         assert not detector.suspect(0, HEARTBEAT_MS)
         assert detector.suspect(0, 10 * HEARTBEAT_MS)
 
@@ -66,11 +71,11 @@ class TestDetectorInterface:
         for peer in (0, 1, 2):
             detector.observe(peer, 0.0)
         detector.forget(0)
-        assert not detector.known(0)
+        assert not known(detector, 0)
         assert not detector.suspect(0, 1e9)
         assert detector.suspect(1, 1e9)
         detector.reset()
-        assert not detector.known(1) and not detector.known(2)
+        assert not known(detector, 1) and not known(detector, 2)
         assert not detector.suspect(1, 1e9)
 
 
@@ -110,7 +115,7 @@ class TestConstruction:
 class TestScoring:
     def test_unknown_peer_scores_zero(self):
         detector = quiet_detector()
-        assert not detector.known(3)
+        assert not known(detector, 3)
         assert detector.phi(3, 1000.0) == 0.0
         assert not detector.suspect(3, 1000.0)
 
@@ -214,7 +219,7 @@ class TestObserveVersusTouch:
     def test_touch_alone_makes_peer_scoreable(self):
         detector = quiet_detector()
         detector.touch(0, 0.0)
-        assert detector.known(0)
+        assert known(detector, 0)
         assert detector.phi(0, 10 * HEARTBEAT_MS) > 8.0
 
     def test_forget_and_reset_clear_all_history(self):
@@ -222,10 +227,10 @@ class TestObserveVersusTouch:
         detector.observe(0, 0.0)
         detector.observe(1, 0.0)
         detector.forget(0)
-        assert not detector.known(0)
-        assert detector.known(1)
+        assert not known(detector, 0)
+        assert known(detector, 1)
         detector.reset()
-        assert not detector.known(1)
+        assert not known(detector, 1)
         assert detector.phi(1, 1000.0) == 0.0
 
 
@@ -302,3 +307,68 @@ TestPhiAgainstWindowWalk = PhiAgainstWindowWalk.TestCase
 TestPhiAgainstWindowWalk.settings = settings(
     max_examples=150, stateful_step_count=30, deadline=None
 )
+
+
+#: One arrival: (``observe`` or ``touch``, peer, step since the last one).
+ARRIVALS = st.lists(
+    st.tuples(st.sampled_from(("observe", "touch")), PEERS, STEPS), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # silences of exactly the grace and the deadline, on the nose
+    window=2,
+    acceptable_pause_ms=None,
+    threshold=0.5,
+    history=[("observe", 0, 40.0), ("observe", 0, 40.0), ("touch", 1, 5.0)],
+    offsets=[40.0, 120.0],
+)
+@given(
+    window=st.integers(2, 6),
+    acceptable_pause_ms=st.sampled_from((None, 0.0, 7.5, 40.0, 0.1)),
+    threshold=st.sampled_from((0.5, 8.0)),
+    history=ARRIVALS,
+    offsets=st.lists(
+        st.one_of(
+            st.floats(min_value=-50.0, max_value=500.0, allow_nan=False),
+            st.integers(0, 100).map(float),
+        ),
+        max_size=4,
+    ),
+)
+def test_suspect_is_its_rule_at_every_silence(
+    window, acceptable_pause_ms, threshold, history, offsets
+):
+    """The grace shortcut in ``suspect`` is exact: on both detectors
+    ``suspect`` is its rule at every query time, including a silence of
+    exactly the grace (or the deadline), the floats either side of it,
+    and peers that were only touched."""
+    phi_detector = PhiAccrualDetector(
+        threshold=threshold,
+        initial_interval_ms=HEARTBEAT_MS,
+        window=window,
+        acceptable_pause_ms=acceptable_pause_ms,
+    )
+    grace = phi_detector.acceptable_pause_ms
+    deadline = deadline_detector()
+    now = 0.0
+    last: dict[int, float] = {}
+    for kind, peer, step in history:
+        now += step
+        for detector in (phi_detector, deadline):
+            getattr(detector, kind)(peer, now)
+        last[peer] = now
+    for peer in (0, 1, 2):  # 2 is never heard from
+        arrived = last.get(peer)
+        base = now if arrived is None else arrived
+        queries = [base + offset for offset in offsets]
+        for edge in (grace, deadline.deadline_ms):
+            at = base + edge
+            queries += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
+        for at in queries:
+            assert phi_detector.suspect(peer, at) == (
+                phi_detector.phi(peer, at) > threshold
+            ), (peer, at)
+            assert deadline.suspect(peer, at) == (
+                arrived is not None and at - arrived > deadline.deadline_ms
+            ), (peer, at)

@@ -22,6 +22,15 @@ from repro.session.streams import StreamId
 from tests.reference_paths import installed_tables
 
 
+def displays_for(agent: RPAgent, stream: StreamId) -> list[str]:
+    """Local displays whose subscription includes ``stream``."""
+    return [
+        display_id
+        for display_id, streams in agent._display_subs.items()
+        if stream in streams
+    ]
+
+
 @pytest.fixture
 def agent(small_session) -> RPAgent:
     return RPAgent(small_session.site(0))
@@ -151,9 +160,9 @@ class TestDirectiveApplication:
 
     def test_receiving_set(self, agent):
         agent.apply_directive(self.make_directive())
-        assert agent.is_receiving(StreamId(1, 0))
-        assert not agent.is_receiving(StreamId(0, 0))
-        assert agent.received_streams() == {StreamId(1, 0)}
+        assert StreamId(1, 0) in agent.receiving_set()
+        assert StreamId(0, 0) not in agent.receiving_set()
+        assert agent.receiving_set() == {StreamId(1, 0)}
 
     def test_stale_epoch_rejected(self, agent):
         agent.apply_directive(self.make_directive(epoch=2))
@@ -168,7 +177,7 @@ class TestDirectiveApplication:
     def test_displays_for(self, agent):
         agent.submit_display_subscription(sub("disp-0-0", [StreamId(1, 0)]))
         agent.submit_display_subscription(sub("disp-0-1", [StreamId(2, 0)]))
-        assert agent.displays_for(StreamId(1, 0)) == ["disp-0-0"]
+        assert displays_for(agent, StreamId(1, 0)) == ["disp-0-0"]
 
     def test_satisfied_fraction(self, agent):
         agent.submit_display_subscription(
@@ -224,7 +233,7 @@ class TestDeltaDirectives:
         assert via_delta.epoch == via_full.epoch == 2
         for stream in {edge[0] for edge in self.FULL_1 + self.FULL_2}:
             assert via_delta.next_hops(stream) == via_full.next_hops(stream)
-        assert via_delta.received_streams() == via_full.received_streams()
+        assert via_delta.receiving_set() == via_full.receiving_set()
         assert via_delta._forwarding == via_full._forwarding
 
     def test_epoch_gap_falls_back_to_full_set(self, small_session):
@@ -233,7 +242,7 @@ class TestDeltaDirectives:
         agent.apply_directive(self.delta_directive())
         assert agent.epoch == 2
         assert agent.next_hops(StreamId(1, 0)) == [1]
-        assert agent.received_streams() == {StreamId(1, 0), StreamId(2, 0)}
+        assert agent.receiving_set() == {StreamId(1, 0), StreamId(2, 0)}
 
     def test_delta_removing_unknown_edge_rejected(self, small_session):
         agent = RPAgent(small_session.site(0))
@@ -292,7 +301,7 @@ class TestDuplicateEdges:
             )
         )
         assert agent.epoch == 2
-        assert agent.received_streams() == {StreamId(1, 0)}
+        assert agent.receiving_set() == {StreamId(1, 0)}
 
     def test_delta_insert_keeps_children_sorted(self, small_session):
         agent = self.installed(small_session)

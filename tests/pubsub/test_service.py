@@ -62,7 +62,7 @@ class TestZeroDelayRound:
         assert round_.convergence_ms == 0.0
         for rp in system.rps.values():
             assert rp.epoch == 1
-        assert system.rps[0].received_streams() == set(
+        assert system.rps[0].receiving_set() == set(
             list(small_session.site(1).stream_ids)[:2]
         )
 

@@ -27,8 +27,8 @@ class TestSubscription:
         system.subscribe_display(1, "disp-1-0", [StreamId(0, 0)])
         directive = system.run_control_round(rng)
         assert directive.epoch == 1
-        assert system.rps[0].is_receiving(StreamId(1, 0))
-        assert system.rps[1].is_receiving(StreamId(0, 0))
+        assert StreamId(1, 0) in system.rps[0].receiving_set()
+        assert StreamId(0, 0) in system.rps[1].receiving_set()
 
     def test_fov_subscription_resolves_streams(self, system):
         fov = FieldOfView(eye=Vec3(6.0, 0.0, 1.5), target=Vec3(0.0, 0.0, 1.0))
@@ -55,11 +55,11 @@ class TestControlRounds:
     def test_resubscription_changes_overlay(self, system, rng):
         system.subscribe_display(0, "disp-0-0", [StreamId(1, 0)])
         system.run_control_round(rng.spawn("1"))
-        assert system.rps[0].is_receiving(StreamId(1, 0))
+        assert StreamId(1, 0) in system.rps[0].receiving_set()
         system.subscribe_display(0, "disp-0-0", [StreamId(2, 0)])
         system.run_control_round(rng.spawn("2"))
-        assert system.rps[0].is_receiving(StreamId(2, 0))
-        assert not system.rps[0].is_receiving(StreamId(1, 0))
+        assert StreamId(2, 0) in system.rps[0].receiving_set()
+        assert StreamId(1, 0) not in system.rps[0].receiving_set()
 
     def test_satisfaction_report(self, system, rng):
         system.subscribe_display(0, "disp-0-0", [StreamId(1, 0)])

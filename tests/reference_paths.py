@@ -48,7 +48,9 @@ pair's distance once and shuffles candidate indices,
 and ``Topology`` answers every shortest-path question from one
 integer-indexed Dijkstra.  :func:`reference_synthetic_backbone`,
 :func:`reference_farthest_point_sample` and :func:`dict_dijkstra` are the
-loops they replaced, kept as the oracles they are pinned to.
+loops they replaced, kept as the oracles they are pinned to;
+:func:`pairwise_costs` asks ``Topology.cost_ms`` pair by pair for the
+nested matrix ``Topology.dense_cost_matrix`` must equal.
 """
 
 from __future__ import annotations
@@ -706,3 +708,9 @@ def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
                 dist[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
     return dist
+
+
+def pairwise_costs(topology: Topology, pops: list[str]) -> dict[str, dict[str, float]]:
+    """``matrix[a][b]``, one ``Topology.cost_ms`` question per pair of
+    ``pops``: the nested matrix the dense one is pinned to."""
+    return {a: {b: topology.cost_ms(a, b) for b in pops} for a in pops}

@@ -78,7 +78,7 @@ class TestZeroDelayEquivalence:
         for site in range(SITES):
             sync_rp, async_rp = sync_rt.rps[site], async_rt.rps[site]
             assert sync_rp.epoch == async_rp.epoch
-            assert sync_rp.received_streams() == async_rp.received_streams()
+            assert sync_rp.receiving_set() == async_rp.receiving_set()
             assert sync_rp._forwarding == async_rp._forwarding
 
 

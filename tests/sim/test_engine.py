@@ -278,6 +278,48 @@ class TestRun:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
 
+    def test_runaway_guard_runs_exactly_max_events_callbacks(self):
+        sim = Simulator()
+        ran = []
+
+        def reschedule():
+            ran.append(sim.now)
+            sim.schedule_in(1.0, reschedule)
+
+        sim.schedule_at(0.0, reschedule)
+        with pytest.raises(SimulationError, match="max_events=100"):
+            sim.run(max_events=100)
+        assert len(ran) == 100
+        assert sim.processed_events == 100
+        # The 101st event was never popped: it is still there to run.
+        assert sim.pending_events == 1
+
+    def test_a_queue_of_exactly_max_events_drains_without_raising(self):
+        sim = Simulator()
+        for t in range(100):
+            sim.schedule_at(float(t), lambda: None)
+        assert sim.run(max_events=100) == 100
+        assert sim.processed_events == 100 and sim.pending_events == 0
+
+    def test_a_raising_callback_still_counts_as_processed(self):
+        """``processed_events + pending_events`` is the number of events
+        ever scheduled, also when a callback raises mid-run."""
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, boom)
+        sim.schedule_at(3.0, lambda: None)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert sim.processed_events == 2
+        assert sim.processed_events + sim.pending_events == 3
+        assert sim.now == 2.0
+        assert sim.run() == 1  # the engine is usable after the failure
+        assert sim.processed_events == 3 and sim.pending_events == 0
+
     def test_not_reentrant(self):
         sim = Simulator()
         failures = []

@@ -288,7 +288,7 @@ class TestAuditRound:
                         f"site {site} forwards {edge_stream} to "
                         f"{rp.next_hops(edge_stream)}, directive says {children}"
                     )
-            if rp.received_streams() != streams_received_by(directive, site):
+            if rp.receiving_set() != streams_received_by(directive, site):
                 expected.append(
                     f"site {site} receiving set diverges from directive"
                 )

@@ -16,7 +16,15 @@ import repro
 #: The entry points that carry ``(callback, *args)``; a private wrapper
 #: (``_transmit``, ``_send``) counts as the call it wraps.
 SCHEDULING_CALLS = frozenset(
-    {"schedule_at", "schedule_in", "schedule_timer", "transmit", "send", "carry"}
+    {
+        "schedule_at",
+        "schedule_in",
+        "schedule_args",
+        "schedule_timer",
+        "transmit",
+        "send",
+        "carry",
+    }
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.backbone import load_backbone
 from repro.topology.dense import DenseCostMatrix
+from tests.reference_paths import pairwise_costs
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestDenseCostMatrix:
 class TestTopologyDenseMatrix:
     def test_matches_nested_cost_matrix(self, abilene):
         pops = abilene.pop_ids[:5]
-        nested = abilene.cost_matrix(pops)
+        nested = pairwise_costs(abilene, pops)
         dense = abilene.dense_cost_matrix(pops)
         # Dijkstra sums a path's edges in opposite orders for the two
         # directions, so APSP symmetry only holds to float tolerance.

