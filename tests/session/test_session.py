@@ -94,6 +94,11 @@ class TestBuildSession:
         rows = small_session.dense_cost_matrix().rows()
         n = len(small_session.sites)
         matrix = {a: {b: rows[a][b] for b in range(n)} for a in range(n)}
+        assert all(
+            matrix[a][b] == small_session.cost_ms(a, b)
+            for a in range(n)
+            for b in range(n)
+        )
         matrix[0][1] = -1.0
         assert small_session.cost_ms(0, 1) >= 0.0
 
