@@ -35,14 +35,7 @@ from repro.core.tree_order import (
 from repro.core.randomized import RandomJoinBuilder
 from repro.core.granularity import GranularityBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder, criticality
-from repro.core.incremental import (
-    IncrementalRepairer,
-    RepairReport,
-    add_subscription,
-    churn_rate,
-    overlay_cost,
-    remove_subscription,
-)
+from repro.core.incremental import IncrementalRepairer, RepairReport, churn_rate
 from repro.core.metrics import (
     ForestMetrics,
     correlation_weighted_rejection,
@@ -72,12 +65,9 @@ __all__ = [
     "GranularityBuilder",
     "CorrelatedRandomJoinBuilder",
     "criticality",
-    "add_subscription",
-    "remove_subscription",
     "churn_rate",
     "IncrementalRepairer",
     "RepairReport",
-    "overlay_cost",
     "ForestMetrics",
     "rejection_ratio",
     "pairwise_rejection_sum",

@@ -56,8 +56,8 @@ class BuildResult:
         Computed once per result and cached — the correlation metrics
         probe it per (i, j) pair, which used to rescan the full rejected
         list every call.  Code that mutates :attr:`satisfied` or
-        :attr:`rejected` after construction (CO-RJ repair sweeps,
-        incremental maintenance) must call :meth:`invalidate_caches`.
+        :attr:`rejected` after construction (CO-RJ repair sweeps) must
+        call :meth:`invalidate_caches`.
         The returned rows are the cache itself; treat them as read-only.
         """
         if self._u_hat_cache is None:

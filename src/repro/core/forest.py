@@ -59,10 +59,6 @@ class MulticastTree:
         """Children of ``node`` (empty for leaves and non-members)."""
         return list(self._children.get(node, []))
 
-    def is_leaf(self, node: int) -> bool:
-        """True when ``node`` is a member with no children."""
-        return node in self._children and not self._children[node]
-
     def cost_from_source(self, node: int) -> float:
         """Accumulated tree-path latency from the source to ``node``."""
         try:
@@ -222,14 +218,6 @@ class OverlayForest:
         for stream, tree in self.trees.items():
             for parent, child in tree.edges():
                 yield stream, parent, child
-
-    def out_degree(self, node: int) -> int:
-        """Total out-degree of ``node`` across all trees."""
-        return sum(1 for _, parent, _ in self.edges() if parent == node)
-
-    def in_degree(self, node: int) -> int:
-        """Total in-degree of ``node`` across all trees."""
-        return sum(1 for _, _, child in self.edges() if child == node)
 
     def validate(self) -> None:
         """Validate every tree's structural invariants."""

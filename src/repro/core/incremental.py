@@ -1,15 +1,9 @@
 """Incremental overlay maintenance (the paper's future-work direction).
 
 The paper solves the *static* construction problem and re-solves it on
-any change.  This module provides the repair operations a deployment
-needs between full re-solves:
+any change.  This module provides the repair a deployment runs between
+full re-solves, and the measure of what a re-solve would move:
 
-* :func:`add_subscription` — join one new request into an existing
-  forest with the basic node-join algorithm (optionally with the CO-RJ
-  victim swap as fallback);
-* :func:`remove_subscription` — drop a satisfied leaf request and
-  release its resources (interior nodes must keep relaying, exactly as
-  an RP keeps forwarding a stream its own displays stopped watching);
 * :func:`churn_rate` — how much of the existing forest a full re-solve
   would move, for deciding *when* a re-solve is worth it;
 * :class:`IncrementalRepairer` — the full control-path repairer: given
@@ -34,7 +28,7 @@ between repair and re-solve:
 
 Incremental joins never move existing edges, so satisfied users are
 never disturbed; the price is that the incremental answer can be worse
-than a fresh solve (compare :func:`overlay_cost` across policies).
+than a fresh solve.
 """
 
 from __future__ import annotations
@@ -42,109 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.errors import OverlayError, SubscriptionError
+from repro.errors import OverlayError
 from repro.core.base import BuildResult
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.model import MulticastGroup, SubscriptionRequest
-from repro.core.node_join import (
-    JoinOutcome,
-    ParentPolicy,
-    commit_join,
-    plan_join,
-    try_join,
-)
+from repro.core.node_join import ParentPolicy, commit_join, plan_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
-
-
-def overlay_cost(result: BuildResult) -> float:
-    """Total relay cost of the forest: sum of every tree edge's latency.
-
-    The quality price of repair: local repair keeps stale edges alive,
-    so its forest can drift away from the from-scratch solution.
-    """
-    problem = result.problem
-    total = 0.0
-    for tree in result.forest.trees.values():
-        for parent, child in tree.edges():
-            total += problem.edge_cost(parent, child)
-    return total
-
-
-def add_subscription(
-    result: BuildResult,
-    request: SubscriptionRequest,
-    use_swap: bool = False,
-    policy: ParentPolicy = ParentPolicy.MAX_RFC,
-) -> JoinOutcome:
-    """Join one new request into an already-built overlay.
-
-    The request must reference a stream whose multicast group exists in
-    the problem (the membership server's advertisement matching happens
-    upstream); re-adding a currently-satisfied request is an error.
-
-    With ``use_swap=True`` a rejection falls back to the CO-RJ victim
-    swap (Sec. 4.4) before giving up.
-    """
-    problem = result.problem
-    if not 0 <= request.subscriber < problem.n_nodes:
-        raise SubscriptionError(f"unknown subscriber {request.subscriber}")
-    if request in result.forest.satisfied:
-        raise OverlayError(f"{request} is already satisfied")
-
-    state = result.state
-    forest = result.forest
-    result.invalidate_caches()  # every path below may touch the rejected list
-    state.open_group(request.stream)
-    tree = forest.tree(request.stream)
-    outcome = try_join(problem, state, tree, request.subscriber, policy=policy)
-    if outcome.accepted:
-        forest.satisfied.append(request)
-        _drop_rejection_record(result, request)
-        return outcome
-
-    if use_swap:
-        swapper = CorrelatedRandomJoinBuilder(repair_passes=0)
-        _drop_rejection_record(result, request)
-        if swapper.on_rejected(problem, state, forest, request, outcome):
-            satisfied_cost = tree.cost_from_source(request.subscriber)
-            return JoinOutcome(
-                accepted=True,
-                parent=tree.parent(request.subscriber),
-                path_cost_ms=satisfied_cost,
-            )
-        forest.rejected.append((request, outcome.reason))
-        return outcome
-
-    if not _has_rejection_record(result, request):
-        forest.rejected.append((request, outcome.reason))
-    return outcome
-
-
-def remove_subscription(
-    result: BuildResult, request: SubscriptionRequest
-) -> None:
-    """Drop one *satisfied* request from the overlay.
-
-    Only leaf subscribers release resources immediately; an interior
-    subscriber keeps its edge because its subtree still needs the
-    stream (the RP keeps relaying), and only its local delivery stops —
-    we model that by leaving the forest untouched but removing the
-    request from the satisfied set.
-    """
-    forest = result.forest
-    if request not in forest.satisfied:
-        raise OverlayError(f"{request} is not satisfied")
-    tree = forest.trees.get(request.stream)
-    if tree is None or request.subscriber not in tree:
-        raise OverlayError(f"{request} has no tree node to remove")
-    forest.satisfied.remove(request)
-    result.invalidate_caches()
-    if tree.is_leaf(request.subscriber):
-        parent = tree.detach_leaf(request.subscriber)
-        result.state.record_detach(tree, parent, request.subscriber)
 
 
 def churn_rate(before: BuildResult, after: BuildResult) -> float:
@@ -156,12 +56,12 @@ def churn_rate(before: BuildResult, after: BuildResult) -> float:
 
     Trees the two forests share by identity cannot have moved and are
     only counted; the others are compared parent map against parent
-    map.  That reads receivers for satisfied requests, so a forest where
-    the two differ (an interior :func:`remove_subscription` keeps the
-    relay in its tree) is compared request by request instead.
+    map.  That reads receivers for satisfied requests, so a forest whose
+    receivers are not its satisfied requests (one edited after its
+    build) raises :class:`~repro.errors.OverlayError`.
     """
     if not (_receivers_are_satisfied(before) and _receivers_are_satisfied(after)):
-        return _churn_rate_by_request(before, after)
+        raise OverlayError("a forest's tree receivers are not its satisfied requests")
     old_trees = before.forest.trees
     common = moved = 0
     for stream, tree in after.forest.trees.items():
@@ -188,44 +88,6 @@ def _receivers_are_satisfied(result: BuildResult) -> bool:
     return len(result.satisfied) == sum(
         len(tree) - 1 for tree in result.forest.trees.values()
     )
-
-
-def _churn_rate_by_request(before: BuildResult, after: BuildResult) -> float:
-    before_parents = {
-        request: before.forest.trees[request.stream].parent(request.subscriber)
-        for request in before.satisfied
-    }
-    common = [
-        request
-        for request in after.satisfied
-        if request in before_parents
-    ]
-    if not common:
-        return 0.0
-    moved = sum(
-        1
-        for request in common
-        if after.forest.trees[request.stream].parent(request.subscriber)
-        != before_parents[request]
-    )
-    return moved / len(common)
-
-
-def _has_rejection_record(
-    result: BuildResult, request: SubscriptionRequest
-) -> bool:
-    return any(rejected == request for rejected, _ in result.forest.rejected)
-
-
-def _drop_rejection_record(
-    result: BuildResult, request: SubscriptionRequest
-) -> None:
-    """Remove a stale rejection record for ``request`` if one exists."""
-    rejected = result.forest.rejected
-    for index, (recorded, _reason) in enumerate(rejected):
-        if recorded == request:
-            del rejected[index]
-            return
 
 
 @dataclass(frozen=True)
@@ -541,8 +403,8 @@ class IncrementalRepairer:
         of its own problem: one opened group and one tree per group of
         ``previous.problem`` (``prev_groups``, keyed by stream), and as
         many requests satisfied or rejected as that problem has — which
-        an interior :func:`remove_subscription`, the one way a tree
-        keeps a receiver that is no longer a satisfied request, breaks.
+        a tree keeping a receiver that is no longer a satisfied request
+        breaks.
         All of it holds for anything a builder or this repairer
         returned and nobody edited since; it is checked because sharing
         a tree on a false premise corrupts silently.

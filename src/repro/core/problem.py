@@ -286,13 +286,6 @@ class ForestProblem:
         """Latency cost ``c(a, b)`` between two RP nodes."""
         return self._dense.edge_cost(a, b)
 
-    def costs_row(self, node: int) -> list[float]:
-        """Costs *from* ``node`` to every node, indexable by node id.
-
-        Returns the shared dense row — callers must not mutate it.
-        """
-        return self._dense.row(node)
-
     def costs_to(self, node: int) -> list[float]:
         """Costs *to* ``node`` from every node (dense column, read-only).
 

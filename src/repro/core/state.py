@@ -115,10 +115,6 @@ class BuilderState:
         if self.reservations:
             self.m_hat[stream.site] += 1
 
-    def is_open(self, stream: StreamId) -> bool:
-        """True once :meth:`open_group` has been called for ``stream``."""
-        return stream in self._opened
-
     def opened(self) -> set[StreamId]:
         """Every stream :meth:`open_group` was called for (shared, read-only)."""
         return self._opened

@@ -16,8 +16,6 @@ from repro.session.capacity import (
     UniformCapacityModel,
 )
 from repro.workload.coverage import CoverageWorkloadModel
-from repro.workload.uniform import UniformPopularity
-from repro.workload.zipf import ZipfPopularity
 
 #: Default number of workload samples per setting (the paper uses 200).
 DEFAULT_SAMPLES = 200
@@ -80,12 +78,6 @@ class ExperimentSetting:
         if self.nodes == "uniform":
             return UniformCapacityModel()
         return HeterogeneousCapacityModel()
-
-    def popularity_model(self):
-        """The display-centric popularity family (FOV/pubsub pipelines)."""
-        if self.workload == "zipf":
-            return ZipfPopularity(exponent=self.zipf_exponent)
-        return UniformPopularity()
 
     def workload_model(self) -> CoverageWorkloadModel:
         """The stream-centric coverage workload used by the figure sweeps.

@@ -706,8 +706,11 @@ class MembershipService:
         # epoch a report carries.  Provably inert crash-free: a site's
         # installed epoch can never exceed the server's.
         self.server.ensure_epoch_floor(message.epoch)
-        verdict = self._classify(site, kind, message.seq)
-        if verdict != "apply":
+        verdict = self._discard_reason(site, kind, message.seq)
+        if message.seq > 0 and verdict in (None, "straggler"):
+            # Recorded for a straggler too, so its copies count as duplicates.
+            self._applied_seq[(site, kind)] = message.seq
+        if verdict is not None:
             if verdict == "duplicate":
                 self.duplicates_discarded += 1
             else:
@@ -724,19 +727,6 @@ class MembershipService:
             self.server.register_subscription(message.subscription)
             self._withdrawn.discard(site)
         elif isinstance(message, Withdraw):
-            newest = max(
-                self._applied_seq.get((site, "advertise"), 0),
-                self._applied_seq.get((site, "subscribe"), 0),
-            )
-            if 0 < message.seq < newest:
-                # The site re-announced after issuing this leave (seqs
-                # share one per-site counter, so the order is total): a
-                # slow withdrawal straggling in behind the rejoin must
-                # not kill the site's new life.
-                self.stale_reports_discarded += 1
-                if self.reliable:
-                    self._ack_report(site, kind, message.seq)
-                return
             if message.seq > 0:
                 # Any slower pre-leave report must not resurrect the site.
                 self._withdraw_floor[site] = max(
@@ -766,17 +756,28 @@ class MembershipService:
         # triggering must not depend on whether the payload changed.
         self._mark_dirty()
 
-    def _classify(self, site: int, kind: str, seq: int) -> str:
-        """``apply`` | ``duplicate`` | ``stale`` for one sequenced report."""
+    def _discard_reason(self, site: int, kind: str, seq: int) -> str | None:
+        """Why delivering report ``seq`` now would discard it, else None.
+
+        ``duplicate`` at or below the applied seq; ``stale`` for state
+        behind the site's withdraw floor; ``straggler`` for a withdrawal
+        the site's rejoin has outrun (seqs share one per-site counter,
+        so the order is total).  Read-only: ``_receive`` discards by it
+        and ``parked_reports`` counts by it.
+        """
         if seq <= 0:
-            return "apply"  # unsequenced envelope (hand-built or legacy)
-        if seq <= self._applied_seq.get((site, kind), 0):
+            return None  # unsequenced envelope (hand-built or legacy)
+        applied = self._applied_seq
+        if seq <= applied.get((site, kind), 0):
             return "duplicate"
-        if kind != "withdraw" and seq < self._withdraw_floor.get(site, 0):
-            # Reordered pre-withdraw state arriving after the leave.
-            return "stale"
-        self._applied_seq[(site, kind)] = seq
-        return "apply"
+        if kind != "withdraw":
+            if seq < self._withdraw_floor.get(site, 0):
+                return "stale"  # reordered pre-withdraw state
+        elif seq < max(
+            applied.get((site, "advertise"), 0), applied.get((site, "subscribe"), 0)
+        ):
+            return "straggler"
+        return None
 
     def _ack_report(self, site: int, kind: str, seq: int) -> None:
         if seq <= 0:
@@ -1347,23 +1348,13 @@ class MembershipService:
         report) died on the link is already applied server-side and
         moot, as is anything behind the site's withdraw floor or a
         farewell the site's own rejoin has since outrun — the same
-        staleness rules ``_receive`` applies on delivery.
+        staleness rule ``_receive`` applies on delivery.
         """
-        count = 0
-        for (site, seq), entry in self._parked.items():
-            if seq <= self._applied_seq.get((site, entry.kind), 0):
-                continue  # already applied: only the acks were lost
-            if entry.kind != "withdraw" and seq < self._withdraw_floor.get(
-                site, 0
-            ):
-                continue  # behind the site's own departure
-            if entry.kind == "withdraw" and 0 < seq < max(
-                self._applied_seq.get((site, "advertise"), 0),
-                self._applied_seq.get((site, "subscribe"), 0),
-            ):
-                continue  # pre-rejoin straggler: delivery would discard it
-            count += 1
-        return count
+        return sum(
+            1
+            for (site, seq), entry in self._parked.items()
+            if self._discard_reason(site, entry.kind, seq) is None
+        )
 
     @property
     def suspecting_sites(self) -> set[int]:

@@ -6,13 +6,13 @@ complete control rounds.  Display subscriptions can be given either as
 explicit stream sets or as geometric FOVs resolved through the ViewCast
 selector — the two subscription forms of Sec. 3.2.
 
-Rounds are synchronous here (the paper's model);
-:meth:`PubSubSystem.async_service` lifts the same server and RPs onto a
-simulator as an event-driven :class:`~repro.pubsub.service.MembershipService`
-when control latency, debouncing and overlapping rounds matter.
-Registration is dirty-tracked server-side, so the per-round full
-re-report below only costs on sites whose state actually changed
-(see ``MembershipServer.registrations_applied`` / ``_skipped``).
+Rounds are synchronous here (the paper's model); an event-driven
+:class:`~repro.pubsub.service.MembershipService` built over the same
+``server`` and ``rps`` runs them on a simulator when control latency,
+debouncing and overlapping rounds matter.  Registration is
+dirty-tracked server-side, so the per-round full re-report below only
+costs on sites whose state actually changed (see
+``MembershipServer.registrations_applied`` / ``_skipped``).
 """
 
 from __future__ import annotations
@@ -106,32 +106,6 @@ class PubSubSystem:
         for rp in self.rps.values():
             rp.apply_directive(directive)
         return directive
-
-    # -- event-driven control ----------------------------------------------------------
-
-    def async_service(self, sim, build_rng: RngStream, **options):
-        """Attach this system's server and RPs to an event-driven service.
-
-        Returns a :class:`~repro.pubsub.service.MembershipService` on
-        ``sim``.  ``options`` are the service's own keyword parameters
-        (delay/debounce, fault model, heartbeat detection,
-        retransmission, ...); an option left out or passed as ``None``
-        takes the service's default.  The synchronous
-        :meth:`run_control_round` and the service share one server, so
-        don't interleave the two control styles in one run.
-        """
-        from repro.pubsub.service import MembershipService
-
-        given = {
-            name: value for name, value in options.items() if value is not None
-        }
-        return MembershipService(
-            sim=sim,
-            server=self.server,
-            rps=self.rps,
-            build_rng=build_rng,
-            **given,
-        )
 
     # -- inspection --------------------------------------------------------------------
 

@@ -249,6 +249,12 @@ class ScenarioSpec:
             "checkpoint_interval_ms", self.checkpoint_interval_ms
         )
         check_disjoint_windows("server outage", self.server_outages)
+        for window in self.partitions:
+            if window.site >= self.n_sites:
+                raise ConfigurationError(
+                    f"partition site {window.site} is outside the pool of "
+                    f"{self.n_sites} sites"
+                )
         needs_service = bool(
             self.loss_rate
             or self.jitter_ms
@@ -322,10 +328,6 @@ class ScenarioSpec:
                 events.append(ScenarioEvent(time_ms=time_ms, kind=phase.kind))
         events.sort(key=lambda event: (event.time_ms, event.kind.value))
         return events
-
-    def total_events(self) -> int:
-        """Scheduled event count (excluding the bootstrap round)."""
-        return sum(phase.count for phase in self.schedule)
 
     def describe(self) -> str:
         """One line for ``scenario list`` output."""

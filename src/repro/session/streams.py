@@ -81,10 +81,6 @@ class StreamRegistry:
         site_streams = self._by_site.get(site, {})
         return [site_streams[idx] for idx in sorted(site_streams)]
 
-    def stream_ids_of_site(self, site: int) -> list[StreamId]:
-        """Ids of all streams published by ``site``."""
-        return [d.stream_id for d in self.streams_of_site(site)]
-
     def describe(self, stream_id: StreamId) -> StreamDescriptor:
         """Look up a stream descriptor."""
         try:

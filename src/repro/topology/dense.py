@@ -25,8 +25,8 @@ class DenseCostMatrix:
 
     Rows are plain float lists; :meth:`row` and :meth:`column` return
     the internal lists directly (no copies) and callers must treat them
-    as read-only.  An optional ``labels`` sequence maps external ids
-    (e.g. PoP names) to indices for graph-level consumers.
+    as read-only.  An optional ``labels`` sequence names the indices
+    (e.g. PoP names) for graph-level consumers.
     """
 
     __slots__ = (
@@ -34,7 +34,6 @@ class DenseCostMatrix:
         "_rows",
         "_cols",
         "_labels",
-        "_index",
         "array_backend",
         "edits",
     )
@@ -69,11 +68,6 @@ class DenseCostMatrix:
                 f"{len(labels)} labels for {self.n} rows"
             )
         self._labels = list(labels) if labels is not None else None
-        self._index = (
-            {label: i for i, label in enumerate(self._labels)}
-            if self._labels is not None
-            else None
-        )
 
     # -- lookups -----------------------------------------------------------------
 
@@ -111,29 +105,10 @@ class DenseCostMatrix:
         if self._cols is not None:
             self._cols[b][a] = value
 
-    def index_of(self, label: Hashable) -> int:
-        """Index of an external node id (requires labels)."""
-        if self._index is None:
-            raise TopologyError("matrix has no label mapping")
-        try:
-            return self._index[label]
-        except KeyError:
-            raise TopologyError(f"unknown node {label!r}") from None
-
     @property
     def labels(self) -> list[Hashable] | None:
         """External ids in index order, when provided."""
         return list(self._labels) if self._labels is not None else None
-
-    def is_symmetric(self, tolerance: float = 0.0) -> bool:
-        """True when ``cost(a, b) == cost(b, a)`` everywhere."""
-        rows = self._rows
-        for i in range(self.n):
-            row = rows[i]
-            for j in range(i + 1, self.n):
-                if abs(row[j] - rows[j][i]) > tolerance:
-                    return False
-        return True
 
     def __len__(self) -> int:
         return self.n

@@ -116,13 +116,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown PoP {pop_id!r}") from None
 
-    def neighbors(self, pop_id: str) -> Mapping[str, float]:
-        """Adjacent PoPs and link costs."""
-        try:
-            return dict(self._adj[pop_id])
-        except KeyError:
-            raise TopologyError(f"unknown PoP {pop_id!r}") from None
-
     def links(self) -> Iterator[Link]:
         """Iterate each undirected link exactly once."""
         for a, nbrs in self._adj.items():

@@ -13,7 +13,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_range,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_range",
 ]

@@ -107,13 +107,5 @@ class RngStream:
             raise ValueError("items and weights must have the same length")
         return self._random.choices(items, weights=weights, k=1)[0]
 
-    def expovariate(self, rate: float) -> float:
-        """Exponential variate with the given rate (1/mean)."""
-        return self._random.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal variate."""
-        return self._random.gauss(mu, sigma)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RngStream(seed={self.seed}, label={self.label!r})"

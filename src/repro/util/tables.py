@@ -7,7 +7,7 @@ terminal and diffable between runs.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class Table:
@@ -64,11 +64,3 @@ def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
         raise ValueError("xs and ys must have the same length")
     pairs = ", ".join(f"{x}={y:.4f}" for x, y in zip(xs, ys))
     return f"{name}: {pairs}"
-
-
-def format_mapping(title: str, mapping: Mapping[str, float]) -> str:
-    """Render a flat name -> value mapping, sorted by key."""
-    lines = [title]
-    for key in sorted(mapping):
-        lines.append(f"  {key}: {mapping[key]:.4f}")
-    return "\n".join(lines)

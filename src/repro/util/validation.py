@@ -44,13 +44,6 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
-def check_range(name: str, value: float, low: float, high: float) -> float:
-    """Require ``low <= value <= high``; return it for chaining."""
-    if not low <= value <= high:
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
 def check_at_least(name: str, value: int, minimum: int) -> int:
     """Require ``value >= minimum``; return it for chaining."""
     if value < minimum:

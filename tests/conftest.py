@@ -101,6 +101,28 @@ def complete_cost(n: int, off_diagonal: float = 1.0) -> dict[int, dict[int, floa
     }
 
 
+def is_leaf(tree, node: int) -> bool:
+    """True when ``node`` is a member of ``tree`` with no children."""
+    return node in tree and not tree.children(node)
+
+
+def unserve(result, request) -> None:
+    """Edit ``result`` after its build: ``request`` stops being satisfied
+    while its node stays in the tree, relaying to its subtree."""
+    result.forest.satisfied.remove(request)
+    result.invalidate_caches()
+
+
+def out_degree(forest, node: int) -> int:
+    """Total out-degree of ``node`` across all trees of ``forest``."""
+    return sum(1 for _, parent, _ in forest.edges() if parent == node)
+
+
+def in_degree(forest, node: int) -> int:
+    """Total in-degree of ``node`` across all trees of ``forest``."""
+    return sum(1 for _, _, child in forest.edges() if child == node)
+
+
 def audit_log_line(forest, event: str, time_ms: float, violations: int) -> bytes:
     """The line one audited event adds to the auditor's digest log.
 

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.correlation import CorrelatedRandomJoinBuilder
-from repro.core.incremental import add_subscription
-from repro.core.model import SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
@@ -44,18 +40,6 @@ class TestUHatCache:
         second = result.u_hat_matrix()
         assert first is not second
         assert first == second
-
-    def test_incremental_join_invalidates(self, rng):
-        """A post-build join must refresh û, not serve the stale cache."""
-        result = RandomJoinBuilder().build(starved_problem(), rng)
-        assert result.u_hat(1, 0) == 1  # cache primed while rejected
-        # Lift the source's outbound bound, then re-join subscriber 1.
-        result.problem.set_outbound_limit(0, 5)
-        outcome = add_subscription(
-            result, SubscriptionRequest(subscriber=1, stream=StreamId(0, 0))
-        )
-        assert outcome.accepted
-        assert result.u_hat(1, 0) == 0
 
     def test_corj_repair_invalidates(self):
         """CO-RJ's repair sweeps mutate the rejected list post-build."""

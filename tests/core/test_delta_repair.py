@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import BuildResult
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.forest import OverlayForest
-from repro.core.incremental import IncrementalRepairer, remove_subscription
+from repro.core.incremental import IncrementalRepairer
 from repro.core.model import MulticastGroup, RejectionReason, SubscriptionRequest
 from repro.core.problem import ForestProblem, ProblemDelta
 from repro.core.randomized import RandomJoinBuilder
@@ -25,7 +25,7 @@ from repro.core.state import BuilderState
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, unserve
 from tests.reference_paths import (
     repair_checked_against_replay,
     result_snapshot,
@@ -362,7 +362,7 @@ class TestUnprovenTablesRevalidate:
 
     def test_interior_remove_subscription_unshares_every_tree(self):
         problem, previous = self.chain()
-        remove_subscription(previous, SubscriptionRequest(1, SA))
+        unserve(previous, SubscriptionRequest(1, SA))
         assert 1 in previous.forest.trees[SA]  # still relaying to 2
         report = repair_checked_against_replay(
             IncrementalRepairer(),

@@ -8,6 +8,7 @@ from repro.errors import OverlayError
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.session.streams import StreamId
+from tests.conftest import in_degree, out_degree
 
 
 def relay_degree(forest: OverlayForest, node: int) -> int:
@@ -106,9 +107,9 @@ class TestMulticastTree:
         assert tree.parent(2) == 1
         assert tree.parent(0) is None
         assert tree.children(0) == [1, 3]
-        assert tree.is_leaf(2) and tree.is_leaf(3)
-        assert not tree.is_leaf(1)
-        assert not tree.is_leaf(99)
+        assert tree.children(2) == tree.children(3) == []
+        assert tree.children(1) == [2]
+        assert tree.children(99) == []
 
     def test_depth(self):
         tree = chain_tree()
@@ -136,7 +137,7 @@ class TestDetachLeaf:
         tree = chain_tree()
         assert tree.detach_leaf(2) == 1
         assert 2 not in tree
-        assert tree.is_leaf(1)
+        assert tree.children(1) == []
 
     def test_detach_source_rejected(self):
         with pytest.raises(OverlayError):
@@ -178,9 +179,9 @@ class TestOverlayForest:
         t2 = forest.tree(StreamId(2, 0))
         t2.attach(2, 0, 1.0)
         t2.attach(0, 1, 1.0)
-        assert forest.out_degree(0) == 2
-        assert forest.in_degree(1) == 2
-        assert forest.in_degree(0) == 1
+        assert out_degree(forest, 0) == 2
+        assert in_degree(forest, 1) == 2
+        assert in_degree(forest, 0) == 1
 
     def test_relay_degree_counts_foreign_streams(self):
         forest = OverlayForest()

@@ -9,20 +9,14 @@ parents untouched.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.incremental import (
-    IncrementalRepairer,
-    churn_rate,
-    overlay_cost,
-)
+from repro.core.incremental import IncrementalRepairer, churn_rate
 from repro.core.model import SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, is_leaf, out_degree
 
 
 S0 = StreamId(0, 0)
@@ -65,7 +59,7 @@ class TestNoChange:
         assert repair.orphaned == repair.lost == 0
         assert repair.fresh_joined == repair.fresh_rejected == 0
         assert churn_rate(previous, repair.result) == 0.0
-        assert overlay_cost(repair.result) == overlay_cost(previous)
+        assert sorted(repair.result.forest.edges()) == sorted(previous.forest.edges())
         assert_clean(repair.result)
 
     def test_carry_preserves_every_parent(self):
@@ -87,7 +81,7 @@ class TestLeafRemoval:
         leaf = next(
             r
             for r in previous.satisfied
-            if previous.forest.trees[r.stream].is_leaf(r.subscriber)
+            if is_leaf(previous.forest.trees[r.stream], r.subscriber)
         )
         groups = {
             S0: {1, 2, 3, 4, 5},
@@ -107,7 +101,7 @@ class TestInteriorRemoval:
         interior = next(
             r
             for r in previous.satisfied
-            if not previous.forest.trees[r.stream].is_leaf(r.subscriber)
+            if not is_leaf(previous.forest.trees[r.stream], r.subscriber)
         )
         tree = previous.forest.trees[interior.stream]
         orphan_children = tree.children(interior.subscriber)
@@ -149,7 +143,7 @@ class TestTreeLifecycle:
         assert repair.dropped_trees == 1
         assert S1 not in repair.result.forest.trees
         # The S1 source forwards nothing anymore.
-        assert repair.result.forest.out_degree(1) <= 5
+        assert out_degree(repair.result.forest, 1) <= 5
         assert_clean(repair.result)
 
     def test_new_group_joins_fresh(self):
@@ -332,20 +326,3 @@ class TestTightenedConstraints:
         for request in repair.result.satisfied:
             tree = repair.result.forest.trees[request.stream]
             assert tree.cost_from_source(request.subscriber) < 1.5
-
-
-class TestOverlayCost:
-    def test_empty_forest_costs_nothing(self):
-        result = build(roomy_problem())
-        empty = IncrementalRepairer().repair(
-            result, roomy_problem({S0: {1}})
-        )
-        assert overlay_cost(empty.result) >= 0.0
-
-    def test_cost_sums_edges(self):
-        previous = build(roomy_problem())
-        edges = sum(
-            1 for _ in previous.forest.edges()
-        )
-        # Unit off-diagonal costs: total cost equals the edge count.
-        assert overlay_cost(previous) == pytest.approx(float(edges))

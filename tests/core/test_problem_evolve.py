@@ -58,7 +58,10 @@ def assert_equivalent(evolved: ForestProblem, scratch: ForestProblem) -> None:
     assert evolved.outbound_limits() == scratch.outbound_limits()
     assert evolved.m_table() == scratch.m_table()
     for node in range(n):
-        assert evolved.costs_row(node) == scratch.costs_row(node)
+        assert (
+            evolved.dense_cost_matrix().row(node)
+            == scratch.dense_cost_matrix().row(node)
+        )
         assert evolved.costs_to(node) == scratch.costs_to(node)
         assert evolved.streams_to_send(node) == scratch.streams_to_send(node)
     assert evolved.total_requests() == scratch.total_requests()

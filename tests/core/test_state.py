@@ -54,7 +54,7 @@ class TestInitialState:
         state = BuilderState(three_node_problem(), reservations=False)
         state.open_group(StreamId(0, 0))
         assert state.m_hat[0] == 0
-        assert state.is_open(StreamId(0, 0))
+        assert StreamId(0, 0) in state.opened()
 
 
 class TestRfc:
@@ -154,7 +154,7 @@ class TestForgetTree:
         state, tree = self._built()
         state.forget_tree(tree)
         assert state.din == state.dout == state.m_hat == [0, 0, 0]
-        assert not state.is_open(tree.stream)
+        assert tree.stream not in state.opened()
         state.check_invariants()
 
     def test_forgetting_twice_raises(self):

@@ -65,13 +65,13 @@ def problem(session, workload):
 
 class TestSetCost:
     def test_visible_through_held_row_and_column(self, problem):
-        row = problem.costs_row(0)
+        row = problem.dense_cost_matrix().row(0)
         column = problem.costs_to(1)
         problem.set_cost(0, 1, 55.5)
         assert problem.edge_cost(0, 1) == 55.5
         assert row[1] == 55.5
         assert column[0] == 55.5
-        assert problem.costs_row(0) is row
+        assert problem.dense_cost_matrix().row(0) is row
         assert problem.costs_to(1) is column
 
     def test_one_direction_only(self, problem):

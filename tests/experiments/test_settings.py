@@ -8,8 +8,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.settings import ExperimentSetting
 from repro.session.capacity import HeterogeneousCapacityModel, UniformCapacityModel
 from repro.workload.coverage import CoverageWorkloadModel
-from repro.workload.uniform import UniformPopularity
-from repro.workload.zipf import ZipfPopularity
 
 
 class TestValidation:
@@ -45,14 +43,9 @@ class TestFactories:
         )
 
     def test_popularity_models(self):
-        assert isinstance(
-            ExperimentSetting(workload="zipf").popularity_model(),
-            ZipfPopularity,
-        )
-        assert isinstance(
-            ExperimentSetting(workload="random").popularity_model(),
-            UniformPopularity,
-        )
+        for workload, popularity in (("zipf", "zipf"), ("random", "uniform")):
+            setting = ExperimentSetting(workload=workload)
+            assert setting.workload_model().popularity == popularity
 
     def test_workload_model_wiring(self):
         setting = ExperimentSetting(

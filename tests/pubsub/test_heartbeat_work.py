@@ -25,6 +25,7 @@ import repro
 from repro.core.randomized import RandomJoinBuilder
 from repro.pubsub.faults import FaultConfig, ServerOutageWindow
 from repro.pubsub.messages import Heartbeat, HeartbeatAck
+from repro.pubsub.service import MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator, Timer
 from repro.util.rng import RngStream
@@ -48,9 +49,11 @@ SWEEPS = ("_detect", "_client_detect")
 def chaos_session(session):
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
-    service = system.async_service(
-        sim,
-        RngStream(5, label="work-test"),
+    service = MembershipService(
+        sim=sim,
+        server=system.server,
+        rps=system.rps,
+        build_rng=RngStream(5, label="work-test"),
         control_delay_ms=5.0,
         faults=FaultConfig(
             loss_rate=0.1,

@@ -21,7 +21,7 @@ from repro.pubsub.messages import (
     Subscribe,
     Withdraw,
 )
-from repro.pubsub.service import _kind_of
+from repro.pubsub.service import MembershipService, _kind_of
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -161,8 +161,12 @@ class TestControlEnvelopes:
         site built; immutability is what makes sharing it safe."""
         system = PubSubSystem(session=small_session, builder=RandomJoinBuilder())
         sim = Simulator()
-        service = system.async_service(
-            sim, RngStream(5, label="envelope-test"), retransmit_timeout_ms=10.0
+        service = MembershipService(
+            sim=sim,
+            server=system.server,
+            rps=system.rps,
+            build_rng=RngStream(5, label="envelope-test"),
+            retransmit_timeout_ms=10.0,
         )
         wire = []
 

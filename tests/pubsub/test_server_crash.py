@@ -23,6 +23,7 @@ import pytest
 from repro.core.randomized import RandomJoinBuilder
 from repro.errors import ConfigurationError
 from repro.pubsub.faults import FaultConfig, ServerOutageWindow
+from repro.pubsub.service import MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -36,14 +37,16 @@ def make_crash_service(
     retransmit_timeout_ms: float = 60.0,
     control_delay_ms: float = 5.0,
     debounce_ms: float = 0.0,
-    phi_threshold: float | None = None,
-    checkpoint_interval_ms: float | None = None,
+    phi_threshold: float = 0.0,
+    checkpoint_interval_ms: float = 0.0,
 ):
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
-    service = system.async_service(
-        sim,
-        RngStream(5, label="crash-test"),
+    service = MembershipService(
+        sim=sim,
+        server=system.server,
+        rps=system.rps,
+        build_rng=RngStream(5, label="crash-test"),
         control_delay_ms=control_delay_ms,
         debounce_ms=debounce_ms,
         faults=faults or FaultConfig(),

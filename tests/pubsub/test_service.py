@@ -29,9 +29,11 @@ def make_service(
         rebuild_policy=rebuild_policy,
     )
     sim = Simulator()
-    service = system.async_service(
-        sim,
-        RngStream(5, label="service-test"),
+    service = MembershipService(
+        sim=sim,
+        server=system.server,
+        rps=system.rps,
+        build_rng=RngStream(5, label="service-test"),
         control_delay_ms=control_delay_ms,
         debounce_ms=debounce_ms,
         site_delays=site_delays,
@@ -173,8 +175,12 @@ class TestControlDelay:
 
         system = PubSubSystem(session=small_session, builder=RandomJoinBuilder())
         with pytest.raises(ConfigurationError, match=knob):
-            system.async_service(
-                Simulator(), RngStream(5, label="t"), **{knob: value}
+            MembershipService(
+                sim=Simulator(),
+                server=system.server,
+                rps=system.rps,
+                build_rng=RngStream(5, label="t"),
+                **{knob: value},
             )
 
 

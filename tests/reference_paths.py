@@ -18,7 +18,10 @@ shares untouched trees with the previous round and adjusts a copied
 ledger.  :func:`replay_repair` is the repair it replaced — every
 surviving edge replayed into a fresh forest and a fresh ledger — kept as
 the oracle the delta repair is pinned to; :func:`use_replay_repair`
-makes one server repair with it.
+makes one server repair with it.  ``churn_rate`` walks parent maps and
+fails on a forest whose receivers are not its satisfied requests;
+:func:`_churn_rate_by_request` compares request by request, the oracle
+it is pinned to.
 
 And for the analytic data planes: ``FastDataPlane`` and
 ``SampledDataPlane`` run one forest-level (receivers x frames) kernel.
@@ -61,6 +64,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import pytest
+
 import repro.core.backend as backend_mod
 import repro.pubsub.detector as detector_mod
 from repro.core.base import BuildResult
@@ -69,7 +74,7 @@ from repro.core.forest import OverlayForest
 from repro.core.incremental import (
     IncrementalRepairer,
     RepairReport,
-    _churn_rate_by_request,
+    _receivers_are_satisfied,
     churn_rate,
 )
 from repro.sim.invariants import InvariantAuditor
@@ -78,7 +83,7 @@ from repro.core.model import SubscriptionRequest
 from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
-from repro.errors import SubscriptionError
+from repro.errors import OverlayError, SubscriptionError
 from repro.media.frames import FrameClock
 from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import OverlayDirective
@@ -304,6 +309,27 @@ def result_snapshot(result: BuildResult) -> tuple:
     )
 
 
+def _churn_rate_by_request(before: BuildResult, after: BuildResult) -> float:
+    before_parents = {
+        request: before.forest.trees[request.stream].parent(request.subscriber)
+        for request in before.satisfied
+    }
+    common = [
+        request
+        for request in after.satisfied
+        if request in before_parents
+    ]
+    if not common:
+        return 0.0
+    moved = sum(
+        1
+        for request in common
+        if after.forest.trees[request.stream].parent(request.subscriber)
+        != before_parents[request]
+    )
+    return moved / len(common)
+
+
 #: The :class:`RepairReport` fields that are plain counts.
 REPORT_COUNTS = tuple(
     field.name
@@ -338,11 +364,12 @@ def repair_checked_against_replay(
     for name in REPORT_COUNTS:
         assert getattr(report, name) == getattr(oracle, name), name
     assert report.touched == oracle.touched
-    assert (
-        report.disruption
-        == churn_rate(previous, report.result)
-        == _churn_rate_by_request(previous, report.result)
-    )
+    assert report.disruption == _churn_rate_by_request(previous, report.result)
+    if _receivers_are_satisfied(previous):
+        assert report.disruption == churn_rate(previous, report.result)
+    else:
+        with pytest.raises(OverlayError):
+            churn_rate(previous, report.result)
 
     report.result.verify()
     violations = InvariantAuditor().audit_build(report.result)
@@ -691,6 +718,11 @@ def reference_farthest_point_sample(
     return chosen
 
 
+def neighbors(topology: Topology, pop_id: str) -> dict[str, float]:
+    """``pop_id``'s adjacent PoPs and link costs, in adjacency order."""
+    return dict(topology._adj[pop_id])
+
+
 def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
     """Single-source costs from the heap Dijkstra over PoP-id-keyed dicts
     that ``Topology.shortest_costs_from`` ran; unreachable PoPs are absent."""
@@ -702,7 +734,7 @@ def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
         if node in done:
             continue
         done.add(node)
-        for nbr, cost in topology.neighbors(node).items():
+        for nbr, cost in neighbors(topology, node).items():
             nd = d + cost
             if nd < dist.get(nbr, float("inf")):
                 dist[nbr] = nd

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.pubsub.faults import PartitionWindow
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.spec import EventKind, SchedulePhase, ScenarioSpec
 from repro.util.rng import RngStream
@@ -26,7 +27,7 @@ def minimal_spec(**overrides) -> ScenarioSpec:
 class TestValidation:
     def test_valid_spec_accepted(self):
         spec = minimal_spec()
-        assert spec.total_events() == 3
+        assert len(spec.compile(RngStream(5))) == 3
 
     @pytest.mark.parametrize(
         "overrides",
@@ -90,6 +91,18 @@ class TestValidation:
     def test_capacity_overrides_name_the_bad_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             minimal_spec(**{field: value})
+
+    @pytest.mark.parametrize("site", (4, 99))
+    def test_partition_outside_the_pool_rejected(self, site):
+        """A window for a site the pool never has would cut nothing."""
+        window = PartitionWindow(site, 0.0, 100.0)
+        with pytest.raises(ConfigurationError, match=f"partition site {site}"):
+            minimal_spec(async_control=True, partitions=(window,))
+
+    def test_partition_of_the_last_pool_site_accepted(self):
+        window = PartitionWindow(3, 0.0, 100.0)
+        spec = minimal_spec(async_control=True, partitions=(window,))
+        assert spec.partitions == (window,)
 
     def test_bad_phase_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -63,7 +63,7 @@ class TestStreamRegistry:
 
     def test_streams_of_site_ordered(self):
         registry = self.make_registry()
-        ids = registry.stream_ids_of_site(1)
+        ids = [d.stream_id for d in registry.streams_of_site(1)]
         assert ids == [StreamId(1, 0), StreamId(1, 1), StreamId(1, 2)]
 
     def test_streams_of_unknown_site_empty(self):

@@ -8,6 +8,7 @@ from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.sim.churn import problem_without_site, rebuild_after_leave
 from repro.workload.coverage import CoverageWorkloadModel
+from tests.conftest import in_degree, out_degree
 
 
 @pytest.fixture
@@ -95,8 +96,8 @@ class TestRebuild:
         _, _, after = rebuild_after_leave(
             small_session, workload, 2, RandomJoinBuilder(), rng, 200.0
         )
-        assert after.forest.out_degree(2) == 0
-        assert after.forest.in_degree(2) == 0
+        assert out_degree(after.forest, 2) == 0
+        assert in_degree(after.forest, 2) == 0
 
     def test_rebuilt_overlay_passes_audit(self, small_session, workload, rng):
         from repro.sim.invariants import InvariantAuditor

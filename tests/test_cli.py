@@ -210,6 +210,15 @@ class TestScenarioParser:
         assert err.startswith(f"tele3d: error: {flag} '{text}': ")
 
 
+    def test_partition_outside_the_pool_exits_2_naming_the_site(self, capsys):
+        from repro.cli import main
+
+        code = main(["scenario", "run", "flash-crowd", "--sites", "8",
+                     "--partition", "99:0:100"])
+        assert code == 2
+        assert "partition site 99" in capsys.readouterr().err
+
+
 class TestConvergenceParser:
     def test_defaults(self):
         args = build_parser().parse_args(["convergence"])

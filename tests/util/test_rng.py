@@ -105,8 +105,3 @@ class TestRngStream:
     def test_weighted_choice_length_mismatch(self):
         with pytest.raises(ValueError):
             RngStream(9).weighted_choice(["a"], [1.0, 2.0])
-
-    def test_gauss_and_expovariate_run(self):
-        stream = RngStream(9)
-        assert isinstance(stream.gauss(0.0, 1.0), float)
-        assert stream.expovariate(2.0) >= 0.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.tables import Table, format_mapping, format_series
+from repro.util.tables import Table, format_series
 
 
 class TestTable:
@@ -50,9 +50,3 @@ class TestSeriesFormatting:
     def test_format_series_length_mismatch(self):
         with pytest.raises(ValueError):
             format_series("rj", [1], [0.1, 0.2])
-
-    def test_format_mapping_sorted(self):
-        out = format_mapping("title", {"b": 2.0, "a": 1.0})
-        lines = out.splitlines()
-        assert lines[0] == "title"
-        assert lines[1].strip().startswith("a:")

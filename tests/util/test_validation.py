@@ -10,7 +10,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_range,
 )
 
 
@@ -34,11 +33,6 @@ class TestCheckers:
         assert check_probability("p", 1.0) == 1.0
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.01)
-
-    def test_range(self):
-        assert check_range("r", 5, 0, 10) == 5
-        with pytest.raises(ConfigurationError):
-            check_range("r", 11, 0, 10)
 
     def test_at_least(self):
         assert check_at_least("n", 3, 3) == 3
