@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.correlation import CorrelatedRandomJoinBuilder
+from repro.core.incremental import IncrementalRepairer
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
@@ -40,6 +41,24 @@ class TestUHatCache:
         second = result.u_hat_matrix()
         assert first is not second
         assert first == second
+
+    def test_incremental_join_invalidates(self, rng):
+        """A round's repair join shows in the repaired result's û while
+        the previous result keeps the rejection it cached."""
+        previous = RandomJoinBuilder().build(starved_problem(), rng)
+        assert previous.u_hat(1, 0) == 1  # cache primed while rejected
+        # Lift the source's outbound bound; the repair retries the join.
+        lifted = ForestProblem.from_tables(
+            cost=complete_cost(3, off_diagonal=1.0),
+            inbound={0: 5, 1: 5, 2: 5},
+            outbound={0: 5, 1: 5, 2: 5},
+            group_members={StreamId(0, 0): {1, 2}},
+            latency_bound_ms=10.0,
+        )
+        repair = IncrementalRepairer().repair(previous, lifted)
+        assert repair.fresh_joined == 2
+        assert repair.result.u_hat(1, 0) == 0
+        assert previous.u_hat(1, 0) == 1
 
     def test_corj_repair_invalidates(self):
         """CO-RJ's repair sweeps mutate the rejected list post-build."""

@@ -10,7 +10,7 @@ parents untouched.
 from __future__ import annotations
 
 from repro.core.incremental import IncrementalRepairer, churn_rate
-from repro.core.model import SubscriptionRequest
+from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
@@ -180,6 +180,64 @@ class TestTreeLifecycle:
         assert repair.feasible
         assert SubscriptionRequest(2, S0) in repair.result.satisfied
         assert_clean(repair.result)
+
+
+class TestJoinsAndLeaves:
+    """A subscription joining or leaving between rounds is a repair."""
+
+    def test_leaf_leave_releases_both_degrees(self):
+        previous = build(roomy_problem())
+        leaf = next(
+            r
+            for r in previous.satisfied
+            if is_leaf(previous.forest.trees[r.stream], r.subscriber)
+        )
+        parent = previous.forest.trees[leaf.stream].parent(leaf.subscriber)
+        dout, din = previous.state.dout[parent], previous.state.din[leaf.subscriber]
+        groups = {S0: {1, 2, 3, 4, 5}, S1: {0, 2, 3}}
+        groups[leaf.stream] = groups[leaf.stream] - {leaf.subscriber}
+        repair = IncrementalRepairer().repair(previous, roomy_problem(groups))
+        assert repair.result.state.dout[parent] == dout - 1
+        assert repair.result.state.din[leaf.subscriber] == din - 1
+        # The previous round's ledger is left as it was.
+        assert previous.state.dout[parent] == dout
+        assert previous.state.din[leaf.subscriber] == din
+
+    def test_fresh_request_respects_inbound_bound(self):
+        def problem(members) -> ForestProblem:
+            return ForestProblem.from_tables(
+                cost=complete_cost(3),
+                inbound={0: 5, 1: 0, 2: 5},
+                outbound={i: 5 for i in range(3)},
+                group_members={S0: members},
+                latency_bound_ms=10.0,
+            )
+
+        previous = build(problem({2}))
+        repair = IncrementalRepairer().repair(previous, problem({1, 2}))
+        assert repair.feasible
+        assert (repair.fresh_joined, repair.fresh_rejected) == (0, 1)
+        assert repair.result.rejected == [
+            (SubscriptionRequest(1, S0), RejectionReason.INBOUND_SATURATED)
+        ]
+        assert_clean(repair.result)
+
+    def test_leave_then_rejoin_roundtrip(self):
+        previous = build(roomy_problem())
+        leaf = next(
+            r
+            for r in previous.satisfied
+            if is_leaf(previous.forest.trees[r.stream], r.subscriber)
+        )
+        groups = {S0: {1, 2, 3, 4, 5}, S1: {0, 2, 3}}
+        groups[leaf.stream] = groups[leaf.stream] - {leaf.subscriber}
+        left = IncrementalRepairer().repair(previous, roomy_problem(groups))
+        back = IncrementalRepairer().repair(left.result, roomy_problem())
+        assert back.feasible
+        assert back.carried == len(previous.satisfied) - 1
+        assert back.fresh_joined == 1
+        assert leaf in back.result.satisfied
+        assert_clean(back.result)
 
 
 class TestInfeasibility:

@@ -13,7 +13,7 @@ import pytest
 from repro.core.randomized import RandomJoinBuilder
 from repro.pubsub.faults import FaultConfig, PartitionWindow
 from repro.pubsub.messages import Advertise, Subscribe, Withdraw
-from repro.pubsub.service import MAX_RETRANSMITS, MembershipService
+from repro.pubsub.service import MAX_RETRANSMITS, MembershipService, _Pending
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -114,6 +114,97 @@ class TestSequencing:
         service._receive(message)
         assert service.duplicates_discarded == 0
         assert system.server.is_registered(0)
+
+
+def sequenced_reports(rp, site: int):
+    """Advertise seq 1, Withdraw seq 2, re-Advertise seq 3 of one site."""
+    return (
+        Advertise(sent_ms=0.0, epoch=-1, advertisement=rp.advertisement(), seq=1),
+        Withdraw(sent_ms=0.0, epoch=-1, site=site, seq=2),
+        Advertise(sent_ms=0.0, epoch=-1, advertisement=rp.advertisement(), seq=3),
+    )
+
+
+class TestStalenessRule:
+    """One read-only rule says which reports delivery would discard;
+    ``_receive`` discards by it and ``parked_reports`` counts by it."""
+
+    def test_fresh_and_unsequenced_reports_are_kept(self, small_session):
+        _, service, _ = make_chaos_service(small_session)
+        assert service._discard_reason(2, "advertise", 1) is None
+        assert service._discard_reason(2, "withdraw", 1) is None
+        assert service._discard_reason(2, "advertise", 0) is None
+
+    def test_seq_at_or_below_the_applied_one_is_a_duplicate(self, small_session):
+        system, service, _ = make_chaos_service(small_session)
+        advertise, _, _ = sequenced_reports(system.rps[2], 2)
+        service._receive(advertise)
+        assert service._discard_reason(2, "advertise", 1) == "duplicate"
+        assert service._discard_reason(2, "advertise", 2) is None
+        # Each report kind keeps its own applied seq.
+        assert service._discard_reason(2, "subscribe", 1) is None
+
+    def test_state_behind_the_withdraw_floor_is_stale(self, small_session):
+        system, service, _ = make_chaos_service(small_session)
+        advertise, withdraw, _ = sequenced_reports(system.rps[2], 2)
+        service._receive(advertise)
+        service._receive(withdraw)
+        assert service._discard_reason(2, "subscribe", 1) == "stale"
+        assert service._discard_reason(2, "subscribe", 3) is None
+
+    def test_withdraw_outrun_by_the_rejoin_is_a_straggler(self, small_session):
+        system, service, _ = make_chaos_service(small_session)
+        advertise, withdraw, rejoin = sequenced_reports(system.rps[2], 2)
+        service._receive(advertise)
+        service._receive(rejoin)
+        assert service._discard_reason(2, "withdraw", 2) == "straggler"
+        service._receive(withdraw)
+        assert service.stale_reports_discarded == 1
+        assert system.server.is_registered(2)
+        # The straggler's seq is recorded: a second copy is a duplicate.
+        assert service._discard_reason(2, "withdraw", 2) == "duplicate"
+        service._receive(withdraw)
+        assert service.duplicates_discarded == 1
+        assert system.server.is_registered(2)
+
+    def test_rule_reads_without_recording(self, small_session):
+        system, service, _ = make_chaos_service(small_session)
+        advertise, withdraw, _ = sequenced_reports(system.rps[2], 2)
+        service._receive(advertise)
+        service._receive(withdraw)
+        applied = dict(service._applied_seq)
+        floor = dict(service._withdraw_floor)
+        for kind in ("advertise", "subscribe", "withdraw"):
+            for seq in range(5):
+                service._discard_reason(2, kind, seq)
+        assert service._applied_seq == applied
+        assert service._withdraw_floor == floor
+
+    def test_parked_reports_count_only_what_delivery_keeps(self, small_session):
+        system, service, _ = make_chaos_service(small_session)
+        advertise, _, rejoin = sequenced_reports(system.rps[2], 2)
+        service._receive(advertise)
+        service._receive(rejoin)
+        service._receive(
+            Advertise(
+                sent_ms=0.0, epoch=-1, advertisement=system.rps[1].advertisement(), seq=1
+            )
+        )
+        service._receive(Withdraw(sent_ms=0.0, epoch=-1, site=1, seq=3))
+        parked = {
+            (2, 1): "advertise",  # duplicate: applied up to seq 3
+            (1, 2): "subscribe",  # stale: site 1 withdrew at seq 3
+            (2, 2): "withdraw",  # straggler: site 2 rejoined at seq 3
+            (2, 4): "subscribe",  # still to apply
+        }
+        for (site, seq), kind in parked.items():
+            service._parked[(site, seq)] = _Pending(site, seq, kind, None)
+        reasons = [
+            service._discard_reason(site, kind, seq)
+            for (site, seq), kind in parked.items()
+        ]
+        assert reasons == ["duplicate", "stale", "straggler", None]
+        assert service.parked_reports == 1
 
 
 class TestWithdrawHeartbeatRace:
