@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lightweight CI for the reproduction repo.
 #
-#   scripts/ci.sh          tier-1 tests + one audited scenario smoke check
+#   scripts/ci.sh          tier-1 tests, audited scenario smoke checks and
+#                          the reach check (scripts/reach.py)
 #   scripts/ci.sh --full   additionally enables the slow/stress test matrix
 #
 # Exits non-zero on any test failure or invariant violation.
@@ -51,6 +52,17 @@ echo "== audited async-control scenario (mid-build joins under delay) =="
 # message at its base delay.
 python -m repro.cli scenario run flash-crowd --sites 8 --seed 7 \
     --control-delay-ms 50 --debounce-ms 15 --audit --strict
+
+echo
+echo "== reach: no product function that no product run calls =="
+# scripts/reach.py traces the digest cells, the benchmark drivers, the CLI
+# lines of this file, the scale probe's rows and the examples (~30 s) and
+# fails on a function none of them calls that its KEEP table does not name.
+if python -c "import numpy" >/dev/null 2>&1; then
+    python scripts/reach.py
+else
+    echo "ci.sh: numpy not importable, and reach.py's KEEP is written for it"
+fi
 
 if [[ "${1:-}" == "--full" ]]; then
     echo

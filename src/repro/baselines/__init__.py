@@ -8,17 +8,13 @@ ingredient:
 * :class:`DirectUnicastBuilder` — sources serve every subscriber
   directly, no relaying (the abandoned all-to-all scheme restricted to
   subscribed streams);
-* :class:`SequentialOrderBuilder` — the basic node-join without any
-  randomization (deterministic request order);
 * parent-policy ablations — :data:`repro.core.node_join.ParentPolicy`
   (``MIN_COST``, ``FIRST_FIT``) plugged into any builder.
 """
 
 from repro.baselines.all_to_all import DirectUnicastBuilder, all_to_all_load
-from repro.baselines.sequential import SequentialOrderBuilder
 
 __all__ = [
     "DirectUnicastBuilder",
     "all_to_all_load",
-    "SequentialOrderBuilder",
 ]

@@ -26,6 +26,7 @@ from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.util.rng import RngStream
+from repro.util.units import mbps_for_stream
 
 
 @dataclass
@@ -85,19 +86,19 @@ class DirectUnicastBuilder(OverlayBuilder):
         forest.satisfied.append(request)
 
 
-def all_to_all_load(
-    n_sites: int, streams_per_site: int, stream_mbps: float = 7.5
-) -> dict[str, float]:
+def all_to_all_load(n_sites: int, streams_per_site: int) -> dict[str, float]:
     """Sec. 1 back-of-envelope: bandwidth demand of full all-to-all.
 
     Every site sends each of its streams to all ``n_sites - 1`` others
     and receives every remote stream.  Returns per-site outbound/inbound
-    demand in stream units and Mbps.
+    demand in stream units and in Mbps at the middle of the paper's
+    compressed range (7.5 Mbps a stream).
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
     if streams_per_site < 1:
         raise ValueError(f"streams_per_site must be >= 1, got {streams_per_site}")
+    stream_mbps = mbps_for_stream()
     out_streams = streams_per_site * (n_sites - 1)
     in_streams = streams_per_site * (n_sites - 1)
     return {

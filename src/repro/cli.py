@@ -104,76 +104,77 @@ class _SpecFlag(NamedTuple):
     """One ``scenario run`` flag overriding one ScenarioSpec field.
 
     ``parse`` is ``float``/``int`` for a value, ``bool`` for a switch, or
-    (with ``metavar``) a window parser for a repeatable flag.
+    (with ``metavar``) a window parser for a repeatable flag.  A flag for
+    one of :data:`~repro.scenarios.spec.CONTROL_PLANE_FIELDS` implies
+    ``--async-control``.
     """
 
     flag: str
     field: str
     parse: Callable
-    implies_async: bool
     help: str
     metavar: str | None = None
 
 
 _SPEC_FLAGS = (
-    _SpecFlag("--control-delay-ms", "control_delay_ms", float, True,
+    _SpecFlag("--control-delay-ms", "control_delay_ms", float,
               "one-way control-link propagation delay (implies "
               "--async-control; default 0)"),
-    _SpecFlag("--debounce-ms", "debounce_ms", float, True,
+    _SpecFlag("--debounce-ms", "debounce_ms", float,
               "dirty-state window the service coalesces before each build "
               "round (implies --async-control; default 0)"),
-    _SpecFlag("--loss-rate", "loss_rate", float, True,
+    _SpecFlag("--loss-rate", "loss_rate", float,
               "control-link drop probability per message (implies "
               "--async-control; default 0)"),
-    _SpecFlag("--jitter-ms", "jitter_ms", float, True,
+    _SpecFlag("--jitter-ms", "jitter_ms", float,
               "uniform [0,j] control-link delay jitter (implies "
               "--async-control; default 0)"),
-    _SpecFlag("--duplicate-rate", "duplicate_rate", float, True,
+    _SpecFlag("--duplicate-rate", "duplicate_rate", float,
               "probability a delivered control message is delivered again "
               "(implies --async-control)"),
-    _SpecFlag("--partition", "partitions", _parse_partition, True,
+    _SpecFlag("--partition", "partitions", _parse_partition,
               "cut one site's control link for [START,END) ms (repeatable; "
               "implies --async-control)", "SITE:START:END"),
-    _SpecFlag("--heartbeat-ms", "heartbeat_ms", float, True,
+    _SpecFlag("--heartbeat-ms", "heartbeat_ms", float,
               "site heartbeat period; the server withdraws sites silent for "
               "miss-threshold periods (implies --async-control; 0 disables)"),
-    _SpecFlag("--miss-threshold", "miss_threshold", int, True,
+    _SpecFlag("--miss-threshold", "miss_threshold", int,
               "missed heartbeat periods before the failure detector "
-              "withdraws a site (default 3)"),
-    _SpecFlag("--retransmit-timeout-ms", "retransmit_timeout_ms", float, True,
+              "withdraws a site (implies --async-control; default 3)"),
+    _SpecFlag("--retransmit-timeout-ms", "retransmit_timeout_ms", float,
               "ack timeout arming retransmission with capped exponential "
               "backoff (implies --async-control; 0 keeps fire-and-forget)"),
-    _SpecFlag("--server-outage", "server_outages", _parse_outage, True,
+    _SpecFlag("--server-outage", "server_outages", _parse_outage,
               "crash the membership server for [START,END) ms — it restarts "
               "under a higher incarnation and reconstructs soft state from "
               "the sites (repeatable; implies --async-control; requires "
               "heartbeats + retransmission)", "START:END"),
-    _SpecFlag("--phi-threshold", "phi_threshold", float, True,
+    _SpecFlag("--phi-threshold", "phi_threshold", float,
               "phi-accrual suspicion threshold replacing the static "
               "miss-threshold deadline on both failure detectors (implies "
               "--async-control; 0 keeps the static deadline)"),
-    _SpecFlag("--checkpoint-interval-ms", "checkpoint_interval_ms", float, True,
+    _SpecFlag("--checkpoint-interval-ms", "checkpoint_interval_ms", float,
               "period of the server's durable soft-state checkpoint for warm "
               "restarts (implies --async-control; 0 restarts cold)"),
     # Data-plane chaos lives on its own simulator, so these do NOT imply
     # --async-control.
-    _SpecFlag("--data-loss-rate", "data_loss_rate", float, False,
+    _SpecFlag("--data-loss-rate", "data_loss_rate", float,
               "data-plane frame drop probability per hop (routes "
               "dissemination to the event plane; does not imply "
               "--async-control)"),
-    _SpecFlag("--data-jitter-ms", "data_jitter_ms", float, False,
+    _SpecFlag("--data-jitter-ms", "data_jitter_ms", float,
               "uniform [0,j] per-hop data-plane delay jitter"),
-    _SpecFlag("--data-duplicate-rate", "data_duplicate_rate", float, False,
+    _SpecFlag("--data-duplicate-rate", "data_duplicate_rate", float,
               "probability a delivered frame is delivered again (receivers "
               "de-duplicate by sequence)"),
-    _SpecFlag("--data-nack", "data_nack", bool, False,
+    _SpecFlag("--data-nack", "data_nack", bool,
               "arm the NACK/repair layer: receivers detect sequence gaps and "
               "request retransmission up their dissemination tree"),
     _SpecFlag("--data-max-repair-attempts", "data_max_repair_attempts", int,
-              False, "NACK retries per missing frame before giving up "
+              "NACK retries per missing frame before giving up "
               "(default 3)"),
     _SpecFlag("--data-repair-deadline-factor", "data_repair_deadline_factor",
-              float, False, "repair deadline as a multiple of the latency "
+              float, "repair deadline as a multiple of the latency "
               "bound, measured from gap detection (default 2.0)"),
 )
 
@@ -438,6 +439,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         run_scenario,
         scenario_names,
     )
+    from repro.scenarios.spec import CONTROL_PLANE_FIELDS
 
     if args.scenario_command == "list":
         for name in scenario_names() + chaos_scenario_names():
@@ -457,7 +459,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         if entry.metavar is not None:
             value = tuple(entry.parse(text) for text in value)
         overrides[entry.field] = value
-        overrides["async_control"] |= entry.implies_async
+        overrides["async_control"] |= entry.field in CONTROL_PLANE_FIELDS
     spec = replace(spec, **overrides)
     report = run_scenario(
         spec, audit=args.audit, strict=args.strict, dataplane=args.dataplane

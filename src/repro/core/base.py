@@ -68,10 +68,6 @@ class BuildResult:
             self._u_hat_cache = u_hat
         return self._u_hat_cache
 
-    def u_hat(self, subscriber: int, source: int) -> int:
-        """``û_{i->j}`` for one (subscriber, source) pair."""
-        return self.u_hat_matrix().get(subscriber, {}).get(source, 0)
-
     def invalidate_caches(self) -> None:
         """Drop derived caches after mutating the satisfied/rejected lists."""
         self._u_hat_cache = None

@@ -38,10 +38,6 @@ class MulticastTree:
     def __contains__(self, node: int) -> bool:
         return node in self._children
 
-    def members(self) -> list[int]:
-        """All nodes in the tree, source first, then insertion order."""
-        return list(self._children)
-
     def receivers(self) -> list[int]:
         """Members other than the source (the satisfied subscribers)."""
         return [node for node in self._children if node != self.source]
@@ -54,10 +50,6 @@ class MulticastTree:
     def parent(self, node: int) -> int | None:
         """Parent of ``node``; None for the source or non-members."""
         return self._parent.get(node)
-
-    def children(self, node: int) -> list[int]:
-        """Children of ``node`` (empty for leaves and non-members)."""
-        return list(self._children.get(node, []))
 
     def cost_from_source(self, node: int) -> float:
         """Accumulated tree-path latency from the source to ``node``."""

@@ -121,10 +121,6 @@ class BuilderState:
 
     # -- queries -----------------------------------------------------------------
 
-    def rfc(self, node: int) -> int:
-        """Remaining forwarding capacity ``O_i - dout_i - m̂_i``."""
-        return self._out_limits[node] - self.dout[node] - self.m_hat[node]
-
     def inbound_free(self, node: int) -> bool:
         """True while ``din_i < I_i``."""
         return self.din[node] < self._in_limits[node]
@@ -218,16 +214,3 @@ class BuilderState:
                 )
             if self.m_hat[node] < 0:
                 raise OverlayError(f"negative m̂ at node {node}")
-
-    def snapshot(self) -> dict[str, dict[int, int]]:
-        """A defensive copy of the degree tables (for tests/metrics).
-
-        Kept in the historical node-keyed dict form even though the
-        live tables are flat lists.
-        """
-        return {
-            "din": dict(enumerate(self.din)),
-            "dout": dict(enumerate(self.dout)),
-            "m": dict(enumerate(self.m)),
-            "m_hat": dict(enumerate(self.m_hat)),
-        }

@@ -63,7 +63,6 @@ def run_disruption(
     scenario: str = "mixed-churn",
     sizes: Sequence[int] = DEFAULT_SIZES,
     seed: int = 7,
-    policies: Sequence[str] = REBUILD_POLICIES,
     audit: bool = False,
 ) -> SeriesResult:
     """Sweep mean per-round disruption across N, one series per policy.
@@ -75,7 +74,7 @@ def run_disruption(
     """
     result = SeriesResult(xs=list(sizes))
     for sites in sizes:
-        for policy in policies:
+        for policy in REBUILD_POLICIES:
             report = scenario_report(
                 scenario, sites=sites, seed=seed, policy=policy, audit=audit
             )

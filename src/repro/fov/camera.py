@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 
-from repro.fov.geometry import ORIGIN, Pose, Vec3
+from repro.fov.geometry import Pose, Vec3
 
 
 def camera_ring(
-    n_cameras: int,
-    radius: float = 3.0,
-    height: float = 1.5,
-    center: Vec3 = ORIGIN,
-    phase_deg: float = 0.0,
+    n_cameras: int, radius: float = 3.0, height: float = 1.5
 ) -> list[Pose]:
-    """Place ``n_cameras`` inward-facing cameras on a ring.
+    """Place ``n_cameras`` inward-facing cameras on a ring round the origin.
+
+    Camera 0 sits on the +x axis, which we treat as the "front" of the
+    subject; the rest follow counter-clockwise, equally spaced.
 
     Parameters
     ----------
@@ -30,24 +29,15 @@ def camera_ring(
         Ring radius in metres.
     height:
         Camera height above the stage plane.
-    center:
-        Stage centre the cameras aim at.
-    phase_deg:
-        Rotation offset of camera 0, in degrees (0 = +x axis, which we
-        treat as the "front" of the subject).
     """
     if n_cameras < 1:
         raise ValueError(f"n_cameras must be >= 1, got {n_cameras}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    subject = Vec3(0.0, 0.0, height * 0.7)
     poses = []
     for k in range(n_cameras):
-        theta = math.radians(phase_deg) + 2.0 * math.pi * k / n_cameras
-        position = Vec3(
-            center.x + radius * math.cos(theta),
-            center.y + radius * math.sin(theta),
-            center.z + height,
-        )
-        subject = Vec3(center.x, center.y, center.z + height * 0.7)
+        theta = 2.0 * math.pi * k / n_cameras
+        position = Vec3(radius * math.cos(theta), radius * math.sin(theta), height)
         poses.append(Pose.look_at(position, subject))
     return poses

@@ -19,28 +19,12 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
 
     def dot(self, other: "Vec3") -> float:
         """Inner product."""
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        """Cross product."""
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def norm(self) -> float:
         """Euclidean length."""
@@ -52,14 +36,6 @@ class Vec3:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return Vec3(self.x / n, self.y / n, self.z / n)
-
-    def distance_to(self, other: "Vec3") -> float:
-        """Euclidean distance to another point."""
-        return (self - other).norm()
-
-
-ORIGIN = Vec3(0.0, 0.0, 0.0)
-UP = Vec3(0.0, 0.0, 1.0)
 
 
 def angle_between_deg(a: Vec3, b: Vec3) -> float:
@@ -82,10 +58,6 @@ class Pose:
         if self.direction.norm() == 0.0:
             raise ValueError("pose direction must be non-zero")
         object.__setattr__(self, "direction", self.direction.normalized())
-
-    def looking_at(self, target: Vec3) -> "Pose":
-        """A pose at the same position re-aimed at ``target``."""
-        return Pose(self.position, target - self.position)
 
     @staticmethod
     def look_at(position: Vec3, target: Vec3) -> "Pose":

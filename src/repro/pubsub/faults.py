@@ -65,10 +65,6 @@ class PartitionWindow:
                 f"partition end {self.end_ms} must be after start {self.start_ms}"
             )
 
-    def covers(self, site: int, time_ms: float) -> bool:
-        """True when ``site``'s link is cut at ``time_ms``."""
-        return site == self.site and self.start_ms <= time_ms < self.end_ms
-
 
 @dataclass(frozen=True)
 class ServerOutageWindow:

@@ -150,14 +150,6 @@ class ServerCheckpoint:
     #: Edge table of the last emitted forest (None before any round).
     edges: EdgeTable | None
 
-    @property
-    def registered(self) -> int:
-        """Sites the checkpoint knows (either registration kind)."""
-        return len(
-            {site for site, _ in self.advertised}
-            | {site for site, _ in self.subscriptions}
-        )
-
 
 @dataclass
 class MembershipServer:

@@ -221,10 +221,6 @@ class RPAgent:
         """Streams delivered to this site (shared, read-only)."""
         return self._receiving
 
-    def next_hops(self, stream: StreamId) -> list[int]:
-        """Children sites this RP must relay ``stream`` to."""
-        return list(self._forwarding.get(stream, []))
-
     def satisfied_fraction(self) -> float:
         """Fraction of this site's aggregated subscription actually arriving."""
         wanted = set(self.aggregate_subscription().streams)

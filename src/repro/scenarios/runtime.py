@@ -279,6 +279,9 @@ _RECOVERY_COUNTERS = (
     "checkpoint_restores",
 )
 
+#: Simulated capture span of each per-round data-plane measurement.
+DATAPLANE_DURATION_MS = 500.0
+
 
 class ScenarioRuntime:
     """Executes one :class:`ScenarioSpec` against a live control plane.
@@ -301,9 +304,8 @@ class ScenarioRuntime:
         audited rounds stay cheap; any nonzero data-fault knob
         auto-enables the sidecar (even when this flag is False) and
         routes it to the event-driven plane with the spec's NACK/repair
-        configuration.
-    dataplane_duration_ms:
-        Simulated capture span measured per control round.
+        configuration.  Each measurement spans
+        :data:`DATAPLANE_DURATION_MS` of simulated capture.
     """
 
     def __init__(
@@ -312,11 +314,9 @@ class ScenarioRuntime:
         audit: bool = True,
         strict: bool = False,
         dataplane: bool = False,
-        dataplane_duration_ms: float = 500.0,
     ) -> None:
         self.spec = spec
         self.dataplane = dataplane or spec.data_chaotic
-        self.dataplane_duration_ms = dataplane_duration_ms
         self.rng = RngStream(spec.seed, label=f"scenario/{spec.name}")
         self.session = self._build_session(spec)
         self.sim = Simulator()
@@ -448,23 +448,6 @@ class ScenarioRuntime:
         if self.auditor is not None:
             self.report.audit = self.auditor.report()
         return self.report
-
-    def crash_server(self) -> None:
-        """Kill the membership server now (async control planes only)."""
-        if self.service is None:
-            raise SimulationError(
-                "crash_server requires async_control (the synchronous "
-                "path has no live server process to kill)"
-            )
-        self.service.crash_server()
-
-    def recover_server(self) -> None:
-        """Restart a crashed membership server now."""
-        if self.service is None:
-            raise SimulationError(
-                "recover_server requires async_control"
-            )
-        self.service.recover_server()
 
     # -- event execution ----------------------------------------------------------
 
@@ -666,7 +649,7 @@ class ScenarioRuntime:
             nack_enabled=spec.data_nack,
             max_repair_attempts=spec.data_max_repair_attempts,
             repair_deadline_factor=spec.data_repair_deadline_factor,
-        ).run(self.dataplane_duration_ms)
+        ).run(DATAPLANE_DURATION_MS)
         self.report.dataplane_frames_delivered += report.frames_delivered
         self.report.dataplane_total_latency_ms += left_sum(report.deliveries.totals)
         self.report.dataplane_max_latency_ms = max(

@@ -20,7 +20,7 @@ count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
@@ -62,14 +62,31 @@ class SchedulePhase:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ConfigurationError(f"phase count must be >= 0, got {self.count}")
-        if self.start_ms < 0:
-            raise ConfigurationError(
-                f"phase start must be >= 0, got {self.start_ms}"
-            )
+        check_finite_non_negative("phase start", self.start_ms)
+        check_finite_non_negative("phase end", self.end_ms)
         if self.end_ms < self.start_ms:
             raise ConfigurationError(
                 f"phase end {self.end_ms} precedes start {self.start_ms}"
             )
+
+
+#: The spec fields only the event-driven membership service reads.  Off
+#: its default, each requires ``async_control``; the CLI's flag for each
+#: implies ``--async-control``.
+CONTROL_PLANE_FIELDS = (
+    "control_delay_ms",
+    "debounce_ms",
+    "loss_rate",
+    "jitter_ms",
+    "duplicate_rate",
+    "partitions",
+    "heartbeat_ms",
+    "miss_threshold",
+    "retransmit_timeout_ms",
+    "server_outages",
+    "phi_threshold",
+    "checkpoint_interval_ms",
+)
 
 
 @dataclass(frozen=True)
@@ -112,16 +129,15 @@ class ScenarioSpec:
         :class:`~repro.pubsub.service.MembershipService` instead of
         running one synchronous control round per event.  With both
         delays zero this is the degenerate case, bit-identical to the
-        synchronous path.
+        synchronous path.  Every field in :data:`CONTROL_PLANE_FIELDS`
+        requires it when off its default.
     control_delay_ms / debounce_ms:
         One-way control-link propagation delay and the service's
-        dirty-state coalescing window (require ``async_control``).
+        dirty-state coalescing window.
     loss_rate / jitter_ms / duplicate_rate / partitions:
         Control-link fault model (see :mod:`repro.pubsub.faults`):
         per-message drop probability, uniform delay jitter, duplicate
-        delivery probability, and timed site<->server partitions.  All
-        require ``async_control`` (the synchronous path has no links to
-        impair).
+        delivery probability, and timed site<->server partitions.
     heartbeat_ms / miss_threshold:
         Failure-detection knobs: live sites beat every
         ``heartbeat_ms``; the server withdraws a registered site silent
@@ -135,9 +151,8 @@ class ScenarioSpec:
         Timed membership-server crashes (see
         :class:`~repro.pubsub.faults.ServerOutageWindow`): the server
         loses all soft state at each window start and restarts under a
-        higher incarnation at its end.  Require ``async_control`` plus
-        heartbeats and retransmission (the recovery protocol rides
-        both).
+        higher incarnation at its end.  Require heartbeats and
+        retransmission (the recovery protocol rides both).
     phi_threshold:
         φ-accrual suspicion threshold replacing the static
         ``miss_threshold x heartbeat_ms`` deadline on both failure
@@ -145,14 +160,13 @@ class ScenarioSpec:
         ``heartbeat_ms > 0``.
     checkpoint_interval_ms:
         Period of the server's durable soft-state checkpoint for warm
-        restarts; 0 means crashed servers restart cold.  Requires
-        ``async_control`` (the service takes the checkpoints).
+        restarts; 0 means crashed servers restart cold.
     data_loss_rate / data_jitter_ms / data_duplicate_rate:
         Data-plane fault model for the per-round dissemination
         measurement (the data mirror of the control knobs above).  Any
         nonzero knob auto-enables the dissemination sidecar and routes
         it to the event-driven plane.  Unlike the control knobs these
-        do *not* require ``async_control`` — the data plane runs on its
+        are not in :data:`CONTROL_PLANE_FIELDS` — the data plane runs on its
         own simulator either way.
     data_nack / data_max_repair_attempts / data_repair_deadline_factor:
         Gap-recovery knobs for the dissemination measurement: arm the
@@ -226,13 +240,6 @@ class ScenarioSpec:
         check_at_least("capacity_jitter", self.capacity_jitter, 0)
         check_finite_non_negative("control_delay_ms", self.control_delay_ms)
         check_finite_non_negative("debounce_ms", self.debounce_ms)
-        if not self.async_control and (
-            self.control_delay_ms or self.debounce_ms
-        ):
-            raise ConfigurationError(
-                "control_delay_ms/debounce_ms require async_control=True "
-                "(the synchronous path has no control links to delay)"
-            )
         check_probability("loss_rate", self.loss_rate)
         check_finite_non_negative("jitter_ms", self.jitter_ms)
         check_probability("duplicate_rate", self.duplicate_rate)
@@ -255,22 +262,14 @@ class ScenarioSpec:
                     f"partition site {window.site} is outside the pool of "
                     f"{self.n_sites} sites"
                 )
-        needs_service = bool(
-            self.loss_rate
-            or self.jitter_ms
-            or self.duplicate_rate
-            or self.partitions
-            or self.heartbeat_ms
-            or self.retransmit_timeout_ms
-            or self.server_outages
-            or self.checkpoint_interval_ms
-        )
-        if needs_service and not self.async_control:
-            raise ConfigurationError(
-                "fault/heartbeat/retransmit/checkpoint knobs require "
-                "async_control=True (the synchronous path has no control "
-                "links to impair and no service to take checkpoints)"
-            )
+        if not self.async_control:
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in CONTROL_PLANE_FIELDS:
+                if getattr(self, name) != defaults[name]:
+                    raise ConfigurationError(
+                        f"{name} requires async_control=True (the synchronous "
+                        "path has no control links and no service)"
+                    )
         if self.phi_threshold > 0 and self.heartbeat_ms <= 0:
             raise ConfigurationError(
                 "phi_threshold requires heartbeat_ms > 0 (the detector "

@@ -58,11 +58,6 @@ class RendezvousPoint:
                 f"(I={self.inbound_limit}, O={self.outbound_limit})"
             )
 
-    @property
-    def name(self) -> str:
-        """Human-readable RP identifier."""
-        return f"RP{self.site}"
-
 
 @dataclass
 class Site:

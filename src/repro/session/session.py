@@ -31,8 +31,6 @@ class SessionConfig:
 
     n_sites: int = 4
     displays_per_site: int = 4
-    placement: str = "random"
-    camera_ring_radius: float = 3.0
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -72,10 +70,9 @@ class TISession:
             if site.pop_id in seen_pops:
                 raise SessionError(f"two sites share PoP {site.pop_id!r}")
             seen_pops.add(site.pop_id)
-        # The dense matrix is the only latency store; ``cost_matrix()``
-        # derives the O(N²) dict form on demand.
-        self._dense_costs = DenseCostMatrix(
-            self.topology.dense_cost_matrix([s.pop_id for s in self.sites]).rows()
+        # The site-indexed dense matrix is the session's only latency store.
+        self._dense_costs = self.topology.dense_cost_matrix(
+            [s.pop_id for s in self.sites]
         )
 
     # -- accessors ---------------------------------------------------------------
@@ -112,14 +109,6 @@ class TISession:
         """The shared site-indexed dense latency matrix (read-only)."""
         return self._dense_costs
 
-    def inbound_limit(self, site: int) -> int:
-        """``I_site`` in stream units."""
-        return self.site(site).rp.inbound_limit
-
-    def outbound_limit(self, site: int) -> int:
-        """``O_site`` in stream units."""
-        return self.site(site).rp.outbound_limit
-
     def total_streams(self) -> int:
         """Total number of published streams across all sites."""
         return len(self.registry)
@@ -145,16 +134,12 @@ def build_session(
     config = config or SessionConfig()
     placement_rng = rng.spawn("placement")
     capacity_rng = rng.spawn("capacity")
-    pops = place_sites(
-        topology, config.n_sites, rng=placement_rng, strategy=config.placement
-    )
+    pops = place_sites(topology, config.n_sites, placement_rng)
     assignments = capacity_model.assign(config.n_sites, capacity_rng)
     registry = StreamRegistry()
     # One camera ring per stream count, shared by the sites that have it
     # (poses are frozen values) and dropped with this call.
-    ring = functools.cache(
-        lambda n: tuple(camera_ring(n, radius=config.camera_ring_radius))
-    )
+    ring = functools.cache(lambda n: tuple(camera_ring(n)))
     sites = []
     for index, (pop_id, assignment) in enumerate(zip(pops, assignments)):
         poses = ring(assignment.n_streams)

@@ -100,8 +100,3 @@ class StreamRegistry:
 
     def __len__(self) -> int:
         return sum(len(streams) for streams in self._by_site.values())
-
-    @property
-    def sites(self) -> list[int]:
-        """Indices of sites that publish at least one stream."""
-        return sorted(self._by_site)

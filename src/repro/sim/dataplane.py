@@ -59,10 +59,8 @@ from repro.util.validation import (
 LATENCY_QUANTILES = (50, 90, 99)
 
 
-def latency_percentiles(
-    latencies: list[float], quantiles: tuple[int, ...] = LATENCY_QUANTILES
-) -> dict[int, float]:
-    """Nearest-rank percentiles of a latency sample.
+def latency_percentiles(latencies: list[float]) -> dict[int, float]:
+    """Nearest-rank :data:`LATENCY_QUANTILES` of a latency sample.
 
     Nearest-rank (``sorted[ceil(q/100 * n) - 1]``) rather than an
     interpolating estimator: the result is always an observed sample,
@@ -74,7 +72,7 @@ def latency_percentiles(
     ordered = sorted(latencies)
     n = len(ordered)
     return {
-        q: ordered[max(1, math.ceil(q / 100.0 * n)) - 1] for q in quantiles
+        q: ordered[max(1, math.ceil(q / 100.0 * n)) - 1] for q in LATENCY_QUANTILES
     }
 
 
@@ -84,13 +82,6 @@ class DeliveryStats(NamedTuple):
     frames: int = 0
     total_latency_ms: float = 0.0
     max_latency_ms: float = 0.0
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean delivery latency (0 when nothing arrived)."""
-        if self.frames == 0:
-            return 0.0
-        return self.total_latency_ms / self.frames
 
 
 @dataclass(eq=False, slots=True)

@@ -51,11 +51,6 @@ class Timer:
         #: Number of times the callback has actually run.
         self.fired = 0
 
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancelled
-
     def cancel(self) -> None:
         """Prevent any further firing (idempotent)."""
         self._cancelled = True

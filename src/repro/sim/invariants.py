@@ -344,11 +344,12 @@ class InvariantAuditor:
         if _provably_sound(tree.source, tree.parent_map(), tree.children_map()):
             return []
         found: list[Violation] = []
-        members = set(tree.members())
+        children = tree.children_map()
+        members = set(children)
         # Parent/child symmetry: both adjacency views carry the same edges.
         parent_edges = {(parent, child) for parent, child in tree.edges()}
         child_edges = {
-            (node, child) for node in members for child in tree.children(node)
+            (node, child) for node, kids in children.items() for child in kids
         }
         for parent, child in parent_edges - child_edges:
             found.append(
@@ -612,12 +613,13 @@ class InvariantAuditor:
             table = rp.forwarding_table()
             if table != dictated:
                 for stream, children in dictated.items():
-                    if sorted(rp.next_hops(stream)) != sorted(children):
+                    forwarded = table.get(stream, [])
+                    if sorted(forwarded) != sorted(children):
                         found.append(
                             Violation(
                                 "forwarding-table",
                                 f"site {site} forwards {stream} to "
-                                f"{rp.next_hops(stream)}, directive says {children}",
+                                f"{forwarded}, directive says {children}",
                             )
                         )
                 for stream in table:
@@ -626,7 +628,7 @@ class InvariantAuditor:
                             Violation(
                                 "forwarding-table",
                                 f"site {site} forwards undictated stream "
-                                f"{stream} to {rp.next_hops(stream)}",
+                                f"{stream} to {table[stream]}",
                             )
                         )
             if rp.receiving_set() != receiving.get(site, set()):

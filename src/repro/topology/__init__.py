@@ -11,7 +11,7 @@ The Mapnet snapshot is no longer distributed, so this package provides:
   arbitrarily sized backbones;
 * :mod:`repro.topology.graph` — the :class:`Topology` graph with
   Dijkstra-based all-pairs latency costs;
-* :mod:`repro.topology.placement` — site-placement strategies.
+* :mod:`repro.topology.placement` — random site placement.
 
 The overlay-construction algorithms consume only the resulting pairwise
 RP-to-RP cost matrix, so any geographically-embedded connected graph

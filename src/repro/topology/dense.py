@@ -15,8 +15,6 @@ rebuild.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
 from repro.errors import TopologyError
 
 
@@ -25,24 +23,18 @@ class DenseCostMatrix:
 
     Rows are plain float lists; :meth:`row` and :meth:`column` return
     the internal lists directly (no copies) and callers must treat them
-    as read-only.  An optional ``labels`` sequence names the indices
-    (e.g. PoP names) for graph-level consumers.
+    as read-only.
     """
 
     __slots__ = (
         "n",
         "_rows",
         "_cols",
-        "_labels",
         "array_backend",
         "edits",
     )
 
-    def __init__(
-        self,
-        rows: list[list[float]],
-        labels: Sequence[Hashable] | None = None,
-    ) -> None:
+    def __init__(self, rows: list[list[float]]) -> None:
         # Local import: repro.core's package init imports the session
         # layer, which imports this module.
         from repro.core.backend import resolve_backend
@@ -63,11 +55,6 @@ class DenseCostMatrix:
         #: earlier can tell from this whether the costs it was checked
         #: against still stand.
         self.edits = 0
-        if labels is not None and len(labels) != self.n:
-            raise TopologyError(
-                f"{len(labels)} labels for {self.n} rows"
-            )
-        self._labels = list(labels) if labels is not None else None
 
     # -- lookups -----------------------------------------------------------------
 
@@ -105,13 +92,5 @@ class DenseCostMatrix:
         if self._cols is not None:
             self._cols[b][a] = value
 
-    @property
-    def labels(self) -> list[Hashable] | None:
-        """External ids in index order, when provided."""
-        return list(self._labels) if self._labels is not None else None
-
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"DenseCostMatrix(n={self.n}, labelled={self._labels is not None})"
+        return f"DenseCostMatrix(n={self.n})"

@@ -22,10 +22,6 @@ class GeoPoint:
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude out of range: {self.lon}")
 
-    def distance_km(self, other: "GeoPoint") -> float:
-        """Great-circle distance to ``other`` in kilometres."""
-        return haversine_km(self, other)
-
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points via the haversine formula."""

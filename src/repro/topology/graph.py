@@ -14,15 +14,13 @@ resulting dense cost matrix.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import TopologyError
 from repro.topology.dense import DenseCostMatrix
 from repro.topology.geo import GeoPoint, haversine_km
-from repro.util.floats import left_sum
 from repro.util.units import propagation_delay_ms
 
 
@@ -39,14 +37,6 @@ class Link:
             raise TopologyError(f"self-loop link at PoP {self.a!r}")
         if self.cost_ms < 0:
             raise TopologyError(f"negative link cost: {self.cost_ms}")
-
-    def other(self, node: str) -> str:
-        """Return the endpoint that is not ``node``."""
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise TopologyError(f"{node!r} is not an endpoint of {self}")
 
 
 class Topology:
@@ -105,9 +95,6 @@ class Topology:
 
     def __len__(self) -> int:
         return len(self._coords)
-
-    def __contains__(self, pop_id: str) -> bool:
-        return pop_id in self._coords
 
     def location(self, pop_id: str) -> GeoPoint:
         """Coordinates of a PoP."""
@@ -177,30 +164,6 @@ class Topology:
             cache.update(zip(missing, rows))
         return [cache[s] for s in sources]
 
-    def shortest_costs_from(self, source: str) -> Mapping[str, float]:
-        """Dijkstra single-source latency costs, read-only.
-
-        Maps every PoP reachable from ``source`` to its cost; built from
-        the cached row on each call.  Use ``dict(...)`` for a mutable
-        copy.
-        """
-        if source not in self._coords:
-            raise TopologyError(f"unknown PoP {source!r}")
-        (row,) = self._shortest_rows([source])
-        return MappingProxyType(
-            {pop: cost for pop, cost in zip(self._coords, row) if cost != _INF}
-        )
-
-    def cost_ms(self, a: str, b: str) -> float:
-        """Shortest-path one-way latency between two PoPs."""
-        if a == b:
-            return 0.0
-        costs = self.shortest_costs_from(a)
-        try:
-            return costs[b]
-        except KeyError:
-            raise TopologyError(f"no path from {a!r} to {b!r}") from None
-
     def dense_cost_matrix(
         self, pops: Iterable[str] | None = None
     ) -> DenseCostMatrix:
@@ -208,8 +171,8 @@ class Topology:
 
         This is the form the overlay hot paths consume: contiguous row
         lists of plain floats with O(1) ``edge_cost`` and bulk row
-        access, labelled by PoP id in the order of ``pops``.  The rows
-        are new lists, the caller's to keep or edit.
+        access, indexed in the order of ``pops``.  The rows are new
+        lists, the caller's to keep or edit.
         """
         selected = list(pops) if pops is not None else self.pop_ids
         for a in selected:
@@ -224,7 +187,7 @@ class Topology:
                 b = selected[row.index(_INF)]
                 raise TopologyError(f"no path from {a!r} to {b!r}")
             rows.append(row)
-        return DenseCostMatrix(rows, labels=selected)
+        return DenseCostMatrix(rows)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -269,31 +232,3 @@ def _scipy_rows(
     solved = dijkstra(graph, directed=True, indices=sources)
     return [array("d", row.tobytes()) for row in solved]
 
-
-@dataclass
-class TopologyStats:
-    """Summary statistics of a topology, for reports and sanity tests."""
-
-    pops: int
-    links: int
-    mean_link_cost_ms: float
-    max_link_cost_ms: float
-    diameter_ms: float = field(default=0.0)
-
-    @classmethod
-    def of(cls, topology: Topology) -> "TopologyStats":
-        """Compute stats (including latency diameter) for ``topology``."""
-        link_costs = [link.cost_ms for link in topology.links()]
-        if not link_costs:
-            return cls(pops=len(topology), links=0, mean_link_cost_ms=0.0, max_link_cost_ms=0.0)
-        diameter = 0.0
-        for src in topology.pop_ids:
-            costs = topology.shortest_costs_from(src)
-            diameter = max(diameter, max(costs.values()))
-        return cls(
-            pops=len(topology),
-            links=len(link_costs),
-            mean_link_cost_ms=left_sum(link_costs) / len(link_costs),
-            max_link_cost_ms=max(link_costs),
-            diameter_ms=diameter,
-        )

@@ -7,7 +7,7 @@ from repro.util.units import (
     mbps_for_stream,
     propagation_delay_ms,
 )
-from repro.util.tables import Table, format_series
+from repro.util.tables import Table
 from repro.util.ascii_plot import line_plot
 from repro.util.validation import (
     check_non_negative,
@@ -23,7 +23,6 @@ __all__ = [
     "mbps_for_stream",
     "propagation_delay_ms",
     "Table",
-    "format_series",
     "line_plot",
     "check_non_negative",
     "check_positive",

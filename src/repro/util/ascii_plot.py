@@ -10,11 +10,13 @@ from typing import Mapping, Sequence
 
 _MARKERS = "ox+*#@%&"
 
+#: Canvas width in characters.
+_WIDTH = 64
+
 
 def line_plot(
     series: Mapping[str, Sequence[float]],
     xs: Sequence[object],
-    width: int = 64,
     height: int = 16,
     title: str | None = None,
 ) -> str:
@@ -26,8 +28,8 @@ def line_plot(
         Mapping of series name to y values (all the same length as ``xs``).
     xs:
         X-axis labels (used for the footer only; spacing is uniform).
-    width, height:
-        Canvas size in characters.
+    height:
+        Canvas height in characters; the width is fixed.
     title:
         Optional caption printed above the plot.
     """
@@ -46,12 +48,12 @@ def line_plot(
         hi = lo + 1.0
         lo = lo - 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * _WIDTH for _ in range(height)]
 
     def x_pos(i: int) -> int:
         if n_points == 1:
-            return width // 2
-        return round(i * (width - 1) / (n_points - 1))
+            return _WIDTH // 2
+        return round(i * (_WIDTH - 1) / (n_points - 1))
 
     def y_pos(y: float) -> int:
         frac = (y - lo) / (hi - lo)
@@ -65,10 +67,10 @@ def line_plot(
     lines: list[str] = []
     if title:
         lines.append(title)
-    lines.append(f"{hi:.4f} +" + "-" * width)
+    lines.append(f"{hi:.4f} +" + "-" * _WIDTH)
     for row in grid:
         lines.append("       |" + "".join(row))
-    lines.append(f"{lo:.4f} +" + "-" * width)
+    lines.append(f"{lo:.4f} +" + "-" * _WIDTH)
     lines.append(f"       x: {xs[0]} .. {xs[-1]}  ({n_points} points)")
     legend = "  ".join(
         f"{_MARKERS[i % len(_MARKERS)]}={name}" for i, name in enumerate(sorted(series))

@@ -57,10 +57,3 @@ class Table:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float]) -> str:
-    """Render one named (x, y) series as ``name: x=y`` pairs, one per line."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    pairs = ", ".join(f"{x}={y:.4f}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

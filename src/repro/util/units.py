@@ -47,19 +47,12 @@ def propagation_delay_ms(distance_km: float, hops: int = 1) -> float:
     return distance_km / LIGHT_SPEED_FIBER_KM_PER_MS + hops * ROUTER_HOP_DELAY_MS
 
 
-def mbps_for_stream(compressed: bool = True, quality: float = 0.5) -> float:
-    """Bandwidth of a single 3D video stream.
+def mbps_for_stream(quality: float = 0.5) -> float:
+    """Bandwidth of a single compressed 3D video stream.
 
-    Parameters
-    ----------
-    compressed:
-        If True (default), interpolate within the paper's 5-10 Mbps
-        compressed range using ``quality``; otherwise return the raw rate.
-    quality:
-        Position within the compressed range (0 -> 5 Mbps, 1 -> 10 Mbps).
+    ``quality`` is the position within the paper's 5-10 Mbps compressed
+    range (0 -> 5 Mbps, 1 -> 10 Mbps).
     """
-    if not compressed:
-        return RAW_STREAM_MBPS
     if not 0.0 <= quality <= 1.0:
         raise ValueError(f"quality must be in [0, 1], got {quality}")
     low, high = COMPRESSED_STREAM_MBPS

@@ -21,9 +21,8 @@ both shrinks the union and concentrates load on those streams' sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from repro.errors import ConfigurationError
 from repro.session.session import TISession
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
@@ -70,13 +69,6 @@ class WorkloadGenerator:
                 union.update(self._draw_fov(remote, rng))
             site_sets[site.index] = union
         return SubscriptionWorkload.from_site_sets(self.session.n_sites, site_sets)
-
-    def samples(self, count: int, rng: RngStream) -> Iterator[SubscriptionWorkload]:
-        """Yield ``count`` independent samples (the paper uses 200)."""
-        if count < 1:
-            raise ConfigurationError(f"sample count must be >= 1, got {count}")
-        for index in range(count):
-            yield self.generate(rng.spawn(f"sample-{index}"))
 
     # -- internals ---------------------------------------------------------------
 

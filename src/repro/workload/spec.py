@@ -101,20 +101,6 @@ class SubscriptionWorkload:
         """Total number of (site, stream) subscription requests."""
         return sum(len(streams) for streams in self.subscriptions.values())
 
-    def u_matrix(self) -> dict[int, dict[int, int]]:
-        """The paper's ``u_{i->j}``: per (subscriber, source) request counts.
-
-        Only non-zero entries are present.
-        """
-        u: dict[int, dict[int, int]] = {}
-        for site, streams in self.subscriptions.items():
-            row: dict[int, int] = {}
-            for stream in streams:
-                row[stream.site] = row.get(stream.site, 0) + 1
-            if row:
-                u[site] = row
-        return u
-
     def groups(self) -> dict[StreamId, frozenset[int]]:
         """Multicast groups ``G(s)``: stream -> set of requesting sites.
 
@@ -125,14 +111,6 @@ class SubscriptionWorkload:
             for stream in streams:
                 groups.setdefault(stream, set()).add(site)
         return {stream: frozenset(sites) for stream, sites in groups.items()}
-
-    def requests(self) -> list[tuple[int, StreamId]]:
-        """Flat, deterministic list of (subscriber, stream) pairs."""
-        out: list[tuple[int, StreamId]] = []
-        for site in sorted(self.subscriptions):
-            for stream in self.subscriptions[site]:
-                out.append((site, stream))
-        return out
 
     def __str__(self) -> str:
         return (

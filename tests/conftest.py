@@ -101,9 +101,42 @@ def complete_cost(n: int, off_diagonal: float = 1.0) -> dict[int, dict[int, floa
     }
 
 
+def members(tree) -> list[int]:
+    """``tree``'s nodes: the source first, then attach order."""
+    return list(tree.children_map())
+
+
+def children(tree, node: int) -> list[int]:
+    """``node``'s children in ``tree``; empty for leaves and non-members."""
+    return list(tree.children_map().get(node, ()))
+
+
 def is_leaf(tree, node: int) -> bool:
     """True when ``node`` is a member of ``tree`` with no children."""
-    return node in tree and not tree.children(node)
+    return node in tree and not children(tree, node)
+
+
+def rfc(state, node: int) -> int:
+    """Remaining forwarding capacity ``O_i - dout_i - m̂_i`` in ``state``."""
+    return state.problem.outbound_limit(node) - state.dout[node] - state.m_hat[node]
+
+
+def degree_tables(state) -> dict[str, list[int]]:
+    """A copy of ``state``'s ``din``, ``dout``, ``m`` and ``m̂`` lists."""
+    return {
+        name: list(getattr(state, name)) for name in ("din", "dout", "m", "m_hat")
+    }
+
+
+def next_hops(agent, stream) -> list[int]:
+    """The children ``agent``'s RP relays ``stream`` to, from its table."""
+    return list(agent.forwarding_table().get(stream, ()))
+
+
+def u_hat(result, subscriber: int, source: int) -> int:
+    """``û_{i->j}``: ``result``'s rejected requests of ``subscriber`` for
+    ``source``'s streams."""
+    return result.u_hat_matrix().get(subscriber, {}).get(source, 0)
 
 
 def unserve(result, request) -> None:

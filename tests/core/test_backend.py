@@ -37,6 +37,7 @@ from repro.sim.dataplane import FastDataPlane
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
+from tests.conftest import members, rfc
 from tests.reference_paths import use_array_backend
 
 needs_numpy = pytest.mark.skipif(
@@ -87,7 +88,7 @@ def _parent_by_rule(problem, state, tree, subscriber, policy):
     undisseminated (the tree is then the source alone).
     """
     eligible = []
-    for member in tree.members():
+    for member in members(tree):
         cost = tree.cost_from_source(member) + problem.edge_cost(
             member, subscriber
         )
@@ -101,8 +102,8 @@ def _parent_by_rule(problem, state, tree, subscriber, policy):
         return min(eligible, key=lambda entry: entry[1])[0]
     if not tree.disseminated:
         return tree.source
-    positive = [m for m, _ in eligible if state.rfc(m) > 0]
-    return max(positive, key=state.rfc) if positive else None
+    positive = [m for m, _ in eligible if rfc(state, m) > 0]
+    return max(positive, key=lambda m: rfc(state, m)) if positive else None
 
 
 class TestSelection:
@@ -329,14 +330,14 @@ class TestParentScan:
                 assert scan_parent_scalar(
                     problem, state, tree, subscriber, other
                 ) == _parent_by_rule(problem, state, tree, subscriber, other)
-            members = tree.members()
+            nodes = members(tree)
             met["reserved slot"] += not tree.disseminated
-            met["m-hat outstanding"] += any(state.m_hat[m] > 0 for m in members)
+            met["m-hat outstanding"] += any(state.m_hat[m] > 0 for m in nodes)
             met["free but rfc <= 0"] += any(
-                state.dout[m] < outbound[m] and state.rfc(m) <= 0
-                for m in members
+                state.dout[m] < outbound[m] and rfc(state, m) <= 0
+                for m in nodes
             )
-            rfcs = [state.rfc(m) for m in members]
+            rfcs = [rfc(state, m) for m in nodes]
             met["rfc tie"] += tree.disseminated and rfcs.count(max(rfcs)) > 1
             met["detached tree"] += tree in detached
             return scan_parent_scalar(problem, state, tree, subscriber, policy)
@@ -387,7 +388,7 @@ class TestParentScan:
             if i != source and problem.edge_cost(source, i) < bound
         )
         state.m_hat[source] = problem.outbound_limit(source)
-        assert state.rfc(source) == 0
+        assert rfc(state, source) == 0
         for policy in ParentPolicy:
             assert backend.parent_scan(problem, state, tree, subscriber, policy) == source
         state.dout[source] = problem.outbound_limit(source)

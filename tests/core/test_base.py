@@ -8,7 +8,7 @@ from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, u_hat
 
 
 def one_group_problem(outbound_source: int = 5) -> ForestProblem:
@@ -89,7 +89,7 @@ class TestBuildResult:
             latency_bound_ms=10.0,
         )
         result = RandomJoinBuilder().build(problem, rng)
-        assert result.u_hat(1, 0) == 1
+        assert u_hat(result, 1, 0) == 1
 
     def test_satisfied_request_parents_exist(self, small_problem, rng):
         result = RandomJoinBuilder().build(small_problem, rng)

@@ -8,7 +8,7 @@ from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, u_hat
 
 
 def starved_problem() -> ForestProblem:
@@ -25,9 +25,9 @@ def starved_problem() -> ForestProblem:
 class TestUHatCache:
     def test_u_hat_matches_matrix(self, rng):
         result = RandomJoinBuilder().build(starved_problem(), rng)
-        assert result.u_hat(1, 0) == 1
-        assert result.u_hat(2, 0) == 1
-        assert result.u_hat(1, 2) == 0
+        assert u_hat(result, 1, 0) == 1
+        assert u_hat(result, 2, 0) == 1
+        assert u_hat(result, 1, 2) == 0
         assert result.u_hat_matrix() == {1: {0: 1}, 2: {0: 1}}
 
     def test_matrix_is_cached(self, rng):
@@ -46,7 +46,7 @@ class TestUHatCache:
         """A round's repair join shows in the repaired result's û while
         the previous result keeps the rejection it cached."""
         previous = RandomJoinBuilder().build(starved_problem(), rng)
-        assert previous.u_hat(1, 0) == 1  # cache primed while rejected
+        assert u_hat(previous, 1, 0) == 1  # cache primed while rejected
         # Lift the source's outbound bound; the repair retries the join.
         lifted = ForestProblem.from_tables(
             cost=complete_cost(3, off_diagonal=1.0),
@@ -57,8 +57,8 @@ class TestUHatCache:
         )
         repair = IncrementalRepairer().repair(previous, lifted)
         assert repair.fresh_joined == 2
-        assert repair.result.u_hat(1, 0) == 0
-        assert previous.u_hat(1, 0) == 1
+        assert u_hat(repair.result, 1, 0) == 0
+        assert u_hat(previous, 1, 0) == 1
 
     def test_corj_repair_invalidates(self):
         """CO-RJ's repair sweeps mutate the rejected list post-build."""

@@ -25,7 +25,7 @@ from repro.core.state import BuilderState
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost, unserve
+from tests.conftest import complete_cost, degree_tables, unserve
 from tests.reference_paths import (
     repair_checked_against_replay,
     result_snapshot,
@@ -262,7 +262,7 @@ class TestCopyOnWrite:
         previous = RandomJoinBuilder().build(problem, RngStream(2))
         old_tree = previous.forest.trees[big]
         old_parents = dict(old_tree.parent_map())
-        old_counts = previous.state.snapshot()
+        old_counts = degree_tables(previous.state)
         report = repair_checked_against_replay(
             IncrementalRepairer(),
             previous,
@@ -271,7 +271,7 @@ class TestCopyOnWrite:
         new_tree = report.result.forest.trees[big]
         assert n - 1 in new_tree and n - 1 not in old_tree
         assert old_tree.parent_map() == old_parents
-        assert previous.state.snapshot() == old_counts
+        assert degree_tables(previous.state) == old_counts
         assert report.result.state.din[n - 1] == old_counts["din"][n - 1] + 1
 
 

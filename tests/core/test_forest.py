@@ -8,7 +8,7 @@ from repro.errors import OverlayError
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.session.streams import StreamId
-from tests.conftest import in_degree, out_degree
+from tests.conftest import children, in_degree, members, out_degree
 
 
 def relay_degree(forest: OverlayForest, node: int) -> int:
@@ -34,7 +34,7 @@ class TestMulticastTree:
         tree = MulticastTree(StreamId(4, 2))
         assert tree.source == 4
         assert 4 in tree
-        assert tree.members() == [4]
+        assert members(tree) == [4]
         assert not tree.disseminated
         assert tree.cost_from_source(4) == 0.0
 
@@ -68,7 +68,7 @@ class TestMulticastTree:
         tree = MulticastTree(StreamId(0, 0))
         with pytest.raises(OverlayError, match="nan"):
             tree.attach(0, 1, float("nan"))
-        assert tree.members() == [0]
+        assert members(tree) == [0]
         assert not tree.disseminated
 
     def test_infinite_edge_cost_accepted(self):
@@ -98,7 +98,7 @@ class TestMulticastTree:
         assert tree.disseminated
         tree.validate()
         tree.detach_leaf(1)
-        assert tree.members() == [0]
+        assert members(tree) == [0]
         assert not tree.disseminated
         tree.validate()
 
@@ -106,10 +106,10 @@ class TestMulticastTree:
         tree = chain_tree()
         assert tree.parent(2) == 1
         assert tree.parent(0) is None
-        assert tree.children(0) == [1, 3]
-        assert tree.children(2) == tree.children(3) == []
-        assert tree.children(1) == [2]
-        assert tree.children(99) == []
+        assert children(tree, 0) == [1, 3]
+        assert children(tree, 2) == children(tree, 3) == []
+        assert children(tree, 1) == [2]
+        assert children(tree, 99) == []
 
     def test_depth(self):
         tree = chain_tree()
@@ -137,7 +137,7 @@ class TestDetachLeaf:
         tree = chain_tree()
         assert tree.detach_leaf(2) == 1
         assert 2 not in tree
-        assert tree.children(1) == []
+        assert children(tree, 1) == []
 
     def test_detach_source_rejected(self):
         with pytest.raises(OverlayError):
@@ -156,7 +156,7 @@ class TestDetachLeaf:
         tree.attach(0, 1, 1.0)
         tree.detach_leaf(1)
         assert not tree.disseminated
-        assert tree.members() == [0]
+        assert members(tree) == [0]
 
     def test_dissemination_kept_with_other_children(self):
         tree = chain_tree()

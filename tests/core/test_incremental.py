@@ -10,7 +10,7 @@ from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost, is_leaf, unserve
+from tests.conftest import complete_cost, is_leaf, members, unserve
 
 
 def roomy_problem() -> ForestProblem:
@@ -87,7 +87,7 @@ class TestChurnRate:
         old_parent = tree.parent(request.subscriber)
         new_parent = next(
             node
-            for node in tree.members()
+            for node in members(tree)
             if node not in (request.subscriber, old_parent)
             and not _descends(tree, node, request.subscriber)
         )
@@ -119,7 +119,7 @@ class TestChurnRateWalksTrees:
         tree = b.forest.trees[leaf.stream]
         new_parent = next(
             node
-            for node in tree.members()
+            for node in members(tree)
             if node not in (leaf.subscriber, tree.parent(leaf.subscriber))
         )
         tree.detach_leaf(leaf.subscriber)

@@ -16,7 +16,7 @@ from repro.core.randomized import RandomJoinBuilder
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost, is_leaf, out_degree
+from tests.conftest import children, complete_cost, is_leaf, out_degree
 
 
 S0 = StreamId(0, 0)
@@ -104,7 +104,7 @@ class TestInteriorRemoval:
             if not is_leaf(previous.forest.trees[r.stream], r.subscriber)
         )
         tree = previous.forest.trees[interior.stream]
-        orphan_children = tree.children(interior.subscriber)
+        orphan_children = children(tree, interior.subscriber)
         groups = {S0: set(range(1, 6)), S1: {0, 2, 3}}
         groups[interior.stream] = set(groups[interior.stream]) - {
             interior.subscriber

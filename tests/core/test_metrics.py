@@ -18,7 +18,7 @@ from repro.core.model import RejectionReason, SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, u_hat
 
 
 def handmade_result() -> BuildResult:
@@ -100,8 +100,8 @@ class TestUhat:
     def test_u_hat_matrix(self):
         result = handmade_result()
         assert result.u_hat_matrix() == {2: {0: 1}}
-        assert result.u_hat(2, 0) == 1
-        assert result.u_hat(1, 0) == 0
+        assert u_hat(result, 2, 0) == 1
+        assert u_hat(result, 1, 0) == 0
 
 
 class TestForestMetrics:

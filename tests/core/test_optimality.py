@@ -23,7 +23,7 @@ from repro.core.problem import ForestProblem
 from repro.core.registry import available_algorithms, make_builder
 from repro.session.streams import StreamId
 from repro.util.rng import RngStream
-from tests.conftest import complete_cost
+from tests.conftest import complete_cost, members
 
 
 def optimal_satisfied(problem: ForestProblem) -> int:
@@ -53,7 +53,7 @@ def optimal_satisfied(problem: ForestProblem) -> int:
         recurse(order, index + 1, trees, din, dout, satisfied)
         if din[request.subscriber] >= problem.inbound_limit(request.subscriber):
             return
-        for member in tree.members():
+        for member in members(tree):
             if dout[member] >= problem.outbound_limit(member):
                 continue
             edge = problem.edge_cost(member, request.subscriber)

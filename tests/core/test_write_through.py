@@ -1,4 +1,4 @@
-"""Problem-table setters: visibility, round isolation, snapshots.
+"""Problem-table setters: visibility and round isolation.
 
 A :class:`ForestProblem` keeps one representation of each table — the
 dense cost matrix and two bound lists — and the only writes are
@@ -19,7 +19,6 @@ from repro.core.backend import numpy_available
 from repro.core.forest import OverlayForest
 from repro.core.node_join import ParentPolicy
 from repro.core.problem import ForestProblem
-from repro.core.registry import make_builder
 from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
 from repro.session.capacity import UniformCapacityModel
@@ -223,18 +222,3 @@ class TestParentScanReadsTheTables:
         assert self._parents(problem, tree, subscriber) == {None}
         assert self._parents(evolved, tree, subscriber) == {tree.source}
 
-
-class TestBuilderStateSnapshot:
-    def test_snapshot_round_trips_flat_tables(self, problem):
-        result = make_builder("rj").build(
-            problem, RngStream(3, label="build")
-        )
-        state = result.state
-        snap = state.snapshot()
-        assert snap["din"] == dict(enumerate(state.din))
-        assert snap["dout"] == dict(enumerate(state.dout))
-        assert snap["m"] == dict(enumerate(state.m))
-        assert snap["m_hat"] == dict(enumerate(state.m_hat))
-        # Defensive copy: mutating the snapshot must not touch the state.
-        snap["dout"][0] = 10**6
-        assert state.dout[0] != 10**6

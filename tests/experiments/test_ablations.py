@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.all_to_all import DirectUnicastBuilder
-from repro.baselines.sequential import SequentialOrderBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.metrics import criticality_loss_ratio, rejection_ratio
 from repro.core.node_join import ParentPolicy
@@ -88,7 +87,6 @@ def test_co_rj_repair_ablation(setting, topology):
 def test_unicast_vs_overlay(setting, topology):
     builders = {
         "unicast": DirectUnicastBuilder(),
-        "sequential": SequentialOrderBuilder(),
         "rj": RandomJoinBuilder(),
     }
     means = mean_metric_per_builder(

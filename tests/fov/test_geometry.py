@@ -6,24 +6,18 @@ import math
 
 import pytest
 
-from repro.fov.geometry import ORIGIN, UP, Pose, Vec3, angle_between_deg
+from repro.fov.geometry import Pose, Vec3, angle_between_deg
+
+ORIGIN = Vec3(0.0, 0.0, 0.0)
+UP = Vec3(0.0, 0.0, 1.0)
 
 
 class TestVec3:
-    def test_add_sub(self):
-        assert Vec3(1, 2, 3) + Vec3(1, 1, 1) == Vec3(2, 3, 4)
+    def test_sub(self):
         assert Vec3(1, 2, 3) - Vec3(1, 1, 1) == Vec3(0, 1, 2)
-
-    def test_scalar_multiplication_both_sides(self):
-        assert 2 * Vec3(1, 0, 0) == Vec3(2, 0, 0)
-        assert Vec3(1, 0, 0) * 2 == Vec3(2, 0, 0)
 
     def test_dot(self):
         assert Vec3(1, 2, 3).dot(Vec3(4, 5, 6)) == 32
-
-    def test_cross_right_handed(self):
-        x, y = Vec3(1, 0, 0), Vec3(0, 1, 0)
-        assert x.cross(y) == Vec3(0, 0, 1)
 
     def test_norm(self):
         assert Vec3(3, 4, 0).norm() == pytest.approx(5.0)
@@ -36,19 +30,16 @@ class TestVec3:
         with pytest.raises(ValueError):
             ORIGIN.normalized()
 
-    def test_distance(self):
-        assert Vec3(0, 0, 0).distance_to(Vec3(0, 3, 4)) == pytest.approx(5.0)
-
 
 class TestAngle:
     def test_parallel_zero(self):
-        assert angle_between_deg(UP, UP * 3.0) == pytest.approx(0.0)
+        assert angle_between_deg(UP, Vec3(0.0, 0.0, 3.0)) == pytest.approx(0.0)
 
     def test_orthogonal_ninety(self):
         assert angle_between_deg(Vec3(1, 0, 0), Vec3(0, 1, 0)) == pytest.approx(90.0)
 
     def test_opposite_180(self):
-        assert angle_between_deg(UP, UP * -1.0) == pytest.approx(180.0)
+        assert angle_between_deg(UP, Vec3(0.0, 0.0, -1.0)) == pytest.approx(180.0)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ValueError):
@@ -70,11 +61,6 @@ class TestPose:
     def test_look_at(self):
         pose = Pose.look_at(Vec3(0, 0, 0), Vec3(5, 0, 0))
         assert pose.direction == Vec3(1, 0, 0)
-
-    def test_looking_at_keeps_position(self):
-        pose = Pose(Vec3(1, 1, 1), Vec3(1, 0, 0)).looking_at(Vec3(1, 1, 5))
-        assert pose.position == Vec3(1, 1, 1)
-        assert pose.direction == Vec3(0, 0, 1)
 
 
 class TestCameraRing:
@@ -100,12 +86,19 @@ class TestCameraRing:
 
         with pytest.raises(ValueError):
             camera_ring(0)
-        with pytest.raises(ValueError):
-            camera_ring(4, radius=0.0)
 
-    def test_phase_rotates_first_camera(self):
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        """A NaN or infinite radius used to give NaN poses, silently."""
         from repro.fov.camera import camera_ring
 
-        a = camera_ring(4, phase_deg=0.0)[0]
-        b = camera_ring(4, phase_deg=90.0)[0]
-        assert a.position != b.position
+        with pytest.raises(ValueError, match="radius"):
+            camera_ring(4, radius=radius)
+
+    def test_first_camera_on_the_x_axis(self):
+        from repro.fov.camera import camera_ring
+
+        first, second = camera_ring(4, radius=3.0, height=1.5)[:2]
+        assert first.position == Vec3(3.0, 0.0, 1.5)
+        assert second.position.x == pytest.approx(0.0, abs=1e-12)
+        assert second.position.y == pytest.approx(3.0)

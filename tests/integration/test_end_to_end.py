@@ -17,6 +17,7 @@ from repro.sim.dataplane import ForestDataPlane
 from repro.util.rng import RngStream
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.uniform import UniformPopularity
+from tests.conftest import next_hops
 
 
 class TestQuickApi:
@@ -92,7 +93,7 @@ class TestControlPlusDataPlane:
         forest = system.last_result.forest
         for stream, tree in forest.trees.items():
             for parent, child in tree.edges():
-                assert child in system.rps[parent].next_hops(stream)
+                assert child in next_hops(system.rps[parent], stream)
 
 
 class TestCli:

@@ -15,6 +15,7 @@ from repro.pubsub.faults import (
 )
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
+from tests.reference_paths import partition_covers
 
 NAN, INF = float("nan"), float("inf")
 
@@ -170,13 +171,14 @@ class TestPartitions:
         sim.run()
         assert sorted(delivered) == [0, 2]
 
-    def test_covers_is_half_open(self):
+    def test_window_is_half_open(self):
         window = PartitionWindow(site=0, start_ms=10.0, end_ms=20.0)
-        assert not window.covers(0, 9.999)
-        assert window.covers(0, 10.0)
-        assert window.covers(0, 19.999)
-        assert not window.covers(0, 20.0)
-        assert not window.covers(1, 15.0)
+        _, _, link = make_link(FaultConfig(partitions=(window,)))
+        assert not link.partitioned(0, 9.999)
+        assert link.partitioned(0, 10.0)
+        assert link.partitioned(0, 19.999)
+        assert not link.partitioned(0, 20.0)
+        assert not link.partitioned(1, 15.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -197,7 +199,8 @@ class TestPartitions:
 
     def test_unbounded_end_accepted(self):
         window = PartitionWindow(0, 5.0, INF)
-        assert window.covers(0, 1e300) and not window.covers(0, 4.0)
+        _, _, link = make_link(FaultConfig(partitions=(window,)))
+        assert link.partitioned(0, 1e300) and not link.partitioned(0, 4.0)
 
 
 #: Several windows on site 1 (two overlapping), one on site 3, none on
@@ -212,7 +215,7 @@ TABLE_WINDOWS = (
 
 class TestPartitionTable:
     """``FaultyLink.partitioned`` reads a per-site table built once; it
-    must answer exactly what scanning every window's ``covers`` did."""
+    must answer exactly what asking every window on its own did."""
 
     def test_agrees_with_every_window_covers(self):
         _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
@@ -222,7 +225,7 @@ class TestPartitionTable:
         for site in range(5):
             for t in times:
                 assert link.partitioned(site, t) == any(
-                    w.covers(site, t) for w in TABLE_WINDOWS
+                    partition_covers(w, site, t) for w in TABLE_WINDOWS
                 ), (site, t)
 
     def test_start_inclusive_end_exclusive(self):

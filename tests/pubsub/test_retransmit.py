@@ -62,7 +62,7 @@ def test_ack_before_the_first_timeout_cancels_the_timer():
     assert harness.sent == [(0.0, 0, 0)]
     assert harness.queue.retransmits == 0
     assert len(harness.queue) == 0
-    assert timer.cancelled and timer.fired == 0
+    assert timer._cancelled and timer.fired == 0
     assert entry.timer is None
 
 

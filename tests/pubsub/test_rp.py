@@ -19,6 +19,7 @@ from repro.pubsub.messages import (
 from repro.pubsub.rp import RPAgent
 from repro.session.entities import RendezvousPoint, Site
 from repro.session.streams import StreamId
+from tests.conftest import next_hops
 from tests.reference_paths import installed_tables
 
 
@@ -154,9 +155,9 @@ class TestDirectiveApplication:
 
     def test_forwarding_table(self, agent):
         agent.apply_directive(self.make_directive())
-        assert agent.next_hops(StreamId(1, 0)) == [2]
-        assert agent.next_hops(StreamId(0, 0)) == [3]
-        assert agent.next_hops(StreamId(9, 9)) == []
+        assert next_hops(agent, StreamId(1, 0)) == [2]
+        assert next_hops(agent, StreamId(0, 0)) == [3]
+        assert next_hops(agent, StreamId(9, 9)) == []
 
     def test_receiving_set(self, agent):
         agent.apply_directive(self.make_directive())
@@ -232,7 +233,7 @@ class TestDeltaDirectives:
         )
         assert via_delta.epoch == via_full.epoch == 2
         for stream in {edge[0] for edge in self.FULL_1 + self.FULL_2}:
-            assert via_delta.next_hops(stream) == via_full.next_hops(stream)
+            assert next_hops(via_delta, stream) == next_hops(via_full, stream)
         assert via_delta.receiving_set() == via_full.receiving_set()
         assert via_delta._forwarding == via_full._forwarding
 
@@ -241,7 +242,7 @@ class TestDeltaDirectives:
         agent = RPAgent(small_session.site(0))   # epoch -1: never installed
         agent.apply_directive(self.delta_directive())
         assert agent.epoch == 2
-        assert agent.next_hops(StreamId(1, 0)) == [1]
+        assert next_hops(agent, StreamId(1, 0)) == [1]
         assert agent.receiving_set() == {StreamId(1, 0), StreamId(2, 0)}
 
     def test_delta_removing_unknown_edge_rejected(self, small_session):
@@ -308,7 +309,7 @@ class TestDuplicateEdges:
         agent.apply_directive(
             self.delta(added=((StreamId(0, 0), 0, 2), (StreamId(0, 0), 0, 4)))
         )
-        assert agent.next_hops(StreamId(0, 0)) == [1, 2, 3, 4]
+        assert next_hops(agent, StreamId(0, 0)) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize(
         "edges",

@@ -46,14 +46,17 @@ frozen, ordered dataclasses they were, kept as the oracles for ``repr``,
 ``hash``, order and validation.
 
 And for the session set-up: ``synthetic_backbone`` computes each PoP
-pair's distance once and shuffles candidate indices,
-``_farthest_point_sample`` keeps each PoP's distance to the chosen set,
-and ``Topology`` answers every shortest-path question from one
-integer-indexed Dijkstra.  :func:`reference_synthetic_backbone`,
-:func:`reference_farthest_point_sample` and :func:`dict_dijkstra` are the
+pair's distance once and shuffles candidate indices, and ``Topology``
+answers every shortest-path question from one integer-indexed Dijkstra.
+:func:`reference_synthetic_backbone` and :func:`dict_dijkstra` are the
 loops they replaced, kept as the oracles they are pinned to;
-:func:`pairwise_costs` asks ``Topology.cost_ms`` pair by pair for the
-nested matrix ``Topology.dense_cost_matrix`` must equal.
+:func:`pairwise_costs` builds from :func:`dict_dijkstra` the nested
+matrix ``Topology.dense_cost_matrix`` must equal, and :func:`path_cost`
+reads one cost from the product's matrix.
+
+And for the partition table: ``FaultyLink.partitioned`` reads a per-site
+table built once.  :func:`partition_covers` is the test each window
+answered on its own, the oracle the table is pinned to.
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ from repro.core.model import SubscriptionRequest
 from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
-from repro.errors import OverlayError, SubscriptionError
+from repro.errors import OverlayError, SubscriptionError, TopologyError
 from repro.media.frames import FrameClock
+from repro.pubsub.faults import PartitionWindow
 from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import OverlayDirective
 from repro.scenarios.runtime import ScenarioRuntime
@@ -201,7 +205,7 @@ def replay_repair(
         old_tree = prev_forest.trees.get(group.stream)
         if old_tree is None:
             continue
-        for node in old_tree.members():
+        for node in list(old_tree.children_map()):
             if node == old_tree.source:
                 continue
             request = SubscriptionRequest(subscriber=node, stream=group.stream)
@@ -290,8 +294,8 @@ def result_snapshot(result: BuildResult) -> tuple:
         [
             (
                 stream,
-                tree.members(),
-                [tree.children(node) for node in tree.members()],
+                list(tree.children_map()),
+                [list(kids) for kids in tree.children_map().values()],
                 dict(tree.parent_map()),
                 dict(tree.path_costs()),
                 tree.disseminated,
@@ -692,32 +696,6 @@ def reference_synthetic_backbone(
     return topology
 
 
-def reference_farthest_point_sample(
-    topology: Topology, n_sites: int, rng: RngStream | None
-) -> list[str]:
-    """``_farthest_point_sample`` as it was: the minimum over the whole
-    chosen set re-taken for every PoP on every pick."""
-    pops = topology.pop_ids
-    first = rng.choice(pops) if rng is not None else pops[0]
-    chosen = [first]
-    while len(chosen) < n_sites:
-        best_pop = None
-        best_distance = -1.0
-        for pop in pops:
-            if pop in chosen:
-                continue
-            nearest = min(
-                haversine_km(topology.location(pop), topology.location(c))
-                for c in chosen
-            )
-            if nearest > best_distance:
-                best_distance = nearest
-                best_pop = pop
-        assert best_pop is not None  # n_sites <= len(pops) guarantees progress
-        chosen.append(best_pop)
-    return chosen
-
-
 def neighbors(topology: Topology, pop_id: str) -> dict[str, float]:
     """``pop_id``'s adjacent PoPs and link costs, in adjacency order."""
     return dict(topology._adj[pop_id])
@@ -725,7 +703,8 @@ def neighbors(topology: Topology, pop_id: str) -> dict[str, float]:
 
 def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
     """Single-source costs from the heap Dijkstra over PoP-id-keyed dicts
-    that ``Topology.shortest_costs_from`` ran; unreachable PoPs are absent."""
+    that ``Topology`` ran before its integer-indexed rows; unreachable
+    PoPs are absent."""
     dist: dict[str, float] = {source: 0.0}
     heap: list[tuple[float, str]] = [(0.0, source)]
     done: set[str] = set()
@@ -743,6 +722,21 @@ def dict_dijkstra(topology: Topology, source: str) -> dict[str, float]:
 
 
 def pairwise_costs(topology: Topology, pops: list[str]) -> dict[str, dict[str, float]]:
-    """``matrix[a][b]``, one ``Topology.cost_ms`` question per pair of
-    ``pops``: the nested matrix the dense one is pinned to."""
-    return {a: {b: topology.cost_ms(a, b) for b in pops} for a in pops}
+    """``matrix[a][b]`` over ``pops``, one :func:`dict_dijkstra` per row:
+    the nested matrix the dense one is pinned to."""
+    for pop in pops:
+        if pop not in topology.pop_ids:
+            raise TopologyError(f"unknown PoP {pop!r}")
+    rows = {a: dict_dijkstra(topology, a) for a in pops}
+    return {a: {b: rows[a][b] for b in pops} for a in pops}
+
+
+def path_cost(topology: Topology, a: str, b: str) -> float:
+    """The one-way shortest-path cost from ``a`` to ``b``, read from
+    ``Topology.dense_cost_matrix`` over the two PoPs."""
+    return topology.dense_cost_matrix([a, b]).edge_cost(0, 1)
+
+
+def partition_covers(window: PartitionWindow, site: int, time_ms: float) -> bool:
+    """True when ``window`` cuts ``site``'s link at ``time_ms``."""
+    return site == window.site and window.start_ms <= time_ms < window.end_ms

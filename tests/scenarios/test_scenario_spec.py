@@ -5,10 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pubsub.faults import PartitionWindow
+from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.spec import EventKind, SchedulePhase, ScenarioSpec
 from repro.util.rng import RngStream
+
+
+NAN = float("nan")
+INF = float("inf")
+
+#: A value off the default for each field only the asynchronous service
+#: reads.
+CONTROL_PLANE_VALUES = {
+    "control_delay_ms": 5.0,
+    "debounce_ms": 5.0,
+    "loss_rate": 0.1,
+    "jitter_ms": 2.0,
+    "duplicate_rate": 0.1,
+    "partitions": (PartitionWindow(0, 0.0, 10.0),),
+    "heartbeat_ms": 10.0,
+    "miss_threshold": 7,
+    "retransmit_timeout_ms": 20.0,
+    "server_outages": (ServerOutageWindow(10.0, 20.0),),
+    "phi_threshold": 8.0,
+    "checkpoint_interval_ms": 50.0,
+}
 
 
 def minimal_spec(**overrides) -> ScenarioSpec:
@@ -111,6 +132,38 @@ class TestValidation:
             SchedulePhase(EventKind.JOIN, -1.0, 5.0, 1)
         with pytest.raises(ConfigurationError):
             SchedulePhase(EventKind.JOIN, 0.0, 5.0, -1)
+
+    @pytest.mark.parametrize(
+        "start_ms, end_ms, bound",
+        [
+            (NAN, 10.0, "phase start"),
+            (0.0, NAN, "phase end"),
+            (0.0, INF, "phase end"),
+            (INF, INF, "phase start"),
+        ],
+    )
+    def test_nan_and_infinite_phase_bounds_rejected(self, start_ms, end_ms, bound):
+        """Such a phase used to construct, and the run then died in the
+        engine with ``cannot schedule at nan``."""
+        with pytest.raises(ConfigurationError, match=f"^{bound} must be finite"):
+            SchedulePhase(EventKind.JOIN, start_ms, end_ms, 2)
+
+    def test_values_cover_every_control_plane_field(self):
+        from repro.scenarios.spec import CONTROL_PLANE_FIELDS
+
+        assert tuple(CONTROL_PLANE_VALUES) == CONTROL_PLANE_FIELDS
+
+    @pytest.mark.parametrize("field", list(CONTROL_PLANE_VALUES))
+    def test_control_plane_field_requires_async_control(self, field):
+        """``miss_threshold=7`` on a synchronous spec used to run one
+        synchronous round that never read it."""
+        message = f"^{field} requires async_control"
+        with pytest.raises(ConfigurationError, match=message):
+            minimal_spec(**{field: CONTROL_PLANE_VALUES[field]})
+
+    def test_data_plane_knobs_do_not_require_async_control(self):
+        spec = minimal_spec(data_loss_rate=0.1, data_jitter_ms=2.0, data_nack=True)
+        assert spec.data_chaotic and not spec.async_control
 
 
 class TestCompile:

@@ -22,10 +22,6 @@ def make_site(index: int = 0) -> Site:
 
 
 class TestRendezvousPoint:
-    def test_name(self):
-        rp = RendezvousPoint(site=3, pop_id="x", inbound_limit=1, outbound_limit=1)
-        assert rp.name == "RP3"
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(SessionError):
             RendezvousPoint(site=0, pop_id="x", inbound_limit=-1, outbound_limit=1)

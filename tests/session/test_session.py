@@ -75,12 +75,12 @@ class TestBuildSession:
             load_backbone("synthetic-56"),
             HeterogeneousCapacityModel(),
             RngStream(7),
-            SessionConfig(n_sites=56, camera_ring_radius=2.5),
+            SessionConfig(n_sites=56),
         )
         rings: dict[int, list] = {}
         for site in session.sites:
             poses = [camera.pose for camera in site.cameras]
-            assert poses == camera_ring(len(poses), radius=2.5)
+            assert poses == camera_ring(len(poses), radius=3.0)
             assert poses == rings.setdefault(len(poses), poses)
         assert len(rings) < session.n_sites
 

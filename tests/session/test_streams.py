@@ -82,5 +82,3 @@ class TestStreamRegistry:
         sites = [d.stream_id.site for d in self.make_registry()]
         assert sites == sorted(sites)
 
-    def test_sites_property(self):
-        assert self.make_registry().sites == [0, 1]

@@ -124,7 +124,7 @@ class TestTimer:
         sim.run()
         assert fired == [5.0]
         assert timer.fired == 1
-        assert not timer.cancelled
+        assert not timer._cancelled
 
     def test_cancel_before_firing(self):
         sim = Simulator()
@@ -141,7 +141,7 @@ class TestTimer:
         timer.cancel()
         timer.cancel()
         sim.run()
-        assert timer.cancelled
+        assert timer._cancelled
 
     def test_recurring_fires_until_cancelled(self):
         sim = Simulator()
@@ -206,7 +206,7 @@ class TestTimer:
         timer = sim.schedule_timer(1.0, beat, 7, interval_ms=1.0)
         sim.run()
         assert fired == [(1.0, 7), (2.0, 7)]
-        assert timer.fired == 2 and timer.cancelled
+        assert timer.fired == 2 and timer._cancelled
 
     def test_interval_is_keyword_only(self):
         """A positional number after the callback is an argument to the

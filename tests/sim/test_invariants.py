@@ -13,7 +13,7 @@ from repro.pubsub.system import PubSubSystem
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor, Violation
 from repro.util.rng import RngStream
-from tests.conftest import audit_log_line
+from tests.conftest import audit_log_line, members, next_hops
 from tests.reference_paths import edges_of_site, streams_received_by
 
 
@@ -64,7 +64,7 @@ class TestStructuralViolations:
         tree = next(
             t for t in clean_result.forest.trees.values() if len(t) >= 2
         )
-        member = next(n for n in tree.members() if n != tree.source)
+        member = next(n for n in members(tree) if n != tree.source)
         # Corrupt: point the member's parent back at itself.
         tree._parent[member] = member
         found = InvariantAuditor().audit_build(clean_result)
@@ -74,7 +74,7 @@ class TestStructuralViolations:
         tree = next(
             t for t in clean_result.forest.trees.values() if len(t) >= 2
         )
-        member = next(n for n in tree.members() if n != tree.source)
+        member = next(n for n in members(tree) if n != tree.source)
         # Corrupt: drop the child from its parent's children list.
         tree._children[tree._parent[member]].remove(member)
         found = InvariantAuditor().audit_build(clean_result)
@@ -283,10 +283,10 @@ class TestAuditRound:
             for edge_stream, child in edges_of_site(directive, site):
                 table.setdefault(edge_stream, []).append(child)
             for edge_stream, children in table.items():
-                if sorted(rp.next_hops(edge_stream)) != sorted(children):
+                if sorted(next_hops(rp, edge_stream)) != sorted(children):
                     expected.append(
                         f"site {site} forwards {edge_stream} to "
-                        f"{rp.next_hops(edge_stream)}, directive says {children}"
+                        f"{next_hops(rp, edge_stream)}, directive says {children}"
                     )
             if rp.receiving_set() != streams_received_by(directive, site):
                 expected.append(
@@ -417,14 +417,14 @@ class TestUndictatedForwarding:
 
 def poke_cycle(result, system):
     tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
-    member = next(n for n in tree.members() if n != tree.source)
+    member = next(n for n in members(tree) if n != tree.source)
     tree._parent[member] = member
     return "acyclicity"
 
 
 def poke_symmetry(result, system):
     tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
-    member = next(n for n in tree.members() if n != tree.source)
+    member = next(n for n in members(tree) if n != tree.source)
     tree._children[tree._parent[member]].remove(member)
     return "parent-child-symmetry"
 
@@ -450,14 +450,14 @@ def poke_receiving(result, system):
 
 def poke_path_cost(result, system):
     tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
-    member = next(n for n in tree.members() if n != tree.source)
+    member = next(n for n in members(tree) if n != tree.source)
     tree._cost_from_source[member] += 1.0
     return "path-cost"
 
 
 def poke_edge_cost(result, system):
     tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
-    member = next(n for n in tree.members() if n != tree.source)
+    member = next(n for n in members(tree) if n != tree.source)
     parent = tree.parent(member)
     problem = result.problem
     problem.set_cost(parent, member, problem.edge_cost(parent, member) + 1.0)
@@ -506,7 +506,7 @@ class TestTamperAfterACleanAudit:
         tree = next(
             t for t in clean_result.forest.trees.values() if len(t) >= 2
         )
-        member = next(n for n in tree.members() if n != tree.source)
+        member = next(n for n in members(tree) if n != tree.source)
         parent = tree._parent[member]
         auditor = InvariantAuditor()
         tree._parent[member] = member

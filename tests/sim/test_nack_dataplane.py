@@ -27,6 +27,7 @@ from repro.sim.dataplane import (
     make_dataplane,
 )
 from repro.util.rng import RngStream
+from tests.conftest import children
 
 #: A repair budget loss cannot realistically exhaust (see the
 #: lossy-dissemination scenario for the sizing rationale).
@@ -139,7 +140,7 @@ class TestBoundedGiveUp:
             (stream_id, site)
             for stream_id, tree in forest.trees.items()
             for site in tree.receivers()
-            if not tree.children(site)
+            if not children(tree, site)
         )
         plane = ForestDataPlane(
             session,

@@ -37,6 +37,7 @@ from repro.sim.dataplane import (
 )
 from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
+from tests.conftest import members
 from tests.reference_paths import (
     per_delivery_fast_run,
     per_delivery_sampled_run,
@@ -214,7 +215,7 @@ class TestKernelEqualsPerDeliveryLoops:
     def test_deep_chain(self, backend, frames):
         session, _ = dense_forest(backend, 7, "rj")
         forest = chain_forest(session)
-        assert max(tree.depth(n) for tree in forest.trees.values() for n in tree.members()) >= 6
+        assert max(tree.depth(n) for tree in forest.trees.values() for n in members(tree)) >= 6
         fast = check_fast(session, forest, 3, duration_of(frames))
         check_sampled(session, forest, 3, duration_of(frames), **NOISY)
         event = ForestDataPlane(

@@ -177,6 +177,15 @@ class TestScenarioParser:
         assert args.retransmit_timeout_ms == 60.0
         assert args.max_unrecovered == 0
 
+    def test_control_plane_flags_imply_async_control(self):
+        from repro.cli import _SPEC_FLAGS
+        from repro.scenarios.spec import CONTROL_PLANE_FIELDS
+
+        flagged = {entry.field for entry in _SPEC_FLAGS}
+        assert set(CONTROL_PLANE_FIELDS) <= flagged
+        others = flagged - set(CONTROL_PLANE_FIELDS)
+        assert all(field.startswith("data_") for field in others)
+
     def test_chaos_flags_default_none(self):
         args = build_parser().parse_args(["scenario", "run", "flash-crowd"])
         assert args.loss_rate is None
@@ -217,6 +226,66 @@ class TestScenarioParser:
                      "--partition", "99:0:100"])
         assert code == 2
         assert "partition site 99" in capsys.readouterr().err
+
+
+#: One valid ``scenario run`` argument list per spec flag; the server
+#: outage and phi flags need the heartbeat and retransmit flags beside them.
+FLAG_ARGUMENTS = {
+    "--control-delay-ms": ["--control-delay-ms", "5"],
+    "--debounce-ms": ["--debounce-ms", "5"],
+    "--loss-rate": ["--loss-rate", "0.1"],
+    "--jitter-ms": ["--jitter-ms", "2"],
+    "--duplicate-rate": ["--duplicate-rate", "0.1"],
+    "--partition": ["--partition", "0:10:20"],
+    "--heartbeat-ms": ["--heartbeat-ms", "40"],
+    "--miss-threshold": ["--miss-threshold", "5"],
+    "--retransmit-timeout-ms": ["--retransmit-timeout-ms", "60"],
+    "--server-outage": ["--server-outage", "100:200", "--heartbeat-ms", "40",
+                        "--retransmit-timeout-ms", "60"],
+    "--phi-threshold": ["--phi-threshold", "8", "--heartbeat-ms", "40"],
+    "--checkpoint-interval-ms": ["--checkpoint-interval-ms", "50"],
+    "--data-loss-rate": ["--data-loss-rate", "0.1"],
+    "--data-jitter-ms": ["--data-jitter-ms", "2"],
+    "--data-duplicate-rate": ["--data-duplicate-rate", "0.1"],
+    "--data-nack": ["--data-nack"],
+    "--data-max-repair-attempts": ["--data-max-repair-attempts", "5"],
+    "--data-repair-deadline-factor": ["--data-repair-deadline-factor", "4"],
+}
+
+
+class _Captured(Exception):
+    """Carries the spec ``scenario run`` would have run."""
+
+
+class TestAsyncImplication:
+    """Each spec flag sets its field; a control-plane field's flag turns on
+    ``async_control``, a data-plane flag leaves it off."""
+
+    def test_every_spec_flag_has_arguments(self):
+        from repro.cli import _SPEC_FLAGS
+
+        assert [entry.flag for entry in _SPEC_FLAGS] == list(FLAG_ARGUMENTS)
+
+    @pytest.mark.parametrize("flag", list(FLAG_ARGUMENTS))
+    def test_flag_sets_its_field_and_implies_async_per_the_spec(
+        self, flag, monkeypatch
+    ):
+        import repro.scenarios
+        from repro.cli import _SPEC_FLAGS, main
+        from repro.scenarios.spec import CONTROL_PLANE_FIELDS
+
+        def capture(spec, **kwargs):
+            raise _Captured(spec)
+
+        monkeypatch.setattr(repro.scenarios, "run_scenario", capture)
+        with pytest.raises(_Captured) as captured:
+            main(["scenario", "run", "flash-crowd", *FLAG_ARGUMENTS[flag]])
+        spec = captured.value.args[0]
+        field = next(entry.field for entry in _SPEC_FLAGS if entry.flag == flag)
+        assert getattr(spec, field) != getattr(
+            repro.scenarios.get_scenario("flash-crowd"), field
+        )
+        assert spec.async_control == (field in CONTROL_PLANE_FIELDS)
 
 
 class TestConvergenceParser:
@@ -382,6 +451,14 @@ class TestChaosCommands:
         # Crucially the data knobs did NOT drag in the async control
         # plane (no control chaos, no convergence line).
         assert "async control" not in out
+
+    def test_miss_threshold_alone_runs_the_async_plane(self, capsys):
+        from repro.cli import main
+
+        code = main(["scenario", "run", "flash-crowd", "--sites", "4",
+                     "--seed", "2", "--miss-threshold", "5"])
+        assert code == 0
+        assert "async control" in capsys.readouterr().out
 
     def test_unrecovered_frames_gate_fails_loudly(self, capsys):
         from repro.cli import main

@@ -14,8 +14,8 @@ def is_symmetric(matrix: DenseCostMatrix, tolerance: float = 0.0) -> bool:
     """True when ``cost(a, b)`` and ``cost(b, a)`` agree within ``tolerance``."""
     return all(
         abs(matrix.edge_cost(a, b) - matrix.edge_cost(b, a)) <= tolerance
-        for a in range(len(matrix))
-        for b in range(a + 1, len(matrix))
+        for a in range(matrix.n)
+        for b in range(a + 1, matrix.n)
     )
 
 
@@ -55,12 +55,6 @@ class TestDenseCostMatrix:
         assert is_symmetric(DenseCostMatrix([[0.0, 1.0], [1.0, 0.0]]))
         assert not is_symmetric(DenseCostMatrix([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_labels(self):
-        matrix = DenseCostMatrix([[0.0, 5.0], [5.0, 0.0]], labels=["a", "b"])
-        assert matrix.labels == ["a", "b"]
-        with pytest.raises(TopologyError):
-            DenseCostMatrix([[0.0]], labels=["a", "b"])
-
     def test_ragged_rows_rejected(self):
         with pytest.raises(TopologyError):
             DenseCostMatrix([[0.0, 1.0], [1.0]])
@@ -83,32 +77,25 @@ class TestTopologyDenseMatrix:
             abilene.dense_cost_matrix(["nowhere"])
 
 
-class TestShortestCostsCaching:
-    def test_cache_hit_returns_same_mapping(self, abilene):
+class TestShortestRowCaching:
+    def test_cache_hit_returns_the_same_row(self, abilene):
         src = abilene.pop_ids[0]
-        first = abilene.shortest_costs_from(src)
-        second = abilene.shortest_costs_from(src)
-        # Both views must be backed by the same cached row (no copying).
-        assert dict(first) == dict(second)
-        assert first[src] == 0.0
+        (first,) = abilene._shortest_rows([src])
+        (second,) = abilene._shortest_rows([src])
+        assert first is second
+        assert first[0] == 0.0
 
-    def test_returned_row_is_read_only(self, abilene):
-        src = abilene.pop_ids[0]
-        costs = abilene.shortest_costs_from(src)
-        with pytest.raises(TypeError):
-            costs[src] = 123.0  # type: ignore[index]
-
-    def test_mutable_copy_still_available(self, abilene):
-        src = abilene.pop_ids[0]
-        copy = dict(abilene.shortest_costs_from(src))
-        copy[src] = 99.0  # fine: it is a copy
-        assert abilene.shortest_costs_from(src)[src] == 0.0
+    def test_matrix_rows_are_the_callers_copy(self, abilene):
+        pops = abilene.pop_ids[:3]
+        abilene.dense_cost_matrix(pops).rows()[0][0] = 99.0
+        assert abilene.dense_cost_matrix(pops).edge_cost(0, 0) == 0.0
+        assert abilene._shortest_rows([pops[0]])[0][0] == 0.0
 
 
 class TestSessionDenseMatrix:
     def test_session_exposes_dense_costs(self, small_session):
         dense = small_session.dense_cost_matrix()
-        assert len(dense) == small_session.n_sites
+        assert dense.n == small_session.n_sites
         for a in range(small_session.n_sites):
             for b in range(small_session.n_sites):
                 assert dense.edge_cost(a, b) == small_session.cost_ms(a, b)

@@ -69,8 +69,3 @@ class TestHaversine:
         assert haversine_km(a, b) == pytest.approx(
             math.pi * EARTH_RADIUS_KM, rel=1e-6
         )
-
-    def test_method_matches_function(self):
-        a = GeoPoint(10.0, 20.0)
-        b = GeoPoint(-30.0, 60.0)
-        assert a.distance_km(b) == haversine_km(a, b)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.backbone import load_backbone
 from repro.topology.geo import GeoPoint
-from repro.topology.graph import Link, Topology, TopologyStats
-from tests.reference_paths import dict_dijkstra, neighbors, pairwise_costs
+from repro.topology.graph import Link, Topology
+from tests.reference_paths import dict_dijkstra, neighbors, pairwise_costs, path_cost
 
 
 def line_topology() -> Topology:
@@ -53,23 +55,16 @@ class TestConstruction:
         link = topo.add_link("x", "y")
         assert link.cost_ms > 5.0  # ~5.6ms propagation + hop delay
 
-    def test_link_other(self):
-        link = Link("a", "b", 1.0)
-        assert link.other("a") == "b"
-        assert link.other("b") == "a"
-        with pytest.raises(TopologyError):
-            link.other("c")
-
     def test_link_self_loop_rejected(self):
         with pytest.raises(TopologyError):
             Link("a", "a", 1.0)
 
 
 class TestInspection:
-    def test_len_and_contains(self):
+    def test_len_and_pop_ids(self):
         topo = line_topology()
         assert len(topo) == 3
-        assert "a" in topo and "z" not in topo
+        assert topo.pop_ids == ["a", "b", "c"]
 
     def test_location_unknown(self):
         with pytest.raises(TopologyError):
@@ -96,26 +91,26 @@ class TestInspection:
 class TestShortestPaths:
     def test_direct_and_two_hop(self):
         topo = line_topology()
-        assert topo.cost_ms("a", "b") == pytest.approx(1.0)
-        assert topo.cost_ms("a", "c") == pytest.approx(3.0)
+        assert path_cost(topo, "a", "b") == pytest.approx(1.0)
+        assert path_cost(topo, "a", "c") == pytest.approx(3.0)
 
     def test_self_cost_zero(self):
-        assert line_topology().cost_ms("a", "a") == 0.0
+        assert path_cost(line_topology(), "a", "a") == 0.0
 
     def test_symmetric(self):
         topo = line_topology()
-        assert topo.cost_ms("a", "c") == topo.cost_ms("c", "a")
+        assert path_cost(topo, "a", "c") == path_cost(topo, "c", "a")
 
     def test_shortcut_preferred(self):
         topo = line_topology()
         topo.add_link("a", "c", 0.5)
-        assert topo.cost_ms("a", "c") == pytest.approx(0.5)
+        assert path_cost(topo, "a", "c") == pytest.approx(0.5)
 
     def test_no_path_raises(self):
         topo = line_topology()
         topo.add_pop("island", GeoPoint(5, 5))
         with pytest.raises(TopologyError):
-            topo.cost_ms("a", "island")
+            path_cost(topo, "a", "island")
 
     def test_cost_matrix_subset(self):
         topo = line_topology()
@@ -130,9 +125,9 @@ class TestShortestPaths:
 
     def test_cache_invalidated_by_new_link(self):
         topo = line_topology()
-        assert topo.cost_ms("a", "c") == pytest.approx(3.0)
+        assert path_cost(topo, "a", "c") == pytest.approx(3.0)
         topo.add_link("a", "c", 0.25)
-        assert topo.cost_ms("a", "c") == pytest.approx(0.25)
+        assert path_cost(topo, "a", "c") == pytest.approx(0.25)
 
     def test_matches_networkx(self):
         networkx = pytest.importorskip("networkx")
@@ -141,28 +136,13 @@ class TestShortestPaths:
         graph = networkx.Graph()
         for link in topo.links():
             graph.add_edge(link.a, link.b, weight=link.cost_ms)
-        for src in topo.pop_ids:
+        pops = topo.pop_ids
+        for src, row in zip(pops, topo.dense_cost_matrix().rows()):
             expected = networkx.single_source_dijkstra_path_length(
                 graph, src, weight="weight"
             )
-            mine = topo.shortest_costs_from(src)
             for dst, cost in expected.items():
-                assert mine[dst] == pytest.approx(cost)
-
-
-class TestStats:
-    def test_stats_of_line(self):
-        stats = TopologyStats.of(line_topology())
-        assert stats.pops == 3
-        assert stats.links == 2
-        assert stats.mean_link_cost_ms == pytest.approx(1.5)
-        assert stats.max_link_cost_ms == pytest.approx(2.0)
-        assert stats.diameter_ms == pytest.approx(3.0)
-
-    def test_stats_of_empty(self):
-        stats = TopologyStats.of(Topology())
-        assert stats.pops == 0
-        assert stats.links == 0
+                assert row[pops.index(dst)] == pytest.approx(cost)
 
 
 ROW_TOPOLOGIES = ["tier1", "abilene"] + [
@@ -178,10 +158,10 @@ class TestShortestPathRows:
         topo = load_backbone(name)
         pops = topo.pop_ids
         rows = topo.dense_cost_matrix().rows()
-        for pop, row in zip(pops, rows):
-            costs = dict_dijkstra(topo, pop)
-            assert row == [costs[other] for other in pops]
-            assert dict(topo.shortest_costs_from(pop)) == costs
+        for pop, full, row in zip(pops, topo._shortest_rows(pops), rows):
+            expected = [dict_dijkstra(topo, pop)[other] for other in pops]
+            assert list(full) == expected
+            assert row == expected
 
     @pytest.mark.parametrize("name", ROW_TOPOLOGIES)
     def test_heap_and_scipy_rows_agree(self, name):
@@ -196,6 +176,8 @@ class TestShortestPathRows:
     def test_unreachable_pop_is_absent_and_has_no_matrix_entry(self):
         topo = line_topology()
         topo.add_pop("island", GeoPoint(5.0, 5.0))
-        assert "island" not in topo.shortest_costs_from("a")
+        (row,) = topo._shortest_rows(["a"])
+        assert row[topo.pop_ids.index("island")] == math.inf
+        assert "island" not in dict_dijkstra(topo, "a")
         with pytest.raises(TopologyError, match="no path from 'a' to 'island'"):
             topo.dense_cost_matrix()

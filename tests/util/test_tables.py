@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.tables import Table, format_series
+from repro.util.tables import Table
 
 
 class TestTable:
@@ -41,12 +41,3 @@ class TestTable:
         table.add_row([1])
         assert str(table) == table.render()
 
-
-class TestSeriesFormatting:
-    def test_format_series(self):
-        out = format_series("rj", [3, 4], [0.1, 0.25])
-        assert out == "rj: 3=0.1000, 4=0.2500"
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("rj", [1], [0.1, 0.2])

@@ -44,9 +44,6 @@ class TestStreamBandwidth:
         assert mbps_for_stream(quality=0.0) == pytest.approx(low)
         assert mbps_for_stream(quality=1.0) == pytest.approx(high)
 
-    def test_uncompressed(self):
-        assert mbps_for_stream(compressed=False) == pytest.approx(RAW_STREAM_MBPS)
-
     def test_quality_out_of_range(self):
         with pytest.raises(ValueError):
             mbps_for_stream(quality=1.5)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -86,8 +88,9 @@ class TestFocusSkew:
             root = RngStream(8)
             for k in range(30):
                 workload = model.generate(small_session, root.spawn(str(k)))
-                for row in workload.u_matrix().values():
-                    for u in row.values():
+                for streams in workload.subscriptions.values():
+                    # u_{i->j}: this subscriber's requests per source j.
+                    for u in Counter(stream.site for stream in streams).values():
                         total += u
                         sq += u * u
                         count += 1

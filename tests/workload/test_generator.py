@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.util.rng import RngStream
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
@@ -56,21 +53,12 @@ class TestGenerator:
                         rear += 1
         assert front > rear
 
-    def test_samples_count(self, small_session, rng):
+    def test_independent_draws_differ(self, small_session, rng):
         generator = WorkloadGenerator(
             session=small_session, popularity=UniformPopularity()
         )
-        samples = list(generator.samples(5, rng))
-        assert len(samples) == 5
-        # independent draws should not all be identical
-        assert len({tuple(sorted(s.requests())) for s in samples}) > 1
-
-    def test_samples_invalid_count(self, small_session, rng):
-        generator = WorkloadGenerator(
-            session=small_session, popularity=UniformPopularity()
-        )
-        with pytest.raises(ConfigurationError):
-            list(generator.samples(0, rng))
+        samples = [generator.generate(rng.spawn(f"sample-{k}")) for k in range(5)]
+        assert len({repr(sorted(s.subscriptions.items())) for s in samples}) > 1
 
     def test_spec_popularity_recorded(self, small_session):
         generator = WorkloadGenerator(

@@ -36,22 +36,11 @@ class TestSubscriptionWorkload:
     def test_total_requests(self):
         assert make_workload().total_requests() == 6
 
-    def test_u_matrix(self):
-        u = make_workload().u_matrix()
-        assert u[0] == {1: 2, 2: 1}
-        assert u[1] == {0: 1}
-        assert u[2] == {0: 1, 1: 1}
-
     def test_groups(self):
         groups = make_workload().groups()
         assert groups[StreamId(0, 0)] == frozenset({1, 2})
         assert groups[StreamId(1, 0)] == frozenset({0, 2})
         assert groups[StreamId(1, 1)] == frozenset({0})
-
-    def test_requests_flat_and_sorted(self):
-        requests = make_workload().requests()
-        assert len(requests) == 6
-        assert requests == sorted(requests)
 
     def test_duplicates_deduplicated(self):
         workload = SubscriptionWorkload.from_site_sets(
