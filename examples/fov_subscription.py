@@ -24,7 +24,7 @@ from repro.util import Table
 
 def main() -> None:
     # A remote site's capture stage: eight cameras on a ring (Fig. 4).
-    poses = camera_ring(8, radius=3.0, height=1.5)
+    poses = camera_ring(8)
     catalogue = {StreamId(1, q): pose for q, pose in enumerate(poses)}
 
     # The user looks at the stage from the +x side.

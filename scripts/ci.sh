@@ -47,6 +47,20 @@ python -m repro.cli scenario run capacity-starvation --sites 8 --seed 7 \
     --algorithm co-rj --audit --strict
 
 echo
+echo "== audited CO-RJ repair under capacity starvation (repair-time swaps) =="
+# Under --rebuild-policy incremental the repairer re-joins with the CO-RJ
+# victim swap; the summary is checked for repairs so the gate cannot
+# silently rebuild every round instead.
+SWAP_OUT=$(python -m repro.cli scenario run capacity-starvation --sites 8 \
+    --seed 7 --algorithm co-rj --rebuild-policy incremental --audit --strict)
+echo "${SWAP_OUT}"
+if ! grep -Eq '^overlay maintenance \[incremental\]: [1-9][0-9]* repairs' \
+    <<<"${SWAP_OUT}"; then
+    echo "ci.sh: repair-time swap gate ran no repair rounds" >&2
+    exit 1
+fi
+
+echo
 echo "== audited async-control scenario (mid-build joins under delay) =="
 # The only gate that runs the control link unimpaired: no draws, every
 # message at its base delay.

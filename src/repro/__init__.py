@@ -71,7 +71,6 @@ from repro.core import (
     MulticastTree,
     OverlayBuilder,
     OverlayForest,
-    ParentPolicy,
     RandomJoinBuilder,
     RejectionReason,
     SmallestTreeFirstBuilder,
@@ -136,7 +135,6 @@ __all__ = [
     "MulticastTree",
     "OverlayBuilder",
     "OverlayForest",
-    "ParentPolicy",
     "RandomJoinBuilder",
     "RejectionReason",
     "SmallestTreeFirstBuilder",

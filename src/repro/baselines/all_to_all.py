@@ -44,18 +44,18 @@ class DirectUnicastBuilder(OverlayBuilder):
 
     def phases(
         self, problem: ForestProblem, rng: RngStream
-    ) -> Iterator[tuple[list[MulticastGroup], list[SubscriptionRequest]]]:
+    ) -> Iterator[list[SubscriptionRequest]]:
         requests = problem.all_requests()
         rng.shuffle(requests)
-        yield list(problem.groups), requests
+        yield requests
 
     def build(self, problem: ForestProblem, rng: RngStream) -> BuildResult:
         """Direct-edge-only construction (no relaying)."""
         forest = OverlayForest()
         state = BuilderState(problem)
-        for groups, requests in self.phases(problem, rng):
-            for group in groups:
-                state.open_group(group.stream)
+        for group in problem.groups:
+            state.open_group(group.stream)
+        for requests in self.phases(problem, rng):
             for request in requests:
                 self._join_direct(problem, state, forest, request)
         return BuildResult(

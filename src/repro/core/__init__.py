@@ -10,7 +10,7 @@ Contents map directly onto the paper:
 * :mod:`repro.core.model` / :mod:`repro.core.problem` — notation
   (Table 1) and the Forest Construction Problem;
 * :mod:`repro.core.forest` / :mod:`repro.core.state` — multicast
-  trees/forest and the shared builder state (degrees, reservations);
+  trees/forest and the shared builder state (degrees, m̂);
 * :mod:`repro.core.node_join` — the basic node-join algorithm
   (Appendix A, worked example Fig. 6);
 * :mod:`repro.core.tree_order` — LTF, STF, MCTF (Sec. 4.3.2);
@@ -25,7 +25,7 @@ from repro.core.model import MulticastGroup, RejectionReason, SubscriptionReques
 from repro.core.problem import ForestProblem
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.state import BuilderState
-from repro.core.node_join import JoinOutcome, ParentPolicy, try_join
+from repro.core.node_join import JoinOutcome, try_join
 from repro.core.base import BuildResult, OverlayBuilder
 from repro.core.tree_order import (
     LargestTreeFirstBuilder,
@@ -54,7 +54,6 @@ __all__ = [
     "OverlayForest",
     "BuilderState",
     "JoinOutcome",
-    "ParentPolicy",
     "try_join",
     "BuildResult",
     "OverlayBuilder",

@@ -70,7 +70,7 @@ class ArrayBackend:
 
     name = "python"
 
-    #: ``parent_scan(problem, state, tree, subscriber, policy)``: the
+    #: ``parent_scan(problem, state, tree, subscriber)``: the
     #: best attach point for ``subscriber`` in ``tree``, or None.  Every
     #: node join reaches :func:`~repro.core.node_join.scan_parent_scalar`
     #: through this name, on both backends.

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.forest import OverlayForest
-from repro.core.model import MulticastGroup, RejectionReason, SubscriptionRequest
-from repro.core.node_join import JoinOutcome, ParentPolicy, try_join
+from repro.core.model import RejectionReason, SubscriptionRequest
+from repro.core.node_join import JoinOutcome, try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.util.rng import RngStream
@@ -101,73 +101,40 @@ class BuildResult:
 class OverlayBuilder(abc.ABC):
     """Template for all overlay-construction algorithms.
 
-    Construction proceeds in **phases**: each phase names the multicast
-    groups it *opens* (establishing their sources' outbound
-    reservations, see :class:`~repro.core.state.BuilderState`) and the
-    request order within the phase.  Tree-based algorithms open one
-    group per phase; Gran-LTF opens ``g`` at a time; RJ opens the whole
-    forest in a single phase — which is why RJ's reservations protect
-    every tree while tree-at-a-time scheduling cannot reserve for trees
-    it has not reached.
+    Construction proceeds in **phases**, each an ordered list of
+    requests.  A group *opens* when its first request is processed: its
+    source's outbound slot is reserved from then until the stream is
+    first disseminated (see :class:`~repro.core.state.BuilderState`), so
+    trees not yet reached hold no reservation.  Tree-based algorithms
+    run one group per phase; Gran-LTF ``g`` at a time; RJ the whole
+    forest in a single phase, which is why every RJ tree's reservation
+    stands from early on while tree-at-a-time scheduling cannot reserve
+    for trees it has not reached.
 
     Subclasses implement :meth:`phases`; CO-RJ additionally overrides
     :meth:`on_rejected`.
     """
 
-    parent_policy: ParentPolicy = field(default=ParentPolicy.MAX_RFC)
-
-    #: Reservation scope for the m̂ mechanism (see DESIGN.md):
-    #:
-    #: * ``"lazy"`` (default) — a group's source slot is reserved from
-    #:   the moment its first request enters processing until the stream
-    #:   is first disseminated; trees not yet reached hold no
-    #:   reservations.  This is the reading of Sec. 4.3.1 consistent
-    #:   with the paper's own evaluation (monotone granularity gains,
-    #:   RJ competitive at high load).
-    #: * ``"phase"`` — reservations stand for every group of the current
-    #:   construction phase (batch semantics).
-    #: * ``"global"`` — every group reserved up front (ablation; makes
-    #:   big-batch algorithms hoard capacity).
-    #: * ``"off"`` — no reservations (ablation).
-    reservation_mode: str = field(default="lazy")
-
     #: Subclasses override with the paper's algorithm name.
     name: str = "abstract"
-
-    _RESERVATION_MODES = ("lazy", "phase", "global", "off")
 
     @abc.abstractmethod
     def phases(
         self, problem: ForestProblem, rng: RngStream
-    ) -> Iterable[tuple[list[MulticastGroup], list[SubscriptionRequest]]]:
-        """Yield (groups opened, ordered requests) per construction phase.
+    ) -> Iterable[list[SubscriptionRequest]]:
+        """Yield the ordered requests of each construction phase.
 
-        Across all phases every group and every request of ``problem``
-        must appear exactly once.
+        Across all phases every request of ``problem`` must appear
+        exactly once.
         """
 
     def build(self, problem: ForestProblem, rng: RngStream) -> BuildResult:
         """Run the algorithm on ``problem``; deterministic given ``rng``."""
-        if self.reservation_mode not in self._RESERVATION_MODES:
-            raise ValueError(
-                f"reservation_mode must be one of {self._RESERVATION_MODES}, "
-                f"got {self.reservation_mode!r}"
-            )
         forest = OverlayForest()
-        state = BuilderState(
-            problem, reservations=self.reservation_mode != "off"
-        )
-        if self.reservation_mode == "global":
-            for group in problem.groups:
-                state.open_group(group.stream)
+        state = BuilderState(problem)
         scheduled = 0
-        for groups, requests in self.phases(problem, rng):
-            if self.reservation_mode == "phase":
-                for group in groups:
-                    state.open_group(group.stream)
+        for requests in self.phases(problem, rng):
             for request in requests:
-                # "lazy"/"off": a group opens when its first request is
-                # processed (for "off" this is pure bookkeeping).
                 state.open_group(request.stream)
                 scheduled += 1
                 self._process(problem, state, forest, request)
@@ -192,9 +159,7 @@ class OverlayBuilder(abc.ABC):
     ) -> JoinOutcome:
         """Join one request and record the outcome."""
         tree = forest.tree(request.stream)
-        outcome = try_join(
-            problem, state, tree, request.subscriber, policy=self.parent_policy
-        )
+        outcome = try_join(problem, state, tree, request.subscriber)
         if outcome.accepted:
             forest.satisfied.append(request)
         else:

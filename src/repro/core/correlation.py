@@ -60,17 +60,14 @@ class _Swap:
 class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
     """CO-RJ: RJ plus the correlation-aware victim swap on saturation.
 
-    ``swap_on_inbound`` extends the swap to inbound-saturated rejections
-    as well: the swap replaces one received stream with another, so the
-    subscriber's in-degree is unchanged and the mechanism applies to
-    both saturation modes.  The paper's text names tree saturation only;
-    the extension is on by default because inbound saturation is the
-    other face of the same criticality trade (disable it for the
-    strictest reading).
+    The swap also serves inbound-saturated rejections: it replaces one
+    received stream with another, so the subscriber's in-degree is
+    unchanged and the mechanism applies to both saturation modes.  The
+    paper's text names tree saturation only; inbound saturation is the
+    other face of the same criticality trade.
     """
 
     name: str = "co-rj"
-    swap_on_inbound: bool = True
     #: Number of post-build repair sweeps: rejected requests are
     #: re-offered the victim swap against the *completed* forest (the
     #: target tree has far more members by then, so condition (3) —
@@ -87,30 +84,11 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         outcome: JoinOutcome,
     ) -> bool:
         """Attempt the Sec. 4.4 swap; returns True when the swap happened."""
-        swap = self.find_swap(problem, forest, request, outcome)
+        swap = self.find_swap(problem, forest, request)
         if swap is None:
             return False
         self.apply_swap(problem, state, forest, request, swap)
         return True
-
-    def find_swap(
-        self,
-        problem: ForestProblem,
-        forest: OverlayForest,
-        request: SubscriptionRequest,
-        outcome: JoinOutcome,
-    ) -> _Swap | None:
-        """The swap a rejected ``request`` is entitled to, if any (read-only).
-
-        :meth:`apply_swap` then writes to exactly two trees of
-        ``forest``: the victim's and the request's.
-        """
-        reason = outcome.reason
-        if reason is not RejectionReason.TREE_SATURATED and not (
-            self.swap_on_inbound and reason is RejectionReason.INBOUND_SATURATED
-        ):
-            return None
-        return self._find_victim(problem, forest, request)
 
     def build(self, problem: ForestProblem, rng: RngStream):  # type: ignore[override]
         """RJ build, then criticality-ordered swap repair sweeps."""
@@ -140,7 +118,7 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         for request in pending:
             if request.subscriber in forest.tree(request.stream):
                 continue  # already satisfied by an earlier swap this sweep
-            swap = self._find_victim(problem, forest, request)
+            swap = self.find_swap(problem, forest, request)
             if swap is None:
                 continue
             self._remove_rejection(forest, request)
@@ -159,15 +137,16 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
                 return
         raise ValueError(f"{request} is not recorded as rejected")
 
-    # -- internals ---------------------------------------------------------------
-
-    def _find_victim(
+    def find_swap(
         self,
         problem: ForestProblem,
         forest: OverlayForest,
         request: SubscriptionRequest,
     ) -> _Swap | None:
-        """Find the best victim meeting all 4 conditions.
+        """The best victim meeting all 4 conditions, if any (read-only).
+
+        :meth:`apply_swap` then writes to exactly two trees of
+        ``forest``: the victim's and the request's.
 
         Candidates come from the subscriber's sparse ``u`` row crossed
         with the streams-by-source index: only sites the subscriber

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.core.base import OverlayBuilder
-from repro.core.model import MulticastGroup, SubscriptionRequest
+from repro.core.model import SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.util.rng import RngStream
 
@@ -42,13 +42,14 @@ class GranularityBuilder(OverlayBuilder):
 
     def phases(
         self, problem: ForestProblem, rng: RngStream
-    ) -> Iterator[tuple[list[MulticastGroup], list[SubscriptionRequest]]]:
+    ) -> Iterator[list[SubscriptionRequest]]:
         groups = sorted(problem.groups, key=lambda g: (-g.size, g.stream))
         g = min(self.granularity, max(1, len(groups)))
         for start in range(0, len(groups), g):
-            batch = groups[start : start + g]
-            requests: list[SubscriptionRequest] = []
-            for group in batch:
-                requests.extend(group.requests())
+            requests = [
+                request
+                for group in groups[start : start + g]
+                for request in group.requests()
+            ]
             rng.shuffle(requests)
-            yield batch, requests
+            yield requests

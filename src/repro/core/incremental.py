@@ -33,7 +33,7 @@ than a fresh solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.errors import OverlayError
@@ -41,7 +41,7 @@ from repro.core.base import BuildResult
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.forest import MulticastTree, OverlayForest
 from repro.core.model import MulticastGroup, SubscriptionRequest
-from repro.core.node_join import ParentPolicy, commit_join, plan_join
+from repro.core.node_join import commit_join, plan_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
@@ -176,7 +176,6 @@ class IncrementalRepairer:
     to orphan re-joins instead of yielding a violating forest.
     """
 
-    policy: ParentPolicy = field(default=ParentPolicy.MAX_RFC)
     use_swap: bool = False
 
     def repair(
@@ -191,7 +190,7 @@ class IncrementalRepairer:
             satisfied = list(prev_forest.satisfied)
             prev_satisfied = None  # every tree receiver is a satisfied request
         else:
-            state = BuilderState(problem, reservations=previous.state.reservations)
+            state = BuilderState(problem)
             satisfied = []
             prev_satisfied = set(prev_forest.satisfied)
             prev_groups = {}  # nothing is shared: every tree is re-carried
@@ -275,15 +274,13 @@ class IncrementalRepairer:
         def rejoin(request: SubscriptionRequest) -> bool:
             nonlocal evicted
             stream, subscriber = request.stream, request.subscriber
-            outcome = plan_join(
-                problem, state, trees[stream], subscriber, policy=self.policy
-            )
+            outcome = plan_join(problem, state, trees[stream], subscriber)
             if outcome.accepted:
                 commit_join(problem, state, own(stream), subscriber, outcome)
                 satisfied.append(request)
                 return True
             swap = (
-                swapper.find_swap(problem, forest, request, outcome)
+                swapper.find_swap(problem, forest, request)
                 if swapper is not None
                 else None
             )

@@ -24,15 +24,10 @@ source with the comparison ``O_k - m̂ > max`` without subtracting
 its rfc once the stream is disseminated (and document this as the one
 interpretation choice — it preserves the stated intent of load
 balancing and reproduces the Fig. 6 worked example exactly).
-
-Alternative ``ParentPolicy`` values exist for the ablation baselines:
-``MIN_COST`` picks the latency-closest eligible parent and ``FIRST_FIT``
-the first eligible member, both ignoring rfc.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import OverlayError
@@ -43,17 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the array backend
     from repro.core.forest import MulticastTree
     from repro.core.problem import ForestProblem
     from repro.core.state import BuilderState
-
-
-class ParentPolicy(enum.Enum):
-    """How the node-join algorithm chooses among eligible parents."""
-
-    #: The paper's policy: maximize remaining forwarding capacity.
-    MAX_RFC = "max-rfc"
-    #: Ablation: minimize the resulting source->subscriber path latency.
-    MIN_COST = "min-cost"
-    #: Ablation: first eligible member in insertion order.
-    FIRST_FIT = "first-fit"
 
 
 class JoinOutcome(
@@ -101,7 +85,6 @@ def plan_join(
     state: BuilderState,
     tree: MulticastTree,
     subscriber: int,
-    policy: ParentPolicy = ParentPolicy.MAX_RFC,
 ) -> JoinOutcome:
     """Decide a join of ``subscriber`` into ``tree`` without writing anything.
 
@@ -118,9 +101,7 @@ def plan_join(
     if not state.inbound_free(subscriber):
         return _REJECT_INBOUND
 
-    candidate = problem.array_backend.parent_scan(
-        problem, state, tree, subscriber, policy
-    )
+    candidate = problem.array_backend.parent_scan(problem, state, tree, subscriber)
     if candidate is None:
         return _REJECT_TREE
     path_cost = path_costs[candidate] + problem.edge_cost(candidate, subscriber)
@@ -148,7 +129,6 @@ def try_join(
     state: BuilderState,
     tree: MulticastTree,
     subscriber: int,
-    policy: ParentPolicy = ParentPolicy.MAX_RFC,
 ) -> JoinOutcome:
     """Attempt to join ``subscriber`` into ``tree``; mutates on success.
 
@@ -156,7 +136,7 @@ def try_join(
     the builder state is updated (degrees, reservation release).  On
     rejection nothing is mutated.
     """
-    outcome = plan_join(problem, state, tree, subscriber, policy)
+    outcome = plan_join(problem, state, tree, subscriber)
     if outcome.accepted:
         commit_join(problem, state, tree, subscriber, outcome)
     return outcome
@@ -167,19 +147,16 @@ def scan_parent_scalar(
     state: BuilderState,
     tree: MulticastTree,
     subscriber: int,
-    policy: ParentPolicy,
 ) -> int | None:
     """The parent scan: one pass over the members in attach order.
 
     Joins reach it as ``problem.array_backend.parent_scan``.  An
     undisseminated tree is its source alone (trees grow by leaves, and
     ``detach_leaf`` recomputes the flag); the source serves the first
-    dissemination from its reserved slot whatever its rfc, under every
-    policy.  MAX_RFC takes the first member of largest positive
-    ``rfc = O - dout - m̂``; as ``m̂ >= 0`` that implies ``dout < O``,
-    so the path sum is read only for a would-be new best.  MIN_COST
-    takes the first cheapest path under the bound, FIRST_FIT the first
-    such path.  A NaN path is never under the bound.
+    dissemination from its reserved slot whatever its rfc.  Otherwise
+    the first member of largest positive ``rfc = O - dout - m̂`` wins;
+    as ``m̂ >= 0`` that implies ``dout < O``, so the path sum is read
+    only for a would-be new best.  A NaN path is never under the bound.
     """
     bound = problem.latency_bound_ms
     cost_to_subscriber = problem.costs_to(subscriber)
@@ -190,7 +167,7 @@ def scan_parent_scalar(
         source = tree.source
         if dout[source] < outbound[source] and cost_to_subscriber[source] < bound:
             best = source
-    elif policy is ParentPolicy.MAX_RFC:
+    else:
         m_hat = state.m_hat
         best_rfc = 0
         for member, cost_from_source in tree.path_costs().items():
@@ -199,14 +176,4 @@ def scan_parent_scalar(
                 cost_from_source + cost_to_subscriber[member] < bound
             ):
                 best, best_rfc = member, rfc
-    else:
-        first_fit = policy is ParentPolicy.FIRST_FIT
-        best_cost = bound
-        for member, cost_from_source in tree.path_costs().items():
-            if dout[member] < outbound[member]:
-                path_cost = cost_from_source + cost_to_subscriber[member]
-                if path_cost < best_cost:
-                    if first_fit:
-                        return member
-                    best, best_cost = member, path_cost
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.base import OverlayBuilder
-from repro.core.model import MulticastGroup, SubscriptionRequest
+from repro.core.model import SubscriptionRequest
 from repro.core.problem import ForestProblem
 from repro.util.rng import RngStream
 
@@ -23,17 +23,18 @@ from repro.util.rng import RngStream
 class RandomJoinBuilder(OverlayBuilder):
     """RJ: one global phase with every request shuffled together.
 
-    Opening the whole forest at once also means every source's
-    first-dissemination slot is reserved from the start — tree-at-a-time
-    algorithms cannot do this for trees they have not reached, which is
-    the structural reason RJ avoids whole-tree losses.
+    Every group opens at its first request, early in the shuffle, so
+    nearly every source's first-dissemination slot is reserved long
+    before its tree fills — tree-at-a-time algorithms cannot do this for
+    trees they have not reached, which is the structural reason RJ
+    avoids whole-tree losses.
     """
 
     name: str = "rj"
 
     def phases(
         self, problem: ForestProblem, rng: RngStream
-    ) -> Iterator[tuple[list[MulticastGroup], list[SubscriptionRequest]]]:
+    ) -> Iterator[list[SubscriptionRequest]]:
         requests = problem.all_requests()
         rng.shuffle(requests)
-        yield list(problem.groups), requests
+        yield requests

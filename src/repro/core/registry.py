@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.core.base import OverlayBuilder
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.granularity import GranularityBuilder
-from repro.core.node_join import ParentPolicy
 from repro.core.randomized import RandomJoinBuilder
 from repro.core.tree_order import (
     LargestTreeFirstBuilder,
@@ -35,8 +34,7 @@ def make_builder(name: str, **kwargs) -> OverlayBuilder:
     """Instantiate a builder by its paper name.
 
     Keyword arguments are forwarded to the builder (e.g.
-    ``make_builder("gran-ltf", granularity=8)`` or
-    ``make_builder("rj", parent_policy=ParentPolicy.MIN_COST)``).
+    ``make_builder("gran-ltf", granularity=8)``).
     """
     try:
         factory = _FACTORIES[name.lower()]
@@ -48,4 +46,4 @@ def make_builder(name: str, **kwargs) -> OverlayBuilder:
     return factory(**kwargs)
 
 
-__all__ = ["available_algorithms", "make_builder", "ParentPolicy"]
+__all__ = ["available_algorithms", "make_builder"]

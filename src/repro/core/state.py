@@ -25,20 +25,16 @@ class BuilderState:
     """Cross-tree degree and reservation accounting for one build.
 
     **Reservation scope.**  ``m̂`` counts streams "not yet disseminated
-    out ... in the existing forest".  A scheduler can only reserve
-    outbound slots for trees it has *opened* (started constructing):
-    a tree-at-a-time algorithm has no reservations standing for trees it
-    has not reached yet, whereas RJ opens the whole forest at once and
-    therefore protects every source's first dissemination from the
-    start.  This difference is precisely what makes granularity matter
+    out ... in the existing forest" among the groups *opened* so far:
+    a builder calls :meth:`open_group` when a group's first request is
+    processed, so a tree-at-a-time algorithm reserves nothing yet for
+    trees it has not reached.  This is what makes granularity matter
     (Sec. 5.3): small granularity lets early trees consume the outbound
     capacity later sources would have needed, causing whole-tree
-    failures.  Builders open groups via :meth:`open_group` at the start
-    of each construction phase.
+    failures.
     """
 
-    def __init__(self, problem: ForestProblem, reservations: bool = True) -> None:
-        self.reservations = reservations
+    def __init__(self, problem: ForestProblem) -> None:
         # Flat lists indexed by node id: the parent-search inner loop
         # probes these per candidate, so they must be one C-level
         # indexing, not a hash lookup.
@@ -76,7 +72,6 @@ class BuilderState:
         state is left untouched).
         """
         state = BuilderState.__new__(BuilderState)
-        state.reservations = self.reservations
         state.din = list(self.din)
         state.dout = list(self.dout)
         state.m_hat = list(self.m_hat)
@@ -105,15 +100,12 @@ class BuilderState:
     def open_group(self, stream: StreamId) -> None:
         """Begin constructing ``stream``'s tree: reserve its source slot.
 
-        Idempotent: opening an already-open group is a no-op.  With
-        ``reservations=False`` only the opened-set bookkeeping happens
-        (the no-reservation ablation).
+        Idempotent: opening an already-open group is a no-op.
         """
         if stream in self._opened:
             return
         self._opened.add(stream)
-        if self.reservations:
-            self.m_hat[stream.site] += 1
+        self.m_hat[stream.site] += 1
 
     def opened(self) -> set[StreamId]:
         """Every stream :meth:`open_group` was called for (shared, read-only)."""
@@ -142,11 +134,7 @@ class BuilderState:
         """
         self.dout[parent] += 1
         self.din[child] += 1
-        if (
-            self.reservations
-            and parent == tree.source
-            and len(tree.children_map()[parent]) == 1
-        ):
+        if parent == tree.source and len(tree.children_map()[parent]) == 1:
             self.m_hat[tree.source] -= 1
             if self.m_hat[tree.source] < 0:
                 raise OverlayError(
@@ -168,7 +156,7 @@ class BuilderState:
                 f"degree underflow removing edge {parent}->{child} "
                 f"for stream {tree.stream}"
             )
-        if self.reservations and parent == tree.source and not tree.disseminated:
+        if parent == tree.source and not tree.disseminated:
             self.m_hat[tree.source] += 1
 
     def forget_tree(self, tree: MulticastTree) -> None:
@@ -190,7 +178,7 @@ class BuilderState:
                 )
         if tree.stream in self._opened:
             self._opened.discard(tree.stream)
-            if self.reservations and not tree.disseminated:
+            if not tree.disseminated:
                 self.m_hat[tree.source] -= 1
                 if self.m_hat[tree.source] < 0:
                     raise OverlayError(f"reservation underflow in {tree.stream}")

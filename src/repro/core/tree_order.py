@@ -21,18 +21,18 @@ from repro.util.rng import RngStream
 class _TreeOrderedBuilder(OverlayBuilder):
     """Common machinery: one construction phase per multicast group.
 
-    Because each phase opens only its own group, the source-slot
-    reservations of trees further down the order are not yet standing —
-    the defining property of granularity-1 construction (Sec. 5.3).
+    Because a group opens only when its own phase starts, no source
+    slot is reserved yet for trees further down the order — the
+    defining property of granularity-1 construction (Sec. 5.3).
     """
 
     def phases(
         self, problem: ForestProblem, rng: RngStream
-    ) -> Iterator[tuple[list[MulticastGroup], list[SubscriptionRequest]]]:
+    ) -> Iterator[list[SubscriptionRequest]]:
         for group in self.order_groups(problem):
             requests = group.requests()
             rng.shuffle(requests)
-            yield [group], requests
+            yield requests
 
     def order_groups(self, problem: ForestProblem) -> list[MulticastGroup]:
         """Subclasses order the groups; ties break by stream id."""

@@ -12,28 +12,23 @@ import math
 
 from repro.fov.geometry import Pose, Vec3
 
+#: Ring radius in metres.
+RING_RADIUS_M = 3.0
 
-def camera_ring(
-    n_cameras: int, radius: float = 3.0, height: float = 1.5
-) -> list[Pose]:
-    """Place ``n_cameras`` inward-facing cameras on a ring round the origin.
+#: Camera height above the stage plane, in metres.
+RING_HEIGHT_M = 1.5
+
+
+def camera_ring(n_cameras: int) -> list[Pose]:
+    """Place ``n_cameras`` (>= 1) inward-facing cameras on a ring round
+    the origin, :data:`RING_RADIUS_M` out and :data:`RING_HEIGHT_M` up.
 
     Camera 0 sits on the +x axis, which we treat as the "front" of the
     subject; the rest follow counter-clockwise, equally spaced.
-
-    Parameters
-    ----------
-    n_cameras:
-        Number of cameras (>= 1).
-    radius:
-        Ring radius in metres.
-    height:
-        Camera height above the stage plane.
     """
     if n_cameras < 1:
         raise ValueError(f"n_cameras must be >= 1, got {n_cameras}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    radius, height = RING_RADIUS_M, RING_HEIGHT_M
     subject = Vec3(0.0, 0.0, height * 0.7)
     poses = []
     for k in range(n_cameras):

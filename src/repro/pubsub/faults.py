@@ -19,11 +19,6 @@ Two properties the rest of the system leans on:
 * **Determinism under chaos** — draws happen in simulator event order,
   which the engine makes reproducible, so a lossy run is a pure
   function of (spec, seed).
-
-``drop_filter`` is a deliberate test hook: deterministic forced drops
-(e.g. "every ack, first attempt") let the retransmit machinery be
-exercised without probability, which is how the digest-equality
-property tests pin that retransmission is invisible to the overlay.
 """
 
 from __future__ import annotations
@@ -160,16 +155,10 @@ class FaultyLink(SeededLink):
         sim: Simulator,
         rng: RngStream,
         config: FaultConfig = FaultConfig(),
-        drop_filter: Callable[[str, object, int], bool] | None = None,
     ) -> None:
         super().__init__(
             sim, rng, config.jitter_ms, config.loss_rate, config.duplicate_rate
         )
-        #: Test hook: ``drop_filter(kind, message, attempt) -> bool``
-        #: forces a deterministic drop when it returns True (checked
-        #: after partitions, before any RNG draw — forced drops never
-        #: consume randomness, so they compose with seeded runs).
-        self.drop_filter = drop_filter
         # site -> its [start_ms, end_ms) cuts; the config is frozen.
         self._cuts: dict[int, list[tuple[float, float]]] = {}
         for window in config.partitions:
@@ -189,10 +178,7 @@ class FaultyLink(SeededLink):
         site: int,
         base_delay_ms: float,
         deliver: Callable[..., None],
-        kind: str = "control",
-        message: object = None,
-        attempt: int = 0,
-        args: tuple = (),
+        args: tuple,
     ) -> bool:
         """Move one message across the link; True if a copy was scheduled.
 
@@ -202,9 +188,6 @@ class FaultyLink(SeededLink):
         """
         self.sent += 1
         if site in self._cuts and self.partitioned(site, self.simulator.now):
-            self.dropped += 1
-            return False
-        if self.drop_filter is not None and self.drop_filter(kind, message, attempt):
             self.dropped += 1
             return False
         return self.carry(base_delay_ms, deliver, args)

@@ -188,13 +188,11 @@ class MembershipServer:
 
     def __post_init__(self) -> None:
         check_rebuild_policy(self.rebuild_policy)
-        # Repair joins mirror the configured builder: same parent
-        # policy, and the CO-RJ victim swap only when the builder itself
-        # is correlation-aware — keeping repair and rebuild semantics
-        # aligned per algorithm.
+        # Repair joins mirror the configured builder: the CO-RJ victim
+        # swap only when the builder itself is correlation-aware —
+        # keeping repair and rebuild semantics aligned per algorithm.
         self._repairer = IncrementalRepairer(
-            policy=self.builder.parent_policy,
-            use_swap=isinstance(self.builder, CorrelatedRandomJoinBuilder),
+            use_swap=isinstance(self.builder, CorrelatedRandomJoinBuilder)
         )
         # Every directive's tables name a stream by its place in the
         # session's sorted stream ids: one tuple, shared by all.

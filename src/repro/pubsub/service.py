@@ -119,8 +119,10 @@ from repro.sim.engine import Simulator, Timer
 from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
+    MISS_THRESHOLD,
     check_at_least,
     check_finite_non_negative,
+    check_miss_threshold_read,
     check_phi_threshold,
 )
 
@@ -292,9 +294,6 @@ class MembershipService:
     control_delay_ms / debounce_ms:
         One-way link delay and dirty-state coalescing window (both 0 =
         the synchronous degenerate case).
-    site_delays:
-        Optional per-site delay overrides (read at send time, so tests
-        can skew links mid-run to force out-of-order delivery).
     auditor:
         Optional invariant auditor; each epoch is audited when its last
         directive delivery lands, against the sites actually holding
@@ -306,8 +305,8 @@ class MembershipService:
         ``None`` derives ``build_rng.spawn("chaos-link")`` (spawning is
         stateless, so the derivation cannot perturb the build streams).
     heartbeat_ms / miss_threshold:
-        Heartbeat period and missed-beat budget of the failure
-        detector.  0 disables detection entirely.
+        Heartbeat period and missed-beat budget of the static deadline
+        (a budget off its default needs it).  0 disables detection.
     retransmit_timeout_ms:
         Ack timeout arming the retransmit machinery for reports and
         directive pushes; 0 keeps the legacy fire-and-forget transport
@@ -338,12 +337,11 @@ class MembershipService:
         build_rng: RngStream,
         control_delay_ms: float = 0.0,
         debounce_ms: float = 0.0,
-        site_delays: Mapping[int, float] | None = None,
         auditor: "InvariantAuditor | None" = None,
         faults: FaultConfig | None = None,
         chaos_rng: RngStream | None = None,
         heartbeat_ms: float = 0.0,
-        miss_threshold: int = 3,
+        miss_threshold: int = MISS_THRESHOLD,
         retransmit_timeout_ms: float = 0.0,
         phi_threshold: float = 0.0,
         checkpoint_interval_ms: float = 0.0,
@@ -362,13 +360,13 @@ class MembershipService:
                 "phi_threshold requires heartbeats: the detector scores "
                 "a heartbeat cadence, so heartbeat_ms must be > 0"
             )
+        check_miss_threshold_read(miss_threshold, heartbeat_ms, phi_threshold)
         self.sim = sim
         self.server = server
         self.rps = rps
         self.build_rng = build_rng
         self.control_delay_ms = control_delay_ms
         self.debounce_ms = debounce_ms
-        self.site_delays = site_delays
         self.auditor = auditor
         self.faults = faults
         self.heartbeat_ms = heartbeat_ms
@@ -628,30 +626,10 @@ class MembershipService:
         self._next_seq[site] = seq
         return seq
 
-    def _transmit(
-        self,
-        site: int,
-        deliver: Callable[..., None],
-        kind: str,
-        message: object,
-        attempt: int = 0,
-        args: tuple | None = None,
-    ) -> None:
+    def _transmit(self, site: int, deliver: Callable[..., None], *args) -> None:
         """Put one message on ``site``'s control link, either direction:
-        it lands as ``deliver(*args)``, by default ``deliver(message)``,
-        after the site's one-way delay as it reads at send time."""
-        delay_ms = self.control_delay_ms
-        if self.site_delays is not None:
-            delay_ms = self.site_delays.get(site, delay_ms)
-        self.link.transmit(
-            site,
-            delay_ms,
-            deliver,
-            kind,
-            message,
-            attempt,
-            (message,) if args is None else args,
-        )
+        it lands as ``deliver(*args)`` after the one-way delay."""
+        self.link.transmit(site, self.control_delay_ms, deliver, args)
 
     def _send(self, message: ControlEnvelope, site: int) -> None:
         entry = _Pending(site, message.seq, _kind_of(message), message)
@@ -669,9 +647,7 @@ class MembershipService:
     def _offer(self, entry: _Pending) -> None:
         """One copy of a report onto the wire: first send, retransmit,
         replay or linger probe."""
-        self._transmit(
-            entry.site, self._receive, entry.kind, entry.payload, entry.attempts
-        )
+        self._transmit(entry.site, self._receive, entry.payload)
 
     def _park(self, entry: _Pending) -> None:
         """Buffer a report, timer-free, until the server is heard again."""
@@ -790,7 +766,7 @@ class MembershipService:
             kind=kind,
             incarnation=self.incarnation,
         )
-        self._transmit(site, self._receive_control_ack, "control-ack", ack)
+        self._transmit(site, self._receive_control_ack, ack)
 
     def _receive_control_ack(self, ack: ControlAck) -> None:
         """Site-side arrival of a report ack: stop that retransmit loop."""
@@ -827,7 +803,7 @@ class MembershipService:
         self.heartbeats_sent += 1
         rp = self.rps.get(site)
         message = Heartbeat(self.sim.now, -1 if rp is None else rp.epoch, site)
-        self._transmit(site, self._receive_heartbeat, "heartbeat", message)
+        self._transmit(site, self._receive_heartbeat, message)
 
     def _receive_heartbeat(self, message: Heartbeat) -> None:
         """Server-side arrival of one heartbeat."""
@@ -846,7 +822,7 @@ class MembershipService:
             # came back.  Fire-and-forget — the next beat provokes the
             # next ack.
             ack = HeartbeatAck(now, -1, site, 0, self.incarnation)
-            self._transmit(site, self._receive_heartbeat_ack, "heartbeat-ack", ack)
+            self._transmit(site, self._receive_heartbeat_ack, ack)
         if not self.server.is_registered(site):
             # A zombie: alive enough to beat, but the server forgot it
             # (suspected across a partition, or every report was lost).
@@ -859,7 +835,7 @@ class MembershipService:
                 site=site,
                 incarnation=self.incarnation,
             )
-            self._transmit(site, self._receive_rejoin, "rejoin", request)
+            self._transmit(site, self._receive_rejoin, request)
 
     def _receive_heartbeat_ack(self, ack: HeartbeatAck) -> None:
         """Site-side arrival of a heartbeat response (failover mode)."""
@@ -1165,14 +1141,7 @@ class MembershipService:
         """One copy of a directive onto the wire: first push or retransmit."""
         site = entry.site
         round_: ControlRound = entry.payload
-        self._transmit(
-            site,
-            self._deliver,
-            entry.kind,
-            round_.directive,
-            entry.attempts,
-            (site, round_),
-        )
+        self._transmit(site, self._deliver, site, round_)
 
     def _push_exhausted(self, entry: _Pending) -> None:
         # Unreachable for this epoch (partitioned or dead).  A later
@@ -1252,9 +1221,7 @@ class MembershipService:
         ack = DirectiveAck(
             sent_ms=self.sim.now, epoch=round_.directive.epoch, site=site
         )
-        self._transmit(
-            site, self._receive_ack, "directive-ack", ack, args=(ack, round_)
-        )
+        self._transmit(site, self._receive_ack, ack, round_)
 
     def _receive_ack(self, ack: DirectiveAck, round_: ControlRound) -> None:
         if self._server_down:

@@ -26,9 +26,11 @@ from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
 from repro.util.rng import RngStream
 from repro.util.validation import (
+    MISS_THRESHOLD,
     check_at_least,
     check_disjoint_windows,
     check_finite_non_negative,
+    check_miss_threshold_read,
     check_phi_threshold,
     check_positive,
     check_probability,
@@ -141,8 +143,9 @@ class ScenarioSpec:
     heartbeat_ms / miss_threshold:
         Failure-detection knobs: live sites beat every
         ``heartbeat_ms``; the server withdraws a registered site silent
-        for ``miss_threshold`` beat periods.  0 disables detection (an
-        abrupt FAIL degrades to a declared withdrawal).
+        for ``miss_threshold`` beat periods (so a budget off its default
+        needs heartbeats and no φ).  0 disables detection (an abrupt
+        FAIL degrades to a declared withdrawal).
     retransmit_timeout_ms:
         Ack timeout arming retransmission with capped exponential
         backoff for reports and directive pushes; 0 keeps the legacy
@@ -203,7 +206,7 @@ class ScenarioSpec:
     duplicate_rate: float = 0.0
     partitions: tuple[PartitionWindow, ...] = ()
     heartbeat_ms: float = 0.0
-    miss_threshold: int = 3
+    miss_threshold: int = MISS_THRESHOLD
     retransmit_timeout_ms: float = 0.0
     server_outages: tuple[ServerOutageWindow, ...] = ()
     phi_threshold: float = 0.0
@@ -275,6 +278,9 @@ class ScenarioSpec:
                 "phi_threshold requires heartbeat_ms > 0 (the detector "
                 "scores a heartbeat cadence)"
             )
+        check_miss_threshold_read(
+            self.miss_threshold, self.heartbeat_ms, self.phi_threshold
+        )
         if self.server_outages and (
             self.heartbeat_ms <= 0 or self.retransmit_timeout_ms <= 0
         ):

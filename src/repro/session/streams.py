@@ -53,7 +53,7 @@ class StreamDescriptor:
 
     stream_id: StreamId
     camera_id: str
-    bandwidth_mbps: float = field(default_factory=lambda: mbps_for_stream(quality=0.5))
+    bandwidth_mbps: float = field(default_factory=mbps_for_stream)
 
     def __post_init__(self) -> None:
         if self.bandwidth_mbps <= 0:

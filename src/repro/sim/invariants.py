@@ -406,13 +406,12 @@ class InvariantAuditor:
         # Reservation accounting: m̂_i must equal the number of opened
         # groups sourced at i whose streams are not yet disseminated.
         expected_m_hat = dict.fromkeys(nodes, 0)
-        if state.reservations:
-            trees, opened = forest.trees, state.opened()
-            for group in problem.groups:
-                stream = group.stream
-                tree = trees.get(stream)
-                if (tree is None or not tree.disseminated) and stream in opened:
-                    expected_m_hat[stream.site] += 1
+        trees, opened = forest.trees, state.opened()
+        for group in problem.groups:
+            stream = group.stream
+            tree = trees.get(stream)
+            if (tree is None or not tree.disseminated) and stream in opened:
+                expected_m_hat[stream.site] += 1
         in_limits, out_limits = problem.inbound_limits(), problem.outbound_limits()
         ledger_in, ledger_out = state.din, state.dout
         m_hat, m = state.m_hat, state.m

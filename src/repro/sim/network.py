@@ -94,17 +94,11 @@ class LatencyNetwork(SeededLink):
         jitter_ms: float = 0.0,
         loss_probability: float = 0.0,
         duplicate_probability: float = 0.0,
-        drop_filter: Callable[[int, int, tuple], bool] | None = None,
     ) -> None:
         super().__init__(
             simulator, rng, jitter_ms, loss_probability, duplicate_probability
         )
         self.session = session
-        #: Deterministic drop hook for tests: ``drop_filter(src, dst,
-        #: args) -> True`` drops the message *before* any RNG draw, so
-        #: installing one never perturbs the seeded loss/jitter sequence.
-        #: ``args`` is the tuple the arrival callback would have received.
-        self.drop_filter = drop_filter
         self._cost_rows = session.dense_cost_matrix().rows()
 
     def send(self, src: int, dst: int, on_delivery: Callable[..., None], *args) -> None:
@@ -119,7 +113,4 @@ class LatencyNetwork(SeededLink):
         if src == dst:
             raise SimulationError(f"site {src} sending to itself")
         self.sent += 1
-        if self.drop_filter is not None and self.drop_filter(src, dst, args):
-            self.dropped += 1
-            return
         self.carry(self._cost_rows[src][dst], on_delivery, args)

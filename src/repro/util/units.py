@@ -28,6 +28,9 @@ RAW_STREAM_MBPS = 640 * 480 * 15 * 5 * 8 / 1e6  # ~184 Mbps
 #: Compressed stream bandwidth range quoted in Sec. 5.1 (Mbps).
 COMPRESSED_STREAM_MBPS = (5.0, 10.0)
 
+#: Where a stream sits in that range (0 -> 5 Mbps, 1 -> 10 Mbps).
+STREAM_QUALITY = 0.5
+
 #: Internet2 available-bandwidth range measured by the authors (Mbps).
 SITE_BANDWIDTH_MBPS = (40.0, 150.0)
 
@@ -47,13 +50,8 @@ def propagation_delay_ms(distance_km: float, hops: int = 1) -> float:
     return distance_km / LIGHT_SPEED_FIBER_KM_PER_MS + hops * ROUTER_HOP_DELAY_MS
 
 
-def mbps_for_stream(quality: float = 0.5) -> float:
-    """Bandwidth of a single compressed 3D video stream.
-
-    ``quality`` is the position within the paper's 5-10 Mbps compressed
-    range (0 -> 5 Mbps, 1 -> 10 Mbps).
-    """
-    if not 0.0 <= quality <= 1.0:
-        raise ValueError(f"quality must be in [0, 1], got {quality}")
+def mbps_for_stream() -> float:
+    """Bandwidth of a single compressed 3D video stream, at
+    :data:`STREAM_QUALITY` in the paper's 5-10 Mbps compressed range."""
     low, high = COMPRESSED_STREAM_MBPS
-    return low + quality * (high - low)
+    return low + STREAM_QUALITY * (high - low)

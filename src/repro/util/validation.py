@@ -81,6 +81,23 @@ def check_phi_threshold(value: float) -> float:
     return check_finite_non_negative("phi_threshold", value)
 
 
+#: Missed heartbeats the static deadline tolerates, unless configured.
+MISS_THRESHOLD = 3
+
+
+def check_miss_threshold_read(
+    miss_threshold: int, heartbeat_ms: float, phi_threshold: float
+) -> None:
+    """Refuse a ``miss_threshold`` off its default that no detector reads:
+    without heartbeats nothing is detected, and φ scores the cadence."""
+    if miss_threshold != MISS_THRESHOLD and (heartbeat_ms <= 0 or phi_threshold > 0):
+        raise ConfigurationError(
+            f"miss_threshold={miss_threshold} is read only by the static "
+            "heartbeat deadline: it requires heartbeat_ms > 0 and "
+            "phi_threshold == 0"
+        )
+
+
 def check_disjoint_windows(name: str, windows) -> None:
     """Require ``[start_ms, end_ms)`` windows that do not overlap.
 

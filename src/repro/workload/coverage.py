@@ -18,7 +18,7 @@ Per-site inbound demand is then ``streams_per_site * (1 + interest *
 (N-2))``-ish, which crosses the inbound budget as N grows — producing
 the paper's rising rejection curves — while every source must ship all
 its streams, making source outbound capacity the contended resource
-(the regime in which tree ordering and reservations matter).
+(the regime in which tree ordering and the m̂ reservation matter).
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ from repro.core.backend import (
     resolve_backend,
 )
 from repro.core.forest import MulticastTree, OverlayForest
-from repro.core.node_join import ParentPolicy, scan_parent_scalar
+from repro.core.node_join import scan_parent_scalar
 from repro.core.problem import ForestProblem
-from repro.core.registry import make_builder
+from repro.core.registry import available_algorithms, make_builder
 from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import ScenarioSpec
@@ -38,7 +38,11 @@ from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
 from tests.conftest import members, rfc
-from tests.reference_paths import use_array_backend
+from tests.reference_paths import (
+    _parent_by_rule,
+    use_array_backend,
+    use_parent_rule,
+)
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -76,34 +80,6 @@ def _forest_shape(result) -> dict:
             (str(r), reason.value) for r, reason in result.forest.rejected
         ],
     }
-
-
-def _parent_by_rule(problem, state, tree, subscriber, policy):
-    """Sec. 4.3.1's parent choice spelled out over the whole member list.
-
-    Eligible: out-degree free and the tree path plus the edge under the
-    latency bound.  First fit takes the first eligible member in attach
-    order, min cost the first cheapest, max rfc the first member of
-    largest strictly positive rfc — or the source while its stream is
-    undisseminated (the tree is then the source alone).
-    """
-    eligible = []
-    for member in members(tree):
-        cost = tree.cost_from_source(member) + problem.edge_cost(
-            member, subscriber
-        )
-        if state.outbound_free(member) and cost < problem.latency_bound_ms:
-            eligible.append((member, cost))
-    if not eligible:
-        return None
-    if policy is ParentPolicy.FIRST_FIT:
-        return eligible[0][0]
-    if policy is ParentPolicy.MIN_COST:
-        return min(eligible, key=lambda entry: entry[1])[0]
-    if not tree.disseminated:
-        return tree.source
-    positive = [m for m, _ in eligible if rfc(state, m) > 0]
-    return max(positive, key=lambda m: rfc(state, m)) if positive else None
 
 
 class TestSelection:
@@ -265,38 +241,38 @@ class TestParentScan:
         assert vars(NumpyBackend)["parent_scan"] is scan
         assert ArrayBackend().parent_scan is scan_parent_scalar
 
+    def test_a_test_side_rule_is_gone_after_its_block(self):
+        scan = vars(ArrayBackend)["parent_scan"]
+        with use_parent_rule("first-fit"):
+            assert vars(NumpyBackend)["parent_scan"] is not scan
+        assert vars(ArrayBackend)["parent_scan"] is scan
+        assert vars(NumpyBackend)["parent_scan"] is scan
+
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_all_policies_on_built_forest(self, name):
-        """Every tree × outside subscriber × policy of a built forest."""
+    def test_every_join_on_built_forest(self, name):
+        """Every tree × outside subscriber of a built forest."""
         _, problem = _problem(name)
         result = make_builder("rj").build(
             problem, RngStream(42, label="bk/N32").spawn("build")
         )
         backend = problem.array_backend
-        answers = {policy: set() for policy in ParentPolicy}
+        answers = set()
         for tree in result.forest.trees.values():
             for subscriber in range(problem.n_nodes):
                 if subscriber in tree:
                     continue
-                for policy in ParentPolicy:
-                    parent = backend.parent_scan(
-                        problem, result.state, tree, subscriber, policy
-                    )
-                    assert parent == _parent_by_rule(
-                        problem, result.state, tree, subscriber, policy
-                    )
-                    answers[policy].add(parent)
-        # The sweep exercised the scan: every policy chose many parents.
-        assert all(len(found) > 2 for found in answers.values())
+                parent = backend.parent_scan(problem, result.state, tree, subscriber)
+                assert parent == _parent_by_rule(
+                    problem, result.state, tree, subscriber, "max-rfc"
+                )
+                answers.add(parent)
+        # The sweep exercised the scan: it chose many parents.
+        assert len(answers) > 2
 
-    @pytest.mark.parametrize("mode", ["lazy", "phase", "off"])
-    @pytest.mark.parametrize("algorithm", ["rj", "co-rj", "ltf"])
-    @pytest.mark.parametrize("build_policy", list(ParentPolicy))
-    def test_all_policies_mid_build(
-        self, monkeypatch, algorithm, mode, build_policy
-    ):
-        """Every scan a build takes, checked against the rule under every
-        policy on the state as it stands at that join.
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_every_join_mid_build(self, monkeypatch, algorithm):
+        """Every scan a build takes, checked against the rule on the state
+        as it stands at that join.
 
         A saturated problem leaves reservations outstanding, members
         with free out-degree but no positive rfc, rfc ties and (for
@@ -325,11 +301,11 @@ class TestParentScan:
             detached.add(tree)
             return real_detach(tree, node)
 
-        def checked(problem, state, tree, subscriber, policy):
-            for other in ParentPolicy:
-                assert scan_parent_scalar(
-                    problem, state, tree, subscriber, other
-                ) == _parent_by_rule(problem, state, tree, subscriber, other)
+        def checked(problem, state, tree, subscriber):
+            parent = scan_parent_scalar(problem, state, tree, subscriber)
+            assert parent == _parent_by_rule(
+                problem, state, tree, subscriber, "max-rfc"
+            )
             nodes = members(tree)
             met["reserved slot"] += not tree.disseminated
             met["m-hat outstanding"] += any(state.m_hat[m] > 0 for m in nodes)
@@ -340,19 +316,17 @@ class TestParentScan:
             rfcs = [rfc(state, m) for m in nodes]
             met["rfc tie"] += tree.disseminated and rfcs.count(max(rfcs)) > 1
             met["detached tree"] += tree in detached
-            return scan_parent_scalar(problem, state, tree, subscriber, policy)
+            return parent
 
         monkeypatch.setattr(MulticastTree, "detach_leaf", detach_leaf)
         monkeypatch.setattr(
             type(problem.array_backend), "parent_scan", staticmethod(checked)
         )
-        builder = make_builder(
-            algorithm, parent_policy=build_policy, reservation_mode=mode
-        )
+        builder = make_builder(algorithm)
         builder.build(problem, RngStream(11, label="mid").spawn("build")).verify()
-        wanted = {"reserved slot", "rfc tie"}
-        if mode != "off":  # without m̂, rfc > 0 is exactly dout < O
-            wanted |= {"m-hat outstanding", "free but rfc <= 0"}
+        wanted = {
+            "reserved slot", "m-hat outstanding", "free but rfc <= 0", "rfc tie"
+        }
         if algorithm == "co-rj":
             wanted.add("detached tree")
         assert {name for name, count in met.items() if count} >= wanted
@@ -389,11 +363,9 @@ class TestParentScan:
         )
         state.m_hat[source] = problem.outbound_limit(source)
         assert rfc(state, source) == 0
-        for policy in ParentPolicy:
-            assert backend.parent_scan(problem, state, tree, subscriber, policy) == source
+        assert backend.parent_scan(problem, state, tree, subscriber) == source
         state.dout[source] = problem.outbound_limit(source)
-        for policy in ParentPolicy:
-            assert backend.parent_scan(problem, state, tree, subscriber, policy) is None
+        assert backend.parent_scan(problem, state, tree, subscriber) is None
 
 
 @needs_numpy

@@ -70,16 +70,6 @@ class TestBuildResult:
         with pytest.raises(AssertionError, match="latency bound"):
             result.verify()
 
-    def test_invalid_reservation_mode(self, rng):
-        builder = RandomJoinBuilder(reservation_mode="bogus")
-        with pytest.raises(ValueError):
-            builder.build(one_group_problem(), rng)
-
-    @pytest.mark.parametrize("mode", ["lazy", "phase", "global", "off"])
-    def test_all_reservation_modes_verify(self, small_problem, rng, mode):
-        builder = RandomJoinBuilder(reservation_mode=mode)
-        builder.build(small_problem, rng.spawn(mode)).verify()
-
     def test_u_hat_counts_by_pair(self, rng):
         problem = ForestProblem.from_tables(
             cost=complete_cost(2, off_diagonal=99.0),

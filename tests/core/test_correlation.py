@@ -172,23 +172,13 @@ class TestFigure7Example:
         )
         assert not handled
 
-    def test_inbound_rejections_swappable_by_default(self):
+    def test_inbound_rejections_swappable(self):
         problem, state, forest = figure7()
         outcome = JoinOutcome(
             accepted=False, reason=RejectionReason.INBOUND_SATURATED
         )
         builder = CorrelatedRandomJoinBuilder()
         assert builder.on_rejected(problem, state, forest, self.request(), outcome)
-
-    def test_inbound_swap_disabled_by_flag(self):
-        problem, state, forest = figure7()
-        outcome = JoinOutcome(
-            accepted=False, reason=RejectionReason.INBOUND_SATURATED
-        )
-        builder = CorrelatedRandomJoinBuilder(swap_on_inbound=False)
-        assert not builder.on_rejected(
-            problem, state, forest, self.request(), outcome
-        )
 
 
 class TestCoRjEndToEnd:

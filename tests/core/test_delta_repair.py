@@ -275,46 +275,6 @@ class TestCopyOnWrite:
         assert report.result.state.din[n - 1] == old_counts["din"][n - 1] + 1
 
 
-class TestReservationsCarry:
-    def test_repair_keeps_the_builders_reservation_mode(self):
-        """A ``reservation_mode="off"`` forest repairs with reservations off.
-
-        Node 0 cannot forward at all, so SA never disseminates: with
-        reservations on its source would hold ``m̂ = 1``; the rebuild the
-        repair stands in for holds none.
-        """
-        builder = RandomJoinBuilder(reservation_mode="off")
-        problem = tables_problem(
-            4, {SA: {1, 2}, SB: {2, 3}}, outbound={0: 0, 1: 5, 2: 5, 3: 5}
-        )
-        previous = builder.build(problem, RngStream(1))
-        assert not previous.state.reservations
-        after = evolved(problem, {SA: {1, 2, 3}, SB: {2}})
-        report = repair_checked_against_replay(
-            IncrementalRepairer(), previous, after
-        )
-        state = report.result.state
-        assert not state.reservations
-        rebuilt = builder.build(after, RngStream(1))
-        assert list(state.m_hat) == list(rebuilt.state.m_hat) == [0, 0, 0, 0]
-        audit = InvariantAuditor().audit_build(report.result)
-        assert not [v for v in audit if v.invariant.startswith("reservation")]
-
-    def test_revalidating_repair_keeps_it_too(self):
-        builder = RandomJoinBuilder(reservation_mode="off")
-        previous = builder.build(
-            tables_problem(4, {SA: {1, 2}}, outbound={0: 0, 1: 5, 2: 5, 3: 5}),
-            RngStream(1),
-        )
-        # Fresh tables: nothing is provable, every edge is re-validated.
-        after = tables_problem(4, {SA: {1, 2}}, outbound={0: 0, 1: 5, 2: 5, 3: 5})
-        report = repair_checked_against_replay(
-            IncrementalRepairer(), previous, after
-        )
-        assert not report.result.state.reservations
-        assert list(report.result.state.m_hat) == [0, 0, 0, 0]
-
-
 class TestUnprovenTablesRevalidate:
     """Same matrix object is not enough: edits since the build count."""
 

@@ -20,7 +20,7 @@ class TestGranularity:
         phases = list(
             GranularityBuilder(granularity=g).phases(small_problem, rng)
         )
-        sizes = [len(groups) for groups, _ in phases]
+        sizes = [len({r.stream for r in requests}) for requests in phases]
         assert all(size == g for size in sizes[:-1])
         assert 1 <= sizes[-1] <= g
         assert sum(sizes) == small_problem.n_groups
@@ -29,7 +29,8 @@ class TestGranularity:
         phases = list(
             GranularityBuilder(granularity=2).phases(small_problem, rng)
         )
-        maxima = [max(g.size for g in groups) for groups, _ in phases]
+        size = {group.stream: group.size for group in small_problem.groups}
+        maxima = [max(size[r.stream] for r in requests) for requests in phases]
         assert maxima == sorted(maxima, reverse=True)
 
     def test_granularity_clamped_to_forest(self, small_problem, rng):
@@ -39,8 +40,8 @@ class TestGranularity:
 
     def test_g1_group_order_matches_ltf(self, small_problem, rng):
         g1 = [
-            groups[0].stream
-            for groups, _ in GranularityBuilder(granularity=1).phases(
+            requests[0].stream
+            for requests in GranularityBuilder(granularity=1).phases(
                 small_problem, rng
             )
         ]
@@ -55,7 +56,7 @@ class TestGranularity:
         builder = GranularityBuilder(granularity=g)
         requests = [
             r
-            for _, batch in builder.phases(small_problem, RngStream(3))
+            for batch in builder.phases(small_problem, RngStream(3))
             for r in batch
         ]
         assert sorted(requests) == sorted(small_problem.all_requests())

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import OverlayError
 from repro.core.forest import MulticastTree
 from repro.core.model import RejectionReason
-from repro.core.node_join import JoinOutcome, ParentPolicy, try_join
+from repro.core.node_join import JoinOutcome, try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
@@ -162,23 +162,8 @@ class TestReservation:
         assert outcome.reason is RejectionReason.TREE_SATURATED
 
 
-class TestParentPolicies:
-    def test_min_cost_prefers_cheapest(self):
-        problem, state, tree = figure6()
-        problem.set_cost(S, F, 0.5)  # direct from S would be cheapest
-        outcome = try_join(
-            problem, state, tree, F, policy=ParentPolicy.MIN_COST
-        )
-        assert outcome.parent == S
-
-    def test_first_fit_takes_first_member(self):
-        problem, state, tree = figure6()
-        outcome = try_join(
-            problem, state, tree, F, policy=ParentPolicy.FIRST_FIT
-        )
-        assert outcome.parent == S  # source is the first member
-
-    def test_max_rfc_default(self):
+class TestParentRule:
+    def test_max_rfc(self):
         problem, state, tree = figure6()
         outcome = try_join(problem, state, tree, F)
         assert outcome.parent == A

@@ -10,17 +10,17 @@ class TestRandomJoin:
     def test_single_phase_with_all_groups(self, small_problem, rng):
         phases = list(RandomJoinBuilder().phases(small_problem, rng))
         assert len(phases) == 1
-        groups, requests = phases[0]
-        assert len(groups) == small_problem.n_groups
+        [requests] = phases
+        assert len({r.stream for r in requests}) == small_problem.n_groups
         assert len(requests) == small_problem.total_requests()
 
     def test_every_request_exactly_once(self, small_problem, rng):
-        _, requests = next(iter(RandomJoinBuilder().phases(small_problem, rng)))
+        requests = next(iter(RandomJoinBuilder().phases(small_problem, rng)))
         assert sorted(requests) == sorted(small_problem.all_requests())
 
     def test_shuffle_depends_on_rng(self, small_problem):
-        a = next(iter(RandomJoinBuilder().phases(small_problem, RngStream(1))))[1]
-        b = next(iter(RandomJoinBuilder().phases(small_problem, RngStream(2))))[1]
+        a = next(iter(RandomJoinBuilder().phases(small_problem, RngStream(1))))
+        b = next(iter(RandomJoinBuilder().phases(small_problem, RngStream(2))))
         assert a != b  # overwhelmingly likely for 20+ requests
 
     def test_build_deterministic_given_seed(self, small_problem):
@@ -31,10 +31,3 @@ class TestRandomJoin:
 
     def test_verify(self, small_problem, rng):
         RandomJoinBuilder().build(small_problem, rng).verify()
-
-    def test_reservations_cover_whole_forest_in_global_mode(
-        self, small_problem, rng
-    ):
-        builder = RandomJoinBuilder(reservation_mode="global")
-        result = builder.build(small_problem, rng)
-        result.verify()

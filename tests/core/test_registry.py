@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.core.granularity import GranularityBuilder
-from repro.core.node_join import ParentPolicy
 from repro.core.randomized import RandomJoinBuilder
 from repro.core.registry import available_algorithms, make_builder
 
@@ -29,10 +28,6 @@ class TestRegistry:
     def test_kwargs_forwarded(self):
         builder = make_builder("gran-ltf", granularity=7)
         assert builder.granularity == 7
-
-    def test_parent_policy_forwarded(self):
-        builder = make_builder("rj", parent_policy=ParentPolicy.MIN_COST)
-        assert builder.parent_policy is ParentPolicy.MIN_COST
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):

@@ -48,12 +48,6 @@ class TestInitialState:
         state.open_group(StreamId(0, 0))
         assert state.m_hat[0] == 1
 
-    def test_reservations_disabled(self):
-        state = BuilderState(three_node_problem(), reservations=False)
-        state.open_group(StreamId(0, 0))
-        assert state.m_hat[0] == 0
-        assert StreamId(0, 0) in state.opened()
-
 
 class TestRfc:
     def test_rfc_formula(self):

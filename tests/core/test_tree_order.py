@@ -116,4 +116,4 @@ class TestBuildBehaviour:
         problem = sized_problem()
         phases = list(LargestTreeFirstBuilder().phases(problem, rng))
         assert len(phases) == problem.n_groups
-        assert all(len(groups) == 1 for groups, _ in phases)
+        assert all(len({r.stream for r in requests}) == 1 for requests in phases)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.backend import numpy_available
 from repro.core.forest import OverlayForest
-from repro.core.node_join import ParentPolicy
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.errors import ConfigurationError
@@ -189,36 +188,31 @@ class TestParentScanReadsTheTables:
         )
         return tree, subscriber
 
-    def _parents(self, problem, tree, subscriber):
+    def _parent(self, problem, tree, subscriber):
         state = BuilderState(problem)
-        return {
-            problem.array_backend.parent_scan(
-                problem, state, tree, subscriber, policy
-            )
-            for policy in ParentPolicy
-        }
+        return problem.array_backend.parent_scan(problem, state, tree, subscriber)
 
     def test_edits_reach_the_next_scan(self, problem):
         tree, subscriber = self._source_join(problem)
         source, limit = tree.source, problem.outbound_limit(tree.source)
-        assert self._parents(problem, tree, subscriber) == {source}
+        assert self._parent(problem, tree, subscriber) == source
         problem.set_outbound_limit(source, 0)
-        assert self._parents(problem, tree, subscriber) == {None}
+        assert self._parent(problem, tree, subscriber) is None
         problem.set_outbound_limit(source, limit)
         problem.set_cost(source, subscriber, math.inf)
-        assert self._parents(problem, tree, subscriber) == {None}
+        assert self._parent(problem, tree, subscriber) is None
 
     def test_evolved_edit_leaves_the_ancestors_scan(self, problem, workload):
         tree, subscriber = self._source_join(problem)
         evolved = ForestProblem.evolve(problem, workload)
         evolved.set_outbound_limit(tree.source, 0)
-        assert self._parents(evolved, tree, subscriber) == {None}
-        assert self._parents(problem, tree, subscriber) == {tree.source}
+        assert self._parent(evolved, tree, subscriber) is None
+        assert self._parent(problem, tree, subscriber) == tree.source
 
     def test_ancestor_edit_leaves_the_evolved_scan(self, problem, workload):
         tree, subscriber = self._source_join(problem)
         evolved = ForestProblem.evolve(problem, workload)
         problem.set_outbound_limit(tree.source, 0)
-        assert self._parents(problem, tree, subscriber) == {None}
-        assert self._parents(evolved, tree, subscriber) == {tree.source}
+        assert self._parent(problem, tree, subscriber) is None
+        assert self._parent(evolved, tree, subscriber) == tree.source
 

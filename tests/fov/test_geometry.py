@@ -67,7 +67,7 @@ class TestCameraRing:
     def test_count_and_aim(self):
         from repro.fov.camera import camera_ring
 
-        poses = camera_ring(8, radius=3.0, height=1.5)
+        poses = camera_ring(8)
         assert len(poses) == 8
         for pose in poses:
             # every camera points inward (negative radial component)
@@ -75,11 +75,11 @@ class TestCameraRing:
             assert pose.direction.dot(radial) < 0
 
     def test_positions_on_circle(self):
-        from repro.fov.camera import camera_ring
+        from repro.fov.camera import RING_RADIUS_M, camera_ring
 
-        for pose in camera_ring(6, radius=2.0):
+        for pose in camera_ring(6):
             r = math.hypot(pose.position.x, pose.position.y)
-            assert r == pytest.approx(2.0)
+            assert r == pytest.approx(RING_RADIUS_M)
 
     def test_invalid_args(self):
         from repro.fov.camera import camera_ring
@@ -87,18 +87,10 @@ class TestCameraRing:
         with pytest.raises(ValueError):
             camera_ring(0)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_radius_rejected(self, radius):
-        """A NaN or infinite radius used to give NaN poses, silently."""
-        from repro.fov.camera import camera_ring
-
-        with pytest.raises(ValueError, match="radius"):
-            camera_ring(4, radius=radius)
-
     def test_first_camera_on_the_x_axis(self):
         from repro.fov.camera import camera_ring
 
-        first, second = camera_ring(4, radius=3.0, height=1.5)[:2]
+        first, second = camera_ring(4)[:2]
         assert first.position == Vec3(3.0, 0.0, 1.5)
         assert second.position.x == pytest.approx(0.0, abs=1e-12)
         assert second.position.y == pytest.approx(3.0)

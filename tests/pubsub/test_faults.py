@@ -15,6 +15,7 @@ from repro.pubsub.faults import (
 )
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
+from tests.forced_links import force_drops
 from tests.reference_paths import partition_covers
 
 NAN, INF = float("nan"), float("inf")
@@ -35,10 +36,10 @@ class CountingRng:
         return self._rng.uniform(low, high)
 
 
-def make_link(config: FaultConfig | None = None, **kwargs):
+def make_link(config: FaultConfig | None = None):
     sim = Simulator()
     rng = CountingRng()
-    link = FaultyLink(sim, rng, config or FaultConfig(), **kwargs)
+    link = FaultyLink(sim, rng, config or FaultConfig())
     return sim, rng, link
 
 
@@ -46,7 +47,7 @@ class TestZeroFaultTransparency:
     def test_no_rng_draws_and_exact_delay(self):
         sim, rng, link = make_link()
         arrivals: list[float] = []
-        assert link.transmit(0, 12.5, lambda: arrivals.append(sim.now))
+        assert link.transmit(0, 12.5, lambda: arrivals.append(sim.now), ())
         sim.run()
         assert arrivals == [12.5]
         assert rng.draws == 0
@@ -68,7 +69,7 @@ class TestLoss:
         sim, _, link = make_link(FaultConfig(loss_rate=1.0))
         arrivals: list[float] = []
         for _ in range(10):
-            assert not link.transmit(0, 1.0, lambda: arrivals.append(sim.now))
+            assert not link.transmit(0, 1.0, lambda: arrivals.append(sim.now), ())
         sim.run()
         assert arrivals == []
         assert link.dropped == 10
@@ -80,7 +81,7 @@ class TestLoss:
             link = FaultyLink(
                 sim, RngStream(seed, label="loss"), FaultConfig(loss_rate=0.5)
             )
-            return [link.transmit(0, 1.0, lambda: None) for _ in range(50)]
+            return [link.transmit(0, 1.0, lambda: None, ()) for _ in range(50)]
 
         assert outcomes(3) == outcomes(3)
         assert outcomes(3) != outcomes(4)
@@ -91,7 +92,7 @@ class TestJitter:
         sim, _, link = make_link(FaultConfig(jitter_ms=5.0))
         arrivals: list[float] = []
         for _ in range(20):
-            link.transmit(0, 10.0, lambda: arrivals.append(sim.now))
+            link.transmit(0, 10.0, lambda: arrivals.append(sim.now), ())
         sim.run()
         assert len(arrivals) == 20
         assert all(10.0 <= t <= 15.0 for t in arrivals)
@@ -114,7 +115,7 @@ class TestJitter:
         link = FaultyLink(sim, RngStream(5, "link"), config)
         arrivals: list[float] = []
         for _ in range(200):
-            link.transmit(0, 10.0, lambda: arrivals.append(sim.now))
+            link.transmit(0, 10.0, lambda: arrivals.append(sim.now), ())
         sim.run()
         reference = RngStream(5, "link")
         expected: list[float] = []
@@ -131,7 +132,7 @@ class TestDuplication:
     def test_certain_duplication_delivers_twice(self):
         sim, _, link = make_link(FaultConfig(duplicate_rate=1.0))
         arrivals: list[float] = []
-        link.transmit(0, 3.0, lambda: arrivals.append(sim.now))
+        link.transmit(0, 3.0, lambda: arrivals.append(sim.now), ())
         sim.run()
         assert arrivals == [3.0, 3.0]
         assert link.duplicated == 1
@@ -140,7 +141,7 @@ class TestDuplication:
     def test_copy_lands_strictly_after_original(self):
         sim, _, link = make_link(FaultConfig(duplicate_rate=1.0))
         order: list[str] = []
-        link.transmit(0, 3.0, lambda: order.append("arrival"))
+        link.transmit(0, 3.0, lambda: order.append("arrival"), ())
         sim.run()
         # Same timestamp, but (time, sequence) ordering keeps the copy
         # second — two arrivals, never an inverted pair.
@@ -154,7 +155,7 @@ class TestPartitions:
         arrivals: list[float] = []
 
         def send() -> None:
-            link.transmit(1, 1.0, lambda: arrivals.append(sim.now))
+            link.transmit(1, 1.0, lambda: arrivals.append(sim.now), ())
 
         for t in (5.0, 12.0, 19.9, 25.0):
             sim.schedule_at(t, send)
@@ -166,8 +167,8 @@ class TestPartitions:
         window = PartitionWindow(site=1, start_ms=0.0, end_ms=100.0)
         sim, _, link = make_link(FaultConfig(partitions=(window,)))
         delivered: list[int] = []
-        link.transmit(0, 1.0, lambda: delivered.append(0))
-        link.transmit(2, 1.0, lambda: delivered.append(2))
+        link.transmit(0, 1.0, lambda: delivered.append(0), ())
+        link.transmit(2, 1.0, lambda: delivered.append(2), ())
         sim.run()
         assert sorted(delivered) == [0, 2]
 
@@ -244,28 +245,13 @@ class TestPartitionTable:
         assert not unpartitioned.partitioned(1, 15.0)
 
 
-class TestDropFilter:
+class TestForcedDrops:
     def test_forced_drop_consumes_no_randomness(self):
-        sim, rng, link = make_link(
-            FaultConfig(), drop_filter=lambda kind, message, attempt: True
-        )
-        assert not link.transmit(0, 1.0, lambda: None, kind="advertise")
-        assert link.dropped == 1
+        sim, rng, link = make_link(FaultConfig(loss_rate=0.5, jitter_ms=2.0))
+        force_drops(link, lambda kind, attempt, args: True)
+        assert not link.transmit(0, 1.0, lambda: None, ())
+        assert link.dropped == link.sent == 1
         assert rng.draws == 0
-
-    def test_filter_sees_kind_message_attempt(self):
-        seen: list[tuple] = []
-
-        def spy(kind, message, attempt):
-            seen.append((kind, message, attempt))
-            return attempt == 0
-
-        sim, _, link = make_link(FaultConfig(), drop_filter=spy)
-        assert not link.transmit(0, 1.0, lambda: None, kind="k", message="m")
-        assert link.transmit(
-            0, 1.0, lambda: None, kind="k", message="m", attempt=1
-        )
-        assert seen == [("k", "m", 0), ("k", "m", 1)]
 
 
 class TestConfigValidation:

@@ -26,6 +26,7 @@ from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
 from repro.session.streams import StreamId
+from tests.forced_links import force_drops
 from tests.reference_paths import edges_of_site, streams_received_by
 
 
@@ -170,11 +171,11 @@ class TestControlEnvelopes:
         )
         wire = []
 
-        def lose_two_advertise_copies(kind, message, attempt):
-            wire.append((kind, message, attempt))
+        def lose_two_advertise_copies(kind, attempt, args):
+            wire.append((kind, args[0], attempt))
             return kind == "advertise" and attempt < 2
 
-        service.link.drop_filter = lose_two_advertise_copies
+        force_drops(service.link, lose_two_advertise_copies)
         sent = service.advertise(system.rps[0].advertisement())
         sim.run()
         copies = [(m, a) for kind, m, a in wire if kind == "advertise"]

@@ -17,6 +17,7 @@ from repro.pubsub.service import MAX_RETRANSMITS, MembershipService, _Pending
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
+from tests.forced_links import force_drops
 
 
 def make_chaos_service(
@@ -25,7 +26,7 @@ def make_chaos_service(
     heartbeat_ms: float = 0.0,
     miss_threshold: int = 3,
     retransmit_timeout_ms: float = 0.0,
-    drop_filter=None,
+    drop=None,
     control_delay_ms: float = 0.0,
     debounce_ms: float = 0.0,
 ) -> tuple[PubSubSystem, MembershipService, Simulator]:
@@ -44,8 +45,8 @@ def make_chaos_service(
         miss_threshold=miss_threshold,
         retransmit_timeout_ms=retransmit_timeout_ms,
     )
-    if drop_filter is not None:
-        service.link.drop_filter = drop_filter
+    if drop is not None:
+        force_drops(service.link, drop)
     return system, service, sim
 
 
@@ -254,7 +255,7 @@ class TestRetransmission:
     def test_lost_reports_are_retransmitted(self, small_session):
         dropped: list[str] = []
 
-        def drop_first_attempt(kind, message, attempt):
+        def drop_first_attempt(kind, attempt, args):
             if kind in ("advertise", "subscribe") and attempt == 0:
                 dropped.append(kind)
                 return True
@@ -263,7 +264,7 @@ class TestRetransmission:
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=drop_first_attempt,
+            drop=drop_first_attempt,
         )
         announce_all(system, service)
         sim.run()
@@ -285,13 +286,13 @@ class TestRetransmission:
         assert service.armed_retransmit_state == 0
 
     def test_give_up_bounds_unreachable_destinations(self, small_session):
-        def drop_directives(kind, message, attempt):
+        def drop_directives(kind, attempt, args):
             return kind == "directive"
 
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=drop_directives,
+            drop=drop_directives,
         )
         announce_all(system, service)
         sim.run()  # terminating at all proves the backoff chain is capped
@@ -313,13 +314,13 @@ class TestRetransmission:
         one site's reports, so each report retries to the cap, settles,
         and is counted given-up exactly once."""
 
-        def drop_site2_acks(kind, message, attempt):
-            return kind == "control-ack" and message.site == 2
+        def drop_site2_acks(kind, attempt, args):
+            return kind == "control-ack" and args[0].site == 2
 
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=drop_site2_acks,
+            drop=drop_site2_acks,
         )
         announce_all(system, service)
         sim.run()
@@ -337,18 +338,18 @@ class TestRetransmitTimerHygiene:
     """A departed site's pending report must never fire a ghost
     retransmit after its queue entry is gone."""
 
-    def drop_site2_report_acks(self, kind, message, attempt):
+    def drop_site2_report_acks(self, kind, attempt, args):
         return (
             kind == "control-ack"
-            and message.site == 2
-            and message.kind in ("advertise", "subscribe")
+            and args[0].site == 2
+            and args[0].kind in ("advertise", "subscribe")
         )
 
     def test_withdraw_cancels_pending_report_timers(self, small_session):
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=self.drop_site2_report_acks,
+            drop=self.drop_site2_report_acks,
         )
         announce_all(system, service)
         # The site leaves while its unacked reports' timers are armed
@@ -366,7 +367,7 @@ class TestRetransmitTimerHygiene:
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=self.drop_site2_report_acks,
+            drop=self.drop_site2_report_acks,
         )
         announce_all(system, service)
         sim.schedule_at(5.0, lambda: service.fail_site(2))
@@ -381,20 +382,20 @@ class TestRetransmitTimerHygiene:
         the withdraw's *own* reliable delivery."""
         dropped = []
 
-        def drop_first_withdraw_ack(kind, message, attempt):
+        def drop_first_withdraw_ack(kind, attempt, args):
             if (
                 kind == "control-ack"
-                and message.kind == "withdraw"
+                and args[0].kind == "withdraw"
                 and not dropped
             ):
-                dropped.append(message)
+                dropped.append(args[0])
                 return True
             return False
 
         system, service, sim = make_chaos_service(
             small_session,
             retransmit_timeout_ms=20.0,
-            drop_filter=drop_first_withdraw_ack,
+            drop=drop_first_withdraw_ack,
         )
         announce_all(system, service)
         sim.run()

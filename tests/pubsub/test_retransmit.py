@@ -2,7 +2,7 @@
 
 One :class:`RetransmitQueue` implementation serves reports and directive
 pushes; everything here runs it over a bare :class:`Simulator` and a
-:class:`FaultyLink` whose ``drop_filter`` decides which copies die.
+:class:`FaultyLink` whose forced drops decide which copies die.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.pubsub.service import (
 )
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
+from tests.forced_links import force_drops
 
 TIMEOUT_MS = 20.0
 DELAY_MS = 1.0
@@ -27,8 +28,8 @@ class Harness:
     def __init__(self, lose_first: int = 0, lose_all: bool = False) -> None:
         self.sim = Simulator()
         self.link = FaultyLink(self.sim, RngStream(1, label="retransmit-test"))
-        self.link.drop_filter = lambda kind, message, attempt: (
-            lose_all or attempt < lose_first
+        force_drops(
+            self.link, lambda kind, attempt, args: lose_all or attempt < lose_first
         )
         self.sent: list[tuple[float, int, int]] = []  # (time, site, attempt)
         self.exhausted: list[_Pending] = []
@@ -38,14 +39,10 @@ class Harness:
 
     def transmit(self, entry: _Pending) -> None:
         self.sent.append((self.sim.now, entry.site, entry.attempts))
-        self.link.transmit(
-            entry.site,
-            DELAY_MS,
-            lambda: self.queue.settle(entry.site, entry.number),
-            entry.kind,
-            entry.payload,
-            entry.attempts,
-        )
+        self.link.transmit(entry.site, DELAY_MS, self.arrive, (entry,))
+
+    def arrive(self, entry: _Pending) -> None:
+        self.queue.settle(entry.site, entry.number)
 
     def send(self, site: int, number: int = 1) -> _Pending:
         entry = _Pending(site, number, "report", f"payload-{site}-{number}")

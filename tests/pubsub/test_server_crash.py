@@ -276,6 +276,18 @@ class TestZeroKnob:
                 small_session, heartbeat_ms=0.0, phi_threshold=8.0
             )
 
+    @pytest.mark.parametrize(
+        "detector",
+        [{"heartbeat_ms": 0.0}, {"phi_threshold": 8.0}],
+        ids=["no-heartbeats", "phi"],
+    )
+    def test_miss_threshold_needs_the_static_deadline(self, small_session, detector):
+        """No detector reads the missed-beat budget without heartbeats or
+        under φ, so a budget off its default is refused, not ignored."""
+        with pytest.raises(ConfigurationError, match="miss_threshold"):
+            make_crash_service(small_session, miss_threshold=7, **detector)
+        make_crash_service(small_session, **detector)
+
     @pytest.mark.parametrize("value", (-1.0, float("nan")))
     def test_bad_phi_threshold_rejected(self, small_session, value):
         with pytest.raises(ConfigurationError, match="phi"):

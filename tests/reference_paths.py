@@ -57,6 +57,12 @@ reads one cost from the product's matrix.
 And for the partition table: ``FaultyLink.partitioned`` reads a per-site
 table built once.  :func:`partition_covers` is the test each window
 answered on its own, the oracle the table is pinned to.
+
+And for the parent scan: every join takes the first member of largest
+positive rfc.  :func:`_parent_by_rule` spells that rule out over the
+whole member list — the oracle the scan is pinned to — and, beside it,
+the min-cost and first-fit choices it is measured against;
+:func:`use_parent_rule` makes every join of a block choose by one.
 """
 
 from __future__ import annotations
@@ -125,6 +131,53 @@ def use_array_backend(name: str):
         backend_mod._selected = previous
 
 
+def _parent_by_rule(problem, state, tree, subscriber, rule: str):
+    """Sec. 4.3.1's parent choice spelled out over the whole member list.
+
+    Eligible: out-degree free and the tree path plus the edge under the
+    latency bound.  ``"first-fit"`` takes the first eligible member in
+    attach order, ``"min-cost"`` the first cheapest, ``"max-rfc"`` (the
+    product's rule) the first member of largest strictly positive rfc —
+    or the source while its stream is undisseminated (the tree is then
+    the source alone).
+    """
+    eligible = []
+    for member in tree.children_map():
+        cost = tree.cost_from_source(member) + problem.edge_cost(
+            member, subscriber
+        )
+        if state.outbound_free(member) and cost < problem.latency_bound_ms:
+            eligible.append((member, cost))
+    if not eligible:
+        return None
+    if rule == "first-fit":
+        return eligible[0][0]
+    if rule == "min-cost":
+        return min(eligible, key=lambda entry: entry[1])[0]
+    if not tree.disseminated:
+        return tree.source
+    outbound = problem.outbound_limits()
+
+    def rfc(member: int) -> int:
+        return outbound[member] - state.dout[member] - state.m_hat[member]
+
+    positive = [member for member, _ in eligible if rfc(member) > 0]
+    return max(positive, key=rfc) if positive else None
+
+
+@contextmanager
+def use_parent_rule(rule: str):
+    """Make every join of the block pick its parent by ``rule``."""
+
+    def scan(problem, state, tree, subscriber):
+        return _parent_by_rule(problem, state, tree, subscriber, rule)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for backend in (backend_mod.ArrayBackend, backend_mod.NumpyBackend):
+            patch.setattr(backend, "parent_scan", staticmethod(scan))
+        yield
+
+
 def use_reference_path(
     server: MembershipServer, assembly: str | None = None
 ) -> MembershipServer:
@@ -187,7 +240,7 @@ def replay_repair(
     with ``previous`` (``rewritten`` names every stream).
     """
     forest = OverlayForest()
-    state = BuilderState(problem, reservations=previous.state.reservations)
+    state = BuilderState(problem)
     prev_forest = previous.forest
     prev_satisfied = set(prev_forest.satisfied)
     new_streams = {group.stream for group in problem.groups}
@@ -229,11 +282,7 @@ def replay_repair(
 
     def rejoin(request: SubscriptionRequest) -> bool:
         outcome = try_join(
-            problem,
-            state,
-            forest.tree(request.stream),
-            request.subscriber,
-            policy=repairer.policy,
+            problem, state, forest.tree(request.stream), request.subscriber
         )
         if outcome.accepted:
             forest.satisfied.append(request)
@@ -309,7 +358,6 @@ def result_snapshot(result: BuildResult) -> tuple:
         list(state.m_hat),
         list(state.m),
         set(state.opened()),
-        state.reservations,
     )
 
 

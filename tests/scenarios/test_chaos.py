@@ -28,6 +28,7 @@ from repro.scenarios.library import (
     scenario_names,
 )
 from repro.scenarios.runtime import ScenarioRuntime
+from tests.forced_links import force_drops
 
 
 def run_runtime(spec, strict: bool = False) -> ScenarioRuntime:
@@ -228,13 +229,38 @@ class TestTransparency:
         assert clean.report.retransmits == 0
 
         forced = ScenarioRuntime(armed)
-        forced.service.link.drop_filter = (
-            lambda kind, message, attempt: attempt == 0
-            and kind in ("control-ack", "directive-ack")
+        force_drops(
+            forced.service.link,
+            lambda kind, attempt, args: attempt == 0
+            and kind in ("control-ack", "directive-ack"),
         )
         forced.run()
         assert forced.report.retransmits > 0
         assert forced.service.duplicates_discarded > 0  # re-sent reports
         assert forced.service.duplicate_directives > 0  # re-sent installs
+        assert clean.directives == forced.directives
+        assert clean.report.audit.digest == forced.report.audit.digest
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    @pytest.mark.parametrize(
+        "ack, resent",
+        [
+            ("control-ack", "duplicates_discarded"),
+            ("directive-ack", "duplicate_directives"),
+        ],
+    )
+    def test_each_ack_direction_alone_is_absorbed(self, ack, resent, seed):
+        """Losing only one direction's acks re-sends only that direction's
+        originals, and the audited timeline still does not move."""
+        armed = replace(self.base_spec(seed), retransmit_timeout_ms=60.0)
+        clean = run_runtime(armed)
+        forced = ScenarioRuntime(armed)
+        force_drops(
+            forced.service.link,
+            lambda kind, attempt, args: attempt == 0 and kind == ack,
+        )
+        forced.run()
+        assert forced.report.retransmits > 0
+        assert getattr(forced.service, resent) > 0
         assert clean.directives == forced.directives
         assert clean.report.audit.digest == forced.report.audit.digest

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.correlation import CorrelatedRandomJoinBuilder
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runtime import ScenarioRuntime, run_scenario
 from repro.scenarios.spec import EventKind, SchedulePhase, ScenarioSpec
@@ -155,6 +158,29 @@ class TestRebuildPolicy:
     def test_policy_threaded_into_server(self):
         runtime = ScenarioRuntime(tiny_spec(rebuild_policy="incremental"))
         assert runtime.server.rebuild_policy == "incremental"
+
+    def test_co_rj_repairs_apply_victim_swaps(self, monkeypatch):
+        """The run ``scripts/ci.sh`` gates: under capacity starvation the
+        repairer's own swapper, not just the rebuilds' builder, moves
+        edges, and the strict audit stays clean."""
+        spec = replace(
+            get_scenario("capacity-starvation", sites=8, seed=7),
+            algorithm="co-rj",
+            rebuild_policy="incremental",
+        )
+        runtime = ScenarioRuntime(spec, strict=True)
+        swappers = []
+        apply_swap = CorrelatedRandomJoinBuilder.apply_swap
+
+        def counted(self, *args):
+            swappers.append(self)
+            return apply_swap(self, *args)
+
+        monkeypatch.setattr(CorrelatedRandomJoinBuilder, "apply_swap", counted)
+        report = runtime.run()
+        assert report.repairs > 0
+        assert any(swapper is not runtime.server.builder for swapper in swappers)
+        assert report.ok and report.audit.events_audited == report.rounds
 
 
 class TestEpochs:

@@ -165,6 +165,22 @@ class TestValidation:
         spec = minimal_spec(data_loss_rate=0.1, data_jitter_ms=2.0, data_nack=True)
         assert spec.data_chaotic and not spec.async_control
 
+    @pytest.mark.parametrize(
+        "detector",
+        [{}, {"heartbeat_ms": 10.0, "phi_threshold": 8.0}],
+        ids=["no-heartbeats", "phi"],
+    )
+    def test_miss_threshold_needs_the_static_deadline(self, detector):
+        """Without heartbeats, or under φ, no detector reads the budget,
+        so a budget off its default is refused, not ignored."""
+        with pytest.raises(ConfigurationError, match="^miss_threshold"):
+            minimal_spec(async_control=True, miss_threshold=7, **detector)
+        minimal_spec(async_control=True, **detector)
+
+    def test_miss_threshold_with_the_static_deadline_accepted(self):
+        spec = minimal_spec(async_control=True, heartbeat_ms=10.0, miss_threshold=7)
+        assert spec.miss_threshold == 7
+
 
 class TestCompile:
     def test_event_count_and_kinds(self):

@@ -80,7 +80,7 @@ class TestBuildSession:
         rings: dict[int, list] = {}
         for site in session.sites:
             poses = [camera.pose for camera in site.cameras]
-            assert poses == camera_ring(len(poses), radius=3.0)
+            assert poses == camera_ring(len(poses))
             assert poses == rings.setdefault(len(poses), poses)
         assert len(rings) < session.n_sites
 

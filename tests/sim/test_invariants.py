@@ -6,13 +6,19 @@ import hashlib
 
 import pytest
 
+from repro.baselines.all_to_all import DirectUnicastBuilder
 from repro.core.problem import ForestProblem
+from repro.core.registry import available_algorithms, make_builder
 from repro.core.randomized import RandomJoinBuilder
 from repro.errors import SimulationError
 from repro.pubsub.system import PubSubSystem
 from repro.session.streams import StreamId
 from repro.sim.invariants import InvariantAuditor, Violation
+from repro.session.capacity import HeterogeneousCapacityModel
+from repro.session.session import SessionConfig, build_session
+from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
+from repro.workload.coverage import CoverageWorkloadModel
 from tests.conftest import audit_log_line, members, next_hops
 from tests.reference_paths import edges_of_site, streams_received_by
 
@@ -24,6 +30,36 @@ def clean_result(small_problem, rng):
 
 def invariants_of(violations: list[Violation]) -> set[str]:
     return {violation.invariant for violation in violations}
+
+
+class TestEveryBuilder:
+    """The auditor re-derives ``m̂`` from the opened groups on every build:
+    the registry builders open a group at its first request, the unicast
+    baseline opens every group up front."""
+
+    @pytest.mark.parametrize("bound", [90.0, 150.0])
+    @pytest.mark.parametrize("algorithm", [*available_algorithms(), "unicast"])
+    def test_build_audits_clean(self, algorithm, bound):
+        rng = RngStream(3, label="every-builder")
+        session = build_session(
+            load_backbone("synthetic-12"),
+            HeterogeneousCapacityModel(
+                large=9, medium=6, small=3, streams_low=2, streams_high=5
+            ),
+            rng.spawn("session"),
+            SessionConfig(n_sites=12, displays_per_site=2),
+        )
+        workload = CoverageWorkloadModel(
+            mean_subscribers=7.0, guarantee_coverage=False
+        ).generate(session, rng.spawn("workload"))
+        problem = ForestProblem.from_workload(session, workload, bound)
+        builder = (
+            DirectUnicastBuilder() if algorithm == "unicast"
+            else make_builder(algorithm)
+        )
+        result = builder.build(problem, rng.spawn("build"))
+        assert result.rejected  # saturated: reservations are contended
+        assert InvariantAuditor().audit_build(result) == []
 
 
 class TestCleanBuild:

@@ -28,6 +28,7 @@ from repro.sim.dataplane import (
 )
 from repro.util.rng import RngStream
 from tests.conftest import children
+from tests.forced_links import force_drops
 
 #: A repair budget loss cannot realistically exhaust (see the
 #: lossy-dissemination scenario for the sizing rationale).
@@ -151,10 +152,11 @@ class TestBoundedGiveUp:
             repair_deadline_factor=1000.0,  # only the attempt cap binds
         )
         # A frame arrives as ``(receiver, frame)``; a NACK carries no frame.
-        plane.network.drop_filter = (
-            lambda src, dst, args: dst == leaf
+        force_drops(
+            plane.network,
+            lambda kind, attempt, args: args[0] == leaf
             and isinstance(args[-1], Frame3D)
-            and args[-1].stream_id == stream
+            and args[-1].stream_id == stream,
         )
         report = plane.run(500.0)
         # Every stream runs the same 15fps clock, so frames split evenly

@@ -9,6 +9,7 @@ from repro.pubsub.faults import FaultConfig, FaultyLink
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
+from tests.forced_links import force_drops
 
 
 def make_network(small_session, **kwargs) -> tuple[LatencyNetwork, Simulator]:
@@ -94,18 +95,14 @@ class TestDelivery:
         simulator.run()
         assert len(arrivals) == network.delivered == 6
 
-    def test_drop_filter_sees_the_arguments_and_draws_nothing(self, small_session):
+    def test_forced_drop_draws_nothing(self, small_session):
         network, simulator = make_network(
             small_session, loss_probability=0.5, jitter_ms=5.0
         )
-        seen = []
-        network.drop_filter = (
-            lambda src, dst, args: seen.append((src, dst, args)) or args[0] == "drop"
-        )
+        force_drops(network, lambda kind, attempt, args: args[0] == "drop")
         state = network.rng._random.getstate()
         arrivals = []
         network.send(0, 1, arrivals_into(simulator, arrivals), "drop", 7)
-        assert seen == [(0, 1, ("drop", 7))]
         assert network.rng._random.getstate() == state
         assert network.dropped == network.sent == 1
         simulator.run()
@@ -183,7 +180,9 @@ def test_both_fronts_share_one_draw_order(small_session, loss, jitter_ms, duplic
     data, control = [], []
     for message in range(200):
         network.send(0, 1, arrivals_into(data_sim, data), message)
-        link.transmit(0, base, lambda m=message: control.append((control_sim.now, m)))
+        link.transmit(
+            0, base, lambda m: control.append((control_sim.now, m)), (message,)
+        )
     data_sim.run()
     control_sim.run()
     assert data == control

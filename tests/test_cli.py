@@ -229,7 +229,8 @@ class TestScenarioParser:
 
 
 #: One valid ``scenario run`` argument list per spec flag; the server
-#: outage and phi flags need the heartbeat and retransmit flags beside them.
+#: outage, miss-threshold and phi flags need the heartbeat (and retransmit)
+#: flags beside them.
 FLAG_ARGUMENTS = {
     "--control-delay-ms": ["--control-delay-ms", "5"],
     "--debounce-ms": ["--debounce-ms", "5"],
@@ -238,7 +239,7 @@ FLAG_ARGUMENTS = {
     "--duplicate-rate": ["--duplicate-rate", "0.1"],
     "--partition": ["--partition", "0:10:20"],
     "--heartbeat-ms": ["--heartbeat-ms", "40"],
-    "--miss-threshold": ["--miss-threshold", "5"],
+    "--miss-threshold": ["--miss-threshold", "5", "--heartbeat-ms", "40"],
     "--retransmit-timeout-ms": ["--retransmit-timeout-ms", "60"],
     "--server-outage": ["--server-outage", "100:200", "--heartbeat-ms", "40",
                         "--retransmit-timeout-ms", "60"],
@@ -456,9 +457,22 @@ class TestChaosCommands:
         from repro.cli import main
 
         code = main(["scenario", "run", "flash-crowd", "--sites", "4",
-                     "--seed", "2", "--miss-threshold", "5"])
+                     "--seed", "2", "--miss-threshold", "5",
+                     "--heartbeat-ms", "40"])
         assert code == 0
         assert "async control" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "detector", [[], ["--heartbeat-ms", "40", "--phi-threshold", "8"]],
+        ids=["no-heartbeats", "phi"],
+    )
+    def test_miss_threshold_without_its_detector_exits_2(self, capsys, detector):
+        from repro.cli import main
+
+        code = main(["scenario", "run", "flash-crowd", "--sites", "4",
+                     "--seed", "2", "--miss-threshold", "5", *detector])
+        assert code == 2
+        assert "miss_threshold" in capsys.readouterr().err
 
     def test_unrecovered_frames_gate_fails_loudly(self, capsys):
         from repro.cli import main

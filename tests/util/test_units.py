@@ -39,11 +39,6 @@ class TestStreamBandwidth:
         # 640 x 480 x 15 fps x 5 B/pixel ~= 184 Mbps (the paper rounds to 180)
         assert RAW_STREAM_MBPS == pytest.approx(184.32, rel=1e-6)
 
-    def test_compressed_range_endpoints(self):
+    def test_stream_sits_mid_compressed_range(self):
         low, high = COMPRESSED_STREAM_MBPS
-        assert mbps_for_stream(quality=0.0) == pytest.approx(low)
-        assert mbps_for_stream(quality=1.0) == pytest.approx(high)
-
-    def test_quality_out_of_range(self):
-        with pytest.raises(ValueError):
-            mbps_for_stream(quality=1.5)
+        assert mbps_for_stream() == (low + high) / 2
