@@ -38,6 +38,7 @@ from repro.topology.backbone import load_backbone
 from repro.util.rng import RngStream
 from repro.workload.coverage import CoverageWorkloadModel
 from tests.conftest import members, rfc
+from tests.core.regimes import REGIMES, regime_problem
 from tests.reference_paths import (
     _parent_by_rule,
     use_array_backend,
@@ -330,6 +331,33 @@ class TestParentScan:
         if algorithm == "co-rj":
             wanted.add("detached tree")
         assert {name for name, count in met.items() if count} >= wanted
+
+    @pytest.mark.parametrize(
+        "regime", ["latency-bound", "degree-bound", "zipf-focus", "n24"]
+    )
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_every_join_mid_build_in_regime(self, monkeypatch, algorithm, regime):
+        """Every scan a build of the regime takes matches the rule."""
+        problem = regime_problem(regime)
+        scans = []
+
+        def checked(problem, state, tree, subscriber):
+            parent = scan_parent_scalar(problem, state, tree, subscriber)
+            assert parent == _parent_by_rule(
+                problem, state, tree, subscriber, "max-rfc"
+            )
+            scans.append(parent)
+            return parent
+
+        monkeypatch.setattr(
+            type(problem.array_backend), "parent_scan", staticmethod(checked)
+        )
+        make_builder(algorithm).build(
+            problem, RngStream(REGIMES[regime].seed, label="mid")
+        ).verify()
+        # Joins found parents and joins found none.
+        assert None in scans
+        assert len(set(scans)) > 2
 
     @needs_numpy
     @pytest.mark.parametrize("algorithm", ["rj", "co-rj"])
