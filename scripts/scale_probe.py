@@ -162,6 +162,15 @@ def report(runs: list[dict], name: str) -> str:
     return f"median {median:8.3f} s  quartiles {q1:.3f} .. {q3:.3f}  {shown}"
 
 
+def export_src(repo: str, ref: str, target: str) -> None:
+    """Extract ``ref``'s ``src`` tree under ``target`` with ``git archive``."""
+    archive = subprocess.run(["git", "-C", repo, "archive", ref, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"scale_probe.py: {archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", target], input=archive.stdout, check=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("refs", nargs="+")
@@ -176,12 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         for ref in args.refs:
             exports[ref] = os.path.join(work, ref.replace("/", "_"))
             os.makedirs(exports[ref])
-            archive = subprocess.run(["git", "-C", repo, "archive", ref, "src"],
-                                     capture_output=True)
-            if archive.returncode:
-                raise SystemExit(f"scale_probe.py: {archive.stderr.decode().strip()}")
-            subprocess.run(["tar", "-x", "-C", exports[ref]], input=archive.stdout,
-                           check=True)
+            export_src(repo, ref, exports[ref])
             print(f"{ref} in {exports[ref]}", flush=True)
         for number in range(PASSES):
             for n in args.sizes:

@@ -43,7 +43,11 @@ from repro.util.validation import REBUILD_POLICIES
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
-from repro.experiments.fig11 import improvement_factor, run_fig11
+from repro.experiments.fig11 import (
+    FIG11_CALIBRATION,
+    improvement_factor,
+    run_fig11,
+)
 from repro.experiments.report import series_plot, series_table
 from repro.experiments.settings import ExperimentSetting
 
@@ -352,12 +356,7 @@ def cmd_fig9(args: argparse.Namespace) -> None:
 
 def cmd_fig10(args: argparse.Namespace) -> None:
     """Run the utilization/load-balancing figure."""
-    setting = replace(
-        _setting(args, "random", "uniform"),
-        mean_subscribers=1.4,
-        guarantee_coverage=False,
-    )
-    result = run_fig10(setting)
+    result = run_fig10(_setting(args, "random", "uniform"))
     _emit("Figure 10: RJ out-degree utilization vs N", result, "N", args,
           plot_series=["out-degree-utilization", "relay-fraction"])
 
@@ -365,9 +364,7 @@ def cmd_fig10(args: argparse.Namespace) -> None:
 def cmd_fig11(args: argparse.Namespace) -> None:
     """Run the correlation figure."""
     setting = replace(
-        _setting(args, "zipf", "heterogeneous"),
-        interest=0.18,
-        guarantee_coverage=False,
+        _setting(args, "zipf", "heterogeneous"), **FIG11_CALIBRATION
     )
     result = run_fig11(setting)
     _emit("Figure 11: criticality-weighted rejection, RJ vs CO-RJ", result,
@@ -466,36 +463,18 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     failed = False
-    if (
-        args.max_unrecovered is not None
-        and report.unrecovered_suspicions > args.max_unrecovered
+    for limit, count, label in (
+        (args.max_unrecovered, report.unrecovered_suspicions,
+         "unrecovered suspicions"),
+        (args.max_unrecovered_frames, report.dataplane_frames_unrecovered,
+         "unrecovered frame instances"),
+        (args.max_unrecovered_reports, report.unrecovered_reports,
+         "unrecovered parked reports"),
     ):
-        print(
-            f"FAIL: {report.unrecovered_suspicions} unrecovered suspicions "
-            f"(allowed {args.max_unrecovered})"
-        )
-        failed = True
-    if (
-        args.max_unrecovered_frames is not None
-        and report.dataplane_frames_unrecovered > args.max_unrecovered_frames
-    ):
-        print(
-            f"FAIL: {report.dataplane_frames_unrecovered} unrecovered frame "
-            f"instances (allowed {args.max_unrecovered_frames})"
-        )
-        failed = True
-    if (
-        args.max_unrecovered_reports is not None
-        and report.unrecovered_reports > args.max_unrecovered_reports
-    ):
-        print(
-            f"FAIL: {report.unrecovered_reports} unrecovered parked reports "
-            f"(allowed {args.max_unrecovered_reports})"
-        )
-        failed = True
-    if failed:
-        return 1
-    return 0 if report.ok else 1
+        if limit is not None and count > limit:
+            print(f"FAIL: {count} {label} (allowed {limit})")
+            failed = True
+    return 0 if report.ok and not failed else 1
 
 
 def cmd_disruption(args: argparse.Namespace) -> int:

@@ -163,7 +163,7 @@ class OverlayBuilder(abc.ABC):
         if outcome.accepted:
             forest.satisfied.append(request)
         else:
-            handled = self.on_rejected(problem, state, forest, request, outcome)
+            handled = self.on_rejected(problem, state, forest, request)
             if not handled:
                 forest.rejected.append((request, outcome.reason))
         return outcome
@@ -174,7 +174,6 @@ class OverlayBuilder(abc.ABC):
         state: BuilderState,
         forest: OverlayForest,
         request: SubscriptionRequest,
-        outcome: JoinOutcome,
     ) -> bool:
         """Rejection hook.
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.core.forest import OverlayForest
 from repro.core.model import RejectionReason, SubscriptionRequest
-from repro.core.node_join import JoinOutcome
 from repro.core.problem import ForestProblem
 from repro.core.randomized import RandomJoinBuilder
 from repro.core.state import BuilderState
@@ -81,7 +80,6 @@ class CorrelatedRandomJoinBuilder(RandomJoinBuilder):
         state: BuilderState,
         forest: OverlayForest,
         request: SubscriptionRequest,
-        outcome: JoinOutcome,
     ) -> bool:
         """Attempt the Sec. 4.4 swap; returns True when the swap happened."""
         swap = self.find_swap(problem, forest, request)

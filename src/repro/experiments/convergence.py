@@ -77,5 +77,5 @@ def run_convergence(
         result.add_point("max-convergence-ms", report.max_convergence_ms)
         result.add_point("rounds", float(report.rounds))
         result.add_point("overlapping-rounds", float(report.overlapping_rounds))
-        result.add_point("stale-directives", float(report.stale_directives))
+        result.add_point("stale-directives", float(report.control.stale_directives))
     return result

@@ -24,12 +24,10 @@ FIG10_SITES = tuple(range(4, 21, 2))
 
 
 def run_fig10(
-    setting: ExperimentSetting | None = None,
+    setting: ExperimentSetting,
     n_sites_values: Sequence[int] = FIG10_SITES,
 ) -> SeriesResult:
     """Regenerate Fig. 10: utilization / relay-fraction / stddev vs. N."""
-    if setting is None:
-        setting = ExperimentSetting(workload="random", nodes="uniform")
     # Fig. 10 calibration (DESIGN.md): a constant expected subscriber
     # count per stream keeps outbound utilization near 1 and leaves the
     # ~25 % relay share at every N; the coverage guarantee is off so

@@ -25,23 +25,18 @@ from repro.util.rng import RngStream
 #: The paper sweeps 3..10 sites.
 FIG11_SITES = tuple(range(3, 11))
 
+#: Fig. 11 calibration (DESIGN.md), applied to a zipf/heterogeneous
+#: setting: denser interest and no coverage guarantee, so critically
+#: lost streams belong to real multicast groups that CO-RJ's swap can
+#: actually use (solo-subscriber trees admit no victim parent).
+FIG11_CALIBRATION = {"interest": 0.18, "guarantee_coverage": False}
+
 
 def run_fig11(
-    setting: ExperimentSetting | None = None,
+    setting: ExperimentSetting,
     n_sites_values: Sequence[int] = FIG11_SITES,
 ) -> SeriesResult:
     """Regenerate Fig. 11: the two algorithms' correlation-aware rejection."""
-    if setting is None:
-        setting = ExperimentSetting(
-            workload="zipf",
-            nodes="heterogeneous",
-            # Fig. 11 calibration (DESIGN.md): denser interest and no
-            # coverage guarantee, so critically-lost streams belong to
-            # real multicast groups that CO-RJ's swap can actually use
-            # (solo-subscriber trees admit no victim parent).
-            interest=0.18,
-            guarantee_coverage=False,
-        )
     topology = load_backbone(setting.backbone)
     builders = {"rj": RandomJoinBuilder(), "co-rj": CorrelatedRandomJoinBuilder()}
     auditor = audit_hook(setting)

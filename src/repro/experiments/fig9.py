@@ -27,13 +27,11 @@ FIG9_SITES = 10
 
 
 def run_fig9(
-    setting: ExperimentSetting | None = None,
+    setting: ExperimentSetting,
     granularities: Sequence[int] = FIG9_GRANULARITIES,
     n_sites: int = FIG9_SITES,
 ) -> SeriesResult:
     """Regenerate Fig. 9: mean rejection ratio per granularity value."""
-    if setting is None:
-        setting = ExperimentSetting(workload="random", nodes="uniform")
     topology = load_backbone(setting.backbone)
     builders = {
         f"g={g}": GranularityBuilder(granularity=g) for g in granularities

@@ -9,12 +9,16 @@ figure at a reduced sample count and evaluates each claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
-from repro.experiments.fig11 import improvement_factor, run_fig11
+from repro.experiments.fig11 import (
+    FIG11_CALIBRATION,
+    improvement_factor,
+    run_fig11,
+)
 from repro.experiments.settings import ExperimentSetting
 from repro.util.floats import left_sum
 
@@ -119,12 +123,8 @@ def evaluate_fig9(samples: int = 40, seed: int = 42) -> list[Claim]:
 
 def evaluate_fig10(samples: int = 25, seed: int = 42) -> list[Claim]:
     """Shape claims for load balancing."""
-    setting = replace(
-        ExperimentSetting(
-            workload="random", nodes="uniform", samples=samples, seed=seed
-        ),
-        mean_subscribers=1.4,
-        guarantee_coverage=False,
+    setting = ExperimentSetting(
+        workload="random", nodes="uniform", samples=samples, seed=seed
     )
     result = run_fig10(setting)
     utilization = result.series["out-degree-utilization"]
@@ -155,12 +155,9 @@ def evaluate_fig10(samples: int = 25, seed: int = 42) -> list[Claim]:
 
 def evaluate_fig11(samples: int = 25, seed: int = 42) -> list[Claim]:
     """Shape claims for the correlation optimization."""
-    setting = replace(
-        ExperimentSetting(
-            workload="zipf", nodes="heterogeneous", samples=samples, seed=seed
-        ),
-        interest=0.18,
-        guarantee_coverage=False,
+    setting = ExperimentSetting(
+        workload="zipf", nodes="heterogeneous", samples=samples, seed=seed,
+        **FIG11_CALIBRATION,
     )
     result = run_fig11(setting)
     co, rj = result.series["co-rj"], result.series["rj"]

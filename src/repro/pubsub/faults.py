@@ -154,7 +154,7 @@ class FaultyLink(SeededLink):
         self,
         sim: Simulator,
         rng: RngStream,
-        config: FaultConfig = FaultConfig(),
+        config: FaultConfig,
     ) -> None:
         super().__init__(
             sim, rng, config.jitter_ms, config.loss_rate, config.duplicate_rate

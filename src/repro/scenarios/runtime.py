@@ -25,7 +25,7 @@ streams in the same order); the equivalence suite pins that.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.registry import make_builder
 from repro.errors import SimulationError
@@ -33,7 +33,7 @@ from repro.pubsub.faults import FaultConfig
 from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import DisplaySubscription, OverlayDirective
 from repro.pubsub.rp import RPAgent
-from repro.pubsub.service import ControlRound, MembershipService
+from repro.pubsub.service import ControlCounts, ControlRound, MembershipService
 from repro.scenarios.spec import EventKind, ScenarioEvent, ScenarioSpec
 from repro.session.capacity import HeterogeneousCapacityModel, UniformCapacityModel
 from repro.session.session import SessionConfig, TISession, build_session
@@ -87,31 +87,17 @@ class ScenarioReport:
     convergence_total_ms: float = 0.0
     convergence_rounds: int = 0
     max_convergence_ms: float = 0.0
-    #: Directives discarded because the RP had already installed a
-    #: newer epoch (out-of-order delivery under delay skew).
-    stale_directives: int = 0
     #: Rounds whose dirty window opened while the previous round was
     #: still propagating/acking — the overlap the sync model forbids.
     overlapping_rounds: int = 0
+    #: The service's event counts at the end of the drain.
+    control: ControlCounts = field(default_factory=ControlCounts)
     #: Chaos / robustness results (all zero unless the spec impaired the
     #: control link or armed heartbeats/retransmission).
     chaos: bool = False
     messages_sent: int = 0
     messages_dropped: int = 0
     messages_duplicated: int = 0
-    retransmits: int = 0
-    retransmit_giveups: int = 0
-    duplicates_discarded: int = 0
-    stale_reports_discarded: int = 0
-    duplicate_withdraws: int = 0
-    heartbeats_sent: int = 0
-    #: Server-side silence detections that turned into withdrawals.
-    detected_failures: int = 0
-    #: Detections whose site was actually still alive (partition or
-    #: heavy loss mimicking death).  These self-heal via re-admission.
-    false_suspicions: int = 0
-    #: Zombie sites re-admitted as fresh joins after a false suspicion.
-    readmissions: int = 0
     #: Mean/max silence-to-withdrawal latency over real failures.
     mean_detection_ms: float = 0.0
     max_detection_ms: float = 0.0
@@ -122,22 +108,9 @@ class ScenarioReport:
     #: Server-recovery results (all zero unless the spec scheduled
     #: server outages).
     server_recovery: bool = False
-    server_crashes: int = 0
-    server_recoveries: int = 0
     #: Mean/max restart-to-reconverged latency over server recoveries.
     mean_recovery_ms: float = 0.0
     max_recovery_ms: float = 0.0
-    #: Full advertise+subscribe replays provoked by a new incarnation.
-    refresh_replays: int = 0
-    #: Server-originated messages discarded as sent by a dead incarnation.
-    stale_incarnation_discards: int = 0
-    #: Site-side server-death suspicions (ack starvation or detector).
-    server_suspicions: int = 0
-    reports_parked: int = 0
-    reports_replayed: int = 0
-    messages_lost_to_outage: int = 0
-    checkpoints_taken: int = 0
-    checkpoint_restores: int = 0
     #: Reports still parked at the end of the drain — membership changes
     #: an outage permanently swallowed.  The server-crash CI gate
     #: requires this to be zero.
@@ -204,6 +177,7 @@ class ScenarioReport:
             f"problem assembly: {self.assemblies_diffed} diffed, "
             f"{self.assemblies_scratch} scratch",
         ]
+        control = self.control
         if self.async_control:
             lines.append(
                 f"async control [delay {self.control_delay_ms:.0f}ms, "
@@ -211,38 +185,38 @@ class ScenarioReport:
                 f"{self.mean_convergence_ms:.1f}ms / max "
                 f"{self.max_convergence_ms:.1f}ms, "
                 f"{self.overlapping_rounds} overlapping rounds, "
-                f"{self.stale_directives} stale directives discarded"
+                f"{control.stale_directives} stale directives discarded"
             )
         if self.chaos:
             lines.append(
                 f"chaos: {self.messages_sent} sent, "
                 f"{self.messages_dropped} dropped, "
                 f"{self.messages_duplicated} duplicated, "
-                f"{self.retransmits} retransmits "
-                f"({self.retransmit_giveups} give-ups), "
-                f"{self.duplicates_discarded} duplicate / "
-                f"{self.stale_reports_discarded} stale reports discarded"
+                f"{control.retransmits} retransmits "
+                f"({control.retransmit_giveups} give-ups), "
+                f"{control.duplicates_discarded} duplicate / "
+                f"{control.stale_reports_discarded} stale reports discarded"
             )
             lines.append(
-                f"detection: {self.detected_failures} failures detected "
+                f"detection: {control.detected_failures} failures detected "
                 f"(mean {self.mean_detection_ms:.1f}ms / max "
                 f"{self.max_detection_ms:.1f}ms), "
-                f"{self.false_suspicions} false suspicions, "
-                f"{self.readmissions} re-admissions, "
+                f"{control.false_suspicions} false suspicions, "
+                f"{control.readmissions} re-admissions, "
                 f"{self.unrecovered_suspicions} unrecovered"
             )
         if self.server_recovery:
             lines.append(
-                f"server recovery: {self.server_crashes} crashes / "
-                f"{self.server_recoveries} recoveries (mean "
+                f"server recovery: {control.server_crashes} crashes / "
+                f"{control.server_recoveries} recoveries (mean "
                 f"{self.mean_recovery_ms:.1f}ms / max "
                 f"{self.max_recovery_ms:.1f}ms to reconverge), "
-                f"{self.refresh_replays} soft-state refreshes, "
-                f"{self.stale_incarnation_discards} stale-incarnation "
-                f"discards, {self.reports_parked} reports parked / "
-                f"{self.reports_replayed} replayed "
+                f"{control.refresh_replays} soft-state refreshes, "
+                f"{control.stale_incarnation_discards} stale-incarnation "
+                f"discards, {control.reports_parked} reports parked / "
+                f"{control.reports_replayed} replayed "
                 f"({self.unrecovered_reports} unrecovered), "
-                f"{self.checkpoint_restores} warm restores"
+                f"{control.checkpoint_restores} warm restores"
             )
         if self.dataplane_frames_delivered:
             lines.append(
@@ -264,20 +238,6 @@ class ScenarioReport:
             lines.append(self.audit.summary())
         return "\n".join(lines)
 
-
-#: Service counters a chaotic run copies into the same-named report fields.
-_CHAOS_COUNTERS = (
-    "retransmits", "retransmit_giveups", "duplicates_discarded",
-    "stale_reports_discarded", "duplicate_withdraws", "heartbeats_sent",
-    "detected_failures", "false_suspicions", "readmissions",
-)
-#: The same, for a run whose server recovery was armed or exercised.
-_RECOVERY_COUNTERS = (
-    "server_crashes", "server_recoveries", "refresh_replays",
-    "stale_incarnation_discards", "server_suspicions", "reports_parked",
-    "reports_replayed", "messages_lost_to_outage", "checkpoints_taken",
-    "checkpoint_restores",
-)
 
 #: Simulated capture span of each per-round data-plane measurement.
 DATAPLANE_DURATION_MS = 500.0
@@ -593,7 +553,7 @@ class ScenarioRuntime:
             self._measure_dataplane(result)
 
     def _finalize_async_report(self) -> None:
-        """Copy the service's convergence/staleness totals into the report."""
+        """Copy the service's latencies and counts into the report."""
         service = self.service
         assert service is not None
         self.report.async_control = True
@@ -605,8 +565,8 @@ class ScenarioRuntime:
             round_.convergence_ms for round_ in converged
         )
         self.report.max_convergence_ms = service.max_convergence_ms()
-        self.report.stale_directives = service.stale_directives
         self.report.overlapping_rounds = service.overlapping_rounds()
+        self.report.control = replace(service.counts)
         self.report.chaos = bool(
             service.faults.impaired
             or service.reliable
@@ -617,8 +577,6 @@ class ScenarioRuntime:
             self.report.messages_sent = link.sent
             self.report.messages_dropped = link.dropped
             self.report.messages_duplicated = link.duplicated
-            for counter in _CHAOS_COUNTERS:
-                setattr(self.report, counter, getattr(service, counter))
             self.report.mean_detection_ms = service.mean_detection_ms()
             self.report.max_detection_ms = service.max_detection_ms()
             registered = set(self.server.registered_sites())
@@ -626,11 +584,9 @@ class ScenarioRuntime:
                 1 for site in self.active if site not in registered
             )
         self.report.server_recovery = bool(
-            service.server_failover or service.server_crashes
+            service.server_failover or service.counts.server_crashes
         )
         if self.report.server_recovery:
-            for counter in _RECOVERY_COUNTERS:
-                setattr(self.report, counter, getattr(service, counter))
             self.report.mean_recovery_ms = service.mean_recovery_ms()
             self.report.max_recovery_ms = service.max_recovery_ms()
             self.report.unrecovered_reports = service.parked_reports

@@ -7,7 +7,7 @@ import pytest
 from repro.core.correlation import CorrelatedRandomJoinBuilder, criticality
 from repro.core.forest import OverlayForest
 from repro.core.model import RejectionReason, SubscriptionRequest
-from repro.core.node_join import JoinOutcome
+from repro.core.node_join import try_join
 from repro.core.problem import ForestProblem
 from repro.core.state import BuilderState
 from repro.session.streams import StreamId
@@ -92,17 +92,10 @@ class TestFigure7Example:
     def request(self) -> SubscriptionRequest:
         return SubscriptionRequest(subscriber=E, stream=StreamId(A, 2))
 
-    def rejected_outcome(self) -> JoinOutcome:
-        return JoinOutcome(
-            accepted=False, reason=RejectionReason.TREE_SATURATED
-        )
-
     def test_swap_applies(self):
         problem, state, forest = figure7()
         builder = CorrelatedRandomJoinBuilder()
-        handled = builder.on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
-        )
+        handled = builder.on_rejected(problem, state, forest, self.request())
         assert handled
         # E left the tree of s_g^8 ...
         assert E not in forest.tree(StreamId(G, 8))
@@ -115,14 +108,14 @@ class TestFigure7Example:
         problem, state, forest = figure7()
         before = (state.dout[F], state.din[E])
         CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
+            problem, state, forest, self.request()
         )
         assert (state.dout[F], state.din[E]) == before
 
     def test_bookkeeping_swaps_requests(self):
         problem, state, forest = figure7()
         CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
+            problem, state, forest, self.request()
         )
         assert self.request() in forest.satisfied
         victim = SubscriptionRequest(subscriber=E, stream=StreamId(G, 8))
@@ -136,7 +129,7 @@ class TestFigure7Example:
         # criticality, so no victim qualifies.
         request = SubscriptionRequest(subscriber=E, stream=StreamId(G, 6))
         handled = CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, request, self.rejected_outcome()
+            problem, state, forest, request
         )
         assert not handled
 
@@ -147,7 +140,7 @@ class TestFigure7Example:
         tree.attach(E, C, problem.edge_cost(E, C))  # E now internal
         state.record_attach(tree, E, C)
         handled = CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
+            problem, state, forest, self.request()
         )
         assert not handled
 
@@ -159,7 +152,7 @@ class TestFigure7Example:
             StreamId(A, 2)
         )
         handled = CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
+            problem, state, forest, self.request()
         )
         assert not handled
 
@@ -168,17 +161,18 @@ class TestFigure7Example:
         problem, state, forest = figure7()
         problem.set_cost(F, E, 99.0)
         handled = CorrelatedRandomJoinBuilder().on_rejected(
-            problem, state, forest, self.request(), self.rejected_outcome()
+            problem, state, forest, self.request()
         )
         assert not handled
 
     def test_inbound_rejections_swappable(self):
         problem, state, forest = figure7()
-        outcome = JoinOutcome(
-            accepted=False, reason=RejectionReason.INBOUND_SATURATED
-        )
+        # E already receives s_g^8, so one inbound slot saturates it.
+        problem.set_inbound_limit(E, 1)
+        outcome = try_join(problem, state, forest.tree(StreamId(A, 2)), E)
+        assert outcome.reason is RejectionReason.INBOUND_SATURATED
         builder = CorrelatedRandomJoinBuilder()
-        assert builder.on_rejected(problem, state, forest, self.request(), outcome)
+        assert builder.on_rejected(problem, state, forest, self.request())
 
 
 class TestCoRjEndToEnd:

@@ -17,14 +17,12 @@ shape, not absolute numbers:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
-from repro.experiments.fig11 import run_fig11
+from repro.experiments.fig11 import FIG11_CALIBRATION, run_fig11
 from repro.experiments.settings import ExperimentSetting
 
 SAMPLES = 25
@@ -70,12 +68,8 @@ def test_fig9_granularity():
 
 
 def test_fig10_utilization():
-    setting = replace(
-        ExperimentSetting(
-            workload="random", nodes="uniform", samples=SAMPLES, seed=SEED
-        ),
-        mean_subscribers=1.4,
-        guarantee_coverage=False,
+    setting = ExperimentSetting(
+        workload="random", nodes="uniform", samples=SAMPLES, seed=SEED
     )
     result = run_fig10(setting)
     utilization = result.series["out-degree-utilization"]
@@ -89,12 +83,9 @@ def test_fig10_utilization():
 
 
 def test_fig11_correlation():
-    setting = replace(
-        ExperimentSetting(
-            workload="zipf", nodes="heterogeneous", samples=SAMPLES, seed=SEED
-        ),
-        interest=0.18,
-        guarantee_coverage=False,
+    setting = ExperimentSetting(
+        workload="zipf", nodes="heterogeneous", samples=SAMPLES, seed=SEED,
+        **FIG11_CALIBRATION,
     )
     result = run_fig11(setting)
     # Direction: CO-RJ at least matches RJ at the largest N on both metrics.

@@ -181,5 +181,5 @@ class TestControlEnvelopes:
         copies = [(m, a) for kind, m, a in wire if kind == "advertise"]
         assert [attempt for _, attempt in copies] == [0, 1, 2]
         assert all(message is sent for message, _ in copies)
-        assert service.retransmits == 2
+        assert service.counts.retransmits == 2
 

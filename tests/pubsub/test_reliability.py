@@ -73,7 +73,7 @@ class TestSequencing:
         rounds_before = len(service.rounds)
         service._receive(message)  # a duplicate copy arrives
         sim.run()
-        assert service.duplicates_discarded == 1
+        assert service.counts.duplicates_discarded == 1
         # No re-apply, and crucially no extra build round was dirtied.
         assert system.server.registrations_applied == applied_before
         assert len(service.rounds) == rounds_before
@@ -100,7 +100,7 @@ class TestSequencing:
         # The pre-leave subscription arrives after the withdrawal: it
         # must not resurrect the departed site.
         service._receive(late_subscribe)
-        assert service.stale_reports_discarded == 1
+        assert service.counts.stale_reports_discarded == 1
         assert not system.server.is_registered(2)
 
     def test_unsequenced_envelopes_always_apply(self, small_session):
@@ -113,7 +113,7 @@ class TestSequencing:
         assert message.seq == 0
         service._receive(message)
         service._receive(message)
-        assert service.duplicates_discarded == 0
+        assert service.counts.duplicates_discarded == 0
         assert system.server.is_registered(0)
 
 
@@ -160,12 +160,12 @@ class TestStalenessRule:
         service._receive(rejoin)
         assert service._discard_reason(2, "withdraw", 2) == "straggler"
         service._receive(withdraw)
-        assert service.stale_reports_discarded == 1
+        assert service.counts.stale_reports_discarded == 1
         assert system.server.is_registered(2)
         # The straggler's seq is recorded: a second copy is a duplicate.
         assert service._discard_reason(2, "withdraw", 2) == "duplicate"
         service._receive(withdraw)
-        assert service.duplicates_discarded == 1
+        assert service.counts.duplicates_discarded == 1
         assert system.server.is_registered(2)
 
     def test_rule_reads_without_recording(self, small_session):
@@ -221,7 +221,7 @@ class TestWithdrawHeartbeatRace:
         service._suspect(2)  # the failure detector got there first
         service.withdraw(2)  # ...then the explicit LEAVE lands
         sim.run()
-        assert service.duplicate_withdraws == 1
+        assert service.counts.duplicate_withdraws == 1
         # Exactly one extra round: the suspicion's, not the LEAVE's.
         assert len(service.rounds) == rounds_before + 1
         assert not system.server.is_registered(2)
@@ -234,7 +234,7 @@ class TestWithdrawHeartbeatRace:
         service.withdraw(2)
         sim.run()
         service._detect()  # a sweep right after the withdrawal applied
-        assert service.detected_failures == 0
+        assert service.counts.detected_failures == 0
 
     def test_rejoin_clears_the_withdrawn_latch(self, small_session):
         """A site that left and rejoins is withdrawable again."""
@@ -248,7 +248,7 @@ class TestWithdrawHeartbeatRace:
         service.withdraw(1)
         sim.run()
         assert not system.server.is_registered(1)
-        assert service.duplicate_withdraws == 0
+        assert service.counts.duplicate_withdraws == 0
 
 
 class TestRetransmission:
@@ -269,8 +269,8 @@ class TestRetransmission:
         announce_all(system, service)
         sim.run()
         assert len(dropped) == 8  # 4 sites x {advertise, subscribe}
-        assert service.retransmits == 8
-        assert service.retransmit_giveups == 0
+        assert service.counts.retransmits == 8
+        assert service.counts.retransmit_giveups == 0
         assert sorted(system.server.registered_sites()) == [0, 1, 2, 3]
         assert service.rounds and service.rounds[-1].converged
 
@@ -282,7 +282,7 @@ class TestRetransmission:
         sim.run()
         # Every report was acked on first delivery: no retransmits, and
         # no pending state survives the drain.
-        assert service.retransmits == 0
+        assert service.counts.retransmits == 0
         assert service.armed_retransmit_state == 0
 
     def test_give_up_bounds_unreachable_destinations(self, small_session):
@@ -297,8 +297,8 @@ class TestRetransmission:
         announce_all(system, service)
         sim.run()  # terminating at all proves the backoff chain is capped
         # Exactly one give-up per unreachable destination — never more.
-        assert service.retransmit_giveups == 4
-        assert service.retransmits == 4 * MAX_RETRANSMITS
+        assert service.counts.retransmit_giveups == 4
+        assert service.counts.retransmits == 4 * MAX_RETRANSMITS
         # The round settled by giving the sites up, not by acks.
         round_ = service.rounds[-1]
         assert round_.converged
@@ -325,8 +325,8 @@ class TestRetransmission:
         announce_all(system, service)
         sim.run()
         # advertise + subscribe from site 2, nothing else.
-        assert service.retransmit_giveups == 2
-        assert service.retransmits == 2 * MAX_RETRANSMITS
+        assert service.counts.retransmit_giveups == 2
+        assert service.counts.retransmits == 2 * MAX_RETRANSMITS
         assert service.armed_retransmit_state == 0
         # The reports themselves arrived (only the acks died), so the
         # membership is intact and the round converged.
@@ -358,8 +358,8 @@ class TestRetransmitTimerHygiene:
         sim.run()
         # No ghost: the withdrawal cancelled both pending reports before
         # their timers could fire a single retransmit.
-        assert service.retransmits == 0
-        assert service.retransmit_giveups == 0
+        assert service.counts.retransmits == 0
+        assert service.counts.retransmit_giveups == 0
         assert service.armed_retransmit_state == 0
         assert not system.server.is_registered(2)
 
@@ -372,8 +372,8 @@ class TestRetransmitTimerHygiene:
         announce_all(system, service)
         sim.schedule_at(5.0, lambda: service.fail_site(2))
         sim.run()
-        assert service.retransmits == 0
-        assert service.retransmit_giveups == 0
+        assert service.counts.retransmits == 0
+        assert service.counts.retransmit_giveups == 0
         assert service.armed_retransmit_state == 0
         assert not system.server.is_registered(2)
 
@@ -404,7 +404,7 @@ class TestRetransmitTimerHygiene:
         # The lost ack forced exactly one retransmit of the withdraw —
         # its tracking survived the site's own cleanup.
         assert dropped
-        assert service.retransmits == 1
+        assert service.counts.retransmits == 1
         assert service.armed_retransmit_state == 0
         assert not system.server.is_registered(2)
 
@@ -417,7 +417,7 @@ class TestRetransmitTimerHygiene:
         announce_all(system, service)
         sim.run()
         assert service.link.duplicated > 0
-        assert service.duplicate_directives > 0
+        assert service.counts.duplicate_directives > 0
         # Every site holds the final epoch exactly once.
         epochs = {rp.epoch for rp in system.rps.values()}
         assert epochs == {service.rounds[-1].epoch}
@@ -435,8 +435,8 @@ class TestHeartbeatDetection:
         sim.run(until_ms=200.0)
         service.quiesce()
         sim.run()
-        assert service.detected_failures == 1
-        assert service.false_suspicions == 0
+        assert service.counts.detected_failures == 1
+        assert service.counts.false_suspicions == 0
         assert not system.server.is_registered(2)
         # Silence-to-withdrawal within miss_threshold beats + one sweep.
         assert len(service.detection_latencies) == 1
@@ -450,9 +450,9 @@ class TestHeartbeatDetection:
         sim.run(until_ms=300.0)
         service.quiesce()
         sim.run()
-        assert service.detected_failures == 0
+        assert service.counts.detected_failures == 0
         assert sorted(system.server.registered_sites()) == [0, 1, 2, 3]
-        assert service.heartbeats_sent > 0
+        assert service.counts.heartbeats_sent > 0
 
     def test_fail_site_without_heartbeats_degrades_to_withdraw(
         self, small_session
@@ -495,9 +495,9 @@ class TestHeartbeatDetection:
         sim.run(until_ms=200.0)
         service.quiesce()
         sim.run()
-        assert service.false_suspicions >= 1
-        assert service.rejoin_requests >= 1
-        assert service.readmissions >= 1
+        assert service.counts.false_suspicions >= 1
+        assert service.counts.rejoin_requests >= 1
+        assert service.counts.readmissions >= 1
         # The zombie round-trip healed: everyone is registered again.
         assert sorted(system.server.registered_sites()) == [0, 1, 2, 3]
         assert service.detection_latencies == []  # no *real* failure

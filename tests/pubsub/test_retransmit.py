@@ -7,10 +7,11 @@ pushes; everything here runs it over a bare :class:`Simulator` and a
 
 from __future__ import annotations
 
-from repro.pubsub.faults import FaultyLink
+from repro.pubsub.faults import FaultConfig, FaultyLink
 from repro.pubsub.service import (
     MAX_RETRANSMITS,
     RETRANSMIT_BACKOFF_CAP,
+    ControlCounts,
     RetransmitQueue,
     _Pending,
 )
@@ -27,14 +28,17 @@ class Harness:
 
     def __init__(self, lose_first: int = 0, lose_all: bool = False) -> None:
         self.sim = Simulator()
-        self.link = FaultyLink(self.sim, RngStream(1, label="retransmit-test"))
+        self.link = FaultyLink(
+            self.sim, RngStream(1, label="retransmit-test"), FaultConfig()
+        )
         force_drops(
             self.link, lambda kind, attempt, args: lose_all or attempt < lose_first
         )
         self.sent: list[tuple[float, int, int]] = []  # (time, site, attempt)
         self.exhausted: list[_Pending] = []
         self.queue = RetransmitQueue(
-            self.sim, TIMEOUT_MS, self.transmit, self.exhausted.append
+            self.sim, TIMEOUT_MS, self.transmit, self.exhausted.append,
+            ControlCounts(),
         )
 
     def transmit(self, entry: _Pending) -> None:
@@ -57,7 +61,7 @@ def test_ack_before_the_first_timeout_cancels_the_timer():
     timer = entry.timer
     harness.sim.run()
     assert harness.sent == [(0.0, 0, 0)]
-    assert harness.queue.retransmits == 0
+    assert harness.queue.counts.retransmits == 0
     assert len(harness.queue) == 0
     assert timer._cancelled and timer.fired == 0
     assert entry.timer is None
@@ -70,7 +74,7 @@ def test_k_lost_copies_give_k_retransmits_at_the_backoff_times():
     # First timer at the base timeout, then min(t * 2**k, 8t) after retry k.
     assert [time for time, _, _ in harness.sent] == [0.0, 20.0, 60.0, 140.0, 300.0]
     assert [attempt for _, _, attempt in harness.sent] == [0, 1, 2, 3, 4]
-    assert harness.queue.retransmits == 4
+    assert harness.queue.counts.retransmits == 4
     assert harness.exhausted == []
     assert len(harness.queue) == 0
 
@@ -92,7 +96,7 @@ def test_exhaustion_calls_back_once_and_leaves_nothing_armed():
     assert harness.exhausted == [entry]
     assert entry.attempts == MAX_RETRANSMITS
     assert entry.timer is None
-    assert harness.queue.retransmits == MAX_RETRANSMITS
+    assert harness.queue.counts.retransmits == MAX_RETRANSMITS
     assert len(harness.queue) == 0
     # Nothing left to fire: a second drain runs no event at all.
     assert events > 0 and harness.sim.run() == 0
@@ -118,7 +122,7 @@ def test_clear_returns_entries_in_tracking_order():
     assert harness.queue.clear() == entries
     assert len(harness.queue) == 0
     harness.sim.run()
-    assert harness.queue.retransmits == 0 and harness.exhausted == []
+    assert harness.queue.counts.retransmits == 0 and harness.exhausted == []
 
 
 def test_a_settled_entry_can_be_tracked_again_from_scratch():
@@ -128,7 +132,7 @@ def test_a_settled_entry_can_be_tracked_again_from_scratch():
     assert harness.queue.settle(0, 1) is entry
     assert harness.queue.settle(0, 1) is None  # a duplicate ack
     harness.sim.run(until_ms=50.0)
-    assert harness.queue.retransmits == 0  # the cancelled timer stayed silent
+    assert harness.queue.counts.retransmits == 0  # the cancelled timer stayed silent
     harness.queue.track(entry)
     harness.sim.run()
     assert harness.sent[-1] == (50.0 + TIMEOUT_MS, 0, 1)

@@ -77,17 +77,17 @@ class TestCrashSemantics:
         assert not system.server.registered_sites()
         assert not service.pending_build
         assert service.armed_retransmit_state == 0
-        assert service.server_crashes == 1
+        assert service.counts.server_crashes == 1
 
     def test_crash_is_idempotent(self, small_session):
         _, service, sim = make_crash_service(small_session)
         sim.run(50.0)
         service.crash_server()
         service.crash_server()
-        assert service.server_crashes == 1
+        assert service.counts.server_crashes == 1
         service.recover_server()
         service.recover_server()
-        assert service.server_recoveries == 1
+        assert service.counts.server_recoveries == 1
         assert service.incarnation == 2
 
     def test_messages_into_a_dead_server_vanish(self, small_session):
@@ -95,7 +95,7 @@ class TestCrashSemantics:
         service.crash_server()
         service.advertise(system.rps[0].advertisement())
         sim.run(100.0)
-        assert service.messages_lost_to_outage > 0
+        assert service.counts.messages_lost_to_outage > 0
         assert not system.server.registered_sites()
 
     def test_observability_counters_survive_the_crash(self, small_session):
@@ -119,9 +119,9 @@ class TestIncarnations:
         round_ = service.rounds[-1]
         assert round_.incarnation == 1
         epoch_before = system.rps[0].epoch
-        discards_before = service.stale_incarnation_discards
+        discards_before = service.counts.stale_incarnation_discards
         service._deliver(0, round_)
-        assert service.stale_incarnation_discards == discards_before + 1
+        assert service.counts.stale_incarnation_discards == discards_before + 1
         assert system.rps[0].epoch == epoch_before
 
     def test_recovery_bumps_incarnation_and_rounds_carry_it(
@@ -149,7 +149,7 @@ class TestIncarnations:
         assert system.server.soft_state_digest() != digest_before
         service.recover_server()
         sim.run(800.0)
-        assert service.refresh_replays == len(service.live_sites)
+        assert service.counts.refresh_replays == len(service.live_sites)
         assert system.server.soft_state_digest() == digest_before
 
     def test_epoch_floor_survives_cold_restart(self, small_session):
@@ -187,9 +187,9 @@ class TestParkingAndReplay:
         sim.run(1200.0)
         service.quiesce()
         sim.run()
-        assert service.server_suspicions >= 1
-        assert service.reports_parked >= 1
-        assert service.reports_replayed == service.reports_parked
+        assert service.counts.server_suspicions >= 1
+        assert service.counts.reports_parked >= 1
+        assert service.counts.reports_replayed == service.counts.reports_parked
         assert service.parked_reports == 0
         assert not service.suspecting_sites
         assert system.server.soft_state_digest() == digest_before
@@ -216,7 +216,7 @@ class TestParkingAndReplay:
         sim.run(1200.0)
         service.quiesce()
         sim.run()
-        assert service.server_recoveries == 1
+        assert service.counts.server_recoveries == 1
         assert len(service.recovery_latencies) == 1
         assert 0.0 <= service.mean_recovery_ms() <= service.max_recovery_ms()
 
@@ -228,11 +228,11 @@ class TestCheckpointRestore:
         )
         announce_all(system, service)
         sim.run(300.0)
-        assert service.checkpoints_taken >= 1
+        assert service.counts.checkpoints_taken >= 1
         digest = system.server.soft_state_digest()
         service.crash_server()
         service.recover_server()
-        assert service.checkpoint_restores == 1
+        assert service.counts.checkpoint_restores == 1
         assert system.server.soft_state_digest() == digest
 
     def test_cold_restart_without_checkpoint_is_empty(self, small_session):
@@ -241,7 +241,7 @@ class TestCheckpointRestore:
         sim.run(300.0)
         service.crash_server()
         service.recover_server()
-        assert service.checkpoint_restores == 0
+        assert service.counts.checkpoint_restores == 0
         assert not system.server.registered_sites()
 
 

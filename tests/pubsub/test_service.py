@@ -207,7 +207,7 @@ class TestStaleDirectives:
         sim.run()
         assert [round_.epoch for round_ in service.rounds] == [1, 2]
         assert system.rps[0].epoch == 2      # installed 2, discarded 1
-        assert service.stale_directives == 1
+        assert service.counts.stale_directives == 1
         assert service.rounds[0].stale_sites == (0,)
         # The stale site never acks epoch 1, but the round still settles.
         assert 0 not in service.rounds[0].acked

@@ -288,7 +288,7 @@ def replay_repair(
             forest.satisfied.append(request)
             return True
         if swapper is not None and swapper.on_rejected(
-            problem, state, forest, request, outcome
+            problem, state, forest, request
         ):
             return True
         forest.rejected.append((request, outcome.reason))

@@ -171,8 +171,8 @@ class TestReliableZeroFaultEquivalence:
         assert clean.directives == armed.directives
         assert clean.report.audit.digest == armed.report.audit.digest
         assert armed.report.chaos
-        assert armed.report.retransmits == 0
-        assert armed.report.retransmit_giveups == 0
+        assert armed.report.control.retransmits == 0
+        assert armed.report.control.retransmit_giveups == 0
 
 
 class TestSpecValidation:

@@ -82,16 +82,13 @@ class TestDeterminism:
         spec = get_scenario(name, sites=8, seed=7)
         first, second = run_runtime(spec), run_runtime(spec)
         assert first.report.audit.digest == second.report.audit.digest
+        # Every count at once: retransmits, give-ups, detections, ...
+        assert first.report.control == second.report.control
         for attr in (
             "rounds",
             "messages_sent",
             "messages_dropped",
             "messages_duplicated",
-            "retransmits",
-            "retransmit_giveups",
-            "detected_failures",
-            "false_suspicions",
-            "readmissions",
             "unrecovered_suspicions",
         ):
             assert getattr(first.report, attr) == getattr(
@@ -120,7 +117,7 @@ class TestLossyCleanliness:
         every surviving site."""
         runtime = run_runtime(get_scenario("lossy-flash-crowd", sites=8, seed=7))
         report = runtime.report
-        assert report.retransmits > 0
+        assert report.control.retransmits > 0
         assert report.unrecovered_suspicions == 0
         registered = set(runtime.server.registered_sites())
         assert runtime.active <= registered
@@ -131,7 +128,7 @@ class TestHeartbeatScenarios:
         spec = get_scenario("heartbeat-rolling-failure", sites=8, seed=7)
         report = run_runtime(spec).report
         assert report.events.get("fail", 0) > 0
-        assert report.detected_failures > 0
+        assert report.control.detected_failures > 0
         # Silence-to-withdrawal within miss_threshold beats plus one
         # detector sweep, despite 20% heartbeat loss.
         bound = (spec.miss_threshold + 1) * spec.heartbeat_ms
@@ -143,8 +140,8 @@ class TestHeartbeatScenarios:
         report = run_runtime(
             get_scenario("partitioned-churn", sites=8, seed=7)
         ).report
-        assert report.false_suspicions >= 1  # the cut mimicked a death
-        assert report.readmissions >= 1  # ...and the zombie healed
+        assert report.control.false_suspicions >= 1  # the cut mimicked a death
+        assert report.control.readmissions >= 1  # ...and the zombie healed
         assert report.unrecovered_suspicions == 0
         assert report.ok
 
@@ -216,7 +213,7 @@ class TestTransparency:
         clean = run_runtime(self.base_spec())
         doubled = run_runtime(replace(self.base_spec(), duplicate_rate=1.0))
         assert doubled.report.messages_duplicated > 0
-        assert doubled.report.duplicates_discarded > 0
+        assert doubled.report.control.duplicates_discarded > 0
         assert clean.directives == doubled.directives
         assert clean.report.audit.digest == doubled.report.audit.digest
 
@@ -226,7 +223,7 @@ class TestTransparency:
         overlay timeline must not move."""
         armed = replace(self.base_spec(), retransmit_timeout_ms=60.0)
         clean = run_runtime(armed)
-        assert clean.report.retransmits == 0
+        assert clean.report.control.retransmits == 0
 
         forced = ScenarioRuntime(armed)
         force_drops(
@@ -235,9 +232,9 @@ class TestTransparency:
             and kind in ("control-ack", "directive-ack"),
         )
         forced.run()
-        assert forced.report.retransmits > 0
-        assert forced.service.duplicates_discarded > 0  # re-sent reports
-        assert forced.service.duplicate_directives > 0  # re-sent installs
+        assert forced.report.control.retransmits > 0
+        assert forced.service.counts.duplicates_discarded > 0  # re-sent reports
+        assert forced.service.counts.duplicate_directives > 0  # re-sent installs
         assert clean.directives == forced.directives
         assert clean.report.audit.digest == forced.report.audit.digest
 
@@ -260,7 +257,7 @@ class TestTransparency:
             lambda kind, attempt, args: attempt == 0 and kind == ack,
         )
         forced.run()
-        assert forced.report.retransmits > 0
+        assert forced.report.control.retransmits > 0
         assert getattr(forced.service, resent) > 0
         assert clean.directives == forced.directives
         assert clean.report.audit.digest == forced.report.audit.digest

@@ -101,7 +101,7 @@ def test_random_schedule_holds_the_invariants(seed):
     assert report.dataplane_frames_unrecovered == 0, context
     # Give-ups bounded: abandonment is a per-epoch, per-site event, not
     # a storm (directive give-ups to partitioned sites are legitimate).
-    assert report.retransmit_giveups <= 8 * report.server_crashes + 16, context
+    assert report.control.retransmit_giveups <= 8 * report.control.server_crashes + 16, context
     # The drain actually drained: no timer is still armed.
     assert runtime.service.armed_retransmit_state == 0, context
 
@@ -131,7 +131,7 @@ def test_crash_free_schedule_matches_reference_soft_state():
         replace(spec, server_outages=(), checkpoint_interval_ms=0.0)
     )
     reference.run()
-    assert crashed.report.server_crashes >= 1
+    assert crashed.report.control.server_crashes >= 1
     assert (
         crashed.server.soft_state_digest()
         == reference.server.soft_state_digest()

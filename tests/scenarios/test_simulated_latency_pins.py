@@ -97,7 +97,7 @@ def test_detection_latency(key):
     report = ScenarioRuntime(detection_spec(*key), audit=False).run()
     assert (
         report.mean_detection_ms,
-        report.detected_failures,
+        report.control.detected_failures,
     ) == DETECTION[key]
 
 

@@ -487,6 +487,18 @@ class TestChaosCommands:
         assert "FAIL" in out
         assert "unrecovered frame" in out
 
+    def test_unrecovered_reports_gate_fails_loudly(self, capsys):
+        from repro.cli import main
+
+        # Same impossible-bound trick for the server-crash gate.
+        code = main(
+            ["scenario", "run", "flash-crowd", "--sites", "4", "--seed", "2",
+             "--max-unrecovered-reports", "-1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL: 0 unrecovered parked reports (allowed -1)" in out
+
 
 class TestDisruptionCommand:
     def test_sweep_prints_policy_series(self, capsys):

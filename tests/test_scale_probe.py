@@ -95,6 +95,7 @@ class TestMain:
             measured.append(n)
             return {name: {"s": 1.0, "counts": {"sites": n}} for name in ROW_NAMES}
 
+        monkeypatch.setattr(scale_probe, "export_src", lambda *args: None)
         monkeypatch.setattr(scale_probe, "measure", fake_measure)
         assert scale_probe.main(["HEAD", "--sizes", "4096"]) == 0
         assert measured == [4096] * scale_probe.PASSES
@@ -104,6 +105,7 @@ class TestMain:
 
     def test_sizes_default_to_1024_and_4096(self, monkeypatch, capsys):
         measured = []
+        monkeypatch.setattr(scale_probe, "export_src", lambda *args: None)
         monkeypatch.setattr(
             scale_probe, "measure",
             lambda export, n: measured.append(n) or {
