@@ -148,6 +148,25 @@ if [[ "${1:-}" == "--full" ]]; then
         --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0
 
     echo
+    echo "== flag gate: the chaos flags build the named scenario's config =="
+    # mixed-churn given server-crash-partition-overlap's knobs as flags
+    # must print that scenario's summary below the first line (which
+    # names the scenario): the flags reach the same ControlConfig.
+    FLAGS_OUT=$(python -m repro.cli scenario run mixed-churn --sites 8 --seed 7 \
+        --control-delay-ms 15 --debounce-ms 10 --loss-rate 0.1 --jitter-ms 5 \
+        --retransmit-timeout-ms 60 --heartbeat-ms 40 --miss-threshold 3 \
+        --partition 0:600:1100 --server-outage 700:900 --audit --strict \
+        --max-unrecovered 0 --max-unrecovered-reports 0)
+    echo "${FLAGS_OUT}"
+    NAMED_OUT=$(python -m repro.cli scenario run server-crash-partition-overlap \
+        --sites 8 --seed 7)
+    if [[ "$(tail -n +2 <<<"${FLAGS_OUT}")" != \
+          "$(tail -n +2 <<<"${NAMED_OUT}")" ]]; then
+        echo "ci.sh: the flags ran a different session than the named scenario" >&2
+        exit 1
+    fi
+
+    echo
     echo "== combined gate: control faults and server restarts with data loss, NACK/repair =="
     # Repairs end at the deadline (20 x the bound), not after a few NACKs:
     # a receiver keeps asking while its parent fetches its own copy.

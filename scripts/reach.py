@@ -85,16 +85,13 @@ KEEP = {
         "NamedTuple protocol: _replace builds through it, so both validate",
     "session/streams.py::StreamId._make":
         "NamedTuple protocol: _replace builds through it, so both validate",
-    # The service's state as it runs; ``mark_dirty`` bootstraps an empty
-    # asynchronous session, which no run starts.
+    # The service's state as it runs.
     "pubsub/service.py::MembershipService.pending_build": "inspection",
     "pubsub/service.py::MembershipService.live_sites": "inspection",
     "pubsub/service.py::MembershipService.server_down": "inspection",
     "pubsub/service.py::MembershipService.suspecting_sites": "inspection",
     "pubsub/service.py::MembershipService.mean_convergence_ms":
         "inspection, beside the reached max_convergence_ms",
-    "pubsub/service.py::MembershipService.mark_dirty":
-        "ScenarioRuntime.run's bootstrap of an empty asynchronous session",
     # Reached only by a fault or a violation the runs do not provoke.
     "pubsub/service.py::MembershipService._report_exhausted":
         "a report retransmitted until it gives up",
@@ -102,7 +99,6 @@ KEEP = {
         "a directive push retransmitted until it gives up",
     "sim/invariants.py::Violation.render": "prints a violation",
     # Reached only by CLI input the runs do not give.
-    "cli.py::_parse_window": "parses --partition and --server-outage",
     "core/registry.py::available_algorithms":
         "make_builder's error message for an unknown name",
     # What repr() and str() print, and what they call.

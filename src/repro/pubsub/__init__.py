@@ -17,7 +17,7 @@ construction problem and dictates to every RP its forwarding table.
   and the data-plane simulator.
 """
 
-from repro.pubsub.faults import FaultConfig, FaultyLink, PartitionWindow
+from repro.pubsub.faults import FaultyLink, PartitionWindow
 from repro.pubsub.messages import (
     Advertise,
     Advertisement,
@@ -34,17 +34,17 @@ from repro.pubsub.messages import (
 )
 from repro.pubsub.rp import RPAgent
 from repro.pubsub.membership import MembershipServer
-from repro.pubsub.service import ControlRound, MembershipService
+from repro.pubsub.service import ControlConfig, ControlRound, MembershipService
 from repro.pubsub.system import PubSubSystem
 
 __all__ = [
     "Advertise",
     "Advertisement",
     "ControlAck",
+    "ControlConfig",
     "ControlEnvelope",
     "ControlRound",
     "DirectiveAck",
-    "FaultConfig",
     "FaultyLink",
     "Heartbeat",
     "PartitionWindow",

@@ -10,12 +10,12 @@ timed interval that heals on its own.
 
 Two properties the rest of the system leans on:
 
-* **No draws when unimpaired** — with an unimpaired :class:`FaultConfig`
-  the link makes *no* RNG draws and schedules delivery exactly like
-  ``sim.schedule_in(delay, deliver, *args)``, so the fault layer in the stack
-  is bit-invisible: audit digests of a zero-fault run equal those of a
-  run without the layer at all (pinned in
-  ``tests/scenarios/test_async_control.py``).
+* **No draws when unimpaired** — with an unimpaired
+  :class:`~repro.pubsub.service.ControlConfig` the link makes *no* RNG
+  draws and schedules delivery exactly like ``sim.schedule_in(delay,
+  deliver, *args)``, so the fault layer in the stack is bit-invisible:
+  audit digests of a zero-fault run equal those of a run without the
+  layer at all (pinned in ``tests/scenarios/test_async_control.py``).
 * **Determinism under chaos** — draws happen in simulator event order,
   which the engine makes reproducible, so a lossy run is a pure
   function of (spec, seed).
@@ -24,17 +24,16 @@ Two properties the rest of the system leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.network import SeededLink
 from repro.util.rng import RngStream
-from repro.util.validation import (
-    check_disjoint_windows,
-    check_finite_non_negative,
-    check_probability,
-)
+from repro.util.validation import check_finite_non_negative
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pubsub.service import ControlConfig
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class ServerOutageWindow:
     checkpoint if checkpointing is armed, cold otherwise) and
     reconstructs its registrations from the sites' soft-state refresh.
     Outages are deterministic: no RNG is involved, and windows must not
-    overlap (validated where a set of windows is configured).
+    overlap (:class:`~repro.pubsub.service.ControlConfig` checks).
     """
 
     start_ms: float
@@ -88,61 +87,10 @@ class ServerOutageWindow:
             )
 
 
-@dataclass(frozen=True)
-class FaultConfig:
-    """Fault model of one control link.
-
-    Attributes
-    ----------
-    loss_rate:
-        Per-transmission drop probability.
-    jitter_ms:
-        Per-message delay jitter, uniform in ``[0, jitter_ms]`` on top
-        of the deterministic link delay (this is what reorders messages).
-    duplicate_rate:
-        Probability a delivered message is delivered *again*, strictly
-        later (its copy draws its own jitter).
-    partitions:
-        Timed site<->server cuts; see :class:`PartitionWindow`.
-    outages:
-        Timed membership-server crashes; see :class:`ServerOutageWindow`.
-        Consumed by the :class:`~repro.pubsub.service.MembershipService`
-        (which schedules its own crash/recover transitions), not by the
-        link — the link only moves messages; it is the dead server that
-        ignores them.
-    """
-
-    loss_rate: float = 0.0
-    jitter_ms: float = 0.0
-    duplicate_rate: float = 0.0
-    partitions: tuple[PartitionWindow, ...] = ()
-    outages: tuple[ServerOutageWindow, ...] = ()
-
-    def __post_init__(self) -> None:
-        check_probability("loss_rate", self.loss_rate)
-        check_finite_non_negative("jitter_ms", self.jitter_ms)
-        check_probability("duplicate_rate", self.duplicate_rate)
-        check_disjoint_windows("server outage", self.outages)
-
-    @property
-    def impaired(self) -> bool:
-        """True when any *link* fault can actually fire.
-
-        Server outages deliberately do not count: they impair the
-        server, not the link, so an outage-only link makes no RNG draws
-        and schedules every message at its base delay.
-        """
-        return bool(
-            self.loss_rate
-            or self.jitter_ms
-            or self.duplicate_rate
-            or self.partitions
-        )
-
-
 class FaultyLink(SeededLink):
     """The transport every control message crosses: the seeded link of
-    :mod:`repro.sim.network`, behind the config's partitions.
+    :mod:`repro.sim.network`, behind the config's partitions.  It reads
+    the four link fields of a :class:`~repro.pubsub.service.ControlConfig`.
 
     ``transmit`` either schedules ``deliver(*args)`` (possibly jittered,
     possibly twice) or drops the message; the return value says whether
@@ -154,7 +102,7 @@ class FaultyLink(SeededLink):
         self,
         sim: Simulator,
         rng: RngStream,
-        config: FaultConfig,
+        config: ControlConfig,
     ) -> None:
         super().__init__(
             sim, rng, config.jitter_ms, config.loss_rate, config.duplicate_rate

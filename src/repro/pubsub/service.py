@@ -64,7 +64,7 @@ mechanisms, each inert until its knob is turned:
   silence budget to each link's observed heartbeat cadence.  Two
   instances of it run: the server scoring sites, and (failover armed)
   the sites scoring the server.
-* **Server crash / recovery** (``faults.outages`` or an explicit
+* **Server crash / recovery** (``server_outages`` or an explicit
   ``crash_server()``) — the membership server itself can die: all of
   its soft state (registrations, epochs, dedup floors, pending
   timers) vanishes, and it restarts under a higher *incarnation*
@@ -99,7 +99,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.core.base import BuildResult
 from repro.errors import ConfigurationError, ProtocolError
 from repro.pubsub.detector import DeadlineDetector, PhiAccrualDetector
-from repro.pubsub.faults import FaultConfig, FaultyLink
+from repro.pubsub.faults import FaultyLink, PartitionWindow, ServerOutageWindow
 from repro.pubsub.membership import MembershipServer, ServerCheckpoint
 from repro.pubsub.messages import (
     Advertise,
@@ -120,11 +120,10 @@ from repro.sim.engine import Simulator, Timer
 from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
-    MISS_THRESHOLD,
     check_at_least,
+    check_disjoint_windows,
     check_finite_non_negative,
-    check_miss_threshold_read,
-    check_phi_threshold,
+    check_probability,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -330,6 +329,98 @@ class ControlCounts:
     checkpoint_restores: int = 0
 
 
+#: Missed heartbeats the static deadline tolerates, unless configured.
+MISS_THRESHOLD = 3
+
+
+@dataclass(frozen=True)
+class ControlConfig:
+    """The knobs of one :class:`MembershipService` and its link.
+
+    Each knob is off at its default, and the line above each says what
+    it sets; with every knob off the service is the synchronous
+    degenerate case.  The three flags after the knobs are derived once
+    here, so the service's hot paths read plain attributes.
+    """
+
+    #: One-way control-link propagation delay.
+    control_delay_ms: float = 0.0
+    #: Window over which the service coalesces reports into one round.
+    debounce_ms: float = 0.0
+    #: Probability the link drops one transmission.
+    loss_rate: float = 0.0
+    #: Delay added to each message, uniform in ``[0, jitter_ms]``.
+    jitter_ms: float = 0.0
+    #: Probability a delivered message is delivered again, strictly later.
+    duplicate_rate: float = 0.0
+    #: Timed site<->server cuts (:class:`~repro.pubsub.faults.PartitionWindow`).
+    partitions: tuple[PartitionWindow, ...] = ()
+    #: Heartbeat period of live sites; 0 turns failure detection off.
+    heartbeat_ms: float = 0.0
+    #: Missed beats the static deadline allows (heartbeats, no φ).
+    miss_threshold: int = MISS_THRESHOLD
+    #: Ack timeout that arms retransmission; 0 sends and forgets.
+    retransmit_timeout_ms: float = 0.0
+    #: Timed server crashes (:class:`~repro.pubsub.faults.ServerOutageWindow`).
+    server_outages: tuple[ServerOutageWindow, ...] = ()
+    #: φ-accrual threshold of both detectors; 0 keeps the static deadline.
+    phi_threshold: float = 0.0
+    #: Period of the server's checkpoint; 0 means cold restarts.
+    checkpoint_interval_ms: float = 0.0
+    #: Some link fault can fire (outages impair the server, not the link).
+    impaired: bool = field(init=False, repr=False, compare=False)
+    #: Reports and directive pushes are acked and retransmitted.
+    reliable: bool = field(init=False, repr=False, compare=False)
+    #: Sites tolerate server crashes: armed by scheduled outages only.
+    server_failover: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in (
+            "control_delay_ms",
+            "debounce_ms",
+            "jitter_ms",
+            "heartbeat_ms",
+            "retransmit_timeout_ms",
+            "phi_threshold",
+            "checkpoint_interval_ms",
+        ):
+            check_finite_non_negative(name, getattr(self, name))
+        check_probability("loss_rate", self.loss_rate)
+        check_probability("duplicate_rate", self.duplicate_rate)
+        check_at_least("miss_threshold", self.miss_threshold, 1)
+        check_disjoint_windows("server outage", self.server_outages)
+        beating = self.heartbeat_ms > 0
+        if self.phi_threshold > 0 and not beating:
+            raise ConfigurationError(
+                "phi_threshold requires heartbeat_ms > 0 (the detector "
+                "scores a heartbeat cadence)"
+            )
+        if self.miss_threshold != MISS_THRESHOLD and (
+            not beating or self.phi_threshold > 0
+        ):
+            raise ConfigurationError(
+                f"miss_threshold={self.miss_threshold} is read only by the "
+                "static heartbeat deadline: it requires heartbeat_ms > 0 and "
+                "phi_threshold == 0"
+            )
+        if self.server_outages and not (
+            beating and self.retransmit_timeout_ms > 0
+        ):
+            raise ConfigurationError(
+                "server_outages require heartbeat_ms > 0 and "
+                "retransmit_timeout_ms > 0: crash recovery rides the "
+                "heartbeat/ack streams (heartbeat-acks carry the new "
+                "incarnation, retransmits replay lost reports)"
+            )
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "impaired", bool(
+            self.loss_rate or self.jitter_ms or self.duplicate_rate
+            or self.partitions
+        ))
+        derive(self, "reliable", self.retransmit_timeout_ms > 0)
+        derive(self, "server_failover", bool(self.server_outages))
+
+
 class MembershipService:
     """Event-driven façade over a :class:`MembershipServer`.
 
@@ -347,42 +438,17 @@ class MembershipService:
         ``build_rng.spawn(f"round-{e}")`` — the same labels the
         synchronous scenario path uses, which is what makes the
         zero-delay case bit-identical.
-    control_delay_ms / debounce_ms:
-        One-way link delay and dirty-state coalescing window (both 0 =
-        the synchronous degenerate case).
+    config:
+        Every knob of the service and its link; the defaults are the
+        synchronous degenerate case on a perfect link.
     auditor:
         Optional invariant auditor; each epoch is audited when its last
         directive delivery lands, against the sites actually holding
         that epoch.
-    faults:
-        Control-link fault model; ``None`` is a perfect link.
     chaos_rng:
         Stream feeding the link's loss/jitter/duplication draws;
         ``None`` derives ``build_rng.spawn("chaos-link")`` (spawning is
         stateless, so the derivation cannot perturb the build streams).
-    heartbeat_ms / miss_threshold:
-        Heartbeat period and missed-beat budget of the static deadline
-        (a budget off its default needs it).  0 disables detection.
-    retransmit_timeout_ms:
-        Ack timeout arming the retransmit machinery for reports and
-        directive pushes; 0 keeps the legacy fire-and-forget transport
-        (no acks at all).
-    phi_threshold:
-        φ-accrual suspicion threshold (see
-        :class:`~repro.pubsub.detector.PhiAccrualDetector`); 0 keeps
-        the static ``miss_threshold x heartbeat_ms`` deadline
-        (:class:`~repro.pubsub.detector.DeadlineDetector`).  Requires
-        heartbeats to have a cadence to score.
-    checkpoint_interval_ms:
-        Period of the server's durable soft-state checkpoint; 0
-        disables checkpointing (a crashed server restarts cold and
-        rebuilds purely from the sites' refresh).
-
-    The client-side half of server crash tolerance (heartbeat
-    responses, server suspicion, report parking/replay) is armed
-    exactly when the fault model schedules outages
-    (``server_failover``), which keeps the machinery bit-invisible in
-    crash-free runs.
     """
 
     def __init__(
@@ -391,52 +457,21 @@ class MembershipService:
         server: MembershipServer,
         rps: Mapping[int, RPAgent],
         build_rng: RngStream,
-        control_delay_ms: float = 0.0,
-        debounce_ms: float = 0.0,
+        config: ControlConfig = ControlConfig(),
         auditor: "InvariantAuditor | None" = None,
-        faults: FaultConfig | None = None,
         chaos_rng: RngStream | None = None,
-        heartbeat_ms: float = 0.0,
-        miss_threshold: int = MISS_THRESHOLD,
-        retransmit_timeout_ms: float = 0.0,
-        phi_threshold: float = 0.0,
-        checkpoint_interval_ms: float = 0.0,
     ) -> None:
-        if faults is None:
-            faults = FaultConfig()
-        check_finite_non_negative("control_delay_ms", control_delay_ms)
-        check_finite_non_negative("debounce_ms", debounce_ms)
-        check_finite_non_negative("heartbeat_ms", heartbeat_ms)
-        check_finite_non_negative("retransmit_timeout_ms", retransmit_timeout_ms)
-        check_phi_threshold(phi_threshold)
-        check_finite_non_negative("checkpoint_interval_ms", checkpoint_interval_ms)
-        check_at_least("miss_threshold", miss_threshold, 1)
-        if phi_threshold > 0 and heartbeat_ms <= 0:
-            raise ConfigurationError(
-                "phi_threshold requires heartbeats: the detector scores "
-                "a heartbeat cadence, so heartbeat_ms must be > 0"
-            )
-        check_miss_threshold_read(miss_threshold, heartbeat_ms, phi_threshold)
         self.sim = sim
         self.server = server
         self.rps = rps
         self.build_rng = build_rng
-        self.control_delay_ms = control_delay_ms
-        self.debounce_ms = debounce_ms
+        self.config = config
         self.auditor = auditor
-        self.faults = faults
-        self.heartbeat_ms = heartbeat_ms
-        self.miss_threshold = miss_threshold
-        self.retransmit_timeout_ms = retransmit_timeout_ms
-        self.phi_threshold = phi_threshold
-        self.checkpoint_interval_ms = checkpoint_interval_ms
-        #: Sites tolerate server crashes: armed by scheduled outages only.
-        self.server_failover = bool(faults.outages)
         #: The transport every control message crosses.
         self.link = FaultyLink(
             sim,
             chaos_rng if chaos_rng is not None else build_rng.spawn("chaos-link"),
-            faults,
+            config,
         )
         #: Completed build rounds, in epoch order.
         self.rounds: list[ControlRound] = []
@@ -459,13 +494,13 @@ class MembershipService:
         # -- retransmission ------------------------------------------------
         #: Site->server: sequenced reports awaiting their ControlAck.
         self._reports = RetransmitQueue(
-            sim, retransmit_timeout_ms, self._offer, self._report_exhausted,
-            self.counts,
+            sim, config.retransmit_timeout_ms, self._offer,
+            self._report_exhausted, self.counts,
         )
         #: Server->site: directive pushes awaiting their DirectiveAck.
         self._pushes = RetransmitQueue(
-            sim, retransmit_timeout_ms, self._push, self._push_exhausted,
-            self.counts,
+            sim, config.retransmit_timeout_ms, self._push,
+            self._push_exhausted, self.counts,
         )
         # -- heartbeats / failure detection --------------------------------
         self._live: set[int] = set()
@@ -510,18 +545,19 @@ class MembershipService:
         #: path to learning the server came back).
         self._timers: dict[object, Timer] = {}
         self._arm_sweeps()
-        for window in faults.outages:
+        for window in config.server_outages:
             sim.schedule_at(window.start_ms, self.crash_server)
             sim.schedule_at(window.end_ms, self.recover_server)
 
     def _make_detector(self) -> DeadlineDetector | PhiAccrualDetector:
         """The configured failure detector: φ-accrual or static deadline."""
-        if self.phi_threshold > 0:
+        config = self.config
+        if config.phi_threshold > 0:
             return PhiAccrualDetector(
-                threshold=self.phi_threshold,
-                initial_interval_ms=self.heartbeat_ms,
+                threshold=config.phi_threshold,
+                initial_interval_ms=config.heartbeat_ms,
             )
-        return DeadlineDetector(self.miss_threshold * self.heartbeat_ms)
+        return DeadlineDetector(config.miss_threshold * config.heartbeat_ms)
 
     def _arm_sweeps(self) -> None:
         """Arm every configured recurring sweep that is not running.
@@ -530,12 +566,13 @@ class MembershipService:
         re-armed on recovery; the sites' sweep of the server runs from
         construction until :meth:`quiesce`.
         """
+        config = self.config
         for name, period_ms, sweep in (
-            ("detector", self.heartbeat_ms, self._detect),
-            ("checkpoint", self.checkpoint_interval_ms, self._take_checkpoint),
+            ("detector", config.heartbeat_ms, self._detect),
+            ("checkpoint", config.checkpoint_interval_ms, self._take_checkpoint),
             (
                 "client-sweep",
-                self.heartbeat_ms if self.server_failover else 0.0,
+                config.heartbeat_ms if config.server_failover else 0.0,
                 self._client_detect,
             ),
         ):
@@ -549,11 +586,6 @@ class MembershipService:
             timer = self._timers.pop(key, None)
             if timer is not None:
                 timer.cancel()
-
-    @property
-    def reliable(self) -> bool:
-        """True when the ack/retransmit machinery is armed."""
-        return self.retransmit_timeout_ms > 0
 
     # -- site-side transport entry points -----------------------------------------
 
@@ -612,7 +644,7 @@ class MembershipService:
         heartbeats this degrades to a declared withdrawal, the legacy
         model.
         """
-        if self.heartbeat_ms <= 0:
+        if self.config.heartbeat_ms <= 0:
             return self.withdraw(site)
         self._site_down(site)
         self._fail_times[site] = self.sim.now
@@ -629,15 +661,6 @@ class MembershipService:
         for key in [k for k in self._parked if k[0] == site]:
             del self._parked[key]
         self._cancel_timers(("linger", site))
-
-    def mark_dirty(self) -> None:
-        """Force a build round even without control traffic.
-
-        The bootstrap path of an empty session uses this so the
-        degenerate zero-site round still happens (the synchronous
-        runtime always runs its bootstrap round).
-        """
-        self._mark_dirty()
 
     def quiesce(self) -> None:
         """Stop periodic work (heartbeats + detector) so a drain terminates.
@@ -664,11 +687,11 @@ class MembershipService:
     def _transmit(self, site: int, deliver: Callable[..., None], *args) -> None:
         """Put one message on ``site``'s control link, either direction:
         it lands as ``deliver(*args)`` after the one-way delay."""
-        self.link.transmit(site, self.control_delay_ms, deliver, args)
+        self.link.transmit(site, self.config.control_delay_ms, deliver, args)
 
     def _send(self, message: ControlEnvelope, site: int) -> None:
         entry = _Pending(site, message.seq, _kind_of(message), message)
-        if self.server_failover and site in self._suspecting:
+        if self.config.server_failover and site in self._suspecting:
             # The site believes the server is down: transmitting would
             # only burn retransmit attempts into a dead socket.  Park
             # the report; it replays in seq order on the next server
@@ -676,7 +699,7 @@ class MembershipService:
             self._park(entry)
             return
         self._offer(entry)
-        if self.reliable:
+        if self.config.reliable:
             self._reports.track(entry)
 
     def _offer(self, entry: _Pending) -> None:
@@ -692,7 +715,7 @@ class MembershipService:
         self._ensure_linger(entry.site)
 
     def _report_exhausted(self, entry: _Pending) -> None:
-        if not self.server_failover:
+        if not self.config.server_failover:
             self.counts.retransmit_giveups += 1
             return
         # Ack starvation with failover armed is a server-death signal,
@@ -728,7 +751,7 @@ class MembershipService:
                 self.counts.stale_reports_discarded += 1
             # Idempotent discard: no re-dirtying — but in reliable mode
             # re-ack so the sender's retransmit loop stops.
-            if self.reliable:
+            if self.config.reliable:
                 self._ack_report(site, kind, message.seq)
             return
         if isinstance(message, Advertise):
@@ -748,7 +771,7 @@ class MembershipService:
                 # this message to it: applying it again would roll a
                 # second epoch for one departure.
                 self.counts.duplicate_withdraws += 1
-                if self.reliable:
+                if self.config.reliable:
                     self._ack_report(site, kind, message.seq)
                 return
             self.server.withdraw_site(site)
@@ -756,7 +779,7 @@ class MembershipService:
             self._site_detector.forget(site)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected control message {message!r}")
-        if self.reliable:
+        if self.config.reliable:
             self._ack_report(site, kind, message.seq)
         if self._recovery_started is not None:
             self._check_recovered()
@@ -765,7 +788,7 @@ class MembershipService:
         # rebuilds on every report, and randomized builders make
         # "rebuild with unchanged workload" an observable event, so
         # triggering must not depend on whether the payload changed.
-        self._mark_dirty()
+        self.mark_dirty()
 
     def _discard_reason(self, site: int, kind: str, seq: int) -> str | None:
         """Why delivering report ``seq`` now would discard it, else None.
@@ -821,14 +844,11 @@ class MembershipService:
         self._cancel_timers(("beat", site))
 
     def _start_heartbeat(self, site: int) -> None:
-        if (
-            self.heartbeat_ms <= 0
-            or self._quiesced
-            or ("beat", site) in self._timers
-        ):
+        period_ms = self.config.heartbeat_ms
+        if period_ms <= 0 or self._quiesced or ("beat", site) in self._timers:
             return
         self._timers["beat", site] = self.sim.schedule_timer(
-            self.heartbeat_ms, self._beat, site, interval_ms=self.heartbeat_ms
+            period_ms, self._beat, site, interval_ms=period_ms
         )
 
     def _beat(self, site: int) -> None:
@@ -848,7 +868,7 @@ class MembershipService:
         now = self.sim.now
         self.server.ensure_epoch_floor(message.epoch)
         self._site_detector.observe(site, now)
-        if self.server_failover:
+        if self.config.server_failover:
             # Answer every beat: the stream of these acks is what the
             # site's server-suspicion detector scores, and the
             # incarnation stamp is how a site first learns the server
@@ -916,7 +936,7 @@ class MembershipService:
         self._withdrawn.add(site)
         self._site_detector.forget(site)
         self.server.withdraw_site(site)
-        self._mark_dirty()
+        self.mark_dirty()
 
     # -- server crash / recovery -----------------------------------------------------
 
@@ -1010,7 +1030,7 @@ class MembershipService:
         if 0 < incarnation < known:
             self.counts.stale_incarnation_discards += 1
             return "stale"
-        if self.server_failover:
+        if self.config.server_failover:
             if beat:
                 self._server_detector.observe(site, self.sim.now)
             else:
@@ -1079,7 +1099,7 @@ class MembershipService:
         the horizon is exactly what ``unrecovered_reports`` counts.
         """
         if (
-            self.retransmit_timeout_ms <= 0
+            self.config.retransmit_timeout_ms <= 0
             or self._quiesced
             or site in self._live
             or ("linger", site) in self._timers
@@ -1087,7 +1107,7 @@ class MembershipService:
         ):
             return
         self._timers["linger", site] = self.sim.schedule_timer(
-            self.retransmit_timeout_ms, self._linger_probe, site
+            self.config.retransmit_timeout_ms, self._linger_probe, site
         )
 
     def _linger_probe(self, site: int) -> None:
@@ -1097,7 +1117,7 @@ class MembershipService:
             return
         self._offer(self._parked[keys[0]])
         self._timers["linger", site] = self.sim.schedule_timer(
-            self.retransmit_timeout_ms * RETRANSMIT_BACKOFF_CAP,
+            self.config.retransmit_timeout_ms * RETRANSMIT_BACKOFF_CAP,
             self._linger_probe,
             site,
         )
@@ -1113,17 +1133,25 @@ class MembershipService:
             entry = self._parked.pop(key)
             self.counts.reports_replayed += 1
             self._offer(entry)
-            if self.reliable:
+            if self.config.reliable:
                 self._reports.track(entry)
 
     # -- debounced build rounds ------------------------------------------------------
 
-    def _mark_dirty(self) -> None:
+    def mark_dirty(self) -> None:
+        """Coalesce one change into the open debounce window, opening one
+        if none is open; a build round follows when it closes.
+
+        Every applied arrival and detected failure calls this.  The
+        bootstrap of an empty session calls it directly, so the
+        degenerate zero-site round still happens (the synchronous
+        runtime always runs its bootstrap round).
+        """
         self._coalesced += 1
         if self._pending is None:
             self._trigger_ms = self.sim.now
             self._pending = self.sim.schedule_timer(
-                self.debounce_ms, self._build_round
+                self.config.debounce_ms, self._build_round
             )
 
     def _build_round(self) -> None:
@@ -1164,7 +1192,7 @@ class MembershipService:
         for site in installed:
             entry = _Pending(site, round_.epoch, "directive", round_)
             self._push(entry)
-            if self.reliable:
+            if self.config.reliable:
                 self._pushes.track(entry)
 
     # -- directive installation ------------------------------------------------------
@@ -1221,7 +1249,7 @@ class MembershipService:
             # re-ack so it stops.
             self.counts.duplicate_directives += 1
             if (
-                self.reliable
+                self.config.reliable
                 and site not in round_.stale_sites
                 and installed >= ballot
             ):

@@ -29,11 +29,15 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.registry import make_builder
 from repro.errors import SimulationError
-from repro.pubsub.faults import FaultConfig
 from repro.pubsub.membership import MembershipServer
 from repro.pubsub.messages import DisplaySubscription, OverlayDirective
 from repro.pubsub.rp import RPAgent
-from repro.pubsub.service import ControlCounts, ControlRound, MembershipService
+from repro.pubsub.service import (
+    ControlConfig,
+    ControlCounts,
+    ControlRound,
+    MembershipService,
+)
 from repro.scenarios.spec import EventKind, ScenarioEvent, ScenarioSpec
 from repro.session.capacity import HeterogeneousCapacityModel, UniformCapacityModel
 from repro.session.session import SessionConfig, TISession, build_session
@@ -80,10 +84,9 @@ class ScenarioReport:
     dataplane_max_latency_ms: float = 0.0
     dataplane_bound_violations: int = 0
     #: Event-driven control-plane results (meaningful only when the
-    #: spec ran with ``async_control``).
-    async_control: bool = False
-    control_delay_ms: float = 0.0
-    debounce_ms: float = 0.0
+    #: spec ran with ``async_control``, whose knobs ``control_config``
+    #: holds; ``None`` on a synchronous run).
+    control_config: ControlConfig | None = None
     convergence_total_ms: float = 0.0
     convergence_rounds: int = 0
     max_convergence_ms: float = 0.0
@@ -178,10 +181,11 @@ class ScenarioReport:
             f"{self.assemblies_scratch} scratch",
         ]
         control = self.control
-        if self.async_control:
+        config = self.control_config
+        if config is not None:
             lines.append(
-                f"async control [delay {self.control_delay_ms:.0f}ms, "
-                f"debounce {self.debounce_ms:.0f}ms]: convergence mean "
+                f"async control [delay {config.control_delay_ms:.0f}ms, "
+                f"debounce {config.debounce_ms:.0f}ms]: convergence mean "
                 f"{self.mean_convergence_ms:.1f}ms / max "
                 f"{self.max_convergence_ms:.1f}ms, "
                 f"{self.overlapping_rounds} overlapping rounds, "
@@ -319,22 +323,9 @@ class ScenarioRuntime:
                 server=self.server,
                 rps=self.rps,
                 build_rng=self._build_rng,
-                control_delay_ms=spec.control_delay_ms,
-                debounce_ms=spec.debounce_ms,
+                config=spec.control_config,
                 auditor=self.auditor,
-                faults=FaultConfig(
-                    loss_rate=spec.loss_rate,
-                    jitter_ms=spec.jitter_ms,
-                    duplicate_rate=spec.duplicate_rate,
-                    partitions=spec.partitions,
-                    outages=spec.server_outages,
-                ),
                 chaos_rng=self.rng.spawn("chaos"),
-                heartbeat_ms=spec.heartbeat_ms,
-                miss_threshold=spec.miss_threshold,
-                retransmit_timeout_ms=spec.retransmit_timeout_ms,
-                phi_threshold=spec.phi_threshold,
-                checkpoint_interval_ms=spec.checkpoint_interval_ms,
             )
             self.service.on_round = self._record_async_round
 
@@ -556,9 +547,7 @@ class ScenarioRuntime:
         """Copy the service's latencies and counts into the report."""
         service = self.service
         assert service is not None
-        self.report.async_control = True
-        self.report.control_delay_ms = service.control_delay_ms
-        self.report.debounce_ms = service.debounce_ms
+        config = self.report.control_config = service.config
         converged = service.converged_rounds()
         self.report.convergence_rounds = len(converged)
         self.report.convergence_total_ms = left_sum(
@@ -567,10 +556,8 @@ class ScenarioRuntime:
         self.report.max_convergence_ms = service.max_convergence_ms()
         self.report.overlapping_rounds = service.overlapping_rounds()
         self.report.control = replace(service.counts)
-        self.report.chaos = bool(
-            service.faults.impaired
-            or service.reliable
-            or service.heartbeat_ms > 0
+        self.report.chaos = (
+            config.impaired or config.reliable or config.heartbeat_ms > 0
         )
         if self.report.chaos:
             link = service.link
@@ -584,7 +571,7 @@ class ScenarioRuntime:
                 1 for site in self.active if site not in registered
             )
         self.report.server_recovery = bool(
-            service.server_failover or service.counts.server_crashes
+            config.server_failover or service.counts.server_crashes
         )
         if self.report.server_recovery:
             self.report.mean_recovery_ms = service.mean_recovery_ms()

@@ -24,14 +24,11 @@ from dataclasses import dataclass, field, fields
 
 from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
+from repro.pubsub.service import MISS_THRESHOLD, ControlConfig
 from repro.util.rng import RngStream
 from repro.util.validation import (
-    MISS_THRESHOLD,
     check_at_least,
-    check_disjoint_windows,
     check_finite_non_negative,
-    check_miss_threshold_read,
-    check_phi_threshold,
     check_positive,
     check_probability,
     check_rebuild_policy,
@@ -72,23 +69,11 @@ class SchedulePhase:
             )
 
 
-#: The spec fields only the event-driven membership service reads.  Off
-#: its default, each requires ``async_control``; the CLI's flag for each
+#: The spec fields only the event-driven membership service reads: one
+#: per :class:`~repro.pubsub.service.ControlConfig` knob.  Off its
+#: default, each requires ``async_control``; the CLI's flag for each
 #: implies ``--async-control``.
-CONTROL_PLANE_FIELDS = (
-    "control_delay_ms",
-    "debounce_ms",
-    "loss_rate",
-    "jitter_ms",
-    "duplicate_rate",
-    "partitions",
-    "heartbeat_ms",
-    "miss_threshold",
-    "retransmit_timeout_ms",
-    "server_outages",
-    "phi_threshold",
-    "checkpoint_interval_ms",
-)
+CONTROL_PLANE_FIELDS = tuple(f.name for f in fields(ControlConfig) if f.init)
 
 
 @dataclass(frozen=True)
@@ -133,37 +118,11 @@ class ScenarioSpec:
         delays zero this is the degenerate case, bit-identical to the
         synchronous path.  Every field in :data:`CONTROL_PLANE_FIELDS`
         requires it when off its default.
-    control_delay_ms / debounce_ms:
-        One-way control-link propagation delay and the service's
-        dirty-state coalescing window.
-    loss_rate / jitter_ms / duplicate_rate / partitions:
-        Control-link fault model (see :mod:`repro.pubsub.faults`):
-        per-message drop probability, uniform delay jitter, duplicate
-        delivery probability, and timed site<->server partitions.
-    heartbeat_ms / miss_threshold:
-        Failure-detection knobs: live sites beat every
-        ``heartbeat_ms``; the server withdraws a registered site silent
-        for ``miss_threshold`` beat periods (so a budget off its default
-        needs heartbeats and no φ).  0 disables detection (an abrupt
-        FAIL degrades to a declared withdrawal).
-    retransmit_timeout_ms:
-        Ack timeout arming retransmission with capped exponential
-        backoff for reports and directive pushes; 0 keeps the legacy
-        fire-and-forget transport.
-    server_outages:
-        Timed membership-server crashes (see
-        :class:`~repro.pubsub.faults.ServerOutageWindow`): the server
-        loses all soft state at each window start and restarts under a
-        higher incarnation at its end.  Require heartbeats and
-        retransmission (the recovery protocol rides both).
-    phi_threshold:
-        φ-accrual suspicion threshold replacing the static
-        ``miss_threshold x heartbeat_ms`` deadline on both failure
-        detectors; 0 keeps the static deadline.  Requires
-        ``heartbeat_ms > 0``.
-    checkpoint_interval_ms:
-        Period of the server's durable soft-state checkpoint for warm
-        restarts; 0 means crashed servers restart cold.
+    control_delay_ms ... checkpoint_interval_ms:
+        The service's knobs, flat: one keyword per
+        :class:`~repro.pubsub.service.ControlConfig` field, which says
+        what each sets and checks them.  An async spec builds the
+        config once, as :attr:`control_config` (``None`` otherwise).
     data_loss_rate / data_jitter_ms / data_duplicate_rate:
         Data-plane fault model for the per-round dissemination
         measurement (the data mirror of the control knobs above).  Any
@@ -217,6 +176,9 @@ class ScenarioSpec:
     data_nack: bool = False
     data_max_repair_attempts: int = 3
     data_repair_deadline_factor: float = 2.0
+    control_config: ControlConfig | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -241,31 +203,18 @@ class ScenarioSpec:
         if self.streams_per_site is not None:
             check_at_least("streams_per_site", self.streams_per_site, 1)
         check_at_least("capacity_jitter", self.capacity_jitter, 0)
-        check_finite_non_negative("control_delay_ms", self.control_delay_ms)
-        check_finite_non_negative("debounce_ms", self.debounce_ms)
-        check_probability("loss_rate", self.loss_rate)
-        check_finite_non_negative("jitter_ms", self.jitter_ms)
-        check_probability("duplicate_rate", self.duplicate_rate)
-        check_finite_non_negative("heartbeat_ms", self.heartbeat_ms)
-        check_finite_non_negative(
-            "retransmit_timeout_ms", self.retransmit_timeout_ms
-        )
-        if self.miss_threshold < 1:
-            raise ConfigurationError(
-                f"miss_threshold must be >= 1, got {self.miss_threshold}"
+        config = None
+        if self.async_control:
+            config = ControlConfig(
+                **{name: getattr(self, name) for name in CONTROL_PLANE_FIELDS}
             )
-        check_phi_threshold(self.phi_threshold)
-        check_finite_non_negative(
-            "checkpoint_interval_ms", self.checkpoint_interval_ms
-        )
-        check_disjoint_windows("server outage", self.server_outages)
-        for window in self.partitions:
-            if window.site >= self.n_sites:
-                raise ConfigurationError(
-                    f"partition site {window.site} is outside the pool of "
-                    f"{self.n_sites} sites"
-                )
-        if not self.async_control:
+            for window in config.partitions:
+                if window.site >= self.n_sites:
+                    raise ConfigurationError(
+                        f"partition site {window.site} is outside the pool "
+                        f"of {self.n_sites} sites"
+                    )
+        else:
             defaults = {f.name: f.default for f in fields(self)}
             for name in CONTROL_PLANE_FIELDS:
                 if getattr(self, name) != defaults[name]:
@@ -273,34 +222,16 @@ class ScenarioSpec:
                         f"{name} requires async_control=True (the synchronous "
                         "path has no control links and no service)"
                     )
-        if self.phi_threshold > 0 and self.heartbeat_ms <= 0:
-            raise ConfigurationError(
-                "phi_threshold requires heartbeat_ms > 0 (the detector "
-                "scores a heartbeat cadence)"
-            )
-        check_miss_threshold_read(
-            self.miss_threshold, self.heartbeat_ms, self.phi_threshold
-        )
-        if self.server_outages and (
-            self.heartbeat_ms <= 0 or self.retransmit_timeout_ms <= 0
-        ):
-            raise ConfigurationError(
-                "server_outages require heartbeat_ms > 0 and "
-                "retransmit_timeout_ms > 0: crash recovery rides the "
-                "heartbeat/ack streams (heartbeat-acks carry the new "
-                "incarnation, retransmits replay lost reports)"
-            )
+        object.__setattr__(self, "control_config", config)  # frozen
         check_probability("data_loss_rate", self.data_loss_rate)
         check_finite_non_negative("data_jitter_ms", self.data_jitter_ms)
         check_probability("data_duplicate_rate", self.data_duplicate_rate)
         check_finite_non_negative(
             "data_repair_deadline_factor", self.data_repair_deadline_factor
         )
-        if self.data_max_repair_attempts < 1:
-            raise ConfigurationError(
-                "data_max_repair_attempts must be >= 1, got "
-                f"{self.data_max_repair_attempts}"
-            )
+        check_at_least(
+            "data_max_repair_attempts", self.data_max_repair_attempts, 1
+        )
 
     @property
     def data_chaotic(self) -> bool:

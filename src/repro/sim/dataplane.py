@@ -50,6 +50,7 @@ from repro.sim.network import LatencyNetwork
 from repro.util.floats import left_sum
 from repro.util.rng import RngStream
 from repro.util.validation import (
+    check_at_least,
     check_finite_non_negative,
     check_positive,
     check_probability,
@@ -259,10 +260,7 @@ class ForestDataPlane(_Plane):
         repair_deadline_factor: float = 2.0,
         collect_percentiles: bool = False,
     ) -> None:
-        if max_repair_attempts < 1:
-            raise SimulationError(
-                f"max_repair_attempts must be >= 1, got {max_repair_attempts}"
-            )
+        check_at_least("max_repair_attempts", max_repair_attempts, 1)
         check_finite_non_negative("repair_deadline_factor", repair_deadline_factor)
         super().__init__(session, forest, rng, fps, latency_bound_ms)
         self.nack_enabled = nack_enabled

@@ -68,36 +68,6 @@ def check_rebuild_policy(value: str) -> str:
     return value
 
 
-def check_phi_threshold(value: float) -> float:
-    """Validate a φ-accrual suspicion threshold.
-
-    ``0`` disables the adaptive detector (the static
-    ``miss_threshold x heartbeat_ms`` deadline applies); any positive
-    finite value arms it.  NaN, inf and negatives are configuration
-    errors — a NaN threshold would silently disable every suspicion
-    (``phi > NaN`` is always False), which is the worst failure mode a
-    failure detector can have.
-    """
-    return check_finite_non_negative("phi_threshold", value)
-
-
-#: Missed heartbeats the static deadline tolerates, unless configured.
-MISS_THRESHOLD = 3
-
-
-def check_miss_threshold_read(
-    miss_threshold: int, heartbeat_ms: float, phi_threshold: float
-) -> None:
-    """Refuse a ``miss_threshold`` off its default that no detector reads:
-    without heartbeats nothing is detected, and φ scores the cadence."""
-    if miss_threshold != MISS_THRESHOLD and (heartbeat_ms <= 0 or phi_threshold > 0):
-        raise ConfigurationError(
-            f"miss_threshold={miss_threshold} is read only by the static "
-            "heartbeat deadline: it requires heartbeat_ms > 0 and "
-            "phi_threshold == 0"
-        )
-
-
 def check_disjoint_windows(name: str, windows) -> None:
     """Require ``[start_ms, end_ms)`` windows that do not overlap.
 

@@ -16,9 +16,9 @@ class TestAsyncReport:
             control_delay_ms=30.0,
             debounce_ms=5.0,
         )
-        assert report.async_control
-        assert report.control_delay_ms == 30.0
-        assert report.debounce_ms == 5.0
+        assert report.control_config is not None
+        assert report.control_config.control_delay_ms == 30.0
+        assert report.control_config.debounce_ms == 5.0
         assert report.convergence_rounds == report.rounds
 
     def test_audit_flag_attaches_auditor(self):

@@ -7,12 +7,8 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pubsub.faults import (
-    FaultConfig,
-    FaultyLink,
-    PartitionWindow,
-    ServerOutageWindow,
-)
+from repro.pubsub.faults import FaultyLink, PartitionWindow, ServerOutageWindow
+from repro.pubsub.service import ControlConfig
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
 from tests.forced_links import force_drops
@@ -36,10 +32,10 @@ class CountingRng:
         return self._rng.uniform(low, high)
 
 
-def make_link(config: FaultConfig | None = None):
+def make_link(config: ControlConfig | None = None):
     sim = Simulator()
     rng = CountingRng()
-    link = FaultyLink(sim, rng, config or FaultConfig())
+    link = FaultyLink(sim, rng, config or ControlConfig())
     return sim, rng, link
 
 
@@ -55,18 +51,18 @@ class TestZeroFaultTransparency:
         assert link.dropped == 0
 
     def test_impaired_property(self):
-        assert not FaultConfig().impaired
-        assert FaultConfig(loss_rate=0.1).impaired
-        assert FaultConfig(jitter_ms=1.0).impaired
-        assert FaultConfig(duplicate_rate=0.1).impaired
-        assert FaultConfig(
+        assert not ControlConfig().impaired
+        assert ControlConfig(loss_rate=0.1).impaired
+        assert ControlConfig(jitter_ms=1.0).impaired
+        assert ControlConfig(duplicate_rate=0.1).impaired
+        assert ControlConfig(
             partitions=(PartitionWindow(0, 0.0, 1.0),)
         ).impaired
 
 
 class TestLoss:
     def test_certain_loss_drops_everything(self):
-        sim, _, link = make_link(FaultConfig(loss_rate=1.0))
+        sim, _, link = make_link(ControlConfig(loss_rate=1.0))
         arrivals: list[float] = []
         for _ in range(10):
             assert not link.transmit(0, 1.0, lambda: arrivals.append(sim.now), ())
@@ -79,7 +75,7 @@ class TestLoss:
         def outcomes(seed: int) -> list[bool]:
             sim = Simulator()
             link = FaultyLink(
-                sim, RngStream(seed, label="loss"), FaultConfig(loss_rate=0.5)
+                sim, RngStream(seed, label="loss"), ControlConfig(loss_rate=0.5)
             )
             return [link.transmit(0, 1.0, lambda: None, ()) for _ in range(50)]
 
@@ -89,7 +85,7 @@ class TestLoss:
 
 class TestJitter:
     def test_jitter_bounded_and_additive(self):
-        sim, _, link = make_link(FaultConfig(jitter_ms=5.0))
+        sim, _, link = make_link(ControlConfig(jitter_ms=5.0))
         arrivals: list[float] = []
         for _ in range(20):
             link.transmit(0, 10.0, lambda: arrivals.append(sim.now), ())
@@ -111,7 +107,7 @@ class TestJitter:
 
     def test_link_arrivals_are_base_plus_uniform(self):
         sim = Simulator()
-        config = FaultConfig(jitter_ms=8.0, duplicate_rate=0.3)
+        config = ControlConfig(jitter_ms=8.0, duplicate_rate=0.3)
         link = FaultyLink(sim, RngStream(5, "link"), config)
         arrivals: list[float] = []
         for _ in range(200):
@@ -130,7 +126,7 @@ class TestJitter:
 
 class TestDuplication:
     def test_certain_duplication_delivers_twice(self):
-        sim, _, link = make_link(FaultConfig(duplicate_rate=1.0))
+        sim, _, link = make_link(ControlConfig(duplicate_rate=1.0))
         arrivals: list[float] = []
         link.transmit(0, 3.0, lambda: arrivals.append(sim.now), ())
         sim.run()
@@ -139,7 +135,7 @@ class TestDuplication:
         assert link.delivered == 2  # arrivals scheduled, the copy included
 
     def test_copy_lands_strictly_after_original(self):
-        sim, _, link = make_link(FaultConfig(duplicate_rate=1.0))
+        sim, _, link = make_link(ControlConfig(duplicate_rate=1.0))
         order: list[str] = []
         link.transmit(0, 3.0, lambda: order.append("arrival"), ())
         sim.run()
@@ -151,7 +147,7 @@ class TestDuplication:
 class TestPartitions:
     def test_window_cuts_then_heals(self):
         window = PartitionWindow(site=1, start_ms=10.0, end_ms=20.0)
-        sim, _, link = make_link(FaultConfig(partitions=(window,)))
+        sim, _, link = make_link(ControlConfig(partitions=(window,)))
         arrivals: list[float] = []
 
         def send() -> None:
@@ -165,7 +161,7 @@ class TestPartitions:
 
     def test_other_sites_unaffected(self):
         window = PartitionWindow(site=1, start_ms=0.0, end_ms=100.0)
-        sim, _, link = make_link(FaultConfig(partitions=(window,)))
+        sim, _, link = make_link(ControlConfig(partitions=(window,)))
         delivered: list[int] = []
         link.transmit(0, 1.0, lambda: delivered.append(0), ())
         link.transmit(2, 1.0, lambda: delivered.append(2), ())
@@ -174,7 +170,7 @@ class TestPartitions:
 
     def test_window_is_half_open(self):
         window = PartitionWindow(site=0, start_ms=10.0, end_ms=20.0)
-        _, _, link = make_link(FaultConfig(partitions=(window,)))
+        _, _, link = make_link(ControlConfig(partitions=(window,)))
         assert not link.partitioned(0, 9.999)
         assert link.partitioned(0, 10.0)
         assert link.partitioned(0, 19.999)
@@ -200,7 +196,7 @@ class TestPartitions:
 
     def test_unbounded_end_accepted(self):
         window = PartitionWindow(0, 5.0, INF)
-        _, _, link = make_link(FaultConfig(partitions=(window,)))
+        _, _, link = make_link(ControlConfig(partitions=(window,)))
         assert link.partitioned(0, 1e300) and not link.partitioned(0, 4.0)
 
 
@@ -219,7 +215,7 @@ class TestPartitionTable:
     must answer exactly what asking every window on its own did."""
 
     def test_agrees_with_every_window_covers(self):
-        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        _, _, link = make_link(ControlConfig(partitions=TABLE_WINDOWS))
         bounds = {w.start_ms for w in TABLE_WINDOWS} | {w.end_ms for w in TABLE_WINDOWS}
         times = [t / 4.0 for t in range(-8, 280)]
         times += [math.nextafter(b, d) for b in bounds for d in (-INF, INF)]
@@ -230,24 +226,24 @@ class TestPartitionTable:
                 ), (site, t)
 
     def test_start_inclusive_end_exclusive(self):
-        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        _, _, link = make_link(ControlConfig(partitions=TABLE_WINDOWS))
         assert link.partitioned(1, 10.0) and not link.partitioned(1, 60.0)
         assert link.partitioned(1, 20.0)  # inside the overlapping window
         assert not link.partitioned(1, 30.0) and not link.partitioned(1, 45.0)
         assert link.partitioned(3, 0.0) and not link.partitioned(3, 5.0)
 
     def test_site_without_a_window_is_never_cut(self):
-        _, _, link = make_link(FaultConfig(partitions=TABLE_WINDOWS))
+        _, _, link = make_link(ControlConfig(partitions=TABLE_WINDOWS))
         assert not any(
             link.partitioned(site, t) for site in (0, 2, 4) for t in (0.0, 15.0, 55.0)
         )
-        _, _, unpartitioned = make_link(FaultConfig(loss_rate=0.5))
+        _, _, unpartitioned = make_link(ControlConfig(loss_rate=0.5))
         assert not unpartitioned.partitioned(1, 15.0)
 
 
 class TestForcedDrops:
     def test_forced_drop_consumes_no_randomness(self):
-        sim, rng, link = make_link(FaultConfig(loss_rate=0.5, jitter_ms=2.0))
+        sim, rng, link = make_link(ControlConfig(loss_rate=0.5, jitter_ms=2.0))
         force_drops(link, lambda kind, attempt, args: True)
         assert not link.transmit(0, 1.0, lambda: None, ())
         assert link.dropped == link.sent == 1
@@ -257,12 +253,12 @@ class TestForcedDrops:
 class TestConfigValidation:
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultConfig(loss_rate=1.5)
+            ControlConfig(loss_rate=1.5)
         with pytest.raises(ConfigurationError):
-            FaultConfig(duplicate_rate=-0.1)
+            ControlConfig(duplicate_rate=-0.1)
         for jitter_ms in (-1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigurationError, match="jitter_ms"):
-                FaultConfig(jitter_ms=jitter_ms)
+                ControlConfig(jitter_ms=jitter_ms)
 
 
 class TestOutageWindowValidation:
@@ -293,8 +289,8 @@ class TestOutageWindowValidation:
             match=r"server outage windows overlap: \[100.0, 300.0\) and "
             r"\[200.0, 400.0\)",
         ):
-            FaultConfig(
-                outages=(
+            ControlConfig(
+                server_outages=(
                     ServerOutageWindow(100.0, 300.0),
                     ServerOutageWindow(200.0, 400.0),
                 )
@@ -302,19 +298,21 @@ class TestOutageWindowValidation:
 
     def test_overlap_check_is_order_independent(self):
         with pytest.raises(ConfigurationError, match="overlap"):
-            FaultConfig(
-                outages=(
+            ControlConfig(
+                server_outages=(
                     ServerOutageWindow(200.0, 400.0),
                     ServerOutageWindow(100.0, 300.0),
                 )
             )
 
     def test_disjoint_and_touching_windows_accepted(self):
-        config = FaultConfig(
-            outages=(
+        config = ControlConfig(
+            server_outages=(
                 ServerOutageWindow(100.0, 200.0),
                 ServerOutageWindow(200.0, 300.0),
-            )
+            ),
+            heartbeat_ms=40.0,
+            retransmit_timeout_ms=60.0,
         )
         # Outages impair the server, not the link: the link keeps its
         # zero-fault fast path.

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import repro
 from repro.core.randomized import RandomJoinBuilder
-from repro.pubsub.faults import FaultConfig, ServerOutageWindow
+from repro.pubsub.faults import ServerOutageWindow
 from repro.pubsub.messages import Heartbeat, HeartbeatAck
-from repro.pubsub.service import MembershipService
+from repro.pubsub.service import ControlConfig, MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator, Timer
 from repro.util.rng import RngStream
@@ -54,17 +54,17 @@ def chaos_session(session):
         server=system.server,
         rps=system.rps,
         build_rng=RngStream(5, label="work-test"),
-        control_delay_ms=5.0,
-        faults=FaultConfig(
+        config=ControlConfig(
+            control_delay_ms=5.0,
             loss_rate=0.1,
             jitter_ms=3.0,
             duplicate_rate=0.1,
-            outages=(ServerOutageWindow(400.0, 600.0),),
+            server_outages=(ServerOutageWindow(400.0, 600.0),),
+            heartbeat_ms=20.0,
+            retransmit_timeout_ms=30.0,
+            phi_threshold=8.0,
         ),
         chaos_rng=RngStream(9, label="chaos"),
-        heartbeat_ms=20.0,
-        retransmit_timeout_ms=30.0,
-        phi_threshold=8.0,
     )
     for site, rp in sorted(system.rps.items()):
         service.advertise(rp.advertisement())

@@ -21,7 +21,7 @@ from repro.pubsub.messages import (
     Subscribe,
     Withdraw,
 )
-from repro.pubsub.service import MembershipService, _kind_of
+from repro.pubsub.service import ControlConfig, MembershipService, _kind_of
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -167,7 +167,7 @@ class TestControlEnvelopes:
             server=system.server,
             rps=system.rps,
             build_rng=RngStream(5, label="envelope-test"),
-            retransmit_timeout_ms=10.0,
+            config=ControlConfig(retransmit_timeout_ms=10.0),
         )
         wire = []
 

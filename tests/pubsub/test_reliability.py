@@ -11,9 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.randomized import RandomJoinBuilder
-from repro.pubsub.faults import FaultConfig, PartitionWindow
+from repro.pubsub.faults import PartitionWindow
 from repro.pubsub.messages import Advertise, Subscribe, Withdraw
-from repro.pubsub.service import MAX_RETRANSMITS, MembershipService, _Pending
+from repro.pubsub.service import (
+    MAX_RETRANSMITS,
+    ControlConfig,
+    MembershipService,
+    _Pending,
+)
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
@@ -21,15 +26,9 @@ from tests.forced_links import force_drops
 
 
 def make_chaos_service(
-    session,
-    faults: FaultConfig | None = None,
-    heartbeat_ms: float = 0.0,
-    miss_threshold: int = 3,
-    retransmit_timeout_ms: float = 0.0,
-    drop=None,
-    control_delay_ms: float = 0.0,
-    debounce_ms: float = 0.0,
+    session, drop=None, **knobs
 ) -> tuple[PubSubSystem, MembershipService, Simulator]:
+    """A service over ``session`` whose :class:`ControlConfig` is ``knobs``."""
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
     service = MembershipService(
@@ -37,13 +36,8 @@ def make_chaos_service(
         server=system.server,
         rps=system.rps,
         build_rng=RngStream(5, label="reliability-test"),
-        control_delay_ms=control_delay_ms,
-        debounce_ms=debounce_ms,
-        faults=faults or FaultConfig(),
+        config=ControlConfig(**knobs),
         chaos_rng=RngStream(9, label="chaos"),
-        heartbeat_ms=heartbeat_ms,
-        miss_threshold=miss_threshold,
-        retransmit_timeout_ms=retransmit_timeout_ms,
     )
     if drop is not None:
         force_drops(service.link, drop)
@@ -411,7 +405,7 @@ class TestRetransmitTimerHygiene:
     def test_duplicate_directive_copies_are_idempotent(self, small_session):
         system, service, sim = make_chaos_service(
             small_session,
-            faults=FaultConfig(duplicate_rate=1.0),
+            duplicate_rate=1.0,
             retransmit_timeout_ms=20.0,
         )
         announce_all(system, service)
@@ -483,11 +477,7 @@ class TestHeartbeatDetection:
         as a fresh join."""
         system, service, sim = make_chaos_service(
             small_session,
-            faults=FaultConfig(
-                partitions=(
-                    PartitionWindow(site=1, start_ms=30.0, end_ms=100.0),
-                )
-            ),
+            partitions=(PartitionWindow(site=1, start_ms=30.0, end_ms=100.0),),
             heartbeat_ms=10.0,
             miss_threshold=3,
         )

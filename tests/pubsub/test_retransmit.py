@@ -7,10 +7,11 @@ pushes; everything here runs it over a bare :class:`Simulator` and a
 
 from __future__ import annotations
 
-from repro.pubsub.faults import FaultConfig, FaultyLink
+from repro.pubsub.faults import FaultyLink
 from repro.pubsub.service import (
     MAX_RETRANSMITS,
     RETRANSMIT_BACKOFF_CAP,
+    ControlConfig,
     ControlCounts,
     RetransmitQueue,
     _Pending,
@@ -29,7 +30,7 @@ class Harness:
     def __init__(self, lose_first: int = 0, lose_all: bool = False) -> None:
         self.sim = Simulator()
         self.link = FaultyLink(
-            self.sim, RngStream(1, label="retransmit-test"), FaultConfig()
+            self.sim, RngStream(1, label="retransmit-test"), ControlConfig()
         )
         force_drops(
             self.link, lambda kind, attempt, args: lose_all or attempt < lose_first

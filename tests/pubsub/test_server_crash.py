@@ -22,24 +22,23 @@ import pytest
 
 from repro.core.randomized import RandomJoinBuilder
 from repro.errors import ConfigurationError
-from repro.pubsub.faults import FaultConfig, ServerOutageWindow
-from repro.pubsub.service import MembershipService
+from repro.pubsub.faults import ServerOutageWindow
+from repro.pubsub.service import MAX_RETRANSMITS, ControlConfig, MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStream
+from tests.forced_links import force_drops
 
 
-def make_crash_service(
-    session,
-    faults: FaultConfig | None = None,
-    heartbeat_ms: float = 40.0,
-    miss_threshold: int = 3,
-    retransmit_timeout_ms: float = 60.0,
-    control_delay_ms: float = 5.0,
-    debounce_ms: float = 0.0,
-    phi_threshold: float = 0.0,
-    checkpoint_interval_ms: float = 0.0,
-):
+def make_crash_service(session, **knobs):
+    """A service over ``session`` whose :class:`ControlConfig` is
+    ``knobs`` over heartbeats, retransmission and a 5 ms link."""
+    knobs = {
+        "heartbeat_ms": 40.0,
+        "retransmit_timeout_ms": 60.0,
+        "control_delay_ms": 5.0,
+        **knobs,
+    }
     system = PubSubSystem(session=session, builder=RandomJoinBuilder())
     sim = Simulator()
     service = MembershipService(
@@ -47,15 +46,8 @@ def make_crash_service(
         server=system.server,
         rps=system.rps,
         build_rng=RngStream(5, label="crash-test"),
-        control_delay_ms=control_delay_ms,
-        debounce_ms=debounce_ms,
-        faults=faults or FaultConfig(),
+        config=ControlConfig(**knobs),
         chaos_rng=RngStream(9, label="chaos"),
-        heartbeat_ms=heartbeat_ms,
-        miss_threshold=miss_threshold,
-        retransmit_timeout_ms=retransmit_timeout_ms,
-        phi_threshold=phi_threshold,
-        checkpoint_interval_ms=checkpoint_interval_ms,
     )
     return system, service, sim
 
@@ -169,16 +161,16 @@ class TestIncarnations:
 
 
 class TestParkingAndReplay:
-    def outage_faults(self, start=200.0, end=400.0):
-        return FaultConfig(outages=(ServerOutageWindow(start, end),))
+    def outages(self, start=200.0, end=400.0):
+        return (ServerOutageWindow(start, end),)
 
     def test_ack_starved_reports_park_and_replay(self, small_session):
         """Reports sent into the outage exhaust retransmits, park, and
         land after recovery — the membership change is not lost."""
         system, service, sim = make_crash_service(
-            small_session, faults=self.outage_faults()
+            small_session, server_outages=self.outages()
         )
-        assert service.server_failover
+        assert service.config.server_failover
         announce_all(system, service)
         sim.run(150.0)
         digest_before = system.server.soft_state_digest()
@@ -194,9 +186,45 @@ class TestParkingAndReplay:
         assert not service.suspecting_sites
         assert system.server.soft_state_digest() == digest_before
 
+    def test_a_report_given_up_parks_and_suspects_the_server(
+        self, small_session
+    ):
+        """With failover armed, a report whose every ack is lost is not
+        given up: the site parks it, suspects the server, and replays it
+        on the next heartbeat ack of the same incarnation."""
+        system, service, sim = make_crash_service(
+            small_session, server_outages=self.outages(50_000.0, 50_100.0)
+        )
+        announce_all(system, service)
+        sim.run(300.0)
+        sent = service.advertise(system.rps[0].advertisement())
+        lost = []
+
+        def lose_its_acks(kind, attempt, args):
+            if (
+                kind == "control-ack"
+                and args[0].site == 0
+                and args[0].acked_seq == sent.seq
+                and len(lost) <= MAX_RETRANSMITS
+            ):
+                lost.append(args[0])
+                return True
+            return False
+
+        force_drops(service.link, lose_its_acks)
+        sim.run(3_000.0)
+        assert len(lost) == MAX_RETRANSMITS + 1
+        assert service.counts.retransmit_giveups == 0
+        assert service.counts.server_suspicions == 1
+        assert service.counts.reports_parked >= 1
+        assert service.counts.reports_replayed == service.counts.reports_parked
+        assert service.parked_reports == 0
+        assert not service.suspecting_sites
+        assert service.armed_retransmit_state == 0
+
     def test_withdraw_during_outage_survives_it(self, small_session):
         system, service, sim = make_crash_service(
-            small_session, faults=self.outage_faults()
+            small_session, server_outages=self.outages()
         )
         announce_all(system, service)
         sim.run(250.0)
@@ -210,7 +238,7 @@ class TestParkingAndReplay:
 
     def test_recovery_latency_is_measured(self, small_session):
         system, service, sim = make_crash_service(
-            small_session, faults=self.outage_faults()
+            small_session, server_outages=self.outages()
         )
         announce_all(system, service)
         sim.run(1200.0)
@@ -254,7 +282,7 @@ class TestZeroKnob:
         sim.run(300.0)
         service.quiesce()
         sim.run()
-        assert not service.server_failover
+        assert not service.config.server_failover
         for counter in (
             "server_crashes",
             "server_recoveries",

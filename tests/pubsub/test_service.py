@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.randomized import RandomJoinBuilder
-from repro.pubsub.messages import SiteSubscription
-from repro.pubsub.service import MembershipService
+from repro.errors import ProtocolError
+from repro.pubsub.messages import DirectiveAck, SiteSubscription
+from repro.pubsub.service import ControlConfig, MembershipService
 from repro.pubsub.system import PubSubSystem
 from repro.session.streams import StreamId
 from repro.sim.engine import Simulator
@@ -34,8 +35,9 @@ def make_service(
         server=system.server,
         rps=system.rps,
         build_rng=RngStream(5, label="service-test"),
-        control_delay_ms=control_delay_ms,
-        debounce_ms=debounce_ms,
+        config=ControlConfig(
+            control_delay_ms=control_delay_ms, debounce_ms=debounce_ms
+        ),
         auditor=auditor,
     )
     if site_delays is not None:
@@ -74,6 +76,19 @@ class TestZeroDelayRound:
         announce_all(system, service)
         sim.run()
         assert sorted(service.rounds[0].acked) == [0, 1, 2, 3]
+
+    def test_an_ack_routed_to_another_round_is_a_protocol_error(
+        self, small_session
+    ):
+        """Each ack travels with the round it answers; one that names
+        another epoch is a wiring bug, not traffic to ignore."""
+        system, service, sim = make_service(small_session)
+        announce_all(system, service)
+        sim.run()
+        (round_,) = service.rounds
+        ack = DirectiveAck(sent_ms=sim.now, epoch=round_.epoch + 1, site=0)
+        with pytest.raises(ProtocolError, match="epoch 2 routed to round 1"):
+            service._receive_ack(ack, round_)
 
     def test_empty_session_round_converges_at_build(self, small_session):
         _, service, sim = make_service(small_session, debounce_ms=4.0)
@@ -171,18 +186,11 @@ class TestControlDelay:
             "retransmit_timeout_ms",
         ),
     )
-    def test_bad_millisecond_knob_rejected(self, small_session, knob, value):
+    def test_bad_millisecond_knob_rejected(self, knob, value):
         from repro.errors import ConfigurationError
 
-        system = PubSubSystem(session=small_session, builder=RandomJoinBuilder())
         with pytest.raises(ConfigurationError, match=knob):
-            MembershipService(
-                sim=Simulator(),
-                server=system.server,
-                rps=system.rps,
-                build_rng=RngStream(5, label="t"),
-                **{knob: value},
-            )
+            ControlConfig(**{knob: value})
 
 
 class TestStaleDirectives:

@@ -111,7 +111,8 @@ class TestAsyncRegimes:
         assert all(round_.converged for round_ in service.rounds)
         assert report.convergence_rounds == report.rounds
         # Convergence can't beat debounce + two link traversals.
-        floor = service.debounce_ms + 2 * service.control_delay_ms
+        config = service.config
+        floor = config.debounce_ms + 2 * config.control_delay_ms
         assert report.mean_convergence_ms >= floor
         assert report.max_convergence_ms >= report.mean_convergence_ms
 
@@ -139,7 +140,7 @@ class TestAsyncRegimes:
         )
         report = ScenarioRuntime(spec, strict=True).run()
         assert report.ok
-        assert report.async_control
+        assert report.control_config is not None
 
     def test_summary_mentions_async_control(self):
         report = ScenarioRuntime(self.mid_build_join_spec()).run()

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+import textwrap
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pubsub.faults import PartitionWindow, ServerOutageWindow
+from repro.pubsub.service import ControlConfig
 from repro.scenarios.library import get_scenario, scenario_names
-from repro.scenarios.spec import EventKind, SchedulePhase, ScenarioSpec
+from repro.scenarios.spec import (
+    CONTROL_PLANE_FIELDS,
+    EventKind,
+    SchedulePhase,
+    ScenarioSpec,
+)
 from repro.util.rng import RngStream
 
 
@@ -148,11 +160,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"^{bound} must be finite"):
             SchedulePhase(EventKind.JOIN, start_ms, end_ms, 2)
 
-    def test_values_cover_every_control_plane_field(self):
-        from repro.scenarios.spec import CONTROL_PLANE_FIELDS
-
-        assert tuple(CONTROL_PLANE_VALUES) == CONTROL_PLANE_FIELDS
-
     @pytest.mark.parametrize("field", list(CONTROL_PLANE_VALUES))
     def test_control_plane_field_requires_async_control(self, field):
         """``miss_threshold=7`` on a synchronous spec used to run one
@@ -180,6 +187,166 @@ class TestValidation:
     def test_miss_threshold_with_the_static_deadline_accepted(self):
         spec = minimal_spec(async_control=True, heartbeat_ms=10.0, miss_threshold=7)
         assert spec.miss_threshold == 7
+
+
+#: The knobs of :class:`ControlConfig`, after which come its derived flags.
+CONFIG_KNOBS = [f for f in fields(ControlConfig) if f.init]
+
+#: One case per way ``ControlConfig.__post_init__`` refuses a config.
+BAD_CONFIGS = [
+    *(
+        ({knob: value}, knob)
+        for knob in (
+            "control_delay_ms",
+            "debounce_ms",
+            "jitter_ms",
+            "heartbeat_ms",
+            "retransmit_timeout_ms",
+            "phi_threshold",
+            "checkpoint_interval_ms",
+        )
+        for value in (-1.0, INF, NAN)
+    ),
+    ({"loss_rate": 1.5}, "^loss_rate"),
+    ({"duplicate_rate": -0.1}, "^duplicate_rate"),
+    ({"miss_threshold": 0}, "^miss_threshold must be >= 1"),
+    (
+        {"server_outages": (
+            ServerOutageWindow(0.0, 20.0), ServerOutageWindow(10.0, 30.0)
+        )},
+        "^server outage windows overlap",
+    ),
+    ({"phi_threshold": 8.0}, "^phi_threshold requires heartbeat_ms > 0"),
+    ({"miss_threshold": 7}, "^miss_threshold=7 is read only"),
+    (
+        {"miss_threshold": 7, "heartbeat_ms": 10.0, "phi_threshold": 8.0},
+        "^miss_threshold=7 is read only",
+    ),
+    (
+        {"server_outages": (ServerOutageWindow(10.0, 20.0),),
+         "heartbeat_ms": 10.0},
+        "^server_outages require",
+    ),
+    (
+        {"server_outages": (ServerOutageWindow(10.0, 20.0),),
+         "retransmit_timeout_ms": 20.0},
+        "^server_outages require",
+    ),
+]
+
+
+class TestControlPlaneDeclaration:
+    """The service's knobs are declared once, on :class:`ControlConfig`:
+    the spec's flat fields, the CLI's implication and every check follow
+    from it."""
+
+    def test_values_cover_every_control_plane_field(self):
+        knobs = tuple(f.name for f in CONFIG_KNOBS)
+        assert tuple(CONTROL_PLANE_VALUES) == CONTROL_PLANE_FIELDS == knobs
+
+    def test_every_config_field_has_one_meaning_line(self):
+        lines = [
+            line.strip() for line in inspect.getsource(ControlConfig).splitlines()
+        ]
+        for f in fields(ControlConfig):
+            index = next(
+                i for i, line in enumerate(lines) if line.startswith(f"{f.name}: ")
+            )
+            assert lines[index - 1].startswith("#: "), f.name
+            assert not lines[index - 2].startswith("#:"), f.name
+
+    def test_each_spec_default_is_the_config_default(self):
+        spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
+        for knob in CONFIG_KNOBS:
+            assert spec_defaults[knob.name] == knob.default, knob.name
+
+    def test_an_async_spec_carries_its_config(self):
+        knobs = {"loss_rate": 0.1, "heartbeat_ms": 10.0, "miss_threshold": 7}
+        spec = minimal_spec(async_control=True, **knobs)
+        assert spec.control_config == ControlConfig(**knobs)
+        assert minimal_spec().control_config is None
+
+    def test_a_flag_implies_async_control_exactly_for_a_config_field(
+        self, monkeypatch
+    ):
+        import repro.scenarios
+        from repro.cli import _SPEC_FLAGS, main
+        from tests.test_cli import FLAG_ARGUMENTS, _Captured
+
+        def capture(spec, **kwargs):
+            raise _Captured(spec)
+
+        monkeypatch.setattr(repro.scenarios, "run_scenario", capture)
+        knobs = {f.name for f in CONFIG_KNOBS}
+        assert knobs <= {entry.field for entry in _SPEC_FLAGS}
+        for entry in _SPEC_FLAGS:
+            with pytest.raises(_Captured) as captured:
+                main(["scenario", "run", "flash-crowd", *FLAG_ARGUMENTS[entry.flag]])
+            spec = captured.value.args[0]
+            assert spec.async_control == (entry.field in knobs), entry.flag
+
+    @pytest.mark.parametrize("knobs, message", BAD_CONFIGS)
+    def test_a_bad_config_is_refused(self, knobs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ControlConfig(**knobs)
+
+    def test_every_raise_in_the_checks_is_reached(self):
+        """Each ``raise`` and each ``check_*`` call of ``__post_init__``
+        raises for some case of :data:`BAD_CONFIGS`."""
+        code = ControlConfig.__post_init__.__code__
+        source, first = inspect.getsourcelines(ControlConfig.__post_init__)
+        tree = ast.parse(textwrap.dedent("".join(source)))
+        refusing = {
+            first + node.lineno - 1
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            or isinstance(node, ast.Call)
+            and getattr(node.func, "id", "").startswith("check_")
+        }
+        raised: set[int] = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is code:
+                return local
+            return None
+
+        def local(frame, event, arg):
+            if event == "exception":
+                raised.add(frame.f_lineno)
+            return local
+
+        previous = sys.gettrace()
+        for knobs, _ in BAD_CONFIGS:
+            sys.settrace(trace)
+            try:
+                ControlConfig(**knobs)
+            except ConfigurationError:
+                pass
+            finally:
+                sys.settrace(previous)
+        assert len(refusing) == 8
+        assert refusing <= raised
+
+    def test_a_service_refuses_outages_without_heartbeats(self, small_session):
+        """A service built directly used to accept an outage the spec
+        refused, then drain with none of 8 sites registered and every
+        unrecovered gate reading clean."""
+        from repro.core.randomized import RandomJoinBuilder
+        from repro.pubsub.service import MembershipService
+        from repro.pubsub.system import PubSubSystem
+        from repro.sim.engine import Simulator
+
+        system = PubSubSystem(session=small_session, builder=RandomJoinBuilder())
+        with pytest.raises(ConfigurationError, match="^server_outages require"):
+            MembershipService(
+                sim=Simulator(),
+                server=system.server,
+                rps=system.rps,
+                build_rng=RngStream(5, label="t"),
+                config=ControlConfig(
+                    server_outages=(ServerOutageWindow(100.0, 200.0),)
+                ),
+            )
 
 
 class TestCompile:

@@ -7,13 +7,14 @@ import hashlib
 import pytest
 
 from repro.baselines.all_to_all import DirectUnicastBuilder
+from repro.core.model import RejectionReason
 from repro.core.problem import ForestProblem
 from repro.core.registry import available_algorithms, make_builder
 from repro.core.randomized import RandomJoinBuilder
 from repro.errors import SimulationError
 from repro.pubsub.system import PubSubSystem
 from repro.session.streams import StreamId
-from repro.sim.invariants import InvariantAuditor, Violation
+from repro.sim.invariants import InvariantAuditor, Violation, _provably_sound
 from repro.session.capacity import HeterogeneousCapacityModel
 from repro.session.session import SessionConfig, build_session
 from repro.topology.backbone import load_backbone
@@ -166,6 +167,70 @@ class TestStructuralViolations:
         assert violation.event == "probe"
         assert violation.time_ms == 42.0
         assert "probe" in violation.render()
+
+
+def a_relay_tree(result):
+    """A tree of at least two members, and one member that is not its source."""
+    tree = next(t for t in result.forest.trees.values() if len(t) >= 2)
+    return tree, next(n for n in members(tree) if n != tree.source)
+
+
+def orphan_a_member(result):
+    tree, member = a_relay_tree(result)
+    del tree._parent[member]  # still its parent's child, but parentless
+    return tree
+
+
+def cap_a_source_at_zero(result):
+    tree, _ = a_relay_tree(result)
+    result.problem.set_outbound_limit(tree.source, 0)
+
+
+def skew_the_ledger(result):
+    result.state.din[0] += 1
+
+
+def push_m_hat_below_zero(result):
+    result.state.m_hat[0] = -1
+
+
+def drop_a_satisfied_tree(result):
+    del result.forest.trees[result.satisfied[0].stream]
+
+
+def reject_a_satisfied_request(result):
+    request = result.satisfied[0]
+    result.forest.rejected.append((request, RejectionReason.TREE_SATURATED))
+
+
+#: Per auditor check that only a broken result fires: a break that fires
+#: it, and what its report says.
+BREAKS = {
+    "acyclicity": (orphan_a_member, "cannot reach source of tree"),
+    "outbound-bound": (cap_a_source_at_zero, "> O 0"),
+    "degree-ledger": (skew_the_ledger, "!= ledger"),
+    "reservation-range": (push_m_hat_below_zero, "m̂ -1 outside [0, m="),
+    "membership": (drop_a_satisfied_tree, "absent from its tree"),
+    "request-accounting": (
+        reject_a_satisfied_request, "both satisfied and rejected"
+    ),
+}
+
+
+@pytest.mark.parametrize("invariant", list(BREAKS))
+def test_each_check_fires_on_a_hand_broken_result(clean_result, invariant):
+    brk, detail = BREAKS[invariant]
+    assert InvariantAuditor().audit_build(clean_result) == []
+    tree = brk(clean_result)
+    if tree is not None:
+        # The soundness proof must fail, or the tree is never examined.
+        assert not _provably_sound(
+            tree.source, tree.parent_map(), tree.children_map()
+        )
+    found = InvariantAuditor().audit_build(clean_result)
+    assert any(
+        v.invariant == invariant and detail in v.detail for v in found
+    ), [v.render() for v in found]
 
 
 @pytest.fixture

@@ -114,6 +114,22 @@ class TestRecovery:
                 session, forest, RngStream(7), repair_deadline_factor=factor
             )
 
+    def test_repair_budget_below_one_is_a_configuration_error(self):
+        """The same rule, and the same error class, as the scenario
+        spec's ``data_max_repair_attempts``."""
+        session, forest = build_forest(4, 7)
+        with pytest.raises(
+            ConfigurationError, match="^max_repair_attempts must be >= 1, got 0$"
+        ):
+            make_dataplane(
+                session,
+                forest,
+                RngStream(7),
+                loss_probability=0.2,
+                nack_enabled=True,
+                max_repair_attempts=0,
+            )
+
     def test_starved_budget_leaves_frames_unrecovered(self):
         session, forest = build_forest(8, 7)
         report = ForestDataPlane(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SessionError, SimulationError
-from repro.pubsub.faults import FaultConfig, FaultyLink
+from repro.pubsub.faults import FaultyLink
+from repro.pubsub.service import ControlConfig
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyNetwork
 from repro.util.rng import RngStream
@@ -174,7 +175,7 @@ def test_both_fronts_share_one_draw_order(small_session, loss, jitter_ms, duplic
     link = FaultyLink(
         control_sim,
         RngStream(5),
-        FaultConfig(loss_rate=loss, jitter_ms=jitter_ms, duplicate_rate=duplicate),
+        ControlConfig(loss_rate=loss, jitter_ms=jitter_ms, duplicate_rate=duplicate),
     )
     base = small_session.cost_ms(0, 1)
     data, control = [], []
