@@ -144,22 +144,22 @@ if [[ "${1:-}" == "--full" ]]; then
 
     echo
     echo "== server-crash gate: outage inside a site partition window =="
-    python -m repro.cli scenario run server-crash-partition-overlap --sites 8 \
-        --seed 7 --audit --strict --max-unrecovered 0 --max-unrecovered-reports 0
+    NAMED_OUT=$(python -m repro.cli scenario run server-crash-partition-overlap \
+        --sites 8 --seed 7 --audit --strict --max-unrecovered 0 \
+        --max-unrecovered-reports 0)
+    echo "${NAMED_OUT}"
 
     echo
     echo "== flag gate: the chaos flags build the named scenario's config =="
     # mixed-churn given server-crash-partition-overlap's knobs as flags
-    # must print that scenario's summary below the first line (which
-    # names the scenario): the flags reach the same ControlConfig.
+    # must print the server-crash gate's summary below the first line
+    # (which names the scenario): the flags reach the same ControlConfig.
     FLAGS_OUT=$(python -m repro.cli scenario run mixed-churn --sites 8 --seed 7 \
         --control-delay-ms 15 --debounce-ms 10 --loss-rate 0.1 --jitter-ms 5 \
         --retransmit-timeout-ms 60 --heartbeat-ms 40 --miss-threshold 3 \
         --partition 0:600:1100 --server-outage 700:900 --audit --strict \
         --max-unrecovered 0 --max-unrecovered-reports 0)
     echo "${FLAGS_OUT}"
-    NAMED_OUT=$(python -m repro.cli scenario run server-crash-partition-overlap \
-        --sites 8 --seed 7)
     if [[ "$(tail -n +2 <<<"${FLAGS_OUT}")" != \
           "$(tail -n +2 <<<"${NAMED_OUT}")" ]]; then
         echo "ci.sh: the flags ran a different session than the named scenario" >&2
